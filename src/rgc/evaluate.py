@@ -2,14 +2,25 @@
 
 The encoded state keeps one kappa-bit register per logical qubit; a gate on
 qubits (a,b,c) always finds its current wire keys in registers a,b,c, so the
-register layout never changes shape during evaluation.  For each basis term,
-a Toffoli step looks up the forward row opened by the term's key triple
-(trying every row against the key tags, and insisting exactly one opens),
-writes the decrypted output keys, and erases the input keys through the
-backward row.  The backward payload must XOR the inputs to exactly zero -
-that erasure is asserted for every distinct triple of every gate, and a
-failure aborts the evaluation: leftover input keys would entangle the result
-with junk registers.
+register layout never changes shape during evaluation.  Wires map to
+register indices: input wire i starts in register i, and a Toffoli's output
+wires take over the registers of its input wires.
+
+For the length of one evaluation the state is held in dictionary-encoded
+columns (:class:`ColumnarState`): per register, the list of distinct keys it
+holds - at most the wire's two keys in an honest job - and one code per term
+indexing that list; the amplitudes are two float64 arrays.  Every register
+holds one of two keys, so a gate meets at most 8 distinct key triples however
+many terms the superposition carries, and per-gate work scales with those
+triples.  A Toffoli translates each distinct input triple once - looking up
+the forward row it opens (trying every row against the key tags, and
+insisting exactly one opens), decrypting the output keys, and erasing the
+input keys through the backward row - then moves every term by gathering its
+new codes.  The backward payload must XOR the inputs to exactly zero - that
+erasure is asserted for every distinct triple of every gate, and a failure
+aborts the evaluation: leftover input keys would entangle the result with
+junk registers.  A phase gate opens its row once per distinct key and
+gathers one factor per term.
 
 Everything here sees only ciphertexts and tags.  This module has no access
 to, and no dependency on, the key schedule.
@@ -17,15 +28,18 @@ to, and no dependency on, the key schedule.
 
 from __future__ import annotations
 
+import cmath
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import symcrypt
 from .circuit import Phase, Toffoli
 from .garble import GarbledBundle, PhaseTable, ToffoliTables
-from .sparse import SparseState, apply_phase
+from .sparse import RegisterLayout, SparseState
 from .symcrypt import CryptoParams
-from .util import bytes_to_int, int_to_bytes
 
 
 class EvalError(RuntimeError):
@@ -62,17 +76,46 @@ class EvalStats:
 
 
 @dataclass
-class EvalContext:
-    """Tracks which wire currently lives in which state register."""
+class ColumnarState:
+    """An encoded state as one dictionary-encoded column per register.
 
-    bundle: GarbledBundle
-    live_registers: dict[int, str] = field(default_factory=dict)
-    stats: EvalStats = field(default_factory=EvalStats)
+    Term t holds key ``keys[i][codes[i][t]]`` in register i and amplitude
+    ``re[t] + 1j*im[t]``.  Every listed key occurs in some term.
+    """
+
+    keys: list[list[bytes]]
+    codes: list[np.ndarray]
+    re: np.ndarray
+    im: np.ndarray
 
     @staticmethod
-    def for_bundle(bundle: GarbledBundle) -> "EvalContext":
-        live = {w: f"q{i}" for i, w in enumerate(bundle.skeleton.input_wires)}
-        return EvalContext(bundle, live)
+    def from_sparse(state: SparseState, n: int, kappa_bytes: int) -> "ColumnarState":
+        width = n * kappa_bytes
+        try:
+            raw = b"".join(basis.to_bytes(width, "little") for basis in state.terms)
+        except OverflowError:
+            raise EvalError("basis string wider than the encoded layout") from None
+        regs = np.frombuffer(raw, np.uint8).reshape(len(state.terms), n, kappa_bytes)
+        keys, codes = [], []
+        for i in range(n):
+            column = np.ascontiguousarray(regs[:, i, :]).view(f"V{kappa_bytes}").ravel()
+            distinct, code = np.unique(column, return_inverse=True)
+            keys.append([key.tobytes() for key in distinct])
+            codes.append(code)
+        amps = np.array(list(state.terms.values()), dtype=np.complex128)
+        return ColumnarState(keys, codes, amps.real.copy(), amps.imag.copy())
+
+    def to_sparse(self, layout: RegisterLayout, kappa_bytes: int) -> SparseState:
+        regs = np.empty((len(self.re), len(self.keys), kappa_bytes), np.uint8)
+        for i, (keys, code) in enumerate(zip(self.keys, self.codes)):
+            table = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), kappa_bytes)
+            regs[:, i, :] = table[code]
+        width = regs.shape[1] * kappa_bytes
+        raw = regs.tobytes()
+        bases = [int.from_bytes(raw[pos:pos + width], "little")
+                 for pos in range(0, len(raw), width)] if width else [0] * len(self.re)
+        return SparseState(layout, dict(zip(bases, map(complex, self.re.tolist(),
+                                                        self.im.tolist()))), check=False)
 
 
 def _match_unique(params: CryptoParams, keys: tuple[bytes, bytes, bytes],
@@ -121,83 +164,80 @@ def eval_toffoli_term(params: CryptoParams, key_triple: tuple[bytes, bytes, byte
     return out
 
 
-def eval_toffoli(params: CryptoParams, state: SparseState, gate: Toffoli,
-                 tables: ToffoliTables, ctx: EvalContext) -> SparseState:
-    kappa = params.kappa_bits
-    kb = params.kappa_bytes
-    offsets = [state.layout.offset(ctx.live_registers[w]) for w in gate.in_wires]
-    mask = (1 << kappa) - 1
-    clear = ~((mask << offsets[0]) | (mask << offsets[1]) | (mask << offsets[2]))
+def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, int, int],
+                 tables: ToffoliTables, stats: EvalStats) -> None:
+    """Apply one garbled Toffoli to registers ``regs`` of the state, in place.
 
-    # Superpositions repeat triples across terms; translate each distinct
-    # triple once.  The memo also means the erasure check runs exactly once
-    # per triple while covering every term carrying it.
-    memo: dict[tuple[int, int, int], int] = {}
-    new_terms: dict[int, complex] = {}
-    for basis, amp in state.terms.items():
-        triple = ((basis >> offsets[0]) & mask,
-                  (basis >> offsets[1]) & mask,
-                  (basis >> offsets[2]) & mask)
-        packed = memo.get(triple)
-        if packed is None:
-            out = eval_toffoli_term(
-                params,
-                tuple(int_to_bytes(t, kb) for t in triple),
-                tables, ctx.stats)
-            packed = (bytes_to_int(out[0]) << offsets[0]
-                      | bytes_to_int(out[1]) << offsets[1]
-                      | bytes_to_int(out[2]) << offsets[2])
-            memo[triple] = packed
-        new_terms[(basis & clear) | packed] = amp
-        ctx.stats.terms_processed += 1
-    if len(new_terms) != len(state.terms):
+    The three registers' codes combine into one triple code, densified after
+    the first pair so that no code exceeds terms^2 and none can overflow.
+    Each distinct triple is translated once, so the erasure check runs
+    exactly once per triple while covering every term carrying it; the terms
+    then gather their new codes.
+    """
+    a, b, c = regs
+    nb, nc = len(state.keys[b]), len(state.keys[c])
+    pairs, pair_code = np.unique(state.codes[a] * nb + state.codes[b], return_inverse=True)
+    triples, term_triple = np.unique(pair_code * nc + state.codes[c], return_inverse=True)
+    pairs = pairs.tolist()
+    keys_a, keys_b, keys_c = (state.keys[r] for r in regs)
+
+    outs = []
+    for code in triples.tolist():
+        pair, ic = divmod(code, nc)
+        ia, ib = divmod(pairs[pair], nb)
+        outs.append(eval_toffoli_term(params, (keys_a[ia], keys_b[ib], keys_c[ic]),
+                                      tables, stats))
+    if len(set(outs)) != len(outs):
         raise EvalError("toffoli step collided terms; evaluation not reversible")
 
-    for win, wout in zip(gate.in_wires, gate.out_wires):
-        ctx.live_registers[wout] = ctx.live_registers.pop(win)
-    return SparseState(state.layout, new_terms, check=False)
+    for pos, reg in enumerate(regs):
+        index: dict[bytes, int] = {}
+        out_code = [index.setdefault(out[pos], len(index)) for out in outs]
+        state.keys[reg] = list(index)
+        state.codes[reg] = np.array(out_code, dtype=np.intp)[term_triple]
+    stats.terms_processed += len(term_triple)
 
 
-def eval_phase(params: CryptoParams, state: SparseState, gate: Phase,
-               table: PhaseTable, ctx: EvalContext) -> SparseState:
-    """Open the phase row for each term's key and multiply by omega^value.
+def eval_phase(params: CryptoParams, state: ColumnarState, reg: int, gate: Phase,
+               table: PhaseTable, stats: EvalStats) -> None:
+    """Open the phase row for each distinct key of register ``reg`` and
+    multiply every term by omega^value, in place.
 
     The scratch register holding the opened value is written and unwritten by
     the same table lookup, so it never appears in the state we keep; only the
     phase survives.  A negative gate applies omega^(-value), flipping the
     surviving relative phase.
     """
-    offset = state.layout.offset(ctx.live_registers[gate.wire])
-    kappa = params.kappa_bits
-    mask = (1 << kappa) - 1
     denom = 1 << gate.denom_exp
     modulus = 2 * denom
+    factor_re, factor_im = [], []
+    for key in state.keys[reg]:
+        match = None
+        for idx, row in enumerate(table.rows):
+            stats.rows_tried += 1
+            stats.ver_calls += 1
+            if symcrypt.kdm_ver(params, key, row.tag):
+                if match is not None:
+                    raise AmbiguousRowError(f"phase rows {match} and {idx} both verify")
+                match = idx
+        if match is None:
+            raise NoRowMatchError("no phase row verifies under the term's key")
+        value = int.from_bytes(symcrypt.kdm_dec(params, key, table.rows[match]), "big")
+        if value >= modulus:
+            raise EvalError("phase payload out of range")
+        factor = cmath.exp(1j * math.pi * (gate.sign * value % modulus) / denom)
+        factor_re.append(factor.real)
+        factor_im.append(factor.imag)
 
-    values: dict[int, int] = {}
-
-    def opened(segment: int) -> int:
-        value = values.get(segment)
-        if value is None:
-            key = int_to_bytes(segment, params.kappa_bytes)
-            match = None
-            for idx, row in enumerate(table.rows):
-                ctx.stats.rows_tried += 1
-                ctx.stats.ver_calls += 1
-                if symcrypt.kdm_ver(params, key, row.tag):
-                    if match is not None:
-                        raise AmbiguousRowError(f"phase rows {match} and {idx} both verify")
-                    match = idx
-            if match is None:
-                raise NoRowMatchError("no phase row verifies under the term's key")
-            value = int.from_bytes(symcrypt.kdm_dec(params, key, table.rows[match]), "big")
-            if value >= modulus:
-                raise EvalError("phase payload out of range")
-            values[segment] = value
-        ctx.stats.terms_processed += 1
-        return value
-
-    return apply_phase(state, lambda basis: gate.sign * opened((basis >> offset) & mask),
-                       denom)
+    code = state.codes[reg]
+    fr = np.array(factor_re)[code]
+    fi = np.array(factor_im)[code]
+    # Real and imaginary parts as separately rounded products, in the order
+    # Python's complex multiply uses, so results match it bit for bit.
+    re, im = state.re, state.im
+    state.re = re * fr - im * fi
+    state.im = re * fi + im * fr
+    stats.terms_processed += len(code)
 
 
 def eval_bundle(params: CryptoParams, encoded: SparseState,
@@ -208,17 +248,27 @@ def eval_bundle(params: CryptoParams, encoded: SparseState,
     output wire.  Any gate-level failure aborts with the gate index attached.
     """
     circ = bundle.skeleton
-    if encoded.layout.total_bits != circ.num_inputs * params.kappa_bits:
-        raise EvalError("encoded state width does not match the skeleton")
-    ctx = EvalContext.for_bundle(bundle)
-    state = encoded
+    kappa = params.kappa_bits
+    if (len(encoded.layout.registers) != circ.num_inputs
+            or any(width != kappa for _, width in encoded.layout.registers)):
+        raise EvalError(f"encoded state is not {circ.num_inputs} registers of {kappa} bits")
+    state = ColumnarState.from_sparse(encoded, circ.num_inputs, params.kappa_bytes)
+    stats = EvalStats()
+    live = {w: i for i, w in enumerate(circ.input_wires)}    # wire -> register
     for index, (gate, table) in enumerate(zip(circ.gates, bundle.tables)):
         try:
             if isinstance(gate, Toffoli):
-                state = eval_toffoli(params, state, gate, table, ctx)
+                regs = tuple(live.pop(w, None) for w in gate.in_wires)
+                if None in regs:
+                    raise EvalError("toffoli reads a wire that is not live")
+                eval_toffoli(params, state, regs, table, stats)
+                live.update(zip(gate.out_wires, regs))
             else:
-                state = eval_phase(params, state, gate, table, ctx)
+                reg = live.get(gate.wire)
+                if reg is None:
+                    raise EvalError("phase reads a wire that is not live")
+                eval_phase(params, state, reg, gate, table, stats)
         except EvalError as exc:
             raise type(exc)(f"gate {index}: {exc}") from None
-        ctx.stats.gates += 1
-    return state, ctx.stats
+        stats.gates += 1
+    return state.to_sparse(encoded.layout, params.kappa_bytes), stats

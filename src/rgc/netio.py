@@ -28,7 +28,7 @@ import threading
 import time
 import zlib
 from . import delegation, evaluate
-from .circuit import CPCircuit, Phase, Toffoli, validate
+from .circuit import DEFAULT_MAX_DENOM_EXP, CPCircuit, Phase, Toffoli, validate
 from .delegation import JobBundle
 from .encoding import KeySchedule, WireKeyPair
 from .evaluate import EvalStats
@@ -154,6 +154,13 @@ def _put_circuit(w: Writer, c: CPCircuit) -> None:
             w.i8(g.sign)
 
 
+def _get_denom_exp(r: Reader) -> int:
+    denom_exp = r.u16()
+    if denom_exp > DEFAULT_MAX_DENOM_EXP:
+        raise WireFormatError(f"phase exponent {denom_exp} above bound {DEFAULT_MAX_DENOM_EXP}")
+    return denom_exp
+
+
 def _get_circuit(r: Reader) -> CPCircuit:
     num_inputs = r.u32()
     num_wires = r.u32()
@@ -165,7 +172,7 @@ def _get_circuit(r: Reader) -> CPCircuit:
             vals = [r.u32() for _ in range(9)]
             gates.append(Toffoli(tuple(vals[0:3]), tuple(vals[3:6]), tuple(vals[6:9])))
         elif kind == 1:
-            gates.append(Phase(r.u32(), r.u32(), r.u16(), r.i8()))
+            gates.append(Phase(r.u32(), r.u32(), _get_denom_exp(r), r.i8()))
         else:
             raise WireFormatError(f"unknown gate kind {kind}")
     circ = CPCircuit(num_inputs, tuple(gates), num_wires, outs)
@@ -221,7 +228,7 @@ def _get_bundle(r: Reader) -> tuple[GarbledBundle, bytes]:
             rows = [_get_triple_ct(r) for _ in range(16)]
             tables.append(ToffoliTables(tuple(rows[:8]), tuple(rows[8:])))
         else:
-            denom_exp = r.u16()
+            denom_exp = _get_denom_exp(r)
             tables.append(PhaseTable((_get_kdm_ct(r), _get_kdm_ct(r)), denom_exp))
     return GarbledBundle(skeleton, tuple(tables), kappa, tag_len), oracle_seed
 

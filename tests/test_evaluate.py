@@ -1,15 +1,19 @@
+import hashlib
 import math
 import random
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rgc import sparse, symcrypt
-from rgc.circuit import allocate_wires, parse_circuit, phase, random_circuit, simulate
+from rgc.circuit import (Phase, Toffoli, allocate_wires, parse_circuit, phase, random_circuit,
+                         simulate)
 from rgc.encoding import decode, encode, gen_keys
-from rgc.evaluate import (AmbiguousRowError, ErasureError, NoRowMatchError,
+from rgc.evaluate import (AmbiguousRowError, ErasureError, EvalStats, NoRowMatchError,
                           eval_bundle, eval_toffoli_term)
-from rgc.garble import ToffoliTables, garble_circuit, garble_toffoli
+from rgc.garble import GarbledBundle, PhaseTable, ToffoliTables, garble_circuit, garble_toffoli
 from rgc.sparse import fidelity, inner, qubit_layout, random_state
 
 from conftest import make_params
@@ -224,3 +228,125 @@ def test_eval_module_never_touches_schedules():
     source = inspect.getsource(ev)
     assert "KeySchedule" not in source
     assert "gen_keys" not in source
+
+
+# ---------------------------------------------------------------------------
+# byte identity: BLAKE2b of serialize_result pinned from the per-term
+# evaluator that preceded the columnar one
+
+def _golden_result_hash(circ, state, seed):
+    from rgc import delegation, netio
+    rng = random.Random(seed)
+    params = delegation.make_params(16, oracle_seed=b"golden")
+    schedule = gen_keys(16, circ, rng)
+    bundle = garble_circuit(params, circ, schedule, rng)
+    out, stats = eval_bundle(params, encode(state, schedule, circ.input_wires), bundle)
+    payload = netio.serialize_result(out, stats)
+    return hashlib.blake2b(payload, digest_size=16).hexdigest(), stats
+
+
+def test_result_bytes_pinned_for_phase_circuit():
+    rng = random.Random(2024)
+    circ = random_circuit(rng, 4, 24, max_denom_exp=3)
+    state = random_state(qubit_layout(4), rng)
+    assert {g.denom_exp for g in circ.gates if isinstance(g, Phase)} == {0, 1, 2, 3}
+    digest, stats = _golden_result_hash(circ, state, 1)
+    assert digest == "960a9be43c68b1fadc727490a179efb4"
+    assert stats == EvalStats(gates=24, terms_processed=384, rows_tried=1708, ver_calls=1500,
+                              backward_ver_calls=1456, erasure_checks=104)
+
+
+def test_result_bytes_pinned_for_toffoli_superposition():
+    circ = parse_circuit("inputs 4\ntoff 0 1 2\ntoff 1 2 3\ntoff 3 0 1\ntoff 2 3 0\ntoff 0 1 3\n")
+    state = random_state(qubit_layout(4), random.Random(7), support_bits=[0, 1, 3])
+    digest, stats = _golden_result_hash(circ, state, 2)
+    assert digest == "c933f09edaa8ac095dd5c03a3078128b"
+    assert stats == EvalStats(gates=5, terms_processed=40, rows_tried=496, ver_calls=434,
+                              backward_ver_calls=434, erasure_checks=31)
+
+
+# ---------------------------------------------------------------------------
+# tampered tables through eval_bundle
+
+THREE_TOFFOLIS = parse_circuit("inputs 3\ntoff 1 2 0\ntoff 0 1 2\ntoff 0 1 2\n")
+
+
+def _bundle_fixture(circ, seed):
+    params = make_params()
+    rng = random.Random(seed)
+    schedule = gen_keys(16, circ, rng)
+    bundle = garble_circuit(params, circ, schedule, rng)
+    encoded = encode(random_state(qubit_layout(circ.num_inputs), rng), schedule,
+                     circ.input_wires)
+    return params, bundle, encoded
+
+
+def _with_tables(bundle, changes):
+    tables = list(bundle.tables)
+    for index, table in changes.items():
+        tables[index] = table
+    return GarbledBundle(bundle.skeleton, tuple(tables), bundle.kappa_bits, bundle.tag_len_bits)
+
+
+def test_bundle_erasure_failure_names_the_gate():
+    # gates 1 and 2 act on the same qubits, so gate 2's forward table opens
+    # under gate 1's output keys; swapped in as gate 1's backward table it
+    # decrypts to gate 2's outputs instead of gate 1's inputs
+    params, bundle, encoded = _bundle_fixture(THREE_TOFFOLIS, 16)
+    one, two = bundle.tables[1], bundle.tables[2]
+    tampered = _with_tables(bundle, {1: ToffoliTables(one.forward, two.forward),
+                                     2: ToffoliTables(one.backward, two.backward)})
+    with pytest.raises(ErasureError, match="^gate 1: "):
+        eval_bundle(params, encoded, tampered)
+
+
+def test_bundle_duplicated_row_names_the_gate():
+    params, bundle, encoded = _bundle_fixture(THREE_TOFFOLIS, 17)
+    table = bundle.tables[2]
+    forward = table.forward + table.forward[:1]     # every row kept, row 0 twice
+    tampered = _with_tables(bundle, {2: ToffoliTables(forward, table.backward)})
+    with pytest.raises(AmbiguousRowError, match="^gate 2: "):
+        eval_bundle(params, encoded, tampered)
+
+
+def test_bundle_duplicated_phase_row_names_the_gate():
+    circ = parse_circuit("inputs 3\ntoff 0 1 2\nphase 2 3\n")
+    params, bundle, encoded = _bundle_fixture(circ, 18)
+    table = bundle.tables[1]
+    rows = table.rows + table.rows[:1]
+    tampered = _with_tables(bundle, {1: PhaseTable(rows, table.denom_exp)})
+    with pytest.raises(AmbiguousRowError, match="^gate 1: "):
+        eval_bundle(params, encoded, tampered)
+
+
+# ---------------------------------------------------------------------------
+# properties over random circuits
+
+@st.composite
+def _circuits_and_states(draw):
+    n = draw(st.integers(1, 4))
+    toffoli = st.tuples(st.just("toff"), *([st.integers(0, n - 1)] * 3)).filter(
+        lambda g: len(set(g[1:])) == 3)
+    phase_gate = st.tuples(st.just("phase"), st.integers(0, n - 1), st.integers(0, 3),
+                           st.sampled_from((1, -1)))
+    gates = draw(st.lists(st.one_of(toffoli, phase_gate) if n >= 3 else phase_gate,
+                          max_size=12))
+    support = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
+    return allocate_wires(gates, n), support, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_circuits_and_states())
+def test_eval_matches_simulation_property(case):
+    circ, support, seed = case
+    params = make_params()
+    rng = random.Random(seed)
+    state = random_state(qubit_layout(circ.num_inputs), rng, support_bits=support)
+    schedule = gen_keys(16, circ, rng)
+    bundle = garble_circuit(params, circ, schedule, rng)
+    out, stats = eval_bundle(params, encode(state, schedule, circ.input_wires), bundle)
+    decoded = decode(out, schedule, circ.output_wires)
+    assert fidelity(decoded, simulate(circ, state)) >= 1 - 1e-12
+    assert stats.terms_processed == len(circ.gates) * len(state.terms)
+    toffolis = sum(isinstance(g, Toffoli) for g in circ.gates)
+    assert toffolis <= stats.erasure_checks <= 8 * toffolis

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from rgc import delegation, netio, sparse
-from rgc.circuit import allocate_wires, parse_circuit, random_circuit
-from rgc.encoding import KeySchedule, WireKeyPair, gen_keys
+from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CPCircuit, Toffoli, allocate_wires,
+                         parse_circuit, phase, random_circuit, validate)
+from rgc.encoding import KeySchedule, WireKeyPair, encode, gen_keys
 from rgc.evaluate import EvalStats
 from rgc.games import GameReport
 from rgc.garble import garble_circuit
@@ -205,3 +206,61 @@ def test_no_schedule_keys_leak_into_the_job():
         assert sentinel not in rest, "schedule key visible outside the encoded state"
     input_keys = {schedule.pairs[w][b] for w in circ.input_wires for b in (0, 1)}
     assert any(k in encoded_blob for k in input_keys)
+
+
+def _handle_job(job, params):
+    return unframe(netio.handle_envelope(frame(netio.KIND_JOB, serialize_job(job, params))))
+
+
+def test_phase_exponent_above_bound_gets_error_envelope():
+    # a correctly framed job; only the exponent exceeds what the parser allows
+    d = DEFAULT_MAX_DENOM_EXP + 1984
+    circ = allocate_wires([phase(0, d)], 1)
+    rng = random.Random(13)
+    keys = delegation.keygen(16, 1, circ, rng, conjecture=True)
+    params = delegation.make_params(16, oracle_seed=b"exp")
+    job = delegation.encrypt(params, keys, circ, random_state(qubit_layout(1), rng), rng)
+    kind, payload = _handle_job(job, params)
+    assert kind == netio.KIND_ERROR
+    assert b"WireFormatError" in payload and b"exponent" in payload
+
+
+def test_renamed_state_registers_still_evaluate():
+    # register names carry no meaning to the evaluator, which addresses
+    # registers by index
+    circ, keys, params, state, job = _job_fixture(seed=14, gates=4)
+    layout = job.encoded_state.layout
+    renamed = sparse.RegisterLayout(tuple(
+        ("x1" if name == "q1" else name, width) for name, width in layout.registers))
+    job = delegation.JobBundle(sparse.with_layout(job.encoded_state, renamed), job.garbled)
+    kind, payload = _handle_job(job, params)
+    assert kind == netio.KIND_RESULT
+    out, _ = netio.deserialize_result(payload)
+    from rgc.circuit import simulate
+    assert fidelity(delegation.decrypt(keys, circ, out), simulate(circ, state)) >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("widths", [(16, 16), (16, 16, 16, 16), (8, 24, 16), (24, 24)])
+def test_state_of_wrong_register_layout_gets_error_envelope(widths):
+    circ, keys, params, state, job = _job_fixture(seed=15)
+    layout = sparse.RegisterLayout(tuple((f"q{i}", w) for i, w in enumerate(widths)))
+    basis = next(iter(job.encoded_state.terms)) & ((1 << layout.total_bits) - 1)
+    job = delegation.JobBundle(sparse.SparseState(layout, {basis: 1 + 0j}), job.garbled)
+    kind, payload = _handle_job(job, params)
+    assert kind == netio.KIND_ERROR
+    assert b"EvalError" in payload and b"registers of 16 bits" in payload
+
+
+def test_toffoli_reading_one_wire_twice_gets_error_envelope():
+    # passes the skeleton's wire-discipline check, which compares each gate's
+    # wires only with earlier gates
+    circ = CPCircuit(3, (Toffoli((0, 1, 2), (0, 0, 1), (3, 3, 4)),), 6, (2, 3, 4))
+    validate(circ)
+    rng = random.Random(16)
+    schedule = gen_keys(16, circ, rng)
+    params = delegation.make_params(16, oracle_seed=b"dup")
+    bundle = garble_circuit(params, circ, schedule, rng)
+    encoded = encode(sparse.basis_state(qubit_layout(3), 0), schedule, circ.input_wires)
+    kind, payload = _handle_job(delegation.JobBundle(encoded, bundle), params)
+    assert kind == netio.KIND_ERROR
+    assert b"gate 0: toffoli reads a wire that is not live" in payload
