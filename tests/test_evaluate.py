@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rgc import sparse, symcrypt
+from rgc import delegation, netio, sparse, symcrypt
 from rgc.circuit import (Phase, Toffoli, allocate_wires, parse_circuit, phase, random_circuit,
                          simulate)
 from rgc.encoding import decode, encode, gen_keys
@@ -235,7 +235,6 @@ def test_eval_module_never_touches_schedules():
 # evaluator that preceded the columnar one
 
 def _golden_result_hash(circ, state, seed):
-    from rgc import delegation, netio
     rng = random.Random(seed)
     params = delegation.make_params(16, oracle_seed=b"golden")
     schedule = gen_keys(16, circ, rng)
