@@ -127,6 +127,9 @@ def allocate_wires(logical_gates: Sequence[LogicalGate], n_inputs: int) -> CPCir
 
 def validate(circ: CPCircuit) -> None:
     """Check the single-assignment wire discipline and the N+3L bound."""
+    if len(circ.output_wires) != circ.num_inputs:
+        # checked first: it bounds num_inputs by the circuit's own size
+        raise CircuitError("output wires must be exactly the unconsumed wires")
     n_toffoli = sum(1 for g in circ.gates if isinstance(g, Toffoli))
     if circ.num_wires > circ.num_inputs + 3 * len(circ.gates):
         raise CircuitError("wire count exceeds N+3L")
@@ -136,6 +139,8 @@ def validate(circ: CPCircuit) -> None:
     consumed: set[int] = set()
     for g in circ.gates:
         if isinstance(g, Toffoli):
+            if len(set(g.in_wires)) != 3 or len(set(g.out_wires)) != 3:
+                raise CircuitError(f"toffoli names one wire twice: {g.in_wires} -> {g.out_wires}")
             for w in g.in_wires:
                 if w not in produced or w in consumed:
                     raise CircuitError(f"wire {w} read before production or reused")
@@ -148,7 +153,7 @@ def validate(circ: CPCircuit) -> None:
             if g.wire not in produced or g.wire in consumed:
                 raise CircuitError(f"phase wire {g.wire} not live")
     live = produced - consumed
-    if set(circ.output_wires) != live or len(circ.output_wires) != circ.num_inputs:
+    if set(circ.output_wires) != live:
         raise CircuitError("output wires must be exactly the unconsumed wires")
 
 

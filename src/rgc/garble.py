@@ -44,10 +44,6 @@ class PhaseTable:
     rows: tuple[KdmCiphertext, KdmCiphertext]
     denom_exp: int
 
-    @property
-    def payload_bytes(self) -> int:
-        return (self.denom_exp + 1 + 7) // 8   # ceil(log2(2n) / 8), n = 2^d
-
 
 @dataclass(frozen=True)
 class GarbledBundle:
@@ -65,8 +61,12 @@ class GarbledBundle:
             raise ValueError("one table per gate required")
 
 
+def phase_payload_bytes(denom_exp: int) -> int:
+    return (denom_exp + 1 + 7) // 8   # ceil(log2(2n) / 8), n = 2^d
+
+
 def phase_payload(value: int, denom_exp: int) -> bytes:
-    return value.to_bytes((denom_exp + 1 + 7) // 8, "big")
+    return value.to_bytes(phase_payload_bytes(denom_exp), "big")
 
 
 def garble_toffoli(params: CryptoParams, gate: Toffoli, schedule: KeySchedule,

@@ -6,9 +6,25 @@ framed envelope::
 
     magic "RGC1" | version u8 | kind u8 | payload_len u64 | payload | crc32 u32
 
+Almost all of a job is garbled-table rows, and the bundle header (kappa and
+tag length) fixes the width of every row field, so each table has one fixed
+layout, read and written whole.  Every field still carries its u32 length
+prefix; with p = kappa/8 bytes and t = tag_len/8 bytes::
+
+    toffoli row  3 x (u32 p, pad) | u32 3p, masked | 3 x (u32 p, tag pad, u32 t, digest)
+    toffoli table  16 rows: 8 forward, then 8 backward
+    phase table  exponent u16 | 2 x (u32 p, pad | u32 w, masked | u32 p, tag pad | u32 t, digest)
+
+where w = ceil((exponent + 1) / 8).  The reader refuses a table whose length
+prefixes differ from these widths, a phase table whose exponent differs from
+its skeleton gate's, and a skeleton phase exponent above
+``circuit.DEFAULT_MAX_DENOM_EXP``; the writer refuses rows of other widths.
+
 One request per connection keeps the exchange as non-interactive as the
 protocol itself: the client ships a job, the server ships back the evaluated
-state (or an error), and that's the whole conversation.  A directory-based
+state (or an error), and that's the whole conversation.  The server answers
+a declared payload above ``MAX_PAYLOAD_BYTES`` with an error without reading
+it, and drops a connection that stalls for ``SOCKET_TIMEOUT_S``.  A directory-based
 transport mirrors the socket one for setups where the only channel is a
 shared filesystem; both produce byte-identical result payloads.
 
@@ -27,13 +43,15 @@ import struct
 import threading
 import time
 import zlib
+from itertools import repeat
+
 from . import delegation, evaluate
 from .circuit import DEFAULT_MAX_DENOM_EXP, CPCircuit, Phase, Toffoli, validate
 from .delegation import JobBundle
 from .encoding import KeySchedule, WireKeyPair
 from .evaluate import EvalStats
 from .games import GameReport
-from .garble import GarbledBundle, PhaseTable, ToffoliTables
+from .garble import GarbledBundle, PhaseTable, ToffoliTables, phase_payload_bytes
 from .oracle import HASH_MODE
 from .sparse import RegisterLayout, SparseState
 from .symcrypt import (CryptoParams, KdmCiphertext, KeyTag, TripleCiphertext)
@@ -45,6 +63,12 @@ BUNDLE_VERSION = 1
 KIND_JOB = 1
 KIND_RESULT = 2
 KIND_ERROR = 3
+
+# Server limits: the largest envelope payload a peer may declare (the blind
+# interpreter's N=3, D=3, L=4 job is 8.6 MB), and how long one socket read or
+# write may wait.
+MAX_PAYLOAD_BYTES = 64 << 20
+SOCKET_TIMEOUT_S = 30.0
 
 
 class WireFormatError(ValueError):
@@ -97,6 +121,13 @@ class Reader:
     def f64(self): return struct.unpack("<d", self._take(8))[0]
     def raw(self, n): return self._take(n)
 
+    def unpack(self, st: struct.Struct) -> tuple:
+        if self.pos + st.size > len(self.data):
+            raise WireFormatError("truncated payload")
+        vals = st.unpack_from(self.data, self.pos)
+        self.pos += st.size
+        return vals
+
     def blob(self) -> bytes:
         return self._take(self.u32())
 
@@ -134,6 +165,10 @@ def _get_schedule(r: Reader) -> KeySchedule:
     return KeySchedule(kappa, pairs, ins, outs)
 
 
+_TOFFOLI_GATE = struct.Struct("<9I")     # qubits, in_wires, out_wires
+_PHASE_GATE = struct.Struct("<IIHb")     # qubit, wire, denom_exp, sign
+
+
 def _put_circuit(w: Writer, c: CPCircuit) -> None:
     w.u32(c.num_inputs)
     w.u32(c.num_wires)
@@ -144,21 +179,10 @@ def _put_circuit(w: Writer, c: CPCircuit) -> None:
     for g in c.gates:
         if isinstance(g, Toffoli):
             w.u8(0)
-            for v in g.qubits + g.in_wires + g.out_wires:
-                w.u32(v)
+            w.raw(_TOFFOLI_GATE.pack(*g.qubits, *g.in_wires, *g.out_wires))
         else:
             w.u8(1)
-            w.u32(g.qubit)
-            w.u32(g.wire)
-            w.u16(g.denom_exp)
-            w.i8(g.sign)
-
-
-def _get_denom_exp(r: Reader) -> int:
-    denom_exp = r.u16()
-    if denom_exp > DEFAULT_MAX_DENOM_EXP:
-        raise WireFormatError(f"phase exponent {denom_exp} above bound {DEFAULT_MAX_DENOM_EXP}")
-    return denom_exp
+            w.raw(_PHASE_GATE.pack(g.qubit, g.wire, g.denom_exp, g.sign))
 
 
 def _get_circuit(r: Reader) -> CPCircuit:
@@ -169,10 +193,14 @@ def _get_circuit(r: Reader) -> CPCircuit:
     for _ in range(r.u32()):
         kind = r.u8()
         if kind == 0:
-            vals = [r.u32() for _ in range(9)]
-            gates.append(Toffoli(tuple(vals[0:3]), tuple(vals[3:6]), tuple(vals[6:9])))
+            vals = r.unpack(_TOFFOLI_GATE)
+            gates.append(Toffoli(vals[0:3], vals[3:6], vals[6:9]))
         elif kind == 1:
-            gates.append(Phase(r.u32(), r.u32(), _get_denom_exp(r), r.i8()))
+            gate = Phase(*r.unpack(_PHASE_GATE))
+            if gate.denom_exp > DEFAULT_MAX_DENOM_EXP:
+                raise WireFormatError(f"phase exponent {gate.denom_exp} above bound "
+                                      f"{DEFAULT_MAX_DENOM_EXP}")
+            gates.append(gate)
         else:
             raise WireFormatError(f"unknown gate kind {kind}")
     circ = CPCircuit(num_inputs, tuple(gates), num_wires, outs)
@@ -180,38 +208,82 @@ def _get_circuit(r: Reader) -> CPCircuit:
     return circ
 
 
-def _put_tag(w: Writer, t: KeyTag) -> None:
-    w.blob(t.pad)
-    w.blob(t.digest)
+# garbled tables, one fixed-stride layout each (see the module docstring)
+
+def _records(cls, *columns):
+    """``cls`` NamedTuples built column-wise, with no Python call per record."""
+    return map(tuple.__new__, repeat(cls), zip(*columns))
 
 
-def _get_tag(r: Reader) -> KeyTag:
-    return KeyTag(r.blob(), r.blob())
+class _FixedFields:
+    """A run of u32-length-prefixed byte fields of fixed widths."""
+
+    def __init__(self, widths: tuple[int, ...]):
+        self.widths = widths
+        self.struct = struct.Struct("<" + "".join(f"I{n}s" for n in widths))
+        self._pieces = [piece for n in widths for piece in (struct.pack("<I", n), b"")]
+
+    def read(self, r: Reader) -> tuple[bytes, ...]:
+        vals = r.unpack(self.struct)
+        if vals[0::2] != self.widths:
+            raise WireFormatError("table field width does not match the bundle header")
+        return vals[1::2]
+
+    def write(self, w: Writer, fields: list[bytes]) -> None:
+        if tuple(map(len, fields)) != self.widths:
+            raise WireFormatError("table field width does not match the bundle header")
+        pieces = self._pieces.copy()
+        pieces[1::2] = fields
+        w.raw(b"".join(pieces))
 
 
-def _put_kdm_ct(w: Writer, c: KdmCiphertext) -> None:
-    w.blob(c.r1)
-    w.blob(c.masked)
-    _put_tag(w, c.tag)
+class _TableCodec:
+    """The table layouts fixed by one bundle header's kappa and tag length.
 
+    Each table is read with one struct unpack, its length prefixes checked
+    against the header's widths in one comparison, and written with one join.
+    """
 
-def _get_kdm_ct(r: Reader) -> KdmCiphertext:
-    return KdmCiphertext(r.blob(), r.blob(), _get_tag(r))
+    def __init__(self, kappa_bits: int, tag_len_bits: int):
+        self.kb, self.tb = k, t = kappa_bits // 8, tag_len_bits // 8
+        self.toffoli = _FixedFields(((k,) * 3 + (3 * k,) + (k, t) * 3) * 16)
+        self._phase: dict[int, _FixedFields] = {}
 
+    def phase(self, denom_exp: int) -> _FixedFields:
+        width = phase_payload_bytes(denom_exp)
+        if width not in self._phase:
+            self._phase[width] = _FixedFields((self.kb, width, self.kb, self.tb) * 2)
+        return self._phase[width]
 
-def _put_triple_ct(w: Writer, c: TripleCiphertext) -> None:
-    for pad in c.pads:
-        w.blob(pad)
-    w.blob(c.masked)
-    for tag in c.tags:
-        _put_tag(w, tag)
+    def read(self, r: Reader, gate: Toffoli | Phase) -> ToffoliTables | PhaseTable:
+        if isinstance(gate, Toffoli):
+            f = self.toffoli.read(r)
+            tags = zip(*(_records(KeyTag, f[i::10], f[i + 1::10]) for i in (4, 6, 8)))
+            rows = tuple(_records(TripleCiphertext, zip(f[0::10], f[1::10], f[2::10]),
+                                  f[3::10], tags))
+            return ToffoliTables(rows[:8], rows[8:])
+        denom_exp = r.u16()
+        if denom_exp != gate.denom_exp:
+            raise WireFormatError(f"phase table exponent {denom_exp} differs from "
+                                  f"its gate's {gate.denom_exp}")
+        f = self.phase(denom_exp).read(r)
+        return PhaseTable((KdmCiphertext(f[0], f[1], KeyTag(f[2], f[3])),
+                           KdmCiphertext(f[4], f[5], KeyTag(f[6], f[7]))), denom_exp)
 
-
-def _get_triple_ct(r: Reader) -> TripleCiphertext:
-    pads = tuple(r.blob() for _ in range(3))
-    masked = r.blob()
-    tags = tuple(_get_tag(r) for _ in range(3))
-    return TripleCiphertext(pads, masked, tags)
+    def write(self, w: Writer, table: ToffoliTables | PhaseTable) -> None:
+        if isinstance(table, ToffoliTables):
+            # the reader's column-wise split, inverted
+            rows = table.forward + table.backward
+            f = [b""] * (10 * len(rows))
+            pads, f[3::10], tags = zip(*rows)
+            f[0::10], f[1::10], f[2::10] = zip(*pads)
+            for i, column in zip((4, 6, 8), zip(*tags)):
+                f[i::10], f[i + 1::10] = zip(*column)
+            self.toffoli.write(w, f)
+        else:
+            w.u16(table.denom_exp)
+            self.phase(table.denom_exp).write(
+                w, [x for r1, masked, tag in table.rows for x in (r1, masked, *tag)])
 
 
 def _get_bundle(r: Reader) -> tuple[GarbledBundle, bytes]:
@@ -222,15 +294,9 @@ def _get_bundle(r: Reader) -> tuple[GarbledBundle, bytes]:
     tag_len = r.u16()
     oracle_seed = r.blob()
     skeleton = _get_circuit(r)
-    tables = []
-    for g in skeleton.gates:
-        if isinstance(g, Toffoli):
-            rows = [_get_triple_ct(r) for _ in range(16)]
-            tables.append(ToffoliTables(tuple(rows[:8]), tuple(rows[8:])))
-        else:
-            denom_exp = _get_denom_exp(r)
-            tables.append(PhaseTable((_get_kdm_ct(r), _get_kdm_ct(r)), denom_exp))
-    return GarbledBundle(skeleton, tuple(tables), kappa, tag_len), oracle_seed
+    codec = _TableCodec(kappa, tag_len)
+    tables = tuple(codec.read(r, g) for g in skeleton.gates)
+    return GarbledBundle(skeleton, tables, kappa, tag_len), oracle_seed
 
 
 def _put_state(w: Writer, s: SparseState) -> None:
@@ -300,14 +366,9 @@ def serialize_bundle(b: GarbledBundle, params: CryptoParams) -> bytes:
     w.u16(b.tag_len_bits)
     w.blob(params.oracles.seed)
     _put_circuit(w, b.skeleton)
+    codec = _TableCodec(b.kappa_bits, b.tag_len_bits)
     for table in b.tables:
-        if isinstance(table, ToffoliTables):
-            for row in table.forward + table.backward:
-                _put_triple_ct(w, row)
-        else:
-            w.u16(table.denom_exp)
-            for row in table.rows:
-                _put_kdm_ct(w, row)
+        codec.write(w, table)
     return w.bytes()
 
 
@@ -376,7 +437,7 @@ def frame(kind: int, payload: bytes) -> bytes:
             + payload + struct.pack("<I", zlib.crc32(payload)))
 
 
-def unframe(data: bytes) -> tuple[int, bytes]:
+def unframe(data: bytes | bytearray) -> tuple[int, bytes]:
     if len(data) < 18:
         raise WireFormatError("short envelope")
     if data[:4] != MAGIC:
@@ -386,7 +447,7 @@ def unframe(data: bytes) -> tuple[int, bytes]:
         raise WireFormatError(f"unsupported wire version {version}")
     if len(data) != 14 + length + 4:
         raise WireFormatError("envelope length mismatch")
-    payload = data[14:14 + length]
+    payload = bytes(memoryview(data)[14:14 + length])
     (crc,) = struct.unpack("<I", data[14 + length:])
     if crc != zlib.crc32(payload):
         raise WireFormatError("checksum failure")
@@ -405,7 +466,7 @@ def evaluate_job_payload(payload: bytes) -> bytes:
     return serialize_result(state, stats)
 
 
-def handle_envelope(data: bytes) -> bytes:
+def handle_envelope(data: bytes | bytearray) -> bytes:
     try:
         kind, payload = unframe(data)
         if kind != KIND_JOB:
@@ -418,32 +479,39 @@ def handle_envelope(data: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 # TCP transport (one request per connection)
 
-def _read_envelope(sock: socket.socket) -> bytes:
-    header = _read_exact(sock, 14)
+def _read_envelope(sock: socket.socket) -> bytearray:
+    header = bytearray(14)
+    _recv_into(sock, memoryview(header))
     if header[:4] != MAGIC:
         raise WireFormatError("bad magic")
     (_, _, length) = struct.unpack("<BBQ", header[4:14])
-    body = _read_exact(sock, length + 4)
-    return header + body
+    if length > MAX_PAYLOAD_BYTES:
+        raise WireFormatError(f"declared payload of {length} bytes above limit {MAX_PAYLOAD_BYTES}")
+    envelope = bytearray(14 + length + 4)
+    envelope[:14] = header
+    _recv_into(sock, memoryview(envelope)[14:])
+    return envelope
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = bytearray()
-    while len(chunks) < n:
-        chunk = sock.recv(min(65536, n - len(chunks)))
-        if not chunk:
+def _recv_into(sock: socket.socket, view: memoryview) -> None:
+    pos = 0
+    while pos < len(view):
+        got = sock.recv_into(view[pos:])
+        if not got:
             raise WireFormatError("connection closed early")
-        chunks += chunk
-    return bytes(chunks)
+        pos += got
 
 
 class _JobHandler(socketserver.BaseRequestHandler):
     def handle(self):
+        self.request.settimeout(SOCKET_TIMEOUT_S)
         try:
             request = _read_envelope(self.request)
         except WireFormatError as exc:
             self.request.sendall(frame(KIND_ERROR, str(exc).encode()))
             return
+        except TimeoutError:
+            return      # an idle or stalled client: drop the connection
         self.request.sendall(handle_envelope(request))
 
 

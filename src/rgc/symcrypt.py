@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .oracle import OracleFamily
 from .util import rand_bytes, xor_bytes
@@ -30,21 +31,22 @@ _MASK = b"\x01"
 _TAG = b"\x02"
 
 
-@dataclass(frozen=True)
-class KeyTag:
+# The ciphertext records are NamedTuples: a job carries one TripleCiphertext
+# and three KeyTags per table row, and tuples are the cheapest immutable
+# records to build when garbling and parsing them.
+
+class KeyTag(NamedTuple):
     pad: bytes
     digest: bytes
 
 
-@dataclass(frozen=True)
-class KdmCiphertext:
+class KdmCiphertext(NamedTuple):
     r1: bytes
     masked: bytes
     tag: KeyTag
 
 
-@dataclass(frozen=True)
-class TripleCiphertext:
+class TripleCiphertext(NamedTuple):
     pads: tuple[bytes, bytes, bytes]
     masked: bytes
     tags: tuple[KeyTag, KeyTag, KeyTag]

@@ -96,6 +96,23 @@ def test_validate_rejects_wire_reuse():
         validate(bad)
 
 
+@pytest.mark.parametrize("in_wires, out_wires", [((0, 0, 1), (3, 3, 4)),
+                                                 ((0, 0, 1), (3, 4, 5)),
+                                                 ((0, 1, 2), (3, 3, 4))])
+def test_validate_rejects_toffoli_naming_one_wire_twice(in_wires, out_wires):
+    # the first case passed when gates were only compared with earlier gates
+    bad = circuit.CPCircuit(3, (Toffoli((0, 1, 2), in_wires, out_wires),), 6, (2, 3, 4))
+    with pytest.raises(CircuitError, match="names one wire twice"):
+        validate(bad)
+
+
+def test_validate_counts_outputs_before_allocating():
+    # a consistent but huge input count would build a set of 2^40 wires
+    huge = 1 << 40
+    with pytest.raises(CircuitError, match="output wires"):
+        validate(circuit.CPCircuit(huge, (), huge, (0,)))
+
+
 # phase decomposition --------------------------------------------------------
 
 def test_decompose_exact_half_pi():

@@ -5,18 +5,17 @@ from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from rgc import delegation, netio, sparse, symcrypt
-from rgc.circuit import (Phase, Toffoli, allocate_wires, parse_circuit, phase, random_circuit,
-                         simulate)
+from rgc.circuit import (CPCircuit, Phase, Toffoli, allocate_wires, parse_circuit, phase,
+                         random_circuit, simulate)
 from rgc.encoding import decode, encode, gen_keys
-from rgc.evaluate import (AmbiguousRowError, ErasureError, EvalStats, NoRowMatchError,
-                          eval_bundle, eval_toffoli_term)
+from rgc.evaluate import (AmbiguousRowError, ErasureError, EvalError, EvalStats,
+                          NoRowMatchError, eval_bundle, eval_toffoli_term)
 from rgc.garble import GarbledBundle, PhaseTable, ToffoliTables, garble_circuit, garble_toffoli
 from rgc.sparse import fidelity, inner, qubit_layout, random_state
 
-from conftest import make_params
+from conftest import circuits_and_states, make_params
 
 ONE_TOFFOLI = parse_circuit("inputs 3\ntoff 0 1 2\n")
 
@@ -318,24 +317,19 @@ def test_bundle_duplicated_phase_row_names_the_gate():
         eval_bundle(params, encoded, tampered)
 
 
+def test_bundle_toffoli_reading_one_wire_twice_is_refused():
+    # validate refuses this skeleton; the evaluator refuses it on its own too
+    circ = CPCircuit(3, (Toffoli((0, 1, 2), (0, 0, 1), (3, 3, 4)),), 6, (2, 3, 4))
+    params, bundle, encoded = _bundle_fixture(circ, 19)
+    with pytest.raises(EvalError, match="^gate 0: toffoli reads a wire that is not live"):
+        eval_bundle(params, encoded, bundle)
+
+
 # ---------------------------------------------------------------------------
 # properties over random circuits
 
-@st.composite
-def _circuits_and_states(draw):
-    n = draw(st.integers(1, 4))
-    toffoli = st.tuples(st.just("toff"), *([st.integers(0, n - 1)] * 3)).filter(
-        lambda g: len(set(g[1:])) == 3)
-    phase_gate = st.tuples(st.just("phase"), st.integers(0, n - 1), st.integers(0, 3),
-                           st.sampled_from((1, -1)))
-    gates = draw(st.lists(st.one_of(toffoli, phase_gate) if n >= 3 else phase_gate,
-                          max_size=12))
-    support = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
-    return allocate_wires(gates, n), support, draw(st.integers(0, 2**32))
-
-
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_circuits_and_states())
+@given(circuits_and_states())
 def test_eval_matches_simulation_property(case):
     circ, support, seed = case
     params = make_params()

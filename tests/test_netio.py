@@ -1,14 +1,18 @@
+import hashlib
 import random
+import socket
+import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from rgc import delegation, netio, sparse
-from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CPCircuit, Toffoli, allocate_wires,
-                         parse_circuit, phase, random_circuit, validate)
+from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CircuitError, CPCircuit, Toffoli,
+                         allocate_wires, parse_circuit, phase, random_circuit, validate)
 from rgc.encoding import KeySchedule, WireKeyPair, encode, gen_keys
 from rgc.evaluate import EvalStats
 from rgc.games import GameReport
-from rgc.garble import garble_circuit
+from rgc.garble import GarbledBundle, PhaseTable, ToffoliTables, garble_circuit
 from rgc.netio import (WireFormatError, deserialize_bundle,
                        deserialize_circuit, deserialize_job, deserialize_report,
                        deserialize_schedule, deserialize_state, frame,
@@ -16,6 +20,8 @@ from rgc.netio import (WireFormatError, deserialize_bundle,
                        serialize_report, serialize_result, serialize_schedule,
                        serialize_state, unframe)
 from rgc.sparse import fidelity, qubit_layout, random_state
+
+from conftest import circuits_and_states
 
 
 def _job_fixture(seed=1, n=3, gates=2):
@@ -252,10 +258,11 @@ def test_state_of_wrong_register_layout_gets_error_envelope(widths):
 
 
 def test_toffoli_reading_one_wire_twice_gets_error_envelope():
-    # passes the skeleton's wire-discipline check, which compares each gate's
-    # wires only with earlier gates
+    # the skeleton check refuses it before evaluation; the evaluator's own
+    # live-wire check is tested in test_evaluate
     circ = CPCircuit(3, (Toffoli((0, 1, 2), (0, 0, 1), (3, 3, 4)),), 6, (2, 3, 4))
-    validate(circ)
+    with pytest.raises(CircuitError):
+        validate(circ)
     rng = random.Random(16)
     schedule = gen_keys(16, circ, rng)
     params = delegation.make_params(16, oracle_seed=b"dup")
@@ -263,4 +270,150 @@ def test_toffoli_reading_one_wire_twice_gets_error_envelope():
     encoded = encode(sparse.basis_state(qubit_layout(3), 0), schedule, circ.input_wires)
     kind, payload = _handle_job(delegation.JobBundle(encoded, bundle), params)
     assert kind == netio.KIND_ERROR
-    assert b"gate 0: toffoli reads a wire that is not live" in payload
+    assert b"CircuitError" in payload and b"names one wire twice" in payload
+
+
+# ---------------------------------------------------------------------------
+# fixed-stride tables: golden bytes, round trip, cross-checks, mutations
+
+PHASE_JOB_CIRCUIT = """inputs 3
+toff 0 1 2
+phase 1 2
+toff 2 0 1
+phase 0 3 neg
+phase 2 0
+phase 1 1
+phase 0 2 neg
+phase 2 3
+phase 1 0 neg
+phase 0 1
+phase 2 2 neg
+"""
+TOFFOLI_JOB_CIRCUIT = "inputs 3\ntoff 0 1 2\ntoff 1 2 0\ntoff 2 0 1\n"
+
+
+def _seeded_job(text, seed=17):
+    circ = parse_circuit(text)
+    rng = random.Random(seed)
+    keys = delegation.keygen(16, circ.num_inputs, circ, rng, conjecture=True)
+    params = delegation.make_params(16, oracle_seed=rng.randbytes(8))
+    state = random_state(qubit_layout(circ.num_inputs), rng)
+    return delegation.encrypt(params, keys, circ, state, rng), params
+
+
+@pytest.mark.parametrize("text, size, digest", [
+    (PHASE_JOB_CIRCUIT, 4519,
+     "c8bb4fa049cc0f070433537dcc2b032650bfcf19e0ea18bdf560db6cdd19ce9c"
+     "cf45f0454e094c652e54dec17c41b92ecc613fb3d1668b29c10b557f1688b127"),
+    (TOFFOLI_JOB_CIRCUIT, 5460,
+     "212beb2ed298499673fc8ee679085f267543086c5f31f528de97d6f4bbe3c0f5"
+     "37b6bf4039cb8b8b8011b13990a428244a56f5bce807d2c13fb422b856ac7e01"),
+])
+def test_job_bytes_golden(text, size, digest):
+    # BLAKE2b of serialize_job as written by the per-field codec
+    data = serialize_job(*_seeded_job(text))
+    assert len(data) == size
+    assert hashlib.blake2b(data).hexdigest() == digest
+    assert serialize_job(*deserialize_job(data)) == data
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(circuits_and_states())
+def test_job_roundtrip_property(case):
+    circ, support, seed = case
+    rng = random.Random(seed)
+    params = delegation.make_params(16, oracle_seed=rng.randbytes(8))
+    schedule = gen_keys(16, circ, rng)
+    bundle = garble_circuit(params, circ, schedule, rng)
+    state = random_state(qubit_layout(circ.num_inputs), rng, support_bits=support)
+    job = delegation.JobBundle(encode(state, schedule, circ.input_wires), bundle)
+    data = serialize_job(job, params)
+    parsed, parsed_params = deserialize_job(data)
+    assert parsed.garbled == bundle
+    assert serialize_job(parsed, parsed_params) == data
+
+
+def _one_phase_job(denom_exp=2):
+    circ = allocate_wires([phase(0, denom_exp)], 1)
+    rng = random.Random(22)
+    keys = delegation.keygen(16, 1, circ, rng, conjecture=True)
+    params = delegation.make_params(16, oracle_seed=b"phase")
+    return delegation.encrypt(params, keys, circ, random_state(qubit_layout(1), rng), rng), params
+
+
+def test_phase_table_exponent_differing_from_its_gate_gets_error_envelope():
+    job, params = _one_phase_job(denom_exp=2)
+    table = job.garbled.tables[0]
+    # exponent 3 keeps the 1-byte payload width of exponent 2
+    bundle = GarbledBundle(job.garbled.skeleton, (PhaseTable(table.rows, 3),),
+                           job.garbled.kappa_bits, job.garbled.tag_len_bits)
+    kind, payload = _handle_job(delegation.JobBundle(job.encoded_state, bundle), params)
+    assert kind == netio.KIND_ERROR
+    assert b"WireFormatError" in payload and b"exponent 3 differs" in payload
+
+
+def test_phase_row_of_wrong_payload_width_gets_error_envelope():
+    job, params = _one_phase_job(denom_exp=2)
+    bundle = serialize_bundle(job.garbled, params)
+    row = job.garbled.tables[0].rows[0]
+    prefix = struct.pack("<I", len(row.r1)) + row.r1
+    assert len(row.masked) == 1 and bundle.count(prefix) == 1
+    widened = bundle.replace(prefix + struct.pack("<I", 1) + row.masked,
+                             prefix + struct.pack("<I", 2) + row.masked + b"\x00")
+    w = netio.Writer()
+    w.blob(serialize_state(job.encoded_state))
+    w.blob(widened)
+    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, w.bytes())))
+    assert kind == netio.KIND_ERROR
+    assert b"WireFormatError" in payload and b"width" in payload
+
+
+def test_table_of_wrong_shape_is_not_serialized():
+    job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
+    table = job.garbled.tables[0]
+    bundle = GarbledBundle(job.garbled.skeleton,
+                           (ToffoliTables(table.forward + table.forward[:1], table.backward),)
+                           + job.garbled.tables[1:],
+                           job.garbled.kappa_bits, job.garbled.tag_len_bits)
+    with pytest.raises(WireFormatError, match="width"):
+        serialize_bundle(bundle, params)
+
+
+def test_mutated_jobs_get_result_or_error_envelopes():
+    payload = serialize_job(*_seeded_job(PHASE_JOB_CIRCUIT))
+    rng = random.Random(23)
+    kinds = []
+    for _ in range(2000):
+        data = bytearray(payload)
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        kind, _ = unframe(netio.handle_envelope(frame(netio.KIND_JOB, bytes(data))))
+        kinds.append(kind)
+    assert set(kinds) == {netio.KIND_RESULT, netio.KIND_ERROR}
+    for cut in range(len(payload)):
+        kind, _ = unframe(netio.handle_envelope(frame(netio.KIND_JOB, payload[:cut])))
+        assert kind == netio.KIND_ERROR
+
+
+# ---------------------------------------------------------------------------
+# server limits
+
+def test_server_refuses_oversized_and_drops_idle_connections(monkeypatch):
+    monkeypatch.setattr(netio, "MAX_PAYLOAD_BYTES", 1 << 16)
+    monkeypatch.setattr(netio, "SOCKET_TIMEOUT_S", 0.2)
+    _, _, params, _, job = _job_fixture(seed=24)
+    server = netio.serve("127.0.0.1", 0)
+    try:
+        host, port = server.server_address
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(netio.MAGIC + struct.pack("<BBQ", netio.WIRE_VERSION,
+                                                   netio.KIND_JOB, 1 << 40))
+            kind, payload = unframe(netio._read_envelope(sock))
+        assert kind == netio.KIND_ERROR and b"above limit" in payload
+        with socket.create_connection((host, port), timeout=5) as sock:
+            sock.sendall(netio.MAGIC)       # then goes quiet
+            assert sock.recv(1) == b""      # the server hangs up
+        netio.submit(host, port, job, params)
+    finally:
+        server.shutdown()
+        server.server_close()
