@@ -34,7 +34,7 @@ from .evaluate import EvalStats
 from .garble import GarbledBundle
 from .oracle import HASH_MODE, TABLE_MODE, OracleFamily
 from .sparse import RegisterLayout, SparseState, qubit_layout
-from .symcrypt import CryptoParams, KdmCiphertext
+from .symcrypt import CryptoParams
 from .util import rand_bytes
 
 
@@ -442,7 +442,7 @@ def shor_factor(modulus: int, eta: int, rng: random.Random, attempts: int = 10,
 @dataclass(frozen=True)
 class QkdmCiphertext:
     padded_state: SparseState
-    otp_ct: KdmCiphertext
+    otp_ct: bytes                  # packed single-key row of a || b
     n_bits: int
 
 

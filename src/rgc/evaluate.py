@@ -119,21 +119,22 @@ class ColumnarState:
 
 
 def _match_unique(params: CryptoParams, keys: tuple[bytes, bytes, bytes],
-                  rows: tuple[symcrypt.TripleCiphertext, ...], stats: EvalStats,
+                  rows: tuple[bytes, ...], stats: EvalStats,
                   backward: bool = False) -> int:
     """Index of the single row all three tags accept; scans the whole table so
     an ambiguity cannot hide behind an early exit."""
+    width = params.tag_bytes
     match = None
     checks = 0
     for idx, row in enumerate(rows):
         stats.rows_tried += 1
-        ok = True
-        for pos, key in enumerate(keys, start=1):
+        pos = len(row) - 3 * width     # the row ends in its three tags
+        for key in keys:
             checks += 1
-            if not symcrypt.triple_ver(params, key, pos, row):
-                ok = False
+            if not symcrypt.kdm_ver(params, key, row[pos:pos + width]):
                 break
-        if ok:
+            pos += width
+        else:
             if match is not None:
                 raise AmbiguousRowError(f"rows {match} and {idx} both verify")
             match = idx
@@ -210,13 +211,14 @@ def eval_phase(params: CryptoParams, state: ColumnarState, reg: int, gate: Phase
     """
     denom = 1 << gate.denom_exp
     modulus = 2 * denom
+    width = params.tag_bytes
     factor_re, factor_im = [], []
     for key in state.keys[reg]:
         match = None
         for idx, row in enumerate(table.rows):
             stats.rows_tried += 1
             stats.ver_calls += 1
-            if symcrypt.kdm_ver(params, key, row.tag):
+            if symcrypt.kdm_ver(params, key, row[-width:]):
                 if match is not None:
                     raise AmbiguousRowError(f"phase rows {match} and {idx} both verify")
                 match = idx

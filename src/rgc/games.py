@@ -27,7 +27,7 @@ from . import delegation, encoding, garble, sparse, symcrypt
 from .circuit import CPCircuit, Toffoli
 from .delegation import DelegationKeys, JobBundle
 from .garble import GarbledBundle, ToffoliTables
-from .symcrypt import CryptoParams, KdmCiphertext, TripleCiphertext
+from .symcrypt import CryptoParams
 from .util import rand_bytes, xor_bytes
 
 
@@ -140,14 +140,15 @@ def dist_random(view, rng) -> int:
 def dist_tag_grinding(view: ChallengeView, rng: random.Random, probes: int = 16) -> int:
     """Throw random keys at the first table's tags; guess 1 on any hit."""
     for table in view.job.garbled.tables:
-        rows = table.forward if isinstance(table, ToffoliTables) else table.rows
+        if isinstance(table, ToffoliTables):
+            rows, n_keys = table.forward, 3
+        else:
+            rows, n_keys = table.rows, 1
         for _ in range(probes):
             key = rand_bytes(rng, view.params.kappa_bytes)
             for row in rows:
-                if isinstance(row, TripleCiphertext):
-                    if any(symcrypt.triple_ver(view.params, key, i, row) for i in (1, 2, 3)):
-                        return 1
-                elif symcrypt.kdm_ver(view.params, key, row.tag):
+                if any(symcrypt.kdm_ver(view.params, key, tag)
+                       for tag in symcrypt.split_row(view.params, row, n_keys)[2]):
                     return 1
         break
     return 0
@@ -157,10 +158,12 @@ def dist_row_frequency(view: ChallengeView, rng) -> int:
     """Parity of all masked ciphertext bytes across the bundle."""
     acc = 0
     for table in view.job.garbled.tables:
-        rows = (table.forward + table.backward if isinstance(table, ToffoliTables)
-                else table.rows)
+        if isinstance(table, ToffoliTables):
+            rows, n_keys = table.forward + table.backward, 3
+        else:
+            rows, n_keys = table.rows, 1
         for row in rows:
-            for byte in row.masked:
+            for byte in symcrypt.split_row(view.params, row, n_keys)[1]:
                 acc ^= byte
     return bin(acc).count("1") & 1
 
@@ -201,7 +204,7 @@ class AffineKeyFn:
 @dataclass
 class KdmView:
     params: CryptoParams
-    ciphertexts: list[KdmCiphertext]
+    ciphertexts: list[bytes]
     queries: list[tuple[int, AffineKeyFn]]
 
 
@@ -239,7 +242,7 @@ def kdm_dist_mask_equality(view: KdmView, rng) -> int:
     broken scheme (pad reuse) lets that distinguish."""
     seen: dict[tuple[int, bytes], int] = {}
     for (index, _), ct in zip(view.queries, view.ciphertexts):
-        key = (index, ct.masked)
+        key = (index, symcrypt.split_row(view.params, ct)[1])
         if key in seen:
             return 0        # identical masks: plaintexts matched, smells like zeros
         seen[key] = 1
@@ -249,13 +252,16 @@ def kdm_dist_mask_equality(view: KdmView, rng) -> int:
 def kdm_dist_tag_grinding(view: KdmView, rng, probes: int = 32) -> int:
     for _ in range(probes):
         key = rand_bytes(rng, view.params.kappa_bytes)
-        if any(symcrypt.kdm_ver(view.params, key, ct.tag) for ct in view.ciphertexts):
+        if any(symcrypt.kdm_ver(view.params, key, tag) for ct in view.ciphertexts
+               for tag in symcrypt.split_row(view.params, ct)[2]):
             return 1
     return 0
 
 
 def kdm_dist_first_byte(view: KdmView, rng) -> int:
-    return view.ciphertexts[0].masked[0] & 1 if view.ciphertexts else 0
+    if not view.ciphertexts:
+        return 0
+    return symcrypt.split_row(view.params, view.ciphertexts[0])[1][0] & 1
 
 
 def self_cycle_queries(n_keys: int, kappa_bits: int) -> list[tuple[int, AffineKeyFn]]:
@@ -274,7 +280,7 @@ PairSpec = tuple[tuple[int, ...], tuple[int, ...]]
 class ClosureView:
     params: CryptoParams
     revealed: dict[int, bytes]
-    ciphertexts: list[KdmCiphertext | TripleCiphertext]
+    ciphertexts: list[bytes]       # one packed row per pair
     pairs: list[PairSpec]
 
 
@@ -303,7 +309,7 @@ def run_closure_game(pairs: list[PairSpec], revealed: Sequence[int],
     for b, oracle_seed, setup_rng, dist_rng in _paired(trials, rng):
         params = _trial_params(kappa_bits, oracle_seed, table_oracle)
         keyset = [symcrypt.keygen(params, setup_rng) for _ in range(n_keys)]
-        cts: list[KdmCiphertext | TripleCiphertext] = []
+        cts: list[bytes] = []
         for (sources, targets), msg in zip(pairs, messages):
             payload = b"".join(keyset[t] for t in targets) + msg
             if not payload:
@@ -324,8 +330,8 @@ def run_closure_game(pairs: list[PairSpec], revealed: Sequence[int],
 
 def closure_dist_masked_stats(view: ClosureView, rng) -> int:
     acc = 0
-    for ct in view.ciphertexts:
-        acc ^= ct.masked[0]
+    for (sources, _), ct in zip(view.pairs, view.ciphertexts):
+        acc ^= symcrypt.split_row(view.params, ct, len(sources))[1][0]
     return acc & 1
 
 
@@ -372,8 +378,8 @@ def wire_tag_check(view: RecoveryView, wire: int, key: bytes) -> bool:
             return any(symcrypt.triple_ver(view.params, key, pos, row)
                        for row in table.forward)
         if not isinstance(gate, Toffoli) and gate.wire == wire:
-            return any(symcrypt.kdm_ver(view.params, key, row.tag)
-                       for row in table.rows)
+            return any(symcrypt.kdm_ver(view.params, key, tag) for row in table.rows
+                       for tag in symcrypt.split_row(view.params, row)[2])
     raise ValueError(f"wire {wire} feeds no gate; no tag to check against")
 
 

@@ -29,19 +29,23 @@ from typing import Iterable, Sequence
 from . import symcrypt
 from .circuit import CPCircuit, Phase, Toffoli
 from .encoding import KeySchedule
-from .symcrypt import CryptoParams, KdmCiphertext, TripleCiphertext
+from .symcrypt import CryptoParams
 from .util import spawn_rngs
 
 
 @dataclass(frozen=True)
 class ToffoliTables:
-    forward: tuple[TripleCiphertext, ...]
-    backward: tuple[TripleCiphertext, ...]
+    """Eight packed triple-key rows each way (see :mod:`rgc.symcrypt`)."""
+
+    forward: tuple[bytes, ...]
+    backward: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
 class PhaseTable:
-    rows: tuple[KdmCiphertext, KdmCiphertext]
+    """Two packed single-key rows."""
+
+    rows: tuple[bytes, bytes]
     denom_exp: int
 
 

@@ -1,30 +1,34 @@
 """Bit-exact binary serialization and the client/server job exchange.
 
-Every artifact gets a little-endian, length-prefixed layout; bitstrings are
-padded to whole bytes with the high padding bits zero.  Messages travel in a
-framed envelope::
+Every artifact gets a little-endian layout in which variable-length fields
+carry a length prefix; bitstrings are padded to whole bytes with the high
+padding bits zero.  Messages travel in a framed envelope::
 
     magic "RGC1" | version u8 | kind u8 | payload_len u64 | payload | crc32 u32
 
-Almost all of a job is garbled-table rows, and the bundle header (kappa and
-tag length) fixes the width of every row field, so each table has one fixed
-layout, read and written whole.  Every field still carries its u32 length
-prefix; with p = kappa/8 bytes and t = tag_len/8 bytes::
+Almost all of a job is garbled-table rows.  A row travels as the packed
+bytes :mod:`rgc.symcrypt` produces, and the bundle header (kappa and tag
+length) fixes every width in it, so bundle format 2 stores rows back to
+back with no length fields.  With p = kappa/8 and t = tag_len/8 bytes::
 
-    toffoli row  3 x (u32 p, pad) | u32 3p, masked | 3 x (u32 p, tag pad, u32 t, digest)
-    toffoli table  16 rows: 8 forward, then 8 backward
-    phase table  exponent u16 | 2 x (u32 p, pad | u32 w, masked | u32 p, tag pad | u32 t, digest)
+    toffoli row    r1 r2 r3 (3p) | masked (3p) | 3 x (tag pad (p) | digest (t))
+    toffoli table  16 rows of 9p + 3t bytes: 8 forward, then 8 backward
+    phase table    exponent u16 | 2 rows of r1 (p) | masked (w) | tag pad (p) | digest (t)
 
-where w = ceil((exponent + 1) / 8).  The reader refuses a table whose length
-prefixes differ from these widths, a phase table whose exponent differs from
-its skeleton gate's, and a skeleton phase exponent above
-``circuit.DEFAULT_MAX_DENOM_EXP``; the writer refuses rows of other widths.
+where w = ceil((exponent + 1) / 8).  Tables are read by slicing and written
+whole.  The reader refuses other bundle versions (format 1 prefixed every
+row field with its u32 length), a phase table whose exponent differs from
+its skeleton gate's, a skeleton phase exponent above
+``circuit.DEFAULT_MAX_DENOM_EXP``, and a state whose basis strings are not
+strictly increasing or whose amplitudes are not finite; the writer refuses
+rows of other widths.
 
 One request per connection keeps the exchange as non-interactive as the
 protocol itself: the client ships a job, the server ships back the evaluated
 state (or an error), and that's the whole conversation.  The server answers
 a declared payload above ``MAX_PAYLOAD_BYTES`` with an error without reading
-it, and drops a connection that stalls for ``SOCKET_TIMEOUT_S``.  A directory-based
+it, a connection beyond ``MAX_CONNECTIONS`` open ones with an error at
+once, and drops a connection that stalls for ``SOCKET_TIMEOUT_S``.  A directory-based
 transport mirrors the socket one for setups where the only channel is a
 shared filesystem; both produce byte-identical result payloads.
 
@@ -36,6 +40,7 @@ it has no serialization path into a job.
 
 from __future__ import annotations
 
+import cmath
 import os
 import socket
 import socketserver
@@ -43,7 +48,6 @@ import struct
 import threading
 import time
 import zlib
-from itertools import repeat
 
 from . import delegation, evaluate
 from .circuit import DEFAULT_MAX_DENOM_EXP, CPCircuit, Phase, Toffoli, validate
@@ -54,20 +58,21 @@ from .games import GameReport
 from .garble import GarbledBundle, PhaseTable, ToffoliTables, phase_payload_bytes
 from .oracle import HASH_MODE
 from .sparse import RegisterLayout, SparseState
-from .symcrypt import (CryptoParams, KdmCiphertext, KeyTag, TripleCiphertext)
+from .symcrypt import CryptoParams, row_bytes
 
 MAGIC = b"RGC1"
 WIRE_VERSION = 1
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 KIND_JOB = 1
 KIND_RESULT = 2
 KIND_ERROR = 3
 
 # Server limits: the largest envelope payload a peer may declare (the blind
-# interpreter's N=3, D=3, L=4 job is 8.6 MB), and how long one socket read or
-# write may wait.
+# interpreter's N=3, D=3, L=4 job is 5.9 MB), how many connections are
+# served at once, and how long one socket read or write may wait.
 MAX_PAYLOAD_BYTES = 64 << 20
+MAX_CONNECTIONS = 16
 SOCKET_TIMEOUT_S = 30.0
 
 
@@ -127,6 +132,15 @@ class Reader:
         vals = st.unpack_from(self.data, self.pos)
         self.pos += st.size
         return vals
+
+    def rows(self, count: int, width: int) -> tuple[bytes, ...]:
+        """``count`` consecutive fields of ``width`` bytes each."""
+        start, data = self.pos, self.data
+        end = start + count * width
+        if end > len(data):
+            raise WireFormatError("truncated payload")
+        self.pos = end
+        return tuple([data[i:i + width] for i in range(start, end, width)])
 
     def blob(self) -> bytes:
         return self._take(self.u32())
@@ -208,82 +222,37 @@ def _get_circuit(r: Reader) -> CPCircuit:
     return circ
 
 
-# garbled tables, one fixed-stride layout each (see the module docstring)
+# garbled tables, rows back to back (see the module docstring)
 
-def _records(cls, *columns):
-    """``cls`` NamedTuples built column-wise, with no Python call per record."""
-    return map(tuple.__new__, repeat(cls), zip(*columns))
-
-
-class _FixedFields:
-    """A run of u32-length-prefixed byte fields of fixed widths."""
-
-    def __init__(self, widths: tuple[int, ...]):
-        self.widths = widths
-        self.struct = struct.Struct("<" + "".join(f"I{n}s" for n in widths))
-        self._pieces = [piece for n in widths for piece in (struct.pack("<I", n), b"")]
-
-    def read(self, r: Reader) -> tuple[bytes, ...]:
-        vals = r.unpack(self.struct)
-        if vals[0::2] != self.widths:
-            raise WireFormatError("table field width does not match the bundle header")
-        return vals[1::2]
-
-    def write(self, w: Writer, fields: list[bytes]) -> None:
-        if tuple(map(len, fields)) != self.widths:
-            raise WireFormatError("table field width does not match the bundle header")
-        pieces = self._pieces.copy()
-        pieces[1::2] = fields
-        w.raw(b"".join(pieces))
-
-
-class _TableCodec:
-    """The table layouts fixed by one bundle header's kappa and tag length.
-
-    Each table is read with one struct unpack, its length prefixes checked
-    against the header's widths in one comparison, and written with one join.
-    """
+class _TableLayout:
+    """The row widths fixed by one bundle header's kappa and tag length."""
 
     def __init__(self, kappa_bits: int, tag_len_bits: int):
-        self.kb, self.tb = k, t = kappa_bits // 8, tag_len_bits // 8
-        self.toffoli = _FixedFields(((k,) * 3 + (3 * k,) + (k, t) * 3) * 16)
-        self._phase: dict[int, _FixedFields] = {}
+        self.widths = (kappa_bits, tag_len_bits)
+        self.toffoli = row_bytes(kappa_bits, tag_len_bits, 3, 3 * (kappa_bits // 8))
 
-    def phase(self, denom_exp: int) -> _FixedFields:
-        width = phase_payload_bytes(denom_exp)
-        if width not in self._phase:
-            self._phase[width] = _FixedFields((self.kb, width, self.kb, self.tb) * 2)
-        return self._phase[width]
+    def phase(self, denom_exp: int) -> int:
+        return row_bytes(*self.widths, 1, phase_payload_bytes(denom_exp))
 
     def read(self, r: Reader, gate: Toffoli | Phase) -> ToffoliTables | PhaseTable:
         if isinstance(gate, Toffoli):
-            f = self.toffoli.read(r)
-            tags = zip(*(_records(KeyTag, f[i::10], f[i + 1::10]) for i in (4, 6, 8)))
-            rows = tuple(_records(TripleCiphertext, zip(f[0::10], f[1::10], f[2::10]),
-                                  f[3::10], tags))
+            rows = r.rows(16, self.toffoli)
             return ToffoliTables(rows[:8], rows[8:])
         denom_exp = r.u16()
         if denom_exp != gate.denom_exp:
             raise WireFormatError(f"phase table exponent {denom_exp} differs from "
                                   f"its gate's {gate.denom_exp}")
-        f = self.phase(denom_exp).read(r)
-        return PhaseTable((KdmCiphertext(f[0], f[1], KeyTag(f[2], f[3])),
-                           KdmCiphertext(f[4], f[5], KeyTag(f[6], f[7]))), denom_exp)
+        return PhaseTable(r.rows(2, self.phase(denom_exp)), denom_exp)
 
     def write(self, w: Writer, table: ToffoliTables | PhaseTable) -> None:
         if isinstance(table, ToffoliTables):
-            # the reader's column-wise split, inverted
-            rows = table.forward + table.backward
-            f = [b""] * (10 * len(rows))
-            pads, f[3::10], tags = zip(*rows)
-            f[0::10], f[1::10], f[2::10] = zip(*pads)
-            for i, column in zip((4, 6, 8), zip(*tags)):
-                f[i::10], f[i + 1::10] = zip(*column)
-            self.toffoli.write(w, f)
+            rows, count, width = table.forward + table.backward, 16, self.toffoli
         else:
             w.u16(table.denom_exp)
-            self.phase(table.denom_exp).write(
-                w, [x for r1, masked, tag in table.rows for x in (r1, masked, *tag)])
+            rows, count, width = table.rows, 2, self.phase(table.denom_exp)
+        if len(rows) != count or {len(row) for row in rows} != {width}:
+            raise WireFormatError("table rows do not match the bundle header's widths")
+        w.raw(b"".join(rows))
 
 
 def _get_bundle(r: Reader) -> tuple[GarbledBundle, bytes]:
@@ -292,10 +261,13 @@ def _get_bundle(r: Reader) -> tuple[GarbledBundle, bytes]:
         raise WireFormatError(f"unsupported bundle version {version}")
     kappa = r.u16()
     tag_len = r.u16()
+    if not (kappa and tag_len) or kappa % 8 or tag_len % 8:
+        raise WireFormatError(f"kappa {kappa} and tag length {tag_len} must be "
+                              f"positive multiples of 8")
     oracle_seed = r.blob()
     skeleton = _get_circuit(r)
-    codec = _TableCodec(kappa, tag_len)
-    tables = tuple(codec.read(r, g) for g in skeleton.gates)
+    layout = _TableLayout(kappa, tag_len)
+    tables = tuple(layout.read(r, g) for g in skeleton.gates)
     return GarbledBundle(skeleton, tables, kappa, tag_len), oracle_seed
 
 
@@ -321,13 +293,18 @@ def _get_state(r: Reader) -> SparseState:
     layout = RegisterLayout(tuple(regs))
     nbytes = (layout.total_bits + 7) // 8
     terms = {}
+    last = -1
     for _ in range(r.u32()):
         basis = int.from_bytes(r.raw(nbytes), "little")
         if basis >> layout.total_bits:
             raise WireFormatError("basis string wider than the layout")
-        re = r.f64()
-        im = r.f64()
-        terms[basis] = complex(re, im)
+        if basis <= last:
+            raise WireFormatError("basis strings not strictly increasing")
+        amp = complex(r.f64(), r.f64())
+        if not cmath.isfinite(amp):
+            raise WireFormatError("amplitude not finite")
+        terms[basis] = amp
+        last = basis
     return SparseState(layout, terms, check=False)
 
 
@@ -366,9 +343,9 @@ def serialize_bundle(b: GarbledBundle, params: CryptoParams) -> bytes:
     w.u16(b.tag_len_bits)
     w.blob(params.oracles.seed)
     _put_circuit(w, b.skeleton)
-    codec = _TableCodec(b.kappa_bits, b.tag_len_bits)
+    layout = _TableLayout(b.kappa_bits, b.tag_len_bits)
     for table in b.tables:
-        codec.write(w, table)
+        layout.write(w, table)
     return w.bytes()
 
 
@@ -516,8 +493,36 @@ class _JobHandler(socketserver.BaseRequestHandler):
 
 
 class JobServer(socketserver.ThreadingTCPServer):
+    """One handler thread per connection, at most ``MAX_CONNECTIONS`` at once;
+    a connection beyond that gets an error envelope and is closed."""
+
     allow_reuse_address = True
     daemon_threads = True
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address):
+        if not self._slots.acquire(blocking=False):
+            try:
+                request.sendall(frame(KIND_ERROR, f"server busy: {MAX_CONNECTIONS} "
+                                                  f"connections open".encode()))
+            except OSError:
+                pass
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
 
 
 def serve(host: str, port: int) -> JobServer:

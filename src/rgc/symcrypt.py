@@ -12,6 +12,16 @@ Every oracle query has the form tag_byte || key || pad, so mask queries and
 tag queries can never collide, and neither can queries for payloads of
 different lengths (the oracle family separates lengths by domain tag).
 
+A ciphertext is one packed ``bytes`` row, which is also its wire form.  With
+p = kappa/8 and t = tag_len/8 bytes, a *tag* is ``pad || digest`` (p + t
+bytes) and an m-byte plaintext gives::
+
+    single-key row  r1 (p) | masked (m) | tag
+    triple-key row  r1 r2 r3 (3p) | masked (m) | tag1 tag2 tag3
+
+The widths are fixed by the params, so a row needs no length fields;
+:func:`row_bytes` gives a row's width and :func:`split_row` takes one apart.
+
 Decryption never verifies; row-selection logic belongs to the evaluator,
 which always runs the tag check first.  Ver rejects on any length mismatch.
 """
@@ -20,7 +30,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .oracle import OracleFamily
 from .util import rand_bytes, xor_bytes
@@ -29,27 +38,6 @@ SymKey = bytes
 
 _MASK = b"\x01"
 _TAG = b"\x02"
-
-
-# The ciphertext records are NamedTuples: a job carries one TripleCiphertext
-# and three KeyTags per table row, and tuples are the cheapest immutable
-# records to build when garbling and parsing them.
-
-class KeyTag(NamedTuple):
-    pad: bytes
-    digest: bytes
-
-
-class KdmCiphertext(NamedTuple):
-    r1: bytes
-    masked: bytes
-    tag: KeyTag
-
-
-class TripleCiphertext(NamedTuple):
-    pads: tuple[bytes, bytes, bytes]
-    masked: bytes
-    tags: tuple[KeyTag, KeyTag, KeyTag]
 
 
 @dataclass
@@ -69,11 +57,9 @@ class CryptoParams:
             raise ValueError(f"kappa must be a positive byte multiple, got {self.kappa_bits}")
         if self.tag_len_bits % 8 != 0 or self.tag_len_bits <= 0:
             raise ValueError("tag_len_bits must be a positive byte multiple")
+        self.kappa_bytes = self.kappa_bits // 8
+        self.tag_bytes = (self.kappa_bits + self.tag_len_bits) // 8    # pad and digest
         self._query_cache: dict[int, object] = {}
-
-    @property
-    def kappa_bytes(self) -> int:
-        return self.kappa_bits // 8
 
     def query_fn(self, n_bits: int):
         fn = self._query_cache.get(n_bits)
@@ -81,6 +67,23 @@ class CryptoParams:
             fn = self.oracles.for_len(n_bits).query
             self._query_cache[n_bits] = fn
         return fn
+
+
+def row_bytes(kappa_bits: int, tag_len_bits: int, n_keys: int, payload_bytes: int) -> int:
+    """Width of a packed row under ``n_keys`` keys carrying ``payload_bytes``."""
+    return n_keys * (2 * kappa_bits + tag_len_bits) // 8 + payload_bytes
+
+
+def split_row(params: CryptoParams, row: bytes,
+              n_keys: int = 1) -> tuple[bytes, bytes, list[bytes]]:
+    """(pads, masked, tags) of a packed row under ``n_keys`` keys (1 or 3):
+    the n_keys pads r1.. as one string, the payload, and the n_keys tags."""
+    p, w = params.kappa_bytes, params.tag_bytes
+    start = len(row) - n_keys * w
+    if start <= n_keys * p:
+        raise ValueError("row is shorter than its pads and tags")
+    tags = [row[i:i + w] for i in range(start, len(row), w)]
+    return row[:n_keys * p], row[n_keys * p:start], tags
 
 
 def keygen(params: CryptoParams, rng: random.Random) -> SymKey:
@@ -96,45 +99,43 @@ def _tag_digest(params: CryptoParams, key: SymKey, pad: bytes) -> bytes:
     return params.query_fn(params.tag_len_bits)(_TAG + key + pad)
 
 
-def make_tag(params: CryptoParams, key: SymKey, rng: random.Random) -> KeyTag:
-    pad = rand_bytes(rng, params.kappa_bytes)
-    return KeyTag(pad, _tag_digest(params, key, pad))
-
-
 # ---------------------------------------------------------------------------
 # single-key scheme
 
 def kdm_enc_padded(params: CryptoParams, sk: SymKey, m: bytes,
-                   r1: bytes, r2: bytes) -> KdmCiphertext:
+                   r1: bytes, r2: bytes) -> bytes:
     """Encrypt with caller-chosen pads (games rig pad reuse through this)."""
     if not m:
         raise ValueError("empty plaintext")
     masked = xor_bytes(_mask(params, sk, r1, len(m)), m)
-    return KdmCiphertext(r1, masked, KeyTag(r2, _tag_digest(params, sk, r2)))
+    return r1 + masked + r2 + _tag_digest(params, sk, r2)
 
 
-def kdm_enc(params: CryptoParams, sk: SymKey, m: bytes, rng: random.Random) -> KdmCiphertext:
+def kdm_enc(params: CryptoParams, sk: SymKey, m: bytes, rng: random.Random) -> bytes:
     r1 = rand_bytes(rng, params.kappa_bytes)
     r2 = rand_bytes(rng, params.kappa_bytes)
     return kdm_enc_padded(params, sk, m, r1, r2)
 
 
-def kdm_dec(params: CryptoParams, sk: SymKey, ct: KdmCiphertext) -> bytes:
+def kdm_dec(params: CryptoParams, sk: SymKey, ct: bytes) -> bytes:
     """Unmask. A wrong key yields garbage by design; callers verify first."""
-    return xor_bytes(_mask(params, sk, ct.r1, len(ct.masked)), ct.masked)
+    r1, masked, _ = split_row(params, ct)
+    return xor_bytes(_mask(params, sk, r1, len(masked)), masked)
 
 
-def kdm_ver(params: CryptoParams, key: SymKey, tag: KeyTag) -> bool:
-    if len(key) != params.kappa_bytes or len(tag.digest) != params.tag_len_bits // 8:
+def kdm_ver(params: CryptoParams, key: SymKey, tag: bytes) -> bool:
+    """Check a packed tag (pad || digest) against key."""
+    p = params.kappa_bytes
+    if len(key) != p or len(tag) != params.tag_bytes:
         return False
-    return _tag_digest(params, key, tag.pad) == tag.digest
+    return params.query_fn(params.tag_len_bits)(_TAG + key + tag[:p]) == tag[p:]
 
 
 # ---------------------------------------------------------------------------
 # triple-key scheme
 
 def triple_enc_padded(params: CryptoParams, keys: tuple[SymKey, SymKey, SymKey],
-                      m: bytes, pads: tuple[bytes, ...]) -> TripleCiphertext:
+                      m: bytes, pads: tuple[bytes, ...]) -> bytes:
     if not m:
         raise ValueError("empty plaintext")
     k1, k2, k3 = keys
@@ -148,14 +149,14 @@ def triple_enc_padded(params: CryptoParams, keys: tuple[SymKey, SymKey, SymKey],
               ^ int.from_bytes(mask_q(_MASK + k1 + r1), "little")
               ^ int.from_bytes(mask_q(_MASK + k2 + r2), "little")
               ^ int.from_bytes(mask_q(_MASK + k3 + r3), "little")).to_bytes(n, "little")
-    tags = (KeyTag(r4, tag_q(_TAG + k1 + r4)),
-            KeyTag(r5, tag_q(_TAG + k2 + r5)),
-            KeyTag(r6, tag_q(_TAG + k3 + r6)))
-    return TripleCiphertext((r1, r2, r3), masked, tags)
+    return b"".join((r1, r2, r3, masked,
+                     r4, tag_q(_TAG + k1 + r4),
+                     r5, tag_q(_TAG + k2 + r5),
+                     r6, tag_q(_TAG + k3 + r6)))
 
 
 def triple_enc(params: CryptoParams, k1: SymKey, k2: SymKey, k3: SymKey, m: bytes,
-               rng: random.Random) -> TripleCiphertext:
+               rng: random.Random) -> bytes:
     kb = params.kappa_bytes
     pads = rng.getrandbits(48 * kb).to_bytes(6 * kb, "little")
     return triple_enc_padded(params, (k1, k2, k3), m,
@@ -163,15 +164,17 @@ def triple_enc(params: CryptoParams, k1: SymKey, k2: SymKey, k3: SymKey, m: byte
 
 
 def triple_dec(params: CryptoParams, k1: SymKey, k2: SymKey, k3: SymKey,
-               ct: TripleCiphertext) -> bytes:
-    m = ct.masked
-    for key, pad in zip((k1, k2, k3), ct.pads):
-        m = xor_bytes(m, _mask(params, key, pad, len(ct.masked)))
+               ct: bytes) -> bytes:
+    pads, m, _ = split_row(params, ct, 3)
+    kb = params.kappa_bytes
+    n = len(m)
+    for i, key in enumerate((k1, k2, k3)):
+        m = xor_bytes(m, _mask(params, key, pads[i * kb:(i + 1) * kb], n))
     return m
 
 
-def triple_ver(params: CryptoParams, key: SymKey, index: int, ct: TripleCiphertext) -> bool:
+def triple_ver(params: CryptoParams, key: SymKey, index: int, ct: bytes) -> bool:
     """Check whether key is the index-th (1-based) key of ct."""
     if index not in (1, 2, 3):
         raise ValueError(f"key index must be 1..3, got {index}")
-    return kdm_ver(params, key, ct.tags[index - 1])
+    return kdm_ver(params, key, split_row(params, ct, 3)[2][index - 1])

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -343,3 +344,32 @@ def test_eval_matches_simulation_property(case):
     assert stats.terms_processed == len(circ.gates) * len(state.terms)
     toffolis = sum(isinstance(g, Toffoli) for g in circ.gates)
     assert toffolis <= stats.erasure_checks <= 8 * toffolis
+
+
+def test_symcrypt_call_counts_match_the_bench_layer_metrics(monkeypatch):
+    # The bench's tracer wraps these rgc.symcrypt functions by name and reads
+    # its per-layer counts from their calls: one triple_enc per Toffoli row,
+    # one kdm_ver per tag check counted in EvalStats, one triple_dec per
+    # forward and per backward row opened for each distinct key triple.
+    calls = Counter()
+    for name in ("triple_enc", "kdm_enc", "kdm_ver", "triple_dec", "kdm_dec"):
+        def counting(*args, _fn=getattr(symcrypt, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(symcrypt, name, counting)
+    circ = parse_circuit("inputs 3\ntoff 0 1 2\nphase 1 2\ntoff 2 0 1\nphase 0 1 neg\n")
+    params = make_params()
+    rng = random.Random(31)
+    schedule = gen_keys(16, circ, rng)
+    bundle = garble_circuit(params, circ, schedule, rng)
+    assert calls == {"triple_enc": 16 * 2, "kdm_enc": 2 * 2}
+
+    calls.clear()
+    state = random_state(qubit_layout(3), rng)
+    assert len(state.terms) == 8       # every Toffoli meets all 8 key triples
+    _, stats = eval_bundle(params, encode(state, schedule, circ.input_wires), bundle)
+    assert stats.erasure_checks == 8 * 2
+    assert calls["kdm_ver"] == stats.ver_calls + stats.backward_ver_calls
+    assert calls["triple_dec"] == 2 * stats.erasure_checks
+    assert calls["kdm_dec"] == 2 * 2   # each phase gate opens one row per key
+    assert set(calls) == {"kdm_ver", "triple_dec", "kdm_dec"}

@@ -22,6 +22,11 @@ def _open_row(params, keys, rows):
     return symcrypt.triple_dec(params, *keys, hits[0])
 
 
+def _tag(params, row):
+    (tag,) = symcrypt.split_row(params, row)[2]
+    return tag
+
+
 def test_toffoli_forward_maps_truth_table():
     params = make_params()
     rng = random.Random(1)
@@ -64,7 +69,7 @@ def test_phase_rows_differ_by_one():
         k0, k1 = schedule.pairs[gate.wire]
         values = {}
         for key, name in ((k0, 0), (k1, 1)):
-            hits = [row for row in table.rows if symcrypt.kdm_ver(params, key, row.tag)]
+            hits = [row for row in table.rows if symcrypt.kdm_ver(params, key, _tag(params, row))]
             assert len(hits) == 1
             values[name] = int.from_bytes(symcrypt.kdm_dec(params, key, hits[0]), "big")
         modulus = 2 << gate.denom_exp
@@ -81,7 +86,7 @@ def test_phase_z_gate_modulus_two():
     k0, k1 = schedule.pairs[0]
     vals = []
     for key in (k0, k1):
-        row = next(r for r in table.rows if symcrypt.kdm_ver(params, key, r.tag))
+        row = next(r for r in table.rows if symcrypt.kdm_ver(params, key, _tag(params, r)))
         vals.append(int.from_bytes(symcrypt.kdm_dec(params, key, row), "big"))
     assert sorted(vals) == [0, 1]
 
@@ -96,7 +101,7 @@ def test_phase_offset_uniform():
     counts = [0] * 8     # Z_{2n} with n = 4
     for _ in range(1000):
         table = garble_phase(params, gate, schedule, rng)
-        row = next(r for r in table.rows if symcrypt.kdm_ver(params, k0, r.tag))
+        row = next(r for r in table.rows if symcrypt.kdm_ver(params, k0, _tag(params, r)))
         counts[int.from_bytes(symcrypt.kdm_dec(params, k0, row), "big")] += 1
     assert scipy_stats.chisquare(counts).pvalue > 0.01
 
@@ -138,6 +143,10 @@ def test_bundle_shapes():
     bundle = garble_circuit(params, circ, gen_keys(16, circ, rng), rng)
     assert isinstance(bundle.tables[0], ToffoliTables)
     assert isinstance(bundle.tables[1], PhaseTable)
+    # packed rows: kappa 16 and tag 128 bits give p = 2, t = 16 bytes
+    toffoli_rows = bundle.tables[0].forward + bundle.tables[0].backward
+    assert len(toffoli_rows) == 16 and {len(row) for row in toffoli_rows} == {9 * 2 + 3 * 16}
+    assert {len(row) for row in bundle.tables[1].rows} == {2 * 2 + 16 + 1}
 
 
 def test_schedule_must_cover_circuit():

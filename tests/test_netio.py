@@ -1,12 +1,15 @@
 import hashlib
+import math
 import random
 import socket
 import struct
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rgc import delegation, netio, sparse
+from rgc import delegation, netio, sparse, symcrypt
 from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CircuitError, CPCircuit, Toffoli,
                          allocate_wires, parse_circuit, phase, random_circuit, validate)
 from rgc.encoding import KeySchedule, WireKeyPair, encode, gen_keys
@@ -55,6 +58,82 @@ def test_state_roundtrip_exact():
     back = deserialize_state(serialize_state(state))
     assert back.layout == state.layout
     assert back.terms == state.terms          # f64 pairs roundtrip bit-exactly
+
+
+def _state_payload(lay, terms):
+    """A state in serialize_state's layout, its terms in the order given."""
+    w = netio.Writer()
+    w.u32(len(lay.registers))
+    for name, width in lay.registers:
+        w.text(name)
+        w.u16(width)
+    nbytes = (lay.total_bits + 7) // 8
+    w.u32(len(terms))
+    for basis, amp in terms:
+        w.raw(basis.to_bytes(nbytes, "little"))
+        w.f64(amp.real)
+        w.f64(amp.imag)
+    return w.bytes()
+
+
+def test_state_payload_helper_matches_the_writer():
+    state = random_state(qubit_layout(3), random.Random(5))
+    assert _state_payload(state.layout, sorted(state.terms.items())) == serialize_state(state)
+
+
+@pytest.mark.parametrize("terms, message", [
+    ([(0, 0.6), (0, 0.8)], "not strictly increasing"),     # repeated basis
+    ([(3, 0.8), (0, 0.6)], "not strictly increasing"),     # out of order
+    ([(0, 0.6), (3, complex(0.8, math.nan))], "not finite"),
+    ([(0, complex(math.inf, 0))], "not finite"),
+])
+def test_state_parser_accepts_only_the_canonical_form(terms, message):
+    data = _state_payload(qubit_layout(2), [(b, complex(a)) for b, a in terms])
+    with pytest.raises(WireFormatError, match=message):
+        deserialize_state(data)
+
+
+def test_job_with_reordered_state_terms_gets_error_envelope():
+    _, _, params, _, job = _job_fixture(seed=26)
+    state = job.encoded_state
+    w = netio.Writer()
+    w.blob(_state_payload(state.layout, sorted(state.terms.items(), reverse=True)))
+    w.blob(serialize_bundle(job.garbled, params))
+    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, w.bytes())))
+    assert kind == netio.KIND_ERROR
+    assert payload == b"WireFormatError: basis strings not strictly increasing"
+
+
+_REGISTERS = st.lists(st.tuples(st.text(max_size=4), st.integers(1, 12)),
+                      min_size=1, max_size=4, unique_by=lambda reg: reg[0])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _states(draw):
+    lay = sparse.RegisterLayout(tuple(draw(_REGISTERS)))
+    bases = draw(st.sets(st.integers(0, (1 << lay.total_bits) - 1), max_size=8))
+    return sparse.SparseState(lay, {b: complex(draw(_FINITE), draw(_FINITE)) for b in bases},
+                              check=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_states())
+def test_state_roundtrip_property(state):
+    data = serialize_state(state)
+    back = deserialize_state(data)
+    assert back.layout == state.layout and back.terms == state.terms
+    assert serialize_state(back) == data
+
+
+@settings(max_examples=100, deadline=None)
+@given(_states(), st.builds(EvalStats, *(st.integers(0, 1 << 40) for _ in range(6))))
+def test_result_roundtrip_property(state, stats):
+    data = serialize_result(state, stats)
+    back, back_stats = netio.deserialize_result(data)
+    assert back.layout == state.layout and back.terms == state.terms
+    assert back_stats == stats
+    assert serialize_result(back, back_stats) == data
 
 
 def test_bundle_roundtrip_many():
@@ -301,20 +380,66 @@ def _seeded_job(text, seed=17):
     return delegation.encrypt(params, keys, circ, state, rng), params
 
 
-@pytest.mark.parametrize("text, size, digest", [
+def _format_1_job(job, params):
+    """The job as bundle format 1 wrote it: every row field behind its u32
+    length, in the order the packed row holds them."""
+    bundle, p = job.garbled, params.kappa_bytes
+    w = netio.Writer()
+    w.u8(1)
+    w.u16(bundle.kappa_bits)
+    w.u16(bundle.tag_len_bits)
+    w.blob(params.oracles.seed)
+    w.raw(serialize_circuit(bundle.skeleton))
+    for table in bundle.tables:
+        if isinstance(table, ToffoliTables):
+            rows, n_keys = table.forward + table.backward, 3
+        else:
+            w.u16(table.denom_exp)
+            rows, n_keys = table.rows, 1
+        for row in rows:
+            pads, masked, tags = symcrypt.split_row(params, row, n_keys)
+            for field in ([pads[i:i + p] for i in range(0, len(pads), p)] + [masked]
+                          + [half for tag in tags for half in (tag[:p], tag[p:])]):
+                w.blob(field)
+    job_w = netio.Writer()
+    job_w.blob(serialize_state(job.encoded_state))
+    job_w.blob(w.bytes())
+    return job_w.bytes()
+
+
+@pytest.mark.parametrize("text, v1_size, v1_digest, size, digest", [
     (PHASE_JOB_CIRCUIT, 4519,
      "c8bb4fa049cc0f070433537dcc2b032650bfcf19e0ea18bdf560db6cdd19ce9c"
-     "cf45f0454e094c652e54dec17c41b92ecc613fb3d1668b29c10b557f1688b127"),
+     "cf45f0454e094c652e54dec17c41b92ecc613fb3d1668b29c10b557f1688b127",
+     2951,
+     "5258d0517d4215c751a8e9928fb5dbc562bf73d4f41be60542a80c63a5e5a15b"
+     "f889f6f44ce3a655edd0a66e9fb8ffc044ce5c2c5a7237da03be53e16b74f304"),
     (TOFFOLI_JOB_CIRCUIT, 5460,
      "212beb2ed298499673fc8ee679085f267543086c5f31f528de97d6f4bbe3c0f5"
-     "37b6bf4039cb8b8b8011b13990a428244a56f5bce807d2c13fb422b856ac7e01"),
+     "37b6bf4039cb8b8b8011b13990a428244a56f5bce807d2c13fb422b856ac7e01",
+     3540,
+     "95a97ab7bd10373f4abd3dc9a506cb3fc8fe676c6bd7c4d2d52ba1c2b0029501"
+     "f15b33c243146f6d776880ef6766bb72a3802d41f1eb39e7ce41b86b584dc497"),
 ])
-def test_job_bytes_golden(text, size, digest):
-    # BLAKE2b of serialize_job as written by the per-field codec
-    data = serialize_job(*_seeded_job(text))
+def test_job_bytes_golden(text, v1_size, v1_digest, size, digest):
+    # BLAKE2b of serialize_job (bundle format 2), and of the same job in
+    # format 1, as the length-prefixed codec wrote it: the rows are unchanged
+    job, params = _seeded_job(text)
+    data = serialize_job(job, params)
     assert len(data) == size
     assert hashlib.blake2b(data).hexdigest() == digest
     assert serialize_job(*deserialize_job(data)) == data
+    v1 = _format_1_job(job, params)
+    assert len(v1) == v1_size
+    assert hashlib.blake2b(v1).hexdigest() == v1_digest
+
+
+def test_format_1_bundle_gets_error_envelope():
+    job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
+    kind, payload = unframe(netio.handle_envelope(
+        frame(netio.KIND_JOB, _format_1_job(job, params))))
+    assert kind == netio.KIND_ERROR
+    assert payload == b"WireFormatError: unsupported bundle version 1"
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -353,30 +478,38 @@ def test_phase_table_exponent_differing_from_its_gate_gets_error_envelope():
 
 
 def test_phase_row_of_wrong_payload_width_gets_error_envelope():
+    # a row holds no width of its own: a widened payload leaves a byte over
     job, params = _one_phase_job(denom_exp=2)
     bundle = serialize_bundle(job.garbled, params)
     row = job.garbled.tables[0].rows[0]
-    prefix = struct.pack("<I", len(row.r1)) + row.r1
-    assert len(row.masked) == 1 and bundle.count(prefix) == 1
-    widened = bundle.replace(prefix + struct.pack("<I", 1) + row.masked,
-                             prefix + struct.pack("<I", 2) + row.masked + b"\x00")
+    r1, masked, _ = symcrypt.split_row(params, row)
+    assert len(masked) == 1 and bundle.count(row) == 1
+    widened = bundle.replace(row, r1 + masked + b"\x00" + row[len(r1) + 1:])
     w = netio.Writer()
     w.blob(serialize_state(job.encoded_state))
     w.blob(widened)
     kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, w.bytes())))
     assert kind == netio.KIND_ERROR
-    assert b"WireFormatError" in payload and b"width" in payload
+    assert payload == b"WireFormatError: 1 trailing bytes"
 
 
 def test_table_of_wrong_shape_is_not_serialized():
     job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
     table = job.garbled.tables[0]
-    bundle = GarbledBundle(job.garbled.skeleton,
-                           (ToffoliTables(table.forward + table.forward[:1], table.backward),)
-                           + job.garbled.tables[1:],
-                           job.garbled.kappa_bits, job.garbled.tag_len_bits)
+    for forward in (table.forward + table.forward[:1],            # 17 rows
+                    (table.forward[0] + b"\x00",) + table.forward[1:]):   # one row widened
+        bundle = GarbledBundle(job.garbled.skeleton,
+                               (ToffoliTables(forward, table.backward),)
+                               + job.garbled.tables[1:],
+                               job.garbled.kappa_bits, job.garbled.tag_len_bits)
+        with pytest.raises(WireFormatError, match="width"):
+            serialize_bundle(bundle, params)
+    phase_job, phase_params = _one_phase_job()
+    rows = phase_job.garbled.tables[0].rows
+    bundle = GarbledBundle(phase_job.garbled.skeleton,
+                           (PhaseTable((rows[0][:-1], rows[1]), 2),), 16, 128)
     with pytest.raises(WireFormatError, match="width"):
-        serialize_bundle(bundle, params)
+        serialize_bundle(bundle, phase_params)
 
 
 def test_mutated_jobs_get_result_or_error_envelopes():
@@ -393,6 +526,49 @@ def test_mutated_jobs_get_result_or_error_envelopes():
     for cut in range(len(payload)):
         kind, _ = unframe(netio.handle_envelope(frame(netio.KIND_JOB, payload[:cut])))
         assert kind == netio.KIND_ERROR
+
+
+_ENVELOPE_KINDS = {netio.KIND_RESULT, netio.KIND_ERROR}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64) | st.binary(max_size=64).map(lambda tail: netio.MAGIC + tail))
+def test_any_bytes_get_an_envelope(data):
+    assert unframe(netio.handle_envelope(data))[0] in _ENVELOPE_KINDS
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 255), st.binary(max_size=512))
+def test_any_framed_payload_gets_an_envelope(kind, payload):
+    assert unframe(netio.handle_envelope(frame(kind, payload)))[0] in _ENVELOPE_KINDS
+
+
+_PHASE_JOB_PAYLOAD = serialize_job(*_seeded_job(PHASE_JOB_CIRCUIT))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_PHASE_JOB_PAYLOAD) - 1), st.integers(1, 255)),
+                min_size=1, max_size=4),
+       st.integers(0, len(_PHASE_JOB_PAYLOAD)), st.binary(max_size=8))
+def test_mutated_job_gets_an_envelope(flips, cut, tail):
+    data = bytearray(_PHASE_JOB_PAYLOAD)
+    for pos, mask in flips:
+        data[pos] ^= mask
+    data = bytes(data[:cut]) + tail
+    assert unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))[0] in _ENVELOPE_KINDS
+
+
+@pytest.mark.parametrize("kappa, tag_len", [(0, 128), (12, 128), (16, 0), (16, 100)])
+def test_bundle_header_of_bad_widths_gets_error_envelope(kappa, tag_len):
+    job, params = _one_phase_job()
+    bundle = bytearray(serialize_bundle(job.garbled, params))
+    bundle[1:5] = struct.pack("<HH", kappa, tag_len)
+    w = netio.Writer()
+    w.blob(serialize_state(job.encoded_state))
+    w.blob(bytes(bundle))
+    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, w.bytes())))
+    assert kind == netio.KIND_ERROR
+    assert b"WireFormatError" in payload and b"multiples of 8" in payload
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +590,36 @@ def test_server_refuses_oversized_and_drops_idle_connections(monkeypatch):
             sock.sendall(netio.MAGIC)       # then goes quiet
             assert sock.recv(1) == b""      # the server hangs up
         netio.submit(host, port, job, params)
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_server_refuses_connections_beyond_the_limit(monkeypatch):
+    monkeypatch.setattr(netio, "MAX_CONNECTIONS", 1)
+    monkeypatch.setattr(netio, "SOCKET_TIMEOUT_S", 5.0)
+    _, _, params, _, job = _job_fixture(seed=25)
+    server = netio.serve("127.0.0.1", 0)
+    try:
+        host, port = server.server_address
+        with socket.create_connection((host, port), timeout=5) as idle:
+            idle.sendall(netio.MAGIC)       # holds the only slot
+            for _ in range(3):
+                with socket.create_connection((host, port), timeout=5) as sock:
+                    kind, payload = unframe(netio._read_envelope(sock))
+                    assert sock.recv(1) == b""      # and the server hangs up
+                assert kind == netio.KIND_ERROR and b"server busy" in payload
+        # closing the idle connection ends its handler and frees the slot
+        deadline = time.monotonic() + 5
+        while True:
+            try:
+                result, _ = netio.submit(host, port, job, params)
+                break
+            except (netio.RemoteEvalError, OSError):
+                if time.monotonic() > deadline:
+                    raise
+                time.sleep(0.05)
+        assert len(result.terms) == len(job.encoded_state.terms)
     finally:
         server.shutdown()
         server.server_close()

@@ -4,7 +4,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from rgc import symcrypt
-from rgc.symcrypt import KeyTag
+from rgc.symcrypt import split_row
 
 from conftest import make_params
 
@@ -39,8 +39,9 @@ def test_zero_message_exposes_mask():
     rng = random.Random(1)
     sk = symcrypt.keygen(params, rng)
     ct = symcrypt.kdm_enc(params, sk, bytes(8), rng)
-    mask = params.oracles.for_len(64).query(b"\x01" + sk + ct.r1)
-    assert ct.masked == mask
+    r1, masked, _ = split_row(params, ct)
+    mask = params.oracles.for_len(64).query(b"\x01" + sk + r1)
+    assert masked == mask
 
 
 def test_kdm_roundtrip_many():
@@ -75,8 +76,7 @@ def test_kdm_modified_pad_changes_plaintext():
         sk = symcrypt.keygen(params, rng)
         m = rng.randbytes(8)
         ct = symcrypt.kdm_enc(params, sk, m, rng)
-        tampered = symcrypt.KdmCiphertext(bytes([ct.r1[0] ^ 1]) + ct.r1[1:],
-                                          ct.masked, ct.tag)
+        tampered = bytes([ct[0] ^ 1]) + ct[1:]      # first byte of r1
         hits += symcrypt.kdm_dec(params, sk, tampered) == m
     assert hits == 0
 
@@ -90,7 +90,7 @@ def test_fresh_pad_masked_bytes_uniform():
     observed = [0] * 256
     for i in range(10_000):
         ct = symcrypt.kdm_enc(params, sk, b"\x00", rng)
-        observed[ct.masked[0]] += 1
+        observed[split_row(params, ct)[1][0]] += 1
     assert scipy_stats.chisquare(observed).pvalue > 0.01
 
 
@@ -100,9 +100,9 @@ def test_ver_accepts_own_key_rejects_others():
     false_accepts = 0
     for _ in range(10_000):
         sk, other = symcrypt.keygen(params, rng), symcrypt.keygen(params, rng)
-        ct = symcrypt.kdm_enc(params, sk, b"m", rng)
-        assert symcrypt.kdm_ver(params, sk, ct.tag)
-        if other != sk and symcrypt.kdm_ver(params, other, ct.tag):
+        (tag,) = split_row(params, symcrypt.kdm_enc(params, sk, b"m", rng))[2]
+        assert symcrypt.kdm_ver(params, sk, tag)
+        if other != sk and symcrypt.kdm_ver(params, other, tag):
             false_accepts += 1
     assert false_accepts == 0
 
@@ -111,9 +111,10 @@ def test_ver_rejects_truncated_tag():
     params = make_params()
     rng = random.Random(7)
     sk = symcrypt.keygen(params, rng)
-    ct = symcrypt.kdm_enc(params, sk, b"m", rng)
-    assert not symcrypt.kdm_ver(params, sk, KeyTag(ct.tag.pad, ct.tag.digest[:-1]))
-    assert not symcrypt.kdm_ver(params, sk[:-1], ct.tag)
+    (tag,) = split_row(params, symcrypt.kdm_enc(params, sk, b"m", rng))[2]
+    assert symcrypt.kdm_ver(params, sk, tag)
+    assert not symcrypt.kdm_ver(params, sk, tag[:-1])
+    assert not symcrypt.kdm_ver(params, sk[:-1], tag)
 
 
 def test_triple_roundtrip_many():
@@ -132,7 +133,8 @@ def test_triple_same_key_three_times():
     k = symcrypt.keygen(params, rng)
     ct = symcrypt.triple_enc(params, k, k, k, b"payload", rng)
     assert symcrypt.triple_dec(params, k, k, k, ct) == b"payload"
-    assert len(set(ct.pads)) == 3   # fresh pads keep the masks distinct
+    pads = split_row(params, ct, 3)[0]
+    assert len({pads[:2], pads[2:4], pads[4:]}) == 3   # fresh pads keep the masks distinct
 
 
 def test_triple_ver_localizes_wrong_key():
@@ -224,7 +226,7 @@ def test_all_oracle_queries_are_domain_separated():
     keys = [symcrypt.keygen(params, rng) for _ in range(3)]
     ct = symcrypt.kdm_enc(params, sk, b"abcdef", rng)
     symcrypt.kdm_dec(params, sk, ct)
-    symcrypt.kdm_ver(params, sk, ct.tag)
+    symcrypt.kdm_ver(params, sk, split_row(params, ct)[2][0])
     tct = symcrypt.triple_enc(params, *keys, b"xy", rng)
     symcrypt.triple_dec(params, *keys, tct)
     symcrypt.triple_ver(params, keys[2], 3, tct)
@@ -236,3 +238,32 @@ def test_all_oracle_queries_are_domain_separated():
     for q in queries:
         assert q[0] in (0x01, 0x02), "unknown domain tag"
         assert len(q) == 1 + kb + kb, "query is not tag || key || pad"
+
+
+def test_rows_are_packed_in_wire_order():
+    # kdm row r1 | masked | r2 | digest, triple row r1 r2 r3 | masked | 3 tags
+    params = make_params()
+    rng = random.Random(17)
+    sk = symcrypt.keygen(params, rng)
+    r1, r2 = b"ab", b"cd"
+    ct = symcrypt.kdm_enc_padded(params, sk, b"xyz", r1, r2)
+    digest = params.oracles.for_len(128).query(b"\x02" + sk + r2)
+    assert ct[:2] == r1 and ct[5:] == r2 + digest
+    assert len(ct) == 2 + 3 + 2 + 16 == symcrypt.row_bytes(16, 128, 1, 3)
+    assert split_row(params, ct) == (r1, ct[2:5], [r2 + digest])
+    keys = [symcrypt.keygen(params, rng) for _ in range(3)]
+    tct = symcrypt.triple_enc(params, *keys, b"pq", rng)
+    assert len(tct) == 6 * 2 + 3 * 16 + 2 == symcrypt.row_bytes(16, 128, 3, 2)
+    pads, masked, tags = split_row(params, tct, 3)
+    assert pads == tct[:6] and masked == tct[6:8] and b"".join(tags) == tct[8:]
+    for i, (key, tag) in enumerate(zip(keys, tags), start=1):
+        assert symcrypt.kdm_ver(params, key, tag) == symcrypt.triple_ver(params, key, i, tct)
+        assert symcrypt.kdm_ver(params, key, tag)
+
+
+def test_split_row_refuses_rows_without_payload():
+    params = make_params()
+    with pytest.raises(ValueError):
+        split_row(params, bytes(2 + 18))
+    with pytest.raises(ValueError):
+        split_row(params, bytes(6 + 3 * 18), 3)
