@@ -1,11 +1,16 @@
-"""C+P circuit representation: Toffoli gates plus single-qubit phase gates.
+"""C+P circuit representation: Toffoli gates, single-qubit phase gates and X.
 
 Circuits are described at two levels.  The logical level talks about qubits
 (0..N-1) and is what the text format and the direct simulator use.  The wire
 level is a single-assignment view used by key generation and garbling: a
 Toffoli consumes its three qubits' current wires and drives three fresh ones;
-a phase gate keeps its wire.  A circuit with N inputs and L gates therefore
-uses at most N+3L wires.
+a phase gate and an X keep their wire.  A circuit with N inputs and L gates
+therefore uses at most N+3L wires.
+
+An X costs nothing to delegate.  With one key per logical value, a NOT only
+swaps which of its wire's two keys means 0, so the garbler tracks that swap
+per wire and emits no table for it (see :func:`flipped_wires`); the server's
+skeleton is the circuit with its X gates removed (:func:`without_x`).
 
 Angles are carried exactly as (sign, d) dyadic pairs meaning R_Z(sign*pi/2^d);
 no floating-point angle ever enters the IR.
@@ -14,6 +19,7 @@ Text format (UTF-8, line oriented, ``#`` comments)::
 
     inputs 3
     toff 0 1 2        # controls 0,1 target 2
+    x 1               # NOT on qubit 1
     phase 0 2         # R_Z(pi/4) on qubit 0
     phase 1 1 neg     # R_Z(-pi/2) on qubit 1
 
@@ -34,7 +40,7 @@ from .sparse import SparseState
 
 DEFAULT_MAX_DENOM_EXP = 16
 
-LogicalGate = tuple  # ("toff", a, b, c) | ("phase", a, d, sign)
+LogicalGate = tuple  # ("toff", a, b, c) | ("phase", a, d, sign) | ("x", a)
 
 
 def toff(a: int, b: int, c: int) -> LogicalGate:
@@ -43,6 +49,10 @@ def toff(a: int, b: int, c: int) -> LogicalGate:
 
 def phase(a: int, d: int, sign: int = 1) -> LogicalGate:
     return ("phase", a, d, sign)
+
+
+def x(a: int) -> LogicalGate:
+    return ("x", a)
 
 
 class CircuitError(ValueError):
@@ -70,7 +80,13 @@ class Phase:
     sign: int = 1
 
 
-Gate = Toffoli | Phase
+@dataclass(frozen=True)
+class X:
+    qubit: int
+    wire: int
+
+
+Gate = Toffoli | Phase | X
 
 
 @dataclass(frozen=True)
@@ -118,6 +134,11 @@ def allocate_wires(logical_gates: Sequence[LogicalGate], n_inputs: int) -> CPCir
             if sign not in (1, -1):
                 raise CircuitError(f"phase sign must be +-1, got {sign}")
             gates.append(Phase(a, current[a], d, sign))
+        elif kind == "x":
+            a = g[1]
+            if not 0 <= a < n_inputs:
+                raise CircuitError(f"qubit {a} out of range (N={n_inputs})")
+            gates.append(X(a, current[a]))
         else:
             raise CircuitError(f"unknown gate kind {kind!r}")
     circ = CPCircuit(n_inputs, tuple(gates), next_wire, tuple(current))
@@ -151,7 +172,7 @@ def validate(circ: CPCircuit) -> None:
             produced.update(g.out_wires)
         else:
             if g.wire not in produced or g.wire in consumed:
-                raise CircuitError(f"phase wire {g.wire} not live")
+                raise CircuitError(f"{type(g).__name__.lower()} wire {g.wire} not live")
     live = produced - consumed
     if set(circ.output_wires) != live:
         raise CircuitError("output wires must be exactly the unconsumed wires")
@@ -193,6 +214,12 @@ def parse_circuit(text: str, max_denom_exp: int = DEFAULT_MAX_DENOM_EXP) -> CPCi
                 if d > max_denom_exp:
                     raise CircuitSyntaxError(line_no, f"exponent {d} above bound {max_denom_exp}")
                 logical.append(phase(a, d, -1 if len(fields) == 4 else 1))
+            elif fields[0] == "x":
+                if n_inputs is None:
+                    raise CircuitSyntaxError(line_no, "gate before inputs header")
+                if len(fields) != 2:
+                    raise CircuitSyntaxError(line_no, "x needs 1 qubit index")
+                logical.append(x(int(fields[1])))
             else:
                 raise CircuitSyntaxError(line_no, f"unknown directive {fields[0]!r}")
         except ValueError as exc:
@@ -212,6 +239,8 @@ def format_circuit(circ: CPCircuit) -> str:
     for g in circ.gates:
         if isinstance(g, Toffoli):
             lines.append("toff {} {} {}".format(*g.qubits))
+        elif isinstance(g, X):
+            lines.append(f"x {g.qubit}")
         else:
             suffix = " neg" if g.sign < 0 else ""
             lines.append(f"phase {g.qubit} {g.denom_exp}{suffix}")
@@ -242,6 +271,8 @@ def simulate(circ: CPCircuit, state: SparseState) -> SparseState:
             a, b, c = g.qubits
             state = sparse.apply_classical(
                 state, lambda v, a=a, b=b, c=c: v ^ ((((v >> a) & (v >> b)) & 1) << c))
+        elif isinstance(g, X):
+            state = sparse.apply_classical(state, lambda v, m=1 << g.qubit: v ^ m)
         else:
             q, s = g.qubit, g.sign
             state = sparse.apply_phase(
@@ -250,12 +281,37 @@ def simulate(circ: CPCircuit, state: SparseState) -> SparseState:
 
 
 def eval_classical(circ: CPCircuit, bits: int) -> int:
-    """Evaluate the Toffoli part on one basis string (phases act trivially)."""
+    """Evaluate the Toffoli and X part on one basis string (phases act
+    trivially)."""
     for g in circ.gates:
         if isinstance(g, Toffoli):
             a, b, c = g.qubits
             bits ^= (((bits >> a) & (bits >> b)) & 1) << c
+        elif isinstance(g, X):
+            bits ^= 1 << g.qubit
     return bits
+
+
+# ---------------------------------------------------------------------------
+# X gates as key relabelings
+
+def without_x(circ: CPCircuit) -> CPCircuit:
+    """The circuit with its X gates removed: same wires, same outputs.  An X
+    keeps its wire, so the rest of the wire discipline is untouched."""
+    gates = tuple(g for g in circ.gates if not isinstance(g, X))
+    return CPCircuit(circ.num_inputs, gates, circ.num_wires, circ.output_wires)
+
+
+def flipped_wires(circ: CPCircuit) -> frozenset[int]:
+    """Wires an odd number of X gates act on, whose key k1 therefore means
+    logical 0 by the time the wire is consumed or output.  Once consumed a
+    wire takes no more gates, so this final polarity is the one its last
+    reader and the decoder see."""
+    flipped: set[int] = set()
+    for g in circ.gates:
+        if isinstance(g, X):
+            flipped ^= {g.wire}
+    return frozenset(flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +380,7 @@ class UniversalMachine:
     code_width: int
     n_codes: int
     aux_qubits: tuple[int, int, int]
-    const_qubits: tuple[int, int]
+    const_qubits: tuple[int]
     desc_qubits: tuple[tuple[int, ...], ...]   # per slot, MSB first
     scratch_qubits: tuple[int, ...]
 
@@ -348,6 +404,8 @@ class UniversalMachine:
             if isinstance(g, Toffoli):
                 swaps = [self.swap_code(q, i) for i, q in enumerate(g.qubits)]
                 codes += swaps + [self.toffoli_code] + swaps
+            elif isinstance(g, X):
+                raise CircuitError("the universal machine has no X code")
             else:
                 k = g.sign % (1 << (g.denom_exp + 1))
                 for j in range(g.denom_exp + 1):
@@ -369,7 +427,7 @@ class UniversalMachine:
         return [GateDescription(c, self.code_width) for c in codes]
 
     def prep_bits(self, desc: Sequence[GateDescription]) -> int:
-        """Initial basis value of every non-data qubit (consts 1, desc bits,
+        """Initial basis value of every non-data qubit (const 1, desc bits,
         aux and scratch 0), positioned for OR-ing with the data bits."""
         if len(desc) != self.slots:
             raise CircuitError("description length differs from slot count")
@@ -421,8 +479,8 @@ def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
     # qubit map
     data = list(range(n))
     aux = (n, n + 1, n + 2)
-    c0, c1 = n + 3, n + 4
-    pos = n + 5
+    c0 = n + 3
+    pos = n + 4
     desc_qubits = []
     for _ in range(slots):
         desc_qubits.append(tuple(range(pos, pos + width)))
@@ -447,7 +505,7 @@ def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
         # negated copies of this slot's description bits
         neg_gates = []
         for j in range(width):
-            neg_gates += [toff(c0, slot_bits[j], neg[j]), toff(c0, c1, neg[j])]
+            neg_gates += [toff(c0, slot_bits[j], neg[j]), x(neg[j])]
         gates += neg_gates
         # demux tree: one match wire per prefix of depth >= 2
         tree_gates = []
@@ -489,7 +547,7 @@ def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
         code_width=width,
         n_codes=n_codes,
         aux_qubits=aux,
-        const_qubits=(c0, c1),
+        const_qubits=(c0,),
         desc_qubits=tuple(desc_qubits),
         scratch_qubits=scratch,
     )

@@ -124,7 +124,7 @@ def cmd_garble(args) -> int:
     bundle = garble.garble_circuit(params, circ, keys.schedule,
                                    derive_rng(args.seed, "garble"))
     _write_bin(args.out, netio.serialize_bundle(bundle, params))
-    print(f"garbled {len(bundle.tables)} gates -> {args.out}")
+    print(f"garbled {len(bundle.tables)} tables -> {args.out}")
     return 0
 
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import encoding, evaluate, garble, sparse, symcrypt
-from .circuit import (CPCircuit, UniversalMachine, allocate_wires, simulate, toff,
-                      universalize)
+from .circuit import (CPCircuit, UniversalMachine, allocate_wires, flipped_wires,
+                      simulate, toff, universalize, x)
 from .encoding import KeySchedule
 from .evaluate import EvalStats
 from .garble import GarbledBundle
@@ -95,7 +95,7 @@ def run_job(params: CryptoParams, job: JobBundle) -> tuple[SparseState, EvalStat
 
 
 def decrypt(keys: DelegationKeys, circ: CPCircuit, result: SparseState) -> SparseState:
-    return encoding.decode(result, keys.schedule, circ.output_wires)
+    return encoding.decode(result, keys.schedule, circ.output_wires, flipped_wires(circ))
 
 
 def delegate(params: CryptoParams, keys: DelegationKeys, circ: CPCircuit,
@@ -169,12 +169,12 @@ class ModexpCircuit:
     state_layout: RegisterLayout
     exp_qubits: tuple[int, ...]
     acc_qubits: tuple[int, ...]
-    const_qubits: tuple[int, int]
+    const_qubits: tuple[int]
     anc_qubits: tuple[int, ...]
 
     def initial_rest(self) -> int:
         """Basis bits of everything but the exponent register: accumulator 1,
-        constants 1, ancillas 0."""
+        constant 1, ancillas 0."""
         value = 1 << self.acc_qubits[0]
         for q in self.const_qubits:
             value |= 1 << q
@@ -202,15 +202,12 @@ def synth_modexp_toffoli(modulus: int, base: int, n_exp: int | None = None) -> M
 
     exp_qubits = tuple(range(n_exp))
     acc_qubits = tuple(range(n_exp, n_exp + n_value))
-    c0, c1 = n_exp + n_value, n_exp + n_value + 1
+    c0 = n_exp + n_value
     n_controls = 1 + (n_value - 1)                      # exponent bit + pattern bits
-    anc_qubits = tuple(range(c1 + 1, c1 + 1 + max(0, n_controls - 1)))
-    total = c1 + 1 + len(anc_qubits)
+    anc_qubits = tuple(range(c0 + 1, c0 + 1 + max(0, n_controls - 1)))
+    total = c0 + 1 + len(anc_qubits)
 
     gates: list[tuple] = []
-
-    def x_gate(q):
-        gates.append(toff(c0, c1, q))
 
     def cnot(ctrl, tgt):
         gates.append(toff(c0, ctrl, tgt))
@@ -218,8 +215,7 @@ def synth_modexp_toffoli(modulus: int, base: int, n_exp: int | None = None) -> M
     def mcx(controls: list[tuple[int, int]], target: int):
         """Multi-controlled X with per-control polarity, via an AND ladder."""
         flips = [q for q, want in controls if want == 0]
-        for q in flips:
-            x_gate(q)
+        gates.extend(x(q) for q in flips)
         wires = [q for q, _ in controls]
         if len(wires) == 1:
             cnot(wires[0], target)
@@ -236,8 +232,7 @@ def synth_modexp_toffoli(modulus: int, base: int, n_exp: int | None = None) -> M
             gates.extend(ladder)
             cnot(acc, target)
             gates.extend(reversed(ladder))
-        for q in flips:
-            x_gate(q)
+        gates.extend(x(q) for q in flips)
 
     def transpose(exp_qubit: int, u: int, v: int):
         """Swap accumulator basis states u <-> v, only where exp_qubit is 1."""
@@ -286,10 +281,10 @@ def synth_modexp_toffoli(modulus: int, base: int, n_exp: int | None = None) -> M
             transpose(exp_qubit, u, v)
 
     circ = allocate_wires(gates, total)
-    state_layout = RegisterLayout((("exp", n_exp), ("acc", n_value), ("const", 2))
+    state_layout = RegisterLayout((("exp", n_exp), ("acc", n_value), ("const", 1))
                                   + ((("anc", len(anc_qubits)),) if anc_qubits else ()))
     return ModexpCircuit(circ, modulus, base, n_exp, n_value, state_layout,
-                         exp_qubits, acc_qubits, (c0, c1), anc_qubits)
+                         exp_qubits, acc_qubits, (c0,), anc_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +317,7 @@ class ShorReport:
 
 
 def modexp_input_state(mx: ModexpCircuit) -> SparseState:
-    """Uniform exponent register, accumulator 1, constants 1, ancillas 0."""
+    """Uniform exponent register, accumulator 1, constant 1, ancillas 0."""
     rest = mx.initial_rest()
     amp = 2 ** (-mx.n_exp / 2)
     terms = {rest | x: amp + 0j for x in range(1 << mx.n_exp)}

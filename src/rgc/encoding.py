@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 import numpy as np
 
@@ -94,14 +94,18 @@ def encode(state: SparseState, schedule: KeySchedule, wires: Sequence[int]) -> S
     return SparseState(encoded_layout(kappa, n), terms, check=False)
 
 
-def decode(state: SparseState, schedule: KeySchedule, wires: Sequence[int]) -> SparseState:
-    """Invert the encoding; every register must hold one of its wire's keys."""
+def decode(state: SparseState, schedule: KeySchedule, wires: Sequence[int],
+           flipped: Collection[int] = ()) -> SparseState:
+    """Invert the encoding; every register must hold one of its wire's keys.
+    On a wire in ``flipped`` (an odd number of X gates) k1 means 0."""
     n = len(wires)
     kappa = schedule.kappa_bits
     if state.layout.total_bits != n * kappa:
         raise ValueError("encoded state width != len(wires) * kappa")
-    key_ints = [(bytes_to_int(schedule.pairs[w].k0), bytes_to_int(schedule.pairs[w].k1))
-                for w in wires]
+    key_ints = []
+    for w in wires:
+        k0, k1 = (bytes_to_int(key) for key in schedule.pairs[w])
+        key_ints.append((k1, k0) if w in flipped else (k0, k1))
     mask = (1 << kappa) - 1
     terms: dict[int, complex] = {}
     for basis, amp in state.terms.items():

@@ -371,8 +371,7 @@ def wire_tag_check(view: RecoveryView, wire: int, key: bytes) -> bool:
     """Does key open some tag tied to this input wire?  Rows encrypted under
     a wire's keys carry that wire's tags, so a hit pins the key (up to the
     tag false-accept probability)."""
-    circ = view.circuit
-    for gate, table in zip(circ.gates, view.bundle.tables):
+    for gate, table in zip(view.bundle.skeleton.gates, view.bundle.tables):
         if isinstance(gate, Toffoli) and wire in gate.in_wires:
             pos = gate.in_wires.index(wire) + 1
             return any(symcrypt.triple_ver(view.params, key, pos, row)

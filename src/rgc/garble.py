@@ -16,6 +16,12 @@ unobservable global factor.  m lives in Z_{2n} (n = 2^d): omega has order 2n,
 and only the difference of the two entries matters, so the wraparound
 representation is sound.
 
+An X gate garbles into nothing.  The garbler walks the circuit with the set
+of wires whose key roles an odd number of X gates have swapped, reads a
+flipped wire's pair as (k1, k0), and the client's decoder does the same for
+the output wires.  A swapped pair has the same distribution as the original,
+and the server's skeleton omits X gates, so it never learns one ran.
+
 The row payloads never include which logical bits they correspond to; the
 association exists only through which keys verify.
 """
@@ -24,10 +30,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from . import symcrypt
-from .circuit import CPCircuit, Phase, Toffoli
+from .circuit import CPCircuit, Phase, Toffoli, X, without_x
 from .encoding import KeySchedule
 from .symcrypt import CryptoParams
 from .util import spawn_rngs
@@ -52,8 +58,9 @@ class PhaseTable:
 @dataclass(frozen=True)
 class GarbledBundle:
     """Everything the evaluator receives about the circuit: the public
-    skeleton (gate types and wire topology) and one table per gate, in
-    circuit order.  No key material appears outside the ciphertexts."""
+    skeleton (gate types and wire topology, X gates omitted) and one table
+    per skeleton gate, in circuit order.  No key material appears outside the
+    ciphertexts."""
 
     skeleton: CPCircuit
     tables: tuple[ToffoliTables | PhaseTable, ...]
@@ -73,9 +80,15 @@ def phase_payload(value: int, denom_exp: int) -> bytes:
     return value.to_bytes(phase_payload_bytes(denom_exp), "big")
 
 
+def _pair(schedule: KeySchedule, wire: int, flipped: Collection[int]) -> tuple[bytes, bytes]:
+    """The wire's (logical 0 key, logical 1 key) after its X gates so far."""
+    k0, k1 = schedule.pairs[wire]
+    return (k1, k0) if wire in flipped else (k0, k1)
+
+
 def garble_toffoli(params: CryptoParams, gate: Toffoli, schedule: KeySchedule,
-                   rng: random.Random) -> ToffoliTables:
-    w1, w2, w3 = (schedule.pairs[w] for w in gate.in_wires)
+                   rng: random.Random, flipped: Collection[int] = ()) -> ToffoliTables:
+    w1, w2, w3 = (_pair(schedule, w, flipped) for w in gate.in_wires)
     v1, v2, v3 = (schedule.pairs[w] for w in gate.out_wires)
     forward, backward = [], []
     for u in (0, 1):
@@ -93,8 +106,8 @@ def garble_toffoli(params: CryptoParams, gate: Toffoli, schedule: KeySchedule,
 
 
 def garble_phase(params: CryptoParams, gate: Phase, schedule: KeySchedule,
-                 rng: random.Random) -> PhaseTable:
-    k0, k1 = schedule.pairs[gate.wire]
+                 rng: random.Random, flipped: Collection[int] = ()) -> PhaseTable:
+    k0, k1 = _pair(schedule, gate.wire, flipped)
     modulus = 2 << gate.denom_exp          # 2n
     m0 = rng.randrange(modulus)
     rows = [
@@ -109,15 +122,19 @@ def garble_circuit(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
                    rng: random.Random) -> GarbledBundle:
     if schedule.num_wires != circ.num_wires:
         raise ValueError("schedule does not cover the circuit's wires")
-    # One pre-split stream per gate: garbling order never shifts randomness.
-    streams = spawn_rngs(rng, len(circ.gates))
+    skeleton = without_x(circ)
+    # One pre-split stream per table: garbling order never shifts randomness.
+    streams = iter(spawn_rngs(rng, len(skeleton.gates)))
+    flipped: set[int] = set()
     tables: list[ToffoliTables | PhaseTable] = []
-    for gate, gate_rng in zip(circ.gates, streams):
+    for gate in circ.gates:
         if isinstance(gate, Toffoli):
-            tables.append(garble_toffoli(params, gate, schedule, gate_rng))
+            tables.append(garble_toffoli(params, gate, schedule, next(streams), flipped))
+        elif isinstance(gate, X):
+            flipped ^= {gate.wire}
         else:
-            tables.append(garble_phase(params, gate, schedule, gate_rng))
-    return GarbledBundle(circ, tuple(tables), params.kappa_bits, params.tag_len_bits)
+            tables.append(garble_phase(params, gate, schedule, next(streams), flipped))
+    return GarbledBundle(skeleton, tuple(tables), params.kappa_bits, params.tag_len_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +143,8 @@ def garble_circuit(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
 # Opening a table row requires the full key triple of its source side, so the
 # set of wires whose keys an evaluator can learn from a revealed set grows by
 # exactly one rule: once all three input wires of a Toffoli are covered, its
-# three output wires follow.  Phase rows reveal no keys at all.
+# three output wires follow.  Phase rows reveal no keys at all, and an X
+# neither reveals a key nor has a table.
 
 def closure_pairs(revealed: Iterable[int],
                   pairs: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]) -> frozenset[int]:

@@ -21,7 +21,8 @@ row field with its u32 length), a phase table whose exponent differs from
 its skeleton gate's, a skeleton phase exponent above
 ``circuit.DEFAULT_MAX_DENOM_EXP``, and a state whose basis strings are not
 strictly increasing or whose amplitudes are not finite; the writer refuses
-rows of other widths.
+rows of other widths and X gates, which no skeleton carries (an X is a
+relabeling of its wire's keys on the client, see :mod:`rgc.garble`).
 
 One request per connection keeps the exchange as non-interactive as the
 protocol itself: the client ships a job, the server ships back the evaluated
@@ -50,7 +51,7 @@ import time
 import zlib
 
 from . import delegation, evaluate
-from .circuit import DEFAULT_MAX_DENOM_EXP, CPCircuit, Phase, Toffoli, validate
+from .circuit import DEFAULT_MAX_DENOM_EXP, CPCircuit, Phase, Toffoli, X, validate
 from .delegation import JobBundle
 from .encoding import KeySchedule, WireKeyPair
 from .evaluate import EvalStats
@@ -194,6 +195,9 @@ def _put_circuit(w: Writer, c: CPCircuit) -> None:
         if isinstance(g, Toffoli):
             w.u8(0)
             w.raw(_TOFFOLI_GATE.pack(*g.qubits, *g.in_wires, *g.out_wires))
+        elif isinstance(g, X):
+            raise WireFormatError("an X gate has no wire encoding; serialize the "
+                                  "skeleton, circuit.without_x(circ)")
         else:
             w.u8(1)
             w.raw(_PHASE_GATE.pack(g.qubit, g.wire, g.denom_exp, g.sign))

@@ -45,14 +45,15 @@ def random_density(dim: int, rng: np.random.Generator, pure: bool = True) -> np.
 
 @st.composite
 def circuits_and_states(draw):
-    """A circuit of at most 12 gates on at most 4 qubits, the qubits a random
-    input state is supported on, and a seed."""
+    """A circuit of at most 12 Toffoli, phase and X gates on at most 4 qubits,
+    the qubits a random input state is supported on, and a seed."""
     n = draw(st.integers(1, 4))
     toffoli = st.tuples(st.just("toff"), *([st.integers(0, n - 1)] * 3)).filter(
         lambda g: len(set(g[1:])) == 3)
     phase_gate = st.tuples(st.just("phase"), st.integers(0, n - 1), st.integers(0, 3),
                            st.sampled_from((1, -1)))
-    gates = draw(st.lists(st.one_of(toffoli, phase_gate) if n >= 3 else phase_gate,
-                          max_size=12))
+    x_gate = st.tuples(st.just("x"), st.integers(0, n - 1))
+    kinds = (toffoli, phase_gate, x_gate) if n >= 3 else (phase_gate, x_gate)
+    gates = draw(st.lists(st.one_of(*kinds), max_size=12))
     support = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
     return allocate_wires(gates, n), support, draw(st.integers(0, 2**32))

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from rgc import circuit, sparse
-from rgc.circuit import (CircuitError, CircuitSyntaxError, Phase, Toffoli,
+from rgc.circuit import (CircuitError, CircuitSyntaxError, Phase, Toffoli, X,
                          allocate_wires, composed_phase_angle, decompose_phase,
-                         eval_classical, format_circuit, parse_circuit, phase,
-                         random_circuit, simulate, toff, universalize, validate)
+                         eval_classical, flipped_wires, format_circuit, parse_circuit,
+                         phase, random_circuit, simulate, toff, universalize, validate,
+                         without_x, x)
 
 
 def test_parse_single_toffoli():
@@ -86,6 +87,69 @@ def test_format_parse_roundtrip():
     for _ in range(30):
         circ = random_circuit(rng, rng.randint(1, 5), rng.randint(0, 10))
         assert parse_circuit(format_circuit(circ)) == circ
+
+
+X_TEXT = "inputs 3\nx 0\ntoff 0 1 2\nphase 1 1\nx 1\nphase 1 2 neg\nx 2\nx 2\n"
+
+
+def test_parse_x_keeps_its_wire():
+    circ = parse_circuit(X_TEXT)
+    assert circ.num_wires == 3 + 3            # only the Toffoli allocates
+    assert circ.gates[0] == X(0, 0)
+    assert circ.gates[3] == X(1, 4) and circ.gates[3].wire == circ.gates[2].wire
+    assert circ.output_wires == (3, 4, 5)
+    validate(circ)
+
+
+def test_format_parse_roundtrip_with_x():
+    circ = parse_circuit(X_TEXT)
+    assert format_circuit(circ) == X_TEXT
+    assert parse_circuit(format_circuit(circ)) == circ
+    assert circ == allocate_wires([x(0), toff(0, 1, 2), phase(1, 1), x(1),
+                                   phase(1, 2, -1), x(2), x(2)], 3)
+
+
+@pytest.mark.parametrize("text", ["inputs 1\nx\n", "inputs 2\nx 0 1\n", "x 0\ninputs 1\n",
+                                  "inputs 1\nx one\n"])
+def test_parse_x_errors(text):
+    with pytest.raises(CircuitSyntaxError):
+        parse_circuit(text)
+
+
+def test_x_qubit_out_of_range():
+    with pytest.raises(CircuitError, match="out of range"):
+        parse_circuit("inputs 2\nx 2\n")
+
+
+def test_simulate_and_eval_classical_apply_x():
+    circ = parse_circuit("inputs 3\nx 0\nx 1\ntoff 0 1 2\nx 0\n")
+    for bits in range(8):
+        flipped = bits ^ 0b011
+        expect = (flipped ^ ((flipped & 1) & (flipped >> 1)) << 2) ^ 0b001
+        assert eval_classical(circ, bits) == expect
+        got = simulate(circ, sparse.basis_state(sparse.qubit_layout(3), bits))
+        assert got.terms == {expect: 1}
+
+
+def test_without_x_and_flipped_wires():
+    circ = parse_circuit(X_TEXT)
+    skeleton = without_x(circ)
+    assert skeleton.gates == tuple(g for g in circ.gates if not isinstance(g, X))
+    assert (skeleton.num_inputs, skeleton.num_wires, skeleton.output_wires) == \
+        (circ.num_inputs, circ.num_wires, circ.output_wires)
+    validate(skeleton)
+    # input 0 is flipped once before the Toffoli consumes it, output wire 4
+    # once between its phase gates, and output wire 5 twice, which cancels
+    assert flipped_wires(circ) == {0, 4}
+    x_free = parse_circuit("inputs 3\ntoff 0 1 2\n")
+    assert without_x(x_free) == x_free and flipped_wires(x_free) == frozenset()
+
+
+def test_validate_rejects_x_on_a_consumed_wire():
+    bad = circuit.CPCircuit(3, (Toffoli((0, 1, 2), (0, 1, 2), (3, 4, 5)), X(0, 0)),
+                            6, (3, 4, 5))
+    with pytest.raises(CircuitError, match="x wire 0 not live"):
+        validate(bad)
 
 
 def test_validate_rejects_wire_reuse():
@@ -247,3 +311,21 @@ def test_universalize_rejects_oversized_circuit():
     fine = allocate_wires([phase(0, 3)], 1)
     with pytest.raises(CircuitError):
         universalize(fine, 1, 2, 1)     # phase finer than the machine's cap
+
+
+def test_universal_machine_emits_native_x_and_one_constant():
+    machine, _ = universalize(allocate_wires([], 3), 3, 3, 4)
+    assert machine.const_qubits == (3 + 3,)
+    n_x = sum(isinstance(g, X) for g in machine.circuit.gates)
+    # two negations per description bit per slot, compute and uncompute
+    assert n_x == 2 * machine.code_width * machine.slots
+    assert (machine.circuit.num_inputs, len(without_x(machine.circuit).gates)) == (222, 4172)
+
+
+def test_universal_machine_refuses_a_program_with_x():
+    machine, _ = universalize(allocate_wires([], 2), 2, 2, 2)
+    program = allocate_wires([x(0), phase(1, 1)], 2)
+    with pytest.raises(CircuitError, match="no X code"):
+        machine.compile_codes(program)
+    with pytest.raises(CircuitError, match="no X code"):
+        universalize(program, 2, 2, 2)

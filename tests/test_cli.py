@@ -4,7 +4,9 @@ import math
 import pytest
 
 from rgc import netio
+from rgc.circuit import parse_circuit, simulate
 from rgc.cli import main, parse_state_tokens
+from rgc.sparse import fidelity
 
 CIRCUIT_TEXT = "inputs 3\ntoff 0 1 2\nphase 2 1\n"
 
@@ -116,6 +118,28 @@ def test_delegate_dir_transport(tmp_path, circuit_file):
     assert main(["delegate", "--circuit", circuit_file, "--input", "+11",
                  "--seed", "5", "--conjecture-1", "--out", ref]) == 0
     assert open(out, "rb").read() == open(ref, "rb").read()
+
+
+def test_delegate_cli_runs_a_circuit_with_x(tmp_path, capsys):
+    text = "inputs 3\nx 0\ntoff 0 1 2\nphase 1 1\nx 1\nx 2\n"
+    path = tmp_path / "x.txt"
+    path.write_text(text)
+    out = str(tmp_path / "out.bin")
+    server = netio.serve("127.0.0.1", 0)
+    try:
+        host, port = server.server_address
+        assert main(["delegate", "--circuit", str(path), "--input", "0+1", "--seed", "10",
+                     "--conjecture-1", "--endpoint", f"{host}:{port}", "--out", out]) == 0
+    finally:
+        server.shutdown()
+        server.server_close()
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert json.loads(lines[0])["gates"] == 2     # the server saw no X
+    # q0 = 1 and q2 = 1 xor q1, then q1 and q2 flip: qubit 0 prints first
+    assert {line.split()[0] for line in lines[1:]} == {"110", "101"}
+    decoded = netio.deserialize_state(open(out, "rb").read())
+    want = simulate(parse_circuit(text), parse_state_tokens("0+1"))
+    assert fidelity(decoded, want) >= 1 - 1e-12
 
 
 def test_blind_cli(tmp_path, capsys):

@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from rgc import netio, sparse, symcrypt
-from rgc.circuit import allocate_wires, parse_circuit, random_circuit, simulate
+from rgc.circuit import (Toffoli, X, allocate_wires, parse_circuit, random_circuit,
+                         simulate)
 from rgc.delegation import (blind_delegate, decrypt, delegate, encrypt,
                             factor_from_period, keygen, make_params,
                             modexp_delegated_state, modexp_direct_state,
@@ -14,6 +16,8 @@ from rgc.delegation import (blind_delegate, decrypt, delegate, encrypt,
                             synth_modexp_toffoli, SynthesisError)
 from rgc.circuit import eval_classical
 from rgc.sparse import basis_state, fidelity, qubit_layout, random_state
+
+from conftest import circuits_and_states
 
 
 def test_kappa_formula():
@@ -127,7 +131,30 @@ def test_modexp_truth_table_exhaustive():
         assert mx.state_layout.extract(out, "exp") == x
         assert mx.state_layout.extract(out, "acc") == pow(7, x, 15)
         assert mx.state_layout.extract(out, "anc") == 0
-        assert mx.state_layout.extract(out, "const") == 0b11
+        assert mx.state_layout.extract(out, "const") == 1
+
+
+def test_modexp_writes_x_natively():
+    mx = synth_modexp_toffoli(21, 2)
+    gates = mx.circuit.gates
+    n_x = sum(isinstance(g, X) for g in gates)
+    assert (len(gates), n_x, len(gates) - n_x) == (2055, 554, 1501)
+    assert (mx.circuit.num_wires, mx.circuit.num_inputs) == (4523, 20)
+    assert mx.const_qubits == (mx.n_exp + mx.n_value,)
+    # the one constant qubit only ever controls CNOTs
+    assert all(g.qubits[1] not in mx.const_qubits for g in gates if isinstance(g, Toffoli))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(circuits_and_states())
+def test_delegate_matches_simulation_property(case):
+    circ, support, seed = case
+    rng = random.Random(seed)
+    keys = keygen(16, circ.num_inputs, circ, rng, conjecture=True)
+    params = make_params(16, oracle_seed=rng.randbytes(8))
+    state = random_state(qubit_layout(circ.num_inputs), rng, support_bits=support)
+    out, _ = delegate(params, keys, circ, state, rng)
+    assert fidelity(out, simulate(circ, state)) >= 1 - 1e-12
 
 
 def test_modexp_rejects_bad_inputs():

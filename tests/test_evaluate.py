@@ -8,8 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from rgc import delegation, netio, sparse, symcrypt
-from rgc.circuit import (CPCircuit, Phase, Toffoli, allocate_wires, parse_circuit, phase,
-                         random_circuit, simulate)
+from rgc.circuit import (CPCircuit, Phase, Toffoli, allocate_wires, flipped_wires,
+                         parse_circuit, phase, random_circuit, simulate)
 from rgc.encoding import decode, encode, gen_keys
 from rgc.evaluate import (AmbiguousRowError, ErasureError, EvalError, EvalStats,
                           NoRowMatchError, eval_bundle, eval_toffoli_term)
@@ -339,9 +339,9 @@ def test_eval_matches_simulation_property(case):
     schedule = gen_keys(16, circ, rng)
     bundle = garble_circuit(params, circ, schedule, rng)
     out, stats = eval_bundle(params, encode(state, schedule, circ.input_wires), bundle)
-    decoded = decode(out, schedule, circ.output_wires)
+    decoded = decode(out, schedule, circ.output_wires, flipped_wires(circ))
     assert fidelity(decoded, simulate(circ, state)) >= 1 - 1e-12
-    assert stats.terms_processed == len(circ.gates) * len(state.terms)
+    assert stats.terms_processed == len(bundle.skeleton.gates) * len(state.terms)
     toffolis = sum(isinstance(g, Toffoli) for g in circ.gates)
     assert toffolis <= stats.erasure_checks <= 8 * toffolis
 

@@ -14,6 +14,10 @@ from rgc.games import (AffineKeyFn, circuit_pairs, closure_dist_masked_stats,
                        run_qkdm_game, self_cycle_queries)
 
 GAME_CIRCUIT = parse_circuit("inputs 3\ntoff 0 1 2\nphase 0 1\n")
+# X on an input before its first Toffoli, between two phase gates on one
+# wire, and on an output wire
+X_CIRCUIT = parse_circuit("inputs 3\nx 0\ntoff 0 1 2\nphase 1 1\nx 1\nphase 1 2\n"
+                          "x 2\n")
 TRIALS = 800
 
 
@@ -143,3 +147,32 @@ def test_report_shape():
     assert set(d) == {"trials", "advantage_estimate", "confidence_radius",
                       "oracle_queries_used", "p1", "p0"}
     assert report.advantage_estimate <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# the same games on a circuit with X gates, which garble into key relabelings
+
+def test_ind_cpa_generic_distinguishers_blind_with_x():
+    rng = random.Random(19)
+    for dist in (dist_constant, dist_random, dist_tag_grinding, dist_row_frequency,
+                 dist_encoded_parity):
+        report = run_ind_cpa_gbc(dist, X_CIRCUIT, 16, TRIALS, rng)
+        assert report.advantage_estimate <= max(report.confidence_radius, 1e-9), \
+            dist.__name__
+
+
+def test_ind_cpa_leaked_keys_break_everything_with_x():
+    report = run_ind_cpa_gbc(dist_leaked_decrypt, X_CIRCUIT, 16, 100,
+                             random.Random(20), leak_keys=True)
+    assert report.advantage_estimate >= 0.9
+
+
+def test_key_recovery_guessers_with_x():
+    assert key_recovery_experiment(X_CIRCUIT, 16, guess_random, 400,
+                                   random.Random(21)) == 0.0
+    assert key_recovery_experiment(X_CIRCUIT, 16, guess_replay, 50,
+                                   random.Random(22)) == 0.0
+    # positive control; its tag checks walk the skeleton, whose tables skip
+    # the X gates
+    assert key_recovery_experiment(X_CIRCUIT, 8, guess_brute_force, 30,
+                                   random.Random(23)) >= 0.9

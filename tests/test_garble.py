@@ -2,15 +2,16 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 from scipy import stats as scipy_stats
 
 from rgc import symcrypt
-from rgc.circuit import allocate_wires, parse_circuit, phase, toff
-from rgc.encoding import gen_keys
+from rgc.circuit import X, allocate_wires, parse_circuit, phase, toff, validate
+from rgc.encoding import KeySchedule, WireKeyPair, gen_keys
 from rgc.garble import (PhaseTable, ToffoliTables, closure, closure_pairs,
                         garble_circuit, garble_phase, garble_toffoli, phase_payload)
 
-from conftest import make_params
+from conftest import circuits_and_states, make_params
 
 ONE_TOFFOLI = parse_circuit("inputs 3\ntoff 0 1 2\n")
 
@@ -147,6 +148,50 @@ def test_bundle_shapes():
     toffoli_rows = bundle.tables[0].forward + bundle.tables[0].backward
     assert len(toffoli_rows) == 16 and {len(row) for row in toffoli_rows} == {9 * 2 + 3 * 16}
     assert {len(row) for row in bundle.tables[1].rows} == {2 * 2 + 16 + 1}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(circuits_and_states())
+def test_skeleton_is_the_circuit_without_x_property(case):
+    circ, _, seed = case
+    rng = random.Random(seed)
+    bundle = garble_circuit(make_params(), circ, gen_keys(16, circ, rng), rng)
+    skeleton = bundle.skeleton
+    assert skeleton.gates == tuple(g for g in circ.gates if not isinstance(g, X))
+    assert (skeleton.num_inputs, skeleton.num_wires, skeleton.output_wires) == \
+        (circ.num_inputs, circ.num_wires, circ.output_wires)
+    validate(skeleton)
+    assert len(bundle.tables) == len(skeleton.gates)
+
+
+def test_x_gates_garble_into_nothing():
+    params = make_params()
+    rng = random.Random(9)
+    circ = parse_circuit("inputs 2\nx 0\nx 1\nx 0\n")
+    bundle = garble_circuit(params, circ, gen_keys(16, circ, rng), rng)
+    assert bundle.tables == () and bundle.skeleton.gates == ()
+
+
+def test_x_relabels_keys_with_the_same_draws():
+    # An X on an input before anything reads it garbles exactly like the
+    # X-free circuit under a schedule with that input's keys swapped.
+    params = make_params()
+    with_x = parse_circuit("inputs 3\nx 1\ntoff 0 1 2\nphase 1 2\nx 2\nphase 2 1\n")
+    x_free = parse_circuit("inputs 3\ntoff 0 1 2\nphase 1 2\nphase 2 1\n")
+    schedule = gen_keys(16, with_x, random.Random(10))
+    pairs = list(schedule.pairs)
+    pairs[1] = WireKeyPair(pairs[1].k1, pairs[1].k0)
+    swapped = KeySchedule(16, tuple(pairs), schedule.input_wires, schedule.output_wires)
+    got = garble_circuit(params, with_x, schedule, random.Random(11))
+    want = garble_circuit(params, x_free, swapped, random.Random(11))
+    assert got.tables[:2] == want.tables[:2]
+    assert got.skeleton == x_free
+    # the last phase gate reads wire 5 after its X: rows open m+1 under k0
+    k0, k1 = schedule.pairs[5]
+    values = {k: int.from_bytes(symcrypt.kdm_dec(params, k, row), "big")
+              for k in (k0, k1) for row in got.tables[2].rows
+              if symcrypt.kdm_ver(params, k, _tag(params, row))}
+    assert (values[k0] - values[k1]) % 4 == 1
 
 
 def test_schedule_must_cover_circuit():

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from rgc import delegation, netio, sparse, symcrypt
 from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CircuitError, CPCircuit, Toffoli,
-                         allocate_wires, parse_circuit, phase, random_circuit, validate)
+                         allocate_wires, parse_circuit, phase, random_circuit, validate,
+                         without_x)
 from rgc.encoding import KeySchedule, WireKeyPair, encode, gen_keys
 from rgc.evaluate import EvalStats
 from rgc.games import GameReport
@@ -49,6 +50,14 @@ def test_circuit_roundtrip():
     for _ in range(25):
         circ = random_circuit(rng, rng.randint(1, 5), rng.randint(0, 8))
         assert deserialize_circuit(serialize_circuit(circ)) == circ
+
+
+def test_circuit_with_x_is_not_serialized():
+    circ = parse_circuit("inputs 2\nx 0\nphase 0 1\n")
+    with pytest.raises(WireFormatError, match="X gate has no wire encoding"):
+        serialize_circuit(circ)
+    skeleton = without_x(circ)
+    assert deserialize_circuit(serialize_circuit(skeleton)) == skeleton
 
 
 def test_state_roundtrip_exact():
