@@ -100,9 +100,6 @@ class CPCircuit:
     def input_wires(self) -> tuple[int, ...]:
         return tuple(range(self.num_inputs))
 
-    def gate_count(self) -> int:
-        return len(self.gates)
-
 
 def allocate_wires(logical_gates: Sequence[LogicalGate], n_inputs: int) -> CPCircuit:
     """Assign single-use wire indices to a logical gate list."""

@@ -7,20 +7,29 @@ register indices: input wire i starts in register i, and a Toffoli's output
 wires take over the registers of its input wires.
 
 For the length of one evaluation the state is held in dictionary-encoded
-columns (:class:`ColumnarState`): per register, the list of distinct keys it
-holds - at most the wire's two keys in an honest job - and one code per term
-indexing that list; the amplitudes are two float64 arrays.  Every register
-holds one of two keys, so a gate meets at most 8 distinct key triples however
-many terms the superposition carries, and per-gate work scales with those
-triples.  A Toffoli translates each distinct input triple once - looking up
-the forward row it opens (trying every row against the key tags, and
-insisting exactly one opens), decrypting the output keys, and erasing the
-input keys through the backward row - then moves every term by gathering its
-new codes.  The backward payload must XOR the inputs to exactly zero - that
-erasure is asserted for every distinct triple of every gate, and a failure
-aborts the evaluation: leftover input keys would entangle the result with
-junk registers.  A phase gate opens its row once per distinct key and
-gathers one factor per term.
+columns (:class:`ColumnarState`): per register, the distinct keys it holds
+and one uint8 code per term indexing that list; the amplitudes are two
+float64 arrays.  A wire has two keys, so a register may hold at most two:
+a state with a third key in some register is refused, and so is a Toffoli
+whose tables would write a third key to an output wire.  Honest encodings
+and honest tables never break this rule, so every code is 0 or 1.
+
+A Toffoli combines its registers' codes into one 3-bit triple code
+``(ca << 2) | (cb << 1) | cc`` per term and finds the present triples - at
+most 8, however many terms the superposition carries - with one bincount.
+It translates each present triple once - looking up the forward row it
+opens (trying every row against the key tags, and insisting exactly one
+opens), decrypting the output keys, and erasing the input keys through the
+backward row - then moves every term through one 8-entry code table per
+register.  The triples of one gate share their registers' keys, so each
+gate remembers every (row, tag slot, key) check it has made, per table,
+and never repeats one; the scans still cover every row, so an ambiguous row
+is found even when its checks were memoised by an earlier triple.  The
+backward payload must XOR the inputs to exactly zero - that erasure is
+asserted for every distinct triple of every gate, and a failure aborts the
+evaluation: leftover input keys would entangle the result with junk
+registers.  A phase gate opens its row once per distinct key and gathers
+one factor per term.
 
 Everything here sees only ciphertexts and tags.  This module has no access
 to, and no dependency on, the key schedule.
@@ -63,8 +72,8 @@ class EvalStats:
     gates: int = 0
     terms_processed: int = 0
     rows_tried: int = 0
-    ver_calls: int = 0           # forward row search (bounded by 8*3 per lookup)
-    backward_ver_calls: int = 0  # erasure-side row search
+    ver_calls: int = 0           # tag checks of forward and phase row searches
+    backward_ver_calls: int = 0  # tag checks of erasure-side row searches
     erasure_checks: int = 0
 
     def to_json(self) -> str:
@@ -80,7 +89,8 @@ class ColumnarState:
     """An encoded state as one dictionary-encoded column per register.
 
     Term t holds key ``keys[i][codes[i][t]]`` in register i and amplitude
-    ``re[t] + 1j*im[t]``.  Every listed key occurs in some term.
+    ``re[t] + 1j*im[t]``.  A register lists at most two keys, each occurring
+    in some term, so every code is 0 or 1.
     """
 
     keys: list[list[bytes]]
@@ -100,8 +110,11 @@ class ColumnarState:
         for i in range(n):
             column = np.ascontiguousarray(regs[:, i, :]).view(f"V{kappa_bytes}").ravel()
             distinct, code = np.unique(column, return_inverse=True)
+            if len(distinct) > 2:
+                raise EvalError(f"register {i} holds {len(distinct)} distinct keys; "
+                                f"a wire has two")
             keys.append([key.tobytes() for key in distinct])
-            codes.append(code)
+            codes.append(code.astype(np.uint8))
         amps = np.array(list(state.terms.values()), dtype=np.complex128)
         return ColumnarState(keys, codes, amps.real.copy(), amps.imag.copy())
 
@@ -118,46 +131,65 @@ class ColumnarState:
                                                         self.im.tolist()))), check=False)
 
 
+# Tag checks one gate has made, per table: (slot, key) -> {row: verified}.
+TagMemo = dict[tuple[int, bytes], dict[int, bool]]
+
+
 def _match_unique(params: CryptoParams, keys: tuple[bytes, bytes, bytes],
-                  rows: tuple[bytes, ...], stats: EvalStats,
+                  rows: tuple[bytes, ...], memo: TagMemo, stats: EvalStats,
                   backward: bool = False) -> int:
-    """Index of the single row all three tags accept; scans the whole table so
-    an ambiguity cannot hide behind an early exit."""
+    """Index of the single row all three tags accept.
+
+    Slot by slot, the rows whose earlier tags all verified are checked
+    against the slot's key, so a row is checked under exactly the keys a
+    row-by-row scan with early exit would check; ``memo`` answers the checks
+    an earlier triple of the same gate already made.  Every row is scanned,
+    so an ambiguity cannot hide behind an early exit or a memoised answer.
+    """
     width = params.tag_bytes
-    match = None
+    ver = symcrypt.kdm_ver
     checks = 0
-    for idx, row in enumerate(rows):
-        stats.rows_tried += 1
-        pos = len(row) - 3 * width     # the row ends in its three tags
-        for key in keys:
-            checks += 1
-            if not symcrypt.kdm_ver(params, key, row[pos:pos + width]):
-                break
-            pos += width
-        else:
-            if match is not None:
-                raise AmbiguousRowError(f"rows {match} and {idx} both verify")
-            match = idx
+    candidates = range(len(rows))
+    for slot, key in enumerate(keys):
+        known = memo.setdefault((slot, key), {})
+        back = (3 - slot) * width       # the row ends in its three tags
+        kept = []
+        for idx in candidates:
+            ok = known.get(idx)
+            if ok is None:
+                row = rows[idx]
+                pos = len(row) - back
+                checks += 1
+                ok = known[idx] = ver(params, key, row[pos:pos + width])
+            if ok:
+                kept.append(idx)
+        candidates = kept
+    stats.rows_tried += len(rows)
     if backward:
         stats.backward_ver_calls += checks
     else:
         stats.ver_calls += checks
-    if match is None:
+    if not candidates:
         raise NoRowMatchError("no row verifies under the given key triple")
-    return match
+    if len(candidates) > 1:
+        raise AmbiguousRowError(f"rows {candidates[0]} and {candidates[1]} both verify")
+    return candidates[0]
 
 
 def eval_toffoli_term(params: CryptoParams, key_triple: tuple[bytes, bytes, bytes],
-                      tables: ToffoliTables,
-                      stats: EvalStats | None = None) -> tuple[bytes, bytes, bytes]:
+                      tables: ToffoliTables, stats: EvalStats | None = None,
+                      memo: tuple[TagMemo, TagMemo] | None = None
+                      ) -> tuple[bytes, bytes, bytes]:
     """Translate one input key triple to the output triple, checking that the
-    backward table erases the inputs exactly."""
+    backward table erases the inputs exactly.  ``memo`` holds the forward
+    and backward tag checks of earlier triples through the same tables."""
     stats = stats if stats is not None else EvalStats()
+    forward_memo, backward_memo = memo if memo is not None else ({}, {})
     kb = params.kappa_bytes
-    fwd = _match_unique(params, key_triple, tables.forward, stats)
+    fwd = _match_unique(params, key_triple, tables.forward, forward_memo, stats)
     payload = symcrypt.triple_dec(params, *key_triple, tables.forward[fwd])
     out = (payload[:kb], payload[kb:2 * kb], payload[2 * kb:3 * kb])
-    bwd = _match_unique(params, out, tables.backward, stats, backward=True)
+    bwd = _match_unique(params, out, tables.backward, backward_memo, stats, backward=True)
     back = symcrypt.triple_dec(params, *out, tables.backward[bwd])
     if (back[:kb], back[kb:2 * kb], back[2 * kb:3 * kb]) != key_triple:
         raise ErasureError("backward row does not cancel the input keys")
@@ -169,34 +201,33 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
                  tables: ToffoliTables, stats: EvalStats) -> None:
     """Apply one garbled Toffoli to registers ``regs`` of the state, in place.
 
-    The three registers' codes combine into one triple code, densified after
-    the first pair so that no code exceeds terms^2 and none can overflow.
-    Each distinct triple is translated once, so the erasure check runs
-    exactly once per triple while covering every term carrying it; the terms
-    then gather their new codes.
+    Each term's triple code is ``(ca << 2) | (cb << 1) | cc``.  Each present
+    triple is translated once, sharing one tag memo, so the erasure check
+    runs exactly once per triple while covering every term carrying it; the
+    terms then move through one 8-entry code table per register.
     """
     a, b, c = regs
-    nb, nc = len(state.keys[b]), len(state.keys[c])
-    pairs, pair_code = np.unique(state.codes[a] * nb + state.codes[b], return_inverse=True)
-    triples, term_triple = np.unique(pair_code * nc + state.codes[c], return_inverse=True)
-    pairs = pairs.tolist()
+    triple = (state.codes[a] << 2) | (state.codes[b] << 1) | state.codes[c]
+    present = np.flatnonzero(np.bincount(triple, minlength=8)).tolist()
     keys_a, keys_b, keys_c = (state.keys[r] for r in regs)
-
-    outs = []
-    for code in triples.tolist():
-        pair, ic = divmod(code, nc)
-        ia, ib = divmod(pairs[pair], nb)
-        outs.append(eval_toffoli_term(params, (keys_a[ia], keys_b[ib], keys_c[ic]),
-                                      tables, stats))
+    memo: tuple[TagMemo, TagMemo] = ({}, {})
+    outs = [eval_toffoli_term(params, (keys_a[t >> 2], keys_b[(t >> 1) & 1], keys_c[t & 1]),
+                              tables, stats, memo)
+            for t in present]
     if len(set(outs)) != len(outs):
         raise EvalError("toffoli step collided terms; evaluation not reversible")
 
     for pos, reg in enumerate(regs):
         index: dict[bytes, int] = {}
-        out_code = [index.setdefault(out[pos], len(index)) for out in outs]
+        lut = np.zeros(8, np.uint8)
+        for t, out in zip(present, outs):
+            lut[t] = index.setdefault(out[pos], len(index))
+        if len(index) > 2:
+            raise EvalError(f"toffoli writes {len(index)} distinct keys to one wire; "
+                            f"a wire has two")
         state.keys[reg] = list(index)
-        state.codes[reg] = np.array(out_code, dtype=np.intp)[term_triple]
-    stats.terms_processed += len(term_triple)
+        state.codes[reg] = lut[triple]
+    stats.terms_processed += len(triple)
 
 
 def eval_phase(params: CryptoParams, state: ColumnarState, reg: int, gate: Phase,

@@ -248,15 +248,16 @@ class _TableLayout:
                                   f"its gate's {gate.denom_exp}")
         return PhaseTable(r.rows(2, self.phase(denom_exp)), denom_exp)
 
-    def write(self, w: Writer, table: ToffoliTables | PhaseTable) -> None:
+    def write(self, parts: list[bytes], table: ToffoliTables | PhaseTable) -> None:
+        """Append the table's fields to ``parts``; the rows are not copied."""
         if isinstance(table, ToffoliTables):
             rows, count, width = table.forward + table.backward, 16, self.toffoli
         else:
-            w.u16(table.denom_exp)
+            parts.append(struct.pack("<H", table.denom_exp))
             rows, count, width = table.rows, 2, self.phase(table.denom_exp)
         if len(rows) != count or {len(row) for row in rows} != {width}:
             raise WireFormatError("table rows do not match the bundle header's widths")
-        w.raw(b"".join(rows))
+        parts += rows
 
 
 def _get_bundle(r: Reader) -> tuple[GarbledBundle, bytes]:
@@ -347,10 +348,11 @@ def serialize_bundle(b: GarbledBundle, params: CryptoParams) -> bytes:
     w.u16(b.tag_len_bits)
     w.blob(params.oracles.seed)
     _put_circuit(w, b.skeleton)
+    parts = [w.buf]
     layout = _TableLayout(b.kappa_bits, b.tag_len_bits)
     for table in b.tables:
-        layout.write(w, table)
-    return w.bytes()
+        layout.write(parts, table)
+    return b"".join(parts)
 
 
 def deserialize_bundle(data: bytes) -> tuple[GarbledBundle, CryptoParams]:
@@ -381,10 +383,10 @@ def deserialize_report(data: bytes) -> GameReport:
 
 
 def serialize_job(job: JobBundle, params: CryptoParams) -> bytes:
-    w = Writer()
-    w.blob(serialize_state(job.encoded_state))
-    w.blob(serialize_bundle(job.garbled, params))
-    return w.bytes()
+    state = serialize_state(job.encoded_state)
+    bundle = serialize_bundle(job.garbled, params)
+    return b"".join((struct.pack("<I", len(state)), state,
+                     struct.pack("<I", len(bundle)), bundle))
 
 
 def deserialize_job(data: bytes) -> tuple[JobBundle, CryptoParams]:
@@ -414,8 +416,8 @@ def deserialize_result(data: bytes) -> tuple[SparseState, EvalStats]:
 # envelope framing
 
 def frame(kind: int, payload: bytes) -> bytes:
-    return (MAGIC + struct.pack("<BBQ", WIRE_VERSION, kind, len(payload))
-            + payload + struct.pack("<I", zlib.crc32(payload)))
+    return b"".join((MAGIC, struct.pack("<BBQ", WIRE_VERSION, kind, len(payload)),
+                     payload, struct.pack("<I", zlib.crc32(payload))))
 
 
 def unframe(data: bytes | bytearray) -> tuple[int, bytes]:

@@ -134,43 +134,38 @@ def kdm_ver(params: CryptoParams, key: SymKey, tag: bytes) -> bool:
 # ---------------------------------------------------------------------------
 # triple-key scheme
 
-def triple_enc_padded(params: CryptoParams, keys: tuple[SymKey, SymKey, SymKey],
-                      m: bytes, pads: tuple[bytes, ...]) -> bytes:
+def triple_enc(params: CryptoParams, k1: SymKey, k2: SymKey, k3: SymKey, m: bytes,
+               rng: random.Random) -> bytes:
+    """Encrypt m under three keys; the six pads r1..r6 are one draw from rng."""
     if not m:
         raise ValueError("empty plaintext")
-    k1, k2, k3 = keys
     if not len(k1) == len(k2) == len(k3):
         raise ValueError("keys must share one length")
-    r1, r2, r3, r4, r5, r6 = pads
+    p = params.kappa_bytes
+    pads = rng.getrandbits(48 * p).to_bytes(6 * p, "little")
+    r4, r5, r6 = pads[3 * p:4 * p], pads[4 * p:5 * p], pads[5 * p:]
     mask_q = params.query_fn(8 * len(m))
     tag_q = params.query_fn(params.tag_len_bits)
-    n = len(m)
     masked = (int.from_bytes(m, "little")
-              ^ int.from_bytes(mask_q(_MASK + k1 + r1), "little")
-              ^ int.from_bytes(mask_q(_MASK + k2 + r2), "little")
-              ^ int.from_bytes(mask_q(_MASK + k3 + r3), "little")).to_bytes(n, "little")
-    return b"".join((r1, r2, r3, masked,
+              ^ int.from_bytes(mask_q(_MASK + k1 + pads[:p]), "little")
+              ^ int.from_bytes(mask_q(_MASK + k2 + pads[p:2 * p]), "little")
+              ^ int.from_bytes(mask_q(_MASK + k3 + pads[2 * p:3 * p]), "little"))
+    return b"".join((pads[:3 * p], masked.to_bytes(len(m), "little"),
                      r4, tag_q(_TAG + k1 + r4),
                      r5, tag_q(_TAG + k2 + r5),
                      r6, tag_q(_TAG + k3 + r6)))
 
 
-def triple_enc(params: CryptoParams, k1: SymKey, k2: SymKey, k3: SymKey, m: bytes,
-               rng: random.Random) -> bytes:
-    kb = params.kappa_bytes
-    pads = rng.getrandbits(48 * kb).to_bytes(6 * kb, "little")
-    return triple_enc_padded(params, (k1, k2, k3), m,
-                             tuple(pads[i * kb:(i + 1) * kb] for i in range(6)))
-
-
 def triple_dec(params: CryptoParams, k1: SymKey, k2: SymKey, k3: SymKey,
                ct: bytes) -> bytes:
-    pads, m, _ = split_row(params, ct, 3)
-    kb = params.kappa_bytes
-    n = len(m)
-    for i, key in enumerate((k1, k2, k3)):
-        m = xor_bytes(m, _mask(params, key, pads[i * kb:(i + 1) * kb], n))
-    return m
+    pads, masked, _ = split_row(params, ct, 3)
+    p = params.kappa_bytes
+    n = len(masked)
+    mask_q = params.query_fn(8 * n)
+    return (int.from_bytes(masked, "little")
+            ^ int.from_bytes(mask_q(_MASK + k1 + pads[:p]), "little")
+            ^ int.from_bytes(mask_q(_MASK + k2 + pads[p:2 * p]), "little")
+            ^ int.from_bytes(mask_q(_MASK + k3 + pads[2 * p:]), "little")).to_bytes(n, "little")
 
 
 def triple_ver(params: CryptoParams, key: SymKey, index: int, ct: bytes) -> bool:

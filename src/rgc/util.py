@@ -33,10 +33,6 @@ def bytes_to_int(b: bytes) -> int:
     return int.from_bytes(b, "little")
 
 
-def int_to_bytes(v: int, n: int) -> bytes:
-    return v.to_bytes(n, "little")
-
-
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise ValueError(f"xor length mismatch: {len(a)} vs {len(b)}")

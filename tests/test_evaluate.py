@@ -231,17 +231,17 @@ def test_eval_module_never_touches_schedules():
 
 
 # ---------------------------------------------------------------------------
-# byte identity: BLAKE2b of serialize_result pinned from the per-term
-# evaluator that preceded the columnar one
+# byte identity: BLAKE2b of the result state's payload, pinned from the
+# per-term evaluator that preceded the columnar one; the EvalStats are pinned
+# on their own, since they count work rather than describe the result
 
-def _golden_result_hash(circ, state, seed):
+def _golden_result(circ, state, seed):
     rng = random.Random(seed)
     params = delegation.make_params(16, oracle_seed=b"golden")
     schedule = gen_keys(16, circ, rng)
     bundle = garble_circuit(params, circ, schedule, rng)
     out, stats = eval_bundle(params, encode(state, schedule, circ.input_wires), bundle)
-    payload = netio.serialize_result(out, stats)
-    return hashlib.blake2b(payload, digest_size=16).hexdigest(), stats
+    return hashlib.blake2b(netio.serialize_state(out), digest_size=16).hexdigest(), stats
 
 
 def test_result_bytes_pinned_for_phase_circuit():
@@ -249,19 +249,19 @@ def test_result_bytes_pinned_for_phase_circuit():
     circ = random_circuit(rng, 4, 24, max_denom_exp=3)
     state = random_state(qubit_layout(4), rng)
     assert {g.denom_exp for g in circ.gates if isinstance(g, Phase)} == {0, 1, 2, 3}
-    digest, stats = _golden_result_hash(circ, state, 1)
-    assert digest == "960a9be43c68b1fadc727490a179efb4"
-    assert stats == EvalStats(gates=24, terms_processed=384, rows_tried=1708, ver_calls=1500,
-                              backward_ver_calls=1456, erasure_checks=104)
+    digest, stats = _golden_result(circ, state, 1)
+    assert digest == "29a045b741a032e55b1d45eb2aa9d8e8"
+    assert stats == EvalStats(gates=24, terms_processed=384, rows_tried=1708, ver_calls=668,
+                              backward_ver_calls=624, erasure_checks=104)
 
 
 def test_result_bytes_pinned_for_toffoli_superposition():
     circ = parse_circuit("inputs 4\ntoff 0 1 2\ntoff 1 2 3\ntoff 3 0 1\ntoff 2 3 0\ntoff 0 1 3\n")
     state = random_state(qubit_layout(4), random.Random(7), support_bits=[0, 1, 3])
-    digest, stats = _golden_result_hash(circ, state, 2)
-    assert digest == "c933f09edaa8ac095dd5c03a3078128b"
-    assert stats == EvalStats(gates=5, terms_processed=40, rows_tried=496, ver_calls=434,
-                              backward_ver_calls=434, erasure_checks=31)
+    digest, stats = _golden_result(circ, state, 2)
+    assert digest == "1527a49ef1ef1f6f4bc212fcb322a41c"
+    assert stats == EvalStats(gates=5, terms_processed=40, rows_tried=496, ver_calls=218,
+                              backward_ver_calls=218, erasure_checks=31)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +324,68 @@ def test_bundle_toffoli_reading_one_wire_twice_is_refused():
     params, bundle, encoded = _bundle_fixture(circ, 19)
     with pytest.raises(EvalError, match="^gate 0: toffoli reads a wire that is not live"):
         eval_bundle(params, encoded, bundle)
+
+
+# ---------------------------------------------------------------------------
+# two keys per wire, and tag checks memoised across one gate's triples
+
+def test_rigged_table_writing_a_third_key_to_a_wire_is_refused():
+    # a self-consistent forward/backward table pair whose triple (1,1,1) lands
+    # on a fresh key for the target wire instead of one of its two keys
+    circ = parse_circuit("inputs 3\ntoff 0 1 2\ntoff 0 1 2\n")
+    params = make_params()
+    rng = random.Random(20)
+    schedule = gen_keys(16, circ, rng)
+    bundle = garble_circuit(params, circ, schedule, rng)
+    gate = circ.gates[1]
+    w1, w2, w3 = (schedule.pairs[w] for w in gate.in_wires)
+    v1, v2, v3 = (schedule.pairs[w] for w in gate.out_wires)
+    third = bytes(a ^ b ^ 0x5A for a, b in zip(v3.k0, v3.k1))
+    forward, backward = [], []
+    for u, v, w in product((0, 1), repeat=3):
+        in_keys = (w1[u], w2[v], w3[w])
+        out_keys = (v1[u], v2[v], third if u & v & w else v3[w ^ (u & v)])
+        forward.append(symcrypt.triple_enc(params, *in_keys, b"".join(out_keys), rng))
+        backward.append(symcrypt.triple_enc(params, *out_keys, b"".join(in_keys), rng))
+    rigged = _with_tables(bundle, {1: ToffoliTables(tuple(forward), tuple(backward))})
+    encoded = encode(random_state(qubit_layout(3), rng), schedule, circ.input_wires)
+    assert len(encoded.terms) == 8
+    with pytest.raises(EvalError, match="^gate 1: toffoli writes 3 distinct keys to one wire"):
+        eval_bundle(params, encoded, rigged)
+
+
+def _second_triple_ambiguity():
+    """One Toffoli's tables, and its two key triples for qubits (1, 1, c),
+    first and second in the evaluator's order, with the second's forward row
+    appended again so that only the second triple is ambiguous."""
+    params, schedule, gate, tables = _toffoli_fixture(21)
+    a, b, c = (schedule.pairs[w] for w in gate.in_wires)
+    first, second = sorted([(a.k1, b.k1, c.k0), (a.k1, b.k1, c.k1)], key=lambda t: t[2])
+    row = next(r for r in tables.forward
+               if all(symcrypt.triple_ver(params, k, i + 1, r) for i, k in enumerate(second)))
+    return params, schedule, ToffoliTables(tables.forward + (row,), tables.backward), first, second
+
+
+def test_ambiguity_of_a_second_triple_is_found_through_the_memo():
+    params, _, tables, first, second = _second_triple_ambiguity()
+    memo, stats = ({}, {}), EvalStats()
+    eval_toffoli_term(params, first, tables, stats, memo)
+    # the duplicate row's first two tags were checked for the first triple
+    assert memo[0][(0, first[0])][8] and memo[0][(1, first[1])][8]
+    checks = stats.ver_calls
+    with pytest.raises(AmbiguousRowError, match="^rows .* and 8 both verify"):
+        eval_toffoli_term(params, second, tables, stats, memo)
+    # only the third tags of the rows whose first two tags verify are new
+    assert stats.ver_calls - checks == 3
+
+
+def test_bundle_ambiguity_of_a_second_triple_names_the_gate():
+    params, schedule, tables, _, _ = _second_triple_ambiguity()
+    bundle = garble_circuit(params, ONE_TOFFOLI, schedule, random.Random(0))
+    bundle = _with_tables(bundle, {0: tables})
+    state = sparse.from_terms(qubit_layout(3), {0b011: 0.6, 0b111: 0.8})
+    with pytest.raises(AmbiguousRowError, match="^gate 0: "):
+        eval_bundle(params, encode(state, schedule, ONE_TOFFOLI.input_wires), bundle)
 
 
 # ---------------------------------------------------------------------------

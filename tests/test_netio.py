@@ -45,6 +45,14 @@ def test_schedule_roundtrip():
     assert deserialize_schedule(serialize_schedule(schedule)) == schedule
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(circuits_and_states(), st.sampled_from((8, 16, 24, 64)))
+def test_schedule_roundtrip_property(case, kappa):
+    circ, _, seed = case
+    schedule = gen_keys(kappa, circ, random.Random(seed))
+    assert deserialize_schedule(serialize_schedule(schedule)) == schedule
+
+
 def test_circuit_roundtrip():
     rng = random.Random(3)
     for _ in range(25):
@@ -343,6 +351,22 @@ def test_state_of_wrong_register_layout_gets_error_envelope(widths):
     kind, payload = _handle_job(job, params)
     assert kind == netio.KIND_ERROR
     assert b"EvalError" in payload and b"registers of 16 bits" in payload
+
+
+def test_register_holding_three_keys_gets_error_envelope():
+    # a wire has two keys; a third key in one register is refused before any
+    # table is read
+    circ, keys, params, state, job = _job_fixture(seed=24)
+    terms = dict(job.encoded_state.terms)
+    held = {basis & 0xFFFF for basis in terms}
+    assert len(held) == 2
+    third = next(k for k in range(1 << 16) if k not in held)
+    basis = max(terms)
+    terms[(basis & ~0xFFFF) | third] = terms.pop(basis)
+    job = delegation.JobBundle(sparse.SparseState(job.encoded_state.layout, terms), job.garbled)
+    kind, payload = _handle_job(job, params)
+    assert kind == netio.KIND_ERROR
+    assert payload == b"EvalError: register 0 holds 3 distinct keys; a wire has two"
 
 
 def test_toffoli_reading_one_wire_twice_gets_error_envelope():
