@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import sparse
 from .sparse import SparseState
@@ -101,7 +101,7 @@ class CPCircuit:
         return tuple(range(self.num_inputs))
 
 
-def allocate_wires(logical_gates: Sequence[LogicalGate], n_inputs: int) -> CPCircuit:
+def allocate_wires(logical_gates: Iterable[LogicalGate], n_inputs: int) -> CPCircuit:
     """Assign single-use wire indices to a logical gate list."""
     if n_inputs <= 0:
         raise CircuitError("circuit needs at least one input")
@@ -404,13 +404,11 @@ class UniversalMachine:
             elif isinstance(g, X):
                 raise CircuitError("the universal machine has no X code")
             else:
-                k = g.sign % (1 << (g.denom_exp + 1))
-                for j in range(g.denom_exp + 1):
-                    if (k >> (g.denom_exp - j)) & 1:
-                        if j == 0:
-                            codes += [self.phase_code(g.qubit, 1)] * 2
-                        else:
-                            codes.append(self.phase_code(g.qubit, j))
+                for j, _ in decompose_phase(g.sign, g.denom_exp, self.max_denom_exp):
+                    if j == 0:
+                        codes += [self.phase_code(g.qubit, 1)] * 2
+                    else:
+                        codes.append(self.phase_code(g.qubit, j))
         return codes
 
     def describe(self, circ: CPCircuit) -> list[GateDescription]:

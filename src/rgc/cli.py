@@ -7,7 +7,7 @@ shift when another stage changes how much randomness it consumes.  Identical
 argv (including --seed) means byte-identical output files.
 
 Subcommands: keygen, garble, encode, eval, decode, delegate, blind, shor,
-mixing-bound, security-test, bench, serve.  Protocol failures exit 1, usage
+mixing-bound, security-test, serve.  Protocol failures exit 1, usage
 errors exit 2.
 """
 
@@ -297,29 +297,6 @@ def cmd_security_test(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    rng = derive_rng(args.seed, "bench")
-    for n_gates in args.sizes:
-        circ = circuit.random_circuit(rng, 5, n_gates, 3)
-        keys = delegation.keygen(args.eta, 5, circ, rng, conjecture=True)
-        params = _params_for(args, keys.kappa_bits)
-        state = sparse.random_state(sparse.qubit_layout(5), rng)
-        t0 = time.perf_counter()
-        job = delegation.encrypt(params, keys, circ, state, rng)
-        t1 = time.perf_counter()
-        out, stats = delegation.run_job(params, job)
-        t2 = time.perf_counter()
-        delegation.decrypt(keys, circ, out)
-        t3 = time.perf_counter()
-        print(json.dumps({
-            "gates": n_gates, "kappa": keys.kappa_bits,
-            "encrypt_s": round(t1 - t0, 6), "evaluate_s": round(t2 - t1, 6),
-            "decrypt_s": round(t3 - t2, 6),
-            "ver_calls": stats.ver_calls,
-        }))
-    return 0
-
-
 def cmd_serve(args) -> int:
     if args.dir:
         import threading
@@ -439,11 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=2000)
     _add_common(p)
     p.set_defaults(fn=cmd_security_test)
-
-    p = sub.add_parser("bench", help="garble/evaluate timings")
-    p.add_argument("--sizes", type=int, nargs="+", default=[5, 15, 50])
-    _add_common(p, "eta", "crypto")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("serve", help="run the evaluation server")
     p.add_argument("--host", default="127.0.0.1")

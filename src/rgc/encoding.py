@@ -36,8 +36,6 @@ class WireKeyPair(NamedTuple):
 class KeySchedule:
     kappa_bits: int
     pairs: tuple[WireKeyPair, ...]
-    input_wires: tuple[int, ...]
-    output_wires: tuple[int, ...]
 
     def __post_init__(self):
         nbytes = self.kappa_bits // 8
@@ -69,7 +67,7 @@ def gen_keys(kappa_bits: int, circ: CPCircuit, rng: random.Random) -> KeySchedul
         while k1 == k0:
             k1 = rand_bytes(rng, nbytes)
         pairs.append(WireKeyPair(k0, k1))
-    return KeySchedule(kappa_bits, tuple(pairs), circ.input_wires, circ.output_wires)
+    return KeySchedule(kappa_bits, tuple(pairs))
 
 
 def encoded_layout(kappa_bits: int, n: int) -> RegisterLayout:

@@ -2,9 +2,8 @@
 
 The encoded state keeps one kappa-bit register per logical qubit; a gate on
 qubits (a,b,c) always finds its current wire keys in registers a,b,c, so the
-register layout never changes shape during evaluation.  Wires map to
-register indices: input wire i starts in register i, and a Toffoli's output
-wires take over the registers of its input wires.
+register layout never changes shape during evaluation and the evaluator
+needs the skeleton's qubits only, never its wires.
 
 For the length of one evaluation the state is held in dictionary-encoded
 columns (:class:`ColumnarState`): per register, the distinct keys it holds
@@ -287,20 +286,12 @@ def eval_bundle(params: CryptoParams, encoded: SparseState,
         raise EvalError(f"encoded state is not {circ.num_inputs} registers of {kappa} bits")
     state = ColumnarState.from_sparse(encoded, circ.num_inputs, params.kappa_bytes)
     stats = EvalStats()
-    live = {w: i for i, w in enumerate(circ.input_wires)}    # wire -> register
     for index, (gate, table) in enumerate(zip(circ.gates, bundle.tables)):
         try:
             if isinstance(gate, Toffoli):
-                regs = tuple(live.pop(w, None) for w in gate.in_wires)
-                if None in regs:
-                    raise EvalError("toffoli reads a wire that is not live")
-                eval_toffoli(params, state, regs, table, stats)
-                live.update(zip(gate.out_wires, regs))
+                eval_toffoli(params, state, gate.qubits, table, stats)
             else:
-                reg = live.get(gate.wire)
-                if reg is None:
-                    raise EvalError("phase reads a wire that is not live")
-                eval_phase(params, state, reg, gate, table, stats)
+                eval_phase(params, state, gate.qubit, gate, table, stats)
         except EvalError as exc:
             raise type(exc)(f"gate {index}: {exc}") from None
         stats.gates += 1

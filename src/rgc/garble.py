@@ -52,14 +52,13 @@ class PhaseTable:
     """Two packed single-key rows."""
 
     rows: tuple[bytes, bytes]
-    denom_exp: int
 
 
 @dataclass(frozen=True)
 class GarbledBundle:
     """Everything the evaluator receives about the circuit: the public
-    skeleton (gate types and wire topology, X gates omitted) and one table
-    per skeleton gate, in circuit order.  No key material appears outside the
+    skeleton (gate types and their qubits, X gates omitted) and one table per
+    skeleton gate, in circuit order.  No key material appears outside the
     ciphertexts."""
 
     skeleton: CPCircuit
@@ -115,7 +114,7 @@ def garble_phase(params: CryptoParams, gate: Phase, schedule: KeySchedule,
         symcrypt.kdm_enc(params, k1, phase_payload((m0 + 1) % modulus, gate.denom_exp), rng),
     ]
     rng.shuffle(rows)
-    return PhaseTable(tuple(rows), gate.denom_exp)
+    return PhaseTable(tuple(rows))
 
 
 def garble_circuit(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,

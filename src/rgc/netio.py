@@ -6,20 +6,35 @@ padding bits zero.  Messages travel in a framed envelope::
 
     magic "RGC1" | version u8 | kind u8 | payload_len u64 | payload | crc32 u32
 
+A bundle (format 3) is a header, the skeleton, then one table per skeleton
+gate::
+
+    bundle     version u8 | kappa u16 | tag_len u16 | oracle seed (blob)
+               | skeleton | tables
+    skeleton   num_inputs u32 | gate count u32 | one record per gate
+    toffoli    u8 0 | 3 x qubit u32
+    phase      u8 1 | qubit u32 | exponent u16 | sign i8
+
+The skeleton names qubits only.  Wire indices are the client's bookkeeping
+for its key pairs, derived from the gate list by ``circuit.allocate_wires``,
+and the evaluator applies each gate to its qubits' registers in place.
+
 Almost all of a job is garbled-table rows.  A row travels as the packed
 bytes :mod:`rgc.symcrypt` produces, and the bundle header (kappa and tag
-length) fixes every width in it, so bundle format 2 stores rows back to
-back with no length fields.  With p = kappa/8 and t = tag_len/8 bytes::
+length) fixes every width in it, so rows lie back to back with no length
+fields.  With p = kappa/8 and t = tag_len/8 bytes::
 
     toffoli row    r1 r2 r3 (3p) | masked (3p) | 3 x (tag pad (p) | digest (t))
     toffoli table  16 rows of 9p + 3t bytes: 8 forward, then 8 backward
-    phase table    exponent u16 | 2 rows of r1 (p) | masked (w) | tag pad (p) | digest (t)
+    phase table    2 rows of r1 (p) | masked (w) | tag pad (p) | digest (t)
 
-where w = ceil((exponent + 1) / 8).  Tables are read by slicing and written
-whole.  The reader refuses other bundle versions (format 1 prefixed every
-row field with its u32 length), a phase table whose exponent differs from
-its skeleton gate's, a skeleton phase exponent above
-``circuit.DEFAULT_MAX_DENOM_EXP``, and a state whose basis strings are not
+where w = ceil((exponent + 1) / 8) for the skeleton gate's exponent.  Tables
+are read by slicing and written whole.  The reader refuses other bundle
+versions (format 1 prefixed every row field with its u32 length; formats 1
+and 2 also sent every gate's wires), more than ``MAX_QUBITS`` qubits, a
+skeleton phase exponent above ``circuit.DEFAULT_MAX_DENOM_EXP``, a skeleton
+``allocate_wires`` refuses (a qubit out of range, a Toffoli naming one qubit
+twice, a phase sign other than +-1), and a state whose basis strings are not
 strictly increasing or whose amplitudes are not finite; the writer refuses
 rows of other widths and X gates, which no skeleton carries (an X is a
 relabeling of its wire's keys on the client, see :mod:`rgc.garble`).
@@ -49,9 +64,11 @@ import struct
 import threading
 import time
 import zlib
+from typing import Iterator
 
 from . import delegation, evaluate
-from .circuit import DEFAULT_MAX_DENOM_EXP, CPCircuit, Phase, Toffoli, X, validate
+from .circuit import (DEFAULT_MAX_DENOM_EXP, CPCircuit, LogicalGate, Phase, Toffoli, X,
+                      allocate_wires, phase, toff)
 from .delegation import JobBundle
 from .encoding import KeySchedule, WireKeyPair
 from .evaluate import EvalStats
@@ -63,16 +80,18 @@ from .symcrypt import CryptoParams, row_bytes
 
 MAGIC = b"RGC1"
 WIRE_VERSION = 1
-BUNDLE_VERSION = 2
+BUNDLE_VERSION = 3
 
 KIND_JOB = 1
 KIND_RESULT = 2
 KIND_ERROR = 3
 
 # Server limits: the largest envelope payload a peer may declare (the blind
-# interpreter's N=3, D=3, L=4 job is 5.9 MB), how many connections are
-# served at once, and how long one socket read or write may wait.
+# interpreter's N=3, D=3, L=4 job is 5.9 MB), the most qubits a skeleton may
+# declare (that job has 222), how many connections are served at once, and
+# how long one socket read or write may wait.
 MAX_PAYLOAD_BYTES = 64 << 20
+MAX_QUBITS = 1 << 16
 MAX_CONNECTIONS = 16
 SOCKET_TIMEOUT_S = 30.0
 
@@ -92,7 +111,6 @@ class Writer:
     def u16(self, v): self.buf += struct.pack("<H", v)
     def u32(self, v): self.buf += struct.pack("<I", v)
     def u64(self, v): self.buf += struct.pack("<Q", v)
-    def i8(self, v): self.buf += struct.pack("<b", v)
     def f64(self, v): self.buf += struct.pack("<d", v)
     def raw(self, b): self.buf += b
 
@@ -123,7 +141,6 @@ class Reader:
     def u16(self): return struct.unpack("<H", self._take(2))[0]
     def u32(self): return struct.unpack("<I", self._take(4))[0]
     def u64(self): return struct.unpack("<Q", self._take(8))[0]
-    def i8(self): return struct.unpack("<b", self._take(1))[0]
     def f64(self): return struct.unpack("<d", self._take(8))[0]
     def raw(self, n): return self._take(n)
 
@@ -163,67 +180,56 @@ def _put_schedule(w: Writer, s: KeySchedule) -> None:
     for k0, k1 in s.pairs:
         w.raw(k0)
         w.raw(k1)
-    w.u32(len(s.input_wires))
-    for wire in s.input_wires:
-        w.u32(wire)
-    w.u32(len(s.output_wires))
-    for wire in s.output_wires:
-        w.u32(wire)
 
 
 def _get_schedule(r: Reader) -> KeySchedule:
     kappa = r.u16()
     nbytes = kappa // 8
-    pairs = tuple(WireKeyPair(r.raw(nbytes), r.raw(nbytes)) for _ in range(r.u32()))
-    ins = tuple(r.u32() for _ in range(r.u32()))
-    outs = tuple(r.u32() for _ in range(r.u32()))
-    return KeySchedule(kappa, pairs, ins, outs)
+    return KeySchedule(kappa, tuple(WireKeyPair(r.raw(nbytes), r.raw(nbytes))
+                                    for _ in range(r.u32())))
 
 
-_TOFFOLI_GATE = struct.Struct("<9I")     # qubits, in_wires, out_wires
-_PHASE_GATE = struct.Struct("<IIHb")     # qubit, wire, denom_exp, sign
+_TOFFOLI_GATE = struct.Struct("<3I")     # qubits
+_PHASE_GATE = struct.Struct("<IHb")      # qubit, denom_exp, sign
 
 
 def _put_circuit(w: Writer, c: CPCircuit) -> None:
     w.u32(c.num_inputs)
-    w.u32(c.num_wires)
-    w.u32(len(c.output_wires))
-    for wire in c.output_wires:
-        w.u32(wire)
     w.u32(len(c.gates))
     for g in c.gates:
         if isinstance(g, Toffoli):
             w.u8(0)
-            w.raw(_TOFFOLI_GATE.pack(*g.qubits, *g.in_wires, *g.out_wires))
+            w.raw(_TOFFOLI_GATE.pack(*g.qubits))
         elif isinstance(g, X):
             raise WireFormatError("an X gate has no wire encoding; serialize the "
                                   "skeleton, circuit.without_x(circ)")
         else:
             w.u8(1)
-            w.raw(_PHASE_GATE.pack(g.qubit, g.wire, g.denom_exp, g.sign))
+            w.raw(_PHASE_GATE.pack(g.qubit, g.denom_exp, g.sign))
 
 
 def _get_circuit(r: Reader) -> CPCircuit:
     num_inputs = r.u32()
-    num_wires = r.u32()
-    outs = tuple(r.u32() for _ in range(r.u32()))
-    gates = []
+    if num_inputs > MAX_QUBITS:
+        raise WireFormatError(f"{num_inputs} qubits above limit {MAX_QUBITS}")
+    return allocate_wires(_get_gates(r), num_inputs)
+
+
+def _get_gates(r: Reader) -> Iterator[LogicalGate]:
+    """The skeleton's gate records, one at a time, so that no list of them
+    exists beside the circuit ``allocate_wires`` builds."""
     for _ in range(r.u32()):
         kind = r.u8()
         if kind == 0:
-            vals = r.unpack(_TOFFOLI_GATE)
-            gates.append(Toffoli(vals[0:3], vals[3:6], vals[6:9]))
+            yield toff(*r.unpack(_TOFFOLI_GATE))
         elif kind == 1:
-            gate = Phase(*r.unpack(_PHASE_GATE))
-            if gate.denom_exp > DEFAULT_MAX_DENOM_EXP:
-                raise WireFormatError(f"phase exponent {gate.denom_exp} above bound "
+            qubit, denom_exp, sign = r.unpack(_PHASE_GATE)
+            if denom_exp > DEFAULT_MAX_DENOM_EXP:
+                raise WireFormatError(f"phase exponent {denom_exp} above bound "
                                       f"{DEFAULT_MAX_DENOM_EXP}")
-            gates.append(gate)
+            yield phase(qubit, denom_exp, sign)
         else:
             raise WireFormatError(f"unknown gate kind {kind}")
-    circ = CPCircuit(num_inputs, tuple(gates), num_wires, outs)
-    validate(circ)
-    return circ
 
 
 # garbled tables, rows back to back (see the module docstring)
@@ -242,19 +248,15 @@ class _TableLayout:
         if isinstance(gate, Toffoli):
             rows = r.rows(16, self.toffoli)
             return ToffoliTables(rows[:8], rows[8:])
-        denom_exp = r.u16()
-        if denom_exp != gate.denom_exp:
-            raise WireFormatError(f"phase table exponent {denom_exp} differs from "
-                                  f"its gate's {gate.denom_exp}")
-        return PhaseTable(r.rows(2, self.phase(denom_exp)), denom_exp)
+        return PhaseTable(r.rows(2, self.phase(gate.denom_exp)))
 
-    def write(self, parts: list[bytes], table: ToffoliTables | PhaseTable) -> None:
-        """Append the table's fields to ``parts``; the rows are not copied."""
-        if isinstance(table, ToffoliTables):
+    def write(self, parts: list[bytes], gate: Toffoli | Phase,
+              table: ToffoliTables | PhaseTable) -> None:
+        """Append the table's rows to ``parts``; the rows are not copied."""
+        if isinstance(gate, Toffoli):
             rows, count, width = table.forward + table.backward, 16, self.toffoli
         else:
-            parts.append(struct.pack("<H", table.denom_exp))
-            rows, count, width = table.rows, 2, self.phase(table.denom_exp)
+            rows, count, width = table.rows, 2, self.phase(gate.denom_exp)
         if len(rows) != count or {len(row) for row in rows} != {width}:
             raise WireFormatError("table rows do not match the bundle header's widths")
         parts += rows
@@ -350,8 +352,8 @@ def serialize_bundle(b: GarbledBundle, params: CryptoParams) -> bytes:
     _put_circuit(w, b.skeleton)
     parts = [w.buf]
     layout = _TableLayout(b.kappa_bits, b.tag_len_bits)
-    for table in b.tables:
-        layout.write(parts, table)
+    for gate, table in zip(b.skeleton.gates, b.tables):
+        layout.write(parts, gate, table)
     return b"".join(parts)
 
 

@@ -59,14 +59,7 @@ class CryptoParams:
             raise ValueError("tag_len_bits must be a positive byte multiple")
         self.kappa_bytes = self.kappa_bits // 8
         self.tag_bytes = (self.kappa_bits + self.tag_len_bits) // 8    # pad and digest
-        self._query_cache: dict[int, object] = {}
-
-    def query_fn(self, n_bits: int):
-        fn = self._query_cache.get(n_bits)
-        if fn is None:
-            fn = self.oracles.for_len(n_bits).query
-            self._query_cache[n_bits] = fn
-        return fn
+        self.tag_query = self.oracles.for_len(self.tag_len_bits).query
 
 
 def row_bytes(kappa_bits: int, tag_len_bits: int, n_keys: int, payload_bytes: int) -> int:
@@ -92,11 +85,11 @@ def keygen(params: CryptoParams, rng: random.Random) -> SymKey:
 
 
 def _mask(params: CryptoParams, key: SymKey, pad: bytes, n_bytes: int) -> bytes:
-    return params.query_fn(8 * n_bytes)(_MASK + key + pad)
+    return params.oracles.for_len(8 * n_bytes).query(_MASK + key + pad)
 
 
 def _tag_digest(params: CryptoParams, key: SymKey, pad: bytes) -> bytes:
-    return params.query_fn(params.tag_len_bits)(_TAG + key + pad)
+    return params.tag_query(_TAG + key + pad)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +121,7 @@ def kdm_ver(params: CryptoParams, key: SymKey, tag: bytes) -> bool:
     p = params.kappa_bytes
     if len(key) != p or len(tag) != params.tag_bytes:
         return False
-    return params.query_fn(params.tag_len_bits)(_TAG + key + tag[:p]) == tag[p:]
+    return params.tag_query(_TAG + key + tag[:p]) == tag[p:]
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +137,8 @@ def triple_enc(params: CryptoParams, k1: SymKey, k2: SymKey, k3: SymKey, m: byte
     p = params.kappa_bytes
     pads = rng.getrandbits(48 * p).to_bytes(6 * p, "little")
     r4, r5, r6 = pads[3 * p:4 * p], pads[4 * p:5 * p], pads[5 * p:]
-    mask_q = params.query_fn(8 * len(m))
-    tag_q = params.query_fn(params.tag_len_bits)
+    mask_q = params.oracles.for_len(8 * len(m)).query
+    tag_q = params.tag_query
     masked = (int.from_bytes(m, "little")
               ^ int.from_bytes(mask_q(_MASK + k1 + pads[:p]), "little")
               ^ int.from_bytes(mask_q(_MASK + k2 + pads[p:2 * p]), "little")
@@ -161,7 +154,7 @@ def triple_dec(params: CryptoParams, k1: SymKey, k2: SymKey, k3: SymKey,
     pads, masked, _ = split_row(params, ct, 3)
     p = params.kappa_bytes
     n = len(masked)
-    mask_q = params.query_fn(8 * n)
+    mask_q = params.oracles.for_len(8 * n).query
     return (int.from_bytes(masked, "little")
             ^ int.from_bytes(mask_q(_MASK + k1 + pads[:p]), "little")
             ^ int.from_bytes(mask_q(_MASK + k2 + pads[p:2 * p]), "little")

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 
@@ -329,3 +330,22 @@ def test_universal_machine_refuses_a_program_with_x():
         machine.compile_codes(program)
     with pytest.raises(CircuitError, match="no X code"):
         universalize(program, 2, 2, 2)
+
+
+def test_universal_machine_codes_are_pinned():
+    # the description programs of seeded circuits, phase codes included
+    rng = random.Random(31)
+    digest = hashlib.blake2b()
+    ops = 0
+    for n in (1, 2, 3):
+        for d_max in (1, 2, 4):
+            machine, _ = universalize(allocate_wires([], n), n, d_max, 6)
+            for _ in range(10):
+                circ = random_circuit(rng, n, rng.randint(0, 6), max_denom_exp=d_max)
+                codes = [d.code for d in machine.describe(circ)]
+                ops += sum(c != machine.identity_code for c in codes)
+                digest.update(str(codes).encode())
+    assert ops == 854
+    assert digest.hexdigest() == (
+        "62f76b53c099586f575480c60dcccd944e16a585aa09414d744b1f14b146f410"
+        "85dc2912e87763900a8ce1e0dfb94a1942fb622f7f78950ea12d2b09890e9a34")

@@ -165,12 +165,6 @@ def test_security_test_cli(capsys):
     assert control["advantage_estimate"] > 0.5
 
 
-def test_bench_cli(capsys):
-    assert main(["bench", "--sizes", "3", "--seed", "8"]) == 0
-    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert record["gates"] == 3 and record["evaluate_s"] >= 0
-
-
 def test_protocol_error_exits_1(tmp_path, circuit_file, capsys):
     missing = str(tmp_path / "nope.bin")
     assert main(["decode", "--circuit", circuit_file, "--keys", missing,

@@ -36,9 +36,9 @@ def test_gen_keys_requires_byte_aligned_kappa():
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        KeySchedule(16, (WireKeyPair(b"aa", b"aa"),), (0,), (0,))
+        KeySchedule(16, (WireKeyPair(b"aa", b"aa"),))
     with pytest.raises(ValueError):
-        KeySchedule(16, (WireKeyPair(b"a", b"bb"),), (0,), (0,))
+        KeySchedule(16, (WireKeyPair(b"a", b"bb"),))
 
 
 def test_toffoli_needs_three_qubits():
@@ -48,7 +48,7 @@ def test_toffoli_needs_three_qubits():
 
 
 def test_encode_classical_bit_single_key():
-    schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),), (0,), (0,))
+    schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
     encoded = encode(basis_state(qubit_layout(1), 0), schedule, [0])
     assert encoded.terms == {0x01: 1.0 + 0j}
     encoded = encode(basis_state(qubit_layout(1), 1), schedule, [0])
@@ -56,7 +56,7 @@ def test_encode_classical_bit_single_key():
 
 
 def test_encode_is_linear():
-    schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),), (0,), (0,))
+    schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
     plus = sparse.from_terms(qubit_layout(1), {0: 1 / math.sqrt(2), 1: 1 / math.sqrt(2)})
     encoded = encode(plus, schedule, [0])
     assert set(encoded.terms) == {0x01, 0x02}
@@ -75,14 +75,14 @@ def test_decode_inverts_encode():
 
 
 def test_decode_single_key_to_bit():
-    schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),), (0,), (0,))
+    schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
     lay = sparse.layout(("q0", 8))
     decoded = decode(basis_state(lay, 0x02), schedule, [0])
     assert decoded.terms == {1: 1.0 + 0j}
 
 
 def test_decode_rejects_off_key_strings():
-    schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),), (0,), (0,))
+    schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
     lay = sparse.layout(("q0", 8))
     with pytest.raises(UnknownKeyError):
         decode(basis_state(lay, 0x03), schedule, [0])   # one bit off a key
@@ -102,7 +102,7 @@ def test_encode_preserves_inner_products():
 # cost model ------------------------------------------------------------------
 
 def test_cnot_cost_extremes():
-    schedule = KeySchedule(8, (WireKeyPair(b"\x00", b"\xff"),), (0,), (0,))
+    schedule = KeySchedule(8, (WireKeyPair(b"\x00", b"\xff"),))
     report = cnot_cost(schedule, [0])
     assert report.cnot_count == 8 and report.x_count == 0
 

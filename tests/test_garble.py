@@ -181,7 +181,7 @@ def test_x_relabels_keys_with_the_same_draws():
     schedule = gen_keys(16, with_x, random.Random(10))
     pairs = list(schedule.pairs)
     pairs[1] = WireKeyPair(pairs[1].k1, pairs[1].k0)
-    swapped = KeySchedule(16, tuple(pairs), schedule.input_wires, schedule.output_wires)
+    swapped = KeySchedule(16, tuple(pairs))
     got = garble_circuit(params, with_x, schedule, random.Random(11))
     want = garble_circuit(params, x_free, swapped, random.Random(11))
     assert got.tables[:2] == want.tables[:2]

@@ -10,9 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rgc import delegation, netio, sparse, symcrypt
-from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CircuitError, CPCircuit, Toffoli,
-                         allocate_wires, parse_circuit, phase, random_circuit, validate,
-                         without_x)
+from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CircuitError, Toffoli, allocate_wires,
+                         format_circuit, parse_circuit, phase, random_circuit, without_x)
 from rgc.encoding import KeySchedule, WireKeyPair, encode, gen_keys
 from rgc.evaluate import EvalStats
 from rgc.games import GameReport
@@ -296,7 +295,7 @@ def test_no_schedule_keys_leak_into_the_job():
         k1 = bytes([0xC0 + i]) * 8
         pairs.append(WireKeyPair(k0, k1))
         sentinels += [k0, k1]
-    schedule = KeySchedule(64, tuple(pairs), circ.input_wires, circ.output_wires)
+    schedule = KeySchedule(64, tuple(pairs))
     keys = delegation.DelegationKeys(schedule, 64, 64, 3)
     params = delegation.make_params(64, oracle_seed=b"sentinel")
     state = random_state(qubit_layout(3), rng)
@@ -369,22 +368,6 @@ def test_register_holding_three_keys_gets_error_envelope():
     assert payload == b"EvalError: register 0 holds 3 distinct keys; a wire has two"
 
 
-def test_toffoli_reading_one_wire_twice_gets_error_envelope():
-    # the skeleton check refuses it before evaluation; the evaluator's own
-    # live-wire check is tested in test_evaluate
-    circ = CPCircuit(3, (Toffoli((0, 1, 2), (0, 0, 1), (3, 3, 4)),), 6, (2, 3, 4))
-    with pytest.raises(CircuitError):
-        validate(circ)
-    rng = random.Random(16)
-    schedule = gen_keys(16, circ, rng)
-    params = delegation.make_params(16, oracle_seed=b"dup")
-    bundle = garble_circuit(params, circ, schedule, rng)
-    encoded = encode(sparse.basis_state(qubit_layout(3), 0), schedule, circ.input_wires)
-    kind, payload = _handle_job(delegation.JobBundle(encoded, bundle), params)
-    assert kind == netio.KIND_ERROR
-    assert b"CircuitError" in payload and b"names one wire twice" in payload
-
-
 # ---------------------------------------------------------------------------
 # fixed-stride tables: golden bytes, round trip, cross-checks, mutations
 
@@ -413,23 +396,45 @@ def _seeded_job(text, seed=17):
     return delegation.encrypt(params, keys, circ, state, rng), params
 
 
-def _format_1_job(job, params):
-    """The job as bundle format 1 wrote it: every row field behind its u32
-    length, in the order the packed row holds them."""
+def _old_skeleton(c):
+    """The skeleton as bundle formats 1 and 2 wrote it: wire counts, the
+    output wires, and every gate's wires beside its qubits."""
+    w = netio.Writer()
+    for value in (c.num_inputs, c.num_wires, len(c.output_wires), *c.output_wires,
+                  len(c.gates)):
+        w.u32(value)
+    for g in c.gates:
+        if isinstance(g, Toffoli):
+            w.u8(0)
+            w.raw(struct.pack("<9I", *g.qubits, *g.in_wires, *g.out_wires))
+        else:
+            w.u8(1)
+            w.raw(struct.pack("<IIHb", g.qubit, g.wire, g.denom_exp, g.sign))
+    return w.bytes()
+
+
+def _old_format_job(job, params, version):
+    """The job as bundle format 1 or 2 wrote it: the old skeleton, and a u16
+    exponent before each phase table.  Format 2 stores the packed rows back
+    to back; format 1 put every row field behind its u32 length, in the
+    order the packed row holds them."""
     bundle, p = job.garbled, params.kappa_bytes
     w = netio.Writer()
-    w.u8(1)
+    w.u8(version)
     w.u16(bundle.kappa_bits)
     w.u16(bundle.tag_len_bits)
     w.blob(params.oracles.seed)
-    w.raw(serialize_circuit(bundle.skeleton))
-    for table in bundle.tables:
+    w.raw(_old_skeleton(bundle.skeleton))
+    for gate, table in zip(bundle.skeleton.gates, bundle.tables):
         if isinstance(table, ToffoliTables):
             rows, n_keys = table.forward + table.backward, 3
         else:
-            w.u16(table.denom_exp)
+            w.u16(gate.denom_exp)
             rows, n_keys = table.rows, 1
         for row in rows:
+            if version == 2:
+                w.raw(row)
+                continue
             pads, masked, tags = symcrypt.split_row(params, row, n_keys)
             for field in ([pads[i:i + p] for i in range(0, len(pads), p)] + [masked]
                           + [half for tag in tags for half in (tag[:p], tag[p:])]):
@@ -440,7 +445,22 @@ def _format_1_job(job, params):
     return job_w.bytes()
 
 
-@pytest.mark.parametrize("text, v1_size, v1_digest, size, digest", [
+def _pin(data):
+    return len(data), hashlib.blake2b(data).hexdigest()
+
+
+# serialize_job's (bundle format 3) length and BLAKE2b, per job circuit
+FORMAT_3_PINS = {
+    PHASE_JOB_CIRCUIT:
+        (2829, "bb2533dbaaf4fe2e105a4bb2d504e1e9046f1e51183fcc3576916baf03a5aa97"
+               "d183a5ab906cb16dca112d1aa0966a239d0be40a97cb9d47d22fb3c4e9280419"),
+    TOFFOLI_JOB_CIRCUIT:
+        (3448, "e4390730a0e4095e76deb77e7c69aaf63cc3586fd7e4cc2a1bef6ec004b32f28"
+               "e9bbb4f279bed657bb1988c52c193d40e9a6eaa78aba933acdd8e9bbd5bb9804"),
+}
+
+
+@pytest.mark.parametrize("text, v1_size, v1_digest, v2_size, v2_digest", [
     (PHASE_JOB_CIRCUIT, 4519,
      "c8bb4fa049cc0f070433537dcc2b032650bfcf19e0ea18bdf560db6cdd19ce9c"
      "cf45f0454e094c652e54dec17c41b92ecc613fb3d1668b29c10b557f1688b127",
@@ -454,25 +474,101 @@ def _format_1_job(job, params):
      "95a97ab7bd10373f4abd3dc9a506cb3fc8fe676c6bd7c4d2d52ba1c2b0029501"
      "f15b33c243146f6d776880ef6766bb72a3802d41f1eb39e7ce41b86b584dc497"),
 ])
-def test_job_bytes_golden(text, v1_size, v1_digest, size, digest):
-    # BLAKE2b of serialize_job (bundle format 2), and of the same job in
-    # format 1, as the length-prefixed codec wrote it: the rows are unchanged
+def test_job_bytes_golden(text, v1_size, v1_digest, v2_size, v2_digest):
+    # BLAKE2b of serialize_job (bundle format 3), and of the same job in
+    # formats 1 and 2 as their codecs wrote it: the rows are unchanged
     job, params = _seeded_job(text)
     data = serialize_job(job, params)
-    assert len(data) == size
-    assert hashlib.blake2b(data).hexdigest() == digest
+    assert _pin(data) == FORMAT_3_PINS[text]
     assert serialize_job(*deserialize_job(data)) == data
-    v1 = _format_1_job(job, params)
-    assert len(v1) == v1_size
-    assert hashlib.blake2b(v1).hexdigest() == v1_digest
+    assert _pin(_old_format_job(job, params, 1)) == (v1_size, v1_digest)
+    assert _pin(_old_format_job(job, params, 2)) == (v2_size, v2_digest)
+
+
+def _old_format_reply(version):
+    job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
+    return unframe(netio.handle_envelope(
+        frame(netio.KIND_JOB, _old_format_job(job, params, version))))
 
 
 def test_format_1_bundle_gets_error_envelope():
+    assert _old_format_reply(1) == (netio.KIND_ERROR,
+                                    b"WireFormatError: unsupported bundle version 1")
+
+
+def test_format_2_bundle_gets_error_envelope():
+    assert _old_format_reply(2) == (netio.KIND_ERROR,
+                                    b"WireFormatError: unsupported bundle version 2")
+
+
+# ---------------------------------------------------------------------------
+# the qubit-only skeleton at the trust boundary
+
+def _job_with_skeleton(job, params, patch):
+    """The job's payload with ``patch(skeleton_bytes)`` in place of its
+    skeleton; the tables that follow are left as they are."""
+    bundle = serialize_bundle(job.garbled, params)
+    start = 9 + len(params.oracles.seed)        # version, widths, seed blob
+    end = start + len(serialize_circuit(job.garbled.skeleton))
+    w = netio.Writer()
+    w.blob(serialize_state(job.encoded_state))
+    w.blob(bundle[:start] + patch(bundle[start:end]) + bundle[end:])
+    return unframe(netio.handle_envelope(frame(netio.KIND_JOB, w.bytes())))
+
+
+def _set(offset, fmt, *values):
+    """A patch that packs ``values`` at ``offset`` of the skeleton."""
+    def patch(skeleton):
+        data = bytearray(skeleton)
+        struct.pack_into(fmt, data, offset, *values)
+        return bytes(data)
+    return patch
+
+
+def test_job_with_skeleton_helper_leaves_an_honest_job_intact():
     job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
-    kind, payload = unframe(netio.handle_envelope(
-        frame(netio.KIND_JOB, _format_1_job(job, params))))
-    assert kind == netio.KIND_ERROR
-    assert payload == b"WireFormatError: unsupported bundle version 1"
+    kind, payload = _job_with_skeleton(job, params, lambda skeleton: skeleton)
+    assert kind == netio.KIND_RESULT
+    assert payload == serialize_result(*delegation.run_job(params, job))
+
+
+# skeleton offsets: num_inputs at 0, gate count at 4, the first record at 8
+# (its kind byte), so a first Toffoli's qubits sit at 9 and a first phase
+# gate's qubit, exponent and sign at 9, 13 and 15
+@pytest.mark.parametrize("text, patch, message", [
+    (TOFFOLI_JOB_CIRCUIT, _set(9, "<3I", 0, 0, 1),
+     b"CircuitError: toffoli qubits must be distinct, got 0 0 1"),
+    (TOFFOLI_JOB_CIRCUIT, _set(9, "<3I", 0, 1, 7),
+     b"CircuitError: qubit 7 out of range (N=3)"),
+    ("inputs 3\nphase 0 2\n", _set(9, "<I", 3),
+     b"CircuitError: qubit 3 out of range (N=3)"),
+    ("inputs 3\nphase 0 2\n", _set(15, "<b", 5),
+     b"CircuitError: phase sign must be +-1, got 5"),
+    (TOFFOLI_JOB_CIRCUIT, _set(0, "<I", 2**32 - 1),
+     b"WireFormatError: 4294967295 qubits above limit 65536"),
+], ids=["toffoli-repeated-qubit", "toffoli-qubit-out-of-range", "phase-qubit-out-of-range",
+        "phase-sign-5", "too-many-qubits"])
+def test_skeleton_refused_by_allocate_wires_gets_error_envelope(text, patch, message):
+    job, params = _seeded_job(text)
+    assert _job_with_skeleton(job, params, patch) == (netio.KIND_ERROR, message)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(circuits_and_states(), st.lists(st.tuples(st.integers(0), st.integers(0, 7)),
+                                       min_size=1, max_size=3))
+def test_accepted_skeleton_mutants_are_canonical(case, flips):
+    # every skeleton the parser accepts is the one its own circuit writes, in
+    # the binary format and in the text format: no field is left unchecked
+    circ, _, _ = case
+    data = bytearray(serialize_circuit(without_x(circ)))
+    for pos, bit in flips:
+        data[pos % len(data)] ^= 1 << bit
+    try:
+        parsed = deserialize_circuit(bytes(data))
+    except (WireFormatError, CircuitError):
+        return
+    assert serialize_circuit(parsed) == data
+    assert parse_circuit(format_circuit(parsed)) == parsed
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -497,17 +593,6 @@ def _one_phase_job(denom_exp=2):
     keys = delegation.keygen(16, 1, circ, rng, conjecture=True)
     params = delegation.make_params(16, oracle_seed=b"phase")
     return delegation.encrypt(params, keys, circ, random_state(qubit_layout(1), rng), rng), params
-
-
-def test_phase_table_exponent_differing_from_its_gate_gets_error_envelope():
-    job, params = _one_phase_job(denom_exp=2)
-    table = job.garbled.tables[0]
-    # exponent 3 keeps the 1-byte payload width of exponent 2
-    bundle = GarbledBundle(job.garbled.skeleton, (PhaseTable(table.rows, 3),),
-                           job.garbled.kappa_bits, job.garbled.tag_len_bits)
-    kind, payload = _handle_job(delegation.JobBundle(job.encoded_state, bundle), params)
-    assert kind == netio.KIND_ERROR
-    assert b"WireFormatError" in payload and b"exponent 3 differs" in payload
 
 
 def test_phase_row_of_wrong_payload_width_gets_error_envelope():
@@ -540,7 +625,7 @@ def test_table_of_wrong_shape_is_not_serialized():
     phase_job, phase_params = _one_phase_job()
     rows = phase_job.garbled.tables[0].rows
     bundle = GarbledBundle(phase_job.garbled.skeleton,
-                           (PhaseTable((rows[0][:-1], rows[1]), 2),), 16, 128)
+                           (PhaseTable((rows[0][:-1], rows[1])),), 16, 128)
     with pytest.raises(WireFormatError, match="width"):
         serialize_bundle(bundle, phase_params)
 
