@@ -12,12 +12,21 @@ swaps which of its wire's two keys means 0, so the garbler tracks that swap
 per wire and emits no table for it (see :func:`flipped_wires`); the server's
 skeleton is the circuit with its X gates removed (:func:`without_x`).
 
+A circuit may declare public constant-1 input qubits (``const_qubits``):
+structural constants such as the control the generators use to build a CNOT
+as a Toffoli.  Such a qubit is never a Toffoli target, never phased and never
+hit by an X, so every wire it carries holds logical 1 and a Toffoli it
+controls needs only the table rows for that value (see :mod:`rgc.garble`).
+A secret input must never be declared constant: its value would show in
+which rows open.
+
 Angles are carried exactly as (sign, d) dyadic pairs meaning R_Z(sign*pi/2^d);
 no floating-point angle ever enters the IR.
 
 Text format (UTF-8, line oriented, ``#`` comments)::
 
     inputs 3
+    const 0           # qubit 0 is a public constant 1
     toff 0 1 2        # controls 0,1 target 2
     x 1               # NOT on qubit 1
     phase 0 2         # R_Z(pi/4) on qubit 0
@@ -95,13 +104,20 @@ class CPCircuit:
     gates: tuple[Gate, ...]
     num_wires: int
     output_wires: tuple[int, ...]
+    const_qubits: tuple[int, ...] = ()    # public constant-1 inputs, sorted
 
     @property
     def input_wires(self) -> tuple[int, ...]:
         return tuple(range(self.num_inputs))
 
+    @property
+    def const_mask(self) -> int:
+        """The constant qubits' bits, all set in every valid input."""
+        return sum(1 << q for q in self.const_qubits)
 
-def allocate_wires(logical_gates: Iterable[LogicalGate], n_inputs: int) -> CPCircuit:
+
+def allocate_wires(logical_gates: Iterable[LogicalGate], n_inputs: int,
+                   const_qubits: Sequence[int] = ()) -> CPCircuit:
     """Assign single-use wire indices to a logical gate list."""
     if n_inputs <= 0:
         raise CircuitError("circuit needs at least one input")
@@ -138,16 +154,23 @@ def allocate_wires(logical_gates: Iterable[LogicalGate], n_inputs: int) -> CPCir
             gates.append(X(a, current[a]))
         else:
             raise CircuitError(f"unknown gate kind {kind!r}")
-    circ = CPCircuit(n_inputs, tuple(gates), next_wire, tuple(current))
+    circ = CPCircuit(n_inputs, tuple(gates), next_wire, tuple(current), tuple(const_qubits))
     validate(circ)
     return circ
 
 
 def validate(circ: CPCircuit) -> None:
-    """Check the single-assignment wire discipline and the N+3L bound."""
+    """Check the single-assignment wire discipline, the N+3L bound, and that
+    the constant qubits are sorted inputs that no gate could change."""
     if len(circ.output_wires) != circ.num_inputs:
         # checked first: it bounds num_inputs by the circuit's own size
         raise CircuitError("output wires must be exactly the unconsumed wires")
+    consts = circ.const_qubits
+    if any(b <= a for a, b in zip(consts, consts[1:])):
+        raise CircuitError(f"constant qubits must be strictly increasing, got {consts}")
+    if consts and not 0 <= consts[0] <= consts[-1] < circ.num_inputs:
+        raise CircuitError(f"constant qubits {consts} out of range (N={circ.num_inputs})")
+    const_set = frozenset(consts)
     n_toffoli = sum(1 for g in circ.gates if isinstance(g, Toffoli))
     if circ.num_wires > circ.num_inputs + 3 * len(circ.gates):
         raise CircuitError("wire count exceeds N+3L")
@@ -157,6 +180,8 @@ def validate(circ: CPCircuit) -> None:
     consumed: set[int] = set()
     for g in circ.gates:
         if isinstance(g, Toffoli):
+            if g.qubits[2] in const_set:
+                raise CircuitError(f"constant qubit {g.qubits[2]} is a toffoli target")
             if len(set(g.in_wires)) != 3 or len(set(g.out_wires)) != 3:
                 raise CircuitError(f"toffoli names one wire twice: {g.in_wires} -> {g.out_wires}")
             for w in g.in_wires:
@@ -168,6 +193,9 @@ def validate(circ: CPCircuit) -> None:
                     raise CircuitError(f"wire {w} produced twice")
             produced.update(g.out_wires)
         else:
+            if g.qubit in const_set:
+                raise CircuitError(f"constant qubit {g.qubit} is "
+                                   f"{'phased' if isinstance(g, Phase) else 'hit by an X'}")
             if g.wire not in produced or g.wire in consumed:
                 raise CircuitError(f"{type(g).__name__.lower()} wire {g.wire} not live")
     live = produced - consumed
@@ -180,6 +208,7 @@ def validate(circ: CPCircuit) -> None:
 
 def parse_circuit(text: str, max_denom_exp: int = DEFAULT_MAX_DENOM_EXP) -> CPCircuit:
     n_inputs = None
+    consts: set[int] = set()
     logical: list[LogicalGate] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -193,6 +222,15 @@ def parse_circuit(text: str, max_denom_exp: int = DEFAULT_MAX_DENOM_EXP) -> CPCi
                 n_inputs = int(fields[1])
                 if len(fields) != 2 or n_inputs <= 0:
                     raise CircuitSyntaxError(line_no, "inputs needs one positive count")
+            elif fields[0] == "const":
+                if n_inputs is None:
+                    raise CircuitSyntaxError(line_no, "const before inputs header")
+                if len(fields) != 2:
+                    raise CircuitSyntaxError(line_no, "const needs 1 qubit index")
+                q = int(fields[1])
+                if q in consts:
+                    raise CircuitSyntaxError(line_no, f"qubit {q} declared const twice")
+                consts.add(q)
             elif fields[0] == "toff":
                 if n_inputs is None:
                     raise CircuitSyntaxError(line_no, "gate before inputs header")
@@ -226,13 +264,14 @@ def parse_circuit(text: str, max_denom_exp: int = DEFAULT_MAX_DENOM_EXP) -> CPCi
     if n_inputs is None:
         raise CircuitSyntaxError(0, "missing inputs header")
     try:
-        return allocate_wires(logical, n_inputs)
+        return allocate_wires(logical, n_inputs, sorted(consts))
     except CircuitError as exc:
         raise CircuitError(f"invalid circuit: {exc}") from None
 
 
 def format_circuit(circ: CPCircuit) -> str:
     lines = [f"inputs {circ.num_inputs}"]
+    lines += [f"const {q}" for q in circ.const_qubits]
     for g in circ.gates:
         if isinstance(g, Toffoli):
             lines.append("toff {} {} {}".format(*g.qubits))
@@ -296,7 +335,8 @@ def without_x(circ: CPCircuit) -> CPCircuit:
     """The circuit with its X gates removed: same wires, same outputs.  An X
     keeps its wire, so the rest of the wire discipline is untouched."""
     gates = tuple(g for g in circ.gates if not isinstance(g, X))
-    return CPCircuit(circ.num_inputs, gates, circ.num_wires, circ.output_wires)
+    return CPCircuit(circ.num_inputs, gates, circ.num_wires, circ.output_wires,
+                     circ.const_qubits)
 
 
 def flipped_wires(circ: CPCircuit) -> frozenset[int]:
@@ -377,9 +417,12 @@ class UniversalMachine:
     code_width: int
     n_codes: int
     aux_qubits: tuple[int, int, int]
-    const_qubits: tuple[int]
     desc_qubits: tuple[tuple[int, ...], ...]   # per slot, MSB first
     scratch_qubits: tuple[int, ...]
+
+    @property
+    def const_qubits(self) -> tuple[int, ...]:
+        return self.circuit.const_qubits
 
     @property
     def identity_code(self) -> int:
@@ -426,9 +469,7 @@ class UniversalMachine:
         aux and scratch 0), positioned for OR-ing with the data bits."""
         if len(desc) != self.slots:
             raise CircuitError("description length differs from slot count")
-        value = 0
-        for q in self.const_qubits:
-            value |= 1 << q
+        value = self.circuit.const_mask
         for slot_qubits, d in zip(self.desc_qubits, desc):
             for qubit, bit in zip(slot_qubits, d.bits()):
                 value |= bit << qubit
@@ -535,14 +576,13 @@ def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
         gates += [g for g in reversed(neg_gates)]
 
     machine = UniversalMachine(
-        circuit=allocate_wires(gates, total_qubits),
+        circuit=allocate_wires(gates, total_qubits, (c0,)),
         n_data=n,
         max_denom_exp=d_max,
         slots=slots,
         code_width=width,
         n_codes=n_codes,
         aux_qubits=aux,
-        const_qubits=(c0,),
         desc_qubits=tuple(desc_qubits),
         scratch_qubits=scratch,
     )

@@ -123,8 +123,11 @@ def cmd_garble(args) -> int:
     params = _params_for(args, keys.kappa_bits)
     bundle = garble.garble_circuit(params, circ, keys.schedule,
                                    derive_rng(args.seed, "garble"))
-    _write_bin(args.out, netio.serialize_bundle(bundle, params))
-    print(f"garbled {len(bundle.tables)} tables -> {args.out}")
+    data = netio.serialize_bundle(bundle, params)
+    _write_bin(args.out, data)
+    rows = sum(len(t.forward) + len(t.backward) if isinstance(t, garble.ToffoliTables)
+               else len(t.rows) for t in bundle.tables)
+    print(f"garbled {len(bundle.tables)} tables, {rows} rows, {len(data)} bytes -> {args.out}")
     return 0
 
 

@@ -84,6 +84,9 @@ def encrypt(params: CryptoParams, keys: DelegationKeys, circ: CPCircuit,
         raise ValueError("input state width differs from the circuit")
     if params.kappa_bits != keys.kappa_bits:
         raise ValueError("crypto params and keys disagree on kappa")
+    const_mask = circ.const_mask
+    if any(basis & const_mask != const_mask for basis in input_state.terms):
+        raise ValueError("a declared constant qubit is not 1 in every input term")
     encoded = encoding.encode(input_state, keys.schedule, circ.input_wires)
     bundle = garble.garble_circuit(params, circ, keys.schedule, rng)
     return JobBundle(encoded, bundle)
@@ -169,16 +172,16 @@ class ModexpCircuit:
     state_layout: RegisterLayout
     exp_qubits: tuple[int, ...]
     acc_qubits: tuple[int, ...]
-    const_qubits: tuple[int]
     anc_qubits: tuple[int, ...]
+
+    @property
+    def const_qubits(self) -> tuple[int, ...]:
+        return self.circuit.const_qubits
 
     def initial_rest(self) -> int:
         """Basis bits of everything but the exponent register: accumulator 1,
         constant 1, ancillas 0."""
-        value = 1 << self.acc_qubits[0]
-        for q in self.const_qubits:
-            value |= 1 << q
-        return value
+        return 1 << self.acc_qubits[0] | self.circuit.const_mask
 
 
 class SynthesisError(ValueError):
@@ -280,11 +283,11 @@ def synth_modexp_toffoli(modulus: int, base: int, n_exp: int | None = None) -> M
         for u, v in emitted:
             transpose(exp_qubit, u, v)
 
-    circ = allocate_wires(gates, total)
+    circ = allocate_wires(gates, total, (c0,))
     state_layout = RegisterLayout((("exp", n_exp), ("acc", n_value), ("const", 1))
                                   + ((("anc", len(anc_qubits)),) if anc_qubits else ()))
     return ModexpCircuit(circ, modulus, base, n_exp, n_value, state_layout,
-                         exp_qubits, acc_qubits, (c0,), anc_qubits)
+                         exp_qubits, acc_qubits, anc_qubits)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,10 @@ evaluation: leftover input keys would entangle the result with junk
 registers.  A phase gate opens its row once per distinct key and gathers
 one factor per term.
 
+A register the skeleton declares a public constant must hold one key in
+every term, or the state is refused.  A Toffoli it controls carries half
+tables (see :mod:`rgc.garble`), which the row scans handle unchanged.
+
 Everything here sees only ciphertexts and tags.  This module has no access
 to, and no dependency on, the key schedule.
 """
@@ -285,6 +289,10 @@ def eval_bundle(params: CryptoParams, encoded: SparseState,
             or any(width != kappa for _, width in encoded.layout.registers)):
         raise EvalError(f"encoded state is not {circ.num_inputs} registers of {kappa} bits")
     state = ColumnarState.from_sparse(encoded, circ.num_inputs, params.kappa_bytes)
+    for q in circ.const_qubits:
+        if len(state.keys[q]) > 1:
+            raise EvalError(f"constant register {q} holds {len(state.keys[q])} distinct "
+                            f"keys; a public constant has one")
     stats = EvalStats()
     for index, (gate, table) in enumerate(zip(circ.gates, bundle.tables)):
         try:

@@ -12,8 +12,9 @@ What these harnesses can and cannot say: distinguishers here are classical
 programs.  The model's adversaries may query the oracle in superposition;
 no classical harness can represent that, so a clean bill from these games
 validates the construction's classical soundness only.  The rigged modes
-(leaked keys, reused pads, brute force at byte-sized keys) exist to prove
-the harness itself would notice a break.
+(leaked keys, reused pads, brute force at byte-sized keys, a secret bit
+declared a public constant) exist to prove the harness itself would notice
+a break.
 """
 
 from __future__ import annotations
@@ -108,20 +109,30 @@ Distinguisher = Callable[[ChallengeView, random.Random], int]
 
 def run_ind_cpa_gbc(distinguisher: Distinguisher, circ: CPCircuit, kappa_bits: int,
                     trials: int, rng: random.Random, *, message_bits: int | None = None,
-                    table_oracle: bool = True, leak_keys: bool = False) -> GameReport:
+                    table_oracle: bool = True, leak_keys: bool = False,
+                    misdeclared_constants: bool = False) -> GameReport:
     """One-shot game: the challenger garbles either the chosen classical input
-    or the all-zero input under fresh keys, and the adversary guesses which."""
+    or the all-zero input under fresh keys, and the adversary guesses which.
+    The circuit's public constants are 1 in both challenges, unless
+    ``misdeclared_constants`` rigs the game: then the all-zero input holds 0
+    on them too, as a secret bit wrongly declared constant would, and the
+    job is built without ``delegation.encrypt``, which refuses it."""
     n = circ.num_inputs
     message = message_bits if message_bits is not None else (1 << n) - 1
+    const_mask = 0 if misdeclared_constants else circ.const_mask
     guesses = []
     queries = 0
     for b, oracle_seed, setup_rng, dist_rng in _paired(trials, rng):
         params = _trial_params(kappa_bits, oracle_seed, table_oracle)
         keys = DelegationKeys(encoding.gen_keys(kappa_bits, circ, setup_rng),
                               kappa_bits, kappa_bits, 0)
-        plain = message if b == 1 else 0
+        plain = (message if b == 1 else 0) | const_mask
         state = sparse.basis_state(sparse.qubit_layout(n), plain)
-        job = delegation.encrypt(params, keys, circ, state, setup_rng)
+        if misdeclared_constants:
+            job = JobBundle(encoding.encode(state, keys.schedule, circ.input_wires),
+                            garble.garble_circuit(params, circ, keys.schedule, setup_rng))
+        else:
+            job = delegation.encrypt(params, keys, circ, state, setup_rng)
         view = ChallengeView(params, circ, job, message,
                              leaked_keys=keys if leak_keys else None)
         guesses.append((b, 1 if distinguisher(view, dist_rng) else 0))
@@ -171,6 +182,25 @@ def dist_row_frequency(view: ChallengeView, rng) -> int:
 def dist_encoded_parity(view: ChallengeView, rng) -> int:
     basis = next(iter(view.job.encoded_state.terms))
     return bin(basis).count("1") & 1
+
+
+def dist_constant_key(view: ChallengeView, rng) -> int:
+    """Try the key each declared constant's register holds on the first
+    table that constant controls; guess 1 if it opens a row.  Half tables
+    keep only the rows of the constant's 1 key, so this reads a misdeclared
+    constant's value; an honest constant always opens a row."""
+    bundle, kb = view.job.garbled, view.params.kappa_bytes
+    basis = next(iter(view.job.encoded_state.terms))
+    for q in bundle.skeleton.const_qubits:
+        key = ((basis >> (8 * kb * q)) & ((1 << 8 * kb) - 1)).to_bytes(kb, "little")
+        for gate, table in zip(bundle.skeleton.gates, bundle.tables):
+            if isinstance(gate, Toffoli) and q in gate.qubits:
+                slot = gate.qubits.index(q) + 1
+                if not any(symcrypt.triple_ver(view.params, key, slot, row)
+                           for row in table.forward):
+                    return 0
+                break
+    return 1
 
 
 def dist_leaked_decrypt(view: ChallengeView, rng) -> int:
@@ -384,16 +414,23 @@ def wire_tag_check(view: RecoveryView, wire: int, key: bytes) -> bool:
 
 def key_recovery_experiment(circ: CPCircuit, kappa_bits: int, guesser: Guesser,
                             trials: int, rng: random.Random, *,
-                            input_bits: int = 0, target_bits: int | None = None,
+                            input_bits: int | None = None, target_bits: int | None = None,
                             table_oracle: bool = True) -> float:
     """Hand the guesser one input's keys plus the tables; count how often it
     produces the key tuple of a different designated input.  Success is
     checked through the tables' own tags (plus disequality with the known key
-    where the target bit differs - replaying the given keys never counts)."""
+    where the target bit differs - replaying the given keys never counts).
+    Both inputs hold the circuit's public constants at 1: by default the
+    revealed input is 0 elsewhere and the target its complement."""
     n = circ.num_inputs
-    target = target_bits if target_bits is not None else (1 << n) - 1 ^ input_bits
+    const_mask = circ.const_mask
+    if input_bits is None:
+        input_bits = const_mask
+    target = target_bits if target_bits is not None else ((1 << n) - 1 ^ input_bits) | const_mask
     if target == input_bits:
         raise ValueError("target input must differ from the revealed input")
+    if input_bits & const_mask != const_mask or target & const_mask != const_mask:
+        raise ValueError("a public constant is 1 in every input")
     successes = 0
     for _ in range(trials):
         params = _trial_params(kappa_bits, rng.getrandbits(63), table_oracle)

@@ -8,6 +8,18 @@ then using the backward row to erase the inputs makes the whole step a basis
 permutation, which is why it can run on superpositions.  Both tables are
 shuffled independently; the evaluator rediscovers rows through the key tags.
 
+A Toffoli with a public constant control (see :mod:`rgc.circuit`) keeps only
+the rows in which that control is 1, in both tables: 8 >> k rows each for k
+constant controls.  A gate without one garbles the same whatever constants
+the circuit declares.  This is constant propagation as garbling compilers do
+it (TinyGarble, Songhori et al., IEEE S&P 2015), and it reveals nothing the
+full table does not: a constant's wire only ever holds its 1 key, which the
+evaluator holds, and with that key anyone can cut the half table out of the
+full one by keeping the rows whose tag in the constant's slot verifies - a
+uniformly shuffled half, like the one sent.  Which gates have a constant
+control is public through the skeleton.  A secret bit declared constant
+breaks this: its 0 key opens no row, which shows its value.
+
 A phase gate garbles into two single-key rows: key for 0 opens a random
 m, key for 1 opens m+1.  The evaluator writes the opened value into a scratch
 register, phases it by omega^value (omega = exp(i*pi/2^d)), and unwrites it;
@@ -41,7 +53,8 @@ from .util import spawn_rngs
 
 @dataclass(frozen=True)
 class ToffoliTables:
-    """Eight packed triple-key rows each way (see :mod:`rgc.symcrypt`)."""
+    """Eight packed triple-key rows each way (see :mod:`rgc.symcrypt`), or
+    :func:`toffoli_rows` of them when a control is a public constant."""
 
     forward: tuple[bytes, ...]
     backward: tuple[bytes, ...]
@@ -79,6 +92,11 @@ def phase_payload(value: int, denom_exp: int) -> bytes:
     return value.to_bytes(phase_payload_bytes(denom_exp), "big")
 
 
+def toffoli_rows(gate: Toffoli, const_qubits: Collection[int]) -> int:
+    """Rows in each of a Toffoli's tables: 8, halved per constant control."""
+    return 8 >> ((gate.qubits[0] in const_qubits) + (gate.qubits[1] in const_qubits))
+
+
 def _pair(schedule: KeySchedule, wire: int, flipped: Collection[int]) -> tuple[bytes, bytes]:
     """The wire's (logical 0 key, logical 1 key) after its X gates so far."""
     k0, k1 = schedule.pairs[wire]
@@ -86,12 +104,15 @@ def _pair(schedule: KeySchedule, wire: int, flipped: Collection[int]) -> tuple[b
 
 
 def garble_toffoli(params: CryptoParams, gate: Toffoli, schedule: KeySchedule,
-                   rng: random.Random, flipped: Collection[int] = ()) -> ToffoliTables:
+                   rng: random.Random, flipped: Collection[int] = (),
+                   const_qubits: Collection[int] = ()) -> ToffoliTables:
     w1, w2, w3 = (_pair(schedule, w, flipped) for w in gate.in_wires)
     v1, v2, v3 = (schedule.pairs[w] for w in gate.out_wires)
+    # a constant control is 1 on both sides of the gate
+    us, vs = ((1,) if q in const_qubits else (0, 1) for q in gate.qubits[:2])
     forward, backward = [], []
-    for u in (0, 1):
-        for v in (0, 1):
+    for u in us:
+        for v in vs:
             for w in (0, 1):
                 in_keys = (w1[u], w2[v], w3[w])
                 out_keys = (v1[u], v2[v], v3[w ^ (u & v)])
@@ -125,10 +146,12 @@ def garble_circuit(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
     # One pre-split stream per table: garbling order never shifts randomness.
     streams = iter(spawn_rngs(rng, len(skeleton.gates)))
     flipped: set[int] = set()
+    consts = frozenset(circ.const_qubits)
     tables: list[ToffoliTables | PhaseTable] = []
     for gate in circ.gates:
         if isinstance(gate, Toffoli):
-            tables.append(garble_toffoli(params, gate, schedule, next(streams), flipped))
+            tables.append(garble_toffoli(params, gate, schedule, next(streams), flipped,
+                                         consts))
         elif isinstance(gate, X):
             flipped ^= {gate.wire}
         else:

@@ -6,18 +6,22 @@ padding bits zero.  Messages travel in a framed envelope::
 
     magic "RGC1" | version u8 | kind u8 | payload_len u64 | payload | crc32 u32
 
-A bundle (format 3) is a header, the skeleton, then one table per skeleton
+A bundle (format 4) is a header, the skeleton, then one table per skeleton
 gate::
 
     bundle     version u8 | kappa u16 | tag_len u16 | oracle seed (blob)
                | skeleton | tables
-    skeleton   num_inputs u32 | gate count u32 | one record per gate
+    skeleton   num_inputs u32 | const count u32 | const qubit u32 each
+               | gate count u32 | one record per gate
     toffoli    u8 0 | 3 x qubit u32
     phase      u8 1 | qubit u32 | exponent u16 | sign i8
 
 The skeleton names qubits only.  Wire indices are the client's bookkeeping
 for its key pairs, derived from the gate list by ``circuit.allocate_wires``,
-and the evaluator applies each gate to its qubits' registers in place.
+and the evaluator applies each gate to its qubits' registers in place.  The
+constant qubits are the circuit's public constant-1 inputs, strictly
+increasing and below ``num_inputs``; an X-free circuit with none costs the
+four bytes of an empty list over format 3.
 
 Almost all of a job is garbled-table rows.  A row travels as the packed
 bytes :mod:`rgc.symcrypt` produces, and the bundle header (kappa and tag
@@ -25,19 +29,25 @@ length) fixes every width in it, so rows lie back to back with no length
 fields.  With p = kappa/8 and t = tag_len/8 bytes::
 
     toffoli row    r1 r2 r3 (3p) | masked (3p) | 3 x (tag pad (p) | digest (t))
-    toffoli table  16 rows of 9p + 3t bytes: 8 forward, then 8 backward
+    toffoli table  2n rows of 9p + 3t bytes: n forward, then n backward,
+                   n = 8 >> (number of constant controls)
     phase table    2 rows of r1 (p) | masked (w) | tag pad (p) | digest (t)
 
 where w = ceil((exponent + 1) / 8) for the skeleton gate's exponent.  Tables
 are read by slicing and written whole.  The reader refuses other bundle
 versions (format 1 prefixed every row field with its u32 length; formats 1
-and 2 also sent every gate's wires), more than ``MAX_QUBITS`` qubits, a
-skeleton phase exponent above ``circuit.DEFAULT_MAX_DENOM_EXP``, a skeleton
+and 2 also sent every gate's wires; format 3 had no constant list and sent
+16 rows for every Toffoli), more than ``MAX_QUBITS`` qubits, a constant list
+that is not strictly increasing below ``num_inputs``, a gate count whose
+smallest records and tables could not fit in the bytes left, a skeleton
+phase exponent above ``circuit.DEFAULT_MAX_DENOM_EXP``, a skeleton
 ``allocate_wires`` refuses (a qubit out of range, a Toffoli naming one qubit
-twice, a phase sign other than +-1), and a state whose basis strings are not
-strictly increasing or whose amplitudes are not finite; the writer refuses
-rows of other widths and X gates, which no skeleton carries (an X is a
-relabeling of its wire's keys on the client, see :mod:`rgc.garble`).
+twice, a phase sign other than +-1, a constant qubit that is a Toffoli
+target or phased), and a job state whose basis strings are not strictly
+increasing, whose amplitudes are not finite or whose norm squared differs
+from 1 by more than ``sparse.NORM_TOL``; the writer refuses rows of other
+widths and X gates, which no skeleton carries (an X is a relabeling of its
+wire's keys on the client, see :mod:`rgc.garble`).
 
 One request per connection keeps the exchange as non-interactive as the
 protocol itself: the client ships a job, the server ships back the evaluated
@@ -73,14 +83,14 @@ from .delegation import JobBundle
 from .encoding import KeySchedule, WireKeyPair
 from .evaluate import EvalStats
 from .games import GameReport
-from .garble import GarbledBundle, PhaseTable, ToffoliTables, phase_payload_bytes
+from .garble import GarbledBundle, PhaseTable, ToffoliTables, phase_payload_bytes, toffoli_rows
 from .oracle import HASH_MODE
-from .sparse import RegisterLayout, SparseState
+from .sparse import NORM_TOL, RegisterLayout, SparseState
 from .symcrypt import CryptoParams, row_bytes
 
 MAGIC = b"RGC1"
 WIRE_VERSION = 1
-BUNDLE_VERSION = 3
+BUNDLE_VERSION = 4
 
 KIND_JOB = 1
 KIND_RESULT = 2
@@ -191,10 +201,14 @@ def _get_schedule(r: Reader) -> KeySchedule:
 
 _TOFFOLI_GATE = struct.Struct("<3I")     # qubits
 _PHASE_GATE = struct.Struct("<IHb")      # qubit, denom_exp, sign
+_PHASE_RECORD = 1 + _PHASE_GATE.size     # the smallest gate record
 
 
 def _put_circuit(w: Writer, c: CPCircuit) -> None:
     w.u32(c.num_inputs)
+    w.u32(len(c.const_qubits))
+    for q in c.const_qubits:
+        w.u32(q)
     w.u32(len(c.gates))
     for g in c.gates:
         if isinstance(g, Toffoli):
@@ -208,17 +222,33 @@ def _put_circuit(w: Writer, c: CPCircuit) -> None:
             w.raw(_PHASE_GATE.pack(g.qubit, g.denom_exp, g.sign))
 
 
-def _get_circuit(r: Reader) -> CPCircuit:
+def _get_circuit(r: Reader, gate_bytes: int = _PHASE_RECORD) -> CPCircuit:
+    """The skeleton at the reader's position.  ``gate_bytes`` is the fewest
+    bytes one gate can take in the rest of the payload, its record plus any
+    tables: a gate count the bytes left cannot hold is refused before
+    anything is built."""
     num_inputs = r.u32()
     if num_inputs > MAX_QUBITS:
         raise WireFormatError(f"{num_inputs} qubits above limit {MAX_QUBITS}")
-    return allocate_wires(_get_gates(r), num_inputs)
+    n_const = r.u32()
+    if n_const > num_inputs:
+        raise WireFormatError(f"{n_const} constant qubits among {num_inputs}")
+    consts = r.unpack(struct.Struct(f"<{n_const}I"))
+    if any(b <= a for a, b in zip(consts, consts[1:])) or (consts and consts[-1] >= num_inputs):
+        raise WireFormatError("constant qubits must be strictly increasing and below "
+                              f"{num_inputs}")
+    count = r.u32()
+    left = len(r.data) - r.pos
+    if count * gate_bytes > left:
+        raise WireFormatError(f"{count} gates cannot fit in the {left} bytes left "
+                              f"(at least {gate_bytes} each)")
+    return allocate_wires(_get_gates(r, count), num_inputs, consts)
 
 
-def _get_gates(r: Reader) -> Iterator[LogicalGate]:
+def _get_gates(r: Reader, count: int) -> Iterator[LogicalGate]:
     """The skeleton's gate records, one at a time, so that no list of them
     exists beside the circuit ``allocate_wires`` builds."""
-    for _ in range(r.u32()):
+    for _ in range(count):
         kind = r.u8()
         if kind == 0:
             yield toff(*r.unpack(_TOFFOLI_GATE))
@@ -235,26 +265,36 @@ def _get_gates(r: Reader) -> Iterator[LogicalGate]:
 # garbled tables, rows back to back (see the module docstring)
 
 class _TableLayout:
-    """The row widths fixed by one bundle header's kappa and tag length."""
+    """The row widths fixed by one bundle header's kappa and tag length, and
+    the row counts fixed by the skeleton's constant qubits."""
 
-    def __init__(self, kappa_bits: int, tag_len_bits: int):
+    def __init__(self, kappa_bits: int, tag_len_bits: int, const_qubits=()):
         self.widths = (kappa_bits, tag_len_bits)
         self.toffoli = row_bytes(kappa_bits, tag_len_bits, 3, 3 * (kappa_bits // 8))
+        self.consts = frozenset(const_qubits)
 
     def phase(self, denom_exp: int) -> int:
         return row_bytes(*self.widths, 1, phase_payload_bytes(denom_exp))
 
+    def min_gate_bytes(self) -> int:
+        """The fewest bytes a skeleton gate and its tables take: a phase gate
+        of exponent 0, or a Toffoli with two constant controls."""
+        return min(_PHASE_RECORD + 2 * self.phase(0),
+                   1 + _TOFFOLI_GATE.size + 2 * 2 * self.toffoli)
+
     def read(self, r: Reader, gate: Toffoli | Phase) -> ToffoliTables | PhaseTable:
         if isinstance(gate, Toffoli):
-            rows = r.rows(16, self.toffoli)
-            return ToffoliTables(rows[:8], rows[8:])
+            n = toffoli_rows(gate, self.consts)
+            rows = r.rows(2 * n, self.toffoli)
+            return ToffoliTables(rows[:n], rows[n:])
         return PhaseTable(r.rows(2, self.phase(gate.denom_exp)))
 
     def write(self, parts: list[bytes], gate: Toffoli | Phase,
               table: ToffoliTables | PhaseTable) -> None:
         """Append the table's rows to ``parts``; the rows are not copied."""
         if isinstance(gate, Toffoli):
-            rows, count, width = table.forward + table.backward, 16, self.toffoli
+            rows, width = table.forward + table.backward, self.toffoli
+            count = 2 * toffoli_rows(gate, self.consts)
         else:
             rows, count, width = table.rows, 2, self.phase(gate.denom_exp)
         if len(rows) != count or {len(row) for row in rows} != {width}:
@@ -272,8 +312,8 @@ def _get_bundle(r: Reader) -> tuple[GarbledBundle, bytes]:
         raise WireFormatError(f"kappa {kappa} and tag length {tag_len} must be "
                               f"positive multiples of 8")
     oracle_seed = r.blob()
-    skeleton = _get_circuit(r)
-    layout = _TableLayout(kappa, tag_len)
+    skeleton = _get_circuit(r, _TableLayout(kappa, tag_len).min_gate_bytes())
+    layout = _TableLayout(kappa, tag_len, skeleton.const_qubits)
     tables = tuple(layout.read(r, g) for g in skeleton.gates)
     return GarbledBundle(skeleton, tables, kappa, tag_len), oracle_seed
 
@@ -351,7 +391,7 @@ def serialize_bundle(b: GarbledBundle, params: CryptoParams) -> bytes:
     w.blob(params.oracles.seed)
     _put_circuit(w, b.skeleton)
     parts = [w.buf]
-    layout = _TableLayout(b.kappa_bits, b.tag_len_bits)
+    layout = _TableLayout(b.kappa_bits, b.tag_len_bits, b.skeleton.const_qubits)
     for gate, table in zip(b.skeleton.gates, b.tables):
         layout.write(parts, gate, table)
     return b"".join(parts)
@@ -394,6 +434,10 @@ def serialize_job(job: JobBundle, params: CryptoParams) -> bytes:
 def deserialize_job(data: bytes) -> tuple[JobBundle, CryptoParams]:
     r = Reader(data)
     state = deserialize_state(r.blob())
+    # squared by multiplying: a huge amplitude gives inf, never OverflowError
+    norm_sq = sum(a.real * a.real + a.imag * a.imag for a in state.terms.values())
+    if not abs(norm_sq - 1.0) <= NORM_TOL:
+        raise WireFormatError(f"state norm^2 {norm_sq!r} differs from 1")
     bundle, params = deserialize_bundle(r.blob())
     r.done()
     return JobBundle(state, bundle), params

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from rgc import delegation
 from rgc.circuit import allocate_wires
 from rgc.oracle import OracleFamily
+from rgc.sparse import SparseState, qubit_layout, random_state
 from rgc.symcrypt import CryptoParams
 
 
@@ -46,14 +47,27 @@ def random_density(dim: int, rng: np.random.Generator, pure: bool = True) -> np.
 @st.composite
 def circuits_and_states(draw):
     """A circuit of at most 12 Toffoli, phase and X gates on at most 4 qubits,
-    the qubits a random input state is supported on, and a seed."""
+    the qubits a random input state is supported on, and a seed.  Sometimes
+    up to two qubits are public constants: never a Toffoli target, never
+    phased, never hit by an X, and outside the support (see
+    :func:`input_state`, which sets them to 1)."""
     n = draw(st.integers(1, 4))
-    toffoli = st.tuples(st.just("toff"), *([st.integers(0, n - 1)] * 3)).filter(
-        lambda g: len(set(g[1:])) == 3)
-    phase_gate = st.tuples(st.just("phase"), st.integers(0, n - 1), st.integers(0, 3),
+    consts = draw(st.sets(st.integers(0, n - 1), max_size=min(2, n - 1)))
+    free = [q for q in range(n) if q not in consts]
+    toffoli = st.tuples(st.just("toff"), st.integers(0, n - 1), st.integers(0, n - 1),
+                        st.sampled_from(free)).filter(lambda g: len(set(g[1:])) == 3)
+    phase_gate = st.tuples(st.just("phase"), st.sampled_from(free), st.integers(0, 3),
                            st.sampled_from((1, -1)))
-    x_gate = st.tuples(st.just("x"), st.integers(0, n - 1))
+    x_gate = st.tuples(st.just("x"), st.sampled_from(free))
     kinds = (toffoli, phase_gate, x_gate) if n >= 3 else (phase_gate, x_gate)
     gates = draw(st.lists(st.one_of(*kinds), max_size=12))
-    support = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
-    return allocate_wires(gates, n), support, draw(st.integers(0, 2**32))
+    support = draw(st.lists(st.sampled_from(free), unique=True, min_size=1))
+    return allocate_wires(gates, n, sorted(consts)), support, draw(st.integers(0, 2**32))
+
+
+def input_state(circ, support, rng):
+    """A random state on the ``support`` qubits with the circuit's public
+    constants at 1 and every other qubit at 0."""
+    state = random_state(qubit_layout(circ.num_inputs), rng, support_bits=support)
+    return SparseState(state.layout, {basis | circ.const_mask: amp
+                                      for basis, amp in state.terms.items()})

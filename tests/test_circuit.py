@@ -180,6 +180,54 @@ def test_validate_counts_outputs_before_allocating():
 
 # phase decomposition --------------------------------------------------------
 
+
+# ---------------------------------------------------------------------------
+# public constant qubits
+
+def test_parse_const_roundtrips_sorted():
+    circ = parse_circuit("inputs 4\nconst 3\ntoff 3 0 1\nconst 0\ntoff 0 3 2\nx 1\n")
+    assert circ.const_qubits == (0, 3)
+    text = format_circuit(circ)
+    assert text.startswith("inputs 4\nconst 0\nconst 3\n")
+    assert parse_circuit(text) == circ
+    assert without_x(circ).const_qubits == (0, 3)
+
+
+@pytest.mark.parametrize("text", ["const 0\ninputs 2\n", "inputs 2\nconst\n",
+                                  "inputs 2\nconst 0 1\n", "inputs 2\nconst 1\nconst 1\n"])
+def test_parse_const_errors(text):
+    with pytest.raises(CircuitSyntaxError):
+        parse_circuit(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("inputs 3\nconst 2\ntoff 0 1 2\n", "constant qubit 2 is a toffoli target"),
+    ("inputs 3\nconst 1\nphase 1 2\n", "constant qubit 1 is phased"),
+    ("inputs 3\nconst 0\nx 0\n", "constant qubit 0 is hit by an X"),
+    ("inputs 3\nconst 3\n", "out of range"),
+])
+def test_validate_refuses_a_constant_a_gate_could_change(text, message):
+    with pytest.raises(CircuitError, match=message):
+        parse_circuit(text)
+
+
+def test_validate_refuses_unsorted_constants():
+    with pytest.raises(CircuitError, match="strictly increasing"):
+        allocate_wires([], 3, (2, 1))
+    with pytest.raises(CircuitError, match="strictly increasing"):
+        allocate_wires([], 3, (1, 1))
+
+
+def test_generators_declare_their_constant():
+    machine, _ = universalize(allocate_wires([], 3), 3, 3, 4)
+    assert machine.circuit.const_qubits == machine.const_qubits == (6,)
+    # every toffoli row of the interpreter: 840 of its 3920 toffolis have the
+    # constant as a control and carry 4 + 4 rows
+    toffolis = [g for g in machine.circuit.gates if isinstance(g, Toffoli)]
+    controlled = sum(6 in g.qubits[:2] for g in toffolis)
+    assert (len(toffolis), controlled) == (3920, 840)
+    assert 16 * len(toffolis) - 8 * controlled == 56_000
+
 def test_decompose_exact_half_pi():
     assert decompose_phase(1, 1) == [(1, 1)]
 

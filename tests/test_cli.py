@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -69,6 +70,22 @@ def test_pipeline_commands(tmp_path, circuit_file, capsys):
     out = capsys.readouterr().out
     # toffoli flips qubit 2 for input 110; phase on |1> is global
     assert out.strip().splitlines()[-1].startswith("111")
+    size = os.path.getsize(bundle)
+    assert f"garbled 2 tables, 18 rows, {size} bytes -> {bundle}" in out.splitlines()
+
+
+def test_garble_cli_counts_half_table_rows(tmp_path, capsys):
+    path = tmp_path / "const.txt"
+    path.write_text("inputs 3\nconst 0\ntoff 0 1 2\nphase 2 1\n")
+    keys, bundle = str(tmp_path / "keys.bin"), str(tmp_path / "bundle.bin")
+    assert main(["keygen", "--circuit", str(path), "--eta", "16", "--conjecture-1",
+                 "--seed", "3", "--out", keys]) == 0
+    assert main(["garble", "--circuit", str(path), "--keys", keys, "--seed", "3",
+                 "--out", bundle]) == 0
+    line = capsys.readouterr().out.strip().splitlines()[-1]
+    # 4 + 4 Toffoli rows and 2 phase rows
+    size = os.path.getsize(bundle)
+    assert line == f"garbled 2 tables, 10 rows, {size} bytes -> {bundle}"
 
 
 def test_delegate_deterministic_output_files(tmp_path, circuit_file):

@@ -17,7 +17,7 @@ from rgc.delegation import (blind_delegate, decrypt, delegate, encrypt,
 from rgc.circuit import eval_classical
 from rgc.sparse import basis_state, fidelity, qubit_layout, random_state
 
-from conftest import circuits_and_states
+from conftest import circuits_and_states, input_state
 
 
 def test_kappa_formula():
@@ -143,6 +143,23 @@ def test_modexp_writes_x_natively():
     assert mx.const_qubits == (mx.n_exp + mx.n_value,)
     # the one constant qubit only ever controls CNOTs
     assert all(g.qubits[1] not in mx.const_qubits for g in gates if isinstance(g, Toffoli))
+    # and is declared, so 517 of the 1501 Toffolis carry 4 + 4 rows
+    assert mx.circuit.const_qubits == mx.const_qubits
+    controlled = sum(g.qubits[0] in mx.const_qubits for g in gates if isinstance(g, Toffoli))
+    assert controlled == 517 and 16 * 1501 - 8 * controlled == 19_880
+
+
+def test_encrypt_refuses_a_constant_that_is_not_one():
+    circ = parse_circuit("inputs 3\nconst 0\ntoff 0 1 2\n")
+    rng = random.Random(40)
+    keys = keygen(16, 3, circ, rng, conjecture=True)
+    params = make_params(16, oracle_seed=b"const")
+    good = sparse.from_terms(qubit_layout(3), {0b001: 0.6, 0b011: 0.8})
+    out, _ = delegate(params, keys, circ, good, rng)
+    assert fidelity(out, simulate(circ, good)) >= 1 - 1e-12
+    bad = sparse.from_terms(qubit_layout(3), {0b001: 0.6, 0b010: 0.8})
+    with pytest.raises(ValueError, match="constant qubit is not 1"):
+        encrypt(params, keys, circ, bad, rng)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -152,7 +169,7 @@ def test_delegate_matches_simulation_property(case):
     rng = random.Random(seed)
     keys = keygen(16, circ.num_inputs, circ, rng, conjecture=True)
     params = make_params(16, oracle_seed=rng.randbytes(8))
-    state = random_state(qubit_layout(circ.num_inputs), rng, support_bits=support)
+    state = input_state(circ, support, rng)
     out, _ = delegate(params, keys, circ, state, rng)
     assert fidelity(out, simulate(circ, state)) >= 1 - 1e-12
 

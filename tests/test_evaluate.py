@@ -16,7 +16,7 @@ from rgc.evaluate import (AmbiguousRowError, ErasureError, EvalError, EvalStats,
 from rgc.garble import GarbledBundle, PhaseTable, ToffoliTables, garble_circuit, garble_toffoli
 from rgc.sparse import fidelity, inner, qubit_layout, random_state
 
-from conftest import circuits_and_states, make_params
+from conftest import circuits_and_states, input_state, make_params
 
 ONE_TOFFOLI = parse_circuit("inputs 3\ntoff 0 1 2\n")
 
@@ -380,6 +380,28 @@ def test_bundle_ambiguity_of_a_second_triple_names_the_gate():
         eval_bundle(params, encode(state, schedule, ONE_TOFFOLI.input_wires), bundle)
 
 
+CONST_TOFFOLI = parse_circuit("inputs 3\nconst 0\ntoff 0 1 2\ntoff 1 0 2\n")
+
+
+def test_constant_register_holding_two_keys_is_refused():
+    params, rng = make_params(), random.Random(41)
+    schedule = gen_keys(16, CONST_TOFFOLI, rng)
+    bundle = garble_circuit(params, CONST_TOFFOLI, schedule, rng)
+    state = sparse.from_terms(qubit_layout(3), {0b001: 0.6, 0b000: 0.8})
+    with pytest.raises(EvalError, match="constant register 0 holds 2 distinct keys"):
+        eval_bundle(params, encode(state, schedule, CONST_TOFFOLI.input_wires), bundle)
+
+
+def test_constant_at_zero_opens_no_half_table_row():
+    # what a secret bit declared constant would do: its 0 key opens nothing
+    params, rng = make_params(), random.Random(42)
+    schedule = gen_keys(16, CONST_TOFFOLI, rng)
+    bundle = garble_circuit(params, CONST_TOFFOLI, schedule, rng)
+    assert [len(t.forward) for t in bundle.tables] == [4, 4]
+    state = sparse.from_terms(qubit_layout(3), {0b010: 0.6, 0b110: 0.8})
+    with pytest.raises(NoRowMatchError, match="^gate 0: "):
+        eval_bundle(params, encode(state, schedule, CONST_TOFFOLI.input_wires), bundle)
+
 # ---------------------------------------------------------------------------
 # properties over random circuits
 
@@ -389,7 +411,7 @@ def test_eval_matches_simulation_property(case):
     circ, support, seed = case
     params = make_params()
     rng = random.Random(seed)
-    state = random_state(qubit_layout(circ.num_inputs), rng, support_bits=support)
+    state = input_state(circ, support, rng)
     schedule = gen_keys(16, circ, rng)
     bundle = garble_circuit(params, circ, schedule, rng)
     out, stats = eval_bundle(params, encode(state, schedule, circ.input_wires), bundle)
@@ -427,3 +449,16 @@ def test_symcrypt_call_counts_match_the_bench_layer_metrics(monkeypatch):
     assert calls["triple_dec"] == 2 * stats.erasure_checks
     assert calls["kdm_dec"] == 2 * 2   # each phase gate opens one row per key
     assert set(calls) == {"kdm_ver", "triple_dec", "kdm_dec"}
+
+    # a public constant control halves both tables: 4 + 4 rows
+    calls.clear()
+    const = parse_circuit("inputs 3\nconst 0\ntoff 0 1 2\n")
+    schedule = gen_keys(16, const, rng)
+    bundle = garble_circuit(params, const, schedule, rng)
+    assert calls == {"triple_enc": 8}
+    calls.clear()
+    state = input_state(const, [1, 2], rng)
+    _, stats = eval_bundle(params, encode(state, schedule, const.input_wires), bundle)
+    assert stats.erasure_checks == 4
+    assert calls["kdm_ver"] == stats.ver_calls + stats.backward_ver_calls
+    assert calls["triple_dec"] == 2 * stats.erasure_checks

@@ -3,8 +3,10 @@ import random
 import pytest
 
 from rgc.circuit import parse_circuit
+from rgc.encoding import gen_keys
+from rgc.garble import garble_circuit
 from rgc.games import (AffineKeyFn, circuit_pairs, closure_dist_masked_stats,
-                       closure_dist_revealed_decrypt, dist_constant,
+                       closure_dist_revealed_decrypt, dist_constant, dist_constant_key,
                        dist_encoded_parity, dist_leaked_decrypt, dist_random,
                        dist_row_frequency, dist_tag_grinding, guess_brute_force,
                        guess_random, guess_replay, kdm_dist_first_byte,
@@ -12,6 +14,8 @@ from rgc.games import (AffineKeyFn, circuit_pairs, closure_dist_masked_stats,
                        key_recovery_experiment, qkdm_dist_padded_parity,
                        run_closure_game, run_ind_cpa_gbc, run_kdm_game,
                        run_qkdm_game, self_cycle_queries)
+
+from conftest import make_params
 
 GAME_CIRCUIT = parse_circuit("inputs 3\ntoff 0 1 2\nphase 0 1\n")
 # X on an input before its first Toffoli, between two phase gates on one
@@ -176,3 +180,70 @@ def test_key_recovery_guessers_with_x():
     # the X gates
     assert key_recovery_experiment(X_CIRCUIT, 8, guess_brute_force, 30,
                                    random.Random(23)) >= 0.9
+
+
+# ---------------------------------------------------------------------------
+# the same games on a circuit with public constants, whose Toffolis carry
+# half tables: constant first control, constant second control, two constant
+# controls, and none
+
+CONST_CIRCUIT = parse_circuit("inputs 5\nconst 0\nconst 4\ntoff 0 1 2\ntoff 2 0 3\n"
+                              "toff 0 4 1\ntoff 1 2 3\nphase 3 1\n")
+
+
+def test_const_circuit_has_half_tables():
+    bundle = garble_circuit(make_params(), CONST_CIRCUIT,
+                            gen_keys(16, CONST_CIRCUIT, random.Random(24)), random.Random(25))
+    assert [len(t.forward) for t in bundle.tables[:4]] == [4, 4, 2, 8]
+
+
+def test_ind_cpa_generic_distinguishers_blind_with_constants():
+    # both challenges hold the constants at 1, so the held constant keys
+    # open rows in both worlds
+    rng = random.Random(26)
+    for dist in (dist_constant, dist_random, dist_tag_grinding, dist_row_frequency,
+                 dist_encoded_parity, dist_constant_key):
+        report = run_ind_cpa_gbc(dist, CONST_CIRCUIT, 16, TRIALS, rng)
+        assert report.advantage_estimate <= max(report.confidence_radius, 1e-9), \
+            dist.__name__
+
+
+def test_ind_cpa_leaked_keys_break_everything_with_constants():
+    report = run_ind_cpa_gbc(dist_leaked_decrypt, CONST_CIRCUIT, 16, 100,
+                             random.Random(27), leak_keys=True)
+    assert report.advantage_estimate >= 0.9
+
+
+def test_ind_cpa_misdeclared_constant_is_detected():
+    # positive control: a secret bit declared constant holds 0 in one world,
+    # and its 0 key opens none of the half tables' rows
+    report = run_ind_cpa_gbc(dist_constant_key, CONST_CIRCUIT, 16, 200,
+                             random.Random(28), misdeclared_constants=True)
+    assert report.advantage_estimate >= 0.9
+
+
+def test_key_recovery_guessers_with_constants():
+    assert key_recovery_experiment(CONST_CIRCUIT, 16, guess_random, 400,
+                                   random.Random(29)) == 0.0
+    assert key_recovery_experiment(CONST_CIRCUIT, 16, guess_replay, 50,
+                                   random.Random(30)) == 0.0
+    # positive control; every non-constant input's keys are tag-checked
+    # through a half table or a full one
+    assert key_recovery_experiment(CONST_CIRCUIT, 8, guess_brute_force, 30,
+                                   random.Random(31)) >= 0.9
+    with pytest.raises(ValueError, match="public constant"):
+        key_recovery_experiment(CONST_CIRCUIT, 16, guess_random, 1, random.Random(32),
+                                input_bits=0)
+
+
+def test_closure_game_with_constants():
+    # the server holds every constant wire's key; that alone opens nothing
+    pairs = circuit_pairs(CONST_CIRCUIT)
+    consts = [CONST_CIRCUIT.input_wires[q] for q in CONST_CIRCUIT.const_qubits]
+    hidden = run_closure_game(pairs, consts, [b""] * len(pairs), closure_dist_masked_stats,
+                              CONST_CIRCUIT.num_wires, 16, TRIALS, random.Random(33))
+    assert hidden.advantage_estimate <= max(hidden.confidence_radius, 1e-9)
+    inputs = run_closure_game(pairs, list(CONST_CIRCUIT.input_wires), [b""] * len(pairs),
+                              closure_dist_masked_stats, CONST_CIRCUIT.num_wires, 16, 200,
+                              random.Random(34))
+    assert inputs.advantage_estimate == 0.0

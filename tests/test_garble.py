@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from scipy import stats as scipy_stats
 
 from rgc import symcrypt
-from rgc.circuit import X, allocate_wires, parse_circuit, phase, toff, validate
+from rgc.circuit import Toffoli, X, allocate_wires, parse_circuit, phase, toff, validate
 from rgc.encoding import KeySchedule, WireKeyPair, gen_keys
 from rgc.garble import (PhaseTable, ToffoliTables, closure, closure_pairs,
                         garble_circuit, garble_phase, garble_toffoli, phase_payload)
@@ -158,10 +158,15 @@ def test_skeleton_is_the_circuit_without_x_property(case):
     bundle = garble_circuit(make_params(), circ, gen_keys(16, circ, rng), rng)
     skeleton = bundle.skeleton
     assert skeleton.gates == tuple(g for g in circ.gates if not isinstance(g, X))
-    assert (skeleton.num_inputs, skeleton.num_wires, skeleton.output_wires) == \
-        (circ.num_inputs, circ.num_wires, circ.output_wires)
+    assert (skeleton.num_inputs, skeleton.num_wires, skeleton.output_wires,
+            skeleton.const_qubits) == \
+        (circ.num_inputs, circ.num_wires, circ.output_wires, circ.const_qubits)
     validate(skeleton)
     assert len(bundle.tables) == len(skeleton.gates)
+    for gate, table in zip(skeleton.gates, bundle.tables):
+        if isinstance(gate, Toffoli):
+            n = 8 >> sum(q in circ.const_qubits for q in gate.qubits[:2])
+            assert len(table.forward) == len(table.backward) == n
 
 
 def test_x_gates_garble_into_nothing():

@@ -24,7 +24,7 @@ from rgc.netio import (WireFormatError, deserialize_bundle,
                        serialize_state, unframe)
 from rgc.sparse import fidelity, qubit_layout, random_state
 
-from conftest import circuits_and_states
+from conftest import circuits_and_states, input_state
 
 
 def _job_fixture(seed=1, n=3, gates=2):
@@ -392,21 +392,28 @@ def _seeded_job(text, seed=17):
     rng = random.Random(seed)
     keys = delegation.keygen(16, circ.num_inputs, circ, rng, conjecture=True)
     params = delegation.make_params(16, oracle_seed=rng.randbytes(8))
-    state = random_state(qubit_layout(circ.num_inputs), rng)
+    free = [q for q in range(circ.num_inputs) if q not in circ.const_qubits]
+    state = input_state(circ, free, rng)
     return delegation.encrypt(params, keys, circ, state, rng), params
 
 
-def _old_skeleton(c):
-    """The skeleton as bundle formats 1 and 2 wrote it: wire counts, the
-    output wires, and every gate's wires beside its qubits."""
+def _old_skeleton(c, version):
+    """The skeleton as bundle formats 1 to 3 wrote it: no constant list, and
+    in formats 1 and 2 the wire counts, the output wires, and every gate's
+    wires beside its qubits."""
     w = netio.Writer()
-    for value in (c.num_inputs, c.num_wires, len(c.output_wires), *c.output_wires,
-                  len(c.gates)):
+    header = (c.num_inputs, len(c.gates)) if version == 3 else (
+        c.num_inputs, c.num_wires, len(c.output_wires), *c.output_wires, len(c.gates))
+    for value in header:
         w.u32(value)
     for g in c.gates:
         if isinstance(g, Toffoli):
             w.u8(0)
-            w.raw(struct.pack("<9I", *g.qubits, *g.in_wires, *g.out_wires))
+            wires = () if version == 3 else (*g.in_wires, *g.out_wires)
+            w.raw(struct.pack(f"<{3 + len(wires)}I", *g.qubits, *wires))
+        elif version == 3:
+            w.u8(1)
+            w.raw(struct.pack("<IHb", g.qubit, g.denom_exp, g.sign))
         else:
             w.u8(1)
             w.raw(struct.pack("<IIHb", g.qubit, g.wire, g.denom_exp, g.sign))
@@ -414,25 +421,28 @@ def _old_skeleton(c):
 
 
 def _old_format_job(job, params, version):
-    """The job as bundle format 1 or 2 wrote it: the old skeleton, and a u16
-    exponent before each phase table.  Format 2 stores the packed rows back
-    to back; format 1 put every row field behind its u32 length, in the
-    order the packed row holds them."""
+    """The job as bundle formats 1 to 3 wrote it: the old skeleton, and in
+    formats 1 and 2 a u16 exponent before each phase table.  Formats 2 and 3
+    store the packed rows back to back; format 1 put every row field behind
+    its u32 length, in the order the packed row holds them.  No format
+    before 4 had half tables: the job must have no constant qubit."""
     bundle, p = job.garbled, params.kappa_bytes
+    assert not bundle.skeleton.const_qubits
     w = netio.Writer()
     w.u8(version)
     w.u16(bundle.kappa_bits)
     w.u16(bundle.tag_len_bits)
     w.blob(params.oracles.seed)
-    w.raw(_old_skeleton(bundle.skeleton))
+    w.raw(_old_skeleton(bundle.skeleton, version))
     for gate, table in zip(bundle.skeleton.gates, bundle.tables):
         if isinstance(table, ToffoliTables):
             rows, n_keys = table.forward + table.backward, 3
         else:
-            w.u16(gate.denom_exp)
+            if version < 3:
+                w.u16(gate.denom_exp)
             rows, n_keys = table.rows, 1
         for row in rows:
-            if version == 2:
+            if version > 1:
                 w.raw(row)
                 continue
             pads, masked, tags = symcrypt.split_row(params, row, n_keys)
@@ -449,7 +459,16 @@ def _pin(data):
     return len(data), hashlib.blake2b(data).hexdigest()
 
 
-# serialize_job's (bundle format 3) length and BLAKE2b, per job circuit
+# serialize_job's length and BLAKE2b per job circuit, in bundle format 4 and
+# in format 3 as its codec wrote it
+FORMAT_4_PINS = {
+    PHASE_JOB_CIRCUIT:
+        (2833, "284c3c2836cabd195625f4a92f730edbfc73d28dd269813296fde6460e52b0de"
+               "45bffeaa2a4d0d217e981526091af97fa384bd0015daa0f7d84414d026ba92c6"),
+    TOFFOLI_JOB_CIRCUIT:
+        (3452, "090a429b6a4aabd95ae02c91a3d922a1dd7229f253a64644b98a24e46e40c369"
+               "a2a38937f29349ff79d8b15f60eecf654781cffb9e36a11638dfeeb035326bbe"),
+}
 FORMAT_3_PINS = {
     PHASE_JOB_CIRCUIT:
         (2829, "bb2533dbaaf4fe2e105a4bb2d504e1e9046f1e51183fcc3576916baf03a5aa97"
@@ -475,12 +494,13 @@ FORMAT_3_PINS = {
      "f15b33c243146f6d776880ef6766bb72a3802d41f1eb39e7ce41b86b584dc497"),
 ])
 def test_job_bytes_golden(text, v1_size, v1_digest, v2_size, v2_digest):
-    # BLAKE2b of serialize_job (bundle format 3), and of the same job in
-    # formats 1 and 2 as their codecs wrote it: the rows are unchanged
+    # BLAKE2b of serialize_job (bundle format 4), and of the same job in
+    # formats 1 to 3 as their codecs wrote it: the rows are unchanged
     job, params = _seeded_job(text)
     data = serialize_job(job, params)
-    assert _pin(data) == FORMAT_3_PINS[text]
+    assert _pin(data) == FORMAT_4_PINS[text]
     assert serialize_job(*deserialize_job(data)) == data
+    assert _pin(_old_format_job(job, params, 3)) == FORMAT_3_PINS[text]
     assert _pin(_old_format_job(job, params, 1)) == (v1_size, v1_digest)
     assert _pin(_old_format_job(job, params, 2)) == (v2_size, v2_digest)
 
@@ -499,6 +519,11 @@ def test_format_1_bundle_gets_error_envelope():
 def test_format_2_bundle_gets_error_envelope():
     assert _old_format_reply(2) == (netio.KIND_ERROR,
                                     b"WireFormatError: unsupported bundle version 2")
+
+
+def test_format_3_bundle_gets_error_envelope():
+    assert _old_format_reply(3) == (netio.KIND_ERROR,
+                                    b"WireFormatError: unsupported bundle version 3")
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +557,18 @@ def test_job_with_skeleton_helper_leaves_an_honest_job_intact():
     assert payload == serialize_result(*delegation.run_job(params, job))
 
 
-# skeleton offsets: num_inputs at 0, gate count at 4, the first record at 8
-# (its kind byte), so a first Toffoli's qubits sit at 9 and a first phase
-# gate's qubit, exponent and sign at 9, 13 and 15
+# skeleton offsets without constants: num_inputs at 0, the constant count at
+# 4, gate count at 8, the first record at 12 (its kind byte), so a first
+# Toffoli's qubits sit at 13 and a first phase gate's qubit, exponent and
+# sign at 13, 17 and 19
 @pytest.mark.parametrize("text, patch, message", [
-    (TOFFOLI_JOB_CIRCUIT, _set(9, "<3I", 0, 0, 1),
+    (TOFFOLI_JOB_CIRCUIT, _set(13, "<3I", 0, 0, 1),
      b"CircuitError: toffoli qubits must be distinct, got 0 0 1"),
-    (TOFFOLI_JOB_CIRCUIT, _set(9, "<3I", 0, 1, 7),
+    (TOFFOLI_JOB_CIRCUIT, _set(13, "<3I", 0, 1, 7),
      b"CircuitError: qubit 7 out of range (N=3)"),
-    ("inputs 3\nphase 0 2\n", _set(9, "<I", 3),
+    ("inputs 3\nphase 0 2\n", _set(13, "<I", 3),
      b"CircuitError: qubit 3 out of range (N=3)"),
-    ("inputs 3\nphase 0 2\n", _set(15, "<b", 5),
+    ("inputs 3\nphase 0 2\n", _set(19, "<b", 5),
      b"CircuitError: phase sign must be +-1, got 5"),
     (TOFFOLI_JOB_CIRCUIT, _set(0, "<I", 2**32 - 1),
      b"WireFormatError: 4294967295 qubits above limit 65536"),
@@ -552,6 +578,100 @@ def test_skeleton_refused_by_allocate_wires_gets_error_envelope(text, patch, mes
     job, params = _seeded_job(text)
     assert _job_with_skeleton(job, params, patch) == (netio.KIND_ERROR, message)
 
+
+CONST_JOB_CIRCUIT = "inputs 3\nconst 0\ntoff 0 1 2\n"
+
+
+# with one constant: num_inputs at 0, the constant count at 4, the constant
+# at 8, gate count at 12, the first record at 16 and its qubits at 17
+@pytest.mark.parametrize("patch, message", [
+    (_set(4, "<I", 4), b"WireFormatError: 4 constant qubits among 3"),
+    (_set(8, "<I", 3),
+     b"WireFormatError: constant qubits must be strictly increasing and below 3"),
+    (_set(8, "<I", 2), b"CircuitError: constant qubit 2 is a toffoli target"),
+    # one Toffoli record and 8 rows of 66 bytes follow; a gate takes at
+    # least 50 (a phase record and two rows of 21)
+    (_set(12, "<I", 11),
+     b"WireFormatError: 11 gates cannot fit in the 541 bytes left (at least 50 each)"),
+], ids=["too-many-constants", "constant-out-of-range", "constant-target",
+        "gate-count-beyond-the-tables"])
+def test_skeleton_constants_refused_get_error_envelope(patch, message):
+    job, params = _seeded_job(CONST_JOB_CIRCUIT)
+    kind, payload = _job_with_skeleton(job, params, patch)
+    assert kind == netio.KIND_ERROR and payload.startswith(message)
+
+
+def test_unsorted_constants_are_refused():
+    data = struct.pack("<5I", 3, 2, 1, 1, 0)      # constants 1, 1 and no gates
+    with pytest.raises(WireFormatError, match="strictly increasing"):
+        deserialize_circuit(data)
+
+
+def test_half_table_job_bytes_golden():
+    # 4 + 4 rows for the Toffoli with a constant control
+    job, params = _seeded_job(CONST_JOB_CIRCUIT)
+    assert [len(t.forward) + len(t.backward) for t in job.garbled.tables] == [8]
+    data = serialize_job(job, params)
+    assert _pin(data) == (
+        702, "c26dc1cabe6ae42df5fe3c8a8e4a9b7236593c5c879ab527e5d60b74fb7aaa00"
+              "3db03b8fb3aa6c23df5c1037b98e38e24e263614388726cd9857c4598dbfe749")
+    assert serialize_job(*deserialize_job(data)) == data
+    kind, payload = _handle_job(job, params)
+    assert kind == netio.KIND_RESULT
+
+
+def test_half_table_of_full_length_is_not_serialized():
+    job, params = _seeded_job(CONST_JOB_CIRCUIT)
+    table = job.garbled.tables[0]
+    bundle = GarbledBundle(job.garbled.skeleton,
+                           (ToffoliTables(table.forward * 2, table.backward * 2),), 16, 128)
+    with pytest.raises(WireFormatError, match="width"):
+        serialize_bundle(bundle, params)
+
+
+def test_skeleton_of_more_gates_than_the_payload_holds_is_refused_unbuilt(monkeypatch):
+    # 1M phase records (8 MB) and no tables: every gate needs at least its
+    # record and two phase rows, so the count is refused before any gate
+    # is built
+    def never(*args):
+        raise AssertionError("allocate_wires called")
+    monkeypatch.setattr(netio, "allocate_wires", never)
+    n = 1_000_000
+    w = netio.Writer()
+    w.u8(netio.BUNDLE_VERSION)
+    w.u16(16)
+    w.u16(128)
+    w.blob(b"seed")
+    for value in (1, 0, n):                 # one qubit, no constants, n gates
+        w.u32(value)
+    w.raw(struct.pack("<BIHb", 1, 0, 0, 1) * n)
+    job = netio.Writer()
+    job.blob(serialize_state(encode(random_state(qubit_layout(1), random.Random(43)),
+                                    gen_keys(16, allocate_wires([], 1), random.Random(44)),
+                                    (0,))))
+    job.blob(w.bytes())
+    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, job.bytes())))
+    assert kind == netio.KIND_ERROR
+    assert payload.startswith(b"WireFormatError: 1000000 gates cannot fit in the 8000000 "
+                              b"bytes left")
+
+
+def test_job_state_of_wrong_norm_gets_error_envelope():
+    # one flipped amplitude bit: the top mantissa bit of the first real part
+    job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
+    state = job.encoded_state
+    terms = sorted(state.terms.items())
+    (bits,) = struct.unpack("<Q", struct.pack("<d", terms[0][1].real))
+    (flipped,) = struct.unpack("<d", struct.pack("<Q", bits ^ (1 << 51)))
+    terms[0] = (terms[0][0], complex(flipped, terms[0][1].imag))
+    w = netio.Writer()
+    w.blob(_state_payload(state.layout, terms))
+    w.blob(serialize_bundle(job.garbled, params))
+    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, w.bytes())))
+    assert kind == netio.KIND_ERROR
+    assert payload.startswith(b"WireFormatError: state norm^2 ")
+    # the codec itself still carries any finite state
+    assert deserialize_state(_state_payload(state.layout, terms)).terms == dict(terms)
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(circuits_and_states(), st.lists(st.tuples(st.integers(0), st.integers(0, 7)),
@@ -579,7 +699,7 @@ def test_job_roundtrip_property(case):
     params = delegation.make_params(16, oracle_seed=rng.randbytes(8))
     schedule = gen_keys(16, circ, rng)
     bundle = garble_circuit(params, circ, schedule, rng)
-    state = random_state(qubit_layout(circ.num_inputs), rng, support_bits=support)
+    state = input_state(circ, support, rng)
     job = delegation.JobBundle(encode(state, schedule, circ.input_wires), bundle)
     data = serialize_job(job, params)
     parsed, parsed_params = deserialize_job(data)
