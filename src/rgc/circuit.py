@@ -5,7 +5,10 @@ Circuits are described at two levels.  The logical level talks about qubits
 level is a single-assignment view used by key generation and garbling: a
 Toffoli consumes its three qubits' current wires and drives three fresh ones;
 a phase gate and an X keep their wire.  A circuit with N inputs and L gates
-therefore uses at most N+3L wires.
+therefore uses at most N+3L wires.  :func:`allocate_wires` assigns every
+wire itself, so this discipline holds by construction, and it is the one
+checker of a circuit's gates and constants: the text parser, the generators
+and the server's skeleton reader all build through it.
 
 An X costs nothing to delegate.  With one key per logical value, a NOT only
 swaps which of its wire's two keys means 0, so the garbler tracks that swap
@@ -118,7 +121,10 @@ class CPCircuit:
 
 def allocate_wires(logical_gates: Iterable[LogicalGate], n_inputs: int,
                    const_qubits: Sequence[int] = ()) -> CPCircuit:
-    """Assign single-use wire indices to a logical gate list."""
+    """Assign single-use wire indices to a logical gate list, refusing a
+    qubit out of range, a Toffoli naming one qubit twice, a bad phase, and
+    constant qubits that are not strictly increasing inputs or that a gate
+    could change."""
     if n_inputs <= 0:
         raise CircuitError("circuit needs at least one input")
     current = list(range(n_inputs))
@@ -154,53 +160,20 @@ def allocate_wires(logical_gates: Iterable[LogicalGate], n_inputs: int,
             gates.append(X(a, current[a]))
         else:
             raise CircuitError(f"unknown gate kind {kind!r}")
-    circ = CPCircuit(n_inputs, tuple(gates), next_wire, tuple(current), tuple(const_qubits))
-    validate(circ)
-    return circ
-
-
-def validate(circ: CPCircuit) -> None:
-    """Check the single-assignment wire discipline, the N+3L bound, and that
-    the constant qubits are sorted inputs that no gate could change."""
-    if len(circ.output_wires) != circ.num_inputs:
-        # checked first: it bounds num_inputs by the circuit's own size
-        raise CircuitError("output wires must be exactly the unconsumed wires")
-    consts = circ.const_qubits
+    consts = tuple(const_qubits)
     if any(b <= a for a, b in zip(consts, consts[1:])):
         raise CircuitError(f"constant qubits must be strictly increasing, got {consts}")
-    if consts and not 0 <= consts[0] <= consts[-1] < circ.num_inputs:
-        raise CircuitError(f"constant qubits {consts} out of range (N={circ.num_inputs})")
+    if consts and not 0 <= consts[0] <= consts[-1] < n_inputs:
+        raise CircuitError(f"constant qubits {consts} out of range (N={n_inputs})")
     const_set = frozenset(consts)
-    n_toffoli = sum(1 for g in circ.gates if isinstance(g, Toffoli))
-    if circ.num_wires > circ.num_inputs + 3 * len(circ.gates):
-        raise CircuitError("wire count exceeds N+3L")
-    if circ.num_wires != circ.num_inputs + 3 * n_toffoli:
-        raise CircuitError("wire count does not match Toffoli allocations")
-    produced = set(range(circ.num_inputs))
-    consumed: set[int] = set()
-    for g in circ.gates:
+    for g in gates:
         if isinstance(g, Toffoli):
             if g.qubits[2] in const_set:
                 raise CircuitError(f"constant qubit {g.qubits[2]} is a toffoli target")
-            if len(set(g.in_wires)) != 3 or len(set(g.out_wires)) != 3:
-                raise CircuitError(f"toffoli names one wire twice: {g.in_wires} -> {g.out_wires}")
-            for w in g.in_wires:
-                if w not in produced or w in consumed:
-                    raise CircuitError(f"wire {w} read before production or reused")
-            consumed.update(g.in_wires)
-            for w in g.out_wires:
-                if w in produced:
-                    raise CircuitError(f"wire {w} produced twice")
-            produced.update(g.out_wires)
-        else:
-            if g.qubit in const_set:
-                raise CircuitError(f"constant qubit {g.qubit} is "
-                                   f"{'phased' if isinstance(g, Phase) else 'hit by an X'}")
-            if g.wire not in produced or g.wire in consumed:
-                raise CircuitError(f"{type(g).__name__.lower()} wire {g.wire} not live")
-    live = produced - consumed
-    if set(circ.output_wires) != live:
-        raise CircuitError("output wires must be exactly the unconsumed wires")
+        elif g.qubit in const_set:
+            raise CircuitError(f"constant qubit {g.qubit} is "
+                               f"{'phased' if isinstance(g, Phase) else 'hit by an X'}")
+    return CPCircuit(n_inputs, tuple(gates), next_wire, tuple(current), consts)
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +389,7 @@ class UniversalMachine:
     slots: int
     code_width: int
     n_codes: int
-    aux_qubits: tuple[int, int, int]
     desc_qubits: tuple[tuple[int, ...], ...]   # per slot, MSB first
-    scratch_qubits: tuple[int, ...]
 
     @property
     def const_qubits(self) -> tuple[int, ...]:
@@ -527,7 +498,6 @@ def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
     pos += len(plan)
     opanc = pos; pos += 1
     total_qubits = pos
-    scratch = tuple(neg) + tuple(tree.values()) + (opanc,)
 
     gates: list[LogicalGate] = []
 
@@ -582,8 +552,6 @@ def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
         slots=slots,
         code_width=width,
         n_codes=n_codes,
-        aux_qubits=aux,
         desc_qubits=tuple(desc_qubits),
-        scratch_qubits=scratch,
     )
     return machine, machine.describe(circ)

@@ -113,8 +113,7 @@ def _keys_from_file(path: str, circ: circuit.CPCircuit) -> delegation.Delegation
     schedule = netio.deserialize_schedule(_read_bin(path))
     if schedule.num_wires != circ.num_wires:
         raise CliError("schedule does not match the circuit")
-    return delegation.DelegationKeys(schedule, schedule.kappa_bits,
-                                     schedule.kappa_bits, circ.num_inputs)
+    return delegation.DelegationKeys(schedule)
 
 
 def cmd_garble(args) -> int:

@@ -41,9 +41,10 @@ from .util import rand_bytes
 @dataclass(frozen=True)
 class DelegationKeys:
     schedule: KeySchedule
-    kappa_bits: int
-    eta: int
-    n_quantum: int
+
+    @property
+    def kappa_bits(self) -> int:
+        return self.schedule.kappa_bits
 
 
 @dataclass(frozen=True)
@@ -64,17 +65,15 @@ def required_kappa(eta: int, n_quantum: int, conjecture: bool = False) -> int:
 def keygen(eta: int, n_quantum: int, circ: CPCircuit, rng: random.Random,
            conjecture: bool = False) -> DelegationKeys:
     kappa = required_kappa(eta, n_quantum, conjecture)
-    schedule = encoding.gen_keys(kappa, circ, rng)
-    return DelegationKeys(schedule, kappa, eta, n_quantum)
+    return DelegationKeys(encoding.gen_keys(kappa, circ, rng))
 
 
 def make_params(kappa_bits: int, *, tag_len_bits: int = 128, oracle_seed: bytes = b"",
-                table_mode: bool = False, table_seed: int = 0,
-                record: bool = False) -> CryptoParams:
+                table_mode: bool = False, table_seed: int = 0) -> CryptoParams:
     """Crypto context shared by both parties (the oracle is a public
     function; only the keys are secret)."""
     family = OracleFamily(mode=TABLE_MODE if table_mode else HASH_MODE,
-                          seed=oracle_seed, rng_seed=table_seed, record=record)
+                          seed=oracle_seed, rng_seed=table_seed)
     return CryptoParams(kappa_bits, family, tag_len_bits)
 
 

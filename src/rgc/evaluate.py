@@ -27,8 +27,8 @@ is found even when its checks were memoised by an earlier triple.  The
 backward payload must XOR the inputs to exactly zero - that erasure is
 asserted for every distinct triple of every gate, and a failure aborts the
 evaluation: leftover input keys would entangle the result with junk
-registers.  A phase gate opens its row once per distinct key and gathers
-one factor per term.
+registers.  A phase gate opens its row once per distinct key, through the
+same unique-row scan with one tag slot, and gathers one factor per term.
 
 A register the skeleton declares a public constant must hold one key in
 every term, or the state is refused.  A Toffoli it controls carries half
@@ -138,10 +138,11 @@ class ColumnarState:
 TagMemo = dict[tuple[int, bytes], dict[int, bool]]
 
 
-def _match_unique(params: CryptoParams, keys: tuple[bytes, bytes, bytes],
+def _match_unique(params: CryptoParams, keys: tuple[bytes, ...],
                   rows: tuple[bytes, ...], memo: TagMemo, stats: EvalStats,
                   backward: bool = False) -> int:
-    """Index of the single row all three tags accept.
+    """Index of the single row whose tags all accept ``keys``, one tag slot
+    per key: three for a Toffoli row, one for a phase row.
 
     Slot by slot, the rows whose earlier tags all verified are checked
     against the slot's key, so a row is checked under exactly the keys a
@@ -155,7 +156,7 @@ def _match_unique(params: CryptoParams, keys: tuple[bytes, bytes, bytes],
     candidates = range(len(rows))
     for slot, key in enumerate(keys):
         known = memo.setdefault((slot, key), {})
-        back = (3 - slot) * width       # the row ends in its three tags
+        back = (len(keys) - slot) * width       # the row ends in its tags
         kept = []
         for idx in candidates:
             ok = known.get(idx)
@@ -173,7 +174,7 @@ def _match_unique(params: CryptoParams, keys: tuple[bytes, bytes, bytes],
     else:
         stats.ver_calls += checks
     if not candidates:
-        raise NoRowMatchError("no row verifies under the given key triple")
+        raise NoRowMatchError("no row verifies under the given keys")
     if len(candidates) > 1:
         raise AmbiguousRowError(f"rows {candidates[0]} and {candidates[1]} both verify")
     return candidates[0]
@@ -245,19 +246,9 @@ def eval_phase(params: CryptoParams, state: ColumnarState, reg: int, gate: Phase
     """
     denom = 1 << gate.denom_exp
     modulus = 2 * denom
-    width = params.tag_bytes
     factor_re, factor_im = [], []
     for key in state.keys[reg]:
-        match = None
-        for idx, row in enumerate(table.rows):
-            stats.rows_tried += 1
-            stats.ver_calls += 1
-            if symcrypt.kdm_ver(params, key, row[-width:]):
-                if match is not None:
-                    raise AmbiguousRowError(f"phase rows {match} and {idx} both verify")
-                match = idx
-        if match is None:
-            raise NoRowMatchError("no phase row verifies under the term's key")
+        match = _match_unique(params, (key,), table.rows, {}, stats)
         value = int.from_bytes(symcrypt.kdm_dec(params, key, table.rows[match]), "big")
         if value >= modulus:
             raise EvalError("phase payload out of range")

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Sequence
 
 from . import delegation, encoding, garble, sparse, symcrypt
 from .circuit import CPCircuit, Toffoli
@@ -42,14 +42,7 @@ class GameReport:
     p0: float
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "advantage_estimate": self.advantage_estimate,
-            "confidence_radius": self.confidence_radius,
-            "oracle_queries_used": self.oracle_queries_used,
-            "p1": self.p1,
-            "p0": self.p0,
-        }
+        return asdict(self)
 
 
 def _report(guesses: list[tuple[int, int]], queries: int) -> GameReport:
@@ -64,28 +57,35 @@ def _report(guesses: list[tuple[int, int]], queries: int) -> GameReport:
     return GameReport(len(guesses), abs(p1 - p0), radius, queries, p1, p0)
 
 
-def _trial_params(kappa_bits: int, seed: int, table_oracle: bool,
-                  tag_len_bits: int = 128) -> CryptoParams:
+def _trial_params(kappa_bits: int, seed: int, table_oracle: bool) -> CryptoParams:
     if table_oracle:
-        return delegation.make_params(kappa_bits, tag_len_bits=tag_len_bits,
-                                      table_mode=True, table_seed=seed)
-    return delegation.make_params(kappa_bits, tag_len_bits=tag_len_bits,
-                                  oracle_seed=seed.to_bytes(8, "little"))
+        return delegation.make_params(kappa_bits, table_mode=True, table_seed=seed)
+    return delegation.make_params(kappa_bits, oracle_seed=seed.to_bytes(8, "little"))
 
 
-def _paired(trials: int, rng: random.Random):
-    """Coupled challenge pairs: each pair plays b=0 and b=1 from identical
-    randomness (keys, pads, oracle, distinguisher coins), so whenever the two
-    branches produce identical ciphertexts the measured advantage is exactly
-    zero rather than sampling noise."""
+def _play(distinguisher: Callable[[Any, random.Random], int],
+          challenge: Callable[[int, CryptoParams, random.Random], Any],
+          kappa_bits: int, trials: int, rng: random.Random,
+          table_oracle: bool) -> GameReport:
+    """Play ``trials`` challenges in coupled pairs: each pair plays b=0 and
+    b=1 from identical randomness (keys, pads, oracle, distinguisher coins),
+    so whenever the two branches produce identical ciphertexts the measured
+    advantage is exactly zero rather than sampling noise.  The challenger
+    ``challenge(b, params, setup_rng)`` returns the distinguisher's view."""
     if trials < 2:
         raise ValueError("need at least two trials")
+    guesses = []
+    queries = 0
     for _ in range(trials // 2):
         oracle_seed = rng.getrandbits(63)
         setup_seed = rng.getrandbits(64)
         dist_seed = rng.getrandbits(64)
         for b in (0, 1):
-            yield b, oracle_seed, random.Random(setup_seed), random.Random(dist_seed)
+            params = _trial_params(kappa_bits, oracle_seed, table_oracle)
+            view = challenge(b, params, random.Random(setup_seed))
+            guesses.append((b, 1 if distinguisher(view, random.Random(dist_seed)) else 0))
+            queries += params.oracles.query_count()
+    return _report(guesses, queries)
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +120,9 @@ def run_ind_cpa_gbc(distinguisher: Distinguisher, circ: CPCircuit, kappa_bits: i
     n = circ.num_inputs
     message = message_bits if message_bits is not None else (1 << n) - 1
     const_mask = 0 if misdeclared_constants else circ.const_mask
-    guesses = []
-    queries = 0
-    for b, oracle_seed, setup_rng, dist_rng in _paired(trials, rng):
-        params = _trial_params(kappa_bits, oracle_seed, table_oracle)
-        keys = DelegationKeys(encoding.gen_keys(kappa_bits, circ, setup_rng),
-                              kappa_bits, kappa_bits, 0)
+
+    def challenge(b, params, setup_rng):
+        keys = DelegationKeys(encoding.gen_keys(kappa_bits, circ, setup_rng))
         plain = (message if b == 1 else 0) | const_mask
         state = sparse.basis_state(sparse.qubit_layout(n), plain)
         if misdeclared_constants:
@@ -133,11 +130,10 @@ def run_ind_cpa_gbc(distinguisher: Distinguisher, circ: CPCircuit, kappa_bits: i
                             garble.garble_circuit(params, circ, keys.schedule, setup_rng))
         else:
             job = delegation.encrypt(params, keys, circ, state, setup_rng)
-        view = ChallengeView(params, circ, job, message,
+        return ChallengeView(params, circ, job, message,
                              leaked_keys=keys if leak_keys else None)
-        guesses.append((b, 1 if distinguisher(view, dist_rng) else 0))
-        queries += params.oracles.query_count()
-    return _report(guesses, queries)
+
+    return _play(distinguisher, challenge, kappa_bits, trials, rng, table_oracle)
 
 
 def dist_constant(view, rng) -> int:
@@ -246,11 +242,9 @@ def run_kdm_game(queries: list[tuple[int, AffineKeyFn]], n_keys: int,
     challenger answers all of it at once with either f(K) or zeros.
     reuse_pads deliberately breaks the scheme (one shared mask pad per trial)
     so tests can watch the harness catch it."""
-    guesses = []
-    total_queries = 0
     kb = kappa_bits // 8
-    for b, oracle_seed, setup_rng, dist_rng in _paired(trials, rng):
-        params = _trial_params(kappa_bits, oracle_seed, table_oracle)
+
+    def challenge(b, params, setup_rng):
         keyset = [symcrypt.keygen(params, setup_rng) for _ in range(n_keys)]
         shared_pad = rand_bytes(setup_rng, kb)
         cts = []
@@ -261,10 +255,9 @@ def run_kdm_game(queries: list[tuple[int, AffineKeyFn]], n_keys: int,
                                                    shared_pad, rand_bytes(setup_rng, kb)))
             else:
                 cts.append(symcrypt.kdm_enc(params, keyset[index], plain, setup_rng))
-        view = KdmView(params, cts, queries)
-        guesses.append((b, 1 if distinguisher(view, dist_rng) else 0))
-        total_queries += params.oracles.query_count()
-    return _report(guesses, total_queries)
+        return KdmView(params, cts, queries)
+
+    return _play(distinguisher, challenge, kappa_bits, trials, rng, table_oracle)
 
 
 def kdm_dist_mask_equality(view: KdmView, rng) -> int:
@@ -334,10 +327,7 @@ def run_closure_game(pairs: list[PairSpec], revealed: Sequence[int],
         raise ValueError("one message per pair required")
     reachable = garble.closure_pairs(revealed, pairs)
 
-    guesses = []
-    total_queries = 0
-    for b, oracle_seed, setup_rng, dist_rng in _paired(trials, rng):
-        params = _trial_params(kappa_bits, oracle_seed, table_oracle)
+    def challenge(b, params, setup_rng):
         keyset = [symcrypt.keygen(params, setup_rng) for _ in range(n_keys)]
         cts: list[bytes] = []
         for (sources, targets), msg in zip(pairs, messages):
@@ -352,10 +342,9 @@ def run_closure_game(pairs: list[PairSpec], revealed: Sequence[int],
                                                payload, setup_rng))
             else:
                 cts.append(symcrypt.kdm_enc(params, keyset[sources[0]], payload, setup_rng))
-        view = ClosureView(params, {r: keyset[r] for r in revealed}, cts, pairs)
-        guesses.append((b, 1 if distinguisher(view, dist_rng) else 0))
-        total_queries += params.oracles.query_count()
-    return _report(guesses, total_queries)
+        return ClosureView(params, {r: keyset[r] for r in revealed}, cts, pairs)
+
+    return _play(distinguisher, challenge, kappa_bits, trials, rng, table_oracle)
 
 
 def closure_dist_masked_stats(view: ClosureView, rng) -> int:
@@ -500,22 +489,19 @@ def run_qkdm_game(queries: list[tuple[int, AffineKeyFn]], n_keys: int,
     """Same shape as the classical KDM game, but the challenger answers with
     Pauli-padded basis states of f(K) (or of zeros).  Classical harness:
     plaintext states are computational-basis strings."""
-    guesses = []
-    total_queries = 0
     kb = kappa_bits // 8
     lay = sparse.RegisterLayout((("m", kappa_bits),))
-    for b, oracle_seed, setup_rng, dist_rng in _paired(trials, rng):
-        params = _trial_params(kappa_bits, oracle_seed, table_oracle)
+
+    def challenge(b, params, setup_rng):
         keyset = [symcrypt.keygen(params, setup_rng) for _ in range(n_keys)]
         cts = []
         for index, fn in queries:
             plain = fn.evaluate(keyset) if b == 1 else bytes(kb)
             state = sparse.basis_state(lay, int.from_bytes(plain, "little"))
             cts.append(delegation.qkdm_enc(params, keyset[index], state, setup_rng))
-        view = QkdmView(params, cts, queries)
-        guesses.append((b, 1 if distinguisher(view, dist_rng) else 0))
-        total_queries += params.oracles.query_count()
-    return _report(guesses, total_queries)
+        return QkdmView(params, cts, queries)
+
+    return _play(distinguisher, challenge, kappa_bits, trials, rng, table_oracle)
 
 
 def qkdm_dist_padded_parity(view: QkdmView, rng) -> int:

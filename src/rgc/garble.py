@@ -180,12 +180,3 @@ def closure_pairs(revealed: Iterable[int],
                 covered.update(targets)
                 grew = True
     return frozenset(covered)
-
-
-def closure(revealed: Iterable[int], circ: CPCircuit) -> frozenset[int]:
-    """Wire-level closure of a revealed wire set under the circuit's gates."""
-    wires = set(revealed)
-    if not wires <= set(range(circ.num_wires)):
-        raise ValueError("revealed set contains unknown wires")
-    pairs = [(g.in_wires, g.out_wires) for g in circ.gates if isinstance(g, Toffoli)]
-    return closure_pairs(wires, pairs)

@@ -37,17 +37,18 @@ where w = ceil((exponent + 1) / 8) for the skeleton gate's exponent.  Tables
 are read by slicing and written whole.  The reader refuses other bundle
 versions (format 1 prefixed every row field with its u32 length; formats 1
 and 2 also sent every gate's wires; format 3 had no constant list and sent
-16 rows for every Toffoli), more than ``MAX_QUBITS`` qubits, a constant list
-that is not strictly increasing below ``num_inputs``, a gate count whose
-smallest records and tables could not fit in the bytes left, a skeleton
-phase exponent above ``circuit.DEFAULT_MAX_DENOM_EXP``, a skeleton
-``allocate_wires`` refuses (a qubit out of range, a Toffoli naming one qubit
-twice, a phase sign other than +-1, a constant qubit that is a Toffoli
-target or phased), and a job state whose basis strings are not strictly
-increasing, whose amplitudes are not finite or whose norm squared differs
-from 1 by more than ``sparse.NORM_TOL``; the writer refuses rows of other
-widths and X gates, which no skeleton carries (an X is a relabeling of its
-wire's keys on the client, see :mod:`rgc.garble`).
+16 rows for every Toffoli), more than ``MAX_QUBITS`` qubits, more constants
+than qubits, a gate count whose smallest records and tables could not fit in
+the bytes left, a skeleton phase exponent above
+``circuit.DEFAULT_MAX_DENOM_EXP``, a skeleton ``allocate_wires`` refuses (a
+qubit out of range, a Toffoli naming one qubit twice, a phase sign other
+than +-1, a constant list that is not strictly increasing below
+``num_inputs``, a constant qubit that is a Toffoli target or phased), and a
+job state whose basis strings are not strictly increasing, whose amplitudes
+are not finite or whose norm squared differs from 1 by more than
+``sparse.NORM_TOL``; the writer refuses rows of other widths and X gates,
+which no skeleton carries (an X is a relabeling of its wire's keys on the
+client, see :mod:`rgc.garble`).
 
 One request per connection keeps the exchange as non-interactive as the
 protocol itself: the client ships a job, the server ships back the evaluated
@@ -85,7 +86,7 @@ from .evaluate import EvalStats
 from .games import GameReport
 from .garble import GarbledBundle, PhaseTable, ToffoliTables, phase_payload_bytes, toffoli_rows
 from .oracle import HASH_MODE
-from .sparse import NORM_TOL, RegisterLayout, SparseState
+from .sparse import RegisterLayout, SparseState
 from .symcrypt import CryptoParams, row_bytes
 
 MAGIC = b"RGC1"
@@ -234,9 +235,6 @@ def _get_circuit(r: Reader, gate_bytes: int = _PHASE_RECORD) -> CPCircuit:
     if n_const > num_inputs:
         raise WireFormatError(f"{n_const} constant qubits among {num_inputs}")
     consts = r.unpack(struct.Struct(f"<{n_const}I"))
-    if any(b <= a for a, b in zip(consts, consts[1:])) or (consts and consts[-1] >= num_inputs):
-        raise WireFormatError("constant qubits must be strictly increasing and below "
-                              f"{num_inputs}")
     count = r.u32()
     left = len(r.data) - r.pos
     if count * gate_bytes > left:
@@ -434,10 +432,10 @@ def serialize_job(job: JobBundle, params: CryptoParams) -> bytes:
 def deserialize_job(data: bytes) -> tuple[JobBundle, CryptoParams]:
     r = Reader(data)
     state = deserialize_state(r.blob())
-    # squared by multiplying: a huge amplitude gives inf, never OverflowError
-    norm_sq = sum(a.real * a.real + a.imag * a.imag for a in state.terms.values())
-    if not abs(norm_sq - 1.0) <= NORM_TOL:
-        raise WireFormatError(f"state norm^2 {norm_sq!r} differs from 1")
+    try:
+        state._check_norm()
+    except ValueError as exc:
+        raise WireFormatError(str(exc)) from None
     bundle, params = deserialize_bundle(r.blob())
     r.done()
     return JobBundle(state, bundle), params
@@ -485,6 +483,17 @@ def unframe(data: bytes | bytearray) -> tuple[int, bytes]:
 
 class RemoteEvalError(RuntimeError):
     """The server reported an evaluation failure."""
+
+
+def _read_result(envelope: bytes | bytearray) -> tuple[SparseState, EvalStats]:
+    """The result a server's answer carries, for either transport; an error
+    envelope raises :class:`RemoteEvalError`."""
+    kind, payload = unframe(envelope)
+    if kind == KIND_ERROR:
+        raise RemoteEvalError(payload.decode())
+    if kind != KIND_RESULT:
+        raise WireFormatError(f"unexpected envelope kind {kind}")
+    return deserialize_result(payload)
 
 
 def evaluate_job_payload(payload: bytes) -> bytes:
@@ -591,12 +600,7 @@ def submit(host: str, port: int, job: JobBundle, params: CryptoParams,
     with socket.create_connection((host, port), timeout=timeout) as sock:
         sock.sendall(frame(KIND_JOB, serialize_job(job, params)))
         response = _read_envelope(sock)
-    kind, payload = unframe(response)
-    if kind == KIND_ERROR:
-        raise RemoteEvalError(payload.decode())
-    if kind != KIND_RESULT:
-        raise WireFormatError(f"unexpected envelope kind {kind}")
-    return deserialize_result(payload)
+    return _read_result(response)
 
 
 # ---------------------------------------------------------------------------
@@ -645,10 +649,7 @@ def collect_result(root: str, job_id: str, timeout: float = 30.0,
             raise TimeoutError(f"no result for job {job_id}")
         time.sleep(poll)
     with open(path, "rb") as fh:
-        kind, payload = unframe(fh.read())
-    if kind == KIND_ERROR:
-        raise RemoteEvalError(payload.decode())
-    return deserialize_result(payload)
+        return _read_result(fh.read())
 
 
 def serve_files(root: str, stop: threading.Event, poll: float = 0.1) -> None:

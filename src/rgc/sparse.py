@@ -84,12 +84,14 @@ class SparseState:
             self._check_norm()
 
     def _check_norm(self) -> None:
+        """Refuse a norm^2 off 1 by more than ``NORM_TOL``, and a NaN one."""
         norm = self.norm_sq()
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm^2 = {norm}, expected 1")
+        if not abs(norm - 1.0) <= NORM_TOL:
+            raise ValueError(f"state norm^2 {norm!r} differs from 1")
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self.terms.values())
+        # squared by multiplying: a huge amplitude gives inf, never OverflowError
+        return sum(a.real * a.real + a.imag * a.imag for a in self.terms.values())
 
     def num_terms(self) -> int:
         return len(self.terms)

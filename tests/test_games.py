@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from rgc.games import (AffineKeyFn, circuit_pairs, closure_dist_masked_stats,
                        key_recovery_experiment, qkdm_dist_padded_parity,
                        run_closure_game, run_ind_cpa_gbc, run_kdm_game,
                        run_qkdm_game, self_cycle_queries)
+from rgc.netio import serialize_report
 
 from conftest import make_params
 
@@ -247,3 +249,39 @@ def test_closure_game_with_constants():
                               closure_dist_masked_stats, CONST_CIRCUIT.num_wires, 16, 200,
                               random.Random(34))
     assert inputs.advantage_estimate == 0.0
+
+
+# ---------------------------------------------------------------------------
+# every game runner, distinguisher and positive control at fixed seeds: the
+# reports must stay bit-identical through any refactor of the game loops
+
+def test_game_reports_are_pinned():
+    digest = hashlib.blake2b()
+    reports = []
+
+    def play(game, *args, **kwargs):
+        report = game(*args, random.Random(100 + len(reports)), **kwargs)
+        reports.append(report)
+        digest.update(serialize_report(report))
+
+    for circ in (GAME_CIRCUIT, X_CIRCUIT, CONST_CIRCUIT):
+        for dist in (dist_constant, dist_random, dist_tag_grinding, dist_row_frequency,
+                     dist_encoded_parity, dist_constant_key):
+            play(run_ind_cpa_gbc, dist, circ, 16, 20)
+        play(run_ind_cpa_gbc, dist_leaked_decrypt, circ, 16, 20, leak_keys=True)
+    play(run_ind_cpa_gbc, dist_constant_key, CONST_CIRCUIT, 16, 20,
+         misdeclared_constants=True)
+    play(run_ind_cpa_gbc, dist_row_frequency, GAME_CIRCUIT, 16, 20, table_oracle=False)
+    queries = self_cycle_queries(2, 16) + [(0, AffineKeyFn((1,), b"\x55\xaa"))]
+    for dist in (kdm_dist_mask_equality, kdm_dist_tag_grinding, kdm_dist_first_byte):
+        play(run_kdm_game, queries, 2, dist, 16, 20)
+    play(run_kdm_game, queries, 2, kdm_dist_mask_equality, 16, 20, reuse_pads=True)
+    pairs = circuit_pairs(CONST_CIRCUIT) + [((0,), ()), ((1,), ())]
+    messages = [b""] * (len(pairs) - 2) + [b"\x01\x02", b"\x03"]
+    for dist in (closure_dist_masked_stats, closure_dist_revealed_decrypt):
+        play(run_closure_game, pairs, [0], messages, dist, CONST_CIRCUIT.num_wires, 16, 20)
+    play(run_qkdm_game, queries, 2, qkdm_dist_padded_parity, 16, 20)
+    assert len(reports) == 30 and all(r.trials == 20 for r in reports)
+    assert digest.hexdigest() == (
+        "d6b972a54332c8b53ae425fb3eb4a1e65a487387f96072f96c420c384c4ce232"
+        "30af9c08cf29dc8c76dd47d9d7a37bb0b9622e234638c603dfb592d5a79e40fd")

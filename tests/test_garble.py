@@ -6,10 +6,12 @@ from hypothesis import HealthCheck, given, settings
 from scipy import stats as scipy_stats
 
 from rgc import symcrypt
-from rgc.circuit import Toffoli, X, allocate_wires, parse_circuit, phase, toff, validate
+from rgc.circuit import Toffoli, X, allocate_wires, parse_circuit, phase, toff
 from rgc.encoding import KeySchedule, WireKeyPair, gen_keys
-from rgc.garble import (PhaseTable, ToffoliTables, closure, closure_pairs,
-                        garble_circuit, garble_phase, garble_toffoli, phase_payload)
+from rgc.games import circuit_pairs
+from rgc.garble import (PhaseTable, ToffoliTables, closure_pairs, garble_circuit,
+                        garble_phase, garble_toffoli, phase_payload)
+from rgc.netio import deserialize_circuit, serialize_circuit
 
 from conftest import circuits_and_states, make_params
 
@@ -161,7 +163,7 @@ def test_skeleton_is_the_circuit_without_x_property(case):
     assert (skeleton.num_inputs, skeleton.num_wires, skeleton.output_wires,
             skeleton.const_qubits) == \
         (circ.num_inputs, circ.num_wires, circ.output_wires, circ.const_qubits)
-    validate(skeleton)
+    assert deserialize_circuit(serialize_circuit(skeleton)) == skeleton
     assert len(bundle.tables) == len(skeleton.gates)
     for gate, table in zip(skeleton.gates, bundle.tables):
         if isinstance(gate, Toffoli):
@@ -210,16 +212,16 @@ def test_schedule_must_cover_circuit():
 # closure ---------------------------------------------------------------------
 
 def test_closure_single_gate():
-    assert closure({0, 1, 2}, ONE_TOFFOLI) == frozenset(range(6))
+    assert closure_pairs({0, 1, 2}, circuit_pairs(ONE_TOFFOLI)) == frozenset(range(6))
 
 
 def test_closure_partial_inputs_no_growth():
-    assert closure({0, 1}, ONE_TOFFOLI) == frozenset({0, 1})
+    assert closure_pairs({0, 1}, circuit_pairs(ONE_TOFFOLI)) == frozenset({0, 1})
 
 
 def test_closure_ignores_phase_gates():
     circ = parse_circuit("inputs 1\nphase 0 1\n")
-    assert closure({0}, circ) == frozenset({0})
+    assert closure_pairs({0}, circuit_pairs(circ)) == frozenset({0})
 
 
 def _brute_force_closure(revealed, pairs):
@@ -233,8 +235,8 @@ def _brute_force_closure(revealed, pairs):
 
 def test_closure_chain_matches_brute_force():
     circ = allocate_wires([toff(0, 1, 2)] * 3, 3)
-    got = closure({0, 1, 2}, circ)
-    pairs = [(g.in_wires, g.out_wires) for g in circ.gates]
+    pairs = circuit_pairs(circ)
+    got = closure_pairs({0, 1, 2}, pairs)
     assert got == _brute_force_closure({0, 1, 2}, pairs)
     assert got == frozenset(range(circ.num_wires))
 

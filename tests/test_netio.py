@@ -258,6 +258,15 @@ def test_socket_and_file_transports_agree():
     assert fidelity(decoded, simulate(circ, state)) >= 1 - 1e-9
 
 
+def test_collect_result_refuses_an_envelope_that_is_not_a_result(tmp_path):
+    circ, keys, params, state, job = _job_fixture(seed=10)
+    (tmp_path / "outbox").mkdir()
+    (tmp_path / "outbox" / "j1.rgc").write_bytes(
+        frame(netio.KIND_JOB, serialize_job(job, params)))
+    with pytest.raises(WireFormatError, match="^unexpected envelope kind 1$"):
+        netio.collect_result(str(tmp_path), "j1", timeout=0)
+
+
 def test_server_reports_evaluation_errors():
     circ, keys, params, state, job = _job_fixture(seed=11)
     data = bytearray(serialize_job(job, params))
@@ -296,7 +305,7 @@ def test_no_schedule_keys_leak_into_the_job():
         pairs.append(WireKeyPair(k0, k1))
         sentinels += [k0, k1]
     schedule = KeySchedule(64, tuple(pairs))
-    keys = delegation.DelegationKeys(schedule, 64, 64, 3)
+    keys = delegation.DelegationKeys(schedule)
     params = delegation.make_params(64, oracle_seed=b"sentinel")
     state = random_state(qubit_layout(3), rng)
     job = delegation.encrypt(params, keys, circ, state, rng)
@@ -586,8 +595,7 @@ CONST_JOB_CIRCUIT = "inputs 3\nconst 0\ntoff 0 1 2\n"
 # at 8, gate count at 12, the first record at 16 and its qubits at 17
 @pytest.mark.parametrize("patch, message", [
     (_set(4, "<I", 4), b"WireFormatError: 4 constant qubits among 3"),
-    (_set(8, "<I", 3),
-     b"WireFormatError: constant qubits must be strictly increasing and below 3"),
+    (_set(8, "<I", 3), b"CircuitError: constant qubits (3,) out of range (N=3)"),
     (_set(8, "<I", 2), b"CircuitError: constant qubit 2 is a toffoli target"),
     # one Toffoli record and 8 rows of 66 bytes follow; a gate takes at
     # least 50 (a phase record and two rows of 21)
@@ -603,7 +611,7 @@ def test_skeleton_constants_refused_get_error_envelope(patch, message):
 
 def test_unsorted_constants_are_refused():
     data = struct.pack("<5I", 3, 2, 1, 1, 0)      # constants 1, 1 and no gates
-    with pytest.raises(WireFormatError, match="strictly increasing"):
+    with pytest.raises(CircuitError, match=r"strictly increasing, got \(1, 1\)"):
         deserialize_circuit(data)
 
 

@@ -197,6 +197,21 @@ def test_norm_validation():
         SparseState(lay, {0: 0.5 + 0j})
 
 
+def test_huge_amplitude_fails_the_norm_check_not_the_arithmetic():
+    # squaring 1e200 overflows a float; the norm is then inf, not an error
+    lay = layout(("r", 2))
+    with pytest.raises(ValueError, match="norm"):
+        SparseState(lay, {0: 1e200 + 0j, 1: 0.5 + 0j})
+    huge = SparseState(lay, {0: 1e200 + 0j}, check=False)
+    with pytest.raises(ValueError, match="norm"):
+        qft(huge, "r")
+
+
+def test_nan_amplitude_fails_the_norm_check():
+    with pytest.raises(ValueError, match="norm"):
+        SparseState(layout(("r", 1)), {0: complex(math.nan, 0.0)})
+
+
 # dense reference agreement -------------------------------------------------
 
 def _dense_permutation(perm, vec):
