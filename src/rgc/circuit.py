@@ -447,18 +447,6 @@ class UniversalMachine:
         return value
 
 
-def _demux_plan(n_codes: int, width: int) -> list[tuple[int, ...]]:
-    """Prefixes (MSB-first bit tuples) of length >= 2 that cover [0, n_codes),
-    in emission order (sorted = preorder by value)."""
-    prefixes = []
-    for depth in range(2, width + 1):
-        for value in range(1 << depth):
-            lo = value << (width - depth)
-            if lo < n_codes:
-                prefixes.append(tuple((value >> (depth - 1 - j)) & 1 for j in range(depth)))
-    return prefixes
-
-
 def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
                  max_gates: int) -> tuple[UniversalMachine, list[GateDescription]]:
     """Build the fixed interpreter circuit for (n_qubits, max_denom_exp,
@@ -492,10 +480,8 @@ def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
     for _ in range(slots):
         desc_qubits.append(tuple(range(pos, pos + width)))
         pos += width
-    neg = list(range(pos, pos + width)); pos += width
-    plan = _demux_plan(n_codes, width)
-    tree = {prefix: pos + i for i, prefix in enumerate(plan)}
-    pos += len(plan)
+    ands = list(range(pos, pos + width - 1))    # the AND ancilla of depths 2..width
+    pos += width - 1
     opanc = pos; pos += 1
     total_qubits = pos
 
@@ -504,46 +490,57 @@ def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
     def cnot(a, t):
         gates.append(toff(c0, a, t))
 
-    def bit_or_neg(slot_bits, depth, want):
-        return slot_bits[depth] if want else neg[depth]
+    def operate(code, m):
+        """The operation of one code, controlled by its match wire m."""
+        if code < 3 * n:
+            w, a = data[code // 3], aux[code % 3]
+            cnot(a, w)
+            gates.append(toff(m, w, a))
+            cnot(a, w)
+        elif code == 3 * n:
+            gates.append(toff(m, aux[0], opanc))
+            gates.append(toff(opanc, aux[1], aux[2]))
+            gates.append(toff(m, aux[0], opanc))
+        else:
+            rel = code - (3 * n + 1)
+            w, d = data[rel // d_max], rel % d_max + 1
+            gates.append(toff(m, w, opanc))
+            gates.append(phase(opanc, d))
+            gates.append(toff(m, w, opanc))
 
+    def walk(slot_bits, m, depth, lo):
+        """Visit the codes below the depth-bit prefix of lo, whose match is
+        on wire m, in increasing order.  The left child's ancilla is m AND
+        NOT bit (an X is free); one CNOT from m turns it into the right
+        child's, and a Toffoli on the unflipped bit clears either."""
+        if depth == width:
+            operate(lo, m)
+            return
+        bit, anc = slot_bits[depth], ands[depth - 1]
+        right = lo + (1 << (width - 1 - depth))
+        gates.extend([x(bit), toff(m, bit, anc)])
+        walk(slot_bits, anc, depth + 1, lo)
+        if right < n_codes - 1:             # an operation code lies to the right
+            gates.append(x(bit))
+            cnot(m, anc)
+            walk(slot_bits, anc, depth + 1, right)
+            gates.append(toff(m, bit, anc))
+        else:
+            gates.extend([toff(m, bit, anc), x(bit)])
+
+    # Each slot decodes its code by unary iteration (Babbush et al., PRX
+    # 2018): a depth-first walk of the code tree with one AND ancilla per
+    # level, where a node's match is its parent's AND one description bit.
+    # Depth 1 matches the top bit itself, so the walk needs width - 1
+    # ancillas and visits only prefixes of the operation codes.
+    half = 1 << (width - 1)
     for slot_bits in desc_qubits:
-        # negated copies of this slot's description bits
-        neg_gates = []
-        for j in range(width):
-            neg_gates += [toff(c0, slot_bits[j], neg[j]), x(neg[j])]
-        gates += neg_gates
-        # demux tree: one match wire per prefix of depth >= 2
-        tree_gates = []
-        for prefix in plan:
-            depth = len(prefix)
-            parent = (tree[prefix[:-1]] if depth > 2
-                      else bit_or_neg(slot_bits, 0, prefix[0]))
-            tree_gates.append(toff(parent, bit_or_neg(slot_bits, depth - 1, prefix[-1]),
-                                   tree[prefix]))
-        gates += tree_gates
-        # code-controlled operations, canonical order
-        for code in range(n_codes - 1):       # identity emits nothing
-            pattern = tuple((code >> (width - 1 - j)) & 1 for j in range(width))
-            m = tree[pattern]
-            if code < 3 * n:
-                w, a = data[code // 3], aux[code % 3]
-                cnot(a, w)
-                gates.append(toff(m, w, a))
-                cnot(a, w)
-            elif code == 3 * n:
-                gates.append(toff(m, aux[0], opanc))
-                gates.append(toff(opanc, aux[1], aux[2]))
-                gates.append(toff(m, aux[0], opanc))
-            else:
-                rel = code - (3 * n + 1)
-                w, d = data[rel // d_max], rel % d_max + 1
-                gates.append(toff(m, w, opanc))
-                gates.append(phase(opanc, d))
-                gates.append(toff(m, w, opanc))
-        # uncompute tree and negated copies
-        gates += [g for g in reversed(tree_gates)]
-        gates += [g for g in reversed(neg_gates)]
+        top = slot_bits[0]
+        gates.append(x(top))
+        walk(slot_bits, top, 1, 0)
+        gates.append(x(top))
+        if half < n_codes - 1:
+            walk(slot_bits, top, 1, half)
 
     machine = UniversalMachine(
         circuit=allocate_wires(gates, total_qubits, (c0,)),

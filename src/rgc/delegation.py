@@ -159,7 +159,12 @@ def blind_delegate(circ: CPCircuit, input_state: SparseState, max_gates: int,
 # The multiplication-by-constant permutations are tiny at desk scale, so each
 # one is synthesized from its cycle decomposition: every cycle becomes a chain
 # of basis-state transpositions, every transposition a multi-controlled X
-# conjugated by CNOTs.  Exhaustively checkable beats gate-count-optimal here.
+# conjugated by CNOTs.  The multi-controlled X is an AND ladder whose last rung
+# targets the wire itself (Barenco et al., PRA 1995): k controls cost 2k - 3
+# Toffolis and k - 2 ancillas.  The first multiplication that is not the
+# identity meets the accumulator at its start value 1, so it only writes
+# 1 ^ mult under its exponent bit: one CNOT per set bit.  Neither step uses
+# the order of the base, and the tests check every exponent exhaustively.
 
 @dataclass(frozen=True)
 class ModexpCircuit:
@@ -191,8 +196,8 @@ def synth_modexp_toffoli(modulus: int, base: int, n_exp: int | None = None) -> M
     """Reversible circuit computing acc = base^exp mod modulus (acc starts 1).
 
     Works for modulus <= 64; exponent register defaults to 2*ceil(log2 M).
-    Every ancilla provably returns to zero (the transposition ladders
-    compute and uncompute their own scratch).
+    Each ladder has n_value controls (the exponent bit and all accumulator
+    bits but one), so n_value - 2 ancillas, and uncomputes them to zero.
     """
     if modulus > 64 or modulus < 3:
         raise SynthesisError("modulus out of the supported desk-scale range")
@@ -205,8 +210,7 @@ def synth_modexp_toffoli(modulus: int, base: int, n_exp: int | None = None) -> M
     exp_qubits = tuple(range(n_exp))
     acc_qubits = tuple(range(n_exp, n_exp + n_value))
     c0 = n_exp + n_value
-    n_controls = 1 + (n_value - 1)                      # exponent bit + pattern bits
-    anc_qubits = tuple(range(c0 + 1, c0 + 1 + max(0, n_controls - 1)))
+    anc_qubits = tuple(range(c0 + 1, c0 + n_value - 1))
     total = c0 + 1 + len(anc_qubits)
 
     gates: list[tuple] = []
@@ -215,26 +219,17 @@ def synth_modexp_toffoli(modulus: int, base: int, n_exp: int | None = None) -> M
         gates.append(toff(c0, ctrl, tgt))
 
     def mcx(controls: list[tuple[int, int]], target: int):
-        """Multi-controlled X with per-control polarity, via an AND ladder."""
+        """Multi-controlled X with per-control polarity, via an AND ladder
+        whose last rung writes the target."""
         flips = [q for q, want in controls if want == 0]
-        gates.extend(x(q) for q in flips)
         wires = [q for q, _ in controls]
-        if len(wires) == 1:
-            cnot(wires[0], target)
-        elif len(wires) == 2:
-            gates.append(toff(wires[0], wires[1], target))
-        else:
-            ladder = []
-            acc = anc_qubits[0]
-            ladder.append(toff(wires[0], wires[1], acc))
-            for i, w in enumerate(wires[2:], start=1):
-                nxt = anc_qubits[i]
-                ladder.append(toff(acc, w, nxt))
-                acc = nxt
-            gates.extend(ladder)
-            cnot(acc, target)
-            gates.extend(reversed(ladder))
-        gates.extend(x(q) for q in flips)
+        ladder = []
+        acc = wires[0]
+        for w, nxt in zip(wires[1:-1], anc_qubits):
+            ladder.append(toff(acc, w, nxt))
+            acc = nxt
+        gates.extend([x(q) for q in flips] + ladder + [toff(acc, wires[-1], target)]
+                     + ladder[::-1] + [x(q) for q in flips])
 
     def transpose(exp_qubit: int, u: int, v: int):
         """Swap accumulator basis states u <-> v, only where exp_qubit is 1."""
@@ -256,6 +251,11 @@ def synth_modexp_toffoli(modulus: int, base: int, n_exp: int | None = None) -> M
     for j, exp_qubit in enumerate(exp_qubits):
         mult = pow(base, 1 << j, modulus)
         if mult == 1:
+            continue
+        if not gates:                   # the accumulator still holds 1
+            for q in range(n_value):
+                if ((1 ^ mult) >> q) & 1:
+                    cnot(exp_qubit, acc_qubits[q])
             continue
         perm = [(x * mult) % modulus if x < modulus else x for x in range(size)]
         emitted: list[tuple[int, int]] = []

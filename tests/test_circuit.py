@@ -1,5 +1,6 @@
 import cmath
 import hashlib
+import itertools
 import math
 import random
 
@@ -186,12 +187,12 @@ def test_validate_refuses_unsorted_constants():
 def test_generators_declare_their_constant():
     machine, _ = universalize(allocate_wires([], 3), 3, 3, 4)
     assert machine.circuit.const_qubits == machine.const_qubits == (6,)
-    # every toffoli row of the interpreter: 840 of its 3920 toffolis have the
+    # every toffoli row of the interpreter: 1008 of its 3024 toffolis have the
     # constant as a control and carry 4 + 4 rows
     toffolis = [g for g in machine.circuit.gates if isinstance(g, Toffoli)]
     controlled = sum(6 in g.qubits[:2] for g in toffolis)
-    assert (len(toffolis), controlled) == (3920, 840)
-    assert 16 * len(toffolis) - 8 * controlled == 56_000
+    assert (len(toffolis), controlled) == (3024, 1008)
+    assert 16 * len(toffolis) - 8 * controlled == 40_320
 
 def test_decompose_exact_half_pi():
     assert decompose_phase(1, 1) == [(1, 1)]
@@ -300,6 +301,22 @@ def test_universalize_random_circuits_sound():
         assert sparse.fidelity(got, simulate(circ, state)) >= 1 - 1e-9
 
 
+_SINGLE_GATE_PROGRAMS = ([toff(*order) for order in itertools.permutations(range(3))]
+                         + [phase(q, d, sign) for q in range(3) for d in range(4)
+                            for sign in (1, -1)])
+
+
+@pytest.mark.parametrize("gate", _SINGLE_GATE_PROGRAMS, ids=lambda g: "_".join(map(str, g)))
+def test_universal_machine_runs_every_code(gate):
+    # together these programs reach every swap, Toffoli and phase code, so
+    # every leaf of the decoder's code tree is run
+    circ = allocate_wires([gate], 3)
+    machine, desc = universalize(circ, 3, 3, 1)
+    state = sparse.random_state(sparse.qubit_layout(3), random.Random(str(gate)))
+    got = _run_machine(machine, desc, state)
+    assert sparse.fidelity(got, simulate(circ, state)) >= 1 - 1e-12
+
+
 def test_universalize_zero_denom_phase_lowered():
     circ = allocate_wires([phase(0, 0)], 1)    # a bare Z
     machine, desc = universalize(circ, 1, 2, 1)
@@ -331,9 +348,14 @@ def test_universal_machine_emits_native_x_and_one_constant():
     machine, _ = universalize(allocate_wires([], 3), 3, 3, 4)
     assert machine.const_qubits == (3 + 3,)
     n_x = sum(isinstance(g, X) for g in machine.circuit.gates)
-    # two negations per description bit per slot, compute and uncompute
-    assert n_x == 2 * machine.code_width * machine.slots
-    assert (machine.circuit.num_inputs, len(without_x(machine.circuit).gates)) == (222, 4172)
+    # two negations per slot for each node of the code tree above the leaves:
+    # each node's left branch tests a flipped description bit
+    bits = [tuple((code >> (machine.code_width - 1 - j)) & 1
+                  for j in range(machine.code_width))
+            for code in range(machine.identity_code)]
+    inner = {b[:depth] for b in bits for depth in range(machine.code_width)}
+    assert n_x == 2 * len(inner) * machine.slots == 44 * machine.slots
+    assert (machine.circuit.num_inputs, len(without_x(machine.circuit).gates)) == (181, 3276)
 
 
 def test_universal_machine_refuses_a_program_with_x():

@@ -3,7 +3,8 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from rgc import netio, sparse, symcrypt
 from rgc.circuit import (Toffoli, X, allocate_wires, parse_circuit, random_circuit,
@@ -123,30 +124,48 @@ def test_modexp_base_one_is_constant():
         assert mx.state_layout.extract(out, "acc") == 1
 
 
-def test_modexp_truth_table_exhaustive():
-    mx = synth_modexp_toffoli(15, 7)
+def _assert_modexp_table(mx):
+    """For every exponent: exp kept, acc = base^exp mod M, ancillas 0, const 1."""
     rest = mx.initial_rest()
-    for x in range(1 << mx.n_exp):
-        out = eval_classical(mx.circuit, rest | x)
-        assert mx.state_layout.extract(out, "exp") == x
-        assert mx.state_layout.extract(out, "acc") == pow(7, x, 15)
-        assert mx.state_layout.extract(out, "anc") == 0
+    for e in range(1 << mx.n_exp):
+        out = eval_classical(mx.circuit, rest | e)
+        assert mx.state_layout.extract(out, "exp") == e
+        assert mx.state_layout.extract(out, "acc") == pow(mx.base, e, mx.modulus)
+        assert all(not (out >> q) & 1 for q in mx.anc_qubits)
         assert mx.state_layout.extract(out, "const") == 1
+
+
+@pytest.mark.parametrize("modulus, base", [(15, 7), (15, 2), (21, 2), (21, 5)])
+def test_modexp_truth_table_exhaustive(modulus, base):
+    _assert_modexp_table(synth_modexp_toffoli(modulus, base))
+
+
+_COPRIME = [(m, a) for m in range(3, 65) for a in range(2, m) if math.gcd(a, m) == 1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_COPRIME))
+@example((3, 2))
+@example((64, 27))
+def test_modexp_truth_table_every_ladder_width(case):
+    # M from 3 to 64 gives transposition ladders of 2 to 7 controls; only
+    # M = 3 and M = 64 reach the two ends, so both are always run
+    _assert_modexp_table(synth_modexp_toffoli(*case, n_exp=5))
 
 
 def test_modexp_writes_x_natively():
     mx = synth_modexp_toffoli(21, 2)
     gates = mx.circuit.gates
     n_x = sum(isinstance(g, X) for g in gates)
-    assert (len(gates), n_x, len(gates) - n_x) == (2055, 554, 1501)
-    assert (mx.circuit.num_wires, mx.circuit.num_inputs) == (4523, 20)
+    assert (len(gates), n_x, len(gates) - n_x) == (1586, 486, 1100)
+    assert (mx.circuit.num_wires, mx.circuit.num_inputs) == (3319, 19)
     assert mx.const_qubits == (mx.n_exp + mx.n_value,)
     # the one constant qubit only ever controls CNOTs
     assert all(g.qubits[1] not in mx.const_qubits for g in gates if isinstance(g, Toffoli))
-    # and is declared, so 517 of the 1501 Toffolis carry 4 + 4 rows
+    # and is declared, so 344 of the 1100 Toffolis carry 4 + 4 rows
     assert mx.circuit.const_qubits == mx.const_qubits
     controlled = sum(g.qubits[0] in mx.const_qubits for g in gates if isinstance(g, Toffoli))
-    assert controlled == 517 and 16 * 1501 - 8 * controlled == 19_880
+    assert controlled == 344 and 16 * 1100 - 8 * controlled == 14_848
 
 
 def test_encrypt_refuses_a_constant_that_is_not_one():
