@@ -179,7 +179,7 @@ def allocate_wires(logical_gates: Iterable[LogicalGate], n_inputs: int,
 # ---------------------------------------------------------------------------
 # text format
 
-def parse_circuit(text: str, max_denom_exp: int = DEFAULT_MAX_DENOM_EXP) -> CPCircuit:
+def parse_circuit(text: str) -> CPCircuit:
     n_inputs = None
     consts: set[int] = set()
     logical: list[LogicalGate] = []
@@ -219,8 +219,9 @@ def parse_circuit(text: str, max_denom_exp: int = DEFAULT_MAX_DENOM_EXP) -> CPCi
                 if len(fields) not in (3, 4) or (len(fields) == 4 and fields[3] != "neg"):
                     raise CircuitSyntaxError(line_no, "phase needs: qubit, exponent, [neg]")
                 a, d = int(fields[1]), int(fields[2])
-                if d > max_denom_exp:
-                    raise CircuitSyntaxError(line_no, f"exponent {d} above bound {max_denom_exp}")
+                if d > DEFAULT_MAX_DENOM_EXP:
+                    raise CircuitSyntaxError(
+                        line_no, f"exponent {d} above bound {DEFAULT_MAX_DENOM_EXP}")
                 logical.append(phase(a, d, -1 if len(fields) == 4 else 1))
             elif fields[0] == "x":
                 if n_inputs is None:
@@ -257,10 +258,10 @@ def format_circuit(circ: CPCircuit) -> str:
 
 
 def random_circuit(rng: random.Random, n_qubits: int, n_gates: int,
-                   max_denom_exp: int = 3, toffoli_bias: float = 0.5) -> CPCircuit:
+                   max_denom_exp: int = 3) -> CPCircuit:
     logical: list[LogicalGate] = []
     for _ in range(n_gates):
-        if n_qubits >= 3 and rng.random() < toffoli_bias:
+        if n_qubits >= 3 and rng.random() < 0.5:
             logical.append(toff(*rng.sample(range(n_qubits), 3)))
         else:
             logical.append(phase(rng.randrange(n_qubits), rng.randint(0, max_denom_exp),
@@ -327,33 +328,12 @@ def flipped_wires(circ: CPCircuit) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # phase-angle decomposition
 
-def decompose_phase(angle_num: int | float, denom_exp: int | None,
-                    max_denom_exp: int = DEFAULT_MAX_DENOM_EXP) -> list[tuple[int, int]]:
-    """Split R_Z(theta) into R_Z(pi/2^j) factors, returned as (j, sign) pairs.
-
-    Exact form: theta = angle_num * pi / 2^denom_exp with integer angle_num.
-    Float form (denom_exp None): angle_num is theta in radians, binary-expanded
-    to max_denom_exp bits, so the composition is within pi/2^max_denom_exp.
-    All returned signs are +1: negative angles wrap around mod 2*pi.
-    """
-    if denom_exp is None:
-        frac = (angle_num / math.pi) % 2.0
-        k = round(frac * (1 << max_denom_exp)) % (1 << (max_denom_exp + 1))
-        d = max_denom_exp
-    else:
-        if denom_exp > max_denom_exp:
-            raise CircuitError(f"exponent {denom_exp} above bound {max_denom_exp}")
-        k = int(angle_num) % (1 << (denom_exp + 1))
-        d = denom_exp
-    gates = []
-    for j in range(d + 1):
-        if (k >> (d - j)) & 1:
-            gates.append((j, 1))
-    return gates
-
-
-def composed_phase_angle(gates: Sequence[tuple[int, int]]) -> float:
-    return sum(sign * math.pi / (1 << j) for j, sign in gates)
+def decompose_phase(angle_num: int, denom_exp: int) -> list[int]:
+    """Split R_Z(angle_num * pi / 2^denom_exp) into R_Z(pi/2^j) factors and
+    return their exponents j.  A negative angle wraps around mod 2*pi, so
+    every factor turns the same way."""
+    k = angle_num % (1 << (denom_exp + 1))
+    return [j for j in range(denom_exp + 1) if (k >> (denom_exp - j)) & 1]
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +350,6 @@ def composed_phase_angle(gates: Sequence[tuple[int, int]]) -> float:
 # d=0 phases (bare Z) are compiled as two d=1 codes, so the code table stays
 # at the three source gate types.  The code width is taken from the documented
 # bound with N' = N+3; the actual table is smaller and must fit underneath.
-
-@dataclass(frozen=True)
-class GateDescription:
-    code: int
-    width: int
-
-    def bits(self) -> tuple[int, ...]:
-        """MSB-first bit pattern as fed to the description wires."""
-        return tuple((self.code >> (self.width - 1 - j)) & 1 for j in range(self.width))
-
 
 @dataclass(frozen=True)
 class UniversalMachine:
@@ -417,38 +387,43 @@ class UniversalMachine:
                 codes += swaps + [self.toffoli_code] + swaps
             elif isinstance(g, X):
                 raise CircuitError("the universal machine has no X code")
+            elif g.denom_exp > self.max_denom_exp:
+                raise CircuitError("circuit uses a finer phase than the machine supports")
             else:
-                for j, _ in decompose_phase(g.sign, g.denom_exp, self.max_denom_exp):
+                for j in decompose_phase(g.sign, g.denom_exp):
                     if j == 0:
                         codes += [self.phase_code(g.qubit, 1)] * 2
                     else:
                         codes.append(self.phase_code(g.qubit, j))
         return codes
 
-    def describe(self, circ: CPCircuit) -> list[GateDescription]:
-        """Compile a circuit to the padded description program."""
+    def describe(self, circ: CPCircuit) -> list[int]:
+        """Compile a circuit to the padded description program, one code
+        per slot."""
         if circ.num_inputs != self.n_data:
             raise CircuitError("circuit width differs from the machine's")
         codes = self.compile_codes(circ)
         if len(codes) > self.slots:
             raise CircuitError(f"program needs {len(codes)} slots, machine has {self.slots}")
         codes += [self.identity_code] * (self.slots - len(codes))
-        return [GateDescription(c, self.code_width) for c in codes]
+        return codes
 
-    def prep_bits(self, desc: Sequence[GateDescription]) -> int:
-        """Initial basis value of every non-data qubit (const 1, desc bits,
-        aux and scratch 0), positioned for OR-ing with the data bits."""
+    def prep_bits(self, desc: Sequence[int]) -> int:
+        """Initial basis value of every non-data qubit (const 1, each slot's
+        code MSB first on its description qubits, aux and scratch 0),
+        positioned for OR-ing with the data bits."""
         if len(desc) != self.slots:
             raise CircuitError("description length differs from slot count")
         value = self.circuit.const_mask
-        for slot_qubits, d in zip(self.desc_qubits, desc):
-            for qubit, bit in zip(slot_qubits, d.bits()):
-                value |= bit << qubit
+        top = self.code_width - 1
+        for slot_qubits, code in zip(self.desc_qubits, desc):
+            for j, qubit in enumerate(slot_qubits):
+                value |= ((code >> (top - j)) & 1) << qubit
         return value
 
 
 def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
-                 max_gates: int) -> tuple[UniversalMachine, list[GateDescription]]:
+                 max_gates: int) -> tuple[UniversalMachine, list[int]]:
     """Build the fixed interpreter circuit for (n_qubits, max_denom_exp,
     max_gates) and the description program that makes it compute circ.
 
@@ -459,8 +434,6 @@ def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
         raise CircuitError("circuit width differs from declared qubit count")
     if max_denom_exp < 1:
         raise CircuitError("universal machine needs max_denom_exp >= 1")
-    if any(isinstance(g, Phase) and g.denom_exp > max_denom_exp for g in circ.gates):
-        raise CircuitError("circuit uses a finer phase than the machine supports")
     if len(circ.gates) > max_gates:
         raise CircuitError(f"circuit has {len(circ.gates)} gates, cap is {max_gates}")
 

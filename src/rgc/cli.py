@@ -81,19 +81,12 @@ def format_state(state: sparse.SparseState) -> str:
     return "\n".join(lines)
 
 
-def _oracle_seed(args) -> bytes:
-    if args.oracle_seed is not None:
-        return bytes.fromhex(args.oracle_seed)
-    return derive_seed(args.seed, "oracle").to_bytes(8, "little")
-
-
 def _params_for(args, kappa_bits: int) -> delegation.CryptoParams:
-    if getattr(args, "table_oracle", False):
-        return delegation.make_params(kappa_bits, tag_len_bits=args.tag_len,
-                                      table_mode=True,
-                                      table_seed=derive_seed(args.seed, "oracle"))
-    return delegation.make_params(kappa_bits, tag_len_bits=args.tag_len,
-                                  oracle_seed=_oracle_seed(args))
+    if args.oracle_seed is not None:
+        seed = bytes.fromhex(args.oracle_seed)
+    else:
+        seed = derive_seed(args.seed, "oracle").to_bytes(8, "little")
+    return delegation.make_params(kappa_bits, tag_len_bits=args.tag_len, oracle_seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +94,7 @@ def _params_for(args, kappa_bits: int) -> delegation.CryptoParams:
 
 def cmd_keygen(args) -> int:
     circ = _load_circuit(args.circuit)
-    n_q = args.nq if args.nq is not None else circ.num_inputs
-    keys = delegation.keygen(args.eta, n_q, circ, derive_rng(args.seed, "keygen"),
+    keys = delegation.keygen(args.eta, circ.num_inputs, circ, derive_rng(args.seed, "keygen"),
                              conjecture=args.conjecture_1)
     _write_bin(args.out, netio.serialize_schedule(keys.schedule))
     print(f"kappa={keys.kappa_bits} wires={keys.schedule.num_wires} -> {args.out}")
@@ -147,11 +139,7 @@ def cmd_eval(args) -> int:
     state = netio.deserialize_state(_read_bin(args.state))
     out, stats = evaluate.eval_bundle(params, state, bundle)
     _write_bin(args.out, netio.serialize_state(out))
-    line = stats.to_json()
-    if args.stats:
-        with open(args.stats, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-    print(line)
+    print(stats.to_json())
     return 0
 
 
@@ -182,7 +170,7 @@ def cmd_delegate(args) -> int:
         netio.submit_file(args.dir, job_id, job, params)
         out, stats = netio.collect_result(args.dir, job_id, timeout=args.timeout)
     else:
-        out, stats = delegation.run_job(params, job)
+        out, stats = evaluate.eval_bundle(params, job.encoded_state, job.garbled)
     decoded = delegation.decrypt(keys, circ, out)
     if args.out:
         _write_bin(args.out, netio.serialize_state(decoded))
@@ -329,7 +317,6 @@ def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
         p.add_argument("--tag-len", type=int, default=128)
         p.add_argument("--oracle-seed", type=str, default=None,
                        help="hex; defaults to a seed-derived value")
-        p.add_argument("--table-oracle", action="store_true")
     if "eta" in flags:
         p.add_argument("--eta", type=int, default=16)
         p.add_argument("--conjecture-1", action="store_true", dest="conjecture_1",
@@ -343,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="sample a key schedule for a circuit")
     p.add_argument("--circuit", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--nq", type=int, default=None, help="quantum input count")
     _add_common(p, "eta")
     p.set_defaults(fn=cmd_keygen)
 
@@ -366,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bundle", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--stats", default=None, help="append a JSON-lines stats record")
     _add_common(p)
     p.set_defaults(fn=cmd_eval)
 

@@ -2,10 +2,11 @@
 
 The one-round delegation flow:
 
-    keys = keygen(eta, n_quantum, circuit, rng)
-    job  = encrypt(params, keys, circuit, state, rng)     # client
-    out  = run_job(params, job)                           # server
-    res  = decrypt(keys, circuit, out)                    # client
+    keys = keygen(eta, n_quantum, circuit, rng)                   # client
+    job = encrypt(params, keys, circuit, state, rng)              # client
+    out, stats = evaluate.eval_bundle(params, job.encoded_state,
+                                      job.garbled)                # server
+    res = decrypt(keys, circuit, out)                             # client
 
 Key length defaults to eta + 4 * n_quantum (rounded up to a byte), where
 n_quantum counts only genuinely quantum input qubits: classical inputs encode
@@ -91,11 +92,6 @@ def encrypt(params: CryptoParams, keys: DelegationKeys, circ: CPCircuit,
     return JobBundle(encoded, bundle)
 
 
-def run_job(params: CryptoParams, job: JobBundle) -> tuple[SparseState, EvalStats]:
-    """The server's whole role."""
-    return evaluate.eval_bundle(params, job.encoded_state, job.garbled)
-
-
 def decrypt(keys: DelegationKeys, circ: CPCircuit, result: SparseState) -> SparseState:
     return encoding.decode(result, keys.schedule, circ.output_wires, flipped_wires(circ))
 
@@ -104,7 +100,7 @@ def delegate(params: CryptoParams, keys: DelegationKeys, circ: CPCircuit,
              input_state: SparseState, rng: random.Random) -> tuple[SparseState, EvalStats]:
     """Client and server in one process; the acceptance oracle for both."""
     job = encrypt(params, keys, circ, input_state, rng)
-    out, stats = run_job(params, job)
+    out, stats = evaluate.eval_bundle(params, job.encoded_state, job.garbled)
     return decrypt(keys, circ, out), stats
 
 
@@ -138,7 +134,7 @@ def blind_delegate(circ: CPCircuit, input_state: SparseState, max_gates: int,
     if params is None:
         params = make_params(keys.kappa_bits, oracle_seed=rand_bytes(rng, 16))
     job = encrypt(params, keys, ucirc, full_state, rng)
-    out, stats = run_job(params, job)
+    out, stats = evaluate.eval_bundle(params, job.encoded_state, job.garbled)
     out_full = decrypt(keys, ucirc, out)
 
     # The machine returns every non-data qubit to its prepared value; anything

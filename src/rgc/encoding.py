@@ -128,17 +128,12 @@ def decode(state: SparseState, schedule: KeySchedule, wires: Sequence[int],
 class CostReport:
     cnot_count: int
     x_count: int
-    per_wire: tuple[tuple[int, int, int], ...]   # (wire, cnots, xs)
 
 
 def cnot_cost(schedule: KeySchedule, wires: Sequence[int]) -> CostReport:
-    per_wire = []
-    for w in wires:
-        k0, k1 = schedule.pairs[w]
-        per_wire.append((w, popcount(bytes_to_int(k0) ^ bytes_to_int(k1)),
-                         popcount(bytes_to_int(k0))))
-    return CostReport(sum(c for _, c, _ in per_wire), sum(x for _, _, x in per_wire),
-                      tuple(per_wire))
+    keys = [[bytes_to_int(k) for k in schedule.pairs[w]] for w in wires]
+    return CostReport(sum(popcount(k0 ^ k1) for k0, k1 in keys),
+                      sum(popcount(k0) for k0, _ in keys))
 
 
 # ---------------------------------------------------------------------------

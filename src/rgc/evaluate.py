@@ -82,10 +82,6 @@ class EvalStats:
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "EvalStats":
-        return EvalStats(**json.loads(text))
-
 
 @dataclass
 class ColumnarState:

@@ -108,17 +108,16 @@ Distinguisher = Callable[[ChallengeView, random.Random], int]
 
 
 def run_ind_cpa_gbc(distinguisher: Distinguisher, circ: CPCircuit, kappa_bits: int,
-                    trials: int, rng: random.Random, *, message_bits: int | None = None,
-                    table_oracle: bool = True, leak_keys: bool = False,
-                    misdeclared_constants: bool = False) -> GameReport:
-    """One-shot game: the challenger garbles either the chosen classical input
-    or the all-zero input under fresh keys, and the adversary guesses which.
+                    trials: int, rng: random.Random, *, table_oracle: bool = True,
+                    leak_keys: bool = False, misdeclared_constants: bool = False) -> GameReport:
+    """One-shot game: the challenger garbles either the all-ones classical
+    input or the all-zero input under fresh keys, and the adversary guesses which.
     The circuit's public constants are 1 in both challenges, unless
     ``misdeclared_constants`` rigs the game: then the all-zero input holds 0
     on them too, as a secret bit wrongly declared constant would, and the
     job is built without ``delegation.encrypt``, which refuses it."""
     n = circ.num_inputs
-    message = message_bits if message_bits is not None else (1 << n) - 1
+    message = (1 << n) - 1
     const_mask = 0 if misdeclared_constants else circ.const_mask
 
     def challenge(b, params, setup_rng):

@@ -57,7 +57,8 @@ a declared payload above ``MAX_PAYLOAD_BYTES`` with an error without reading
 it, a connection beyond ``MAX_CONNECTIONS`` open ones with an error at
 once, and drops a connection that stalls for ``SOCKET_TIMEOUT_S``.  A directory-based
 transport mirrors the socket one for setups where the only channel is a
-shared filesystem; both produce byte-identical result payloads.
+shared filesystem; both produce byte-identical result payloads, and both
+refuse an envelope whose payload exceeds ``MAX_PAYLOAD_BYTES`` unread.
 
 Bundles are only serializable when their oracle runs in hash mode - a lazy
 table is process-local state and cannot cross the wire.  The oracle seed in
@@ -68,6 +69,8 @@ it has no serialization path into a job.
 from __future__ import annotations
 
 import cmath
+import dataclasses
+import json
 import os
 import socket
 import socketserver
@@ -448,12 +451,24 @@ def serialize_result(state: SparseState, stats: EvalStats) -> bytes:
     return w.bytes()
 
 
+_STATS_FIELDS = {f.name for f in dataclasses.fields(EvalStats)}
+
+
 def deserialize_result(data: bytes) -> tuple[SparseState, EvalStats]:
+    """The evaluated state and the server's counters: a JSON object with
+    exactly the ``EvalStats`` fields, each a non-negative int."""
     r = Reader(data)
     state = deserialize_state(r.blob())
-    stats = EvalStats.from_json(r.text())
+    text = r.blob()
+    try:
+        stats = json.loads(text.decode())
+    except (ValueError, RecursionError) as exc:
+        raise WireFormatError(f"stats are not JSON: {exc}") from None
+    if (not isinstance(stats, dict) or stats.keys() != _STATS_FIELDS
+            or any(type(v) is not int or v < 0 for v in stats.values())):
+        raise WireFormatError("stats are not the evaluator's non-negative counts")
     r.done()
-    return state, stats
+    return state, EvalStats(**stats)
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +532,18 @@ def handle_envelope(data: bytes | bytearray) -> bytes:
 # ---------------------------------------------------------------------------
 # TCP transport (one request per connection)
 
+def _check_payload_len(length: int) -> None:
+    if length > MAX_PAYLOAD_BYTES:
+        raise WireFormatError(f"declared payload of {length} bytes above limit {MAX_PAYLOAD_BYTES}")
+
+
 def _read_envelope(sock: socket.socket) -> bytearray:
     header = bytearray(14)
     _recv_into(sock, memoryview(header))
     if header[:4] != MAGIC:
         raise WireFormatError("bad magic")
     (_, _, length) = struct.unpack("<BBQ", header[4:14])
-    if length > MAX_PAYLOAD_BYTES:
-        raise WireFormatError(f"declared payload of {length} bytes above limit {MAX_PAYLOAD_BYTES}")
+    _check_payload_len(length)
     envelope = bytearray(14 + length + 4)
     envelope[:14] = header
     _recv_into(sock, memoryview(envelope)[14:])
@@ -617,8 +636,17 @@ def submit_file(root: str, job_id: str, job: JobBundle, params: CryptoParams) ->
     return path
 
 
+def _read_envelope_file(path: str) -> bytes:
+    """A whole envelope file, refused unread when its payload would exceed
+    ``MAX_PAYLOAD_BYTES``, as the socket transport refuses it."""
+    _check_payload_len(os.path.getsize(path) - 18)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def serve_files_once(root: str) -> int:
-    """Process every pending inbox job; returns how many were handled."""
+    """Process every pending inbox job; returns how many were handled.  An
+    oversized job file gets an error envelope and is consumed unread."""
     inbox = os.path.join(root, "inbox")
     outbox = os.path.join(root, "outbox")
     os.makedirs(outbox, exist_ok=True)
@@ -629,8 +657,10 @@ def serve_files_once(root: str) -> int:
         if not name.endswith(".rgc"):
             continue
         path = os.path.join(inbox, name)
-        with open(path, "rb") as fh:
-            response = handle_envelope(fh.read())
+        try:
+            response = handle_envelope(_read_envelope_file(path))
+        except WireFormatError as exc:
+            response = frame(KIND_ERROR, str(exc).encode())
         tmp = os.path.join(outbox, name + ".tmp")
         with open(tmp, "wb") as fh:
             fh.write(response)
@@ -648,8 +678,7 @@ def collect_result(root: str, job_id: str, timeout: float = 30.0,
         if time.monotonic() > deadline:
             raise TimeoutError(f"no result for job {job_id}")
         time.sleep(poll)
-    with open(path, "rb") as fh:
-        return _read_result(fh.read())
+    return _read_result(_read_envelope_file(path))
 
 
 def serve_files(root: str, stop: threading.Event, poll: float = 0.1) -> None:

@@ -1,10 +1,10 @@
 """Random oracle with two interchangeable backends.
 
 ``hash`` mode derives outputs from SHAKE-256 over (domain tag || seed ||
-query), so the same config reproduces the same function across processes.
+query), so the same seed reproduces the same function across processes.
 ``table`` mode samples outputs lazily and uniformly from a seeded RNG and
 remembers them, which is what the security-game experiments want: the game
-owns the oracle and can count or rig every query.
+owns the oracle and counts every query.
 
 Callers that need several output lengths (payload masks vs key tags)
 instantiate one oracle per length through :class:`OracleFamily`; the output
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 
 from .util import rand_bytes
 
@@ -28,66 +27,37 @@ HASH_MODE = "hash"
 TABLE_MODE = "table"
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    output_len_bits: int
-    mode: str = HASH_MODE
-    seed: bytes = b""          # hash mode: public function seed
-    rng_seed: int = 0          # table mode: lazy-sampling stream
-
-    def __post_init__(self):
-        if self.output_len_bits < 8 or self.output_len_bits % 8 != 0:
-            raise ValueError("output_len_bits must be a byte multiple >= 8")
-        if self.mode not in (HASH_MODE, TABLE_MODE):
-            raise ValueError(f"unknown oracle mode {self.mode!r}")
-
-
-@dataclass
-class Transcript:
-    """Query log. Repeat queries are counted each time: the games bound total
-    invocations, not distinct inputs."""
-
-    count: int = 0
-    entries: list[tuple[bytes, bytes]] | None = None
-
-    def record(self, query: bytes, digest: bytes) -> None:
-        self.count += 1
-        if self.entries is not None:
-            self.entries.append((query, digest))
-
-
 class RandomOracle:
     """One random function {0,1}* -> {0,1}^output_len_bits.
 
-    Counting beats logging on the hot path, so the full (query, digest)
-    transcript only exists when record=True; the bare invocation count is
-    always kept.
+    ``seed`` is the public function seed of hash mode, ``rng_seed`` the
+    lazy-sampling stream of table mode.  Every invocation is counted, repeat
+    queries too: the games bound total invocations, not distinct inputs.
     """
 
-    def __init__(self, config: OracleConfig, record: bool = False):
-        self.config = config
-        self._out_bytes = config.output_len_bits // 8
-        self._record = record
-        self._log = Transcript(entries=[]) if record else None
+    def __init__(self, output_len_bits: int, mode: str = HASH_MODE, seed: bytes = b"",
+                 rng_seed: int = 0):
+        if output_len_bits < 8 or output_len_bits % 8 != 0:
+            raise ValueError("output_len_bits must be a byte multiple >= 8")
+        if mode not in (HASH_MODE, TABLE_MODE):
+            raise ValueError(f"unknown oracle mode {mode!r}")
+        self._out_bytes = output_len_bits // 8
         self._count = 0
-        if config.mode == TABLE_MODE:
+        if mode == TABLE_MODE:
             self._table: dict[bytes, bytes] = {}
-            self._rng = random.Random(config.rng_seed)
+            self._rng = random.Random(rng_seed)
             self.query = self._query_table
         else:
             # Domain tag = output length, so same-seed oracles of different
             # lengths stay independent.
-            self._prefix = config.output_len_bits.to_bytes(4, "little") + config.seed
+            self._prefix = output_len_bits.to_bytes(4, "little") + seed
             self.query = self._query_hash
 
     def _query_hash(self, data: bytes) -> bytes:
         if not data:
             raise ValueError("oracle query must be nonempty")
         self._count += 1
-        digest = hashlib.shake_256(self._prefix + data).digest(self._out_bytes)
-        if self._record:
-            self._log.record(data, digest)
-        return digest
+        return hashlib.shake_256(self._prefix + data).digest(self._out_bytes)
 
     def _query_table(self, data: bytes) -> bytes:
         if not data:
@@ -97,13 +67,7 @@ class RandomOracle:
         if digest is None:
             digest = rand_bytes(self._rng, self._out_bytes)
             self._table[data] = digest
-        if self._record:
-            self._log.record(data, digest)
         return digest
-
-    @property
-    def transcript(self) -> Transcript:
-        return self._log if self._log is not None else Transcript(count=self._count)
 
     def query_count(self) -> int:
         return self._count
@@ -117,25 +81,18 @@ class OracleFamily:
     (the game loops are).
     """
 
-    def __init__(self, mode: str = HASH_MODE, seed: bytes = b"", rng_seed: int = 0,
-                 record: bool = False):
+    def __init__(self, mode: str = HASH_MODE, seed: bytes = b"", rng_seed: int = 0):
         self.mode = mode
         self.seed = seed
         self.rng_seed = rng_seed
-        self.record = record
         self._members: dict[int, RandomOracle] = {}
 
     def for_len(self, output_len_bits: int) -> RandomOracle:
         oracle = self._members.get(output_len_bits)
         if oracle is None:
-            cfg = OracleConfig(
-                output_len_bits=output_len_bits,
-                mode=self.mode,
-                seed=self.seed,
-                # Decorrelate the lazy streams of different lengths.
-                rng_seed=self.rng_seed ^ (output_len_bits * 0x9E3779B97F4A7C15),
-            )
-            oracle = RandomOracle(cfg, record=self.record)
+            # Decorrelate the lazy streams of different lengths.
+            oracle = RandomOracle(output_len_bits, self.mode, self.seed,
+                                  self.rng_seed ^ (output_len_bits * 0x9E3779B97F4A7C15))
             self._members[output_len_bits] = oracle
         return oracle
 

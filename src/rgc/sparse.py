@@ -96,9 +96,6 @@ class SparseState:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def amplitude(self, basis: int) -> complex:
-        return self.terms.get(basis, 0j)
-
     def __eq__(self, other):
         return (isinstance(other, SparseState) and self.layout == other.layout
                 and self.terms == other.terms)
@@ -244,7 +241,7 @@ def sample_counts(state: SparseState, shots: int, rng: random.Random,
 # ---------------------------------------------------------------------------
 # QFT
 
-def qft(state: SparseState, register: str, inverse: bool = False) -> SparseState:
+def qft(state: SparseState, register: str) -> SparseState:
     """Quantum Fourier transform on one register (width <= 20).
 
     QFT|x> = 2^{-w/2} sum_y exp(2*pi*i*x*y/2^w) |y>, applied coherently: the
@@ -269,7 +266,7 @@ def qft(state: SparseState, register: str, inverse: bool = False) -> SparseState
 
     new_terms: dict[int, complex] = {}
     for rest, vec in slices.items():
-        out = np.fft.fft(vec) / math.sqrt(dim) if inverse else np.fft.ifft(vec) * math.sqrt(dim)
+        out = np.fft.ifft(vec) * math.sqrt(dim)
         for value in np.nonzero(np.abs(out) >= PRUNE_EPSILON)[0]:
             new_terms[rest | (int(value) << off)] = complex(out[value])
     return SparseState(state.layout, new_terms)
@@ -279,26 +276,6 @@ def qft(state: SparseState, register: str, inverse: bool = False) -> SparseState
 # dense utilities
 
 MAX_DENSE_DIM = 1 << 14
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    mat: np.ndarray
-
-    def __post_init__(self):
-        dim = self.mat.shape[0]
-        if self.mat.shape != (dim, dim) or dim > MAX_DENSE_DIM:
-            raise ValueError(f"bad density matrix shape {self.mat.shape}")
-        if np.abs(self.mat - self.mat.conj().T).max() > 1e-9:
-            raise ValueError("density matrix not Hermitian")
-        if abs(np.trace(self.mat) - 1.0) > 1e-9:
-            raise ValueError("density matrix trace != 1")
-        if np.linalg.eigvalsh(self.mat).min() < -1e-9:
-            raise ValueError("density matrix not PSD")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
 
 def dense_vector(state: SparseState) -> np.ndarray:
@@ -311,26 +288,16 @@ def dense_vector(state: SparseState) -> np.ndarray:
     return vec
 
 
-def density_average(states: Iterable[SparseState],
-                    weights: Iterable[float] | None = None) -> DensityMatrix:
+def density_average(states: Iterable[SparseState]) -> np.ndarray:
+    """The uniform mixture of the given pure states."""
     states = list(states)
-    weights = list(weights) if weights is not None else [1.0 / len(states)] * len(states)
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise ValueError("weights must sum to 1")
-    acc = None
-    for state, weight in zip(states, weights):
-        vec = dense_vector(state)
-        contrib = weight * np.outer(vec, vec.conj())
-        acc = contrib if acc is None else acc + contrib
-    return DensityMatrix(acc)
+    weight = 1.0 / len(states)
+    return sum(weight * np.outer(vec, vec.conj()) for vec in map(dense_vector, states))
 
 
-def trace_distance(rho: DensityMatrix | np.ndarray, sigma: DensityMatrix | np.ndarray) -> float:
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of rho - sigma."""
-    a = rho.mat if isinstance(rho, DensityMatrix) else rho
-    b = sigma.mat if isinstance(sigma, DensityMatrix) else sigma
-    if a.shape != b.shape:
+    if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
-    diff = a - b
     # difference of Hermitian matrices: singular values = |eigenvalues|
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())

@@ -8,7 +8,7 @@ import pytest
 
 from rgc import sparse
 from rgc.circuit import (CircuitError, CircuitSyntaxError, Phase, Toffoli, X,
-                         allocate_wires, composed_phase_angle, decompose_phase,
+                         allocate_wires, decompose_phase,
                          eval_classical, flipped_wires, format_circuit, parse_circuit,
                          phase, random_circuit, simulate, toff, universalize, without_x,
                          x)
@@ -45,8 +45,9 @@ def test_parse_repeated_qubit_rejected_with_line():
 
 
 def test_parse_exponent_bound():
+    assert parse_circuit("inputs 1\nphase 0 16\n").gates[0].denom_exp == 16
     with pytest.raises(CircuitSyntaxError):
-        parse_circuit("inputs 1\nphase 0 3\n", max_denom_exp=2)
+        parse_circuit("inputs 1\nphase 0 17\n")
 
 
 def test_parse_errors():
@@ -195,41 +196,28 @@ def test_generators_declare_their_constant():
     assert 16 * len(toffolis) - 8 * controlled == 40_320
 
 def test_decompose_exact_half_pi():
-    assert decompose_phase(1, 1) == [(1, 1)]
+    assert decompose_phase(1, 1) == [1]
 
 
 def test_decompose_three_quarters():
     # 3/4 = 1/2 + 1/4
-    assert decompose_phase(3, 2) == [(1, 1), (2, 1)]
+    assert decompose_phase(3, 2) == [1, 2]
 
 
 def test_decompose_negative_wraps():
     # -pi/4 = 2*pi - pi/4 (mod 2*pi): 7/4 = 1 + 1/2 + 1/4
-    gates = decompose_phase(-1, 2)
-    assert gates == [(0, 1), (1, 1), (2, 1)]
-    angle = composed_phase_angle(gates)
+    exponents = decompose_phase(-1, 2)
+    assert exponents == [0, 1, 2]
+    angle = sum(math.pi / (1 << j) for j in exponents)
     assert cmath.exp(1j * angle) == pytest.approx(cmath.exp(-1j * math.pi / 4))
 
 
-def test_decompose_float_precision():
-    gates = decompose_phase(1.0, None, max_denom_exp=10)
-    err = abs(cmath.exp(1j * 1.0) - cmath.exp(1j * composed_phase_angle(gates)))
-    assert err <= math.pi / 2 ** 9
-
-
-def test_decompose_float_random_angles():
-    rng = random.Random(3)
-    for _ in range(100):
-        theta = rng.uniform(-2 * math.pi, 2 * math.pi)
-        for d_max in (6, 10):
-            gates = decompose_phase(theta, None, max_denom_exp=d_max)
-            err = abs(cmath.exp(1j * theta) - cmath.exp(1j * composed_phase_angle(gates)))
-            assert err <= math.pi / 2 ** d_max
-
-
 def test_decompose_exponent_above_bound():
-    with pytest.raises(CircuitError):
-        decompose_phase(1, 20, max_denom_exp=16)
+    # describe, called directly, refuses a phase finer than the machine's D
+    # rather than compiling it to a wrong code
+    machine, _ = universalize(allocate_wires([], 1), 1, 2, 1)
+    with pytest.raises(CircuitError, match="finer phase"):
+        machine.describe(allocate_wires([phase(0, 3)], 1))
 
 
 # direct simulation -----------------------------------------------------------
@@ -270,7 +258,7 @@ def _run_machine(machine, desc, state):
 def test_universalize_identity_program():
     circ = allocate_wires([], 2)
     machine, desc = universalize(circ, 2, 2, 1)
-    assert all(d.code == machine.identity_code for d in desc)
+    assert all(d == machine.identity_code for d in desc)
     state = sparse.random_state(sparse.qubit_layout(2), random.Random(4))
     assert sparse.fidelity(_run_machine(machine, desc, state), state) >= 1 - 1e-9
 
@@ -281,7 +269,7 @@ def test_universalize_same_machine_different_programs():
     m1, d1 = universalize(toffoli_circ, 3, 3, 2)
     m2, d2 = universalize(phase_circ, 3, 3, 2)
     assert m1.circuit == m2.circuit
-    assert [g.code for g in d1] != [g.code for g in d2]
+    assert d1 != d2
     rng = random.Random(5)
     for machine, desc, circ in ((m1, d1, toffoli_circ), (m2, d2, phase_circ)):
         for _ in range(10):
@@ -331,8 +319,8 @@ def test_universalize_description_width():
     n_prime = 3 + 3
     assert machine.code_width == math.ceil(math.log2(3 * n_prime + 1 + n_prime * 3))
     assert machine.n_codes <= 1 << machine.code_width
-    for d in machine.describe(allocate_wires([toff(0, 1, 2)], 3)):
-        assert len(d.bits()) == machine.code_width
+    for code in machine.describe(allocate_wires([toff(0, 1, 2)], 3)):
+        assert 0 <= code < 1 << machine.code_width
 
 
 def test_universalize_rejects_oversized_circuit():
@@ -377,7 +365,7 @@ def test_universal_machine_codes_are_pinned():
             machine, _ = universalize(allocate_wires([], n), n, d_max, 6)
             for _ in range(10):
                 circ = random_circuit(rng, n, rng.randint(0, 6), max_denom_exp=d_max)
-                codes = [d.code for d in machine.describe(circ)]
+                codes = machine.describe(circ)
                 ops += sum(c != machine.identity_code for c in codes)
                 digest.update(str(codes).encode())
     assert ops == 854

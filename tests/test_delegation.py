@@ -6,14 +6,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rgc import netio, sparse, symcrypt
+from rgc import evaluate, netio, sparse, symcrypt
 from rgc.circuit import (Toffoli, X, allocate_wires, parse_circuit, random_circuit,
                          simulate)
 from rgc.delegation import (blind_delegate, decrypt, delegate, encrypt,
                             factor_from_period, keygen, make_params,
                             modexp_delegated_state, modexp_direct_state,
                             period_from_sample, qkdm_dec, qkdm_enc,
-                            required_kappa, run_job, shor_delegate, shor_factor,
+                            required_kappa, shor_delegate, shor_factor,
                             synth_modexp_toffoli, SynthesisError)
 from rgc.circuit import eval_classical
 from rgc.sparse import basis_state, fidelity, qubit_layout, random_state
@@ -73,7 +73,7 @@ def test_decrypt_rejects_foreign_result():
     other = keygen(16, 3, circ, rng, conjecture=True)
     params = make_params(16, oracle_seed=b"x")
     job = encrypt(params, keys, circ, basis_state(qubit_layout(3), 5), rng)
-    out, _ = run_job(params, job)
+    out, _ = evaluate.eval_bundle(params, job.encoded_state, job.garbled)
     with pytest.raises(Exception):
         decrypt(other, circ, out)
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import random
 import socket
 import struct
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rgc import delegation, netio, sparse, symcrypt
+from rgc import delegation, evaluate, netio, sparse, symcrypt
 from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CircuitError, Toffoli, allocate_wires,
                          format_circuit, parse_circuit, phase, random_circuit, without_x)
 from rgc.encoding import KeySchedule, WireKeyPair, encode, gen_keys
@@ -188,6 +189,15 @@ def test_result_roundtrip():
     assert s2.terms == state.terms and st2 == stats
 
 
+@pytest.mark.parametrize("stats_text", ["[1,2]", '{"x": 1}', "1e999", '{"gates": "a"}'])
+def test_result_reader_refuses_stats_that_are_not_counts(stats_text):
+    w = netio.Writer()
+    w.blob(serialize_state(random_state(qubit_layout(2), random.Random(7))))
+    w.text(stats_text)
+    with pytest.raises(WireFormatError):
+        netio.deserialize_result(w.bytes())
+
+
 def test_job_roundtrip():
     _, _, params, _, job = _job_fixture()
     data = serialize_job(job, params)
@@ -234,7 +244,7 @@ def test_truncated_payload_detected():
 
 def test_socket_and_file_transports_agree():
     circ, keys, params, state, job = _job_fixture(seed=10)
-    local_state, local_stats = delegation.run_job(params, job)
+    local_state, local_stats = evaluate.eval_bundle(params, job.encoded_state, job.garbled)
 
     server = netio.serve("127.0.0.1", 0)
     try:
@@ -264,6 +274,29 @@ def test_collect_result_refuses_an_envelope_that_is_not_a_result(tmp_path):
     (tmp_path / "outbox" / "j1.rgc").write_bytes(
         frame(netio.KIND_JOB, serialize_job(job, params)))
     with pytest.raises(WireFormatError, match="^unexpected envelope kind 1$"):
+        netio.collect_result(str(tmp_path), "j1", timeout=0)
+
+
+def test_directory_transport_refuses_an_oversized_job_unread(tmp_path, monkeypatch):
+    monkeypatch.setattr(netio, "MAX_PAYLOAD_BYTES", 500)
+    _, _, params, _, job = _job_fixture(seed=10)
+    path = netio.submit_file(str(tmp_path), "j1", job, params)
+    assert os.path.getsize(path) > 18 + 500
+    assert netio.serve_files_once(str(tmp_path)) == 1
+    assert not os.path.exists(path)         # consumed
+    with pytest.raises(netio.RemoteEvalError, match="^declared payload of .* above limit 500$"):
+        netio.collect_result(str(tmp_path), "j1", timeout=0)
+
+
+def test_collect_result_refuses_an_oversized_result_unread(tmp_path, monkeypatch):
+    _, _, params, _, job = _job_fixture(seed=10)
+    result = serialize_result(*evaluate.eval_bundle(params, job.encoded_state, job.garbled))
+    (tmp_path / "outbox").mkdir()
+    (tmp_path / "outbox" / "j1.rgc").write_bytes(frame(netio.KIND_RESULT, result))
+    monkeypatch.setattr(netio, "MAX_PAYLOAD_BYTES", len(result))
+    netio.collect_result(str(tmp_path), "j1", timeout=0)
+    monkeypatch.setattr(netio, "MAX_PAYLOAD_BYTES", len(result) - 1)
+    with pytest.raises(WireFormatError, match="above limit"):
         netio.collect_result(str(tmp_path), "j1", timeout=0)
 
 
@@ -563,7 +596,8 @@ def test_job_with_skeleton_helper_leaves_an_honest_job_intact():
     job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
     kind, payload = _job_with_skeleton(job, params, lambda skeleton: skeleton)
     assert kind == netio.KIND_RESULT
-    assert payload == serialize_result(*delegation.run_job(params, job))
+    assert payload == serialize_result(*evaluate.eval_bundle(params, job.encoded_state,
+                                                             job.garbled))
 
 
 # skeleton offsets without constants: num_inputs at 0, the constant count at

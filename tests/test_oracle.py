@@ -1,17 +1,16 @@
 import pytest
 
-from rgc.oracle import OracleConfig, OracleFamily, RandomOracle
+from rgc.oracle import OracleFamily, RandomOracle
 
 
 def test_hash_mode_deterministic_across_instances():
-    cfg = OracleConfig(output_len_bits=128, seed=b"s")
-    a = RandomOracle(cfg)
-    b = RandomOracle(cfg)
+    a = RandomOracle(128, seed=b"s")
+    b = RandomOracle(128, seed=b"s")
     assert a.query(b"hello") == a.query(b"hello") == b.query(b"hello")
 
 
 def test_table_mode_deterministic_within_session():
-    oracle = RandomOracle(OracleConfig(64, mode="table", rng_seed=5))
+    oracle = RandomOracle(64, mode="table", rng_seed=5)
     first = oracle.query(b"x")
     assert oracle.query(b"x") == first
     assert len(first) == 8
@@ -19,13 +18,13 @@ def test_table_mode_deterministic_within_session():
 
 def test_output_length():
     for bits in (8, 64, 136):
-        oracle = RandomOracle(OracleConfig(bits, seed=b""))
+        oracle = RandomOracle(bits, seed=b"")
         assert len(oracle.query(b"q")) == bits // 8
 
 
 def test_distinct_seeds_give_distinct_functions():
-    a = RandomOracle(OracleConfig(128, seed=b"a"))
-    b = RandomOracle(OracleConfig(128, seed=b"b"))
+    a = RandomOracle(128, seed=b"a")
+    b = RandomOracle(128, seed=b"b")
     assert a.query(b"x") != b.query(b"x")
 
 
@@ -38,7 +37,7 @@ def test_family_lengths_are_independent():
 
 def test_no_collisions_at_64_bits():
     # birthday bound: ~1e4 queries at 64-bit output collide w.p. < 1e-11
-    oracle = RandomOracle(OracleConfig(64, mode="table", rng_seed=77))
+    oracle = RandomOracle(64, mode="table", rng_seed=77)
     seen = set()
     for i in range(10_000):
         seen.add(oracle.query(i.to_bytes(4, "little")))
@@ -46,7 +45,7 @@ def test_no_collisions_at_64_bits():
 
 
 def test_table_mode_per_bit_uniformity():
-    oracle = RandomOracle(OracleConfig(64, mode="table", rng_seed=9))
+    oracle = RandomOracle(64, mode="table", rng_seed=9)
     counts = [0] * 64
     n = 10_000
     for i in range(n):
@@ -59,7 +58,7 @@ def test_table_mode_per_bit_uniformity():
 
 
 def test_query_count_counts_repeats():
-    oracle = RandomOracle(OracleConfig(64, mode="table", rng_seed=1))
+    oracle = RandomOracle(64, mode="table", rng_seed=1)
     assert oracle.query_count() == 0
     oracle.query(b"a")
     oracle.query(b"b")
@@ -67,14 +66,6 @@ def test_query_count_counts_repeats():
     assert oracle.query_count() == 3
     oracle.query(b"a")   # repeat still counted
     assert oracle.query_count() == 4
-
-
-def test_transcript_records_in_order():
-    oracle = RandomOracle(OracleConfig(64, mode="table", rng_seed=1), record=True)
-    d1 = oracle.query(b"a")
-    d2 = oracle.query(b"b")
-    assert oracle.transcript.entries == [(b"a", d1), (b"b", d2)]
-    assert oracle.transcript.count == 2
 
 
 def test_family_query_count_aggregates():
@@ -86,7 +77,7 @@ def test_family_query_count_aggregates():
 
 
 def test_empty_query_rejected():
-    oracle = RandomOracle(OracleConfig(64, seed=b""))
+    oracle = RandomOracle(64, seed=b"")
     with pytest.raises(ValueError):
         oracle.query(b"")
 
@@ -94,9 +85,9 @@ def test_empty_query_rejected():
 @pytest.mark.parametrize("bits", [0, 4, 12])
 def test_bad_output_length_rejected(bits):
     with pytest.raises(ValueError):
-        OracleConfig(bits)
+        RandomOracle(bits)
 
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        OracleConfig(64, mode="quantum")
+        RandomOracle(64, mode="quantum")
