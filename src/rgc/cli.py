@@ -126,9 +126,7 @@ def cmd_encode(args) -> int:
     circ = _load_circuit(args.circuit)
     keys = _keys_from_file(args.keys, circ)
     state = parse_state_tokens(args.input)
-    if state.layout.total_bits != circ.num_inputs:
-        raise CliError("input width differs from the circuit")
-    encoded = encoding.encode(state, keys.schedule, circ.input_wires)
+    encoded = delegation.encode_input(keys, circ, state)
     _write_bin(args.out, netio.serialize_state(encoded))
     print(f"encoded {state.layout.total_bits} qubits at kappa={keys.kappa_bits} -> {args.out}")
     return 0

@@ -78,16 +78,22 @@ def make_params(kappa_bits: int, *, tag_len_bits: int = 128, oracle_seed: bytes 
     return CryptoParams(kappa_bits, family, tag_len_bits)
 
 
-def encrypt(params: CryptoParams, keys: DelegationKeys, circ: CPCircuit,
-            input_state: SparseState, rng: random.Random) -> JobBundle:
+def encode_input(keys: DelegationKeys, circ: CPCircuit, input_state: SparseState) -> SparseState:
+    """The input under its wires' keys.  A declared constant must be 1 in every
+    term: its 0 key opens no row, and the server's failure would show it."""
     if input_state.layout.total_bits != circ.num_inputs:
         raise ValueError("input state width differs from the circuit")
-    if params.kappa_bits != keys.kappa_bits:
-        raise ValueError("crypto params and keys disagree on kappa")
     const_mask = circ.const_mask
     if any(basis & const_mask != const_mask for basis in input_state.terms):
         raise ValueError("a declared constant qubit is not 1 in every input term")
-    encoded = encoding.encode(input_state, keys.schedule, circ.input_wires)
+    return encoding.encode(input_state, keys.schedule, circ.input_wires)
+
+
+def encrypt(params: CryptoParams, keys: DelegationKeys, circ: CPCircuit,
+            input_state: SparseState, rng: random.Random) -> JobBundle:
+    if params.kappa_bits != keys.kappa_bits:
+        raise ValueError("crypto params and keys disagree on kappa")
+    encoded = encode_input(keys, circ, input_state)
     bundle = garble.garble_circuit(params, circ, keys.schedule, rng)
     return JobBundle(encoded, bundle)
 
@@ -329,13 +335,11 @@ def modexp_direct_state(mx: ModexpCircuit) -> SparseState:
 
 
 def modexp_delegated_state(mx: ModexpCircuit, eta: int, rng: random.Random,
-                           params: CryptoParams | None = None,
                            conjecture: bool = False
                            ) -> tuple[SparseState, EvalStats, CostAccount]:
     circ = mx.circuit
     keys = keygen(eta, mx.n_exp, circ, rng, conjecture=conjecture)
-    if params is None:
-        params = make_params(keys.kappa_bits, oracle_seed=rand_bytes(rng, 16))
+    params = make_params(keys.kappa_bits, oracle_seed=rand_bytes(rng, 16))
     out, stats = delegate(params, keys, circ, modexp_input_state(mx), rng)
     quantum_wires = [circ.input_wires[q] for q in mx.exp_qubits]
     report = encoding.cnot_cost(keys.schedule, quantum_wires)
@@ -391,7 +395,6 @@ def _check_shor_input(modulus: int, base: int) -> None:
 
 
 def shor_delegate(modulus: int, base: int, eta: int, rng: random.Random,
-                  params: CryptoParams | None = None,
                   conjecture: bool = False) -> ShorReport:
     """One delegated period-finding attempt.
 
@@ -401,7 +404,7 @@ def shor_delegate(modulus: int, base: int, eta: int, rng: random.Random,
     """
     _check_shor_input(modulus, base)
     mx = synth_modexp_toffoli(modulus, base)
-    state, stats, cost = modexp_delegated_state(mx, eta, rng, params, conjecture)
+    state, stats, cost = modexp_delegated_state(mx, eta, rng, conjecture)
     state = sparse.qft(state, "exp")
     outcome, _ = sparse.measure_all(state, rng)
     y = state.layout.extract(outcome, "exp")

@@ -23,7 +23,7 @@ from typing import Collection, NamedTuple, Sequence
 import numpy as np
 
 from .circuit import CPCircuit
-from .sparse import RegisterLayout, SparseState, qubit_layout, trace_distance
+from .sparse import SparseState, qubit_layout, trace_distance
 from .util import bytes_to_int, popcount, rand_bytes
 
 
@@ -70,10 +70,6 @@ def gen_keys(kappa_bits: int, circ: CPCircuit, rng: random.Random) -> KeySchedul
     return KeySchedule(kappa_bits, tuple(pairs))
 
 
-def encoded_layout(kappa_bits: int, n: int) -> RegisterLayout:
-    return RegisterLayout(tuple((f"q{i}", kappa_bits) for i in range(n)))
-
-
 def encode(state: SparseState, schedule: KeySchedule, wires: Sequence[int]) -> SparseState:
     """Replace bit i of every basis term with the key selected by that bit on
     wires[i].  Amplitudes are untouched, so the map is an isometry."""
@@ -89,7 +85,7 @@ def encode(state: SparseState, schedule: KeySchedule, wires: Sequence[int]) -> S
         for i in range(n):
             enc |= key_ints[i][(basis >> i) & 1] << (i * kappa)
         terms[enc] = amp
-    return SparseState(encoded_layout(kappa, n), terms, check=False)
+    return SparseState(qubit_layout(n, kappa), terms, check=False)
 
 
 def decode(state: SparseState, schedule: KeySchedule, wires: Sequence[int],

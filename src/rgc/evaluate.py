@@ -50,7 +50,7 @@ import numpy as np
 from . import symcrypt
 from .circuit import Phase, Toffoli
 from .garble import GarbledBundle, PhaseTable, ToffoliTables
-from .sparse import RegisterLayout, SparseState
+from .sparse import RegisterLayout, SparseState, qubit_layout
 from .symcrypt import CryptoParams
 
 
@@ -272,8 +272,7 @@ def eval_bundle(params: CryptoParams, encoded: SparseState,
     """
     circ = bundle.skeleton
     kappa = params.kappa_bits
-    if (len(encoded.layout.registers) != circ.num_inputs
-            or any(width != kappa for _, width in encoded.layout.registers)):
+    if encoded.layout != qubit_layout(circ.num_inputs, kappa):
         raise EvalError(f"encoded state is not {circ.num_inputs} registers of {kappa} bits")
     state = ColumnarState.from_sparse(encoded, circ.num_inputs, params.kappa_bytes)
     for q in circ.const_qubits:

@@ -143,14 +143,14 @@ def dist_random(view, rng) -> int:
     return rng.getrandbits(1)
 
 
-def dist_tag_grinding(view: ChallengeView, rng: random.Random, probes: int = 16) -> int:
-    """Throw random keys at the first table's tags; guess 1 on any hit."""
+def dist_tag_grinding(view: ChallengeView, rng: random.Random) -> int:
+    """Throw 16 random keys at the first table's tags; guess 1 on any hit."""
     for table in view.job.garbled.tables:
         if isinstance(table, ToffoliTables):
             rows, n_keys = table.forward, 3
         else:
             rows, n_keys = table.rows, 1
-        for _ in range(probes):
+        for _ in range(16):
             key = rand_bytes(rng, view.params.kappa_bytes)
             for row in rows:
                 if any(symcrypt.kdm_ver(view.params, key, tag)
@@ -271,8 +271,8 @@ def kdm_dist_mask_equality(view: KdmView, rng) -> int:
     return 1
 
 
-def kdm_dist_tag_grinding(view: KdmView, rng, probes: int = 32) -> int:
-    for _ in range(probes):
+def kdm_dist_tag_grinding(view: KdmView, rng) -> int:
+    for _ in range(32):         # random probe keys
         key = rand_bytes(rng, view.params.kappa_bytes)
         if any(symcrypt.kdm_ver(view.params, key, tag) for ct in view.ciphertexts
                for tag in symcrypt.split_row(view.params, ct)[2]):
@@ -402,23 +402,17 @@ def wire_tag_check(view: RecoveryView, wire: int, key: bytes) -> bool:
 
 def key_recovery_experiment(circ: CPCircuit, kappa_bits: int, guesser: Guesser,
                             trials: int, rng: random.Random, *,
-                            input_bits: int | None = None, target_bits: int | None = None,
                             table_oracle: bool = True) -> float:
     """Hand the guesser one input's keys plus the tables; count how often it
     produces the key tuple of a different designated input.  Success is
     checked through the tables' own tags (plus disequality with the known key
     where the target bit differs - replaying the given keys never counts).
-    Both inputs hold the circuit's public constants at 1: by default the
-    revealed input is 0 elsewhere and the target its complement."""
+    Both inputs hold the circuit's public constants at 1: the revealed input
+    is 0 elsewhere and the target 1 everywhere."""
     n = circ.num_inputs
-    const_mask = circ.const_mask
-    if input_bits is None:
-        input_bits = const_mask
-    target = target_bits if target_bits is not None else ((1 << n) - 1 ^ input_bits) | const_mask
+    input_bits, target = circ.const_mask, (1 << n) - 1
     if target == input_bits:
-        raise ValueError("target input must differ from the revealed input")
-    if input_bits & const_mask != const_mask or target & const_mask != const_mask:
-        raise ValueError("a public constant is 1 in every input")
+        raise ValueError("every input is a public constant: no target input differs")
     successes = 0
     for _ in range(trials):
         params = _trial_params(kappa_bits, rng.getrandbits(63), table_oracle)

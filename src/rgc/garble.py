@@ -72,12 +72,10 @@ class GarbledBundle:
     """Everything the evaluator receives about the circuit: the public
     skeleton (gate types and their qubits, X gates omitted) and one table per
     skeleton gate, in circuit order.  No key material appears outside the
-    ciphertexts."""
+    ciphertexts.  The row widths follow from the shared ``CryptoParams``."""
 
     skeleton: CPCircuit
     tables: tuple[ToffoliTables | PhaseTable, ...]
-    kappa_bits: int
-    tag_len_bits: int
 
     def __post_init__(self):
         if len(self.tables) != len(self.skeleton.gates):
@@ -156,7 +154,7 @@ def garble_circuit(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
             flipped ^= {gate.wire}
         else:
             tables.append(garble_phase(params, gate, schedule, next(streams), flipped))
-    return GarbledBundle(skeleton, tuple(tables), params.kappa_bits, params.tag_len_bits)
+    return GarbledBundle(skeleton, tuple(tables))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,19 @@
 """Bit-exact binary serialization and the client/server job exchange.
 
-Every artifact gets a little-endian layout in which variable-length fields
-carry a length prefix; bitstrings are padded to whole bytes with the high
-padding bits zero.  Messages travel in a framed envelope::
+Every artifact gets a little-endian layout; bitstrings are padded to whole
+bytes with the high padding bits zero.  Messages travel in a framed envelope
+of wire version 2::
 
-    magic "RGC1" | version u8 | kind u8 | payload_len u64 | payload | crc32 u32
+    envelope   magic "RGC1" | version u8 | kind u8 | payload_len u64 | payload
+               | crc32 u32
+    job        state | bundle
+    result     state | 6 x u64, the EvalStats fields in order
+    state      registers u32 | width u16 | term count u32
+               | per term: basis (ceil(registers * width / 8)) | re f64 | im f64
+
+Each part delimits itself, and no field is sent that the receiver can derive.
+Register i holds basis bits [i * width, (i + 1) * width), qubit i's keys in a
+job or result (``sparse.qubit_layout``); the writer refuses any other layout.
 
 A bundle (format 4) is a header, the skeleton, then one table per skeleton
 gate::
@@ -20,13 +29,12 @@ The skeleton names qubits only.  Wire indices are the client's bookkeeping
 for its key pairs, derived from the gate list by ``circuit.allocate_wires``,
 and the evaluator applies each gate to its qubits' registers in place.  The
 constant qubits are the circuit's public constant-1 inputs, strictly
-increasing and below ``num_inputs``; an X-free circuit with none costs the
-four bytes of an empty list over format 3.
+increasing and below ``num_inputs``.
 
 Almost all of a job is garbled-table rows.  A row travels as the packed
-bytes :mod:`rgc.symcrypt` produces, and the bundle header (kappa and tag
-length) fixes every width in it, so rows lie back to back with no length
-fields.  With p = kappa/8 and t = tag_len/8 bytes::
+bytes :mod:`rgc.symcrypt` produces, and the header's kappa and tag length
+(the ``CryptoParams``' own) fix every width in it, so rows lie back to back
+with no length fields.  With p = kappa/8 and t = tag_len/8 bytes::
 
     toffoli row    r1 r2 r3 (3p) | masked (3p) | 3 x (tag pad (p) | digest (t))
     toffoli table  2n rows of 9p + 3t bytes: n forward, then n backward,
@@ -35,17 +43,16 @@ fields.  With p = kappa/8 and t = tag_len/8 bytes::
 
 where w = ceil((exponent + 1) / 8) for the skeleton gate's exponent.  Tables
 are read by slicing and written whole.  The reader refuses other bundle
-versions (format 1 prefixed every row field with its u32 length; formats 1
-and 2 also sent every gate's wires; format 3 had no constant list and sent
-16 rows for every Toffoli), more than ``MAX_QUBITS`` qubits, more constants
-than qubits, a gate count whose smallest records and tables could not fit in
-the bytes left, a skeleton phase exponent above
-``circuit.DEFAULT_MAX_DENOM_EXP``, a skeleton ``allocate_wires`` refuses (a
-qubit out of range, a Toffoli naming one qubit twice, a phase sign other
-than +-1, a constant list that is not strictly increasing below
+versions (formats 1 to 3 sent row field lengths, every gate's wires, or 16
+rows for every Toffoli), more than ``MAX_QUBITS`` qubits or state
+registers, more constants than qubits, a gate or term count that the bytes
+left could not hold, a state register width of 0, a skeleton phase exponent
+above ``circuit.DEFAULT_MAX_DENOM_EXP``, a skeleton ``allocate_wires``
+refuses (a qubit out of range, a Toffoli naming one qubit twice, a phase
+sign other than +-1, a constant list that is not strictly increasing below
 ``num_inputs``, a constant qubit that is a Toffoli target or phased), and a
-job state whose basis strings are not strictly increasing, whose amplitudes
-are not finite or whose norm squared differs from 1 by more than
+state whose basis strings are not strictly increasing, whose amplitudes are
+not finite or whose norm squared differs from 1 by more than
 ``sparse.NORM_TOL``; the writer refuses rows of other widths and X gates,
 which no skeleton carries (an X is a relabeling of its wire's keys on the
 client, see :mod:`rgc.garble`).
@@ -69,8 +76,8 @@ it has no serialization path into a job.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import dataclasses
-import json
 import os
 import socket
 import socketserver
@@ -89,11 +96,11 @@ from .evaluate import EvalStats
 from .games import GameReport
 from .garble import GarbledBundle, PhaseTable, ToffoliTables, phase_payload_bytes, toffoli_rows
 from .oracle import HASH_MODE
-from .sparse import RegisterLayout, SparseState
+from .sparse import SparseState, qubit_layout
 from .symcrypt import CryptoParams, row_bytes
 
 MAGIC = b"RGC1"
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 BUNDLE_VERSION = 4
 
 KIND_JOB = 1
@@ -132,9 +139,6 @@ class Writer:
         self.u32(len(b))
         self.buf += b
 
-    def text(self, s: str):
-        self.blob(s.encode())
-
     def bytes(self) -> bytes:
         return bytes(self.buf)
 
@@ -159,11 +163,7 @@ class Reader:
     def raw(self, n): return self._take(n)
 
     def unpack(self, st: struct.Struct) -> tuple:
-        if self.pos + st.size > len(self.data):
-            raise WireFormatError("truncated payload")
-        vals = st.unpack_from(self.data, self.pos)
-        self.pos += st.size
-        return vals
+        return st.unpack(self._take(st.size))
 
     def rows(self, count: int, width: int) -> tuple[bytes, ...]:
         """``count`` consecutive fields of ``width`` bytes each."""
@@ -176,9 +176,6 @@ class Reader:
 
     def blob(self) -> bytes:
         return self._take(self.u32())
-
-    def text(self) -> str:
-        return self.blob().decode()
 
     def done(self) -> None:
         if self.pos != len(self.data):
@@ -266,12 +263,12 @@ def _get_gates(r: Reader, count: int) -> Iterator[LogicalGate]:
 # garbled tables, rows back to back (see the module docstring)
 
 class _TableLayout:
-    """The row widths fixed by one bundle header's kappa and tag length, and
-    the row counts fixed by the skeleton's constant qubits."""
+    """The row widths fixed by the params' kappa and tag length, and the row
+    counts fixed by the skeleton's constant qubits."""
 
-    def __init__(self, kappa_bits: int, tag_len_bits: int, const_qubits=()):
-        self.widths = (kappa_bits, tag_len_bits)
-        self.toffoli = row_bytes(kappa_bits, tag_len_bits, 3, 3 * (kappa_bits // 8))
+    def __init__(self, params: CryptoParams, const_qubits=()):
+        self.widths = (params.kappa_bits, params.tag_len_bits)
+        self.toffoli = row_bytes(*self.widths, 3, 3 * params.kappa_bytes)
         self.consts = frozenset(const_qubits)
 
     def phase(self, denom_exp: int) -> int:
@@ -303,7 +300,23 @@ class _TableLayout:
         parts += rows
 
 
-def _get_bundle(r: Reader) -> tuple[GarbledBundle, bytes]:
+def _put_bundle(w: Writer, b: GarbledBundle, params: CryptoParams) -> list[bytes]:
+    """The bundle after ``w``'s bytes, as parts to join; rows are not copied."""
+    if params.oracles.mode != HASH_MODE:
+        raise WireFormatError("table-mode oracles are process-local; cannot serialize")
+    w.u8(BUNDLE_VERSION)
+    w.u16(params.kappa_bits)
+    w.u16(params.tag_len_bits)
+    w.blob(params.oracles.seed)
+    _put_circuit(w, b.skeleton)
+    parts = [w.buf]
+    layout = _TableLayout(params, b.skeleton.const_qubits)
+    for gate, table in zip(b.skeleton.gates, b.tables):
+        layout.write(parts, gate, table)
+    return parts
+
+
+def _get_bundle(r: Reader) -> tuple[GarbledBundle, CryptoParams]:
     version = r.u8()
     if version != BUNDLE_VERSION:
         raise WireFormatError(f"unsupported bundle version {version}")
@@ -312,20 +325,23 @@ def _get_bundle(r: Reader) -> tuple[GarbledBundle, bytes]:
     if not (kappa and tag_len) or kappa % 8 or tag_len % 8:
         raise WireFormatError(f"kappa {kappa} and tag length {tag_len} must be "
                               f"positive multiples of 8")
-    oracle_seed = r.blob()
-    skeleton = _get_circuit(r, _TableLayout(kappa, tag_len).min_gate_bytes())
-    layout = _TableLayout(kappa, tag_len, skeleton.const_qubits)
+    params = delegation.make_params(kappa, tag_len_bits=tag_len, oracle_seed=r.blob())
+    skeleton = _get_circuit(r, _TableLayout(params).min_gate_bytes())
+    layout = _TableLayout(params, skeleton.const_qubits)
     tables = tuple(layout.read(r, g) for g in skeleton.gates)
-    return GarbledBundle(skeleton, tables, kappa, tag_len), oracle_seed
+    return GarbledBundle(skeleton, tables), params
+
+
+_STATE_HEADER = struct.Struct("<IHI")    # registers, width, terms
 
 
 def _put_state(w: Writer, s: SparseState) -> None:
-    w.u32(len(s.layout.registers))
-    for name, width in s.layout.registers:
-        w.text(name)
-        w.u16(width)
-    nbytes = (s.layout.total_bits + 7) // 8
-    w.u32(len(s.terms))
+    n = len(s.layout.registers)
+    width = s.layout.registers[0][1] if n else 1
+    if s.layout != qubit_layout(n, width):
+        raise WireFormatError("only registers q0, q1, ... of one width cross the wire")
+    w.raw(_STATE_HEADER.pack(n, width, len(s.terms)))
+    nbytes = (n * width + 7) // 8
     for basis in sorted(s.terms):
         amp = s.terms[basis]
         w.raw(basis.to_bytes(nbytes, "little"))
@@ -334,15 +350,21 @@ def _put_state(w: Writer, s: SparseState) -> None:
 
 
 def _get_state(r: Reader) -> SparseState:
-    regs = []
-    for _ in range(r.u32()):
-        name = r.text()
-        regs.append((name, r.u16()))
-    layout = RegisterLayout(tuple(regs))
-    nbytes = (layout.total_bits + 7) // 8
+    """The state at the reader's position.  Its shape is bounded before a
+    layout or a term is built, and its norm is checked after."""
+    n, width, count = r.unpack(_STATE_HEADER)
+    if n > MAX_QUBITS:
+        raise WireFormatError(f"{n} registers above limit {MAX_QUBITS}")
+    if not width:
+        raise WireFormatError("registers of width 0")
+    nbytes = (n * width + 7) // 8
+    left = len(r.data) - r.pos
+    if count * (nbytes + 16) > left:
+        raise WireFormatError(f"{count} terms cannot fit in the {left} bytes left")
+    layout = qubit_layout(n, width)
     terms = {}
     last = -1
-    for _ in range(r.u32()):
+    for _ in range(count):
         basis = int.from_bytes(r.raw(nbytes), "little")
         if basis >> layout.total_bits:
             raise WireFormatError("basis string wider than the layout")
@@ -353,7 +375,10 @@ def _get_state(r: Reader) -> SparseState:
             raise WireFormatError("amplitude not finite")
         terms[basis] = amp
         last = basis
-    return SparseState(layout, terms, check=False)
+    try:
+        return SparseState(layout, terms)
+    except ValueError as exc:       # the norm
+        raise WireFormatError(str(exc)) from None
 
 
 # public single-artifact entry points ---------------------------------------
@@ -383,28 +408,11 @@ def deserialize_state(data: bytes) -> SparseState:
 
 
 def serialize_bundle(b: GarbledBundle, params: CryptoParams) -> bytes:
-    if params.oracles.mode != HASH_MODE:
-        raise WireFormatError("table-mode oracles are process-local; cannot serialize")
-    w = Writer()
-    w.u8(BUNDLE_VERSION)
-    w.u16(b.kappa_bits)
-    w.u16(b.tag_len_bits)
-    w.blob(params.oracles.seed)
-    _put_circuit(w, b.skeleton)
-    parts = [w.buf]
-    layout = _TableLayout(b.kappa_bits, b.tag_len_bits, b.skeleton.const_qubits)
-    for gate, table in zip(b.skeleton.gates, b.tables):
-        layout.write(parts, gate, table)
-    return b"".join(parts)
+    return b"".join(_put_bundle(Writer(), b, params))
 
 
 def deserialize_bundle(data: bytes) -> tuple[GarbledBundle, CryptoParams]:
-    r = Reader(data)
-    bundle, oracle_seed = _get_bundle(r)
-    r.done()
-    params = delegation.make_params(bundle.kappa_bits, tag_len_bits=bundle.tag_len_bits,
-                                    oracle_seed=oracle_seed)
-    return bundle, params
+    r = Reader(data); b = _get_bundle(r); r.done(); return b
 
 
 def serialize_report(rep: GameReport) -> bytes:
@@ -426,49 +434,35 @@ def deserialize_report(data: bytes) -> GameReport:
 
 
 def serialize_job(job: JobBundle, params: CryptoParams) -> bytes:
-    state = serialize_state(job.encoded_state)
-    bundle = serialize_bundle(job.garbled, params)
-    return b"".join((struct.pack("<I", len(state)), state,
-                     struct.pack("<I", len(bundle)), bundle))
+    w = Writer()
+    _put_state(w, job.encoded_state)
+    return b"".join(_put_bundle(w, job.garbled, params))
 
 
 def deserialize_job(data: bytes) -> tuple[JobBundle, CryptoParams]:
     r = Reader(data)
-    state = deserialize_state(r.blob())
-    try:
-        state._check_norm()
-    except ValueError as exc:
-        raise WireFormatError(str(exc)) from None
-    bundle, params = deserialize_bundle(r.blob())
+    state = _get_state(r)
+    bundle, params = _get_bundle(r)
     r.done()
     return JobBundle(state, bundle), params
 
 
+_STATS = struct.Struct("<6Q")       # the EvalStats counts, in field order
+
+
 def serialize_result(state: SparseState, stats: EvalStats) -> bytes:
     w = Writer()
-    w.blob(serialize_state(state))
-    w.text(stats.to_json())
+    _put_state(w, state)
+    w.raw(_STATS.pack(*dataclasses.astuple(stats)))
     return w.bytes()
 
 
-_STATS_FIELDS = {f.name for f in dataclasses.fields(EvalStats)}
-
-
 def deserialize_result(data: bytes) -> tuple[SparseState, EvalStats]:
-    """The evaluated state and the server's counters: a JSON object with
-    exactly the ``EvalStats`` fields, each a non-negative int."""
     r = Reader(data)
-    state = deserialize_state(r.blob())
-    text = r.blob()
-    try:
-        stats = json.loads(text.decode())
-    except (ValueError, RecursionError) as exc:
-        raise WireFormatError(f"stats are not JSON: {exc}") from None
-    if (not isinstance(stats, dict) or stats.keys() != _STATS_FIELDS
-            or any(type(v) is not int or v < 0 for v in stats.values())):
-        raise WireFormatError("stats are not the evaluator's non-negative counts")
+    state = _get_state(r)
+    stats = EvalStats(*r.unpack(_STATS))
     r.done()
-    return state, EvalStats(**stats)
+    return state, stats
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +620,9 @@ def submit(host: str, port: int, job: JobBundle, params: CryptoParams,
 # directory transport (inbox/, outbox/)
 
 def submit_file(root: str, job_id: str, job: JobBundle, params: CryptoParams) -> str:
+    # an answer left under this id would pass for this job's
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(root, "outbox", f"{job_id}.rgc"))
     inbox = os.path.join(root, "inbox")
     os.makedirs(inbox, exist_ok=True)
     path = os.path.join(inbox, f"{job_id}.rgc")

@@ -66,13 +66,10 @@ class RegisterLayout:
         return (basis >> off) & ((1 << width) - 1)
 
 
-def layout(*registers: tuple[str, int]) -> RegisterLayout:
-    return RegisterLayout(tuple(registers))
-
-
-def qubit_layout(n: int, prefix: str = "q") -> RegisterLayout:
-    """One 1-bit register per qubit: qubit i == global bit i."""
-    return RegisterLayout(tuple((f"{prefix}{i}", 1) for i in range(n)))
+def qubit_layout(n: int, width: int = 1) -> RegisterLayout:
+    """One register of ``width`` bits per qubit, qubit i at bits
+    [i * width, (i + 1) * width): a plain qubit, or its key register."""
+    return RegisterLayout(tuple((f"q{i}", width) for i in range(n)))
 
 
 class SparseState:
@@ -80,14 +77,8 @@ class SparseState:
                  check: bool = True):
         self.layout = layout
         self.terms = terms
-        if check:
-            self._check_norm()
-
-    def _check_norm(self) -> None:
-        """Refuse a norm^2 off 1 by more than ``NORM_TOL``, and a NaN one."""
-        norm = self.norm_sq()
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state norm^2 {norm!r} differs from 1")
+        if check and not abs(self.norm_sq() - 1.0) <= NORM_TOL:    # NaN fails too
+            raise ValueError(f"state norm^2 {self.norm_sq()!r} differs from 1")
 
     def norm_sq(self) -> float:
         # squared by multiplying: a huge amplitude gives inf, never OverflowError

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rgc import delegation
+from rgc import delegation, netio
 from rgc.circuit import allocate_wires
 from rgc.oracle import OracleFamily
 from rgc.sparse import SparseState, qubit_layout, random_state
@@ -63,6 +63,18 @@ def circuits_and_states(draw):
     gates = draw(st.lists(st.one_of(*kinds), max_size=12))
     support = draw(st.lists(st.sampled_from(free), unique=True, min_size=1))
     return allocate_wires(gates, n, sorted(consts)), support, draw(st.integers(0, 2**32))
+
+
+def wire_1_state(state):
+    """A state as wire version 1 wrote it: the register count, then each
+    register's name behind its u32 length and its u16 width, where version 2
+    writes one width.  The term count and terms are version 2's, unchanged."""
+    w = netio.Writer()
+    w.u32(len(state.layout.registers))
+    for name, width in state.layout.registers:
+        w.blob(name.encode())
+        w.u16(width)
+    return w.bytes() + netio.serialize_state(state)[6:]
 
 
 def input_state(circ, support, rng):

@@ -1,19 +1,24 @@
 """The names the bench in ``perfbench/`` resolves at run time.
 
 Its tracer wraps ``rgc`` functions found by name and replaces each oracle's
-``query`` on the instance, so a renamed function or a class-level ``query``
-would only show up as a failed traced bench run.  The tracer module is
-loaded from its path, without writing bytecode next to it.
+``query`` on the instance, and its layer table reads the evaluator's counts
+by ``EvalStats`` field name, so a renamed function or field or a
+class-level ``query`` would only show up as a failed bench run.  The tracer
+module is loaded from its path, without writing bytecode next to it.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
+import re
 import sys
 
+from rgc.evaluate import EvalStats
 from rgc.oracle import OracleFamily
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer(monkeypatch):
@@ -44,3 +49,9 @@ def test_oracle_query_is_reassignable_per_instance():
     oracle.query = wrapped
     assert oracle.query(b"x") == query(b"x") and calls == [b"x"]
     assert OracleFamily().for_len(64).query is not wrapped
+
+
+def test_every_count_the_layer_table_reads_is_an_eval_stats_field():
+    keys = set(re.findall(r'\bstats\["(\w+)"\]', (PERFBENCH / "layers.py").read_text()))
+    assert keys
+    assert keys <= {f.name for f in dataclasses.fields(EvalStats)}

@@ -187,3 +187,38 @@ def test_protocol_error_exits_1(tmp_path, circuit_file, capsys):
     assert main(["decode", "--circuit", circuit_file, "--keys", missing,
                  "--result", missing]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_delegate_dir_transport_waits_for_its_own_answer(tmp_path, capsys):
+    # both runs name their job job-4; the second must not read the first's answer
+    path = tmp_path / "c.txt"
+    path.write_text("inputs 3\ntoff 0 1 2\n")
+    root = tmp_path / "exchange"
+    root.mkdir()
+    import threading
+    stop = threading.Event()
+    worker = threading.Thread(target=netio.serve_files, args=(str(root), stop), daemon=True)
+    worker.start()
+    try:
+        for bits, want in (("110", "111"), ("000", "000")):
+            assert main(["delegate", "--circuit", str(path), "--input", bits, "--seed", "4",
+                         "--dir", str(root)]) == 0
+            assert capsys.readouterr().out.splitlines()[-1].split()[0] == want
+    finally:
+        stop.set()
+        worker.join(timeout=5)
+    assert not worker.is_alive()
+
+
+def test_encode_refuses_a_constant_qubit_that_is_not_1(tmp_path, capsys):
+    # the server's failure on a 0 constant would show the bit; encrypt refuses it
+    path = tmp_path / "const.txt"
+    path.write_text("inputs 3\nconst 0\ntoff 0 1 2\n")
+    keys, enc = str(tmp_path / "keys.bin"), str(tmp_path / "enc.bin")
+    assert main(["keygen", "--circuit", str(path), "--eta", "16", "--conjecture-1",
+                 "--seed", "3", "--out", keys]) == 0
+    assert main(["encode", "--circuit", str(path), "--keys", keys, "--input", "010",
+                 "--out", enc, "--seed", "3"]) == 1
+    assert capsys.readouterr().err == ("error: a declared constant qubit is not 1 "
+                                       "in every input term\n")
+    assert not os.path.exists(enc)

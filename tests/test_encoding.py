@@ -76,14 +76,14 @@ def test_decode_inverts_encode():
 
 def test_decode_single_key_to_bit():
     schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
-    lay = sparse.layout(("q0", 8))
+    lay = qubit_layout(1, 8)
     decoded = decode(basis_state(lay, 0x02), schedule, [0])
     assert decoded.terms == {1: 1.0 + 0j}
 
 
 def test_decode_rejects_off_key_strings():
     schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
-    lay = sparse.layout(("q0", 8))
+    lay = qubit_layout(1, 8)
     with pytest.raises(UnknownKeyError):
         decode(basis_state(lay, 0x03), schedule, [0])   # one bit off a key
 

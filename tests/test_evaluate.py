@@ -16,7 +16,7 @@ from rgc.evaluate import (AmbiguousRowError, ErasureError, EvalError, EvalStats,
 from rgc.garble import GarbledBundle, PhaseTable, ToffoliTables, garble_circuit, garble_toffoli
 from rgc.sparse import fidelity, inner, qubit_layout, random_state
 
-from conftest import circuits_and_states, input_state, make_params
+from conftest import circuits_and_states, input_state, make_params, wire_1_state
 
 ONE_TOFFOLI = parse_circuit("inputs 3\ntoff 0 1 2\n")
 
@@ -231,9 +231,14 @@ def test_eval_module_never_touches_schedules():
 
 
 # ---------------------------------------------------------------------------
-# byte identity: BLAKE2b of the result state's payload, pinned from the
-# per-term evaluator that preceded the columnar one; the EvalStats are pinned
-# on their own, since they count work rather than describe the result
+# byte identity: BLAKE2b of the result state's payload in wire version 1,
+# pinned from the per-term evaluator that preceded the columnar one, and in
+# wire version 2; the EvalStats are pinned on their own, since they count
+# work rather than describe the result
+
+def _digest(data):
+    return hashlib.blake2b(data, digest_size=16).hexdigest()
+
 
 def _golden_result(circ, state, seed):
     rng = random.Random(seed)
@@ -241,7 +246,7 @@ def _golden_result(circ, state, seed):
     schedule = gen_keys(16, circ, rng)
     bundle = garble_circuit(params, circ, schedule, rng)
     out, stats = eval_bundle(params, encode(state, schedule, circ.input_wires), bundle)
-    return hashlib.blake2b(netio.serialize_state(out), digest_size=16).hexdigest(), stats
+    return _digest(wire_1_state(out)), _digest(netio.serialize_state(out)), stats
 
 
 def test_result_bytes_pinned_for_phase_circuit():
@@ -249,8 +254,9 @@ def test_result_bytes_pinned_for_phase_circuit():
     circ = random_circuit(rng, 4, 24, max_denom_exp=3)
     state = random_state(qubit_layout(4), rng)
     assert {g.denom_exp for g in circ.gates if isinstance(g, Phase)} == {0, 1, 2, 3}
-    digest, stats = _golden_result(circ, state, 1)
+    digest, wire_2_digest, stats = _golden_result(circ, state, 1)
     assert digest == "29a045b741a032e55b1d45eb2aa9d8e8"
+    assert wire_2_digest == "427c3e12d9ffc7b558f752b8326a0734"
     assert stats == EvalStats(gates=24, terms_processed=384, rows_tried=1708, ver_calls=668,
                               backward_ver_calls=624, erasure_checks=104)
 
@@ -258,8 +264,9 @@ def test_result_bytes_pinned_for_phase_circuit():
 def test_result_bytes_pinned_for_toffoli_superposition():
     circ = parse_circuit("inputs 4\ntoff 0 1 2\ntoff 1 2 3\ntoff 3 0 1\ntoff 2 3 0\ntoff 0 1 3\n")
     state = random_state(qubit_layout(4), random.Random(7), support_bits=[0, 1, 3])
-    digest, stats = _golden_result(circ, state, 2)
+    digest, wire_2_digest, stats = _golden_result(circ, state, 2)
     assert digest == "1527a49ef1ef1f6f4bc212fcb322a41c"
+    assert wire_2_digest == "7b359304018927cf70fd2332f0d67c28"
     assert stats == EvalStats(gates=5, terms_processed=40, rows_tried=496, ver_calls=218,
                               backward_ver_calls=218, erasure_checks=31)
 
@@ -284,7 +291,7 @@ def _with_tables(bundle, changes):
     tables = list(bundle.tables)
     for index, table in changes.items():
         tables[index] = table
-    return GarbledBundle(bundle.skeleton, tuple(tables), bundle.kappa_bits, bundle.tag_len_bits)
+    return GarbledBundle(bundle.skeleton, tuple(tables))
 
 
 def test_bundle_erasure_failure_names_the_gate():

@@ -23,9 +23,9 @@ from rgc.netio import (WireFormatError, deserialize_bundle,
                        serialize_bundle, serialize_circuit, serialize_job,
                        serialize_report, serialize_result, serialize_schedule,
                        serialize_state, unframe)
-from rgc.sparse import fidelity, qubit_layout, random_state
+from rgc.sparse import RegisterLayout, fidelity, qubit_layout, random_state
 
-from conftest import circuits_and_states, input_state
+from conftest import circuits_and_states, input_state, wire_1_state
 
 
 def _job_fixture(seed=1, n=3, gates=2):
@@ -70,20 +70,27 @@ def test_circuit_with_x_is_not_serialized():
 
 def test_state_roundtrip_exact():
     rng = random.Random(4)
-    lay = sparse.layout(("a", 5), ("b", 3))
-    state = random_state(lay, rng)
+    state = random_state(qubit_layout(2, 4), rng)
     back = deserialize_state(serialize_state(state))
     assert back.layout == state.layout
     assert back.terms == state.terms          # f64 pairs roundtrip bit-exactly
+
+
+@pytest.mark.parametrize("registers", [(("a", 5), ("b", 3)), (("q0", 2), ("q1", 3)),
+                                       (("q1", 2), ("q0", 2))])
+def test_state_writer_refuses_other_layouts(registers):
+    # registers cross the wire by position, so a name or width qubit_layout
+    # would not give has no encoding
+    state = random_state(RegisterLayout(registers), random.Random(4))
+    with pytest.raises(WireFormatError, match="one width"):
+        serialize_state(state)
 
 
 def _state_payload(lay, terms):
     """A state in serialize_state's layout, its terms in the order given."""
     w = netio.Writer()
     w.u32(len(lay.registers))
-    for name, width in lay.registers:
-        w.text(name)
-        w.u16(width)
+    w.u16(lay.registers[0][1])
     nbytes = (lay.total_bits + 7) // 8
     w.u32(len(terms))
     for basis, amp in terms:
@@ -113,25 +120,25 @@ def test_state_parser_accepts_only_the_canonical_form(terms, message):
 def test_job_with_reordered_state_terms_gets_error_envelope():
     _, _, params, _, job = _job_fixture(seed=26)
     state = job.encoded_state
-    w = netio.Writer()
-    w.blob(_state_payload(state.layout, sorted(state.terms.items(), reverse=True)))
-    w.blob(serialize_bundle(job.garbled, params))
-    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, w.bytes())))
+    data = _state_payload(state.layout, sorted(state.terms.items(), reverse=True))
+    data += serialize_bundle(job.garbled, params)
+    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))
     assert kind == netio.KIND_ERROR
     assert payload == b"WireFormatError: basis strings not strictly increasing"
 
 
-_REGISTERS = st.lists(st.tuples(st.text(max_size=4), st.integers(1, 12)),
-                      min_size=1, max_size=4, unique_by=lambda reg: reg[0])
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_AMPLITUDES = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3)
 
 
 @st.composite
 def _states(draw):
-    lay = sparse.RegisterLayout(tuple(draw(_REGISTERS)))
-    bases = draw(st.sets(st.integers(0, (1 << lay.total_bits) - 1), max_size=8))
-    return sparse.SparseState(lay, {b: complex(draw(_FINITE), draw(_FINITE)) for b in bases},
-                              check=False)
+    """Normalized states on 1 to 4 registers of one width, as the wire carries
+    them."""
+    lay = qubit_layout(draw(st.integers(1, 4)), draw(st.integers(1, 12)))
+    bases = draw(st.sets(st.integers(0, (1 << lay.total_bits) - 1), min_size=1, max_size=8))
+    amps = {b: draw(_AMPLITUDES) for b in bases}
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    return sparse.SparseState(lay, {b: a / norm for b, a in amps.items()})
 
 
 @settings(max_examples=150, deadline=None)
@@ -189,13 +196,30 @@ def test_result_roundtrip():
     assert s2.terms == state.terms and st2 == stats
 
 
+def test_result_bytes_are_the_state_then_six_counts():
+    state = random_state(qubit_layout(2, 16), random.Random(7), support_bits=[3, 20])
+    data = serialize_result(state, EvalStats(1, 2, 3, 4, 5, 6))
+    assert data == serialize_state(state) + struct.pack("<6Q", 1, 2, 3, 4, 5, 6)
+
+
 @pytest.mark.parametrize("stats_text", ["[1,2]", '{"x": 1}', "1e999", '{"gates": "a"}'])
 def test_result_reader_refuses_stats_that_are_not_counts(stats_text):
+    # wire version 1 sent the stats as a JSON blob where six u64s now belong
     w = netio.Writer()
-    w.blob(serialize_state(random_state(qubit_layout(2), random.Random(7))))
-    w.text(stats_text)
-    with pytest.raises(WireFormatError):
+    w.raw(serialize_state(random_state(qubit_layout(2), random.Random(7))))
+    w.blob(stats_text.encode())
+    with pytest.raises(WireFormatError, match="truncated payload"):
         netio.deserialize_result(w.bytes())
+
+
+@pytest.mark.parametrize("cut, tail", [(1, b""), (8, b""), (48, b""), (0, b"\x00"),
+                                       (0, bytes(8))],
+                         ids=["one-byte-short", "one-count-short", "no-counts",
+                              "one-byte-over", "seven-counts"])
+def test_result_reader_refuses_counts_of_wrong_length(cut, tail):
+    data = serialize_result(random_state(qubit_layout(2), random.Random(7)), EvalStats())
+    with pytest.raises(WireFormatError):
+        netio.deserialize_result(data[:len(data) - cut] + tail)
 
 
 def test_job_roundtrip():
@@ -368,25 +392,11 @@ def test_phase_exponent_above_bound_gets_error_envelope():
     assert b"WireFormatError" in payload and b"exponent" in payload
 
 
-def test_renamed_state_registers_still_evaluate():
-    # register names carry no meaning to the evaluator, which addresses
-    # registers by index
-    circ, keys, params, state, job = _job_fixture(seed=14, gates=4)
-    layout = job.encoded_state.layout
-    renamed = sparse.RegisterLayout(tuple(
-        ("x1" if name == "q1" else name, width) for name, width in layout.registers))
-    job = delegation.JobBundle(sparse.with_layout(job.encoded_state, renamed), job.garbled)
-    kind, payload = _handle_job(job, params)
-    assert kind == netio.KIND_RESULT
-    out, _ = netio.deserialize_result(payload)
-    from rgc.circuit import simulate
-    assert fidelity(delegation.decrypt(keys, circ, out), simulate(circ, state)) >= 1 - 1e-9
-
-
-@pytest.mark.parametrize("widths", [(16, 16), (16, 16, 16, 16), (8, 24, 16), (24, 24)])
+# registers of one width each: the wire carries no other layout
+@pytest.mark.parametrize("widths", [(16, 16), (16, 16, 16, 16), (24, 24, 24), (24, 24)])
 def test_state_of_wrong_register_layout_gets_error_envelope(widths):
     circ, keys, params, state, job = _job_fixture(seed=15)
-    layout = sparse.RegisterLayout(tuple((f"q{i}", w) for i, w in enumerate(widths)))
+    layout = qubit_layout(len(widths), widths[0])
     basis = next(iter(job.encoded_state.terms)) & ((1 << layout.total_bits) - 1)
     job = delegation.JobBundle(sparse.SparseState(layout, {basis: 1 + 0j}), job.garbled)
     kind, payload = _handle_job(job, params)
@@ -462,8 +472,8 @@ def _old_skeleton(c, version):
     return w.bytes()
 
 
-def _old_format_job(job, params, version):
-    """The job as bundle formats 1 to 3 wrote it: the old skeleton, and in
+def _old_format_bundle(job, params, version):
+    """The bundle as formats 1 to 3 wrote it: the old skeleton, and in
     formats 1 and 2 a u16 exponent before each phase table.  Formats 2 and 3
     store the packed rows back to back; format 1 put every row field behind
     its u32 length, in the order the packed row holds them.  No format
@@ -472,8 +482,8 @@ def _old_format_job(job, params, version):
     assert not bundle.skeleton.const_qubits
     w = netio.Writer()
     w.u8(version)
-    w.u16(bundle.kappa_bits)
-    w.u16(bundle.tag_len_bits)
+    w.u16(params.kappa_bits)
+    w.u16(params.tag_len_bits)
     w.blob(params.oracles.seed)
     w.raw(_old_skeleton(bundle.skeleton, version))
     for gate, table in zip(bundle.skeleton.gates, bundle.tables):
@@ -491,18 +501,33 @@ def _old_format_job(job, params, version):
             for field in ([pads[i:i + p] for i in range(0, len(pads), p)] + [masked]
                           + [half for tag in tags for half in (tag[:p], tag[p:])]):
                 w.blob(field)
-    job_w = netio.Writer()
-    job_w.blob(serialize_state(job.encoded_state))
-    job_w.blob(w.bytes())
-    return job_w.bytes()
+    return w.bytes()
+
+
+def _wire_1_job(job, bundle):
+    """The job as wire version 1 framed it: its state and the given bundle
+    bytes, each behind its u32 length."""
+    w = netio.Writer()
+    w.blob(wire_1_state(job.encoded_state))
+    w.blob(bundle)
+    return w.bytes()
 
 
 def _pin(data):
     return len(data), hashlib.blake2b(data).hexdigest()
 
 
-# serialize_job's length and BLAKE2b per job circuit, in bundle format 4 and
-# in format 3 as its codec wrote it
+# the job's length and BLAKE2b per job circuit, in wire version 2 (bundle
+# format 4), in wire version 1 with bundle format 4, and in wire version 1
+# with format 3 as its codec wrote it
+WIRE_2_PINS = {
+    PHASE_JOB_CIRCUIT:
+        (2803, "25f92f34304558a4460fdd4f82a6c7d19da2246fcf14c4002acd601226ddeb6f"
+               "054886c0d065686862d78a5f4e7e56d8cbb97cca859ebdab656950c3c96c9aff"),
+    TOFFOLI_JOB_CIRCUIT:
+        (3422, "ecb57983ac0beb5aa6ea23cffbc79ce518bbc249cafc24c1fd0162d777f47f31"
+               "c446539126d7b2ef24c5fb55a4046cd9bfcc6184a19b2862be3927bb2d837deb"),
+}
 FORMAT_4_PINS = {
     PHASE_JOB_CIRCUIT:
         (2833, "284c3c2836cabd195625f4a92f730edbfc73d28dd269813296fde6460e52b0de"
@@ -536,21 +561,24 @@ FORMAT_3_PINS = {
      "f15b33c243146f6d776880ef6766bb72a3802d41f1eb39e7ce41b86b584dc497"),
 ])
 def test_job_bytes_golden(text, v1_size, v1_digest, v2_size, v2_digest):
-    # BLAKE2b of serialize_job (bundle format 4), and of the same job in
-    # formats 1 to 3 as their codecs wrote it: the rows are unchanged
+    # BLAKE2b of serialize_job (wire version 2, bundle format 4), and of the
+    # same job in wire version 1 with bundle formats 1 to 4 as their codecs
+    # wrote it: the rows and terms are unchanged
     job, params = _seeded_job(text)
     data = serialize_job(job, params)
-    assert _pin(data) == FORMAT_4_PINS[text]
+    assert _pin(data) == WIRE_2_PINS[text]
     assert serialize_job(*deserialize_job(data)) == data
-    assert _pin(_old_format_job(job, params, 3)) == FORMAT_3_PINS[text]
-    assert _pin(_old_format_job(job, params, 1)) == (v1_size, v1_digest)
-    assert _pin(_old_format_job(job, params, 2)) == (v2_size, v2_digest)
+    assert _pin(_wire_1_job(job, serialize_bundle(job.garbled, params))) == FORMAT_4_PINS[text]
+    assert _pin(_wire_1_job(job, _old_format_bundle(job, params, 3))) == FORMAT_3_PINS[text]
+    assert _pin(_wire_1_job(job, _old_format_bundle(job, params, 1))) == (v1_size, v1_digest)
+    assert _pin(_wire_1_job(job, _old_format_bundle(job, params, 2))) == (v2_size, v2_digest)
 
 
 def _old_format_reply(version):
+    # a wire version 2 job around the old bundle
     job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
-    return unframe(netio.handle_envelope(
-        frame(netio.KIND_JOB, _old_format_job(job, params, version))))
+    data = serialize_state(job.encoded_state) + _old_format_bundle(job, params, version)
+    return unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))
 
 
 def test_format_1_bundle_gets_error_envelope():
@@ -568,6 +596,15 @@ def test_format_3_bundle_gets_error_envelope():
                                     b"WireFormatError: unsupported bundle version 3")
 
 
+def test_wire_version_1_envelope_gets_error_envelope():
+    job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
+    envelope = bytearray(frame(netio.KIND_JOB,
+                               _wire_1_job(job, serialize_bundle(job.garbled, params))))
+    envelope[4] = 1
+    assert unframe(netio.handle_envelope(bytes(envelope))) == (
+        netio.KIND_ERROR, b"WireFormatError: unsupported wire version 1")
+
+
 # ---------------------------------------------------------------------------
 # the qubit-only skeleton at the trust boundary
 
@@ -577,10 +614,8 @@ def _job_with_skeleton(job, params, patch):
     bundle = serialize_bundle(job.garbled, params)
     start = 9 + len(params.oracles.seed)        # version, widths, seed blob
     end = start + len(serialize_circuit(job.garbled.skeleton))
-    w = netio.Writer()
-    w.blob(serialize_state(job.encoded_state))
-    w.blob(bundle[:start] + patch(bundle[start:end]) + bundle[end:])
-    return unframe(netio.handle_envelope(frame(netio.KIND_JOB, w.bytes())))
+    data = serialize_state(job.encoded_state) + bundle[:start] + patch(bundle[start:end])
+    return unframe(netio.handle_envelope(frame(netio.KIND_JOB, data + bundle[end:])))
 
 
 def _set(offset, fmt, *values):
@@ -653,10 +688,13 @@ def test_half_table_job_bytes_golden():
     # 4 + 4 rows for the Toffoli with a constant control
     job, params = _seeded_job(CONST_JOB_CIRCUIT)
     assert [len(t.forward) + len(t.backward) for t in job.garbled.tables] == [8]
-    data = serialize_job(job, params)
-    assert _pin(data) == (
+    assert _pin(_wire_1_job(job, serialize_bundle(job.garbled, params))) == (
         702, "c26dc1cabe6ae42df5fe3c8a8e4a9b7236593c5c879ab527e5d60b74fb7aaa00"
               "3db03b8fb3aa6c23df5c1037b98e38e24e263614388726cd9857c4598dbfe749")
+    data = serialize_job(job, params)
+    assert _pin(data) == (
+        672, "6537457cd022e4470a2ec53962fecb1063a8c43a1896e5a6217e6534c415aeb5"
+              "865e743b417a61e769b8680202b9c36c833df89e0d56b1f688d987e0a575992b")
     assert serialize_job(*deserialize_job(data)) == data
     kind, payload = _handle_job(job, params)
     assert kind == netio.KIND_RESULT
@@ -666,7 +704,7 @@ def test_half_table_of_full_length_is_not_serialized():
     job, params = _seeded_job(CONST_JOB_CIRCUIT)
     table = job.garbled.tables[0]
     bundle = GarbledBundle(job.garbled.skeleton,
-                           (ToffoliTables(table.forward * 2, table.backward * 2),), 16, 128)
+                           (ToffoliTables(table.forward * 2, table.backward * 2),))
     with pytest.raises(WireFormatError, match="width"):
         serialize_bundle(bundle, params)
 
@@ -687,12 +725,10 @@ def test_skeleton_of_more_gates_than_the_payload_holds_is_refused_unbuilt(monkey
     for value in (1, 0, n):                 # one qubit, no constants, n gates
         w.u32(value)
     w.raw(struct.pack("<BIHb", 1, 0, 0, 1) * n)
-    job = netio.Writer()
-    job.blob(serialize_state(encode(random_state(qubit_layout(1), random.Random(43)),
-                                    gen_keys(16, allocate_wires([], 1), random.Random(44)),
-                                    (0,))))
-    job.blob(w.bytes())
-    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, job.bytes())))
+    data = serialize_state(encode(random_state(qubit_layout(1), random.Random(43)),
+                                  gen_keys(16, allocate_wires([], 1), random.Random(44)),
+                                  (0,))) + w.bytes()
+    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))
     assert kind == netio.KIND_ERROR
     assert payload.startswith(b"WireFormatError: 1000000 gates cannot fit in the 8000000 "
                               b"bytes left")
@@ -706,14 +742,34 @@ def test_job_state_of_wrong_norm_gets_error_envelope():
     (bits,) = struct.unpack("<Q", struct.pack("<d", terms[0][1].real))
     (flipped,) = struct.unpack("<d", struct.pack("<Q", bits ^ (1 << 51)))
     terms[0] = (terms[0][0], complex(flipped, terms[0][1].imag))
-    w = netio.Writer()
-    w.blob(_state_payload(state.layout, terms))
-    w.blob(serialize_bundle(job.garbled, params))
-    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, w.bytes())))
+    data = _state_payload(state.layout, terms)
+    kind, payload = unframe(netio.handle_envelope(
+        frame(netio.KIND_JOB, data + serialize_bundle(job.garbled, params))))
     assert kind == netio.KIND_ERROR
     assert payload.startswith(b"WireFormatError: state norm^2 ")
-    # the codec itself still carries any finite state
-    assert deserialize_state(_state_payload(state.layout, terms)).terms == dict(terms)
+    # the state reader checks the norm, so results and state files get it too
+    with pytest.raises(WireFormatError, match="^state norm"):
+        deserialize_state(data)
+    with pytest.raises(WireFormatError, match="^state norm"):
+        netio.deserialize_result(data + bytes(48))
+
+
+# state headers (registers u32, width u16, terms u32) the reader refuses
+# before it builds a layout or a term
+@pytest.mark.parametrize("header, message", [
+    ((2**32 - 1, 16, 1), b"WireFormatError: 4294967295 registers above limit 65536"),
+    ((3, 0, 1), b"WireFormatError: registers of width 0"),
+    ((3, 16, 2**32 - 1), b"WireFormatError: 4294967295 terms cannot fit in the "),
+], ids=["registers", "width-0", "terms"])
+def test_state_header_out_of_bounds_gets_error_envelope_unbuilt(header, message, monkeypatch):
+    def never(*args):
+        raise AssertionError("qubit_layout called")
+    job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
+    state = serialize_state(job.encoded_state)
+    data = struct.pack("<IHI", *header) + state[10:] + serialize_bundle(job.garbled, params)
+    monkeypatch.setattr(netio, "qubit_layout", never)
+    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))
+    assert kind == netio.KIND_ERROR and payload.startswith(message)
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(circuits_and_states(), st.lists(st.tuples(st.integers(0), st.integers(0, 7)),
@@ -765,10 +821,8 @@ def test_phase_row_of_wrong_payload_width_gets_error_envelope():
     r1, masked, _ = symcrypt.split_row(params, row)
     assert len(masked) == 1 and bundle.count(row) == 1
     widened = bundle.replace(row, r1 + masked + b"\x00" + row[len(r1) + 1:])
-    w = netio.Writer()
-    w.blob(serialize_state(job.encoded_state))
-    w.blob(widened)
-    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, w.bytes())))
+    data = serialize_state(job.encoded_state) + widened
+    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))
     assert kind == netio.KIND_ERROR
     assert payload == b"WireFormatError: 1 trailing bytes"
 
@@ -780,14 +834,13 @@ def test_table_of_wrong_shape_is_not_serialized():
                     (table.forward[0] + b"\x00",) + table.forward[1:]):   # one row widened
         bundle = GarbledBundle(job.garbled.skeleton,
                                (ToffoliTables(forward, table.backward),)
-                               + job.garbled.tables[1:],
-                               job.garbled.kappa_bits, job.garbled.tag_len_bits)
+                               + job.garbled.tables[1:])
         with pytest.raises(WireFormatError, match="width"):
             serialize_bundle(bundle, params)
     phase_job, phase_params = _one_phase_job()
     rows = phase_job.garbled.tables[0].rows
     bundle = GarbledBundle(phase_job.garbled.skeleton,
-                           (PhaseTable((rows[0][:-1], rows[1])),), 16, 128)
+                           (PhaseTable((rows[0][:-1], rows[1])),))
     with pytest.raises(WireFormatError, match="width"):
         serialize_bundle(bundle, phase_params)
 
@@ -843,10 +896,8 @@ def test_bundle_header_of_bad_widths_gets_error_envelope(kappa, tag_len):
     job, params = _one_phase_job()
     bundle = bytearray(serialize_bundle(job.garbled, params))
     bundle[1:5] = struct.pack("<HH", kappa, tag_len)
-    w = netio.Writer()
-    w.blob(serialize_state(job.encoded_state))
-    w.blob(bytes(bundle))
-    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, w.bytes())))
+    data = serialize_state(job.encoded_state) + bytes(bundle)
+    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))
     assert kind == netio.KIND_ERROR
     assert b"WireFormatError" in payload and b"multiples of 8" in payload
 

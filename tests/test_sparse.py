@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from rgc import sparse
-from rgc.sparse import (SparseState, apply_classical,
+from rgc.sparse import (RegisterLayout, SparseState, apply_classical,
                         apply_phase, basis_state, density_average, dense_vector,
-                        fidelity, layout, measure_all, pauli_frame, qft, qubit_layout,
+                        fidelity, measure_all, pauli_frame, qft, qubit_layout,
                         random_state, trace_distance, with_layout)
 
 
 def test_layout_offsets():
-    lay = layout(("a", 3), ("b", 5))
+    lay = RegisterLayout((("a", 3), ("b", 5)))
     assert lay.total_bits == 8
     assert lay.offset("a") == 0 and lay.offset("b") == 3
     assert lay.extract(0b10110101, "a") == 0b101
@@ -22,11 +22,11 @@ def test_layout_offsets():
 
 def test_layout_duplicate_names_rejected():
     with pytest.raises(ValueError):
-        layout(("a", 1), ("a", 2))
+        RegisterLayout((("a", 1), ("a", 2)))
 
 
 def test_apply_classical_identity_and_flip():
-    lay = layout(("a", 1))
+    lay = RegisterLayout((("a", 1),))
     plus = sparse.from_terms(lay, {0: 1 / math.sqrt(2), 1: 1 / math.sqrt(2)})
     same = apply_classical(plus, lambda v: v)
     assert same.terms == plus.terms
@@ -36,7 +36,7 @@ def test_apply_classical_identity_and_flip():
 
 def test_apply_classical_random_permutation():
     rng = random.Random(1)
-    lay = layout(("r", 4))
+    lay = RegisterLayout((("r", 4),))
     perm = list(range(16))
     rng.shuffle(perm)
     state = random_state(lay, rng)
@@ -47,14 +47,14 @@ def test_apply_classical_random_permutation():
 
 
 def test_apply_classical_collision_aborts():
-    lay = layout(("a", 1))
+    lay = RegisterLayout((("a", 1),))
     plus = sparse.from_terms(lay, {0: 1 / math.sqrt(2), 1: 1 / math.sqrt(2)})
     with pytest.raises(ValueError):
         apply_classical(plus, lambda v: 0)
 
 
 def test_apply_phase_identity_and_quarter_turns():
-    lay = layout(("r", 2))
+    lay = RegisterLayout((("r", 2),))
     state = sparse.from_terms(lay, {v: 0.5 for v in range(4)})
     assert apply_phase(state, lambda v: 0, 4).terms == state.terms
     # omega_2 = exp(i*pi/2) = i: amplitudes go (1, i, -1, -i)/2
@@ -66,7 +66,7 @@ def test_apply_phase_identity_and_quarter_turns():
 
 def test_apply_phase_inverse():
     rng = random.Random(2)
-    lay = layout(("r", 3))
+    lay = RegisterLayout((("r", 3),))
     state = random_state(lay, rng)
     fwd = apply_phase(state, lambda v: v, 4)
     back = apply_phase(fwd, lambda v: -v, 4)
@@ -75,7 +75,7 @@ def test_apply_phase_inverse():
 
 def test_pauli_frame_zero_and_involution():
     rng = random.Random(3)
-    lay = layout(("r", 8))
+    lay = RegisterLayout((("r", 8),))
     state = random_state(lay, rng, support_bits=range(3))
     assert pauli_frame(state, 0, 0).terms == state.terms
     twice = pauli_frame(pauli_frame(state, 0b1011, 0b0110), 0b1011, 0b0110)
@@ -84,7 +84,7 @@ def test_pauli_frame_zero_and_involution():
 
 def test_pauli_frame_permutes_support_by_xor():
     rng = random.Random(4)
-    lay = layout(("r", 8))
+    lay = RegisterLayout((("r", 8),))
     state = random_state(lay, rng, support_bits=range(3))
     x_mask = 0b10100101
     moved = pauli_frame(state, x_mask, 0b11)
@@ -93,7 +93,7 @@ def test_pauli_frame_permutes_support_by_xor():
 
 
 def test_fidelity_basics():
-    lay = layout(("r", 2))
+    lay = RegisterLayout((("r", 2),))
     s = random_state(lay, random.Random(5))
     assert fidelity(s, s) == pytest.approx(1.0)
     assert fidelity(basis_state(lay, 0), basis_state(lay, 3)) == 0.0
@@ -103,13 +103,13 @@ def test_fidelity_basics():
 
 
 def test_measure_all_deterministic_on_basis_state():
-    lay = layout(("r", 3))
+    lay = RegisterLayout((("r", 3),))
     outcome, p = measure_all(basis_state(lay, 5), random.Random(0))
     assert outcome == 5 and p == pytest.approx(1.0)
 
 
 def test_measure_all_born_statistics():
-    lay = layout(("r", 1))
+    lay = RegisterLayout((("r", 1),))
     state = sparse.from_terms(lay, {0: 1 / math.sqrt(2), 1: 1 / math.sqrt(2)})
     rng = random.Random(6)
     ones = sum(measure_all(state, rng)[0] for _ in range(10_000))
@@ -117,7 +117,7 @@ def test_measure_all_born_statistics():
 
 
 def test_measure_all_seeded_reproducible():
-    lay = layout(("r", 2))
+    lay = RegisterLayout((("r", 2),))
     state = random_state(lay, random.Random(7))
     seq1 = [measure_all(state, random.Random(42))[0] for _ in range(20)]
     seq2 = [measure_all(state, random.Random(42))[0] for _ in range(20)]
@@ -125,7 +125,7 @@ def test_measure_all_seeded_reproducible():
 
 
 def test_qft_of_zero_is_uniform():
-    lay = layout(("r", 4))
+    lay = RegisterLayout((("r", 4),))
     out = qft(basis_state(lay, 0), "r")
     assert len(out.terms) == 16
     assert all(abs(a - 0.25) < 1e-12 for a in out.terms.values())
@@ -133,7 +133,7 @@ def test_qft_of_zero_is_uniform():
 
 def test_qft_period_comb():
     # period-4 comb on 6 bits concentrates on multiples of 64/4 = 16
-    lay = layout(("r", 6))
+    lay = RegisterLayout((("r", 6),))
     comb = sparse.from_terms(lay, {x: 0.25 for x in range(0, 64, 4)})
     out = qft(comb, "r")
     support = {b for b, a in out.terms.items() if abs(a) > 1e-9}
@@ -141,7 +141,7 @@ def test_qft_period_comb():
 
 
 def test_qft_respects_other_registers():
-    lay = layout(("r", 3), ("tag", 2))
+    lay = RegisterLayout((("r", 3), ("tag", 2)))
     state = sparse.from_terms(lay, {0b00_000: 1 / math.sqrt(2), 0b11_001: 1 / math.sqrt(2)})
     out = qft(state, "r")
     tags = {lay.extract(b, "tag") for b in out.terms}
@@ -150,7 +150,7 @@ def test_qft_respects_other_registers():
 
 
 def test_qft_width_cap():
-    lay = layout(("r", 21))
+    lay = RegisterLayout((("r", 21),))
     with pytest.raises(ValueError):
         qft(basis_state(lay, 0), "r")
 
@@ -164,28 +164,28 @@ def test_trace_distance_cases():
 
 
 def test_density_average_mixes():
-    lay = layout(("r", 1))
+    lay = RegisterLayout((("r", 1),))
     rho = density_average([basis_state(lay, 0), basis_state(lay, 1)])
     assert trace_distance(rho, np.eye(2, dtype=complex) / 2) == pytest.approx(0.0)
 
 
 def test_with_layout_relabels():
     state = random_state(qubit_layout(4), random.Random(9))
-    regrouped = with_layout(state, layout(("lo", 2), ("hi", 2)))
+    regrouped = with_layout(state, RegisterLayout((("lo", 2), ("hi", 2))))
     assert regrouped.terms == state.terms
     with pytest.raises(sparse.LayoutMismatchError):
-        with_layout(state, layout(("r", 3)))
+        with_layout(state, RegisterLayout((("r", 3),)))
 
 
 def test_norm_validation():
-    lay = layout(("r", 1))
+    lay = RegisterLayout((("r", 1),))
     with pytest.raises(ValueError):
         SparseState(lay, {0: 0.5 + 0j})
 
 
 def test_huge_amplitude_fails_the_norm_check_not_the_arithmetic():
     # squaring 1e200 overflows a float; the norm is then inf, not an error
-    lay = layout(("r", 2))
+    lay = RegisterLayout((("r", 2),))
     with pytest.raises(ValueError, match="norm"):
         SparseState(lay, {0: 1e200 + 0j, 1: 0.5 + 0j})
     huge = SparseState(lay, {0: 1e200 + 0j}, check=False)
@@ -195,7 +195,7 @@ def test_huge_amplitude_fails_the_norm_check_not_the_arithmetic():
 
 def test_nan_amplitude_fails_the_norm_check():
     with pytest.raises(ValueError, match="norm"):
-        SparseState(layout(("r", 1)), {0: complex(math.nan, 0.0)})
+        SparseState(RegisterLayout((("r", 1),)), {0: complex(math.nan, 0.0)})
 
 
 # dense reference agreement -------------------------------------------------
@@ -210,7 +210,7 @@ def _dense_permutation(perm, vec):
 def test_sparse_matches_dense_reference():
     rng = random.Random(10)
     n = 8
-    lay = layout(("r", n))
+    lay = RegisterLayout((("r", n),))
     state = random_state(lay, rng)
     vec = dense_vector(state)
 
@@ -234,7 +234,7 @@ def test_sparse_matches_dense_reference():
 def test_qft_matches_dense_dft():
     rng = random.Random(11)
     n = 6
-    lay = layout(("r", n))
+    lay = RegisterLayout((("r", n),))
     state = random_state(lay, rng)
     vec = dense_vector(state)
     dim = 1 << n
