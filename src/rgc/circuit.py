@@ -7,8 +7,8 @@ Toffoli consumes its three qubits' current wires and drives three fresh ones;
 a phase gate and an X keep their wire.  A circuit with N inputs and L gates
 therefore uses at most N+3L wires.  :func:`allocate_wires` assigns every
 wire itself, so this discipline holds by construction, and it is the one
-checker of a circuit's gates and constants: the text parser, the generators
-and the server's skeleton reader all build through it.
+place that states a circuit's rules: the text parser, the generators and
+the server's skeleton reader all build through it.
 
 An X costs nothing to delegate.  With one key per logical value, a NOT only
 swaps which of its wire's two keys means 0, so the garbler tracks that swap
@@ -122,9 +122,10 @@ class CPCircuit:
 def allocate_wires(logical_gates: Iterable[LogicalGate], n_inputs: int,
                    const_qubits: Sequence[int] = ()) -> CPCircuit:
     """Assign single-use wire indices to a logical gate list, refusing a
-    qubit out of range, a Toffoli naming one qubit twice, a bad phase, and
-    constant qubits that are not strictly increasing inputs or that a gate
-    could change."""
+    qubit out of range, a Toffoli naming one qubit twice, a phase exponent
+    outside 0..DEFAULT_MAX_DENOM_EXP or sign other than +-1, and constant
+    qubits that are not strictly increasing inputs or that a gate could
+    change."""
     if n_inputs <= 0:
         raise CircuitError("circuit needs at least one input")
     current = list(range(n_inputs))
@@ -148,8 +149,8 @@ def allocate_wires(logical_gates: Iterable[LogicalGate], n_inputs: int,
             a, d, sign = g[1], g[2], g[3]
             if not 0 <= a < n_inputs:
                 raise CircuitError(f"qubit {a} out of range (N={n_inputs})")
-            if d < 0:
-                raise CircuitError(f"negative phase exponent {d}")
+            if not 0 <= d <= DEFAULT_MAX_DENOM_EXP:
+                raise CircuitError(f"phase exponent {d} not in 0..{DEFAULT_MAX_DENOM_EXP}")
             if sign not in (1, -1):
                 raise CircuitError(f"phase sign must be +-1, got {sign}")
             gates.append(Phase(a, current[a], d, sign))
@@ -179,68 +180,54 @@ def allocate_wires(logical_gates: Iterable[LogicalGate], n_inputs: int,
 # ---------------------------------------------------------------------------
 # text format
 
+_ARITY = {"inputs": 1, "const": 1, "toff": 3, "phase": 2, "x": 1}
+
+
 def parse_circuit(text: str) -> CPCircuit:
+    """Tokenize the text format and stream its gates into :func:`allocate_wires`,
+    which states every rule on them; a refusal is reported at the line being
+    read (the end of the text for the constant list)."""
+    lines = text.splitlines()
     n_inputs = None
-    consts: set[int] = set()
-    logical: list[LogicalGate] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    consts: list[int] = []
+    gates: list[tuple[int, LogicalGate]] = []
+    for line_no, raw in enumerate(lines, start=1):
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
+        word, *args = fields
+        sign = -1 if word == "phase" and args[-1:] == ["neg"] else 1
+        if sign < 0:
+            args.pop()
+        if (word == "inputs") != (n_inputs is None):
+            raise CircuitSyntaxError(line_no, "inputs N must come first, and only once")
+        if word not in _ARITY:
+            raise CircuitSyntaxError(line_no, f"unknown directive {word!r}")
+        if len(args) != _ARITY[word]:
+            raise CircuitSyntaxError(line_no, f"{word} needs {_ARITY[word]} integer argument(s)")
         try:
-            if fields[0] == "inputs":
-                if n_inputs is not None:
-                    raise CircuitSyntaxError(line_no, "duplicate inputs header")
-                n_inputs = int(fields[1])
-                if len(fields) != 2 or n_inputs <= 0:
-                    raise CircuitSyntaxError(line_no, "inputs needs one positive count")
-            elif fields[0] == "const":
-                if n_inputs is None:
-                    raise CircuitSyntaxError(line_no, "const before inputs header")
-                if len(fields) != 2:
-                    raise CircuitSyntaxError(line_no, "const needs 1 qubit index")
-                q = int(fields[1])
-                if q in consts:
-                    raise CircuitSyntaxError(line_no, f"qubit {q} declared const twice")
-                consts.add(q)
-            elif fields[0] == "toff":
-                if n_inputs is None:
-                    raise CircuitSyntaxError(line_no, "gate before inputs header")
-                if len(fields) != 4:
-                    raise CircuitSyntaxError(line_no, "toff needs 3 qubit indices")
-                a, b, c = (int(f) for f in fields[1:])
-                if len({a, b, c}) != 3:
-                    raise CircuitSyntaxError(line_no, f"repeated qubit in {line!r}")
-                logical.append(toff(a, b, c))
-            elif fields[0] == "phase":
-                if n_inputs is None:
-                    raise CircuitSyntaxError(line_no, "gate before inputs header")
-                if len(fields) not in (3, 4) or (len(fields) == 4 and fields[3] != "neg"):
-                    raise CircuitSyntaxError(line_no, "phase needs: qubit, exponent, [neg]")
-                a, d = int(fields[1]), int(fields[2])
-                if d > DEFAULT_MAX_DENOM_EXP:
-                    raise CircuitSyntaxError(
-                        line_no, f"exponent {d} above bound {DEFAULT_MAX_DENOM_EXP}")
-                logical.append(phase(a, d, -1 if len(fields) == 4 else 1))
-            elif fields[0] == "x":
-                if n_inputs is None:
-                    raise CircuitSyntaxError(line_no, "gate before inputs header")
-                if len(fields) != 2:
-                    raise CircuitSyntaxError(line_no, "x needs 1 qubit index")
-                logical.append(x(int(fields[1])))
-            else:
-                raise CircuitSyntaxError(line_no, f"unknown directive {fields[0]!r}")
+            ints = [int(a) for a in args]
         except ValueError as exc:
-            if isinstance(exc, CircuitError):
-                raise
             raise CircuitSyntaxError(line_no, str(exc)) from None
+        if word == "inputs":
+            n_inputs, at = ints[0], line_no
+        elif word == "const":
+            consts.append(ints[0])
+        else:
+            gates.append((line_no, (word, *ints, sign) if word == "phase" else (word, *ints)))
     if n_inputs is None:
-        raise CircuitSyntaxError(0, "missing inputs header")
+        raise CircuitSyntaxError(len(lines), "missing inputs header")
+
+    def stream():
+        nonlocal at
+        for at, gate in gates:
+            yield gate
+        at = len(lines)
+
     try:
-        return allocate_wires(logical, n_inputs, sorted(consts))
+        return allocate_wires(stream(), n_inputs, sorted(consts))
     except CircuitError as exc:
-        raise CircuitError(f"invalid circuit: {exc}") from None
+        raise CircuitSyntaxError(at, str(exc)) from None
 
 
 def format_circuit(circ: CPCircuit) -> str:

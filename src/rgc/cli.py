@@ -14,10 +14,12 @@ errors exit 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
-import random
 import sys
+import threading
 import time
 
 import numpy as np
@@ -82,10 +84,7 @@ def format_state(state: sparse.SparseState) -> str:
 
 
 def _params_for(args, kappa_bits: int) -> delegation.CryptoParams:
-    if args.oracle_seed is not None:
-        seed = bytes.fromhex(args.oracle_seed)
-    else:
-        seed = derive_seed(args.seed, "oracle").to_bytes(8, "little")
+    seed = derive_seed(args.seed, "oracle").to_bytes(8, "little")
     return delegation.make_params(kappa_bits, tag_len_bits=args.tag_len, oracle_seed=seed)
 
 
@@ -278,22 +277,16 @@ def cmd_security_test(args) -> int:
         queries = games.self_cycle_queries(3, args.kappa)
         reports["padded-parity"] = games.run_qkdm_game(
             queries, 3, games.qkdm_dist_padded_parity, args.kappa, args.trials, rng)
-    else:
-        raise CliError(f"unknown game {args.game}")
     for name, rep in reports.items():
-        print(json.dumps({"game": args.game, "distinguisher": name, **rep.to_dict()}))
+        print(json.dumps({"game": args.game, "distinguisher": name, **dataclasses.asdict(rep)}))
     return 0
 
 
 def cmd_serve(args) -> int:
     if args.dir:
-        import threading
-        stop = threading.Event()
         print(f"serving directory {args.dir} (ctrl-c to stop)")
-        try:
-            netio.serve_files(args.dir, stop)
-        except KeyboardInterrupt:
-            stop.set()
+        with contextlib.suppress(KeyboardInterrupt):
+            netio.serve_files(args.dir, threading.Event())
         return 0
     server = netio.serve(args.host, args.port)
     host, port = server.server_address
@@ -310,11 +303,11 @@ def cmd_serve(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
+    """The options of a subcommand that draws randomness: ``--seed``, plus
+    the crypto and key-length options its ``flags`` name."""
     p.add_argument("--seed", type=int, default=0)
     if "crypto" in flags:
         p.add_argument("--tag-len", type=int, default=128)
-        p.add_argument("--oracle-seed", type=str, default=None,
-                       help="hex; defaults to a seed-derived value")
     if "eta" in flags:
         p.add_argument("--eta", type=int, default=16)
         p.add_argument("--conjecture-1", action="store_true", dest="conjecture_1",
@@ -343,14 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keys", required=True)
     p.add_argument("--input", required=True, help="one of 0/1/+/- per qubit")
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(fn=cmd_encode)
 
     p = sub.add_parser("eval", help="evaluate a serialized job (server side)")
     p.add_argument("--bundle", required=True)
     p.add_argument("--state", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("decode", help="decode an evaluated state")
@@ -358,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keys", required=True)
     p.add_argument("--result", required=True)
     p.add_argument("--out", default=None)
-    _add_common(p)
     p.set_defaults(fn=cmd_decode)
 
     p = sub.add_parser("delegate", help="full pipeline: encrypt, evaluate, decode")
@@ -406,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7801)
     p.add_argument("--dir", default=None)
-    _add_common(p)
     p.set_defaults(fn=cmd_serve)
 
     return top
@@ -416,9 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, circuit.CircuitError, encoding.UnknownKeyError,
-            evaluate.EvalError, netio.WireFormatError, netio.RemoteEvalError,
-            delegation.SynthesisError, ValueError, OSError) as exc:
+    except (CliError, evaluate.EvalError, netio.RemoteEvalError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

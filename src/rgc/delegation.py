@@ -383,17 +383,6 @@ def factor_from_period(modulus: int, base: int, period: int) -> int | None:
     return None
 
 
-def _check_shor_input(modulus: int, base: int) -> None:
-    if modulus % 2 == 0:
-        raise ValueError("modulus must be odd")
-    if modulus > 64:
-        raise ValueError("modulus above the desk-scale cap of 64")
-    if not any(modulus % p == 0 for p in range(2, modulus)):
-        raise ValueError("modulus must be composite")
-    if math.gcd(base, modulus) != 1:
-        raise ValueError("base must be coprime to the modulus")
-
-
 def shor_delegate(modulus: int, base: int, eta: int, rng: random.Random,
                   conjecture: bool = False) -> ShorReport:
     """One delegated period-finding attempt.
@@ -402,8 +391,11 @@ def shor_delegate(modulus: int, base: int, eta: int, rng: random.Random,
     decodes, applies the Fourier transform on the exponent register itself,
     measures and postprocesses.  factor=None means retry with a new base.
     """
-    _check_shor_input(modulus, base)
-    mx = synth_modexp_toffoli(modulus, base)
+    mx = synth_modexp_toffoli(modulus, base)    # refuses M > 64 and a base sharing a factor
+    if modulus % 2 == 0:
+        raise ValueError("modulus must be odd")
+    if all(modulus % p for p in range(2, modulus)):
+        raise ValueError("modulus must be composite")
     state, stats, cost = modexp_delegated_state(mx, eta, rng, conjecture)
     state = sparse.qft(state, "exp")
     outcome, _ = sparse.measure_all(state, rng)
@@ -420,11 +412,8 @@ def shor_factor(modulus: int, eta: int, rng: random.Random, attempts: int = 10,
     reports = []
     for _ in range(attempts):
         a = base if base is not None else rng.randrange(2, modulus - 1)
-        shared = math.gcd(a, modulus)
-        if shared != 1:
-            if base is None:
-                continue            # classical luck; only counts when a was forced
-            raise ValueError("base shares a factor with the modulus")
+        if base is None and math.gcd(a, modulus) != 1:
+            continue            # classical luck; a forced base is refused by the synthesis
         report = shor_delegate(modulus, a, eta, rng, conjecture=conjecture)
         reports.append(report)
         if report.factor is not None:
@@ -439,7 +428,6 @@ def shor_factor(modulus: int, eta: int, rng: random.Random, attempts: int = 10,
 class QkdmCiphertext:
     padded_state: SparseState
     otp_ct: bytes                  # packed single-key row of a || b
-    n_bits: int
 
 
 def qkdm_enc(params: CryptoParams, sk: bytes, state: SparseState,
@@ -451,16 +439,17 @@ def qkdm_enc(params: CryptoParams, sk: bytes, state: SparseState,
     padded = sparse.pauli_frame(state, a, b)
     nbytes = (n + 7) // 8
     payload = a.to_bytes(nbytes, "little") + b.to_bytes(nbytes, "little")
-    return QkdmCiphertext(padded, symcrypt.kdm_enc(params, sk, payload, rng), n)
+    return QkdmCiphertext(padded, symcrypt.kdm_enc(params, sk, payload, rng))
 
 
 def qkdm_dec(params: CryptoParams, sk: bytes, ct: QkdmCiphertext) -> SparseState:
     """Invert the mask; X^a Z^b is self-inverse up to a global sign."""
-    nbytes = (ct.n_bits + 7) // 8
+    n = ct.padded_state.layout.total_bits
+    nbytes = (n + 7) // 8
     payload = symcrypt.kdm_dec(params, sk, ct.otp_ct)
     if len(payload) != 2 * nbytes:
         raise ValueError("pad ciphertext has the wrong length")
-    mask = (1 << ct.n_bits) - 1
+    mask = (1 << n) - 1
     a = int.from_bytes(payload[:nbytes], "little") & mask
     b = int.from_bytes(payload[nbytes:], "little") & mask
     return sparse.pauli_frame(ct.padded_state, a, b)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from . import delegation, encoding, garble, sparse, symcrypt
@@ -40,9 +40,6 @@ class GameReport:
     oracle_queries_used: int
     p1: float
     p0: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _report(guesses: list[tuple[int, int]], queries: int) -> GameReport:
@@ -93,14 +90,13 @@ def _play(distinguisher: Callable[[Any, random.Random], int],
 
 @dataclass
 class ChallengeView:
-    """What the adversary holds: the job as shipped, the public circuit and
-    crypto context, and the message it asked to have encrypted.  The key
-    schedule appears only in the deliberately rigged mode."""
+    """What the adversary holds: the job as shipped and the public circuit
+    and crypto context; the message it asked to have encrypted is all ones.
+    The key schedule appears only in the deliberately rigged mode."""
 
     params: CryptoParams
     circuit: CPCircuit
     job: JobBundle
-    message_bits: int
     leaked_keys: DelegationKeys | None = None
 
 
@@ -129,8 +125,7 @@ def run_ind_cpa_gbc(distinguisher: Distinguisher, circ: CPCircuit, kappa_bits: i
                             garble.garble_circuit(params, circ, keys.schedule, setup_rng))
         else:
             job = delegation.encrypt(params, keys, circ, state, setup_rng)
-        return ChallengeView(params, circ, job, message,
-                             leaked_keys=keys if leak_keys else None)
+        return ChallengeView(params, circ, job, leaked_keys=keys if leak_keys else None)
 
     return _play(distinguisher, challenge, kappa_bits, trials, rng, table_oracle)
 
@@ -205,7 +200,7 @@ def dist_leaked_decrypt(view: ChallengeView, rng) -> int:
     decoded = encoding.decode(view.job.encoded_state, view.leaked_keys.schedule,
                               view.circuit.input_wires)
     plain = next(iter(decoded.terms))
-    return 1 if plain == view.message_bits else 0
+    return 1 if plain == (1 << view.circuit.num_inputs) - 1 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +224,7 @@ class AffineKeyFn:
 @dataclass
 class KdmView:
     params: CryptoParams
-    ciphertexts: list[bytes]
+    ciphertexts: list       # packed rows, or delegation.QkdmCiphertext (Pauli pad)
     queries: list[tuple[int, AffineKeyFn]]
 
 
@@ -377,9 +372,7 @@ class RecoveryView:
     params: CryptoParams
     circuit: CPCircuit
     bundle: GarbledBundle
-    input_bits: int
     input_keys: list[bytes]
-    target_bits: int
 
 
 Guesser = Callable[[RecoveryView, random.Random], list[bytes]]
@@ -410,8 +403,8 @@ def key_recovery_experiment(circ: CPCircuit, kappa_bits: int, guesser: Guesser,
     Both inputs hold the circuit's public constants at 1: the revealed input
     is 0 elsewhere and the target 1 everywhere."""
     n = circ.num_inputs
-    input_bits, target = circ.const_mask, (1 << n) - 1
-    if target == input_bits:
+    input_bits = circ.const_mask
+    if input_bits == (1 << n) - 1:
         raise ValueError("every input is a public constant: no target input differs")
     successes = 0
     for _ in range(trials):
@@ -420,14 +413,13 @@ def key_recovery_experiment(circ: CPCircuit, kappa_bits: int, guesser: Guesser,
         bundle = garble.garble_circuit(params, circ, schedule, rng)
         known = [schedule.pairs[w][(input_bits >> i) & 1]
                  for i, w in enumerate(circ.input_wires)]
-        view = RecoveryView(params, circ, bundle, input_bits, list(known), target)
+        view = RecoveryView(params, circ, bundle, list(known))
         guess = guesser(view, rng)
         ok = len(guess) == n
         for i, w in enumerate(circ.input_wires):
             if not ok:
                 break
-            same_bit = ((input_bits >> i) & 1) == ((target >> i) & 1)
-            if same_bit:
+            if (input_bits >> i) & 1:       # a constant: both inputs hold 1
                 ok = guess[i] == known[i]
             else:
                 ok = guess[i] != known[i] and wire_tag_check(view, w, guess[i])
@@ -452,7 +444,7 @@ def guess_brute_force(view: RecoveryView, rng) -> list[bytes]:
         raise ValueError("brute force control is limited to kappa = 8")
     out = []
     for i, w in enumerate(view.circuit.input_wires):
-        if ((view.input_bits >> i) & 1) == ((view.target_bits >> i) & 1):
+        if (view.circuit.const_mask >> i) & 1:
             out.append(view.input_keys[i])
             continue
         hit = None
@@ -468,15 +460,8 @@ def guess_brute_force(view: RecoveryView, rng) -> list[bytes]:
 # ---------------------------------------------------------------------------
 # non-adaptive KDM game for the Pauli-pad quantum scheme (basis-state level)
 
-@dataclass
-class QkdmView:
-    params: CryptoParams
-    ciphertexts: list[delegation.QkdmCiphertext]
-    queries: list[tuple[int, AffineKeyFn]]
-
-
 def run_qkdm_game(queries: list[tuple[int, AffineKeyFn]], n_keys: int,
-                  distinguisher: Callable[[QkdmView, random.Random], int],
+                  distinguisher: Callable[[KdmView, random.Random], int],
                   kappa_bits: int, trials: int, rng: random.Random, *,
                   table_oracle: bool = True) -> GameReport:
     """Same shape as the classical KDM game, but the challenger answers with
@@ -492,12 +477,12 @@ def run_qkdm_game(queries: list[tuple[int, AffineKeyFn]], n_keys: int,
             plain = fn.evaluate(keyset) if b == 1 else bytes(kb)
             state = sparse.basis_state(lay, int.from_bytes(plain, "little"))
             cts.append(delegation.qkdm_enc(params, keyset[index], state, setup_rng))
-        return QkdmView(params, cts, queries)
+        return KdmView(params, cts, queries)
 
     return _play(distinguisher, challenge, kappa_bits, trials, rng, table_oracle)
 
 
-def qkdm_dist_padded_parity(view: QkdmView, rng) -> int:
+def qkdm_dist_padded_parity(view: KdmView, rng) -> int:
     acc = 0
     for ct in view.ciphertexts:
         acc ^= next(iter(ct.padded_state.terms))

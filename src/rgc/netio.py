@@ -46,26 +46,25 @@ are read by slicing and written whole.  The reader refuses other bundle
 versions (formats 1 to 3 sent row field lengths, every gate's wires, or 16
 rows for every Toffoli), more than ``MAX_QUBITS`` qubits or state
 registers, more constants than qubits, a gate or term count that the bytes
-left could not hold, a state register width of 0, a skeleton phase exponent
-above ``circuit.DEFAULT_MAX_DENOM_EXP``, a skeleton ``allocate_wires``
-refuses (a qubit out of range, a Toffoli naming one qubit twice, a phase
-sign other than +-1, a constant list that is not strictly increasing below
-``num_inputs``, a constant qubit that is a Toffoli target or phased), and a
-state whose basis strings are not strictly increasing, whose amplitudes are
-not finite or whose norm squared differs from 1 by more than
-``sparse.NORM_TOL``; the writer refuses rows of other widths and X gates,
-which no skeleton carries (an X is a relabeling of its wire's keys on the
-client, see :mod:`rgc.garble`).
+left could not hold, a state register width of 0, a skeleton
+``circuit.allocate_wires`` refuses (its every rule, the phase exponent's
+bound among them), and a state whose basis strings are not strictly
+increasing, whose amplitudes are not finite or whose norm squared differs
+from 1 by more than ``sparse.NORM_TOL``; the writer refuses rows of other
+widths and X gates, which no skeleton carries (an X is a relabeling of its
+wire's keys on the client, see :mod:`rgc.garble`).
 
 One request per connection keeps the exchange as non-interactive as the
 protocol itself: the client ships a job, the server ships back the evaluated
 state (or an error), and that's the whole conversation.  The server answers
 a declared payload above ``MAX_PAYLOAD_BYTES`` with an error without reading
 it, a connection beyond ``MAX_CONNECTIONS`` open ones with an error at
-once, and drops a connection that stalls for ``SOCKET_TIMEOUT_S``.  A directory-based
-transport mirrors the socket one for setups where the only channel is a
-shared filesystem; both produce byte-identical result payloads, and both
-refuse an envelope whose payload exceeds ``MAX_PAYLOAD_BYTES`` unread.
+once, and drops a connection that stalls for ``SOCKET_TIMEOUT_S``; every
+error envelope built from an exception reads ``ClassName: text``.  A
+directory-based transport mirrors the socket one for setups where the only
+channel is a shared filesystem, and each end consumes the file it reads;
+both produce byte-identical result payloads, and both refuse an envelope
+whose payload exceeds ``MAX_PAYLOAD_BYTES`` unread.
 
 Bundles are only serializable when their oracle runs in hash mode - a lazy
 table is process-local state and cannot cross the wire.  The oracle seed in
@@ -88,8 +87,7 @@ import zlib
 from typing import Iterator
 
 from . import delegation, evaluate
-from .circuit import (DEFAULT_MAX_DENOM_EXP, CPCircuit, LogicalGate, Phase, Toffoli, X,
-                      allocate_wires, phase, toff)
+from .circuit import CPCircuit, LogicalGate, Phase, Toffoli, X, allocate_wires, phase, toff
 from .delegation import JobBundle
 from .encoding import KeySchedule, WireKeyPair
 from .evaluate import EvalStats
@@ -251,11 +249,7 @@ def _get_gates(r: Reader, count: int) -> Iterator[LogicalGate]:
         if kind == 0:
             yield toff(*r.unpack(_TOFFOLI_GATE))
         elif kind == 1:
-            qubit, denom_exp, sign = r.unpack(_PHASE_GATE)
-            if denom_exp > DEFAULT_MAX_DENOM_EXP:
-                raise WireFormatError(f"phase exponent {denom_exp} above bound "
-                                      f"{DEFAULT_MAX_DENOM_EXP}")
-            yield phase(qubit, denom_exp, sign)
+            yield phase(*r.unpack(_PHASE_GATE))
         else:
             raise WireFormatError(f"unknown gate kind {kind}")
 
@@ -513,14 +507,19 @@ def evaluate_job_payload(payload: bytes) -> bytes:
     return serialize_result(state, stats)
 
 
+def _error_envelope(exc: Exception) -> bytes:
+    """The server's one way to refuse a request: ``ClassName: text``."""
+    return frame(KIND_ERROR, f"{type(exc).__name__}: {exc}".encode())
+
+
 def handle_envelope(data: bytes | bytearray) -> bytes:
     try:
         kind, payload = unframe(data)
         if kind != KIND_JOB:
             raise WireFormatError(f"expected a job envelope, got kind {kind}")
         return frame(KIND_RESULT, evaluate_job_payload(payload))
-    except (WireFormatError, evaluate.EvalError, ValueError) as exc:
-        return frame(KIND_ERROR, f"{type(exc).__name__}: {exc}".encode())
+    except (evaluate.EvalError, ValueError) as exc:
+        return _error_envelope(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +558,7 @@ class _JobHandler(socketserver.BaseRequestHandler):
         try:
             request = _read_envelope(self.request)
         except WireFormatError as exc:
-            self.request.sendall(frame(KIND_ERROR, str(exc).encode()))
+            self.request.sendall(_error_envelope(exc))
             return
         except TimeoutError:
             return      # an idle or stalled client: drop the connection
@@ -619,6 +618,17 @@ def submit(host: str, port: int, job: JobBundle, params: CryptoParams,
 # ---------------------------------------------------------------------------
 # directory transport (inbox/, outbox/)
 
+POLL_S = 0.05       # how often both ends look for a file
+
+
+def _write_file(path: str, data: bytes) -> None:
+    """Write through a temporary name, so a reader never sees a partial file."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 def submit_file(root: str, job_id: str, job: JobBundle, params: CryptoParams) -> str:
     # an answer left under this id would pass for this job's
     with contextlib.suppress(FileNotFoundError):
@@ -626,10 +636,7 @@ def submit_file(root: str, job_id: str, job: JobBundle, params: CryptoParams) ->
     inbox = os.path.join(root, "inbox")
     os.makedirs(inbox, exist_ok=True)
     path = os.path.join(inbox, f"{job_id}.rgc")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(frame(KIND_JOB, serialize_job(job, params)))
-    os.replace(tmp, path)
+    _write_file(path, frame(KIND_JOB, serialize_job(job, params)))
     return path
 
 
@@ -646,10 +653,9 @@ def serve_files_once(root: str) -> int:
     oversized job file gets an error envelope and is consumed unread."""
     inbox = os.path.join(root, "inbox")
     outbox = os.path.join(root, "outbox")
+    os.makedirs(inbox, exist_ok=True)
     os.makedirs(outbox, exist_ok=True)
     handled = 0
-    if not os.path.isdir(inbox):
-        return 0
     for name in sorted(os.listdir(inbox)):
         if not name.endswith(".rgc"):
             continue
@@ -657,29 +663,31 @@ def serve_files_once(root: str) -> int:
         try:
             response = handle_envelope(_read_envelope_file(path))
         except WireFormatError as exc:
-            response = frame(KIND_ERROR, str(exc).encode())
-        tmp = os.path.join(outbox, name + ".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(response)
-        os.replace(tmp, os.path.join(outbox, name))
+            response = _error_envelope(exc)
+        _write_file(os.path.join(outbox, name), response)
         os.remove(path)
         handled += 1
     return handled
 
 
-def collect_result(root: str, job_id: str, timeout: float = 30.0,
-                   poll: float = 0.05) -> tuple[SparseState, EvalStats]:
+def collect_result(root: str, job_id: str,
+                   timeout: float = 30.0) -> tuple[SparseState, EvalStats]:
+    """Wait for the job's answer and consume it, read or refused."""
     path = os.path.join(root, "outbox", f"{job_id}.rgc")
     deadline = time.monotonic() + timeout
     while not os.path.exists(path):
         if time.monotonic() > deadline:
             raise TimeoutError(f"no result for job {job_id}")
-        time.sleep(poll)
-    return _read_result(_read_envelope_file(path))
+        time.sleep(POLL_S)
+    try:
+        envelope = _read_envelope_file(path)
+    finally:
+        os.remove(path)
+    return _read_result(envelope)
 
 
-def serve_files(root: str, stop: threading.Event, poll: float = 0.1) -> None:
+def serve_files(root: str, stop: threading.Event) -> None:
     """Watch-loop flavour of the directory transport."""
     while not stop.is_set():
         if serve_files_once(root) == 0:
-            time.sleep(poll)
+            time.sleep(POLL_S)

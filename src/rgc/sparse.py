@@ -112,9 +112,12 @@ def from_terms(lay: RegisterLayout, terms: dict[int, complex]) -> SparseState:
 def random_state(lay: RegisterLayout, rng: random.Random,
                  support_bits: Sequence[int] | None = None) -> SparseState:
     """Haar-ish random state: Gaussian amplitudes over the full basis of the
-    given bits (all bits by default), normalized."""
+    given bits (all bits by default), normalized.  A support wider than
+    ``MAX_DENSE_DIM`` basis states is refused before any draw."""
     bits = list(support_bits) if support_bits is not None else list(range(lay.total_bits))
     dim = 1 << len(bits)
+    if dim > MAX_DENSE_DIM:
+        raise ValueError(f"support of {len(bits)} bits too wide for a random state")
     amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(dim)]
     norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
     terms: dict[int, complex] = {}

@@ -59,6 +59,23 @@ def test_parse_errors():
         parse_circuit("inputs 2\ntoff 0 1 2\n")   # qubit out of range
 
 
+def test_parse_bare_inputs_line_is_a_syntax_error():
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit("inputs\n")
+    assert err.value.line_no == 1
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("inputs 3\nphase 0 1\ntoff 0 1 3\n", 3, "qubit 3 out of range"),
+    ("inputs 2\n# note\nx 0\nphase 1 17 neg\n", 4, "phase exponent 17 not in 0..16"),
+    ("inputs 2\nconst 1\nconst 1\nx 0\n", 4, "strictly increasing"),
+])
+def test_parse_reports_an_allocate_wires_refusal_at_its_line(text, line_no, message):
+    with pytest.raises(CircuitSyntaxError, match=message) as err:
+        parse_circuit(text)
+    assert err.value.line_no == line_no
+
+
 def test_allocation_two_phases_share_wire():
     circ = allocate_wires([phase(0, 1), phase(0, 2)], 1)
     assert circ.num_wires == 1

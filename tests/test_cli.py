@@ -6,7 +6,7 @@ import pytest
 
 from rgc import netio
 from rgc.circuit import parse_circuit, simulate
-from rgc.cli import main, parse_state_tokens
+from rgc.cli import build_parser, main, parse_state_tokens
 from rgc.sparse import fidelity
 
 CIRCUIT_TEXT = "inputs 3\ntoff 0 1 2\nphase 2 1\n"
@@ -62,11 +62,10 @@ def test_pipeline_commands(tmp_path, circuit_file, capsys):
     assert main(["garble", "--circuit", circuit_file, "--keys", keys,
                  "--seed", "3", "--out", bundle]) == 0
     assert main(["encode", "--circuit", circuit_file, "--keys", keys,
-                 "--input", "110", "--out", enc, "--seed", "3"]) == 0
-    assert main(["eval", "--bundle", bundle, "--state", enc, "--out", res,
-                 "--seed", "3"]) == 0
+                 "--input", "110", "--out", enc]) == 0
+    assert main(["eval", "--bundle", bundle, "--state", enc, "--out", res]) == 0
     assert main(["decode", "--circuit", circuit_file, "--keys", keys,
-                 "--result", res, "--seed", "3"]) == 0
+                 "--result", res]) == 0
     out = capsys.readouterr().out
     # toffoli flips qubit 2 for input 110; phase on |1> is global
     assert out.strip().splitlines()[-1].startswith("111")
@@ -131,6 +130,7 @@ def test_delegate_dir_transport(tmp_path, circuit_file):
     finally:
         stop.set()
         worker.join(timeout=5)
+    assert os.listdir(root / "outbox") == []      # the client consumed its answer
     ref = str(tmp_path / "ref.bin")
     assert main(["delegate", "--circuit", circuit_file, "--input", "+11",
                  "--seed", "5", "--conjecture-1", "--out", ref]) == 0
@@ -218,7 +218,25 @@ def test_encode_refuses_a_constant_qubit_that_is_not_1(tmp_path, capsys):
     assert main(["keygen", "--circuit", str(path), "--eta", "16", "--conjecture-1",
                  "--seed", "3", "--out", keys]) == 0
     assert main(["encode", "--circuit", str(path), "--keys", keys, "--input", "010",
-                 "--out", enc, "--seed", "3"]) == 1
+                 "--out", enc]) == 1
     assert capsys.readouterr().err == ("error: a declared constant qubit is not 1 "
                                        "in every input term\n")
     assert not os.path.exists(enc)
+
+
+def test_keygen_reports_a_bare_inputs_line_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "bare.txt"
+    path.write_text("inputs\n")
+    assert main(["keygen", "--circuit", str(path), "--out", str(tmp_path / "k.bin")]) == 1
+    assert capsys.readouterr().err == "error: line 1: inputs needs 1 integer argument(s)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--circuit", "c", "--keys", "k", "--input", "0", "--out", "o"],
+    ["eval", "--bundle", "b", "--state", "s", "--out", "o"],
+    ["decode", "--circuit", "c", "--keys", "k", "--result", "r"],
+    ["serve"],
+])
+def test_subcommands_that_draw_no_randomness_take_no_seed(argv):
+    _, unknown = build_parser().parse_known_args(argv + ["--seed", "1"])
+    assert unknown == ["--seed", "1"]

@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rgc import evaluate, netio, sparse, symcrypt
-from rgc.circuit import (Toffoli, X, allocate_wires, parse_circuit, random_circuit,
-                         simulate)
+from rgc.circuit import (CircuitError, Toffoli, X, allocate_wires, parse_circuit, phase,
+                         random_circuit, simulate)
 from rgc.delegation import (blind_delegate, decrypt, delegate, encrypt,
                             factor_from_period, keygen, make_params,
                             modexp_delegated_state, modexp_direct_state,
@@ -19,6 +19,19 @@ from rgc.circuit import eval_classical
 from rgc.sparse import basis_state, fidelity, qubit_layout, random_state
 
 from conftest import circuits_and_states, input_state
+
+
+def test_delegate_refuses_a_phase_exponent_above_the_bound():
+    # in-process delegation and the server refuse the same circuits
+    rng = random.Random(31)
+    params = make_params(16, oracle_seed=b"bound")
+    psi = random_state(qubit_layout(1), rng)
+    circ = allocate_wires([phase(0, 16)], 1)
+    out, _ = delegate(params, keygen(16, 1, circ, rng, conjecture=True), circ, psi, rng)
+    assert fidelity(out, simulate(circ, psi)) >= 1 - 1e-9
+    with pytest.raises(CircuitError, match="phase exponent 17"):
+        circ = allocate_wires([phase(0, 17)], 1)
+        delegate(params, keygen(16, 1, circ, rng, conjecture=True), circ, psi, rng)
 
 
 def test_kappa_formula():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -150,7 +151,7 @@ def test_qkdm_game_blind():
 
 def test_report_shape():
     report = run_ind_cpa_gbc(dist_constant, GAME_CIRCUIT, 16, 50, random.Random(18))
-    d = report.to_dict()
+    d = dataclasses.asdict(report)
     assert set(d) == {"trials", "advantage_estimate", "confidence_radius",
                       "oracle_queries_used", "p1", "p0"}
     assert report.advantage_estimate <= 1.0

@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rgc import delegation, evaluate, netio, sparse, symcrypt
-from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CircuitError, Toffoli, allocate_wires,
-                         format_circuit, parse_circuit, phase, random_circuit, without_x)
+from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CircuitError, CPCircuit, Phase, Toffoli,
+                         allocate_wires, format_circuit, parse_circuit, phase, random_circuit,
+                         without_x)
 from rgc.encoding import KeySchedule, WireKeyPair, encode, gen_keys
 from rgc.evaluate import EvalStats
 from rgc.games import GameReport
@@ -299,6 +300,7 @@ def test_collect_result_refuses_an_envelope_that_is_not_a_result(tmp_path):
         frame(netio.KIND_JOB, serialize_job(job, params)))
     with pytest.raises(WireFormatError, match="^unexpected envelope kind 1$"):
         netio.collect_result(str(tmp_path), "j1", timeout=0)
+    assert os.listdir(tmp_path / "outbox") == []        # consumed, though refused
 
 
 def test_directory_transport_refuses_an_oversized_job_unread(tmp_path, monkeypatch):
@@ -308,20 +310,24 @@ def test_directory_transport_refuses_an_oversized_job_unread(tmp_path, monkeypat
     assert os.path.getsize(path) > 18 + 500
     assert netio.serve_files_once(str(tmp_path)) == 1
     assert not os.path.exists(path)         # consumed
-    with pytest.raises(netio.RemoteEvalError, match="^declared payload of .* above limit 500$"):
+    with pytest.raises(netio.RemoteEvalError,
+                       match="^WireFormatError: declared payload of .* above limit 500$"):
         netio.collect_result(str(tmp_path), "j1", timeout=0)
 
 
 def test_collect_result_refuses_an_oversized_result_unread(tmp_path, monkeypatch):
     _, _, params, _, job = _job_fixture(seed=10)
     result = serialize_result(*evaluate.eval_bundle(params, job.encoded_state, job.garbled))
-    (tmp_path / "outbox").mkdir()
-    (tmp_path / "outbox" / "j1.rgc").write_bytes(frame(netio.KIND_RESULT, result))
+    answer = tmp_path / "outbox" / "j1.rgc"
+    answer.parent.mkdir()
+    answer.write_bytes(frame(netio.KIND_RESULT, result))
     monkeypatch.setattr(netio, "MAX_PAYLOAD_BYTES", len(result))
     netio.collect_result(str(tmp_path), "j1", timeout=0)
+    answer.write_bytes(frame(netio.KIND_RESULT, result))     # the first call consumed it
     monkeypatch.setattr(netio, "MAX_PAYLOAD_BYTES", len(result) - 1)
     with pytest.raises(WireFormatError, match="above limit"):
         netio.collect_result(str(tmp_path), "j1", timeout=0)
+    assert not answer.exists()                                # consumed unread
 
 
 def test_server_reports_evaluation_errors():
@@ -380,16 +386,17 @@ def _handle_job(job, params):
 
 
 def test_phase_exponent_above_bound_gets_error_envelope():
-    # a correctly framed job; only the exponent exceeds what the parser allows
+    # a correctly framed job; only the exponent exceeds what allocate_wires
+    # allows, so the circuit is built around it
     d = DEFAULT_MAX_DENOM_EXP + 1984
-    circ = allocate_wires([phase(0, d)], 1)
+    circ = CPCircuit(1, (Phase(0, 0, d),), 1, (0,))
     rng = random.Random(13)
     keys = delegation.keygen(16, 1, circ, rng, conjecture=True)
     params = delegation.make_params(16, oracle_seed=b"exp")
     job = delegation.encrypt(params, keys, circ, random_state(qubit_layout(1), rng), rng)
     kind, payload = _handle_job(job, params)
     assert kind == netio.KIND_ERROR
-    assert b"WireFormatError" in payload and b"exponent" in payload
+    assert payload == f"CircuitError: phase exponent {d} not in 0..16".encode()
 
 
 # registers of one width each: the wire carries no other layout
@@ -916,7 +923,9 @@ def test_server_refuses_oversized_and_drops_idle_connections(monkeypatch):
             sock.sendall(netio.MAGIC + struct.pack("<BBQ", netio.WIRE_VERSION,
                                                    netio.KIND_JOB, 1 << 40))
             kind, payload = unframe(netio._read_envelope(sock))
-        assert kind == netio.KIND_ERROR and b"above limit" in payload
+        assert kind == netio.KIND_ERROR
+        assert payload == (b"WireFormatError: declared payload of 1099511627776 bytes "
+                           b"above limit 65536")
         with socket.create_connection((host, port), timeout=5) as sock:
             sock.sendall(netio.MAGIC)       # then goes quiet
             assert sock.recv(1) == b""      # the server hangs up

@@ -243,3 +243,15 @@ def test_qft_matches_dense_dft():
     ref = dft @ vec
     got = dense_vector(qft(state, "r"))
     assert np.max(np.abs(got - ref)) < 1e-10
+
+
+def test_random_state_refuses_a_wide_support_before_drawing():
+    class NoDraws(random.Random):
+        def gauss(self, mu=0.0, sigma=1.0):
+            raise AssertionError("drew an amplitude")
+
+    lay = qubit_layout(2, 16)
+    with pytest.raises(ValueError, match="32 bits"):
+        random_state(lay, NoDraws(1))
+    with pytest.raises(ValueError, match="32 bits"):
+        random_state(lay, NoDraws(1), support_bits=range(32))
