@@ -115,7 +115,7 @@ def cmd_garble(args) -> int:
                                    derive_rng(args.seed, "garble"))
     data = netio.serialize_bundle(bundle, params)
     _write_bin(args.out, data)
-    rows = sum(len(t.forward) + len(t.backward) if isinstance(t, garble.ToffoliTables)
+    rows = sum(len(t.forward.rows) + len(t.backward.rows) if isinstance(t, garble.ToffoliTables)
                else len(t.rows) for t in bundle.tables)
     print(f"garbled {len(bundle.tables)} tables, {rows} rows, {len(data)} bytes -> {args.out}")
     return 0

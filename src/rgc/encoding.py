@@ -24,6 +24,7 @@ import numpy as np
 
 from .circuit import CPCircuit
 from .sparse import SparseState, qubit_layout, trace_distance
+from .symcrypt import CryptoParams
 from .util import bytes_to_int, popcount, rand_bytes
 
 
@@ -57,8 +58,7 @@ class UnknownKeyError(ValueError):
 def gen_keys(kappa_bits: int, circ: CPCircuit, rng: random.Random) -> KeySchedule:
     """Independent uniform key pairs for every wire of the circuit,
     resampling the measure-zero k0 == k1 collisions."""
-    if kappa_bits % 8 != 0 or kappa_bits <= 0:
-        raise ValueError("kappa must be a positive byte multiple")
+    CryptoParams.check_widths(kappa_bits)
     nbytes = kappa_bits // 8
     pairs = []
     for _ in range(circ.num_wires):

@@ -16,25 +16,27 @@ and honest tables never break this rule, so every code is 0 or 1.
 A Toffoli combines its registers' codes into one 3-bit triple code
 ``(ca << 2) | (cb << 1) | cc`` per term and finds the present triples - at
 most 8, however many terms the superposition carries - with one bincount.
-It translates each present triple once - looking up the forward row it
-opens (trying every row against the key tags, and insisting exactly one
-opens), decrypting the output keys, and erasing the input keys through the
+It translates each present triple once - opening the forward row its keys
+index, decrypting the output keys, and erasing the input keys through the
 backward row - then moves every term through one 8-entry code table per
-register.  The triples of one gate share their registers' keys, so each
-gate remembers every (row, tag slot, key) check it has made, per table,
-and never repeats one; the scans still cover every row, so an ambiguous row
-is found even when its checks were memoised by an earlier triple.  The
-backward payload must XOR the inputs to exactly zero - that erasure is
-asserted for every distinct triple of every gate, and a failure aborts the
-evaluation: leftover input keys would entangle the result with junk
-registers.  A phase gate opens its row once per distinct key, through the
-same unique-row scan with one tag slot, and gathers one factor per term.
+register.  A row is found through its table's header (see
+:mod:`rgc.garble`): per slot, one digest of the slot's key, which must match
+exactly one of the slot's digests, gives the key's position, and the
+positions index the row.  The triples of one gate share their registers'
+keys, so each gate remembers the position of every (slot, key) it has
+looked up, per table, and computes each digest once.  The backward payload
+must XOR the inputs to exactly zero - that erasure is asserted for every
+distinct triple of every gate, and a failure aborts the evaluation:
+leftover input keys would entangle the result with junk registers.  A phase
+gate opens its row once per distinct key, through a header of one slot,
+and gathers one factor per term.
 
 A register the skeleton declares a public constant must hold one key in
 every term, or the state is refused.  A Toffoli it controls carries half
-tables (see :mod:`rgc.garble`), which the row scans handle unchanged.
+tables whose constant slot holds one digest, which the lookups handle
+unchanged.
 
-Everything here sees only ciphertexts and tags.  This module has no access
+Everything here sees only ciphertexts and digests.  This module has no access
 to, and no dependency on, the key schedule.
 """
 
@@ -49,7 +51,7 @@ import numpy as np
 
 from . import symcrypt
 from .circuit import Phase, Toffoli
-from .garble import GarbledBundle, PhaseTable, ToffoliTables
+from .garble import GarbledBundle, Table, ToffoliTables
 from .sparse import RegisterLayout, SparseState, qubit_layout
 from .symcrypt import CryptoParams
 
@@ -59,11 +61,11 @@ class EvalError(RuntimeError):
 
 
 class NoRowMatchError(EvalError):
-    """No table row opens under the given keys: corrupted input."""
+    """No digest of a header slot matches the key: corrupted input."""
 
 
 class AmbiguousRowError(EvalError):
-    """Two rows verify under one key set: tag collision, refuse to guess."""
+    """Two digests of one header slot match one key: refuse to guess."""
 
 
 class ErasureError(EvalError):
@@ -72,11 +74,16 @@ class ErasureError(EvalError):
 
 @dataclass
 class EvalStats:
+    """Counts of one evaluation.  ``rows_tried`` is the header slots checked
+    plus the rows opened, so it is positive for any bundle with a gate; the
+    two ``ver_calls`` counts split the slot checks, one digest each, between
+    the forward and phase tables and the backward tables."""
+
     gates: int = 0
     terms_processed: int = 0
     rows_tried: int = 0
-    ver_calls: int = 0           # tag checks of forward and phase row searches
-    backward_ver_calls: int = 0  # tag checks of erasure-side row searches
+    ver_calls: int = 0
+    backward_ver_calls: int = 0
     erasure_checks: int = 0
 
     def to_json(self) -> str:
@@ -130,67 +137,61 @@ class ColumnarState:
                                                         self.im.tolist()))), check=False)
 
 
-# Tag checks one gate has made, per table: (slot, key) -> {row: verified}.
-TagMemo = dict[tuple[int, bytes], dict[int, bool]]
+# Header positions one gate has looked up, per table: (slot, key) -> position.
+SlotMemo = dict[tuple[int, bytes], int]
 
 
-def _match_unique(params: CryptoParams, keys: tuple[bytes, ...],
-                  rows: tuple[bytes, ...], memo: TagMemo, stats: EvalStats,
-                  backward: bool = False) -> int:
-    """Index of the single row whose tags all accept ``keys``, one tag slot
-    per key: three for a Toffoli row, one for a phase row.
+def _open(params: CryptoParams, keys: tuple[bytes, ...], table: Table, memo: SlotMemo,
+          stats: EvalStats, backward: bool = False) -> bytes:
+    """The payload of the row that ``keys``, one per header slot, index.
 
-    Slot by slot, the rows whose earlier tags all verified are checked
-    against the slot's key, so a row is checked under exactly the keys a
-    row-by-row scan with early exit would check; ``memo`` answers the checks
-    an earlier triple of the same gate already made.  Every row is scanned,
-    so an ambiguity cannot hide behind an early exit or a memoised answer.
+    Each (slot, key) is looked up once per gate, through ``memo``: one
+    digest, compared with every digest of the slot, and exactly one must
+    match.  The positions, mixed-radix over the slots' digest counts, give
+    the row's index.
     """
-    width = params.tag_bytes
-    ver = symcrypt.kdm_ver
-    checks = 0
-    candidates = range(len(rows))
+    p, t = params.kappa_bytes, params.digest_bytes
+    if len(keys) != len(table.header):
+        raise EvalError(f"{len(keys)} keys for a header of {len(table.header)} slots")
+    index, size = 0, 1
     for slot, key in enumerate(keys):
-        known = memo.setdefault((slot, key), {})
-        back = (len(keys) - slot) * width       # the row ends in its tags
-        kept = []
-        for idx in candidates:
-            ok = known.get(idx)
-            if ok is None:
-                row = rows[idx]
-                pos = len(row) - back
-                checks += 1
-                ok = known[idx] = ver(params, key, row[pos:pos + width])
-            if ok:
-                kept.append(idx)
-        candidates = kept
-    stats.rows_tried += len(rows)
-    if backward:
-        stats.backward_ver_calls += checks
-    else:
-        stats.ver_calls += checks
-    if not candidates:
-        raise NoRowMatchError("no row verifies under the given keys")
-    if len(candidates) > 1:
-        raise AmbiguousRowError(f"rows {candidates[0]} and {candidates[1]} both verify")
-    return candidates[0]
+        digests = (len(table.header[slot]) - p) // t
+        position = memo.get((slot, key))
+        if position is None:
+            stats.rows_tried += 1
+            if backward:
+                stats.backward_ver_calls += 1
+            else:
+                stats.ver_calls += 1
+            hits = symcrypt.slot_positions(params, key, table.header[slot])
+            if not hits:
+                raise NoRowMatchError(f"no digest of header slot {slot} matches its key")
+            if len(hits) > 1:
+                raise AmbiguousRowError(f"digests {hits[0]} and {hits[1]} of header slot "
+                                        f"{slot} both match its key")
+            position = memo[(slot, key)] = hits[0]
+        index = index * digests + position
+        size *= digests
+    if size != len(table.rows):
+        raise EvalError(f"a header of {size} positions over {len(table.rows)} rows")
+    stats.rows_tried += 1
+    return symcrypt.row_dec(params, keys, table.rows[index])
 
 
 def eval_toffoli_term(params: CryptoParams, key_triple: tuple[bytes, bytes, bytes],
                       tables: ToffoliTables, stats: EvalStats | None = None,
-                      memo: tuple[TagMemo, TagMemo] | None = None
+                      memo: tuple[SlotMemo, SlotMemo] | None = None
                       ) -> tuple[bytes, bytes, bytes]:
     """Translate one input key triple to the output triple, checking that the
     backward table erases the inputs exactly.  ``memo`` holds the forward
-    and backward tag checks of earlier triples through the same tables."""
+    and backward header positions of earlier triples through the same
+    tables."""
     stats = stats if stats is not None else EvalStats()
     forward_memo, backward_memo = memo if memo is not None else ({}, {})
     kb = params.kappa_bytes
-    fwd = _match_unique(params, key_triple, tables.forward, forward_memo, stats)
-    payload = symcrypt.triple_dec(params, *key_triple, tables.forward[fwd])
+    payload = _open(params, key_triple, tables.forward, forward_memo, stats)
     out = (payload[:kb], payload[kb:2 * kb], payload[2 * kb:3 * kb])
-    bwd = _match_unique(params, out, tables.backward, backward_memo, stats, backward=True)
-    back = symcrypt.triple_dec(params, *out, tables.backward[bwd])
+    back = _open(params, out, tables.backward, backward_memo, stats, backward=True)
     if (back[:kb], back[kb:2 * kb], back[2 * kb:3 * kb]) != key_triple:
         raise ErasureError("backward row does not cancel the input keys")
     stats.erasure_checks += 1
@@ -202,7 +203,7 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
     """Apply one garbled Toffoli to registers ``regs`` of the state, in place.
 
     Each term's triple code is ``(ca << 2) | (cb << 1) | cc``.  Each present
-    triple is translated once, sharing one tag memo, so the erasure check
+    triple is translated once, sharing one slot memo, so the erasure check
     runs exactly once per triple while covering every term carrying it; the
     terms then move through one 8-entry code table per register.
     """
@@ -210,7 +211,7 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
     triple = (state.codes[a] << 2) | (state.codes[b] << 1) | state.codes[c]
     present = np.flatnonzero(np.bincount(triple, minlength=8)).tolist()
     keys_a, keys_b, keys_c = (state.keys[r] for r in regs)
-    memo: tuple[TagMemo, TagMemo] = ({}, {})
+    memo: tuple[SlotMemo, SlotMemo] = ({}, {})
     outs = [eval_toffoli_term(params, (keys_a[t >> 2], keys_b[(t >> 1) & 1], keys_c[t & 1]),
                               tables, stats, memo)
             for t in present]
@@ -231,7 +232,7 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
 
 
 def eval_phase(params: CryptoParams, state: ColumnarState, reg: int, gate: Phase,
-               table: PhaseTable, stats: EvalStats) -> None:
+               table: Table, stats: EvalStats) -> None:
     """Open the phase row for each distinct key of register ``reg`` and
     multiply every term by omega^value, in place.
 
@@ -244,8 +245,7 @@ def eval_phase(params: CryptoParams, state: ColumnarState, reg: int, gate: Phase
     modulus = 2 * denom
     factor_re, factor_im = [], []
     for key in state.keys[reg]:
-        match = _match_unique(params, (key,), table.rows, {}, stats)
-        value = int.from_bytes(symcrypt.kdm_dec(params, key, table.rows[match]), "big")
+        value = int.from_bytes(_open(params, (key,), table, {}, stats), "big")
         if value >= modulus:
             raise EvalError("phase payload out of range")
         factor = cmath.exp(1j * math.pi * (gate.sign * value % modulus) / denom)

@@ -13,8 +13,8 @@ programs.  The model's adversaries may query the oracle in superposition;
 no classical harness can represent that, so a clean bill from these games
 validates the construction's classical soundness only.  The rigged modes
 (leaked keys, reused pads, brute force at byte-sized keys, a secret bit
-declared a public constant) exist to prove the harness itself would notice
-a break.
+declared a public constant, headers sorted by logical value) exist to prove
+the harness itself would notice a break.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from . import delegation, encoding, garble, sparse, symcrypt
-from .circuit import CPCircuit, Toffoli
+from .circuit import CPCircuit, Toffoli, X
 from .delegation import DelegationKeys, JobBundle
-from .garble import GarbledBundle, ToffoliTables
+from .encoding import KeySchedule
+from .garble import GarbledBundle, Table, ToffoliTables
 from .symcrypt import CryptoParams
 from .util import rand_bytes, xor_bytes
 
@@ -105,13 +106,16 @@ Distinguisher = Callable[[ChallengeView, random.Random], int]
 
 def run_ind_cpa_gbc(distinguisher: Distinguisher, circ: CPCircuit, kappa_bits: int,
                     trials: int, rng: random.Random, *, table_oracle: bool = True,
-                    leak_keys: bool = False, misdeclared_constants: bool = False) -> GameReport:
+                    leak_keys: bool = False, misdeclared_constants: bool = False,
+                    sorted_headers: bool = False) -> GameReport:
     """One-shot game: the challenger garbles either the all-ones classical
     input or the all-zero input under fresh keys, and the adversary guesses which.
     The circuit's public constants are 1 in both challenges, unless
     ``misdeclared_constants`` rigs the game: then the all-zero input holds 0
     on them too, as a secret bit wrongly declared constant would, and the
-    job is built without ``delegation.encrypt``, which refuses it."""
+    job is built without ``delegation.encrypt``, which refuses it.
+    ``sorted_headers`` rigs it too: every header lists its slots' keys by
+    logical value, as a garbler without the permute bit would."""
     n = circ.num_inputs
     message = (1 << n) - 1
     const_mask = 0 if misdeclared_constants else circ.const_mask
@@ -125,9 +129,47 @@ def run_ind_cpa_gbc(distinguisher: Distinguisher, circ: CPCircuit, kappa_bits: i
                             garble.garble_circuit(params, circ, keys.schedule, setup_rng))
         else:
             job = delegation.encrypt(params, keys, circ, state, setup_rng)
+        if sorted_headers:
+            job = JobBundle(job.encoded_state,
+                            _sort_headers(params, circ, keys.schedule, job.garbled))
         return ChallengeView(params, circ, job, leaked_keys=keys if leak_keys else None)
 
     return _play(distinguisher, challenge, kappa_bits, trials, rng, table_oracle)
+
+
+def _sort_headers(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
+                  bundle: GarbledBundle) -> GarbledBundle:
+    """The bundle with each two-digest slot's logical 0 key first and the
+    rows moved to match: point-and-permute without the permute bit."""
+    p, t = params.kappa_bytes, params.digest_bytes
+
+    def sort(table: Table, zero_keys: list[bytes]) -> Table:
+        header, flips = [], 0
+        for slot, key in zip(table.header, zero_keys):
+            if len(slot) == p + 2 * t:
+                flip = symcrypt.slot_positions(params, key, slot) == [1]
+                flips = 2 * flips + flip
+                slot = slot[:p] + slot[p + t:] + slot[p:p + t] if flip else slot
+            header.append(slot)
+        return Table(tuple(header), tuple(table.rows[i ^ flips]
+                                          for i in range(len(table.rows))))
+
+    flipped: set[int] = set()
+    tables = iter(bundle.tables)
+    out: list[ToffoliTables | Table] = []
+    for gate in circ.gates:
+        if isinstance(gate, X):
+            flipped ^= {gate.wire}
+            continue
+        table = next(tables)
+        if isinstance(gate, Toffoli):
+            zero = [schedule.pairs[w][w in flipped] for w in gate.in_wires]
+            out.append(ToffoliTables(sort(table.forward, zero),
+                                     sort(table.backward,
+                                          [schedule.pairs[w].k0 for w in gate.out_wires])))
+        else:
+            out.append(sort(table, [schedule.pairs[gate.wire][gate.wire in flipped]]))
+    return GarbledBundle(bundle.skeleton, tuple(out))
 
 
 def dist_constant(view, rng) -> int:
@@ -138,19 +180,25 @@ def dist_random(view, rng) -> int:
     return rng.getrandbits(1)
 
 
+def _tables(table: ToffoliTables | Table) -> tuple[Table, ...]:
+    return (table.forward, table.backward) if isinstance(table, ToffoliTables) else (table,)
+
+
+def _held_key(view: ChallengeView, qubit: int) -> bytes:
+    """The key register ``qubit`` holds in the (basis-state) encoded input."""
+    kb = view.params.kappa_bytes
+    basis = next(iter(view.job.encoded_state.terms))
+    return ((basis >> (8 * kb * qubit)) & ((1 << 8 * kb) - 1)).to_bytes(kb, "little")
+
+
 def dist_tag_grinding(view: ChallengeView, rng: random.Random) -> int:
-    """Throw 16 random keys at the first table's tags; guess 1 on any hit."""
+    """Throw 16 random keys at the first table's header; guess 1 on any hit."""
     for table in view.job.garbled.tables:
-        if isinstance(table, ToffoliTables):
-            rows, n_keys = table.forward, 3
-        else:
-            rows, n_keys = table.rows, 1
         for _ in range(16):
             key = rand_bytes(rng, view.params.kappa_bytes)
-            for row in rows:
-                if any(symcrypt.kdm_ver(view.params, key, tag)
-                       for tag in symcrypt.split_row(view.params, row, n_keys)[2]):
-                    return 1
+            if any(symcrypt.slot_positions(view.params, key, slot)
+                   for slot in _tables(table)[0].header):
+                return 1
         break
     return 0
 
@@ -159,13 +207,11 @@ def dist_row_frequency(view: ChallengeView, rng) -> int:
     """Parity of all masked ciphertext bytes across the bundle."""
     acc = 0
     for table in view.job.garbled.tables:
-        if isinstance(table, ToffoliTables):
-            rows, n_keys = table.forward + table.backward, 3
-        else:
-            rows, n_keys = table.rows, 1
-        for row in rows:
-            for byte in symcrypt.split_row(view.params, row, n_keys)[1]:
-                acc ^= byte
+        for part in _tables(table):
+            pads = len(part.header) * view.params.kappa_bytes
+            for row in part.rows:
+                for byte in row[pads:]:
+                    acc ^= byte
     return bin(acc).count("1") & 1
 
 
@@ -174,20 +220,34 @@ def dist_encoded_parity(view: ChallengeView, rng) -> int:
     return bin(basis).count("1") & 1
 
 
+def dist_header_order(view: ChallengeView, rng) -> int:
+    """Look the held keys up in the first table's header and guess 1 if the
+    row their positions index is the table's last, where a header sorted by
+    logical value puts the all-ones row."""
+    bundle = view.job.garbled
+    for gate, table in zip(bundle.skeleton.gates, bundle.tables):
+        qubits = gate.qubits if isinstance(gate, Toffoli) else (gate.qubit,)
+        table = _tables(table)[0]
+        index = 0
+        for q, slot in zip(qubits, table.header):
+            hits = symcrypt.slot_positions(view.params, _held_key(view, q), slot)
+            digests = (len(slot) - view.params.kappa_bytes) // view.params.digest_bytes
+            index = index * digests + (hits[0] if hits else 0)
+        return 1 if index == len(table.rows) - 1 else 0
+    return 0
+
+
 def dist_constant_key(view: ChallengeView, rng) -> int:
-    """Try the key each declared constant's register holds on the first
-    table that constant controls; guess 1 if it opens a row.  Half tables
-    keep only the rows of the constant's 1 key, so this reads a misdeclared
-    constant's value; an honest constant always opens a row."""
-    bundle, kb = view.job.garbled, view.params.kappa_bytes
-    basis = next(iter(view.job.encoded_state.terms))
+    """Look the key each declared constant's register holds up in its slot of
+    the first table that constant controls; guess 1 if it matches.  Half
+    tables hold the digest of the constant's 1 key alone, so this reads a
+    misdeclared constant's value; an honest constant always matches."""
+    bundle = view.job.garbled
     for q in bundle.skeleton.const_qubits:
-        key = ((basis >> (8 * kb * q)) & ((1 << 8 * kb) - 1)).to_bytes(kb, "little")
         for gate, table in zip(bundle.skeleton.gates, bundle.tables):
             if isinstance(gate, Toffoli) and q in gate.qubits:
-                slot = gate.qubits.index(q) + 1
-                if not any(symcrypt.triple_ver(view.params, key, slot, row)
-                           for row in table.forward):
+                slot = table.forward.header[gate.qubits.index(q)]
+                if not symcrypt.slot_positions(view.params, _held_key(view, q), slot):
                     return 0
                 break
     return 1
@@ -297,7 +357,7 @@ PairSpec = tuple[tuple[int, ...], tuple[int, ...]]
 class ClosureView:
     params: CryptoParams
     revealed: dict[int, bytes]
-    ciphertexts: list[bytes]       # one packed row per pair
+    ciphertexts: list[Table]       # per pair, one row behind a slot per source key
     pairs: list[PairSpec]
 
 
@@ -306,7 +366,8 @@ def run_closure_game(pairs: list[PairSpec], revealed: Sequence[int],
                      distinguisher: Callable[[ClosureView, random.Random], int],
                      n_keys: int, kappa_bits: int, trials: int,
                      rng: random.Random, *, table_oracle: bool = True) -> GameReport:
-    """The challenger hands out the revealed keys plus one row per pair:
+    """The challenger hands out the revealed keys plus one table per pair, a
+    row in the header scheme behind one single-digest slot per source key:
     real key payloads where b=1 or where the pair's source keys are reachable
     from the revealed set anyway, zeros otherwise.  Distinguishing the two
     means learning something the closure says you shouldn't."""
@@ -323,7 +384,7 @@ def run_closure_game(pairs: list[PairSpec], revealed: Sequence[int],
 
     def challenge(b, params, setup_rng):
         keyset = [symcrypt.keygen(params, setup_rng) for _ in range(n_keys)]
-        cts: list[bytes] = []
+        cts: list[Table] = []
         for (sources, targets), msg in zip(pairs, messages):
             payload = b"".join(keyset[t] for t in targets) + msg
             if not payload:
@@ -331,11 +392,9 @@ def run_closure_game(pairs: list[PairSpec], revealed: Sequence[int],
             real = b == 1 or set(sources) <= reachable
             if not real:
                 payload = bytes(len(payload))
-            if len(sources) == 3:
-                cts.append(symcrypt.triple_enc(params, *(keyset[s] for s in sources),
-                                               payload, setup_rng))
-            else:
-                cts.append(symcrypt.kdm_enc(params, keyset[sources[0]], payload, setup_rng))
+            keys = [keyset[s] for s in sources]
+            header = tuple(symcrypt.header_slot(params, (key,), setup_rng) for key in keys)
+            cts.append(Table(header, (symcrypt.row_enc(params, keys, payload, setup_rng),)))
         return ClosureView(params, {r: keyset[r] for r in revealed}, cts, pairs)
 
     return _play(distinguisher, challenge, kappa_bits, trials, rng, table_oracle)
@@ -344,7 +403,7 @@ def run_closure_game(pairs: list[PairSpec], revealed: Sequence[int],
 def closure_dist_masked_stats(view: ClosureView, rng) -> int:
     acc = 0
     for (sources, _), ct in zip(view.pairs, view.ciphertexts):
-        acc ^= symcrypt.split_row(view.params, ct, len(sources))[1][0]
+        acc ^= ct.rows[0][len(sources) * view.params.kappa_bytes]
     return acc & 1
 
 
@@ -353,7 +412,7 @@ def closure_dist_revealed_decrypt(view: ClosureView, rng) -> int:
     obviously non-random plaintext structure (all-zero payloads)."""
     for (sources, _), ct in zip(view.pairs, view.ciphertexts):
         if len(sources) == 1 and sources[0] in view.revealed:
-            plain = symcrypt.kdm_dec(view.params, view.revealed[sources[0]], ct)
+            plain = symcrypt.row_dec(view.params, (view.revealed[sources[0]],), ct.rows[0])
             if any(plain):
                 return 1
     return 0
@@ -379,18 +438,18 @@ Guesser = Callable[[RecoveryView, random.Random], list[bytes]]
 
 
 def wire_tag_check(view: RecoveryView, wire: int, key: bytes) -> bool:
-    """Does key open some tag tied to this input wire?  Rows encrypted under
-    a wire's keys carry that wire's tags, so a hit pins the key (up to the
-    tag false-accept probability)."""
+    """Does key match a digest tied to this input wire?  The header slot of
+    the first table the wire feeds holds the digests of the wire's keys, so
+    a hit pins the key (up to the digest false-accept probability)."""
     for gate, table in zip(view.bundle.skeleton.gates, view.bundle.tables):
         if isinstance(gate, Toffoli) and wire in gate.in_wires:
-            pos = gate.in_wires.index(wire) + 1
-            return any(symcrypt.triple_ver(view.params, key, pos, row)
-                       for row in table.forward)
-        if not isinstance(gate, Toffoli) and gate.wire == wire:
-            return any(symcrypt.kdm_ver(view.params, key, tag) for row in table.rows
-                       for tag in symcrypt.split_row(view.params, row)[2])
-    raise ValueError(f"wire {wire} feeds no gate; no tag to check against")
+            slot = table.forward.header[gate.in_wires.index(wire)]
+        elif not isinstance(gate, Toffoli) and gate.wire == wire:
+            slot = table.header[0]
+        else:
+            continue
+        return bool(symcrypt.slot_positions(view.params, key, slot))
+    raise ValueError(f"wire {wire} feeds no gate; no digest to check against")
 
 
 def key_recovery_experiment(circ: CPCircuit, kappa_bits: int, guesser: Guesser,

@@ -15,7 +15,7 @@ Each part delimits itself, and no field is sent that the receiver can derive.
 Register i holds basis bits [i * width, (i + 1) * width), qubit i's keys in a
 job or result (``sparse.qubit_layout``); the writer refuses any other layout.
 
-A bundle (format 4) is a header, the skeleton, then one table per skeleton
+A bundle (format 5) is a header, the skeleton, then one table per skeleton
 gate::
 
     bundle     version u8 | kappa u16 | tag_len u16 | oracle seed (blob)
@@ -31,27 +31,31 @@ and the evaluator applies each gate to its qubits' registers in place.  The
 constant qubits are the circuit's public constant-1 inputs, strictly
 increasing and below ``num_inputs``.
 
-Almost all of a job is garbled-table rows.  A row travels as the packed
-bytes :mod:`rgc.symcrypt` produces, and the header's kappa and tag length
-(the ``CryptoParams``' own) fix every width in it, so rows lie back to back
-with no length fields.  With p = kappa/8 and t = tag_len/8 bytes::
+Almost all of a job is garbled tables, each a header of slots and then its
+rows, as :mod:`rgc.symcrypt`'s header scheme packs them.  The bundle
+header's kappa and tag length (the ``CryptoParams``' own) and the skeleton
+fix every width, so slots and rows lie back to back with no length fields.
+With p = kappa/8 and t = tag_len/8 bytes::
 
-    toffoli row    r1 r2 r3 (3p) | masked (3p) | 3 x (tag pad (p) | digest (t))
-    toffoli table  2n rows of 9p + 3t bytes: n forward, then n backward,
-                   n = 8 >> (number of constant controls)
-    phase table    2 rows of r1 (p) | masked (w) | tag pad (p) | digest (t)
+    slot           pad (p) | 2 digests (2t), or 1 digest (t) for a public
+                   constant control: p + 2t or p + t bytes
+    toffoli row    r1 r2 r3 (3p) | masked output or input keys (3p)
+    toffoli table  3 slots | n rows of 6p bytes, n = 8 >> (number of
+                   constant controls); the forward table, then the backward
+    phase table    1 slot of p + 2t bytes | 2 rows of r1 (p) | masked (w)
 
 where w = ceil((exponent + 1) / 8) for the skeleton gate's exponent.  Tables
 are read by slicing and written whole.  The reader refuses other bundle
 versions (formats 1 to 3 sent row field lengths, every gate's wires, or 16
-rows for every Toffoli), more than ``MAX_QUBITS`` qubits or state
+rows for every Toffoli, and format 4 a tag behind every key of every row),
+widths ``CryptoParams`` refuses, more than ``MAX_QUBITS`` qubits or state
 registers, more constants than qubits, a gate or term count that the bytes
 left could not hold, a state register width of 0, a skeleton
 ``circuit.allocate_wires`` refuses (its every rule, the phase exponent's
 bound among them), and a state whose basis strings are not strictly
 increasing, whose amplitudes are not finite or whose norm squared differs
-from 1 by more than ``sparse.NORM_TOL``; the writer refuses rows of other
-widths and X gates, which no skeleton carries (an X is a relabeling of its
+from 1 by more than ``sparse.NORM_TOL``; the writer refuses tables of other
+shapes and X gates, which no skeleton carries (an X is a relabeling of its
 wire's keys on the client, see :mod:`rgc.garble`).
 
 One request per connection keeps the exchange as non-interactive as the
@@ -77,6 +81,8 @@ from __future__ import annotations
 import cmath
 import contextlib
 import dataclasses
+import itertools
+import math
 import os
 import socket
 import socketserver
@@ -92,14 +98,14 @@ from .delegation import JobBundle
 from .encoding import KeySchedule, WireKeyPair
 from .evaluate import EvalStats
 from .games import GameReport
-from .garble import GarbledBundle, PhaseTable, ToffoliTables, phase_payload_bytes, toffoli_rows
+from .garble import GarbledBundle, Table, ToffoliTables, phase_payload_bytes, toffoli_slots
 from .oracle import HASH_MODE
 from .sparse import SparseState, qubit_layout
-from .symcrypt import CryptoParams, row_bytes
+from .symcrypt import CryptoParams
 
 MAGIC = b"RGC1"
 WIRE_VERSION = 2
-BUNDLE_VERSION = 4
+BUNDLE_VERSION = 5
 
 KIND_JOB = 1
 KIND_RESULT = 2
@@ -163,14 +169,14 @@ class Reader:
     def unpack(self, st: struct.Struct) -> tuple:
         return st.unpack(self._take(st.size))
 
-    def rows(self, count: int, width: int) -> tuple[bytes, ...]:
-        """``count`` consecutive fields of ``width`` bytes each."""
-        start, data = self.pos, self.data
-        end = start + count * width
-        if end > len(data):
+    def fields(self, widths: tuple[int, ...]) -> tuple[bytes, ...]:
+        """Consecutive fields of the given widths."""
+        ends = list(itertools.accumulate(widths, initial=self.pos))
+        if ends[-1] > len(self.data):
             raise WireFormatError("truncated payload")
-        self.pos = end
-        return tuple([data[i:i + width] for i in range(start, end, width)])
+        self.pos = ends[-1]
+        data = self.data
+        return tuple([data[start:end] for start, end in zip(ends, ends[1:])])
 
     def blob(self) -> bytes:
         return self._take(self.u32())
@@ -254,44 +260,52 @@ def _get_gates(r: Reader, count: int) -> Iterator[LogicalGate]:
             raise WireFormatError(f"unknown gate kind {kind}")
 
 
-# garbled tables, rows back to back (see the module docstring)
+# garbled tables, slots and rows back to back (see the module docstring)
 
 class _TableLayout:
-    """The row widths fixed by the params' kappa and tag length, and the row
-    counts fixed by the skeleton's constant qubits."""
+    """The slot and row widths fixed by the params' kappa and tag length, and
+    the slot shapes fixed by the skeleton's constant qubits."""
 
     def __init__(self, params: CryptoParams, const_qubits=()):
-        self.widths = (params.kappa_bits, params.tag_len_bits)
-        self.toffoli = row_bytes(*self.widths, 3, 3 * params.kappa_bytes)
+        self.pad, self.digest = params.kappa_bytes, params.digest_bytes
         self.consts = frozenset(const_qubits)
 
-    def phase(self, denom_exp: int) -> int:
-        return row_bytes(*self.widths, 1, phase_payload_bytes(denom_exp))
+    def _table(self, slots: tuple[int, ...], row: int) -> tuple[tuple[int, ...], ...]:
+        """(slot widths, row widths) of a table with ``slots`` digests per
+        slot and a row of ``row`` bytes per combination of positions."""
+        return tuple(self.pad + n * self.digest for n in slots), (row,) * math.prod(slots)
+
+    def _shape(self, gate: Toffoli | Phase) -> tuple[tuple[int, ...], ...]:
+        """(slot widths, row widths) of each of the gate's tables."""
+        if isinstance(gate, Toffoli):
+            return self._table(toffoli_slots(gate, self.consts), 6 * self.pad)
+        return self._table((2,), self.pad + phase_payload_bytes(gate.denom_exp))
 
     def min_gate_bytes(self) -> int:
         """The fewest bytes a skeleton gate and its tables take: a phase gate
         of exponent 0, or a Toffoli with two constant controls."""
-        return min(_PHASE_RECORD + 2 * self.phase(0),
-                   1 + _TOFFOLI_GATE.size + 2 * 2 * self.toffoli)
+        return min(_PHASE_RECORD + sum(map(sum, self._table((2,), self.pad + 1))),
+                   1 + _TOFFOLI_GATE.size
+                   + 2 * sum(map(sum, self._table((1, 1, 2), 6 * self.pad))))
 
-    def read(self, r: Reader, gate: Toffoli | Phase) -> ToffoliTables | PhaseTable:
+    def read(self, r: Reader, gate: Toffoli | Phase) -> ToffoliTables | Table:
+        slots, rows = self._shape(gate)
+        s, n = len(slots), len(slots) + len(rows)
         if isinstance(gate, Toffoli):
-            n = toffoli_rows(gate, self.consts)
-            rows = r.rows(2 * n, self.toffoli)
-            return ToffoliTables(rows[:n], rows[n:])
-        return PhaseTable(r.rows(2, self.phase(gate.denom_exp)))
+            parts = r.fields((slots + rows) * 2)
+            return ToffoliTables(Table(parts[:s], parts[s:n]), Table(parts[n:n + s], parts[n + s:]))
+        parts = r.fields(slots + rows)
+        return Table(parts[:s], parts[s:])
 
     def write(self, parts: list[bytes], gate: Toffoli | Phase,
-              table: ToffoliTables | PhaseTable) -> None:
-        """Append the table's rows to ``parts``; the rows are not copied."""
-        if isinstance(gate, Toffoli):
-            rows, width = table.forward + table.backward, self.toffoli
-            count = 2 * toffoli_rows(gate, self.consts)
-        else:
-            rows, count, width = table.rows, 2, self.phase(gate.denom_exp)
-        if len(rows) != count or {len(row) for row in rows} != {width}:
-            raise WireFormatError("table rows do not match the bundle header's widths")
-        parts += rows
+              table: ToffoliTables | Table) -> None:
+        """Append the tables' slots and rows to ``parts``; nothing is copied."""
+        shape = self._shape(gate)
+        for t in (table.forward, table.backward) if isinstance(gate, Toffoli) else (table,):
+            if (tuple(map(len, t.header)), tuple(map(len, t.rows))) != shape:
+                raise WireFormatError("table does not match the bundle header's widths")
+            parts += t.header
+            parts += t.rows
 
 
 def _put_bundle(w: Writer, b: GarbledBundle, params: CryptoParams) -> list[bytes]:
@@ -316,10 +330,11 @@ def _get_bundle(r: Reader) -> tuple[GarbledBundle, CryptoParams]:
         raise WireFormatError(f"unsupported bundle version {version}")
     kappa = r.u16()
     tag_len = r.u16()
-    if not (kappa and tag_len) or kappa % 8 or tag_len % 8:
-        raise WireFormatError(f"kappa {kappa} and tag length {tag_len} must be "
-                              f"positive multiples of 8")
-    params = delegation.make_params(kappa, tag_len_bits=tag_len, oracle_seed=r.blob())
+    seed = r.blob()
+    try:
+        params = delegation.make_params(kappa, tag_len_bits=tag_len, oracle_seed=seed)
+    except ValueError as exc:       # the widths
+        raise WireFormatError(str(exc)) from None
     skeleton = _get_circuit(r, _TableLayout(params).min_gate_bytes())
     layout = _TableLayout(params, skeleton.const_qubits)
     tables = tuple(layout.read(r, g) for g in skeleton.gates)

@@ -11,11 +11,17 @@ import dataclasses
 import importlib
 import importlib.util
 import pathlib
+import random
 import re
 import sys
 
+import pytest
+
+from rgc import delegation
+from rgc.circuit import parse_circuit
 from rgc.evaluate import EvalStats
 from rgc.oracle import OracleFamily
+from rgc.sparse import qubit_layout, random_state
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -55,3 +61,17 @@ def test_every_count_the_layer_table_reads_is_an_eval_stats_field():
     keys = set(re.findall(r'\bstats\["(\w+)"\]', (PERFBENCH / "layers.py").read_text()))
     assert keys
     assert keys <= {f.name for f in dataclasses.fields(EvalStats)}
+
+
+@pytest.mark.parametrize("text", ["inputs 3\ntoff 0 1 2\ntoff 1 2 0\n",
+                                  "inputs 2\nphase 0 1\nphase 1 3 neg\n"],
+                         ids=["toffoli-only", "phase-only"])
+def test_rows_tried_is_positive_for_a_nonempty_bundle(text):
+    # the layer table divides by it (evaluate.row_hit_ratio)
+    circ = parse_circuit(text)
+    rng = random.Random(3)
+    keys = delegation.keygen(16, circ.num_inputs, circ, rng, conjecture=True)
+    params = delegation.make_params(16, oracle_seed=b"compat")
+    _, stats = delegation.delegate(params, keys, circ,
+                                   random_state(qubit_layout(circ.num_inputs), rng), rng)
+    assert stats.gates == len(circ.gates) and stats.rows_tried > 0

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import random
-from collections import Counter
 from itertools import product
 
 import pytest
@@ -13,12 +12,44 @@ from rgc.circuit import (Phase, Toffoli, allocate_wires, flipped_wires,
 from rgc.encoding import decode, encode, gen_keys
 from rgc.evaluate import (AmbiguousRowError, ErasureError, EvalError, EvalStats,
                           NoRowMatchError, eval_bundle, eval_toffoli_term)
-from rgc.garble import GarbledBundle, PhaseTable, ToffoliTables, garble_circuit, garble_toffoli
+from rgc.garble import GarbledBundle, Table, ToffoliTables, garble_circuit, garble_toffoli
 from rgc.sparse import fidelity, inner, qubit_layout, random_state
 
 from conftest import circuits_and_states, input_state, make_params, wire_1_state
 
 ONE_TOFFOLI = parse_circuit("inputs 3\ntoff 0 1 2\n")
+
+
+def _table(params, slot_keys, rows, rng):
+    """A table whose header slot i lists ``slot_keys[i]`` in that order, and
+    whose ``rows`` (keys, payload) sit where the keys' positions index them;
+    an index no row takes holds zeros."""
+    header = tuple(symcrypt.header_slot(params, keys, rng) for keys in slot_keys)
+    keys, payload = rows[0]
+    table = [bytes(len(keys) * params.kappa_bytes + len(payload))] * math.prod(map(len, slot_keys))
+    for keys, payload in rows:
+        index = 0
+        for slot, key in zip(slot_keys, keys):
+            index = index * len(slot) + slot.index(key)
+        table[index] = symcrypt.row_enc(params, keys, payload, rng)
+    return Table(header, tuple(table))
+
+
+def _toffoli_tables(params, gate, schedule, rng, third=None, last_slot=None):
+    """Honest Toffoli tables with headers in logical order, except that the
+    (1, 1, 1) triple is sent to ``third`` in place of its target key when
+    given, and the forward header's last slot lists ``last_slot`` if given."""
+    ins = [schedule.pairs[w] for w in gate.in_wires]
+    outs = [schedule.pairs[w] for w in gate.out_wires]
+    forward, backward = [], []
+    for u, v, w in product((0, 1), repeat=3):
+        in_keys = (ins[0][u], ins[1][v], ins[2][w])
+        out_keys = (outs[0][u], outs[1][v], third if third and u & v & w else outs[2][w ^ (u & v)])
+        forward.append((in_keys, b"".join(out_keys)))
+        backward.append((out_keys, b"".join(in_keys)))
+    out_slot = tuple(outs[2]) + ((third,) if third else ())
+    return ToffoliTables(_table(params, [ins[0], ins[1], last_slot or ins[2]], forward, rng),
+                         _table(params, [outs[0], outs[1], out_slot], backward, rng))
 
 
 def _toffoli_fixture(seed=1):
@@ -66,18 +97,18 @@ def test_garbage_triple_never_matches():
 
 
 def test_ambiguous_rows_detected():
+    # a slot listing one key's digest twice: the key indexes two rows
     params, schedule, gate, tables = _toffoli_fixture(4)
-    dup = ToffoliTables((tables.forward[0],) * 8, tables.backward)
-    in_pairs = [schedule.pairs[w] for w in gate.in_wires]
-    # find the triple that opens row 0, then present a table of 8 copies
-    for u, v, w in product((0, 1), repeat=3):
-        triple = (in_pairs[0][u], in_pairs[1][v], in_pairs[2][w])
-        if all(symcrypt.triple_ver(params, k, i + 1, tables.forward[0])
-               for i, k in enumerate(triple)):
-            with pytest.raises(AmbiguousRowError):
-                eval_toffoli_term(params, triple, dup)
-            return
-    pytest.fail("no triple opened row 0")
+    p, t = params.kappa_bytes, params.digest_bytes
+    triple = tuple(schedule.pairs[w].k0 for w in gate.in_wires)
+    for slot in range(3):
+        header = list(tables.forward.header)
+        (pos,) = symcrypt.slot_positions(params, triple[slot], header[slot])
+        digest = header[slot][p + pos * t:p + (pos + 1) * t]
+        header[slot] = header[slot][:p] + digest + digest
+        dup = ToffoliTables(Table(tuple(header), tables.forward.rows), tables.backward)
+        with pytest.raises(AmbiguousRowError, match=f"of header slot {slot} both match"):
+            eval_toffoli_term(params, triple, dup)
 
 
 def test_erasure_violation_detected():
@@ -85,17 +116,20 @@ def test_erasure_violation_detected():
     rng = random.Random(7)
     # backward rows from a different garbling decrypt to the same input keys,
     # so rebuild the backward table with a *wrong* payload instead
-    in_pairs = [schedule.pairs[w] for w in gate.in_wires]
-    out_pairs = [schedule.pairs[w] for w in gate.out_wires]
-    bad_rows = []
-    for u, v, w in product((0, 1), repeat=3):
-        out_keys = (out_pairs[0][u], out_pairs[1][v], out_pairs[2][w ^ (u & v)])
-        wrong_payload = bytes(6)
-        bad_rows.append(symcrypt.triple_enc(params, *out_keys, wrong_payload, rng))
-    broken = ToffoliTables(tables.forward, tuple(bad_rows))
+    honest = _toffoli_tables(params, gate, schedule, rng)
+    outs = [schedule.pairs[w] for w in gate.out_wires]
+    wrong = [((outs[0][u], outs[1][v], outs[2][w ^ (u & v)]), bytes(6))
+             for u, v, w in product((0, 1), repeat=3)]
+    broken = ToffoliTables(honest.forward, _table(params, outs, wrong, rng))
     triple = tuple(schedule.pairs[w].k0 for w in gate.in_wires)
+    assert eval_toffoli_term(params, triple, honest)
     with pytest.raises(ErasureError):
         eval_toffoli_term(params, triple, broken)
+    # backward rows out of order open under the wrong keys
+    shuffled = ToffoliTables(tables.forward, Table(tables.backward.header,
+                                                   tables.backward.rows[::-1]))
+    with pytest.raises(ErasureError):
+        eval_toffoli_term(params, triple, shuffled)
 
 
 def test_eval_superposition_matches_logical_gate():
@@ -234,7 +268,8 @@ def test_eval_module_never_touches_schedules():
 # byte identity: BLAKE2b of the result state's payload in wire version 1,
 # pinned from the per-term evaluator that preceded the columnar one, and in
 # wire version 2; the EvalStats are pinned on their own, since they count
-# work rather than describe the result
+# work rather than describe the result (header lookups and rows opened since
+# bundle format 5)
 
 def _digest(data):
     return hashlib.blake2b(data, digest_size=16).hexdigest()
@@ -257,8 +292,8 @@ def test_result_bytes_pinned_for_phase_circuit():
     digest, wire_2_digest, stats = _golden_result(circ, state, 1)
     assert digest == "29a045b741a032e55b1d45eb2aa9d8e8"
     assert wire_2_digest == "427c3e12d9ffc7b558f752b8326a0734"
-    assert stats == EvalStats(gates=24, terms_processed=384, rows_tried=1708, ver_calls=668,
-                              backward_ver_calls=624, erasure_checks=104)
+    assert stats == EvalStats(gates=24, terms_processed=384, rows_tried=408, ver_calls=100,
+                              backward_ver_calls=78, erasure_checks=104)
 
 
 def test_result_bytes_pinned_for_toffoli_superposition():
@@ -267,8 +302,8 @@ def test_result_bytes_pinned_for_toffoli_superposition():
     digest, wire_2_digest, stats = _golden_result(circ, state, 2)
     assert digest == "1527a49ef1ef1f6f4bc212fcb322a41c"
     assert wire_2_digest == "7b359304018927cf70fd2332f0d67c28"
-    assert stats == EvalStats(gates=5, terms_processed=40, rows_tried=496, ver_calls=218,
-                              backward_ver_calls=218, erasure_checks=31)
+    assert stats == EvalStats(gates=5, terms_processed=40, rows_tried=121, ver_calls=29,
+                              backward_ver_calls=30, erasure_checks=31)
 
 
 # ---------------------------------------------------------------------------
@@ -306,27 +341,33 @@ def test_bundle_erasure_failure_names_the_gate():
         eval_bundle(params, encoded, tampered)
 
 
+def _first_digest_twice(params, table):
+    """The table with its first slot's first digest in both positions: the
+    key it matches indexes two rows, and the other key none."""
+    p, t = params.kappa_bytes, params.digest_bytes
+    slot = table.header[0]
+    return Table((slot[:p + t] + slot[p:p + t],) + table.header[1:], table.rows)
+
+
 def test_bundle_duplicated_row_names_the_gate():
     params, bundle, encoded = _bundle_fixture(THREE_TOFFOLIS, 17)
     table = bundle.tables[2]
-    forward = table.forward + table.forward[:1]     # every row kept, row 0 twice
+    forward = _first_digest_twice(params, table.forward)
     tampered = _with_tables(bundle, {2: ToffoliTables(forward, table.backward)})
-    with pytest.raises(AmbiguousRowError, match="^gate 2: "):
+    with pytest.raises((AmbiguousRowError, NoRowMatchError), match="^gate 2: "):
         eval_bundle(params, encoded, tampered)
 
 
 def test_bundle_duplicated_phase_row_names_the_gate():
     circ = parse_circuit("inputs 3\ntoff 0 1 2\nphase 2 3\n")
     params, bundle, encoded = _bundle_fixture(circ, 18)
-    table = bundle.tables[1]
-    rows = table.rows + table.rows[:1]
-    tampered = _with_tables(bundle, {1: PhaseTable(rows)})
-    with pytest.raises(AmbiguousRowError, match="^gate 1: "):
+    tampered = _with_tables(bundle, {1: _first_digest_twice(params, bundle.tables[1])})
+    with pytest.raises((AmbiguousRowError, NoRowMatchError), match="^gate 1: "):
         eval_bundle(params, encoded, tampered)
 
 
 # ---------------------------------------------------------------------------
-# two keys per wire, and tag checks memoised across one gate's triples
+# two keys per wire, and header lookups memoised across one gate's triples
 
 def test_rigged_table_writing_a_third_key_to_a_wire_is_refused():
     # a self-consistent forward/backward table pair whose triple (1,1,1) lands
@@ -337,16 +378,11 @@ def test_rigged_table_writing_a_third_key_to_a_wire_is_refused():
     schedule = gen_keys(16, circ, rng)
     bundle = garble_circuit(params, circ, schedule, rng)
     gate = circ.gates[1]
-    w1, w2, w3 = (schedule.pairs[w] for w in gate.in_wires)
-    v1, v2, v3 = (schedule.pairs[w] for w in gate.out_wires)
+    v3 = schedule.pairs[gate.out_wires[2]]
     third = bytes(a ^ b ^ 0x5A for a, b in zip(v3.k0, v3.k1))
-    forward, backward = [], []
-    for u, v, w in product((0, 1), repeat=3):
-        in_keys = (w1[u], w2[v], w3[w])
-        out_keys = (v1[u], v2[v], third if u & v & w else v3[w ^ (u & v)])
-        forward.append(symcrypt.triple_enc(params, *in_keys, b"".join(out_keys), rng))
-        backward.append(symcrypt.triple_enc(params, *out_keys, b"".join(in_keys), rng))
-    rigged = _with_tables(bundle, {1: ToffoliTables(tuple(forward), tuple(backward))})
+    # the backward header's target slot lists the third key too, so every
+    # triple passes its erasure check
+    rigged = _with_tables(bundle, {1: _toffoli_tables(params, gate, schedule, rng, third)})
     encoded = encode(random_state(qubit_layout(3), rng), schedule, circ.input_wires)
     assert len(encoded.terms) == 8
     with pytest.raises(EvalError, match="^gate 1: toffoli writes 3 distinct keys to one wire"):
@@ -355,27 +391,28 @@ def test_rigged_table_writing_a_third_key_to_a_wire_is_refused():
 
 def _second_triple_ambiguity():
     """One Toffoli's tables, and its two key triples for qubits (1, 1, c),
-    first and second in the evaluator's order, with the second's forward row
-    appended again so that only the second triple is ambiguous."""
-    params, schedule, gate, tables = _toffoli_fixture(21)
+    first and second in the evaluator's order, with the forward header's
+    last slot listing the second's key twice, after the first's, so that
+    only the second triple is ambiguous."""
+    params, schedule, gate, _ = _toffoli_fixture(21)
     a, b, c = (schedule.pairs[w] for w in gate.in_wires)
     first, second = sorted([(a.k1, b.k1, c.k0), (a.k1, b.k1, c.k1)], key=lambda t: t[2])
-    row = next(r for r in tables.forward
-               if all(symcrypt.triple_ver(params, k, i + 1, r) for i, k in enumerate(second)))
-    return params, schedule, ToffoliTables(tables.forward + (row,), tables.backward), first, second
+    tables = _toffoli_tables(params, gate, schedule, random.Random(22),
+                             last_slot=(first[2], second[2], second[2]))
+    return params, schedule, tables, first, second
 
 
 def test_ambiguity_of_a_second_triple_is_found_through_the_memo():
     params, _, tables, first, second = _second_triple_ambiguity()
     memo, stats = ({}, {}), EvalStats()
     eval_toffoli_term(params, first, tables, stats, memo)
-    # the duplicate row's first two tags were checked for the first triple
-    assert memo[0][(0, first[0])][8] and memo[0][(1, first[1])][8]
+    # the first triple's positions are remembered, slot by slot
+    assert {slot: memo[0][(slot, key)] for slot, key in enumerate(first)} == {0: 1, 1: 1, 2: 0}
     checks = stats.ver_calls
-    with pytest.raises(AmbiguousRowError, match="^rows .* and 8 both verify"):
+    with pytest.raises(AmbiguousRowError, match="^digests 1 and 2 of header slot 2 both match"):
         eval_toffoli_term(params, second, tables, stats, memo)
-    # only the third tags of the rows whose first two tags verify are new
-    assert stats.ver_calls - checks == 3
+    # only the last slot's key is new
+    assert stats.ver_calls - checks == 1
 
 
 def test_bundle_ambiguity_of_a_second_triple_names_the_gate():
@@ -404,7 +441,7 @@ def test_constant_at_zero_opens_no_half_table_row():
     params, rng = make_params(), random.Random(42)
     schedule = gen_keys(16, CONST_TOFFOLI, rng)
     bundle = garble_circuit(params, CONST_TOFFOLI, schedule, rng)
-    assert [len(t.forward) for t in bundle.tables] == [4, 4]
+    assert [len(t.forward.rows) for t in bundle.tables] == [4, 4]
     state = sparse.from_terms(qubit_layout(3), {0b010: 0.6, 0b110: 0.8})
     with pytest.raises(NoRowMatchError, match="^gate 0: "):
         eval_bundle(params, encode(state, schedule, CONST_TOFFOLI.input_wires), bundle)
@@ -429,43 +466,43 @@ def test_eval_matches_simulation_property(case):
     assert toffolis <= stats.erasure_checks <= 8 * toffolis
 
 
-def test_symcrypt_call_counts_match_the_bench_layer_metrics(monkeypatch):
-    # The bench's tracer wraps these rgc.symcrypt functions by name and reads
-    # its per-layer counts from their calls: one triple_enc per Toffoli row,
-    # one kdm_ver per tag check counted in EvalStats, one triple_dec per
-    # forward and per backward row opened for each distinct key triple.
-    calls = Counter()
-    for name in ("triple_enc", "kdm_enc", "kdm_ver", "triple_dec", "kdm_dec"):
-        def counting(*args, _fn=getattr(symcrypt, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(symcrypt, name, counting)
-    circ = parse_circuit("inputs 3\ntoff 0 1 2\nphase 1 2\ntoff 2 0 1\nphase 0 1 neg\n")
-    params = make_params()
-    rng = random.Random(31)
-    schedule = gen_keys(16, circ, rng)
-    bundle = garble_circuit(params, circ, schedule, rng)
-    assert calls == {"triple_enc": 16 * 2, "kdm_enc": 2 * 2}
+def test_symcrypt_call_counts_match_the_bench_layer_metrics():
+    # The bench reads oracle.client_queries and oracle.server_queries from
+    # the oracle family's counts.  The client makes 3 mask queries per
+    # Toffoli row, 1 per phase row and 1 per header digest; the server 1 per
+    # (table, slot, distinct key) it looks up and 3 per Toffoli row, 1 per
+    # phase row, it opens.  EvalStats counts the lookups as ver_calls and
+    # backward_ver_calls, and rows_tried adds the rows opened.
+    def run(text, support):
+        circ = parse_circuit(text)
+        params = make_params()
+        rng = random.Random(31)
+        schedule = gen_keys(16, circ, rng)
+        bundle = garble_circuit(params, circ, schedule, rng)
+        client = params.oracles.query_count()
+        state = input_state(circ, support, rng)
+        _, stats = eval_bundle(params, encode(state, schedule, circ.input_wires), bundle)
+        server = params.oracles.query_count() - client
+        lookups = stats.ver_calls + stats.backward_ver_calls
+        phase_rows = stats.rows_tried - lookups - 2 * stats.erasure_checks
+        assert server == lookups + 3 * 2 * stats.erasure_checks + phase_rows
+        return len(state.terms), client, server, stats
 
-    calls.clear()
-    state = random_state(qubit_layout(3), rng)
-    assert len(state.terms) == 8       # every Toffoli meets all 8 key triples
-    _, stats = eval_bundle(params, encode(state, schedule, circ.input_wires), bundle)
-    assert stats.erasure_checks == 8 * 2
-    assert calls["kdm_ver"] == stats.ver_calls + stats.backward_ver_calls
-    assert calls["triple_dec"] == 2 * stats.erasure_checks
-    assert calls["kdm_dec"] == 2 * 2   # each phase gate opens one row per key
-    assert set(calls) == {"kdm_ver", "triple_dec", "kdm_dec"}
+    # every Toffoli meets all 8 key triples: per table 6 digests and 8 rows
+    # on both sides; a phase gate has 2 digests and 2 rows, and opens both
+    terms, client, server, stats = run(
+        "inputs 3\ntoff 0 1 2\nphase 1 2\ntoff 2 0 1\nphase 0 1 neg\n", [0, 1, 2])
+    assert terms == 8
+    assert client == 2 * 2 * (3 * 8 + 6) + 2 * (2 + 2) == 128
+    assert server == 2 * 2 * (6 + 3 * 8) + 2 * (2 + 2) == 128
+    assert stats == EvalStats(gates=4, terms_processed=32, rows_tried=2 * 2 * (6 + 8) + 2 * 4,
+                              ver_calls=2 * 6 + 2 * 2, backward_ver_calls=2 * 6,
+                              erasure_checks=2 * 8)
 
-    # a public constant control halves both tables: 4 + 4 rows
-    calls.clear()
-    const = parse_circuit("inputs 3\nconst 0\ntoff 0 1 2\n")
-    schedule = gen_keys(16, const, rng)
-    bundle = garble_circuit(params, const, schedule, rng)
-    assert calls == {"triple_enc": 8}
-    calls.clear()
-    state = input_state(const, [1, 2], rng)
-    _, stats = eval_bundle(params, encode(state, schedule, const.input_wires), bundle)
-    assert stats.erasure_checks == 4
-    assert calls["kdm_ver"] == stats.ver_calls + stats.backward_ver_calls
-    assert calls["triple_dec"] == 2 * stats.erasure_checks
+    # a public constant control halves both tables to 4 rows, and its slot
+    # holds 1 digest: per table 5 digests and 4 rows
+    terms, client, server, stats = run("inputs 3\nconst 0\ntoff 0 1 2\n", [1, 2])
+    assert terms == 4
+    assert client == 2 * (3 * 4 + 5) == server == 34
+    assert stats == EvalStats(gates=1, terms_processed=4, rows_tried=2 * (5 + 4),
+                              ver_calls=5, backward_ver_calls=5, erasure_checks=4)

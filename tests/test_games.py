@@ -9,7 +9,8 @@ from rgc.encoding import gen_keys
 from rgc.garble import garble_circuit
 from rgc.games import (AffineKeyFn, circuit_pairs, closure_dist_masked_stats,
                        closure_dist_revealed_decrypt, dist_constant, dist_constant_key,
-                       dist_encoded_parity, dist_leaked_decrypt, dist_random,
+                       dist_encoded_parity, dist_header_order, dist_leaked_decrypt,
+                       dist_random,
                        dist_row_frequency, dist_tag_grinding, guess_brute_force,
                        guess_random, guess_replay, kdm_dist_first_byte,
                        kdm_dist_mask_equality, kdm_dist_tag_grinding,
@@ -37,10 +38,19 @@ def test_ind_cpa_constant_guess_is_blind():
 def test_ind_cpa_generic_distinguishers_blind():
     rng = random.Random(2)
     for dist in (dist_random, dist_tag_grinding, dist_row_frequency,
-                 dist_encoded_parity):
+                 dist_encoded_parity, dist_header_order):
         report = run_ind_cpa_gbc(dist, GAME_CIRCUIT, 16, TRIALS, rng)
         assert report.advantage_estimate <= max(report.confidence_radius, 1e-9), \
             dist.__name__
+
+
+def test_ind_cpa_sorted_headers_are_detected():
+    # positive control: headers listing each slot's keys by logical value
+    # put the all-ones input's row last and the all-zero input's first
+    for circ, seed in ((GAME_CIRCUIT, 35), (CONST_CIRCUIT, 36)):
+        report = run_ind_cpa_gbc(dist_header_order, circ, 16, 200, random.Random(seed),
+                                 sorted_headers=True)
+        assert report.advantage_estimate == 1.0
 
 
 def test_ind_cpa_leaked_keys_break_everything():
@@ -163,7 +173,7 @@ def test_report_shape():
 def test_ind_cpa_generic_distinguishers_blind_with_x():
     rng = random.Random(19)
     for dist in (dist_constant, dist_random, dist_tag_grinding, dist_row_frequency,
-                 dist_encoded_parity):
+                 dist_encoded_parity, dist_header_order):
         report = run_ind_cpa_gbc(dist, X_CIRCUIT, 16, TRIALS, rng)
         assert report.advantage_estimate <= max(report.confidence_radius, 1e-9), \
             dist.__name__
@@ -198,7 +208,7 @@ CONST_CIRCUIT = parse_circuit("inputs 5\nconst 0\nconst 4\ntoff 0 1 2\ntoff 2 0 
 def test_const_circuit_has_half_tables():
     bundle = garble_circuit(make_params(), CONST_CIRCUIT,
                             gen_keys(16, CONST_CIRCUIT, random.Random(24)), random.Random(25))
-    assert [len(t.forward) for t in bundle.tables[:4]] == [4, 4, 2, 8]
+    assert [len(t.forward.rows) for t in bundle.tables[:4]] == [4, 4, 2, 8]
 
 
 def test_ind_cpa_generic_distinguishers_blind_with_constants():
@@ -206,7 +216,7 @@ def test_ind_cpa_generic_distinguishers_blind_with_constants():
     # open rows in both worlds
     rng = random.Random(26)
     for dist in (dist_constant, dist_random, dist_tag_grinding, dist_row_frequency,
-                 dist_encoded_parity, dist_constant_key):
+                 dist_encoded_parity, dist_constant_key, dist_header_order):
         report = run_ind_cpa_gbc(dist, CONST_CIRCUIT, 16, TRIALS, rng)
         assert report.advantage_estimate <= max(report.confidence_radius, 1e-9), \
             dist.__name__
@@ -265,11 +275,12 @@ def test_game_reports_are_pinned():
 
     for circ in (GAME_CIRCUIT, X_CIRCUIT, CONST_CIRCUIT):
         for dist in (dist_constant, dist_random, dist_tag_grinding, dist_row_frequency,
-                     dist_encoded_parity, dist_constant_key):
+                     dist_encoded_parity, dist_constant_key, dist_header_order):
             play(run_ind_cpa_gbc, dist, circ, 16, 20)
         play(run_ind_cpa_gbc, dist_leaked_decrypt, circ, 16, 20, leak_keys=True)
     play(run_ind_cpa_gbc, dist_constant_key, CONST_CIRCUIT, 16, 20,
          misdeclared_constants=True)
+    play(run_ind_cpa_gbc, dist_header_order, CONST_CIRCUIT, 16, 20, sorted_headers=True)
     play(run_ind_cpa_gbc, dist_row_frequency, GAME_CIRCUIT, 16, 20, table_oracle=False)
     queries = self_cycle_queries(2, 16) + [(0, AffineKeyFn((1,), b"\x55\xaa"))]
     for dist in (kdm_dist_mask_equality, kdm_dist_tag_grinding, kdm_dist_first_byte):
@@ -280,7 +291,7 @@ def test_game_reports_are_pinned():
     for dist in (closure_dist_masked_stats, closure_dist_revealed_decrypt):
         play(run_closure_game, pairs, [0], messages, dist, CONST_CIRCUIT.num_wires, 16, 20)
     play(run_qkdm_game, queries, 2, qkdm_dist_padded_parity, 16, 20)
-    assert len(reports) == 30 and all(r.trials == 20 for r in reports)
+    assert len(reports) == 34 and all(r.trials == 20 for r in reports)
     assert digest.hexdigest() == (
-        "d6b972a54332c8b53ae425fb3eb4a1e65a487387f96072f96c420c384c4ce232"
-        "30af9c08cf29dc8c76dd47d9d7a37bb0b9622e234638c603dfb592d5a79e40fd")
+        "6798ee80a8c5d969439c196493e1d418e13f760831b7c898dc266a4f96f7a0de"
+        "ff0414494e550605700dfa311ac7e746c00a9c706ef6ed7d1d6f0c221d238c59")

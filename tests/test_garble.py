@@ -9,7 +9,7 @@ from rgc import symcrypt
 from rgc.circuit import Toffoli, X, allocate_wires, parse_circuit, phase, toff
 from rgc.encoding import KeySchedule, WireKeyPair, gen_keys
 from rgc.games import circuit_pairs
-from rgc.garble import (PhaseTable, ToffoliTables, closure_pairs, garble_circuit,
+from rgc.garble import (Table, ToffoliTables, closure_pairs, garble_circuit,
                         garble_phase, garble_toffoli, phase_payload)
 from rgc.netio import deserialize_circuit, serialize_circuit
 
@@ -18,16 +18,18 @@ from conftest import circuits_and_states, make_params
 ONE_TOFFOLI = parse_circuit("inputs 3\ntoff 0 1 2\n")
 
 
-def _open_row(params, keys, rows):
-    hits = [row for row in rows
-            if all(symcrypt.triple_ver(params, k, i + 1, row) for i, k in enumerate(keys))]
-    assert len(hits) == 1, "honest key triple must select exactly one row"
-    return symcrypt.triple_dec(params, *keys, hits[0])
+def _row_index(params, keys, table):
+    """The index of the row ``keys`` open: each key must match exactly one
+    digest of its slot, and the positions index the row."""
+    index = 0
+    for key, slot in zip(keys, table.header, strict=True):
+        (position,) = symcrypt.slot_positions(params, key, slot)
+        index = index * ((len(slot) - params.kappa_bytes) // params.digest_bytes) + position
+    return index
 
 
-def _tag(params, row):
-    (tag,) = symcrypt.split_row(params, row)[2]
-    return tag
+def _open_row(params, keys, table):
+    return symcrypt.row_dec(params, keys, table.rows[_row_index(params, keys, table)])
 
 
 def test_toffoli_forward_maps_truth_table():
@@ -72,9 +74,7 @@ def test_phase_rows_differ_by_one():
         k0, k1 = schedule.pairs[gate.wire]
         values = {}
         for key, name in ((k0, 0), (k1, 1)):
-            hits = [row for row in table.rows if symcrypt.kdm_ver(params, key, _tag(params, row))]
-            assert len(hits) == 1
-            values[name] = int.from_bytes(symcrypt.kdm_dec(params, key, hits[0]), "big")
+            values[name] = int.from_bytes(_open_row(params, (key,), table), "big")
         modulus = 2 << gate.denom_exp
         assert (values[1] - values[0]) % modulus == 1
 
@@ -89,8 +89,7 @@ def test_phase_z_gate_modulus_two():
     k0, k1 = schedule.pairs[0]
     vals = []
     for key in (k0, k1):
-        row = next(r for r in table.rows if symcrypt.kdm_ver(params, key, _tag(params, r)))
-        vals.append(int.from_bytes(symcrypt.kdm_dec(params, key, row), "big"))
+        vals.append(int.from_bytes(_open_row(params, (key,), table), "big"))
     assert sorted(vals) == [0, 1]
 
 
@@ -104,8 +103,7 @@ def test_phase_offset_uniform():
     counts = [0] * 8     # Z_{2n} with n = 4
     for _ in range(1000):
         table = garble_phase(params, gate, schedule, rng)
-        row = next(r for r in table.rows if symcrypt.kdm_ver(params, k0, _tag(params, r)))
-        counts[int.from_bytes(symcrypt.kdm_dec(params, k0, row), "big")] += 1
+        counts[int.from_bytes(_open_row(params, (k0,), table), "big")] += 1
     assert scipy_stats.chisquare(counts).pvalue > 0.01
 
 
@@ -116,22 +114,48 @@ def test_phase_payload_width():
 
 
 def test_shuffle_positions_uniform():
+    # the row of a fixed triple sits at a uniform index in both tables: the
+    # header order is three fresh bits per table
     params = make_params()
     rng = random.Random(6)
     schedule = gen_keys(16, ONE_TOFFOLI, rng)
     gate = ONE_TOFFOLI.gates[0]
     zero_triple = tuple(schedule.pairs[w].k0 for w in gate.in_wires)
-    counts = [0] * 8
-    n = 1000
-    for _ in range(n):
+    zero_out = tuple(schedule.pairs[w].k0 for w in gate.out_wires)
+    counts = {"forward": [0] * 8, "backward": [0] * 8, "both": [0] * 64}
+    for _ in range(1000):
         tables = garble_toffoli(params, gate, schedule, rng)
-        for idx, row in enumerate(tables.forward):
-            if all(symcrypt.triple_ver(params, k, i + 1, row)
-                   for i, k in enumerate(zero_triple)):
-                counts[idx] += 1
-                break
-    assert sum(counts) == n
-    assert scipy_stats.chisquare(counts).pvalue > 0.01
+        forward = _row_index(params, zero_triple, tables.forward)
+        backward = _row_index(params, zero_out, tables.backward)
+        counts["forward"][forward] += 1
+        counts["backward"][backward] += 1
+        counts["both"][8 * forward + backward] += 1
+    for name, observed in counts.items():
+        assert scipy_stats.chisquare(observed).pvalue > 0.01, name
+
+
+def test_header_slots_hold_each_wire_key_once():
+    params = make_params()
+    rng = random.Random(12)
+    circ = parse_circuit("inputs 3\nconst 0\ntoff 0 1 2\nphase 2 1\n")
+    schedule = gen_keys(16, circ, rng)
+    bundle = garble_circuit(params, circ, schedule, rng)
+    toffoli, phase_table = bundle.tables
+    gate = circ.gates[0]
+    p, t = params.kappa_bytes, params.digest_bytes
+    for table, wires in ((toffoli.forward, gate.in_wires), (toffoli.backward, gate.out_wires)):
+        assert [len(slot) for slot in table.header] == [p + t, p + 2 * t, p + 2 * t]
+        k0, k1 = schedule.pairs[wires[0]]
+        # the constant's slot holds its 1 key alone
+        assert symcrypt.slot_positions(params, k1, table.header[0]) == [0]
+        assert symcrypt.slot_positions(params, k0, table.header[0]) == []
+        for wire, slot in zip(wires[1:], table.header[1:]):
+            positions = [symcrypt.slot_positions(params, k, slot) for k in schedule.pairs[wire]]
+            assert sorted(positions) == [[0], [1]]
+    assert len(phase_table.header) == 1 and len(phase_table.rows) == 2
+    positions = [symcrypt.slot_positions(params, k, phase_table.header[0])
+                 for k in schedule.pairs[circ.gates[1].wire]]
+    assert sorted(positions) == [[0], [1]]
 
 
 def test_bundle_shapes():
@@ -145,11 +169,14 @@ def test_bundle_shapes():
     circ = allocate_wires([toff(0, 1, 2), phase(0, 1)], 3)
     bundle = garble_circuit(params, circ, gen_keys(16, circ, rng), rng)
     assert isinstance(bundle.tables[0], ToffoliTables)
-    assert isinstance(bundle.tables[1], PhaseTable)
-    # packed rows: kappa 16 and tag 128 bits give p = 2, t = 16 bytes
-    toffoli_rows = bundle.tables[0].forward + bundle.tables[0].backward
-    assert len(toffoli_rows) == 16 and {len(row) for row in toffoli_rows} == {9 * 2 + 3 * 16}
-    assert {len(row) for row in bundle.tables[1].rows} == {2 * 2 + 16 + 1}
+    assert isinstance(bundle.tables[1], Table)
+    # kappa 16 and tag 128 bits give p = 2, t = 16 bytes: slots of p + 2t,
+    # Toffoli rows of 6p and phase rows of p and a 1-byte payload
+    toffoli = (bundle.tables[0].forward, bundle.tables[0].backward)
+    assert [len(slot) for table in toffoli for slot in table.header] == [2 + 2 * 16] * 6
+    assert [len(row) for table in toffoli for row in table.rows] == [6 * 2] * 16
+    assert [len(slot) for slot in bundle.tables[1].header] == [2 + 2 * 16]
+    assert [len(row) for row in bundle.tables[1].rows] == [2 + 1] * 2
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -168,7 +195,7 @@ def test_skeleton_is_the_circuit_without_x_property(case):
     for gate, table in zip(skeleton.gates, bundle.tables):
         if isinstance(gate, Toffoli):
             n = 8 >> sum(q in circ.const_qubits for q in gate.qubits[:2])
-            assert len(table.forward) == len(table.backward) == n
+            assert len(table.forward.rows) == len(table.backward.rows) == n
 
 
 def test_x_gates_garble_into_nothing():
@@ -195,9 +222,8 @@ def test_x_relabels_keys_with_the_same_draws():
     assert got.skeleton == x_free
     # the last phase gate reads wire 5 after its X: rows open m+1 under k0
     k0, k1 = schedule.pairs[5]
-    values = {k: int.from_bytes(symcrypt.kdm_dec(params, k, row), "big")
-              for k in (k0, k1) for row in got.tables[2].rows
-              if symcrypt.kdm_ver(params, k, _tag(params, row))}
+    values = {k: int.from_bytes(_open_row(params, (k,), got.tables[2]), "big")
+              for k in (k0, k1)}
     assert (values[k0] - values[k1]) % 4 == 1
 
 
@@ -255,9 +281,10 @@ def test_closure_pairs_random_instances_match_oracle():
 
 
 def test_row_selection_unique_across_many_garblings():
-    # 10^4 garbled gates at tag_len=128: every honest triple must open exactly
-    # one forward and one backward row (the term evaluator scans the full
-    # table and raises on ambiguity, so running it is the check)
+    # 10^4 garbled gates at tag_len=128: every honest triple must match
+    # exactly one digest per header slot, forward and backward (the term
+    # evaluator compares every digest and raises on ambiguity, so running it
+    # is the check)
     from rgc.evaluate import eval_toffoli_term
 
     params = make_params(tag_len_bits=128)

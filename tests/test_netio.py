@@ -11,13 +11,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rgc import delegation, evaluate, netio, sparse, symcrypt
-from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CircuitError, CPCircuit, Phase, Toffoli,
+from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CircuitError, CPCircuit, Phase,
                          allocate_wires, format_circuit, parse_circuit, phase, random_circuit,
                          without_x)
 from rgc.encoding import KeySchedule, WireKeyPair, encode, gen_keys
 from rgc.evaluate import EvalStats
 from rgc.games import GameReport
-from rgc.garble import GarbledBundle, PhaseTable, ToffoliTables, garble_circuit
+from rgc.garble import GarbledBundle, Table, ToffoliTables, garble_circuit
 from rgc.netio import (WireFormatError, deserialize_bundle,
                        deserialize_circuit, deserialize_job, deserialize_report,
                        deserialize_schedule, deserialize_state, frame,
@@ -456,61 +456,6 @@ def _seeded_job(text, seed=17):
     return delegation.encrypt(params, keys, circ, state, rng), params
 
 
-def _old_skeleton(c, version):
-    """The skeleton as bundle formats 1 to 3 wrote it: no constant list, and
-    in formats 1 and 2 the wire counts, the output wires, and every gate's
-    wires beside its qubits."""
-    w = netio.Writer()
-    header = (c.num_inputs, len(c.gates)) if version == 3 else (
-        c.num_inputs, c.num_wires, len(c.output_wires), *c.output_wires, len(c.gates))
-    for value in header:
-        w.u32(value)
-    for g in c.gates:
-        if isinstance(g, Toffoli):
-            w.u8(0)
-            wires = () if version == 3 else (*g.in_wires, *g.out_wires)
-            w.raw(struct.pack(f"<{3 + len(wires)}I", *g.qubits, *wires))
-        elif version == 3:
-            w.u8(1)
-            w.raw(struct.pack("<IHb", g.qubit, g.denom_exp, g.sign))
-        else:
-            w.u8(1)
-            w.raw(struct.pack("<IIHb", g.qubit, g.wire, g.denom_exp, g.sign))
-    return w.bytes()
-
-
-def _old_format_bundle(job, params, version):
-    """The bundle as formats 1 to 3 wrote it: the old skeleton, and in
-    formats 1 and 2 a u16 exponent before each phase table.  Formats 2 and 3
-    store the packed rows back to back; format 1 put every row field behind
-    its u32 length, in the order the packed row holds them.  No format
-    before 4 had half tables: the job must have no constant qubit."""
-    bundle, p = job.garbled, params.kappa_bytes
-    assert not bundle.skeleton.const_qubits
-    w = netio.Writer()
-    w.u8(version)
-    w.u16(params.kappa_bits)
-    w.u16(params.tag_len_bits)
-    w.blob(params.oracles.seed)
-    w.raw(_old_skeleton(bundle.skeleton, version))
-    for gate, table in zip(bundle.skeleton.gates, bundle.tables):
-        if isinstance(table, ToffoliTables):
-            rows, n_keys = table.forward + table.backward, 3
-        else:
-            if version < 3:
-                w.u16(gate.denom_exp)
-            rows, n_keys = table.rows, 1
-        for row in rows:
-            if version > 1:
-                w.raw(row)
-                continue
-            pads, masked, tags = symcrypt.split_row(params, row, n_keys)
-            for field in ([pads[i:i + p] for i in range(0, len(pads), p)] + [masked]
-                          + [half for tag in tags for half in (tag[:p], tag[p:])]):
-                w.blob(field)
-    return w.bytes()
-
-
 def _wire_1_job(job, bundle):
     """The job as wire version 1 framed it: its state and the given bundle
     bytes, each behind its u32 length."""
@@ -524,67 +469,28 @@ def _pin(data):
     return len(data), hashlib.blake2b(data).hexdigest()
 
 
-# the job's length and BLAKE2b per job circuit, in wire version 2 (bundle
-# format 4), in wire version 1 with bundle format 4, and in wire version 1
-# with format 3 as its codec wrote it
-WIRE_2_PINS = {
-    PHASE_JOB_CIRCUIT:
-        (2803, "25f92f34304558a4460fdd4f82a6c7d19da2246fcf14c4002acd601226ddeb6f"
-               "054886c0d065686862d78a5f4e7e56d8cbb97cca859ebdab656950c3c96c9aff"),
-    TOFFOLI_JOB_CIRCUIT:
-        (3422, "ecb57983ac0beb5aa6ea23cffbc79ce518bbc249cafc24c1fd0162d777f47f31"
-               "c446539126d7b2ef24c5fb55a4046cd9bfcc6184a19b2862be3927bb2d837deb"),
-}
-FORMAT_4_PINS = {
-    PHASE_JOB_CIRCUIT:
-        (2833, "284c3c2836cabd195625f4a92f730edbfc73d28dd269813296fde6460e52b0de"
-               "45bffeaa2a4d0d217e981526091af97fa384bd0015daa0f7d84414d026ba92c6"),
-    TOFFOLI_JOB_CIRCUIT:
-        (3452, "090a429b6a4aabd95ae02c91a3d922a1dd7229f253a64644b98a24e46e40c369"
-               "a2a38937f29349ff79d8b15f60eecf654781cffb9e36a11638dfeeb035326bbe"),
-}
-FORMAT_3_PINS = {
-    PHASE_JOB_CIRCUIT:
-        (2829, "bb2533dbaaf4fe2e105a4bb2d504e1e9046f1e51183fcc3576916baf03a5aa97"
-               "d183a5ab906cb16dca112d1aa0966a239d0be40a97cb9d47d22fb3c4e9280419"),
-    TOFFOLI_JOB_CIRCUIT:
-        (3448, "e4390730a0e4095e76deb77e7c69aaf63cc3586fd7e4cc2a1bef6ec004b32f28"
-               "e9bbb4f279bed657bb1988c52c193d40e9a6eaa78aba933acdd8e9bbd5bb9804"),
-}
-
-
-@pytest.mark.parametrize("text, v1_size, v1_digest, v2_size, v2_digest", [
-    (PHASE_JOB_CIRCUIT, 4519,
-     "c8bb4fa049cc0f070433537dcc2b032650bfcf19e0ea18bdf560db6cdd19ce9c"
-     "cf45f0454e094c652e54dec17c41b92ecc613fb3d1668b29c10b557f1688b127",
-     2951,
-     "5258d0517d4215c751a8e9928fb5dbc562bf73d4f41be60542a80c63a5e5a15b"
-     "f889f6f44ce3a655edd0a66e9fb8ffc044ce5c2c5a7237da03be53e16b74f304"),
-    (TOFFOLI_JOB_CIRCUIT, 5460,
-     "212beb2ed298499673fc8ee679085f267543086c5f31f528de97d6f4bbe3c0f5"
-     "37b6bf4039cb8b8b8011b13990a428244a56f5bce807d2c13fb422b856ac7e01",
-     3540,
-     "95a97ab7bd10373f4abd3dc9a506cb3fc8fe676c6bd7c4d2d52ba1c2b0029501"
-     "f15b33c243146f6d776880ef6766bb72a3802d41f1eb39e7ce41b86b584dc497"),
+@pytest.mark.parametrize("text, size, digest", [
+    (PHASE_JOB_CIRCUIT, 1465,
+     "c7c6032243e62863b8aead5b000a9a4fe754abbe3486a2e0338b278b707ac78a"
+     "a497ba12af0c4c6737c1ee128e952188de5b29dc628c8044258433f0b2b976f0"),
+    (TOFFOLI_JOB_CIRCUIT, 1442,
+     "f8262fbcc5a35dab160c595446fccf37110a7bf11f9c366c3f344f884cc163e5"
+     "5cc9864f541637268d39958f4c5cd8ba84cea435cc7ca7236ddfbca173439ec3"),
 ])
-def test_job_bytes_golden(text, v1_size, v1_digest, v2_size, v2_digest):
-    # BLAKE2b of serialize_job (wire version 2, bundle format 4), and of the
-    # same job in wire version 1 with bundle formats 1 to 4 as their codecs
-    # wrote it: the rows and terms are unchanged
+def test_job_bytes_golden(text, size, digest):
+    # length and BLAKE2b of serialize_job: wire version 2, bundle format 5
     job, params = _seeded_job(text)
     data = serialize_job(job, params)
-    assert _pin(data) == WIRE_2_PINS[text]
+    assert _pin(data) == (size, digest)
     assert serialize_job(*deserialize_job(data)) == data
-    assert _pin(_wire_1_job(job, serialize_bundle(job.garbled, params))) == FORMAT_4_PINS[text]
-    assert _pin(_wire_1_job(job, _old_format_bundle(job, params, 3))) == FORMAT_3_PINS[text]
-    assert _pin(_wire_1_job(job, _old_format_bundle(job, params, 1))) == (v1_size, v1_digest)
-    assert _pin(_wire_1_job(job, _old_format_bundle(job, params, 2))) == (v2_size, v2_digest)
 
 
 def _old_format_reply(version):
-    # a wire version 2 job around the old bundle
+    # a wire version 2 job whose bundle declares an earlier format; the
+    # reader refuses at the version byte, before any table
     job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
-    data = serialize_state(job.encoded_state) + _old_format_bundle(job, params, version)
+    bundle = bytes([version]) + serialize_bundle(job.garbled, params)[1:]
+    data = serialize_state(job.encoded_state) + bundle
     return unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))
 
 
@@ -601,6 +507,12 @@ def test_format_2_bundle_gets_error_envelope():
 def test_format_3_bundle_gets_error_envelope():
     assert _old_format_reply(3) == (netio.KIND_ERROR,
                                     b"WireFormatError: unsupported bundle version 3")
+
+
+def test_format_4_bundle_gets_error_envelope():
+    # format 4 sent a tag behind every key of every row and no header
+    assert _old_format_reply(4) == (netio.KIND_ERROR,
+                                    b"WireFormatError: unsupported bundle version 4")
 
 
 def test_wire_version_1_envelope_gets_error_envelope():
@@ -673,10 +585,11 @@ CONST_JOB_CIRCUIT = "inputs 3\nconst 0\ntoff 0 1 2\n"
     (_set(4, "<I", 4), b"WireFormatError: 4 constant qubits among 3"),
     (_set(8, "<I", 3), b"CircuitError: constant qubits (3,) out of range (N=3)"),
     (_set(8, "<I", 2), b"CircuitError: constant qubit 2 is a toffoli target"),
-    # one Toffoli record and 8 rows of 66 bytes follow; a gate takes at
-    # least 50 (a phase record and two rows of 21)
+    # one Toffoli record and two tables of two 34-byte slots, one 18-byte
+    # slot and four 12-byte rows follow; a gate takes at least 48 (a phase
+    # record, a 34-byte slot and two rows of 3)
     (_set(12, "<I", 11),
-     b"WireFormatError: 11 gates cannot fit in the 541 bytes left (at least 50 each)"),
+     b"WireFormatError: 11 gates cannot fit in the 281 bytes left (at least 48 each)"),
 ], ids=["too-many-constants", "constant-out-of-range", "constant-target",
         "gate-count-beyond-the-tables"])
 def test_skeleton_constants_refused_get_error_envelope(patch, message):
@@ -692,16 +605,17 @@ def test_unsorted_constants_are_refused():
 
 
 def test_half_table_job_bytes_golden():
-    # 4 + 4 rows for the Toffoli with a constant control
+    # 4 + 4 rows for the Toffoli with a constant control, whose slot in
+    # both headers holds one digest
     job, params = _seeded_job(CONST_JOB_CIRCUIT)
-    assert [len(t.forward) + len(t.backward) for t in job.garbled.tables] == [8]
-    assert _pin(_wire_1_job(job, serialize_bundle(job.garbled, params))) == (
-        702, "c26dc1cabe6ae42df5fe3c8a8e4a9b7236593c5c879ab527e5d60b74fb7aaa00"
-              "3db03b8fb3aa6c23df5c1037b98e38e24e263614388726cd9857c4598dbfe749")
+    (table,) = job.garbled.tables
+    assert [len(t.rows) for t in (table.forward, table.backward)] == [4, 4]
+    assert [len(slot) for slot in table.forward.header + table.backward.header] == \
+        [18, 34, 34] * 2
     data = serialize_job(job, params)
     assert _pin(data) == (
-        672, "6537457cd022e4470a2ec53962fecb1063a8c43a1896e5a6217e6534c415aeb5"
-              "865e743b417a61e769b8680202b9c36c833df89e0d56b1f688d987e0a575992b")
+        412, "5778d21b0587dcc0d4bb8c604468158dc2191e63ce98e34c61f8992cee8db018"
+              "530d2e139fb8773b170bdd94a52cd60978c9d96a5623665f6fd467eb01028018")
     assert serialize_job(*deserialize_job(data)) == data
     kind, payload = _handle_job(job, params)
     assert kind == netio.KIND_RESULT
@@ -710,8 +624,8 @@ def test_half_table_job_bytes_golden():
 def test_half_table_of_full_length_is_not_serialized():
     job, params = _seeded_job(CONST_JOB_CIRCUIT)
     table = job.garbled.tables[0]
-    bundle = GarbledBundle(job.garbled.skeleton,
-                           (ToffoliTables(table.forward * 2, table.backward * 2),))
+    full = [Table(t.header, t.rows * 2) for t in (table.forward, table.backward)]
+    bundle = GarbledBundle(job.garbled.skeleton, (ToffoliTables(*full),))
     with pytest.raises(WireFormatError, match="width"):
         serialize_bundle(bundle, params)
 
@@ -825,9 +739,9 @@ def test_phase_row_of_wrong_payload_width_gets_error_envelope():
     job, params = _one_phase_job(denom_exp=2)
     bundle = serialize_bundle(job.garbled, params)
     row = job.garbled.tables[0].rows[0]
-    r1, masked, _ = symcrypt.split_row(params, row)
+    r1, masked = row[:params.kappa_bytes], row[params.kappa_bytes:]
     assert len(masked) == 1 and bundle.count(row) == 1
-    widened = bundle.replace(row, r1 + masked + b"\x00" + row[len(r1) + 1:])
+    widened = bundle.replace(row, r1 + masked + b"\x00")
     data = serialize_state(job.encoded_state) + widened
     kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))
     assert kind == netio.KIND_ERROR
@@ -837,35 +751,73 @@ def test_phase_row_of_wrong_payload_width_gets_error_envelope():
 def test_table_of_wrong_shape_is_not_serialized():
     job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
     table = job.garbled.tables[0]
-    for forward in (table.forward + table.forward[:1],            # 17 rows
-                    (table.forward[0] + b"\x00",) + table.forward[1:]):   # one row widened
+    header, rows = table.forward.header, table.forward.rows
+    for forward in (Table(header, rows + rows[:1]),                     # 9 rows
+                    Table(header, (rows[0] + b"\x00",) + rows[1:]),     # one row widened
+                    Table(header[:2], rows),                            # two slots
+                    Table(header[:2] + (header[2][:-16],), rows)):      # one digest
         bundle = GarbledBundle(job.garbled.skeleton,
                                (ToffoliTables(forward, table.backward),)
                                + job.garbled.tables[1:])
         with pytest.raises(WireFormatError, match="width"):
             serialize_bundle(bundle, params)
     phase_job, phase_params = _one_phase_job()
-    rows = phase_job.garbled.tables[0].rows
-    bundle = GarbledBundle(phase_job.garbled.skeleton,
-                           (PhaseTable((rows[0][:-1], rows[1])),))
-    with pytest.raises(WireFormatError, match="width"):
-        serialize_bundle(bundle, phase_params)
+    phase_table = phase_job.garbled.tables[0]
+    rows = phase_table.rows
+    for table in (Table(phase_table.header, (rows[0][:-1], rows[1])),
+                  Table((phase_table.header[0] + bytes(16),), rows)):
+        bundle = GarbledBundle(phase_job.garbled.skeleton, (table,))
+        with pytest.raises(WireFormatError, match="width"):
+            serialize_bundle(bundle, phase_params)
+
+
+def _reply_with_first_slot(patch):
+    """The reply to a basis-state Toffoli job whose first header slot is
+    ``patch(pad, held, other)``: the slot's pad, the digest the key held in
+    register 0 matches, and the slot's other digest."""
+    circ = parse_circuit(TOFFOLI_JOB_CIRCUIT)
+    rng = random.Random(27)
+    keys = delegation.keygen(16, 3, circ, rng, conjecture=True)
+    params = delegation.make_params(16, oracle_seed=b"slots")
+    job = delegation.encrypt(params, keys, circ, sparse.basis_state(qubit_layout(3), 0), rng)
+    table = job.garbled.tables[0]
+    slot, p, t = table.forward.header[0], params.kappa_bytes, params.digest_bytes
+    (pos,) = symcrypt.slot_positions(params, keys.schedule.pairs[circ.input_wires[0]].k0, slot)
+    held, other = slot[p + pos * t:p + (pos + 1) * t], slot[p + (1 - pos) * t:p + (2 - pos) * t]
+    forward = Table((patch(slot[:p], held, other),) + table.forward.header[1:],
+                    table.forward.rows)
+    bundle = GarbledBundle(job.garbled.skeleton, (ToffoliTables(forward, table.backward),)
+                           + job.garbled.tables[1:])
+    return _handle_job(delegation.JobBundle(job.encoded_state, bundle), params)
+
+
+def test_header_slot_of_a_duplicated_digest_gets_an_error_envelope():
+    assert _reply_with_first_slot(lambda pad, held, other: pad + held + held) == (
+        netio.KIND_ERROR,
+        b"AmbiguousRowError: gate 0: digests 0 and 1 of header slot 0 both match its key")
+
+
+def test_key_matching_no_digest_gets_an_error_envelope():
+    assert _reply_with_first_slot(lambda pad, held, other: pad + other + other) == (
+        netio.KIND_ERROR, b"NoRowMatchError: gate 0: no digest of header slot 0 matches its key")
 
 
 def test_mutated_jobs_get_result_or_error_envelopes():
-    payload = serialize_job(*_seeded_job(PHASE_JOB_CIRCUIT))
-    rng = random.Random(23)
-    kinds = []
-    for _ in range(2000):
-        data = bytearray(payload)
-        for _ in range(rng.randint(1, 3)):
-            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
-        kind, _ = unframe(netio.handle_envelope(frame(netio.KIND_JOB, bytes(data))))
-        kinds.append(kind)
-    assert set(kinds) == {netio.KIND_RESULT, netio.KIND_ERROR}
-    for cut in range(len(payload)):
-        kind, _ = unframe(netio.handle_envelope(frame(netio.KIND_JOB, payload[:cut])))
-        assert kind == netio.KIND_ERROR
+    # a job of full tables and phase tables, and a job of half tables
+    for text in (PHASE_JOB_CIRCUIT, CONST_JOB_CIRCUIT):
+        payload = serialize_job(*_seeded_job(text))
+        rng = random.Random(23)
+        kinds = []
+        for _ in range(2000):
+            data = bytearray(payload)
+            for _ in range(rng.randint(1, 3)):
+                data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            kind, _ = unframe(netio.handle_envelope(frame(netio.KIND_JOB, bytes(data))))
+            kinds.append(kind)
+        assert set(kinds) == {netio.KIND_RESULT, netio.KIND_ERROR}
+        for cut in range(len(payload)):
+            kind, _ = unframe(netio.handle_envelope(frame(netio.KIND_JOB, payload[:cut])))
+            assert kind == netio.KIND_ERROR
 
 
 _ENVELOPE_KINDS = {netio.KIND_RESULT, netio.KIND_ERROR}
@@ -883,18 +835,19 @@ def test_any_framed_payload_gets_an_envelope(kind, payload):
     assert unframe(netio.handle_envelope(frame(kind, payload)))[0] in _ENVELOPE_KINDS
 
 
-_PHASE_JOB_PAYLOAD = serialize_job(*_seeded_job(PHASE_JOB_CIRCUIT))
+_JOB_PAYLOADS = (serialize_job(*_seeded_job(PHASE_JOB_CIRCUIT)),
+                 serialize_job(*_seeded_job(CONST_JOB_CIRCUIT)))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, len(_PHASE_JOB_PAYLOAD) - 1), st.integers(1, 255)),
-                min_size=1, max_size=4),
-       st.integers(0, len(_PHASE_JOB_PAYLOAD)), st.binary(max_size=8))
-def test_mutated_job_gets_an_envelope(flips, cut, tail):
-    data = bytearray(_PHASE_JOB_PAYLOAD)
+@given(st.sampled_from(_JOB_PAYLOADS),
+       st.lists(st.tuples(st.integers(0), st.integers(1, 255)), min_size=1, max_size=4),
+       st.integers(0), st.binary(max_size=8))
+def test_mutated_job_gets_an_envelope(payload, flips, cut, tail):
+    data = bytearray(payload)
     for pos, mask in flips:
-        data[pos] ^= mask
-    data = bytes(data[:cut]) + tail
+        data[pos % len(data)] ^= mask
+    data = bytes(data[:cut % (len(data) + 1)]) + tail
     assert unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))[0] in _ENVELOPE_KINDS
 
 

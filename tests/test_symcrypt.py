@@ -248,6 +248,9 @@ def test_all_oracle_queries_are_domain_separated():
     tct = symcrypt.triple_enc(params, *keys, b"xy", rng)
     symcrypt.triple_dec(params, *keys, tct)
     symcrypt.triple_ver(params, keys[2], 3, tct)
+    slot = symcrypt.header_slot(params, keys[:2], rng)
+    symcrypt.slot_positions(params, keys[1], slot)
+    symcrypt.row_dec(params, keys, symcrypt.row_enc(params, keys, b"xyz", rng))
 
     kb = params.kappa_bytes
     assert len(wrapped) == len(family._members) >= 2     # masks and tags
@@ -266,11 +269,11 @@ def test_rows_are_packed_in_wire_order():
     ct = symcrypt.kdm_enc_padded(params, sk, b"xyz", r1, r2)
     digest = params.oracles.for_len(128).query(b"\x02" + sk + r2)
     assert ct[:2] == r1 and ct[5:] == r2 + digest
-    assert len(ct) == 2 + 3 + 2 + 16 == symcrypt.row_bytes(16, 128, 1, 3)
+    assert len(ct) == 2 + 3 + 2 + 16
     assert split_row(params, ct) == (r1, ct[2:5], [r2 + digest])
     keys = [symcrypt.keygen(params, rng) for _ in range(3)]
     tct = symcrypt.triple_enc(params, *keys, b"pq", rng)
-    assert len(tct) == 6 * 2 + 3 * 16 + 2 == symcrypt.row_bytes(16, 128, 3, 2)
+    assert len(tct) == 6 * 2 + 3 * 16 + 2
     pads, masked, tags = split_row(params, tct, 3)
     assert pads == tct[:6] and masked == tct[6:8] and b"".join(tags) == tct[8:]
     for i, (key, tag) in enumerate(zip(keys, tags), start=1):
@@ -284,3 +287,38 @@ def test_split_row_refuses_rows_without_payload():
         split_row(params, bytes(2 + 18))
     with pytest.raises(ValueError):
         split_row(params, bytes(6 + 3 * 18), 3)
+
+
+def test_header_scheme_packs_slots_and_rows_in_wire_order():
+    # slot pad | digest per key, row r1 .. rn | masked
+    params = make_params()
+    rng = random.Random(18)
+    keys = [symcrypt.keygen(params, rng) for _ in range(3)]
+    slot = symcrypt.header_slot(params, keys[:2], rng)
+    digest = params.oracles.for_len(128).query
+    assert slot[2:] == b"".join(digest(b"\x02" + key + slot[:2]) for key in keys[:2])
+    assert [symcrypt.slot_positions(params, key, slot) for key in keys] == [[0], [1], []]
+    twice = slot[:18] + slot[2:18]
+    assert symcrypt.slot_positions(params, keys[0], twice) == [0, 1]
+    row = symcrypt.row_enc(params, keys, b"pqrs", rng)
+    assert len(row) == 3 * 2 + 4
+    assert symcrypt.row_dec(params, keys, row) == b"pqrs"
+    # the mask is the triple-key scheme's, under the row's own pads
+    mask = params.oracles.for_len(32).query
+    expect = int.from_bytes(b"pqrs", "little")
+    for i, key in enumerate(keys):
+        expect ^= int.from_bytes(mask(b"\x01" + key + row[2 * i:2 * i + 2]), "little")
+    assert row[6:] == expect.to_bytes(4, "little")
+    with pytest.raises(ValueError):
+        symcrypt.row_enc(params, keys, b"", rng)
+
+
+def test_header_rows_need_every_key():
+    # exhaustive search over one key at kappa=8: only the real key unmasks
+    params = make_params(kappa_bits=8)
+    rng = random.Random(19)
+    keys = [symcrypt.keygen(params, rng) for _ in range(3)]
+    m = rng.randbytes(6)
+    row = symcrypt.row_enc(params, keys, m, rng)
+    assert [bytes([g]) for g in range(256)
+            if symcrypt.row_dec(params, (keys[0], keys[1], bytes([g])), row) == m] == [keys[2]]
