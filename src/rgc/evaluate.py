@@ -21,10 +21,10 @@ index, decrypting the output keys, and erasing the input keys through the
 backward row - then moves every term through one 8-entry code table per
 register.  A row is found through its table's header (see
 :mod:`rgc.garble`): per slot, one digest of the slot's key, which must match
-exactly one of the slot's digests, gives the key's position, and the
-positions index the row.  The triples of one gate share their registers'
-keys, so each gate remembers the position of every (slot, key) it has
-looked up, per table, and computes each digest once.  The backward payload
+exactly one of the slot's digests, gives the key's position, the positions
+index the row, and one oracle query opens it.  The triples of one gate
+share their registers' keys, so each gate remembers the position of every
+(slot, key) it has looked up, per table, and computes each digest once.  The backward payload
 must XOR the inputs to exactly zero - that erasure is asserted for every
 distinct triple of every gate, and a failure aborts the evaluation:
 leftover input keys would entangle the result with junk registers.  A phase
@@ -148,14 +148,15 @@ def _open(params: CryptoParams, keys: tuple[bytes, ...], table: Table, memo: Slo
     Each (slot, key) is looked up once per gate, through ``memo``: one
     digest, compared with every digest of the slot, and exactly one must
     match.  The positions, mixed-radix over the slots' digest counts, give
-    the row's index.
+    the row's index, and one mask query over the keys, the table's nonce and
+    that index opens the row.
     """
-    p, t = params.kappa_bytes, params.digest_bytes
-    if len(keys) != len(table.header):
-        raise EvalError(f"{len(keys)} keys for a header of {len(table.header)} slots")
+    t, header, nonce = params.digest_bytes, table.header, table.nonce
+    if len(keys) != len(header):
+        raise EvalError(f"{len(keys)} keys for a header of {len(header)} slots")
     index, size = 0, 1
     for slot, key in enumerate(keys):
-        digests = (len(table.header[slot]) - p) // t
+        digests = len(header[slot]) // t
         position = memo.get((slot, key))
         if position is None:
             stats.rows_tried += 1
@@ -163,7 +164,7 @@ def _open(params: CryptoParams, keys: tuple[bytes, ...], table: Table, memo: Slo
                 stats.backward_ver_calls += 1
             else:
                 stats.ver_calls += 1
-            hits = symcrypt.slot_positions(params, key, table.header[slot])
+            hits = symcrypt.slot_positions(params, key, nonce, slot, header[slot])
             if not hits:
                 raise NoRowMatchError(f"no digest of header slot {slot} matches its key")
             if len(hits) > 1:
@@ -175,7 +176,7 @@ def _open(params: CryptoParams, keys: tuple[bytes, ...], table: Table, memo: Slo
     if size != len(table.rows):
         raise EvalError(f"a header of {size} positions over {len(table.rows)} rows")
     stats.rows_tried += 1
-    return symcrypt.row_dec(params, keys, table.rows[index])
+    return symcrypt.row_dec(params, keys, table.rows[index], nonce, index)
 
 
 def eval_toffoli_term(params: CryptoParams, key_triple: tuple[bytes, bytes, bytes],

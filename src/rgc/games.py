@@ -12,9 +12,9 @@ What these harnesses can and cannot say: distinguishers here are classical
 programs.  The model's adversaries may query the oracle in superposition;
 no classical harness can represent that, so a clean bill from these games
 validates the construction's classical soundness only.  The rigged modes
-(leaked keys, reused pads, brute force at byte-sized keys, a secret bit
-declared a public constant, headers sorted by logical value) exist to prove
-the harness itself would notice a break.
+(leaked keys, reused pads, reused table nonces, brute force at byte-sized
+keys, a secret bit declared a public constant, headers sorted by logical
+value) exist to prove the harness itself would notice a break.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Any, Callable, Sequence
 
 from . import delegation, encoding, garble, sparse, symcrypt
@@ -140,21 +141,33 @@ def run_ind_cpa_gbc(distinguisher: Distinguisher, circ: CPCircuit, kappa_bits: i
 def _sort_headers(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
                   bundle: GarbledBundle) -> GarbledBundle:
     """The bundle with each two-digest slot's logical 0 key first and the
-    rows moved to match: point-and-permute without the permute bit."""
-    p, t = params.kappa_bytes, params.digest_bytes
+    rows moved, and masked under their new indices, to match:
+    point-and-permute without the permute bit."""
+    t = params.digest_bytes
 
-    def sort(table: Table, zero_keys: list[bytes]) -> Table:
-        header, flips = [], 0
-        for slot, key in zip(table.header, zero_keys):
-            if len(slot) == p + 2 * t:
-                flip = symcrypt.slot_positions(params, key, slot) == [1]
+    def sort(table: Table, pairs: list[tuple[bytes, bytes]]) -> Table:
+        header, slot_keys, flips = [], [], 0
+        for slot, (digests, pair) in enumerate(zip(table.header, pairs)):
+            if len(digests) == 2 * t:
+                flip = symcrypt.slot_positions(params, pair[0], table.nonce, slot,
+                                               digests) == [1]
                 flips = 2 * flips + flip
-                slot = slot[:p] + slot[p + t:] + slot[p:p + t] if flip else slot
-            header.append(slot)
-        return Table(tuple(header), tuple(table.rows[i ^ flips]
-                                          for i in range(len(table.rows))))
+                digests = digests[t:] + digests[:t] if flip else digests
+            header.append(digests)
+            slot_keys.append(pair if len(digests) == 2 * t else pair[1:])
+        rows = []
+        for i, keys in enumerate(product(*slot_keys)):
+            old = i ^ flips
+            plain = symcrypt.row_dec(params, keys, table.rows[old], table.nonce, old)
+            rows.append(symcrypt.row_enc(params, keys, plain, table.nonce, i))
+        return Table(table.nonce, tuple(header), tuple(rows))
 
     flipped: set[int] = set()
+
+    def pair(wire: int) -> tuple[bytes, bytes]:
+        k0, k1 = schedule.pairs[wire]
+        return (k1, k0) if wire in flipped else (k0, k1)
+
     tables = iter(bundle.tables)
     out: list[ToffoliTables | Table] = []
     for gate in circ.gates:
@@ -163,12 +176,11 @@ def _sort_headers(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
             continue
         table = next(tables)
         if isinstance(gate, Toffoli):
-            zero = [schedule.pairs[w][w in flipped] for w in gate.in_wires]
-            out.append(ToffoliTables(sort(table.forward, zero),
+            out.append(ToffoliTables(sort(table.forward, [pair(w) for w in gate.in_wires]),
                                      sort(table.backward,
-                                          [schedule.pairs[w].k0 for w in gate.out_wires])))
+                                          [tuple(schedule.pairs[w]) for w in gate.out_wires])))
         else:
-            out.append(sort(table, [schedule.pairs[gate.wire][gate.wire in flipped]]))
+            out.append(sort(table, [pair(gate.wire)]))
     return GarbledBundle(bundle.skeleton, tuple(out))
 
 
@@ -191,26 +203,30 @@ def _held_key(view: ChallengeView, qubit: int) -> bytes:
     return ((basis >> (8 * kb * qubit)) & ((1 << 8 * kb) - 1)).to_bytes(kb, "little")
 
 
+def _positions(params: CryptoParams, key: bytes, table: Table, slot: int) -> list[int]:
+    return symcrypt.slot_positions(params, key, table.nonce, slot, table.header[slot])
+
+
 def dist_tag_grinding(view: ChallengeView, rng: random.Random) -> int:
     """Throw 16 random keys at the first table's header; guess 1 on any hit."""
     for table in view.job.garbled.tables:
+        first = _tables(table)[0]
         for _ in range(16):
             key = rand_bytes(rng, view.params.kappa_bytes)
-            if any(symcrypt.slot_positions(view.params, key, slot)
-                   for slot in _tables(table)[0].header):
+            if any(_positions(view.params, key, first, slot)
+                   for slot in range(len(first.header))):
                 return 1
         break
     return 0
 
 
 def dist_row_frequency(view: ChallengeView, rng) -> int:
-    """Parity of all masked ciphertext bytes across the bundle."""
+    """Parity of all masked row bytes across the bundle."""
     acc = 0
     for table in view.job.garbled.tables:
         for part in _tables(table):
-            pads = len(part.header) * view.params.kappa_bytes
             for row in part.rows:
-                for byte in row[pads:]:
+                for byte in row:
                     acc ^= byte
     return bin(acc).count("1") & 1
 
@@ -229,9 +245,9 @@ def dist_header_order(view: ChallengeView, rng) -> int:
         qubits = gate.qubits if isinstance(gate, Toffoli) else (gate.qubit,)
         table = _tables(table)[0]
         index = 0
-        for q, slot in zip(qubits, table.header):
-            hits = symcrypt.slot_positions(view.params, _held_key(view, q), slot)
-            digests = (len(slot) - view.params.kappa_bytes) // view.params.digest_bytes
+        for slot, q in enumerate(qubits):
+            hits = _positions(view.params, _held_key(view, q), table, slot)
+            digests = len(table.header[slot]) // view.params.digest_bytes
             index = index * digests + (hits[0] if hits else 0)
         return 1 if index == len(table.rows) - 1 else 0
     return 0
@@ -246,8 +262,8 @@ def dist_constant_key(view: ChallengeView, rng) -> int:
     for q in bundle.skeleton.const_qubits:
         for gate, table in zip(bundle.skeleton.gates, bundle.tables):
             if isinstance(gate, Toffoli) and q in gate.qubits:
-                slot = table.forward.header[gate.qubits.index(q)]
-                if not symcrypt.slot_positions(view.params, _held_key(view, q), slot):
+                if not _positions(view.params, _held_key(view, q), table.forward,
+                                  gate.qubits.index(q)):
                     return 0
                 break
     return 1
@@ -348,6 +364,85 @@ def self_cycle_queries(n_keys: int, kappa_bits: int) -> list[tuple[int, AffineKe
 
 
 # ---------------------------------------------------------------------------
+# non-adaptive KDM game for the joint-hash rows of the garbled tables
+
+@dataclass(frozen=True)
+class RowQuery:
+    """Row ``index`` of table ``table``, under the keys ``sources``, whose
+    payload is the keys ``targets`` back to back."""
+
+    table: int
+    index: int
+    sources: tuple[int, ...]
+    targets: tuple[int, ...]
+
+
+@dataclass
+class RowKdmView:
+    params: CryptoParams
+    nonces: dict[int, bytes]        # per table number
+    rows: list[bytes]               # per query
+    queries: list[RowQuery]
+
+
+def toffoli_cycle_queries(gates: int = 1) -> list[RowQuery]:
+    """The rows of ``gates`` Toffolis on one input triple, whose wire i has
+    keys 2i and 2i + 1.  Gate g's outputs are keys 6(g + 1) onwards; its
+    forward table (number 2g) encrypts the output keys under the input keys
+    and its backward table (2g + 1) the reverse, the key cycle every garbled
+    Toffoli creates.  Rows sit at their logical index.  Two or more gates
+    share their forward rows' keys and indices, as re-garbling one input
+    triple would, so only their nonces tell their masks apart."""
+    queries = []
+    for g in range(gates):
+        base = 6 * (g + 1)
+        for u, v, w in product((0, 1), repeat=3):
+            ins, z = (u, 2 + v, 4 + w), w ^ (u & v)
+            outs = (base + u, base + 2 + v, base + 4 + z)
+            queries.append(RowQuery(2 * g, 4 * u + 2 * v + w, ins, outs))
+            queries.append(RowQuery(2 * g + 1, 4 * u + 2 * v + z, outs, ins))
+    return queries
+
+
+def run_row_kdm_game(queries: list[RowQuery], n_keys: int,
+                     distinguisher: Callable[[RowKdmView, random.Random], int],
+                     kappa_bits: int, trials: int, rng: random.Random, *,
+                     reuse_nonces: bool = False, table_oracle: bool = True) -> GameReport:
+    """Non-adaptive KDM game for the joint-hash row: each table number gets
+    a fresh nonce, and the challenger answers every query with its row of
+    the target keys (b=1) or of zeros (b=0).  reuse_nonces deliberately
+    breaks the scheme (one nonce for every table) so tests can watch the
+    harness catch it."""
+    kb = kappa_bits // 8
+
+    def challenge(b, params, setup_rng):
+        keyset = [symcrypt.keygen(params, setup_rng) for _ in range(n_keys)]
+        shared = rand_bytes(setup_rng, kb)
+        nonces = {t: shared if reuse_nonces else rand_bytes(setup_rng, kb)
+                  for t in sorted({q.table for q in queries})}
+        rows = []
+        for q in queries:
+            payload = b"".join(keyset[t] for t in q.targets)
+            if b == 0:
+                payload = bytes(len(payload))
+            rows.append(symcrypt.row_enc(params, [keyset[s] for s in q.sources], payload,
+                                         nonces[q.table], q.index))
+        return RowKdmView(params, nonces, rows, queries)
+
+    return _play(distinguisher, challenge, kappa_bits, trials, rng, table_oracle)
+
+
+def row_kdm_dist_mask_equality(view: RowKdmView, rng) -> int:
+    """Guess 0 when two rows coincide, as rows of zeros under one mask do;
+    only a reused (keys, nonce, index) gives two rows one mask."""
+    return 0 if len(set(view.rows)) < len(view.rows) else 1
+
+
+def row_kdm_dist_first_byte(view: RowKdmView, rng) -> int:
+    return view.rows[0][0] & 1 if view.rows else 0
+
+
+# ---------------------------------------------------------------------------
 # revealed-closure game for the triple-key scheme
 
 PairSpec = tuple[tuple[int, ...], tuple[int, ...]]
@@ -367,7 +462,8 @@ def run_closure_game(pairs: list[PairSpec], revealed: Sequence[int],
                      n_keys: int, kappa_bits: int, trials: int,
                      rng: random.Random, *, table_oracle: bool = True) -> GameReport:
     """The challenger hands out the revealed keys plus one table per pair, a
-    row in the header scheme behind one single-digest slot per source key:
+    row in the joint-hash scheme under a fresh nonce, behind one
+    single-digest slot per source key:
     real key payloads where b=1 or where the pair's source keys are reachable
     from the revealed set anyway, zeros otherwise.  Distinguishing the two
     means learning something the closure says you shouldn't."""
@@ -393,8 +489,10 @@ def run_closure_game(pairs: list[PairSpec], revealed: Sequence[int],
             if not real:
                 payload = bytes(len(payload))
             keys = [keyset[s] for s in sources]
-            header = tuple(symcrypt.header_slot(params, (key,), setup_rng) for key in keys)
-            cts.append(Table(header, (symcrypt.row_enc(params, keys, payload, setup_rng),)))
+            nonce = rand_bytes(setup_rng, params.kappa_bytes)
+            header = tuple(symcrypt.header_slot(params, (key,), nonce, slot)
+                           for slot, key in enumerate(keys))
+            cts.append(Table(nonce, header, (symcrypt.row_enc(params, keys, payload, nonce, 0),)))
         return ClosureView(params, {r: keyset[r] for r in revealed}, cts, pairs)
 
     return _play(distinguisher, challenge, kappa_bits, trials, rng, table_oracle)
@@ -402,8 +500,8 @@ def run_closure_game(pairs: list[PairSpec], revealed: Sequence[int],
 
 def closure_dist_masked_stats(view: ClosureView, rng) -> int:
     acc = 0
-    for (sources, _), ct in zip(view.pairs, view.ciphertexts):
-        acc ^= ct.rows[0][len(sources) * view.params.kappa_bytes]
+    for ct in view.ciphertexts:
+        acc ^= ct.rows[0][0]
     return acc & 1
 
 
@@ -412,7 +510,8 @@ def closure_dist_revealed_decrypt(view: ClosureView, rng) -> int:
     obviously non-random plaintext structure (all-zero payloads)."""
     for (sources, _), ct in zip(view.pairs, view.ciphertexts):
         if len(sources) == 1 and sources[0] in view.revealed:
-            plain = symcrypt.row_dec(view.params, (view.revealed[sources[0]],), ct.rows[0])
+            plain = symcrypt.row_dec(view.params, (view.revealed[sources[0]],), ct.rows[0],
+                                     ct.nonce, 0)
             if any(plain):
                 return 1
     return 0
@@ -443,12 +542,9 @@ def wire_tag_check(view: RecoveryView, wire: int, key: bytes) -> bool:
     a hit pins the key (up to the digest false-accept probability)."""
     for gate, table in zip(view.bundle.skeleton.gates, view.bundle.tables):
         if isinstance(gate, Toffoli) and wire in gate.in_wires:
-            slot = table.forward.header[gate.in_wires.index(wire)]
-        elif not isinstance(gate, Toffoli) and gate.wire == wire:
-            slot = table.header[0]
-        else:
-            continue
-        return bool(symcrypt.slot_positions(view.params, key, slot))
+            return bool(_positions(view.params, key, table.forward, gate.in_wires.index(wire)))
+        if not isinstance(gate, Toffoli) and gate.wire == wire:
+            return bool(_positions(view.params, key, table, 0))
     raise ValueError(f"wire {wire} feeds no gate; no digest to check against")
 
 

@@ -7,16 +7,19 @@ input keys under the output keys.  Evaluating forward and then using the
 backward row to erase the inputs makes the whole step a basis permutation,
 which is why it can run on superpositions.
 
-Each table is a header and its rows, in the header scheme of
-:mod:`rgc.symcrypt`.  The header has one slot per key position holding the
-digests of that wire's two keys, and each slot's order is a fresh random
-bit: the key of logical value x sits at position x xor s.  The row under
-keys at positions (b1, b2, b3) sits at index (b1, b2, b3), so the permute
-bit of point-and-permute (Beaver, Micali and Rogaway, STOC 1990) comes from
-the tag order and the keys themselves stay uniform.  An evaluator holding
-one key per slot learns its positions and nothing about x, since s is
-uniform and drawn afresh for every table; it finds its row with one digest
-per slot instead of a tag check per row.
+Each table is a nonce, a header and its rows, in the joint-hash scheme of
+:mod:`rgc.symcrypt`.  The nonce is p = kappa/8 fresh bytes per table, drawn
+from the gate's own rng stream.  The header has one slot per key position
+holding the digests of that wire's two keys, and each slot's order is a
+fresh random bit: the key of logical value x sits at position x xor s.  The
+row under keys at positions (b1, b2, b3) sits at index (b1, b2, b3) and is
+its payload masked by one oracle query over its keys, the nonce and that
+index, so a Toffoli row is 3p bytes and a phase row its payload alone.  The
+permute bit of point-and-permute (Beaver, Micali and Rogaway, STOC 1990)
+comes from the tag order, and the keys themselves stay uniform.  An
+evaluator holding one key per slot learns its positions and nothing about
+x, since s is uniform and drawn afresh for every table; it finds its row
+with one digest per slot instead of a tag check per row.
 
 A Toffoli with a public constant control (see :mod:`rgc.circuit`) keeps only
 the rows in which that control is 1, in both tables: 8 >> k rows each for k
@@ -59,14 +62,15 @@ from . import symcrypt
 from .circuit import CPCircuit, Phase, Toffoli, X, without_x
 from .encoding import KeySchedule
 from .symcrypt import CryptoParams
-from .util import spawn_rngs
+from .util import rand_bytes, spawn_rngs
 
 
 @dataclass(frozen=True)
 class Table:
-    """One garbled table: a header slot per key position, and the packed rows
-    their positions index (see :mod:`rgc.symcrypt`)."""
+    """One garbled table: its nonce, a header slot per key position, and the
+    masked rows their positions index (see :mod:`rgc.symcrypt`)."""
 
+    nonce: bytes
     header: tuple[bytes, ...]
     rows: tuple[bytes, ...]
 
@@ -119,14 +123,16 @@ def _pair(schedule: KeySchedule, wire: int, flipped: Collection[int]) -> tuple[b
 
 def _header(params: CryptoParams, pairs: Sequence[tuple[bytes, bytes]],
             slots: Sequence[int], rng: random.Random
-            ) -> tuple[tuple[bytes, ...], tuple[int, ...]]:
-    """A table's header over each slot's (0 key, 1 key) pair, and per slot
-    the bit s that puts the key of value x at position x xor s: a fresh bit
-    for a slot of two digests, and 1 for a slot of one, which holds the 1 key."""
+            ) -> tuple[bytes, tuple[bytes, ...], tuple[int, ...]]:
+    """A table's fresh nonce and its header over each slot's (0 key, 1 key)
+    pair, and per slot the bit s that puts the key of value x at position
+    x xor s: a fresh bit for a slot of two digests, and 1 for a slot of one,
+    which holds the 1 key."""
+    nonce = rand_bytes(rng, params.kappa_bytes)
     flips = tuple(rng.getrandbits(1) if n == 2 else 1 for n in slots)
-    header = tuple(symcrypt.header_slot(params, [pair[b ^ s] for b in range(n)], rng)
-                   for pair, n, s in zip(pairs, slots, flips))
-    return header, flips
+    header = tuple(symcrypt.header_slot(params, [pair[b ^ s] for b in range(n)], nonce, slot)
+                   for slot, (pair, n, s) in enumerate(zip(pairs, slots, flips)))
+    return nonce, header, flips
 
 
 def _row_index(slots: Sequence[int], flips: Sequence[int], values: Sequence[int]) -> int:
@@ -144,8 +150,8 @@ def garble_toffoli(params: CryptoParams, gate: Toffoli, schedule: KeySchedule,
     ins = [_pair(schedule, w, flipped) for w in gate.in_wires]
     outs = [schedule.pairs[w] for w in gate.out_wires]
     slots = toffoli_slots(gate, const_qubits)
-    fwd_header, fwd_flips = _header(params, ins, slots, rng)
-    bwd_header, bwd_flips = _header(params, outs, slots, rng)
+    fwd_nonce, fwd_header, fwd_flips = _header(params, ins, slots, rng)
+    bwd_nonce, bwd_header, bwd_flips = _header(params, outs, slots, rng)
     n = slots[0] * slots[1] * slots[2]
     forward, backward = [b""] * n, [b""] * n
     # a constant control is 1 on both sides of the gate
@@ -156,11 +162,12 @@ def garble_toffoli(params: CryptoParams, gate: Toffoli, schedule: KeySchedule,
                 out = (u, v, w ^ (u & v))
                 in_keys = (ins[0][u], ins[1][v], ins[2][w])
                 out_keys = (outs[0][u], outs[1][v], outs[2][out[2]])
-                forward[_row_index(slots, fwd_flips, (u, v, w))] = symcrypt.row_enc(
-                    params, in_keys, b"".join(out_keys), rng)
-                backward[_row_index(slots, bwd_flips, out)] = symcrypt.row_enc(
-                    params, out_keys, b"".join(in_keys), rng)
-    return ToffoliTables(Table(fwd_header, tuple(forward)), Table(bwd_header, tuple(backward)))
+                i = _row_index(slots, fwd_flips, (u, v, w))
+                forward[i] = symcrypt.row_enc(params, in_keys, b"".join(out_keys), fwd_nonce, i)
+                i = _row_index(slots, bwd_flips, out)
+                backward[i] = symcrypt.row_enc(params, out_keys, b"".join(in_keys), bwd_nonce, i)
+    return ToffoliTables(Table(fwd_nonce, fwd_header, tuple(forward)),
+                         Table(bwd_nonce, bwd_header, tuple(backward)))
 
 
 def garble_phase(params: CryptoParams, gate: Phase, schedule: KeySchedule,
@@ -168,12 +175,12 @@ def garble_phase(params: CryptoParams, gate: Phase, schedule: KeySchedule,
     pair = _pair(schedule, gate.wire, flipped)
     modulus = 2 << gate.denom_exp          # 2n
     m0 = rng.randrange(modulus)
-    header, (flip,) = _header(params, (pair,), (2,), rng)
+    nonce, header, (flip,) = _header(params, (pair,), (2,), rng)
     rows = [b""] * 2
     for x in (0, 1):
         rows[x ^ flip] = symcrypt.row_enc(
-            params, (pair[x],), phase_payload((m0 + x) % modulus, gate.denom_exp), rng)
-    return Table(header, tuple(rows))
+            params, (pair[x],), phase_payload((m0 + x) % modulus, gate.denom_exp), nonce, x ^ flip)
+    return Table(nonce, header, tuple(rows))
 
 
 def garble_circuit(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,

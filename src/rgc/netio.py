@@ -15,7 +15,7 @@ Each part delimits itself, and no field is sent that the receiver can derive.
 Register i holds basis bits [i * width, (i + 1) * width), qubit i's keys in a
 job or result (``sparse.qubit_layout``); the writer refuses any other layout.
 
-A bundle (format 5) is a header, the skeleton, then one table per skeleton
+A bundle (format 6) is a header, the skeleton, then one table per skeleton
 gate::
 
     bundle     version u8 | kappa u16 | tag_len u16 | oracle seed (blob)
@@ -31,23 +31,27 @@ and the evaluator applies each gate to its qubits' registers in place.  The
 constant qubits are the circuit's public constant-1 inputs, strictly
 increasing and below ``num_inputs``.
 
-Almost all of a job is garbled tables, each a header of slots and then its
-rows, as :mod:`rgc.symcrypt`'s header scheme packs them.  The bundle
-header's kappa and tag length (the ``CryptoParams``' own) and the skeleton
-fix every width, so slots and rows lie back to back with no length fields.
-With p = kappa/8 and t = tag_len/8 bytes::
+Almost all of a job is garbled tables, each a nonce, a header of slots and
+then its rows, as :mod:`rgc.symcrypt`'s joint-hash scheme packs them.  The
+bundle header's kappa and tag length (the ``CryptoParams``' own) and the
+skeleton fix every width, so the fields lie back to back with no length
+fields.  With p = kappa/8 and t = tag_len/8 bytes::
 
-    slot           pad (p) | 2 digests (2t), or 1 digest (t) for a public
-                   constant control: p + 2t or p + t bytes
-    toffoli row    r1 r2 r3 (3p) | masked output or input keys (3p)
-    toffoli table  3 slots | n rows of 6p bytes, n = 8 >> (number of
-                   constant controls); the forward table, then the backward
-    phase table    1 slot of p + 2t bytes | 2 rows of r1 (p) | masked (w)
+    nonce          p bytes, one per table
+    slot           2 digests (2t), or 1 digest (t) for a public constant
+                   control
+    toffoli row    masked output or input keys (3p)
+    toffoli table  nonce | 3 slots | n rows of 3p bytes, n = 8 >> (number
+                   of constant controls); the forward table, then the
+                   backward: 2 * (p + 6t + 24p) bytes with no constant control
+    phase table    nonce | 1 slot of 2t bytes | 2 rows of masked (w)
 
 where w = ceil((exponent + 1) / 8) for the skeleton gate's exponent.  Tables
-are read by slicing and written whole.  The reader refuses other bundle
-versions (formats 1 to 3 sent row field lengths, every gate's wires, or 16
-rows for every Toffoli, and format 4 a tag behind every key of every row),
+are read with one struct per distinct table shape, built once per bundle,
+and written whole.  The reader refuses other bundle versions
+(formats 1 to 3 sent row field lengths, every gate's wires, or 16 rows for
+every Toffoli, format 4 a tag behind every key of every row, and format 5 a
+pad per slot and per key of every row),
 widths ``CryptoParams`` refuses, more than ``MAX_QUBITS`` qubits or state
 registers, more constants than qubits, a gate or term count that the bytes
 left could not hold, a state register width of 0, a skeleton
@@ -81,7 +85,6 @@ from __future__ import annotations
 import cmath
 import contextlib
 import dataclasses
-import itertools
 import math
 import os
 import socket
@@ -105,7 +108,7 @@ from .symcrypt import CryptoParams
 
 MAGIC = b"RGC1"
 WIRE_VERSION = 2
-BUNDLE_VERSION = 5
+BUNDLE_VERSION = 6
 
 KIND_JOB = 1
 KIND_RESULT = 2
@@ -167,16 +170,12 @@ class Reader:
     def raw(self, n): return self._take(n)
 
     def unpack(self, st: struct.Struct) -> tuple:
-        return st.unpack(self._take(st.size))
-
-    def fields(self, widths: tuple[int, ...]) -> tuple[bytes, ...]:
-        """Consecutive fields of the given widths."""
-        ends = list(itertools.accumulate(widths, initial=self.pos))
-        if ends[-1] > len(self.data):
+        end = self.pos + st.size
+        if end > len(self.data):
             raise WireFormatError("truncated payload")
-        self.pos = ends[-1]
-        data = self.data
-        return tuple([data[start:end] for start, end in zip(ends, ends[1:])])
+        fields = st.unpack_from(self.data, self.pos)
+        self.pos = end
+        return fields
 
     def blob(self) -> bytes:
         return self._take(self.u32())
@@ -260,52 +259,70 @@ def _get_gates(r: Reader, count: int) -> Iterator[LogicalGate]:
             raise WireFormatError(f"unknown gate kind {kind}")
 
 
-# garbled tables, slots and rows back to back (see the module docstring)
+# garbled tables, nonces, slots and rows back to back (see the module docstring)
 
 class _TableLayout:
-    """The slot and row widths fixed by the params' kappa and tag length, and
-    the slot shapes fixed by the skeleton's constant qubits."""
+    """The field widths fixed by the params' kappa and tag length, and the
+    slot shapes fixed by the skeleton's constant qubits.  Each distinct
+    shape is computed once, with the struct that reads its fields: a
+    Toffoli's by which of its controls are constant, a phase gate's by its
+    exponent."""
 
     def __init__(self, params: CryptoParams, const_qubits=()):
-        self.pad, self.digest = params.kappa_bytes, params.digest_bytes
+        self.nonce, self.digest = params.kappa_bytes, params.digest_bytes
         self.consts = frozenset(const_qubits)
+        self._shapes: dict[tuple[bool, bool] | int, tuple[tuple[int, ...], struct.Struct]] = {}
 
-    def _table(self, slots: tuple[int, ...], row: int) -> tuple[tuple[int, ...], ...]:
-        """(slot widths, row widths) of a table with ``slots`` digests per
-        slot and a row of ``row`` bytes per combination of positions."""
-        return tuple(self.pad + n * self.digest for n in slots), (row,) * math.prod(slots)
+    def _table(self, slots: tuple[int, ...], row: int) -> tuple[int, ...]:
+        """The field widths of a table with ``slots`` digests per slot and a
+        row of ``row`` bytes per combination of positions."""
+        return ((self.nonce,) + tuple(n * self.digest for n in slots)
+                + (row,) * math.prod(slots))
 
-    def _shape(self, gate: Toffoli | Phase) -> tuple[tuple[int, ...], ...]:
-        """(slot widths, row widths) of each of the gate's tables."""
+    def _shape(self, gate: Toffoli | Phase) -> tuple[tuple[int, ...], struct.Struct]:
+        """The field widths of all of the gate's tables, in wire order, and
+        the struct of those fields."""
         if isinstance(gate, Toffoli):
-            return self._table(toffoli_slots(gate, self.consts), 6 * self.pad)
-        return self._table((2,), self.pad + phase_payload_bytes(gate.denom_exp))
+            a, b, _ = gate.qubits
+            key = (a in self.consts, b in self.consts)
+        else:
+            key = gate.denom_exp
+        shape = self._shapes.get(key)
+        if shape is None:
+            if isinstance(gate, Toffoli):
+                widths = self._table(toffoli_slots(gate, self.consts), 3 * self.nonce) * 2
+            else:
+                widths = self._table((2,), phase_payload_bytes(gate.denom_exp))
+            shape = self._shapes[key] = (widths, struct.Struct(
+                "<" + "".join(f"{w}s" for w in widths)))
+        return shape
 
     def min_gate_bytes(self) -> int:
         """The fewest bytes a skeleton gate and its tables take: a phase gate
         of exponent 0, or a Toffoli with two constant controls."""
-        return min(_PHASE_RECORD + sum(map(sum, self._table((2,), self.pad + 1))),
-                   1 + _TOFFOLI_GATE.size
-                   + 2 * sum(map(sum, self._table((1, 1, 2), 6 * self.pad))))
+        return min(_PHASE_RECORD + sum(self._table((2,), 1)),
+                   1 + _TOFFOLI_GATE.size + 2 * sum(self._table((1, 1, 2), 3 * self.nonce)))
 
     def read(self, r: Reader, gate: Toffoli | Phase) -> ToffoliTables | Table:
-        slots, rows = self._shape(gate)
-        s, n = len(slots), len(slots) + len(rows)
+        parts = r.unpack(self._shape(gate)[1])
         if isinstance(gate, Toffoli):
-            parts = r.fields((slots + rows) * 2)
-            return ToffoliTables(Table(parts[:s], parts[s:n]), Table(parts[n:n + s], parts[n + s:]))
-        parts = r.fields(slots + rows)
-        return Table(parts[:s], parts[s:])
+            n = len(parts) // 2
+            return ToffoliTables(Table(parts[0], parts[1:4], parts[4:n]),
+                                 Table(parts[n], parts[n + 1:n + 4], parts[n + 4:]))
+        return Table(parts[0], parts[1:2], parts[2:])
 
     def write(self, parts: list[bytes], gate: Toffoli | Phase,
               table: ToffoliTables | Table) -> None:
-        """Append the tables' slots and rows to ``parts``; nothing is copied."""
-        shape = self._shape(gate)
-        for t in (table.forward, table.backward) if isinstance(gate, Toffoli) else (table,):
-            if (tuple(map(len, t.header)), tuple(map(len, t.rows))) != shape:
-                raise WireFormatError("table does not match the bundle header's widths")
-            parts += t.header
-            parts += t.rows
+        """Append the tables' fields to ``parts``; nothing is copied."""
+        if isinstance(gate, Toffoli):
+            tables, slots = (table.forward, table.backward), 3
+        else:
+            tables, slots = (table,), 1
+        fields = [f for t in tables for f in (t.nonce, *t.header, *t.rows)]
+        if (any(len(t.header) != slots for t in tables)
+                or tuple(map(len, fields)) != self._shape(gate)[0]):
+            raise WireFormatError("table does not match the bundle header's widths")
+        parts += fields
 
 
 def _put_bundle(w: Writer, b: GarbledBundle, params: CryptoParams) -> list[bytes]:
@@ -371,15 +388,16 @@ def _get_state(r: Reader) -> SparseState:
     if count * (nbytes + 16) > left:
         raise WireFormatError(f"{count} terms cannot fit in the {left} bytes left")
     layout = qubit_layout(n, width)
+    term = struct.Struct(f"<{nbytes}sdd")
     terms = {}
     last = -1
-    for _ in range(count):
-        basis = int.from_bytes(r.raw(nbytes), "little")
+    for raw, re, im in term.iter_unpack(r.raw(count * term.size)):
+        basis = int.from_bytes(raw, "little")
         if basis >> layout.total_bits:
             raise WireFormatError("basis string wider than the layout")
         if basis <= last:
             raise WireFormatError("basis strings not strictly increasing")
-        amp = complex(r.f64(), r.f64())
+        amp = complex(re, im)
         if not cmath.isfinite(amp):
             raise WireFormatError("amplitude not finite")
         terms[basis] = amp

@@ -1,22 +1,27 @@
 """Hash-based symmetric encryption with key tags.
 
-Three schemes, all masking the plaintext with fresh oracle output:
+Three schemes, all masking the plaintext with oracle output:
 
 - single-key (the KDM-hardened workhorse):
-  c = (R1, H(sk||R1) xor m), tag (R2, H(sk||R2))
+  c = (R1, H(MASK||sk||R1) xor m), tag (R2, H(TAG||sk||R2))
 - triple-key (the paper's tagged primitive, a row behind three keys):
-  c = (R1,R2,R3, H(k1||R1) xor H(k2||R2) xor H(k3||R3) xor m)
+  c = (R1,R2,R3, H(MASK||k1||R1) xor H(MASK||k2||R2) xor H(MASK||k3||R3) xor m)
   plus one tag per key
-- header (what the garbled tables use): a table's rows carry no tags.  One
-  header slot per key position holds a fresh pad R and the digests
-  H(TAG||k||R) of the keys that may sit there, and a row under keys
-  k1..kn is c = (R1..Rn, H(k1||R1) xor .. xor H(kn||Rn) xor m).  An
-  evaluator finds its key's position in a slot with one query and opens the
-  row those positions index (see :mod:`rgc.garble`).
+- joint-hash (what the garbled tables use): a table carries one fresh nonce
+  N and its rows carry no pads and no tags.  The row at index i under keys
+  k1..kn is c = H(ROW||k1||..||kn||N||i) xor m, one query however many keys
+  it needs, and header slot j holds the digests H(SLOT||k||N||j) of the keys
+  that may sit at key position j.  An evaluator finds its key's position in
+  a slot with one query and opens the row those positions index (see
+  :mod:`rgc.garble`).  This is the tweakable hash of Bellare, Hoang,
+  Keelveedhi and Rogaway ("Efficient Garbling from a Fixed-Key Blockcipher",
+  IEEE S&P 2013) as half-gates uses it (Zahur, Rosulek and Evans, Eurocrypt
+  2015), with the nonce and the index as the tweak.
 
-Every oracle query has the form tag_byte || key || pad, so mask queries and
-tag queries can never collide, and neither can queries for payloads of
-different lengths (the oracle family separates lengths by domain tag).
+Every oracle query starts with a domain byte - MASK, TAG, ROW or SLOT - and
+then fixed-width fields, so queries of different schemes can never collide,
+and neither can queries for payloads of different lengths (the oracle family
+separates lengths by domain tag).  A slot or row index is one byte.
 
 A ciphertext is one packed ``bytes`` string, which is also its wire form.
 With p = kappa/8 and t = tag_len/8 bytes, a *tag* is ``pad || digest``
@@ -24,8 +29,8 @@ With p = kappa/8 and t = tag_len/8 bytes, a *tag* is ``pad || digest``
 
     single-key row  r1 (p) | masked (m) | tag
     triple-key row  r1 r2 r3 (3p) | masked (m) | tag1 tag2 tag3
-    header slot     pad (p) | one digest (t) per key it holds
-    header row      r1 .. rn (np) | masked (m)
+    header slot     one digest (t) per key it holds
+    joint-hash row  masked (m)
 
 The widths are fixed by the params, so nothing needs a length field;
 :func:`split_row` takes a tagged row apart.
@@ -47,6 +52,9 @@ SymKey = bytes
 
 _MASK = b"\x01"
 _TAG = b"\x02"
+_ROW = b"\x03"
+_SLOT = b"\x04"
+_INDEX = tuple(bytes((i,)) for i in range(256))      # a slot or row index, one byte
 
 
 @dataclass
@@ -171,32 +179,38 @@ def triple_ver(params: CryptoParams, key: SymKey, index: int, ct: bytes) -> bool
 
 
 # ---------------------------------------------------------------------------
-# header scheme
+# joint-hash scheme
 
-def header_slot(params: CryptoParams, keys: Sequence[SymKey], rng: random.Random) -> bytes:
-    """A slot holding ``keys``' digests in the given order, under one fresh pad."""
-    pad = rand_bytes(rng, params.kappa_bytes)
-    return pad + b"".join(_tag_digest(params, key, pad) for key in keys)
-
-
-def slot_positions(params: CryptoParams, key: SymKey, slot: bytes) -> list[int]:
-    """The positions in ``slot`` whose digest is key's: one oracle query."""
-    p, t = params.kappa_bytes, params.digest_bytes
-    digest = _tag_digest(params, key, slot[:p])
-    return [i for i, pos in enumerate(range(p, len(slot), t)) if slot[pos:pos + t] == digest]
+def header_slot(params: CryptoParams, keys: Sequence[SymKey], nonce: bytes,
+                slot: int) -> bytes:
+    """Slot ``slot`` of a table under ``nonce``: ``keys``' digests in the
+    given order."""
+    tail = nonce + _INDEX[slot]
+    query = params.tag_query
+    return b"".join([query(_SLOT + key + tail) for key in keys])
 
 
-def row_enc(params: CryptoParams, keys: Sequence[SymKey], m: bytes,
-            rng: random.Random) -> bytes:
-    """An untagged row under ``keys``; its n pads are one draw from rng."""
+def slot_positions(params: CryptoParams, key: SymKey, nonce: bytes, slot: int,
+                   digests: bytes) -> list[int]:
+    """The positions in slot ``slot`` (its ``digests``) whose digest is
+    key's: one oracle query."""
+    t = params.digest_bytes
+    digest = params.tag_query(_SLOT + key + nonce + _INDEX[slot])
+    return [i for i in range(len(digests) // t) if digests[i * t:(i + 1) * t] == digest]
+
+
+def row_enc(params: CryptoParams, keys: Sequence[SymKey], m: bytes, nonce: bytes,
+            index: int) -> bytes:
+    """Row ``index`` of a table under ``nonce``: m masked by one query over
+    all of ``keys``."""
     if not m:
         raise ValueError("empty plaintext")
-    n = len(keys) * params.kappa_bytes
-    pads = rng.getrandbits(8 * n).to_bytes(n, "little")
-    return pads + _masked(params, keys, pads, m)
+    return row_dec(params, keys, m, nonce, index)
 
 
-def row_dec(params: CryptoParams, keys: Sequence[SymKey], row: bytes) -> bytes:
-    """Unmask an untagged row; a wrong key yields garbage, as kdm_dec's does."""
-    n = len(keys) * params.kappa_bytes
-    return _masked(params, keys, row[:n], row[n:])
+def row_dec(params: CryptoParams, keys: Sequence[SymKey], row: bytes, nonce: bytes,
+            index: int) -> bytes:
+    """Unmask a row; a wrong key yields garbage, as kdm_dec's does."""
+    n = len(row)
+    mask = params.oracles.for_len(8 * n).query(_ROW + b"".join(keys) + nonce + _INDEX[index])
+    return (int.from_bytes(row, "little") ^ int.from_bytes(mask, "little")).to_bytes(n, "little")

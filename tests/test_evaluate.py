@@ -21,18 +21,19 @@ ONE_TOFFOLI = parse_circuit("inputs 3\ntoff 0 1 2\n")
 
 
 def _table(params, slot_keys, rows, rng):
-    """A table whose header slot i lists ``slot_keys[i]`` in that order, and
-    whose ``rows`` (keys, payload) sit where the keys' positions index them;
-    an index no row takes holds zeros."""
-    header = tuple(symcrypt.header_slot(params, keys, rng) for keys in slot_keys)
-    keys, payload = rows[0]
-    table = [bytes(len(keys) * params.kappa_bytes + len(payload))] * math.prod(map(len, slot_keys))
+    """A table under a fresh nonce whose header slot i lists ``slot_keys[i]``
+    in that order, and whose ``rows`` (keys, payload) sit where the keys'
+    positions index them; an index no row takes holds zeros."""
+    nonce = rng.randbytes(params.kappa_bytes)
+    header = tuple(symcrypt.header_slot(params, keys, nonce, slot)
+                   for slot, keys in enumerate(slot_keys))
+    table = [bytes(len(rows[0][1]))] * math.prod(map(len, slot_keys))
     for keys, payload in rows:
         index = 0
         for slot, key in zip(slot_keys, keys):
             index = index * len(slot) + slot.index(key)
-        table[index] = symcrypt.row_enc(params, keys, payload, rng)
-    return Table(header, tuple(table))
+        table[index] = symcrypt.row_enc(params, keys, payload, nonce, index)
+    return Table(nonce, header, tuple(table))
 
 
 def _toffoli_tables(params, gate, schedule, rng, third=None, last_slot=None):
@@ -99,14 +100,13 @@ def test_garbage_triple_never_matches():
 def test_ambiguous_rows_detected():
     # a slot listing one key's digest twice: the key indexes two rows
     params, schedule, gate, tables = _toffoli_fixture(4)
-    p, t = params.kappa_bytes, params.digest_bytes
+    t, nonce = params.digest_bytes, tables.forward.nonce
     triple = tuple(schedule.pairs[w].k0 for w in gate.in_wires)
     for slot in range(3):
         header = list(tables.forward.header)
-        (pos,) = symcrypt.slot_positions(params, triple[slot], header[slot])
-        digest = header[slot][p + pos * t:p + (pos + 1) * t]
-        header[slot] = header[slot][:p] + digest + digest
-        dup = ToffoliTables(Table(tuple(header), tables.forward.rows), tables.backward)
+        (pos,) = symcrypt.slot_positions(params, triple[slot], nonce, slot, header[slot])
+        header[slot] = header[slot][pos * t:(pos + 1) * t] * 2
+        dup = ToffoliTables(Table(nonce, tuple(header), tables.forward.rows), tables.backward)
         with pytest.raises(AmbiguousRowError, match=f"of header slot {slot} both match"):
             eval_toffoli_term(params, triple, dup)
 
@@ -126,7 +126,7 @@ def test_erasure_violation_detected():
     with pytest.raises(ErasureError):
         eval_toffoli_term(params, triple, broken)
     # backward rows out of order open under the wrong keys
-    shuffled = ToffoliTables(tables.forward, Table(tables.backward.header,
+    shuffled = ToffoliTables(tables.forward, Table(tables.backward.nonce, tables.backward.header,
                                                    tables.backward.rows[::-1]))
     with pytest.raises(ErasureError):
         eval_toffoli_term(params, triple, shuffled)
@@ -344,9 +344,8 @@ def test_bundle_erasure_failure_names_the_gate():
 def _first_digest_twice(params, table):
     """The table with its first slot's first digest in both positions: the
     key it matches indexes two rows, and the other key none."""
-    p, t = params.kappa_bytes, params.digest_bytes
-    slot = table.header[0]
-    return Table((slot[:p + t] + slot[p:p + t],) + table.header[1:], table.rows)
+    t = params.digest_bytes
+    return Table(table.nonce, (table.header[0][:t] * 2,) + table.header[1:], table.rows)
 
 
 def test_bundle_duplicated_row_names_the_gate():
@@ -468,11 +467,10 @@ def test_eval_matches_simulation_property(case):
 
 def test_symcrypt_call_counts_match_the_bench_layer_metrics():
     # The bench reads oracle.client_queries and oracle.server_queries from
-    # the oracle family's counts.  The client makes 3 mask queries per
-    # Toffoli row, 1 per phase row and 1 per header digest; the server 1 per
-    # (table, slot, distinct key) it looks up and 3 per Toffoli row, 1 per
-    # phase row, it opens.  EvalStats counts the lookups as ver_calls and
-    # backward_ver_calls, and rows_tried adds the rows opened.
+    # the oracle family's counts.  The client makes 1 query per row and 1
+    # per header digest; the server 1 per (table, slot, distinct key) it
+    # looks up and 1 per row it opens.  EvalStats counts the lookups as
+    # ver_calls and backward_ver_calls, and rows_tried adds the rows opened.
     def run(text, support):
         circ = parse_circuit(text)
         params = make_params()
@@ -483,9 +481,7 @@ def test_symcrypt_call_counts_match_the_bench_layer_metrics():
         state = input_state(circ, support, rng)
         _, stats = eval_bundle(params, encode(state, schedule, circ.input_wires), bundle)
         server = params.oracles.query_count() - client
-        lookups = stats.ver_calls + stats.backward_ver_calls
-        phase_rows = stats.rows_tried - lookups - 2 * stats.erasure_checks
-        assert server == lookups + 3 * 2 * stats.erasure_checks + phase_rows
+        assert server == stats.rows_tried
         return len(state.terms), client, server, stats
 
     # every Toffoli meets all 8 key triples: per table 6 digests and 8 rows
@@ -493,8 +489,8 @@ def test_symcrypt_call_counts_match_the_bench_layer_metrics():
     terms, client, server, stats = run(
         "inputs 3\ntoff 0 1 2\nphase 1 2\ntoff 2 0 1\nphase 0 1 neg\n", [0, 1, 2])
     assert terms == 8
-    assert client == 2 * 2 * (3 * 8 + 6) + 2 * (2 + 2) == 128
-    assert server == 2 * 2 * (6 + 3 * 8) + 2 * (2 + 2) == 128
+    assert client == 2 * 2 * (8 + 6) + 2 * (2 + 2) == 64
+    assert server == 2 * 2 * (6 + 8) + 2 * (2 + 2) == 64
     assert stats == EvalStats(gates=4, terms_processed=32, rows_tried=2 * 2 * (6 + 8) + 2 * 4,
                               ver_calls=2 * 6 + 2 * 2, backward_ver_calls=2 * 6,
                               erasure_checks=2 * 8)
@@ -503,6 +499,6 @@ def test_symcrypt_call_counts_match_the_bench_layer_metrics():
     # holds 1 digest: per table 5 digests and 4 rows
     terms, client, server, stats = run("inputs 3\nconst 0\ntoff 0 1 2\n", [1, 2])
     assert terms == 4
-    assert client == 2 * (3 * 4 + 5) == server == 34
+    assert client == 2 * (4 + 5) == server == 18
     assert stats == EvalStats(gates=1, terms_processed=4, rows_tried=2 * (5 + 4),
                               ver_calls=5, backward_ver_calls=5, erasure_checks=4)

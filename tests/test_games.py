@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from rgc.circuit import parse_circuit
-from rgc.encoding import gen_keys
+from rgc.circuit import flipped_wires, parse_circuit, simulate
+from rgc.encoding import decode, encode, gen_keys
+from rgc.evaluate import eval_bundle
 from rgc.garble import garble_circuit
-from rgc.games import (AffineKeyFn, circuit_pairs, closure_dist_masked_stats,
+from rgc.games import (AffineKeyFn, _sort_headers, circuit_pairs, closure_dist_masked_stats,
                        closure_dist_revealed_decrypt, dist_constant, dist_constant_key,
                        dist_encoded_parity, dist_header_order, dist_leaked_decrypt,
                        dist_random,
@@ -15,11 +16,14 @@ from rgc.games import (AffineKeyFn, circuit_pairs, closure_dist_masked_stats,
                        guess_random, guess_replay, kdm_dist_first_byte,
                        kdm_dist_mask_equality, kdm_dist_tag_grinding,
                        key_recovery_experiment, qkdm_dist_padded_parity,
+                       row_kdm_dist_first_byte, row_kdm_dist_mask_equality,
                        run_closure_game, run_ind_cpa_gbc, run_kdm_game,
-                       run_qkdm_game, self_cycle_queries)
+                       run_qkdm_game, run_row_kdm_game, self_cycle_queries,
+                       toffoli_cycle_queries)
 from rgc.netio import serialize_report
+from rgc.sparse import fidelity
 
-from conftest import make_params
+from conftest import input_state, make_params
 
 GAME_CIRCUIT = parse_circuit("inputs 3\ntoff 0 1 2\nphase 0 1\n")
 # X on an input before its first Toffoli, between two phase gates on one
@@ -51,6 +55,20 @@ def test_ind_cpa_sorted_headers_are_detected():
         report = run_ind_cpa_gbc(dist_header_order, circ, 16, 200, random.Random(seed),
                                  sorted_headers=True)
         assert report.advantage_estimate == 1.0
+
+
+def test_sorted_headers_still_evaluate():
+    # the rig moves every row and masks it under its new index, so what the
+    # control detects is the header order alone, not a broken bundle
+    for circ in (GAME_CIRCUIT, X_CIRCUIT, CONST_CIRCUIT):
+        params, rng = make_params(), random.Random(37)
+        schedule = gen_keys(16, circ, rng)
+        bundle = _sort_headers(params, circ, schedule, garble_circuit(params, circ, schedule, rng))
+        state = input_state(circ, [q for q in range(circ.num_inputs)
+                                   if q not in circ.const_qubits], rng)
+        out, _ = eval_bundle(params, encode(state, schedule, circ.input_wires), bundle)
+        decoded = decode(out, schedule, circ.output_wires, flipped_wires(circ))
+        assert fidelity(decoded, simulate(circ, state)) >= 1 - 1e-12
 
 
 def test_ind_cpa_leaked_keys_break_everything():
@@ -89,6 +107,34 @@ def test_kdm_pad_reuse_detected():
     report = run_kdm_game(queries, 2, kdm_dist_mask_equality, 16, 200, rng,
                           reuse_pads=True)
     assert report.advantage_estimate >= 0.9
+
+
+def test_row_kdm_toffoli_cycles_blind():
+    # two Toffolis on one input triple: each table's rows encrypt its other
+    # side's keys, and the two forward tables share keys and row indices
+    rng = random.Random(38)
+    for dist in (row_kdm_dist_mask_equality, row_kdm_dist_first_byte):
+        report = run_row_kdm_game(toffoli_cycle_queries(2), 18, dist, 16, TRIALS, rng)
+        assert report.advantage_estimate <= max(report.confidence_radius, 1e-9), \
+            dist.__name__
+
+
+def test_row_kdm_nonce_reuse_detected():
+    # positive control: one nonce for every table gives the two forward
+    # tables' rows of one index one mask, so rows of zeros coincide
+    report = run_row_kdm_game(toffoli_cycle_queries(2), 18, row_kdm_dist_mask_equality, 16,
+                              200, random.Random(39), reuse_nonces=True)
+    assert report.advantage_estimate >= 0.9
+
+
+def test_toffoli_cycle_queries_are_a_key_cycle():
+    queries = toffoli_cycle_queries(1)
+    assert len(queries) == 16
+    forward = {(q.sources, q.targets) for q in queries if q.table == 0}
+    backward = {(q.targets, q.sources) for q in queries if q.table == 1}
+    assert forward == backward and len(forward) == 8
+    for table in (0, 1):
+        assert sorted(q.index for q in queries if q.table == table) == list(range(8))
 
 
 def test_closure_reveal_everything_exactly_zero():
@@ -171,7 +217,7 @@ def test_report_shape():
 # the same games on a circuit with X gates, which garble into key relabelings
 
 def test_ind_cpa_generic_distinguishers_blind_with_x():
-    rng = random.Random(19)
+    rng = random.Random(40)
     for dist in (dist_constant, dist_random, dist_tag_grinding, dist_row_frequency,
                  dist_encoded_parity, dist_header_order):
         report = run_ind_cpa_gbc(dist, X_CIRCUIT, 16, TRIALS, rng)
@@ -291,7 +337,11 @@ def test_game_reports_are_pinned():
     for dist in (closure_dist_masked_stats, closure_dist_revealed_decrypt):
         play(run_closure_game, pairs, [0], messages, dist, CONST_CIRCUIT.num_wires, 16, 20)
     play(run_qkdm_game, queries, 2, qkdm_dist_padded_parity, 16, 20)
-    assert len(reports) == 34 and all(r.trials == 20 for r in reports)
+    for dist in (row_kdm_dist_mask_equality, row_kdm_dist_first_byte):
+        play(run_row_kdm_game, toffoli_cycle_queries(2), 18, dist, 16, 20)
+    play(run_row_kdm_game, toffoli_cycle_queries(2), 18, row_kdm_dist_mask_equality, 16, 20,
+         reuse_nonces=True)
+    assert len(reports) == 37 and all(r.trials == 20 for r in reports)
     assert digest.hexdigest() == (
-        "6798ee80a8c5d969439c196493e1d418e13f760831b7c898dc266a4f96f7a0de"
-        "ff0414494e550605700dfa311ac7e746c00a9c706ef6ed7d1d6f0c221d238c59")
+        "81f954a0a47ceb086947c90a0a3e037ed23cdf563ba52f9b8ad2a31d9d479744"
+        "ad660ba40e65dc7a215aaeaa4d6b99c504c00d7cc26f85a732bcbc1a9f567d3d")

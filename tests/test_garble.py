@@ -22,14 +22,15 @@ def _row_index(params, keys, table):
     """The index of the row ``keys`` open: each key must match exactly one
     digest of its slot, and the positions index the row."""
     index = 0
-    for key, slot in zip(keys, table.header, strict=True):
-        (position,) = symcrypt.slot_positions(params, key, slot)
-        index = index * ((len(slot) - params.kappa_bytes) // params.digest_bytes) + position
+    for slot, (key, digests) in enumerate(zip(keys, table.header, strict=True)):
+        (position,) = symcrypt.slot_positions(params, key, table.nonce, slot, digests)
+        index = index * (len(digests) // params.digest_bytes) + position
     return index
 
 
 def _open_row(params, keys, table):
-    return symcrypt.row_dec(params, keys, table.rows[_row_index(params, keys, table)])
+    index = _row_index(params, keys, table)
+    return symcrypt.row_dec(params, keys, table.rows[index], table.nonce, index)
 
 
 def test_toffoli_forward_maps_truth_table():
@@ -144,16 +145,19 @@ def test_header_slots_hold_each_wire_key_once():
     gate = circ.gates[0]
     p, t = params.kappa_bytes, params.digest_bytes
     for table, wires in ((toffoli.forward, gate.in_wires), (toffoli.backward, gate.out_wires)):
-        assert [len(slot) for slot in table.header] == [p + t, p + 2 * t, p + 2 * t]
+        assert len(table.nonce) == p
+        assert [len(slot) for slot in table.header] == [t, 2 * t, 2 * t]
         k0, k1 = schedule.pairs[wires[0]]
         # the constant's slot holds its 1 key alone
-        assert symcrypt.slot_positions(params, k1, table.header[0]) == [0]
-        assert symcrypt.slot_positions(params, k0, table.header[0]) == []
-        for wire, slot in zip(wires[1:], table.header[1:]):
-            positions = [symcrypt.slot_positions(params, k, slot) for k in schedule.pairs[wire]]
+        assert symcrypt.slot_positions(params, k1, table.nonce, 0, table.header[0]) == [0]
+        assert symcrypt.slot_positions(params, k0, table.nonce, 0, table.header[0]) == []
+        for slot, wire in enumerate(wires[1:], start=1):
+            positions = [symcrypt.slot_positions(params, k, table.nonce, slot, table.header[slot])
+                         for k in schedule.pairs[wire]]
             assert sorted(positions) == [[0], [1]]
+    assert toffoli.forward.nonce != toffoli.backward.nonce
     assert len(phase_table.header) == 1 and len(phase_table.rows) == 2
-    positions = [symcrypt.slot_positions(params, k, phase_table.header[0])
+    positions = [symcrypt.slot_positions(params, k, phase_table.nonce, 0, phase_table.header[0])
                  for k in schedule.pairs[circ.gates[1].wire]]
     assert sorted(positions) == [[0], [1]]
 
@@ -170,13 +174,14 @@ def test_bundle_shapes():
     bundle = garble_circuit(params, circ, gen_keys(16, circ, rng), rng)
     assert isinstance(bundle.tables[0], ToffoliTables)
     assert isinstance(bundle.tables[1], Table)
-    # kappa 16 and tag 128 bits give p = 2, t = 16 bytes: slots of p + 2t,
-    # Toffoli rows of 6p and phase rows of p and a 1-byte payload
+    # kappa 16 and tag 128 bits give p = 2, t = 16 bytes: nonces of p, slots
+    # of 2t, Toffoli rows of 3p and phase rows of their 1-byte payload
     toffoli = (bundle.tables[0].forward, bundle.tables[0].backward)
-    assert [len(slot) for table in toffoli for slot in table.header] == [2 + 2 * 16] * 6
-    assert [len(row) for table in toffoli for row in table.rows] == [6 * 2] * 16
-    assert [len(slot) for slot in bundle.tables[1].header] == [2 + 2 * 16]
-    assert [len(row) for row in bundle.tables[1].rows] == [2 + 1] * 2
+    assert [len(table.nonce) for table in toffoli + (bundle.tables[1],)] == [2] * 3
+    assert [len(slot) for table in toffoli for slot in table.header] == [2 * 16] * 6
+    assert [len(row) for table in toffoli for row in table.rows] == [3 * 2] * 16
+    assert [len(slot) for slot in bundle.tables[1].header] == [2 * 16]
+    assert [len(row) for row in bundle.tables[1].rows] == [1] * 2
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -470,15 +470,15 @@ def _pin(data):
 
 
 @pytest.mark.parametrize("text, size, digest", [
-    (PHASE_JOB_CIRCUIT, 1465,
-     "c7c6032243e62863b8aead5b000a9a4fe754abbe3486a2e0338b278b707ac78a"
-     "a497ba12af0c4c6737c1ee128e952188de5b29dc628c8044258433f0b2b976f0"),
-    (TOFFOLI_JOB_CIRCUIT, 1442,
-     "f8262fbcc5a35dab160c595446fccf37110a7bf11f9c366c3f344f884cc163e5"
-     "5cc9864f541637268d39958f4c5cd8ba84cea435cc7ca7236ddfbca173439ec3"),
-])
+    (PHASE_JOB_CIRCUIT, 1221,
+     "b0a8106fdf635b25d8892730ec95e67d945d6911a74a8d7e424c3df650f90cab"
+     "e43edb9b6ffc293e03dd210a2e1de4051ec0509159fde9388f8d358aa35eda3a"),
+    (TOFFOLI_JOB_CIRCUIT, 1130,
+     "c9b72778cc06f6fe1db95a7323985d4e834b28408a3c4b9b6614e48382d8fa57"
+     "e7df2e0f085fcb718d89c616bf71e66c7f251a692fd83352c045e4595acb577e"),
+], ids=["phase-job", "toffoli-job"])
 def test_job_bytes_golden(text, size, digest):
-    # length and BLAKE2b of serialize_job: wire version 2, bundle format 5
+    # length and BLAKE2b of serialize_job: wire version 2, bundle format 6
     job, params = _seeded_job(text)
     data = serialize_job(job, params)
     assert _pin(data) == (size, digest)
@@ -513,6 +513,13 @@ def test_format_4_bundle_gets_error_envelope():
     # format 4 sent a tag behind every key of every row and no header
     assert _old_format_reply(4) == (netio.KIND_ERROR,
                                     b"WireFormatError: unsupported bundle version 4")
+
+
+def test_format_5_bundle_gets_error_envelope():
+    # format 5 sent a pad per header slot and per key of every row, and no
+    # nonce
+    assert _old_format_reply(5) == (netio.KIND_ERROR,
+                                    b"WireFormatError: unsupported bundle version 5")
 
 
 def test_wire_version_1_envelope_gets_error_envelope():
@@ -585,11 +592,11 @@ CONST_JOB_CIRCUIT = "inputs 3\nconst 0\ntoff 0 1 2\n"
     (_set(4, "<I", 4), b"WireFormatError: 4 constant qubits among 3"),
     (_set(8, "<I", 3), b"CircuitError: constant qubits (3,) out of range (N=3)"),
     (_set(8, "<I", 2), b"CircuitError: constant qubit 2 is a toffoli target"),
-    # one Toffoli record and two tables of two 34-byte slots, one 18-byte
-    # slot and four 12-byte rows follow; a gate takes at least 48 (a phase
-    # record, a 34-byte slot and two rows of 3)
+    # one Toffoli record and two tables of a 2-byte nonce, two 32-byte
+    # slots, one 16-byte slot and four 6-byte rows follow; a gate takes at
+    # least 44 (a phase record, a nonce, a 32-byte slot and two rows of 1)
     (_set(12, "<I", 11),
-     b"WireFormatError: 11 gates cannot fit in the 281 bytes left (at least 48 each)"),
+     b"WireFormatError: 11 gates cannot fit in the 225 bytes left (at least 44 each)"),
 ], ids=["too-many-constants", "constant-out-of-range", "constant-target",
         "gate-count-beyond-the-tables"])
 def test_skeleton_constants_refused_get_error_envelope(patch, message):
@@ -611,11 +618,11 @@ def test_half_table_job_bytes_golden():
     (table,) = job.garbled.tables
     assert [len(t.rows) for t in (table.forward, table.backward)] == [4, 4]
     assert [len(slot) for slot in table.forward.header + table.backward.header] == \
-        [18, 34, 34] * 2
+        [16, 32, 32] * 2
     data = serialize_job(job, params)
     assert _pin(data) == (
-        412, "5778d21b0587dcc0d4bb8c604468158dc2191e63ce98e34c61f8992cee8db018"
-              "530d2e139fb8773b170bdd94a52cd60978c9d96a5623665f6fd467eb01028018")
+        356, "90864b17a358a6e8b54d2b08ef11d1f0c97fd07d1fdc12d416d5efc3b17c5370"
+              "d29390efc0ef8ecec60d22666fc6b5501ba3a3d0f8075ffea18a09a2315c8875")
     assert serialize_job(*deserialize_job(data)) == data
     kind, payload = _handle_job(job, params)
     assert kind == netio.KIND_RESULT
@@ -624,7 +631,7 @@ def test_half_table_job_bytes_golden():
 def test_half_table_of_full_length_is_not_serialized():
     job, params = _seeded_job(CONST_JOB_CIRCUIT)
     table = job.garbled.tables[0]
-    full = [Table(t.header, t.rows * 2) for t in (table.forward, table.backward)]
+    full = [Table(t.nonce, t.header, t.rows * 2) for t in (table.forward, table.backward)]
     bundle = GarbledBundle(job.garbled.skeleton, (ToffoliTables(*full),))
     with pytest.raises(WireFormatError, match="width"):
         serialize_bundle(bundle, params)
@@ -738,10 +745,9 @@ def test_phase_row_of_wrong_payload_width_gets_error_envelope():
     # a row holds no width of its own: a widened payload leaves a byte over
     job, params = _one_phase_job(denom_exp=2)
     bundle = serialize_bundle(job.garbled, params)
-    row = job.garbled.tables[0].rows[0]
-    r1, masked = row[:params.kappa_bytes], row[params.kappa_bytes:]
-    assert len(masked) == 1 and bundle.count(row) == 1
-    widened = bundle.replace(row, r1 + masked + b"\x00")
+    rows = job.garbled.tables[0].rows
+    assert [len(row) for row in rows] == [1, 1] and bundle.endswith(b"".join(rows))
+    widened = bundle[:-1] + b"\x00" + bundle[-1:]
     data = serialize_state(job.encoded_state) + widened
     kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))
     assert kind == netio.KIND_ERROR
@@ -751,11 +757,13 @@ def test_phase_row_of_wrong_payload_width_gets_error_envelope():
 def test_table_of_wrong_shape_is_not_serialized():
     job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
     table = job.garbled.tables[0]
-    header, rows = table.forward.header, table.forward.rows
-    for forward in (Table(header, rows + rows[:1]),                     # 9 rows
-                    Table(header, (rows[0] + b"\x00",) + rows[1:]),     # one row widened
-                    Table(header[:2], rows),                            # two slots
-                    Table(header[:2] + (header[2][:-16],), rows)):      # one digest
+    nonce, header, rows = table.forward.nonce, table.forward.header, table.forward.rows
+    for forward in (Table(nonce, header, rows + rows[:1]),                  # 9 rows
+                    Table(nonce, header, (rows[0] + b"\x00",) + rows[1:]),  # one row widened
+                    Table(nonce, header[:2], rows),                         # two slots
+                    Table(nonce, header[:2] + (header[2][:-16],), rows),    # one digest
+                    Table(nonce + b"\x00", header, rows),                   # nonce widened
+                    Table(nonce[:1], header, rows)):                        # nonce cut
         bundle = GarbledBundle(job.garbled.skeleton,
                                (ToffoliTables(forward, table.backward),)
                                + job.garbled.tables[1:])
@@ -763,9 +771,10 @@ def test_table_of_wrong_shape_is_not_serialized():
             serialize_bundle(bundle, params)
     phase_job, phase_params = _one_phase_job()
     phase_table = phase_job.garbled.tables[0]
-    rows = phase_table.rows
-    for table in (Table(phase_table.header, (rows[0][:-1], rows[1])),
-                  Table((phase_table.header[0] + bytes(16),), rows)):
+    nonce, rows = phase_table.nonce, phase_table.rows
+    for table in (Table(nonce, phase_table.header, (rows[0][:-1], rows[1])),
+                  Table(nonce, (phase_table.header[0] + bytes(16),), rows),
+                  Table(nonce[:1], phase_table.header, rows)):
         bundle = GarbledBundle(phase_job.garbled.skeleton, (table,))
         with pytest.raises(WireFormatError, match="width"):
             serialize_bundle(bundle, phase_params)
@@ -773,18 +782,19 @@ def test_table_of_wrong_shape_is_not_serialized():
 
 def _reply_with_first_slot(patch):
     """The reply to a basis-state Toffoli job whose first header slot is
-    ``patch(pad, held, other)``: the slot's pad, the digest the key held in
-    register 0 matches, and the slot's other digest."""
+    ``patch(held, other)``: the digest the key held in register 0 matches,
+    and the slot's other digest."""
     circ = parse_circuit(TOFFOLI_JOB_CIRCUIT)
     rng = random.Random(27)
     keys = delegation.keygen(16, 3, circ, rng, conjecture=True)
     params = delegation.make_params(16, oracle_seed=b"slots")
     job = delegation.encrypt(params, keys, circ, sparse.basis_state(qubit_layout(3), 0), rng)
     table = job.garbled.tables[0]
-    slot, p, t = table.forward.header[0], params.kappa_bytes, params.digest_bytes
-    (pos,) = symcrypt.slot_positions(params, keys.schedule.pairs[circ.input_wires[0]].k0, slot)
-    held, other = slot[p + pos * t:p + (pos + 1) * t], slot[p + (1 - pos) * t:p + (2 - pos) * t]
-    forward = Table((patch(slot[:p], held, other),) + table.forward.header[1:],
+    nonce, slot, t = table.forward.nonce, table.forward.header[0], params.digest_bytes
+    (pos,) = symcrypt.slot_positions(params, keys.schedule.pairs[circ.input_wires[0]].k0,
+                                     nonce, 0, slot)
+    held, other = slot[pos * t:(pos + 1) * t], slot[(1 - pos) * t:(2 - pos) * t]
+    forward = Table(nonce, (patch(held, other),) + table.forward.header[1:],
                     table.forward.rows)
     bundle = GarbledBundle(job.garbled.skeleton, (ToffoliTables(forward, table.backward),)
                            + job.garbled.tables[1:])
@@ -792,14 +802,37 @@ def _reply_with_first_slot(patch):
 
 
 def test_header_slot_of_a_duplicated_digest_gets_an_error_envelope():
-    assert _reply_with_first_slot(lambda pad, held, other: pad + held + held) == (
+    assert _reply_with_first_slot(lambda held, other: held + held) == (
         netio.KIND_ERROR,
         b"AmbiguousRowError: gate 0: digests 0 and 1 of header slot 0 both match its key")
 
 
 def test_key_matching_no_digest_gets_an_error_envelope():
-    assert _reply_with_first_slot(lambda pad, held, other: pad + other + other) == (
+    assert _reply_with_first_slot(lambda held, other: other + other) == (
         netio.KIND_ERROR, b"NoRowMatchError: gate 0: no digest of header slot 0 matches its key")
+
+
+def _reply_with_bundle(job, params, patch):
+    """The reply to the job whose bundle bytes are ``patch(bundle, at)``,
+    where ``at`` is the offset of its first table's nonce."""
+    bundle = serialize_bundle(job.garbled, params)
+    at = 9 + len(params.oracles.seed) + len(serialize_circuit(job.garbled.skeleton))
+    data = serialize_state(job.encoded_state) + patch(bundle, at)
+    return unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))
+
+
+@pytest.mark.parametrize("patch, message", [
+    (lambda bundle, at: bundle[:at] + bundle[at + 1:], b"WireFormatError: truncated payload"),
+    (lambda bundle, at: bundle[:at] + b"\x00" + bundle[at:],
+     b"WireFormatError: 1 trailing bytes"),
+    (lambda bundle, at: bundle[:-1], b"WireFormatError: truncated payload"),
+], ids=["nonce-short", "nonce-long", "table-cut"])
+def test_nonce_of_wrong_width_or_truncated_table_gets_error_envelope(patch, message):
+    # nothing delimits a nonce but the bundle header's kappa: a nonce one
+    # byte short or long shifts every field after it
+    job, params = _seeded_job(PHASE_JOB_CIRCUIT)
+    assert _reply_with_bundle(job, params, lambda bundle, at: bundle)[0] == netio.KIND_RESULT
+    assert _reply_with_bundle(job, params, patch) == (netio.KIND_ERROR, message)
 
 
 def test_mutated_jobs_get_result_or_error_envelopes():

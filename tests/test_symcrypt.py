@@ -1,12 +1,18 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 from scipy import stats as scipy_stats
 
 from rgc import symcrypt
-from rgc.symcrypt import split_row
+from rgc.encoding import encode, gen_keys
+from rgc.evaluate import eval_bundle
+from rgc.garble import garble_circuit
+from rgc.oracle import OracleFamily
+from rgc.symcrypt import CryptoParams, split_row
 
-from conftest import make_params
+from conftest import circuits_and_states, input_state, make_params
 
 
 def test_keygen_reproducible():
@@ -214,8 +220,10 @@ def test_empty_plaintext_rejected():
 
 
 def test_all_oracle_queries_are_domain_separated():
-    # structural invariant: every query either scheme makes has the shape
-    # tag_byte || key || pad, so mask and tag inputs can never collide
+    # structural invariant: every query starts with its scheme's domain byte
+    # and then fixed-width fields: MASK or TAG || key || pad for the tagged
+    # schemes, SLOT || key || nonce || slot and ROW || keys || nonce || index
+    # for the joint-hash scheme
     from rgc.oracle import OracleFamily
     from rgc.symcrypt import CryptoParams
 
@@ -248,16 +256,19 @@ def test_all_oracle_queries_are_domain_separated():
     tct = symcrypt.triple_enc(params, *keys, b"xy", rng)
     symcrypt.triple_dec(params, *keys, tct)
     symcrypt.triple_ver(params, keys[2], 3, tct)
-    slot = symcrypt.header_slot(params, keys[:2], rng)
-    symcrypt.slot_positions(params, keys[1], slot)
-    symcrypt.row_dec(params, keys, symcrypt.row_enc(params, keys, b"xyz", rng))
+    nonce = rng.randbytes(2)
+    slot = symcrypt.header_slot(params, keys[:2], nonce, 1)
+    symcrypt.slot_positions(params, keys[1], nonce, 1, slot)
+    symcrypt.row_dec(params, keys, symcrypt.row_enc(params, keys, b"xyz", nonce, 5), nonce, 5)
 
     kb = params.kappa_bytes
     assert len(wrapped) == len(family._members) >= 2     # masks and tags
     assert queries
+    widths = {0x01: {1 + kb + kb}, 0x02: {1 + kb + kb}, 0x04: {1 + kb + kb + 1},
+              0x03: {1 + 3 * kb + kb + 1}}
+    assert {q[0] for q in queries} == set(widths), "unknown domain tag"
     for q in queries:
-        assert q[0] in (0x01, 0x02), "unknown domain tag"
-        assert len(q) == 1 + kb + kb, "query is not tag || key || pad"
+        assert len(q) in widths[q[0]], "query is not its scheme's fixed fields"
 
 
 def test_rows_are_packed_in_wire_order():
@@ -290,27 +301,31 @@ def test_split_row_refuses_rows_without_payload():
 
 
 def test_header_scheme_packs_slots_and_rows_in_wire_order():
-    # slot pad | digest per key, row r1 .. rn | masked
+    # a slot is one digest per key, a row its masked payload alone
     params = make_params()
     rng = random.Random(18)
     keys = [symcrypt.keygen(params, rng) for _ in range(3)]
-    slot = symcrypt.header_slot(params, keys[:2], rng)
+    nonce = b"nn"
+    slot = symcrypt.header_slot(params, keys[:2], nonce, 2)
     digest = params.oracles.for_len(128).query
-    assert slot[2:] == b"".join(digest(b"\x02" + key + slot[:2]) for key in keys[:2])
-    assert [symcrypt.slot_positions(params, key, slot) for key in keys] == [[0], [1], []]
-    twice = slot[:18] + slot[2:18]
-    assert symcrypt.slot_positions(params, keys[0], twice) == [0, 1]
-    row = symcrypt.row_enc(params, keys, b"pqrs", rng)
-    assert len(row) == 3 * 2 + 4
-    assert symcrypt.row_dec(params, keys, row) == b"pqrs"
-    # the mask is the triple-key scheme's, under the row's own pads
-    mask = params.oracles.for_len(32).query
-    expect = int.from_bytes(b"pqrs", "little")
-    for i, key in enumerate(keys):
-        expect ^= int.from_bytes(mask(b"\x01" + key + row[2 * i:2 * i + 2]), "little")
-    assert row[6:] == expect.to_bytes(4, "little")
+    assert slot == b"".join(digest(b"\x04" + key + nonce + b"\x02") for key in keys[:2])
+    assert [symcrypt.slot_positions(params, key, nonce, 2, slot) for key in keys] == \
+        [[0], [1], []]
+    # the digests bind the nonce and the slot index
+    assert symcrypt.slot_positions(params, keys[0], b"nm", 2, slot) == []
+    assert symcrypt.slot_positions(params, keys[0], nonce, 1, slot) == []
+    twice = slot[:16] * 2
+    assert symcrypt.slot_positions(params, keys[0], nonce, 2, twice) == [0, 1]
+    row = symcrypt.row_enc(params, keys, b"pqrs", nonce, 7)
+    assert len(row) == 4
+    assert symcrypt.row_dec(params, keys, row, nonce, 7) == b"pqrs"
+    # one mask query over every key, the nonce and the row index
+    mask = params.oracles.for_len(32).query(b"\x03" + b"".join(keys) + nonce + b"\x07")
+    assert row == bytes(a ^ b for a, b in zip(b"pqrs", mask))
+    assert symcrypt.row_dec(params, keys, row, nonce, 6) != b"pqrs"
+    assert symcrypt.row_dec(params, keys, row, b"nm", 7) != b"pqrs"
     with pytest.raises(ValueError):
-        symcrypt.row_enc(params, keys, b"", rng)
+        symcrypt.row_enc(params, keys, b"", nonce, 0)
 
 
 def test_header_rows_need_every_key():
@@ -319,6 +334,71 @@ def test_header_rows_need_every_key():
     rng = random.Random(19)
     keys = [symcrypt.keygen(params, rng) for _ in range(3)]
     m = rng.randbytes(6)
-    row = symcrypt.row_enc(params, keys, m, rng)
+    row = symcrypt.row_enc(params, keys, m, b"n", 0)
     assert [bytes([g]) for g in range(256)
-            if symcrypt.row_dec(params, (keys[0], keys[1], bytes([g])), row) == m] == [keys[2]]
+            if symcrypt.row_dec(params, (keys[0], keys[1], bytes([g])), row, b"n", 0) == m] \
+        == [keys[2]]
+
+
+_SCHEMES = {"header_slot": "slot", "slot_positions": "slot", "row_enc": "row",
+            "row_dec": "row", "kdm_enc": "tagged", "kdm_dec": "tagged", "kdm_ver": "tagged",
+            "triple_enc": "tagged", "triple_dec": "tagged", "triple_ver": "tagged"}
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(circuits_and_states())
+def test_row_masks_never_share_an_oracle_input_property(case):
+    # every oracle input of a garbled and evaluated job, labelled by the
+    # scheme function that made it, beside the tagged schemes' inputs under
+    # the same wire keys: no row-mask input is a slot-digest or a tagged one
+    circ, support, seed = case
+    inputs = {label: set() for label in set(_SCHEMES.values())}
+    scheme = []
+    family = OracleFamily(seed=b"domains")
+    for_len = family.for_len
+
+    def recording_for_len(bits):
+        oracle = for_len(bits)
+        if not hasattr(oracle, "recorded"):
+            query = oracle.recorded = oracle.query
+
+            def recorded(data):
+                inputs[scheme[-1]].add(data)
+                return query(data)
+
+            oracle.query = recorded
+        return oracle
+
+    def labelled(name):
+        fn = getattr(symcrypt, name)
+
+        def call(*args):
+            scheme.append(_SCHEMES[name])
+            try:
+                return fn(*args)
+            finally:
+                scheme.pop()
+        return call
+
+    family.for_len = recording_for_len
+    params = CryptoParams(16, family)
+    rng = random.Random(seed)
+    schedule = gen_keys(16, circ, rng)
+    with mock.patch.multiple(symcrypt, **{name: labelled(name) for name in _SCHEMES}):
+        bundle = garble_circuit(params, circ, schedule, rng)
+        eval_bundle(params, encode(input_state(circ, support, rng), schedule,
+                                   circ.input_wires), bundle)
+        keys = [key for pair in schedule.pairs for key in pair]
+        for key in keys:
+            ct = symcrypt.kdm_enc(params, key, key + key, rng)
+            symcrypt.kdm_dec(params, key, ct)
+            symcrypt.kdm_ver(params, key, split_row(params, ct)[2][0])
+        if len(keys) >= 3:
+            ct = symcrypt.triple_enc(params, *keys[:3], b"".join(keys[:3]), rng)
+            symcrypt.triple_dec(params, *keys[:3], ct)
+            symcrypt.triple_ver(params, keys[0], 1, ct)
+    assert not scheme
+    assert inputs["tagged"]
+    assert not inputs["row"] & inputs["slot"]
+    assert not inputs["row"] & inputs["tagged"]
+    assert not inputs["slot"] & inputs["tagged"]
