@@ -407,7 +407,7 @@ def toffoli_cycle_queries(gates: int = 1) -> list[RowQuery]:
 def run_row_kdm_game(queries: list[RowQuery], n_keys: int,
                      distinguisher: Callable[[RowKdmView, random.Random], int],
                      kappa_bits: int, trials: int, rng: random.Random, *,
-                     reuse_nonces: bool = False, table_oracle: bool = True) -> GameReport:
+                     reuse_nonces: bool = False) -> GameReport:
     """Non-adaptive KDM game for the joint-hash row: each table number gets
     a fresh nonce, and the challenger answers every query with its row of
     the target keys (b=1) or of zeros (b=0).  reuse_nonces deliberately
@@ -429,7 +429,7 @@ def run_row_kdm_game(queries: list[RowQuery], n_keys: int,
                                          nonces[q.table], q.index))
         return RowKdmView(params, nonces, rows, queries)
 
-    return _play(distinguisher, challenge, kappa_bits, trials, rng, table_oracle)
+    return _play(distinguisher, challenge, kappa_bits, trials, rng, True)
 
 
 def row_kdm_dist_mask_equality(view: RowKdmView, rng) -> int:
