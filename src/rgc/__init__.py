@@ -9,8 +9,9 @@ and returns the still-encoded result; only the client can decode it.
 Package layout:
 
 - ``oracle``      random oracle, hash-derived or lazily tabulated
-- ``symcrypt``    single-key and triple-key hash encryption with key tags
-- ``circuit``     C+P circuit IR, text parser, phase decomposition, universal machine
+- ``symcrypt``    single-key and triple-key hash encryption with key tags, and the
+                  joint-hash rows and header slots the garbled tables use
+- ``circuit``     C+P circuit IR, text parser, universal machine (one slot per gate)
 - ``sparse``      sparse state vectors, Pauli frames, QFT, density-matrix utilities
 - ``encoding``    key-register encoding of qubits, CNOT cost model, mixing-bound checker
 - ``garble``      garbled table construction and revealed-key closure

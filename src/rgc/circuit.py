@@ -35,14 +35,15 @@ Text format (UTF-8, line oriented, ``#`` comments)::
     phase 0 2         # R_Z(pi/4) on qubit 0
     phase 1 1 neg     # R_Z(-pi/2) on qubit 1
 
-The universal machine at the bottom of this module reduces any C+P circuit to
-a fixed program interpreted by a fixed circuit, so that delegating the fixed
-circuit hides which program ran (only N, D and the length cap leak).
+The universal machine at the bottom of this module compiles a C+P circuit
+without X gates to a description program of one code per gate, run by a
+fixed interpreter circuit with one slot per gate, so that delegating the
+interpreter hides which program ran (only N, D and the length cap leak).
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -313,30 +314,30 @@ def flipped_wires(circ: CPCircuit) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# phase-angle decomposition
-
-def decompose_phase(angle_num: int, denom_exp: int) -> list[int]:
-    """Split R_Z(angle_num * pi / 2^denom_exp) into R_Z(pi/2^j) factors and
-    return their exponents j.  A negative angle wraps around mod 2*pi, so
-    every factor turns the same way."""
-    k = angle_num % (1 << (denom_exp + 1))
-    return [j for j in range(denom_exp + 1) if (k >> (denom_exp - j)) & 1]
-
-
-# ---------------------------------------------------------------------------
 # universal machine
 #
-# Gate codes, canonically enumerated (the source text counts the choices but
-# never fixes an assignment; this one is ours and is stable):
+# Operation codes, canonically enumerated (the source text counts the choices
+# but never fixes an assignment; this one is ours and is stable):
 #
-#   [0, 3N)             SWAP(data wire w, aux a): code 3w + a
-#   3N                  Toffoli on the three aux wires
-#   [3N+1, 3N+1+N*D)    R_Z(pi/2^d) on data wire w, d in 1..D: 3N+1 + w*D + (d-1)
-#   3N+1+N*D            identity (padding)
+#   [0, T)      Toffoli onto target t, for each t in turn, with a control pair
+#               c1 < c2 of the other wires in lexicographic order;
+#               T = N * C(N-1, 2)
+#   T + w       phase on data wire w
+#   T + N       identity (padding)
 #
-# d=0 phases (bare Z) are compiled as two d=1 codes, so the code table stays
-# at the three source gate types.  The code width is taken from the documented
-# bound with N' = N+3; the actual table is smaller and must fit underneath.
+# A slot is its operation code followed by D+1 angle bits, MSB first.  Angle
+# bit i is worth pi/2^i, so a phase slot whose angle bits spell k applies
+# R_Z(k*pi/2^D); every other slot's angle bits are 0.  One source gate is one
+# slot: R_Z(sign*pi/2^d) has k = sign*2^(D-d) mod 2^(D+1), and a Toffoli's
+# control order does not matter.
+
+def _operations(n: int) -> list[tuple[int, ...]]:
+    """The operation table: (c1, c2, t) per Toffoli code, then (w,) per phase
+    code."""
+    toffolis = [(c1, c2, t) for t in range(n)
+                for c1, c2 in itertools.combinations([q for q in range(n) if q != t], 2)]
+    return toffolis + [(w,) for w in range(n)]
+
 
 @dataclass(frozen=True)
 class UniversalMachine:
@@ -344,8 +345,8 @@ class UniversalMachine:
     n_data: int
     max_denom_exp: int
     slots: int
-    code_width: int
-    n_codes: int
+    code_width: int                            # bits per slot: operation + angle
+    n_codes: int                               # operation codes, identity included
     desc_qubits: tuple[tuple[int, ...], ...]   # per slot, MSB first
 
     @property
@@ -354,41 +355,31 @@ class UniversalMachine:
 
     @property
     def identity_code(self) -> int:
-        return self.n_codes - 1
-
-    def swap_code(self, wire: int, aux: int) -> int:
-        return 3 * wire + aux
-
-    @property
-    def toffoli_code(self) -> int:
-        return 3 * self.n_data
-
-    def phase_code(self, wire: int, d: int) -> int:
-        return 3 * self.n_data + 1 + wire * self.max_denom_exp + (d - 1)
+        return (self.n_codes - 1) << (self.max_denom_exp + 1)
 
     def compile_codes(self, circ: CPCircuit) -> list[int]:
+        """One slot code per gate of circ."""
+        if circ.num_inputs != self.n_data:
+            raise CircuitError("circuit width differs from the machine's")
+        index = {op: i for i, op in enumerate(_operations(self.n_data))}
+        angle_bits = self.max_denom_exp + 1
         codes: list[int] = []
         for g in circ.gates:
             if isinstance(g, Toffoli):
-                swaps = [self.swap_code(q, i) for i, q in enumerate(g.qubits)]
-                codes += swaps + [self.toffoli_code] + swaps
+                a, b, t = g.qubits
+                codes.append(index[min(a, b), max(a, b), t] << angle_bits)
             elif isinstance(g, X):
                 raise CircuitError("the universal machine has no X code")
             elif g.denom_exp > self.max_denom_exp:
                 raise CircuitError("circuit uses a finer phase than the machine supports")
             else:
-                for j in decompose_phase(g.sign, g.denom_exp):
-                    if j == 0:
-                        codes += [self.phase_code(g.qubit, 1)] * 2
-                    else:
-                        codes.append(self.phase_code(g.qubit, j))
+                k = (g.sign << (self.max_denom_exp - g.denom_exp)) % (1 << angle_bits)
+                codes.append(index[g.qubit,] << angle_bits | k)
         return codes
 
     def describe(self, circ: CPCircuit) -> list[int]:
         """Compile a circuit to the padded description program, one code
         per slot."""
-        if circ.num_inputs != self.n_data:
-            raise CircuitError("circuit width differs from the machine's")
         codes = self.compile_codes(circ)
         if len(codes) > self.slots:
             raise CircuitError(f"program needs {len(codes)} slots, machine has {self.slots}")
@@ -397,7 +388,7 @@ class UniversalMachine:
 
     def prep_bits(self, desc: Sequence[int]) -> int:
         """Initial basis value of every non-data qubit (const 1, each slot's
-        code MSB first on its description qubits, aux and scratch 0),
+        code MSB first on its description qubits, scratch 0),
         positioned for OR-ing with the data bits."""
         if len(desc) != self.slots:
             raise CircuitError("description length differs from slot count")
@@ -419,54 +410,47 @@ def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
     """
     if circ.num_inputs != n_qubits:
         raise CircuitError("circuit width differs from declared qubit count")
-    if max_denom_exp < 1:
-        raise CircuitError("universal machine needs max_denom_exp >= 1")
+    if max_denom_exp < 0:
+        raise CircuitError("universal machine needs max_denom_exp >= 0")
     if len(circ.gates) > max_gates:
         raise CircuitError(f"circuit has {len(circ.gates)} gates, cap is {max_gates}")
 
     n = n_qubits
-    d_max = max_denom_exp
-    n_codes = 3 * n + 1 + n * d_max + 1
-    width = math.ceil(math.log2(3 * (n + 3) + 1 + (n + 3) * d_max))
-    assert n_codes <= (1 << width), "code table exceeds the documented width"
-    slots = max(7, d_max + 2) * max_gates
+    operations = _operations(n)
+    n_codes = len(operations) + 1
+    width = (n_codes - 1).bit_length()          # operation bits of a slot
+    slot_width = width + max_denom_exp + 1
+    slots = max_gates
 
     # qubit map
-    data = list(range(n))
-    aux = (n, n + 1, n + 2)
-    c0 = n + 3
-    pos = n + 4
+    c0 = n
+    pos = n + 1
     desc_qubits = []
     for _ in range(slots):
-        desc_qubits.append(tuple(range(pos, pos + width)))
-        pos += width
+        desc_qubits.append(tuple(range(pos, pos + slot_width)))
+        pos += slot_width
     ands = list(range(pos, pos + width - 1))    # the AND ancilla of depths 2..width
     pos += width - 1
-    opanc = pos; pos += 1
-    total_qubits = pos
+    opanc, angle_anc = pos, pos + 1
+    total_qubits = pos + 2
 
     gates: list[LogicalGate] = []
 
     def cnot(a, t):
         gates.append(toff(c0, a, t))
 
-    def operate(code, m):
+    def operate(code, m, angle_bits):
         """The operation of one code, controlled by its match wire m."""
-        if code < 3 * n:
-            w, a = data[code // 3], aux[code % 3]
-            cnot(a, w)
-            gates.append(toff(m, w, a))
-            cnot(a, w)
-        elif code == 3 * n:
-            gates.append(toff(m, aux[0], opanc))
-            gates.append(toff(opanc, aux[1], aux[2]))
-            gates.append(toff(m, aux[0], opanc))
-        else:
-            rel = code - (3 * n + 1)
-            w, d = data[rel // d_max], rel % d_max + 1
-            gates.append(toff(m, w, opanc))
-            gates.append(phase(opanc, d))
-            gates.append(toff(m, w, opanc))
+        op = operations[code]
+        if len(op) == 3:
+            c1, c2, t = op
+            gates.extend([toff(m, c1, opanc), toff(opanc, c2, t), toff(m, c1, opanc)])
+            return
+        gates.append(toff(m, op[0], opanc))
+        for i, bit in enumerate(angle_bits):
+            gates.extend([toff(opanc, bit, angle_anc), phase(angle_anc, i),
+                          toff(opanc, bit, angle_anc)])
+        gates.append(toff(m, op[0], opanc))
 
     def walk(slot_bits, m, depth, lo):
         """Visit the codes below the depth-bit prefix of lo, whose match is
@@ -474,7 +458,7 @@ def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
         NOT bit (an X is free); one CNOT from m turns it into the right
         child's, and a Toffoli on the unflipped bit clears either."""
         if depth == width:
-            operate(lo, m)
+            operate(lo, m, slot_bits[width:])
             return
         bit, anc = slot_bits[depth], ands[depth - 1]
         right = lo + (1 << (width - 1 - depth))
@@ -492,7 +476,8 @@ def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
     # 2018): a depth-first walk of the code tree with one AND ancilla per
     # level, where a node's match is its parent's AND one description bit.
     # Depth 1 matches the top bit itself, so the walk needs width - 1
-    # ancillas and visits only prefixes of the operation codes.
+    # ancillas and visits only prefixes of the operation codes; a leaf reads
+    # its slot's angle bits directly.
     half = 1 << (width - 1)
     for slot_bits in desc_qubits:
         top = slot_bits[0]
@@ -505,9 +490,9 @@ def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
     machine = UniversalMachine(
         circuit=allocate_wires(gates, total_qubits, (c0,)),
         n_data=n,
-        max_denom_exp=d_max,
+        max_denom_exp=max_denom_exp,
         slots=slots,
-        code_width=width,
+        code_width=slot_width,
         n_codes=n_codes,
         desc_qubits=tuple(desc_qubits),
     )

@@ -307,7 +307,7 @@ class KdmView:
 def run_kdm_game(queries: list[tuple[int, AffineKeyFn]], n_keys: int,
                  distinguisher: Callable[[KdmView, random.Random], int],
                  kappa_bits: int, trials: int, rng: random.Random, *,
-                 reuse_pads: bool = False, table_oracle: bool = True) -> GameReport:
+                 reuse_pads: bool = False) -> GameReport:
     """Non-adaptive KDM game: the whole query list is fixed upfront, the
     challenger answers all of it at once with either f(K) or zeros.
     reuse_pads deliberately breaks the scheme (one shared mask pad per trial)
@@ -327,7 +327,7 @@ def run_kdm_game(queries: list[tuple[int, AffineKeyFn]], n_keys: int,
                 cts.append(symcrypt.kdm_enc(params, keyset[index], plain, setup_rng))
         return KdmView(params, cts, queries)
 
-    return _play(distinguisher, challenge, kappa_bits, trials, rng, table_oracle)
+    return _play(distinguisher, challenge, kappa_bits, trials, rng, True)
 
 
 def kdm_dist_mask_equality(view: KdmView, rng) -> int:
@@ -460,7 +460,7 @@ def run_closure_game(pairs: list[PairSpec], revealed: Sequence[int],
                      messages: Sequence[bytes],
                      distinguisher: Callable[[ClosureView, random.Random], int],
                      n_keys: int, kappa_bits: int, trials: int,
-                     rng: random.Random, *, table_oracle: bool = True) -> GameReport:
+                     rng: random.Random) -> GameReport:
     """The challenger hands out the revealed keys plus one table per pair, a
     row in the joint-hash scheme under a fresh nonce, behind one
     single-digest slot per source key:
@@ -495,7 +495,7 @@ def run_closure_game(pairs: list[PairSpec], revealed: Sequence[int],
             cts.append(Table(nonce, header, (symcrypt.row_enc(params, keys, payload, nonce, 0),)))
         return ClosureView(params, {r: keyset[r] for r in revealed}, cts, pairs)
 
-    return _play(distinguisher, challenge, kappa_bits, trials, rng, table_oracle)
+    return _play(distinguisher, challenge, kappa_bits, trials, rng, True)
 
 
 def closure_dist_masked_stats(view: ClosureView, rng) -> int:
@@ -549,8 +549,7 @@ def wire_tag_check(view: RecoveryView, wire: int, key: bytes) -> bool:
 
 
 def key_recovery_experiment(circ: CPCircuit, kappa_bits: int, guesser: Guesser,
-                            trials: int, rng: random.Random, *,
-                            table_oracle: bool = True) -> float:
+                            trials: int, rng: random.Random) -> float:
     """Hand the guesser one input's keys plus the tables; count how often it
     produces the key tuple of a different designated input.  Success is
     checked through the tables' own tags (plus disequality with the known key
@@ -563,7 +562,7 @@ def key_recovery_experiment(circ: CPCircuit, kappa_bits: int, guesser: Guesser,
         raise ValueError("every input is a public constant: no target input differs")
     successes = 0
     for _ in range(trials):
-        params = _trial_params(kappa_bits, rng.getrandbits(63), table_oracle)
+        params = _trial_params(kappa_bits, rng.getrandbits(63), True)
         schedule = encoding.gen_keys(kappa_bits, circ, rng)
         bundle = garble.garble_circuit(params, circ, schedule, rng)
         known = [schedule.pairs[w][(input_bits >> i) & 1]
@@ -617,8 +616,7 @@ def guess_brute_force(view: RecoveryView, rng) -> list[bytes]:
 
 def run_qkdm_game(queries: list[tuple[int, AffineKeyFn]], n_keys: int,
                   distinguisher: Callable[[KdmView, random.Random], int],
-                  kappa_bits: int, trials: int, rng: random.Random, *,
-                  table_oracle: bool = True) -> GameReport:
+                  kappa_bits: int, trials: int, rng: random.Random) -> GameReport:
     """Same shape as the classical KDM game, but the challenger answers with
     Pauli-padded basis states of f(K) (or of zeros).  Classical harness:
     plaintext states are computational-basis strings."""
@@ -634,7 +632,7 @@ def run_qkdm_game(queries: list[tuple[int, AffineKeyFn]], n_keys: int,
             cts.append(delegation.qkdm_enc(params, keyset[index], state, setup_rng))
         return KdmView(params, cts, queries)
 
-    return _play(distinguisher, challenge, kappa_bits, trials, rng, table_oracle)
+    return _play(distinguisher, challenge, kappa_bits, trials, rng, True)
 
 
 def qkdm_dist_padded_parity(view: KdmView, rng) -> int:

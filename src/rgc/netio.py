@@ -114,10 +114,11 @@ KIND_JOB = 1
 KIND_RESULT = 2
 KIND_ERROR = 3
 
-# Server limits: the largest envelope payload a peer may declare (the blind
-# interpreter's N=3, D=3, L=4 job is 5.9 MB), the most qubits a skeleton may
-# declare (that job has 222), how many connections are served at once, and
-# how long one socket read or write may wait.
+# Server limits: the largest envelope payload a peer may declare (modexp21's
+# job is 694 KB and the blind interpreter's at N=3, D=3, L=4 is 87 KB), the
+# most qubits a skeleton may declare (that interpreter has 36), how many
+# connections are served at once, and how long one socket read or write may
+# wait.
 MAX_PAYLOAD_BYTES = 64 << 20
 MAX_QUBITS = 1 << 16
 MAX_CONNECTIONS = 16

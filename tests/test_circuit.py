@@ -5,13 +5,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgc import sparse
 from rgc.circuit import (CircuitError, CircuitSyntaxError, Phase, Toffoli, X,
-                         allocate_wires, decompose_phase,
-                         eval_classical, flipped_wires, format_circuit, parse_circuit,
-                         phase, random_circuit, simulate, toff, universalize, without_x,
-                         x)
+                         allocate_wires, eval_classical, flipped_wires, format_circuit,
+                         parse_circuit, phase, random_circuit, simulate, toff,
+                         universalize, without_x, x)
 
 
 def test_parse_single_toffoli():
@@ -204,32 +205,16 @@ def test_validate_refuses_unsorted_constants():
 
 def test_generators_declare_their_constant():
     machine, _ = universalize(allocate_wires([], 3), 3, 3, 4)
-    assert machine.circuit.const_qubits == machine.const_qubits == (6,)
-    # every toffoli row of the interpreter: 1008 of its 3024 toffolis have the
+    assert machine.circuit.const_qubits == machine.const_qubits == (3,)
+    # every toffoli row of the interpreter: 16 of its 212 toffolis have the
     # constant as a control and carry 4 + 4 rows
     toffolis = [g for g in machine.circuit.gates if isinstance(g, Toffoli)]
-    controlled = sum(6 in g.qubits[:2] for g in toffolis)
-    assert (len(toffolis), controlled) == (3024, 1008)
-    assert 16 * len(toffolis) - 8 * controlled == 40_320
-
-def test_decompose_exact_half_pi():
-    assert decompose_phase(1, 1) == [1]
+    controlled = sum(3 in g.qubits[:2] for g in toffolis)
+    assert (len(toffolis), controlled) == (212, 16)
+    assert 16 * len(toffolis) - 8 * controlled == 3_264
 
 
-def test_decompose_three_quarters():
-    # 3/4 = 1/2 + 1/4
-    assert decompose_phase(3, 2) == [1, 2]
-
-
-def test_decompose_negative_wraps():
-    # -pi/4 = 2*pi - pi/4 (mod 2*pi): 7/4 = 1 + 1/2 + 1/4
-    exponents = decompose_phase(-1, 2)
-    assert exponents == [0, 1, 2]
-    angle = sum(math.pi / (1 << j) for j in exponents)
-    assert cmath.exp(1j * angle) == pytest.approx(cmath.exp(-1j * math.pi / 4))
-
-
-def test_decompose_exponent_above_bound():
+def test_describe_refuses_a_finer_phase():
     # describe, called directly, refuses a phase finer than the machine's D
     # rather than compiling it to a wrong code
     machine, _ = universalize(allocate_wires([], 1), 1, 2, 1)
@@ -306,18 +291,55 @@ def test_universalize_random_circuits_sound():
         assert sparse.fidelity(got, simulate(circ, state)) >= 1 - 1e-9
 
 
-_SINGLE_GATE_PROGRAMS = ([toff(*order) for order in itertools.permutations(range(3))]
-                         + [phase(q, d, sign) for q in range(3) for d in range(4)
-                            for sign in (1, -1)])
+def _single_gate_programs(n, d_max):
+    """Every Toffoli on n qubits, in both control orders, and every phase up
+    to d_max: together they reach every operation code, so every leaf of the
+    decoder's code tree is run, and every angle a source gate can spell."""
+    return ([toff(*order) for order in itertools.permutations(range(n), 3)]
+            + [phase(q, d, sign) for q in range(n) for d in range(d_max + 1)
+               for sign in (1, -1)])
 
 
-@pytest.mark.parametrize("gate", _SINGLE_GATE_PROGRAMS, ids=lambda g: "_".join(map(str, g)))
-def test_universal_machine_runs_every_code(gate):
-    # together these programs reach every swap, Toffoli and phase code, so
-    # every leaf of the decoder's code tree is run
-    circ = allocate_wires([gate], 3)
-    machine, desc = universalize(circ, 3, 3, 1)
-    state = sparse.random_state(sparse.qubit_layout(3), random.Random(str(gate)))
+# At N=3 each target has one control pair; at N=4 it has three, so the pair
+# enumeration is run too.
+_SINGLE_GATE_CASES = (
+    [pytest.param(3, 3, g, id="_".join(map(str, g))) for g in _single_gate_programs(3, 3)]
+    + [pytest.param(4, 2, g, id="n4_" + "_".join(map(str, g)))
+       for g in _single_gate_programs(4, 2)])
+
+
+@pytest.mark.parametrize("n, d_max, gate", _SINGLE_GATE_CASES)
+def test_universal_machine_runs_every_code(n, d_max, gate):
+    circ = allocate_wires([gate], n)
+    machine, desc = universalize(circ, n, d_max, 1)
+    state = sparse.random_state(sparse.qubit_layout(n), random.Random(str(gate)))
+    got = _run_machine(machine, desc, state)
+    assert sparse.fidelity(got, simulate(circ, state)) >= 1 - 1e-12
+
+
+@st.composite
+def _programs(draw):
+    """A machine shape (N <= 4, D <= 3, L <= 4), a program of at most L
+    Toffoli and phase gates with d <= D, and a seed."""
+    n, d_max, length = draw(st.integers(1, 4)), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    kinds = [st.builds(phase, st.integers(0, n - 1), st.integers(0, d_max),
+                       st.sampled_from((1, -1)))]
+    if n >= 3:
+        kinds.append(st.permutations(range(n)).map(lambda p: toff(*p[:3])))
+    gates = draw(st.lists(st.one_of(*kinds), max_size=length))
+    return allocate_wires(gates, n), d_max, length, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_programs())
+def test_universal_machine_one_code_per_gate_property(case):
+    circ, d_max, length, seed = case
+    n, used = circ.num_inputs, len(circ.gates)
+    machine, desc = universalize(circ, n, d_max, length)
+    assert machine == universalize(allocate_wires([], n), n, d_max, length)[0]
+    assert machine.identity_code not in desc[:used]
+    assert desc[used:] == [machine.identity_code] * (length - used)
+    state = sparse.random_state(sparse.qubit_layout(n), random.Random(seed))
     got = _run_machine(machine, desc, state)
     assert sparse.fidelity(got, simulate(circ, state)) >= 1 - 1e-12
 
@@ -325,6 +347,7 @@ def test_universal_machine_runs_every_code(gate):
 def test_universalize_zero_denom_phase_lowered():
     circ = allocate_wires([phase(0, 0)], 1)    # a bare Z
     machine, desc = universalize(circ, 1, 2, 1)
+    assert desc == [0b0_100]                   # phase code 0, angle pi
     state = sparse.from_terms(sparse.qubit_layout(1),
                               {0: 1 / math.sqrt(2), 1: 1 / math.sqrt(2)})
     got = _run_machine(machine, desc, state)
@@ -332,12 +355,20 @@ def test_universalize_zero_denom_phase_lowered():
 
 
 def test_universalize_description_width():
-    machine, _ = universalize(allocate_wires([], 3), 3, 3, 1)
-    n_prime = 3 + 3
-    assert machine.code_width == math.ceil(math.log2(3 * n_prime + 1 + n_prime * 3))
-    assert machine.n_codes <= 1 << machine.code_width
-    for code in machine.describe(allocate_wires([toff(0, 1, 2)], 3)):
-        assert 0 <= code < 1 << machine.code_width
+    # N*C(N-1, 2) Toffoli codes, N phase codes and the identity.  A slot is
+    # the operation bits that table needs and D+1 angle bits, and the
+    # single-gate programs reach every operation code.
+    for n, d_max in ((3, 3), (4, 2)):
+        machine, _ = universalize(allocate_wires([], n), n, d_max, 1)
+        assert machine.n_codes == n * math.comb(n - 1, 2) + n + 1
+        assert machine.code_width == (machine.n_codes - 1).bit_length() + d_max + 1
+        assert all(len(q) == machine.code_width for q in machine.desc_qubits)
+        ops = set()
+        for gate in _single_gate_programs(n, d_max):
+            code, = machine.describe(allocate_wires([gate], n))
+            assert 0 <= code < 1 << machine.code_width
+            ops.add(code >> (d_max + 1))
+        assert ops == set(range(machine.n_codes - 1))
 
 
 def test_universalize_rejects_oversized_circuit():
@@ -351,16 +382,16 @@ def test_universalize_rejects_oversized_circuit():
 
 def test_universal_machine_emits_native_x_and_one_constant():
     machine, _ = universalize(allocate_wires([], 3), 3, 3, 4)
-    assert machine.const_qubits == (3 + 3,)
+    assert machine.const_qubits == (3,)
     n_x = sum(isinstance(g, X) for g in machine.circuit.gates)
-    # two negations per slot for each node of the code tree above the leaves:
-    # each node's left branch tests a flipped description bit
-    bits = [tuple((code >> (machine.code_width - 1 - j)) & 1
-                  for j in range(machine.code_width))
-            for code in range(machine.identity_code)]
-    inner = {b[:depth] for b in bits for depth in range(machine.code_width)}
-    assert n_x == 2 * len(inner) * machine.slots == 44 * machine.slots
-    assert (machine.circuit.num_inputs, len(without_x(machine.circuit).gates)) == (181, 3276)
+    # two negations per slot for each node of the operation-code tree above
+    # the leaves: each node's left branch tests a flipped description bit
+    op_width = machine.code_width - (machine.max_denom_exp + 1)
+    bits = [tuple((code >> (op_width - 1 - j)) & 1 for j in range(op_width))
+            for code in range(machine.n_codes - 1)]
+    inner = {b[:depth] for b in bits for depth in range(op_width)}
+    assert n_x == 2 * len(inner) * machine.slots == 12 * machine.slots
+    assert (machine.circuit.num_inputs, len(without_x(machine.circuit).gates)) == (36, 260)
 
 
 def test_universal_machine_refuses_a_program_with_x():
@@ -373,10 +404,11 @@ def test_universal_machine_refuses_a_program_with_x():
 
 
 def test_universal_machine_codes_are_pinned():
-    # the description programs of seeded circuits, phase codes included
+    # the description programs of seeded circuits, phase codes included:
+    # one code per source gate
     rng = random.Random(31)
     digest = hashlib.blake2b()
-    ops = 0
+    ops = gates = 0
     for n in (1, 2, 3):
         for d_max in (1, 2, 4):
             machine, _ = universalize(allocate_wires([], n), n, d_max, 6)
@@ -384,8 +416,9 @@ def test_universal_machine_codes_are_pinned():
                 circ = random_circuit(rng, n, rng.randint(0, 6), max_denom_exp=d_max)
                 codes = machine.describe(circ)
                 ops += sum(c != machine.identity_code for c in codes)
+                gates += len(circ.gates)
                 digest.update(str(codes).encode())
-    assert ops == 854
+    assert ops == gates == 281
     assert digest.hexdigest() == (
-        "62f76b53c099586f575480c60dcccd944e16a585aa09414d744b1f14b146f410"
-        "85dc2912e87763900a8ce1e0dfb94a1942fb622f7f78950ea12d2b09890e9a34")
+        "0a293c04c7aa8b7789965b43de94676c40c89fd34633f8fc2c6f1cf5c3aac6b0"
+        "03b6c071d87123de080895116394c0eaa0219c15abd2e241cd7579cf08380b90")

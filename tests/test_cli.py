@@ -166,7 +166,7 @@ def test_blind_cli(tmp_path, capsys):
                  "--lmax", "1", "--dmax", "1", "--seed", "6", "--conjecture-1"]) == 0
     out = capsys.readouterr().out
     header = json.loads(out.splitlines()[0])
-    assert header["slots"] == 7
+    assert header["slots"] == 1
     lines = out.strip().splitlines()[1:]   # |+>|0> stays a two-term state
     assert len(lines) == 2
 
