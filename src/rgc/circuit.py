@@ -136,11 +136,11 @@ def allocate_wires(logical_gates: Iterable[LogicalGate], n_inputs: int,
         kind = g[0]
         if kind == "toff":
             a, b, c = g[1], g[2], g[3]
-            if len({a, b, c}) != 3:
+            if a == b or a == c or b == c:
                 raise CircuitError(f"toffoli qubits must be distinct, got {a} {b} {c}")
-            for q in (a, b, c):
-                if not 0 <= q < n_inputs:
-                    raise CircuitError(f"qubit {q} out of range (N={n_inputs})")
+            if not (0 <= a < n_inputs and 0 <= b < n_inputs and 0 <= c < n_inputs):
+                q = next(q for q in (a, b, c) if not 0 <= q < n_inputs)
+                raise CircuitError(f"qubit {q} out of range (N={n_inputs})")
             in_wires = (current[a], current[b], current[c])
             out_wires = (next_wire, next_wire + 1, next_wire + 2)
             next_wire += 3

@@ -5,31 +5,33 @@ qubits (a,b,c) always finds its current wire keys in registers a,b,c, so the
 register layout never changes shape during evaluation and the evaluator
 needs the skeleton's qubits only, never its wires.
 
-For the length of one evaluation the state is held in dictionary-encoded
-columns (:class:`ColumnarState`): per register, the distinct keys it holds
-and one uint8 code per term indexing that list; the amplitudes are two
-float64 arrays.  A wire has two keys, so a register may hold at most two:
-a state with a third key in some register is refused, and so is a Toffoli
-whose tables would write a third key to an output wire.  Honest encodings
-and honest tables never break this rule, so every code is 0 or 1.
+For the length of one evaluation the state is held in bitset columns
+(:class:`ColumnarState`): per register, the distinct keys it holds and one
+Python int whose bit t is set when term t holds the register's second key;
+the amplitudes are two float64 arrays.  A wire has two keys, so a register
+may hold at most two: a state with a third key in some register is refused,
+and so is a Toffoli whose tables would write a third key to an output wire.
+Honest encodings and honest tables never break this rule.
 
-A Toffoli combines its registers' codes into one 3-bit triple code
-``(ca << 2) | (cb << 1) | cc`` per term and finds the present triples - at
-most 8, however many terms the superposition carries - with one bincount.
-It translates each present triple once - opening the forward row its keys
-index, decrypting the output keys, and erasing the input keys through the
-backward row - then moves every term through one 8-entry code table per
-register.  A row is found through its table's header (see
-:mod:`rgc.garble`): per slot, one digest of the slot's key, which must match
-exactly one of the slot's digests, gives the key's position, the positions
-index the row, and one oracle query opens it.  The triples of one gate
-share their registers' keys, so each gate remembers the position of every
-(slot, key) it has looked up, per table, and computes each digest once.  The backward payload
-must XOR the inputs to exactly zero - that erasure is asserted for every
-distinct triple of every gate, and a failure aborts the evaluation:
-leftover input keys would entangle the result with junk registers.  A phase
-gate opens its row once per distinct key, through a header of one slot,
-and gathers one factor per term.
+A Toffoli finds the terms of each key triple (x, y, z) by ANDing its three
+registers' bitsets or their complements - at most 8 triples are present,
+however many terms the superposition carries - the bitslicing of Biham
+("A Fast New DES Implementation in Software", FSE 1997) applied to the term
+loop.  It translates each present triple once - opening the forward row its
+keys index, decrypting the output keys, and erasing the input keys through
+the backward row - then builds each output register's bitset by ORing the
+masks of the triples that write its second key.  A row is found through its
+table's header (see :mod:`rgc.garble`): per slot, one digest of the slot's
+key, which must match exactly one of the slot's digests, gives the key's
+position, the positions index the row, and one oracle query opens it.  The
+triples of one gate share their registers' keys, so each gate remembers the
+position of every (slot, key) it has looked up, per table, and computes each
+digest once.  The backward payload must XOR the inputs to exactly zero -
+that erasure is asserted for every distinct triple of every gate, and a
+failure aborts the evaluation: leftover input keys would entangle the result
+with junk registers.  A phase gate opens its row once per distinct key,
+through a header of one slot, and gathers one factor per term; it unpacks
+the register's bits only when the register holds two keys.
 
 A register the skeleton declares a public constant must hold one key in
 every term, or the state is refused.  A Toffoli it controls carries half
@@ -92,15 +94,15 @@ class EvalStats:
 
 @dataclass
 class ColumnarState:
-    """An encoded state as one dictionary-encoded column per register.
+    """An encoded state as one bitset column per register.
 
-    Term t holds key ``keys[i][codes[i][t]]`` in register i and amplitude
-    ``re[t] + 1j*im[t]``.  A register lists at most two keys, each occurring
-    in some term, so every code is 0 or 1.
+    Term t holds key ``keys[i][(bits[i] >> t) & 1]`` in register i and
+    amplitude ``re[t] + 1j*im[t]``.  A register lists at most two keys, each
+    occurring in some term, so ``bits[i]`` is 0 exactly when it lists one.
     """
 
     keys: list[list[bytes]]
-    codes: list[np.ndarray]
+    bits: list[int]
     re: np.ndarray
     im: np.ndarray
 
@@ -112,7 +114,7 @@ class ColumnarState:
         except OverflowError:
             raise EvalError("basis string wider than the encoded layout") from None
         regs = np.frombuffer(raw, np.uint8).reshape(len(state.terms), n, kappa_bytes)
-        keys, codes = [], []
+        keys, bits = [], []
         for i in range(n):
             column = np.ascontiguousarray(regs[:, i, :]).view(f"V{kappa_bytes}").ravel()
             distinct, code = np.unique(column, return_inverse=True)
@@ -120,15 +122,22 @@ class ColumnarState:
                 raise EvalError(f"register {i} holds {len(distinct)} distinct keys; "
                                 f"a wire has two")
             keys.append([key.tobytes() for key in distinct])
-            codes.append(code.astype(np.uint8))
+            packed = np.packbits(code.astype(np.uint8), bitorder="little")
+            bits.append(int.from_bytes(packed.tobytes(), "little"))
         amps = np.array(list(state.terms.values()), dtype=np.complex128)
-        return ColumnarState(keys, codes, amps.real.copy(), amps.imag.copy())
+        return ColumnarState(keys, bits, amps.real.copy(), amps.imag.copy())
+
+    def codes(self, i: int) -> np.ndarray:
+        """Register i's key index per term, unpacked from its bitset."""
+        n = len(self.re)
+        packed = np.frombuffer(self.bits[i].to_bytes((n + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(packed, count=n, bitorder="little")
 
     def to_sparse(self, layout: RegisterLayout, kappa_bytes: int) -> SparseState:
         regs = np.empty((len(self.re), len(self.keys), kappa_bytes), np.uint8)
-        for i, (keys, code) in enumerate(zip(self.keys, self.codes)):
+        for i, keys in enumerate(self.keys):
             table = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), kappa_bytes)
-            regs[:, i, :] = table[code]
+            regs[:, i, :] = table[self.codes(i)]
         width = regs.shape[1] * kappa_bytes
         raw = regs.tobytes()
         bases = [int.from_bytes(raw[pos:pos + width], "little")
@@ -203,33 +212,48 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
                  tables: ToffoliTables, stats: EvalStats) -> None:
     """Apply one garbled Toffoli to registers ``regs`` of the state, in place.
 
-    Each term's triple code is ``(ca << 2) | (cb << 1) | cc``.  Each present
-    triple is translated once, sharing one slot memo, so the erasure check
-    runs exactly once per triple while covering every term carrying it; the
-    terms then move through one 8-entry code table per register.
+    The terms of key triple (x, y, z) are the AND of the three registers'
+    bitsets, each taken as is for key 1 and complemented for key 0.  Each
+    present triple is translated once, in increasing order of ``4x + 2y +
+    z``, sharing one slot memo, so the erasure check runs exactly once per
+    triple while covering every term carrying it; an output register's new
+    bitset is the OR of the masks of the triples that write its second key.
     """
     a, b, c = regs
-    triple = (state.codes[a] << 2) | (state.codes[b] << 1) | state.codes[c]
-    present = np.flatnonzero(np.bincount(triple, minlength=8)).tolist()
-    keys_a, keys_b, keys_c = (state.keys[r] for r in regs)
+    keys_a, keys_b, keys_c = state.keys[a], state.keys[b], state.keys[c]
+    bits_a, bits_b, bits_c = state.bits[a], state.bits[b], state.bits[c]
+    terms = len(state.re)
+    full = (1 << terms) - 1
     memo: tuple[SlotMemo, SlotMemo] = ({}, {})
-    outs = [eval_toffoli_term(params, (keys_a[t >> 2], keys_b[(t >> 1) & 1], keys_c[t & 1]),
-                              tables, stats, memo)
-            for t in present]
+    masks, outs = [], []
+    for x, mask_a in enumerate((full ^ bits_a, bits_a)):
+        if not mask_a:
+            continue
+        for y, mask_b in enumerate((full ^ bits_b, bits_b)):
+            mask_ab = mask_a & mask_b
+            if not mask_ab:
+                continue
+            for z, mask_c in enumerate((full ^ bits_c, bits_c)):
+                mask = mask_ab & mask_c
+                if mask:
+                    masks.append(mask)
+                    outs.append(eval_toffoli_term(params, (keys_a[x], keys_b[y], keys_c[z]),
+                                                  tables, stats, memo))
     if len(set(outs)) != len(outs):
         raise EvalError("toffoli step collided terms; evaluation not reversible")
 
     for pos, reg in enumerate(regs):
         index: dict[bytes, int] = {}
-        lut = np.zeros(8, np.uint8)
-        for t, out in zip(present, outs):
-            lut[t] = index.setdefault(out[pos], len(index))
+        bits = 0
+        for mask, out in zip(masks, outs):
+            if index.setdefault(out[pos], len(index)):
+                bits |= mask
         if len(index) > 2:
             raise EvalError(f"toffoli writes {len(index)} distinct keys to one wire; "
                             f"a wire has two")
         state.keys[reg] = list(index)
-        state.codes[reg] = lut[triple]
-    stats.terms_processed += len(triple)
+        state.bits[reg] = bits
+    stats.terms_processed += terms
 
 
 def eval_phase(params: CryptoParams, state: ColumnarState, reg: int, gate: Phase,
@@ -253,15 +277,15 @@ def eval_phase(params: CryptoParams, state: ColumnarState, reg: int, gate: Phase
         factor_re.append(factor.real)
         factor_im.append(factor.imag)
 
-    code = state.codes[reg]
-    fr = np.array(factor_re)[code]
-    fi = np.array(factor_im)[code]
+    # a register of one key gives every term its one factor
+    code = state.codes(reg) if len(factor_re) == 2 else np.zeros(len(state.re), np.uint8)
+    fr, fi = np.array(factor_re)[code], np.array(factor_im)[code]
     # Real and imaginary parts as separately rounded products, in the order
     # Python's complex multiply uses, so results match it bit for bit.
     re, im = state.re, state.im
     state.re = re * fr - im * fi
     state.im = re * fi + im * fr
-    stats.terms_processed += len(code)
+    stats.terms_processed += len(re)
 
 
 def eval_bundle(params: CryptoParams, encoded: SparseState,

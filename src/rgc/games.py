@@ -490,9 +490,8 @@ def run_closure_game(pairs: list[PairSpec], revealed: Sequence[int],
                 payload = bytes(len(payload))
             keys = [keyset[s] for s in sources]
             nonce = rand_bytes(setup_rng, params.kappa_bytes)
-            header = tuple(symcrypt.header_slot(params, (key,), nonce, slot)
-                           for slot, key in enumerate(keys))
-            cts.append(Table(nonce, header, (symcrypt.row_enc(params, keys, payload, nonce, 0),)))
+            cts.append(Table(nonce, symcrypt.table_header(params, nonce, [(key,) for key in keys]),
+                             symcrypt.table_rows(params, nonce, [(b"".join(keys), payload)])))
         return ClosureView(params, {r: keyset[r] for r in revealed}, cts, pairs)
 
     return _play(distinguisher, challenge, kappa_bits, trials, rng, True)

@@ -62,7 +62,7 @@ from . import symcrypt
 from .circuit import CPCircuit, Phase, Toffoli, X, without_x
 from .encoding import KeySchedule
 from .symcrypt import CryptoParams
-from .util import rand_bytes, spawn_rngs
+from .util import rand_bytes
 
 
 @dataclass(frozen=True)
@@ -129,19 +129,10 @@ def _header(params: CryptoParams, pairs: Sequence[tuple[bytes, bytes]],
     x xor s: a fresh bit for a slot of two digests, and 1 for a slot of one,
     which holds the 1 key."""
     nonce = rand_bytes(rng, params.kappa_bytes)
-    flips = tuple(rng.getrandbits(1) if n == 2 else 1 for n in slots)
-    header = tuple(symcrypt.header_slot(params, [pair[b ^ s] for b in range(n)], nonce, slot)
-                   for slot, (pair, n, s) in enumerate(zip(pairs, slots, flips)))
+    flips = tuple([rng.getrandbits(1) if n == 2 else 1 for n in slots])
+    header = symcrypt.table_header(params, nonce, [(pair[s], pair[1 ^ s]) if n == 2 else (pair[1],)
+                                                   for pair, n, s in zip(pairs, slots, flips)])
     return nonce, header, flips
-
-
-def _row_index(slots: Sequence[int], flips: Sequence[int], values: Sequence[int]) -> int:
-    """Where the row under the keys of ``values`` sits: their header
-    positions, mixed-radix over the slots' digest counts."""
-    index = 0
-    for n, s, x in zip(slots, flips, values):
-        index = index * n + (x ^ s)
-    return index
 
 
 def garble_toffoli(params: CryptoParams, gate: Toffoli, schedule: KeySchedule,
@@ -152,22 +143,26 @@ def garble_toffoli(params: CryptoParams, gate: Toffoli, schedule: KeySchedule,
     slots = toffoli_slots(gate, const_qubits)
     fwd_nonce, fwd_header, fwd_flips = _header(params, ins, slots, rng)
     bwd_nonce, bwd_header, bwd_flips = _header(params, outs, slots, rng)
-    n = slots[0] * slots[1] * slots[2]
-    forward, backward = [b""] * n, [b""] * n
+    n1 = slots[1]
+    forward: list = [None] * (slots[0] * n1 * 2)     # (keys, payload) per row index
+    backward: list = [None] * len(forward)
+    (f0, f1, f2), (b0, b1, b2) = fwd_flips, bwd_flips
     # a constant control is 1 on both sides of the gate
-    us, vs = ((1,) if k == 1 else (0, 1) for k in slots[:2])
+    us = (1,) if slots[0] == 1 else (0, 1)
+    vs = (1,) if n1 == 1 else (0, 1)
     for u in us:
         for v in vs:
             for w in (0, 1):
-                out = (u, v, w ^ (u & v))
-                in_keys = (ins[0][u], ins[1][v], ins[2][w])
-                out_keys = (outs[0][u], outs[1][v], outs[2][out[2]])
-                i = _row_index(slots, fwd_flips, (u, v, w))
-                forward[i] = symcrypt.row_enc(params, in_keys, b"".join(out_keys), fwd_nonce, i)
-                i = _row_index(slots, bwd_flips, out)
-                backward[i] = symcrypt.row_enc(params, out_keys, b"".join(in_keys), bwd_nonce, i)
-    return ToffoliTables(Table(fwd_nonce, fwd_header, tuple(forward)),
-                         Table(bwd_nonce, bwd_header, tuple(backward)))
+                z = w ^ (u & v)
+                in_keys = ins[0][u] + ins[1][v] + ins[2][w]
+                out_keys = outs[0][u] + outs[1][v] + outs[2][z]
+                # the keys' header positions x xor s, mixed-radix over the
+                # slots' digest counts; a one-digest slot's key sits at 0
+                forward[((u ^ f0) * n1 + (v ^ f1)) * 2 + (w ^ f2)] = (in_keys, out_keys)
+                backward[((u ^ b0) * n1 + (v ^ b1)) * 2 + (z ^ b2)] = (out_keys, in_keys)
+    return ToffoliTables(
+        Table(fwd_nonce, fwd_header, symcrypt.table_rows(params, fwd_nonce, forward)),
+        Table(bwd_nonce, bwd_header, symcrypt.table_rows(params, bwd_nonce, backward)))
 
 
 def garble_phase(params: CryptoParams, gate: Phase, schedule: KeySchedule,
@@ -176,32 +171,31 @@ def garble_phase(params: CryptoParams, gate: Phase, schedule: KeySchedule,
     modulus = 2 << gate.denom_exp          # 2n
     m0 = rng.randrange(modulus)
     nonce, header, (flip,) = _header(params, (pair,), (2,), rng)
-    rows = [b""] * 2
-    for x in (0, 1):
-        rows[x ^ flip] = symcrypt.row_enc(
-            params, (pair[x],), phase_payload((m0 + x) % modulus, gate.denom_exp), nonce, x ^ flip)
-    return Table(nonce, header, tuple(rows))
+    # row i holds the key of value x = i xor flip
+    rows = [(pair[i ^ flip], phase_payload((m0 + (i ^ flip)) % modulus, gate.denom_exp))
+            for i in (0, 1)]
+    return Table(nonce, header, symcrypt.table_rows(params, nonce, rows))
 
 
 def garble_circuit(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
                    rng: random.Random) -> GarbledBundle:
     if schedule.num_wires != circ.num_wires:
         raise ValueError("schedule does not cover the circuit's wires")
-    skeleton = without_x(circ)
-    # One pre-split stream per table: garbling order never shifts randomness.
-    streams = iter(spawn_rngs(rng, len(skeleton.gates)))
+    # One stream per table, seeded by one 64-bit draw from rng as its gate
+    # comes up: a table's randomness never depends on what other tables draw.
     flipped: set[int] = set()
     consts = frozenset(circ.const_qubits)
     tables: list[ToffoliTables | Table] = []
     for gate in circ.gates:
         if isinstance(gate, Toffoli):
-            tables.append(garble_toffoli(params, gate, schedule, next(streams), flipped,
-                                         consts))
+            tables.append(garble_toffoli(params, gate, schedule,
+                                         random.Random(rng.getrandbits(64)), flipped, consts))
         elif isinstance(gate, X):
             flipped ^= {gate.wire}
         else:
-            tables.append(garble_phase(params, gate, schedule, next(streams), flipped))
-    return GarbledBundle(skeleton, tuple(tables))
+            tables.append(garble_phase(params, gate, schedule,
+                                       random.Random(rng.getrandbits(64)), flipped))
+    return GarbledBundle(without_x(circ), tuple(tables))
 
 
 # ---------------------------------------------------------------------------

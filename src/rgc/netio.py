@@ -163,7 +163,12 @@ class Reader:
         self.pos += n
         return chunk
 
-    def u8(self): return struct.unpack("<B", self._take(1))[0]
+    def u8(self):
+        if self.pos >= len(self.data):
+            raise WireFormatError("truncated payload")
+        self.pos += 1
+        return self.data[self.pos - 1]
+
     def u16(self): return struct.unpack("<H", self._take(2))[0]
     def u32(self): return struct.unpack("<I", self._take(4))[0]
     def u64(self): return struct.unpack("<Q", self._take(8))[0]
@@ -316,12 +321,13 @@ class _TableLayout:
               table: ToffoliTables | Table) -> None:
         """Append the tables' fields to ``parts``; nothing is copied."""
         if isinstance(gate, Toffoli):
-            tables, slots = (table.forward, table.backward), 3
+            f, b = table.forward, table.backward
+            slots_ok = len(f.header) == len(b.header) == 3
+            fields = (f.nonce, *f.header, *f.rows, b.nonce, *b.header, *b.rows)
         else:
-            tables, slots = (table,), 1
-        fields = [f for t in tables for f in (t.nonce, *t.header, *t.rows)]
-        if (any(len(t.header) != slots for t in tables)
-                or tuple(map(len, fields)) != self._shape(gate)[0]):
+            slots_ok = len(table.header) == 1
+            fields = (table.nonce, *table.header, *table.rows)
+        if not slots_ok or tuple(map(len, fields)) != self._shape(gate)[0]:
             raise WireFormatError("table does not match the bundle header's widths")
         parts += fields
 
@@ -369,11 +375,9 @@ def _put_state(w: Writer, s: SparseState) -> None:
         raise WireFormatError("only registers q0, q1, ... of one width cross the wire")
     w.raw(_STATE_HEADER.pack(n, width, len(s.terms)))
     nbytes = (n * width + 7) // 8
-    for basis in sorted(s.terms):
-        amp = s.terms[basis]
-        w.raw(basis.to_bytes(nbytes, "little"))
-        w.f64(amp.real)
-        w.f64(amp.imag)
+    term = struct.Struct(f"<{nbytes}sdd")
+    w.raw(b"".join([term.pack(basis.to_bytes(nbytes, "little"), amp.real, amp.imag)
+                    for basis, amp in sorted(s.terms.items())]))
 
 
 def _get_state(r: Reader) -> SparseState:

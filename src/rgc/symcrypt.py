@@ -16,7 +16,11 @@ Three schemes, all masking the plaintext with oracle output:
   :mod:`rgc.garble`).  This is the tweakable hash of Bellare, Hoang,
   Keelveedhi and Rogaway ("Efficient Garbling from a Fixed-Key Blockcipher",
   IEEE S&P 2013) as half-gates uses it (Zahur, Rosulek and Evans, Eurocrypt
-  2015), with the nonce and the index as the tweak.
+  2015), with the nonce and the index as the tweak.  The garbler writes a
+  table with two calls, :func:`table_header` and :func:`table_rows`, each
+  fetching its oracle once; the evaluator looks up one slot with
+  :func:`slot_positions` and opens one row with :func:`row_dec`.  One
+  private function defines the slot digest and one the row mask.
 
 Every oracle query starts with a domain byte - MASK, TAG, ROW or SLOT - and
 then fixed-width fields, so queries of different schemes can never collide,
@@ -181,13 +185,41 @@ def triple_ver(params: CryptoParams, key: SymKey, index: int, ct: bytes) -> bool
 # ---------------------------------------------------------------------------
 # joint-hash scheme
 
-def header_slot(params: CryptoParams, keys: Sequence[SymKey], nonce: bytes,
-                slot: int) -> bytes:
-    """Slot ``slot`` of a table under ``nonce``: ``keys``' digests in the
-    given order."""
-    tail = nonce + _INDEX[slot]
+def _slot_digest(query, key: SymKey, nonce: bytes, slot: int) -> bytes:
+    """H(SLOT||k||N||j), the digest of key k at slot j of the table under N:
+    the one definition of a slot digest."""
+    return query(_SLOT + key + nonce + _INDEX[slot])
+
+
+def _mask_row(query, keys: bytes, data: bytes, nonce: bytes, index: int) -> bytes:
+    """``data`` xor H(ROW||k1||..||kn||N||i), ``keys`` being k1||..||kn and
+    ``query`` the oracle of data's length: the one definition of a row mask,
+    which masks and unmasks alike."""
+    mask = query(_ROW + keys + nonce + _INDEX[index])
+    if len(mask) != len(data):
+        raise ValueError(f"a {len(data)}-byte row under a {len(mask)}-byte mask")
+    return (int.from_bytes(data, "little") ^ int.from_bytes(mask, "little")).to_bytes(
+        len(data), "little")
+
+
+def table_header(params: CryptoParams, nonce: bytes,
+                 slot_keys: Sequence[Sequence[SymKey]]) -> tuple[bytes, ...]:
+    """The header of a table under ``nonce``: slot j holds the digests of
+    ``slot_keys[j]`` in the given order."""
     query = params.tag_query
-    return b"".join([query(_SLOT + key + tail) for key in keys])
+    return tuple([b"".join([_slot_digest(query, key, nonce, slot) for key in keys])
+                  for slot, keys in enumerate(slot_keys)])
+
+
+def table_rows(params: CryptoParams, nonce: bytes,
+               rows: Sequence[tuple[bytes, bytes]]) -> tuple[bytes, ...]:
+    """The rows of a table under ``nonce``: row i is the payload of
+    ``rows[i] = (k1||..||kn, payload)`` masked by one query over its keys.
+    The table fetches one oracle, so its payloads share one nonzero length."""
+    if not rows or not rows[0][1]:
+        raise ValueError("a table needs rows with a nonempty payload")
+    query = params.oracles.for_len(8 * len(rows[0][1])).query
+    return tuple([_mask_row(query, keys, m, nonce, i) for i, (keys, m) in enumerate(rows)])
 
 
 def slot_positions(params: CryptoParams, key: SymKey, nonce: bytes, slot: int,
@@ -195,7 +227,7 @@ def slot_positions(params: CryptoParams, key: SymKey, nonce: bytes, slot: int,
     """The positions in slot ``slot`` (its ``digests``) whose digest is
     key's: one oracle query."""
     t = params.digest_bytes
-    digest = params.tag_query(_SLOT + key + nonce + _INDEX[slot])
+    digest = _slot_digest(params.tag_query, key, nonce, slot)
     return [i for i in range(len(digests) // t) if digests[i * t:(i + 1) * t] == digest]
 
 
@@ -211,6 +243,5 @@ def row_enc(params: CryptoParams, keys: Sequence[SymKey], m: bytes, nonce: bytes
 def row_dec(params: CryptoParams, keys: Sequence[SymKey], row: bytes, nonce: bytes,
             index: int) -> bytes:
     """Unmask a row; a wrong key yields garbage, as kdm_dec's does."""
-    n = len(row)
-    mask = params.oracles.for_len(8 * n).query(_ROW + b"".join(keys) + nonce + _INDEX[index])
-    return (int.from_bytes(row, "little") ^ int.from_bytes(mask, "little")).to_bytes(n, "little")
+    return _mask_row(params.oracles.for_len(8 * len(row)).query, b"".join(keys), row, nonce,
+                     index)

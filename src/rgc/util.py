@@ -20,11 +20,6 @@ def derive_rng(seed: int, label: str) -> random.Random:
     return random.Random(derive_seed(seed, label))
 
 
-def spawn_rngs(rng: random.Random, n: int) -> list[random.Random]:
-    """Pre-split n independent child streams from rng (one upfront draw each)."""
-    return [random.Random(rng.getrandbits(64)) for _ in range(n)]
-
-
 def rand_bytes(rng: random.Random, n: int) -> bytes:
     return rng.getrandbits(8 * n).to_bytes(n, "little") if n else b""
 

@@ -17,11 +17,11 @@ import sys
 
 import pytest
 
-from rgc import delegation
-from rgc.circuit import parse_circuit
+from rgc import delegation, evaluate, garble
+from rgc.circuit import Phase, Toffoli, parse_circuit
 from rgc.evaluate import EvalStats
 from rgc.oracle import OracleFamily
-from rgc.sparse import qubit_layout, random_state
+from rgc.sparse import SparseState, qubit_layout, random_state
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -75,3 +75,34 @@ def test_rows_tried_is_positive_for_a_nonempty_bundle(text):
     _, stats = delegation.delegate(params, keys, circ,
                                    random_state(qubit_layout(circ.num_inputs), rng), rng)
     assert stats.gates == len(circ.gates) and stats.rows_tried > 0
+
+
+def test_the_traced_hot_path_functions_are_called_per_table_and_triple(monkeypatch):
+    # The layer table splits evaluate.term_loop_s from evaluate.crypto_s by
+    # the calls of eval_toffoli_term, and garble.*_us per call of the gate
+    # garblers; a caller that inlined one would zero its metric silently.
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(evaluate, "eval_toffoli_term")
+    counted(garble, "garble_toffoli")
+    counted(garble, "garble_phase")
+    circ = parse_circuit("inputs 4\nconst 0\ntoff 0 1 2\nx 1\nphase 2 1\ntoff 1 2 3\n"
+                         "phase 3 2 neg\ntoff 3 2 1\nx 3\n")
+    rng = random.Random(5)
+    keys = delegation.keygen(16, circ.num_inputs, circ, rng, conjecture=True)
+    params = delegation.make_params(16, oracle_seed=b"compat")
+    state = random_state(qubit_layout(circ.num_inputs), rng, support_bits=[1, 2, 3])
+    state = SparseState(state.layout, {b | circ.const_mask: a for b, a in state.terms.items()})
+    _, stats = delegation.delegate(params, keys, circ, state, rng)
+    assert calls == {"garble_toffoli": sum(isinstance(g, Toffoli) for g in circ.gates),
+                     "garble_phase": sum(isinstance(g, Phase) for g in circ.gates),
+                     "eval_toffoli_term": stats.erasure_checks}
+    assert calls["garble_toffoli"] == 3 and stats.erasure_checks > 3

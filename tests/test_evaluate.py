@@ -5,13 +5,14 @@ from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rgc import delegation, netio, sparse, symcrypt
 from rgc.circuit import (Phase, Toffoli, allocate_wires, flipped_wires,
                          parse_circuit, phase, random_circuit, simulate)
 from rgc.encoding import decode, encode, gen_keys
-from rgc.evaluate import (AmbiguousRowError, ErasureError, EvalError, EvalStats,
-                          NoRowMatchError, eval_bundle, eval_toffoli_term)
+from rgc.evaluate import (AmbiguousRowError, ColumnarState, ErasureError, EvalError,
+                          EvalStats, NoRowMatchError, eval_bundle, eval_toffoli_term)
 from rgc.garble import GarbledBundle, Table, ToffoliTables, garble_circuit, garble_toffoli
 from rgc.sparse import fidelity, inner, qubit_layout, random_state
 
@@ -25,8 +26,7 @@ def _table(params, slot_keys, rows, rng):
     in that order, and whose ``rows`` (keys, payload) sit where the keys'
     positions index them; an index no row takes holds zeros."""
     nonce = rng.randbytes(params.kappa_bytes)
-    header = tuple(symcrypt.header_slot(params, keys, nonce, slot)
-                   for slot, keys in enumerate(slot_keys))
+    header = symcrypt.table_header(params, nonce, slot_keys)
     table = [bytes(len(rows[0][1]))] * math.prod(map(len, slot_keys))
     for keys, payload in rows:
         index = 0
@@ -306,6 +306,28 @@ def test_result_bytes_pinned_for_toffoli_superposition():
                               backward_ver_calls=30, erasure_checks=31)
 
 
+def _superposition(n, count, rng):
+    """A normalized random state on ``count`` distinct basis states of n qubits."""
+    bases = rng.sample(range(1 << n), count)
+    amps = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in bases]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    return sparse.from_terms(qubit_layout(n), {b: a / norm for b, a in zip(bases, amps)})
+
+
+def test_result_bytes_pinned_for_a_wide_superposition():
+    # 200 terms, more than three 64-bit words of each register's bitset;
+    # pinned with the earlier evaluator, which kept one uint8 per term
+    rng = random.Random(2026)
+    circ = random_circuit(rng, 8, 40, max_denom_exp=3)
+    state = _superposition(8, 200, rng)
+    assert (sum(isinstance(g, Toffoli) for g in circ.gates), len(state.terms)) == (18, 200)
+    digest, wire_2_digest, stats = _golden_result(circ, state, 3)
+    assert digest == "dec666a0e5447e292b517d8db30f1ef9"
+    assert wire_2_digest == "c018874673af3a0e5a41edaada7579c7"
+    assert stats == EvalStats(gates=40, terms_processed=8000, rows_tried=592, ver_calls=152,
+                              backward_ver_calls=108, erasure_checks=144)
+
+
 # ---------------------------------------------------------------------------
 # tampered tables through eval_bundle
 
@@ -502,3 +524,40 @@ def test_symcrypt_call_counts_match_the_bench_layer_metrics():
     assert client == 2 * (4 + 5) == server == 18
     assert stats == EvalStats(gates=1, terms_processed=4, rows_tried=2 * (5 + 4),
                               ver_calls=5, backward_ver_calls=5, erasure_checks=4)
+
+
+@st.composite
+def _wide_circuits(draw):
+    """A C+P circuit of at most 12 gates on 3 to 9 qubits, a term count
+    from 1 to 200 (at most 2^n) that often sits at or next to 8, 64 or 128,
+    and a seed."""
+    n = draw(st.integers(3, 9))
+    toffoli = st.lists(st.integers(0, n - 1), min_size=3, max_size=3,
+                       unique=True).map(lambda q: ("toff", *q))
+    phase_gate = st.tuples(st.just("phase"), st.integers(0, n - 1), st.integers(0, 3),
+                           st.sampled_from((1, -1)))
+    x_gate = st.tuples(st.just("x"), st.integers(0, n - 1))
+    gates = draw(st.lists(st.one_of(toffoli, phase_gate, x_gate), max_size=12))
+    count = draw(st.one_of(st.integers(1, 200),
+                           st.sampled_from((7, 8, 9, 63, 64, 65, 127, 128, 129))))
+    return allocate_wires(gates, n), min(count, 1 << n), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_wide_circuits())
+def test_bitset_columns_match_simulation_property(case):
+    circ, count, seed = case
+    rng = random.Random(seed)
+    state = _superposition(circ.num_inputs, count, rng)
+    params = make_params()
+    schedule = gen_keys(16, circ, rng)
+    encoded = encode(state, schedule, circ.input_wires)
+    columns = ColumnarState.from_sparse(encoded, circ.num_inputs, params.kappa_bytes)
+    for keys, bits in zip(columns.keys, columns.bits):
+        assert 0 <= bits < 1 << count and (bits == 0) == (len(keys) == 1)
+    assert columns.to_sparse(encoded.layout, params.kappa_bytes).terms == encoded.terms
+    bundle = garble_circuit(params, circ, schedule, rng)
+    out, stats = eval_bundle(params, encoded, bundle)
+    decoded = decode(out, schedule, circ.output_wires, flipped_wires(circ))
+    assert fidelity(decoded, simulate(circ, state)) >= 1 - 1e-12
+    assert stats.terms_processed == len(bundle.skeleton.gates) * count

@@ -257,9 +257,10 @@ def test_all_oracle_queries_are_domain_separated():
     symcrypt.triple_dec(params, *keys, tct)
     symcrypt.triple_ver(params, keys[2], 3, tct)
     nonce = rng.randbytes(2)
-    slot = symcrypt.header_slot(params, keys[:2], nonce, 1)
-    symcrypt.slot_positions(params, keys[1], nonce, 1, slot)
+    header = symcrypt.table_header(params, nonce, [keys[2:], keys[:2]])
+    symcrypt.slot_positions(params, keys[1], nonce, 1, header[1])
     symcrypt.row_dec(params, keys, symcrypt.row_enc(params, keys, b"xyz", nonce, 5), nonce, 5)
+    symcrypt.table_rows(params, nonce, [(b"".join(keys), b"xyz"), (keys[0] * 3, b"zyx")])
 
     kb = params.kappa_bytes
     assert len(wrapped) == len(family._members) >= 2     # masks and tags
@@ -306,7 +307,7 @@ def test_header_scheme_packs_slots_and_rows_in_wire_order():
     rng = random.Random(18)
     keys = [symcrypt.keygen(params, rng) for _ in range(3)]
     nonce = b"nn"
-    slot = symcrypt.header_slot(params, keys[:2], nonce, 2)
+    slot = symcrypt.table_header(params, nonce, [keys[2:], keys[2:], keys[:2]])[2]
     digest = params.oracles.for_len(128).query
     assert slot == b"".join(digest(b"\x04" + key + nonce + b"\x02") for key in keys[:2])
     assert [symcrypt.slot_positions(params, key, nonce, 2, slot) for key in keys] == \
@@ -318,6 +319,11 @@ def test_header_scheme_packs_slots_and_rows_in_wire_order():
     assert symcrypt.slot_positions(params, keys[0], nonce, 2, twice) == [0, 1]
     row = symcrypt.row_enc(params, keys, b"pqrs", nonce, 7)
     assert len(row) == 4
+    # a table's rows are the rows row_enc writes at their indices
+    joined = b"".join(keys)
+    assert symcrypt.table_rows(params, nonce, [(joined, b"pqrs")] * 8)[7] == row
+    with pytest.raises(ValueError):
+        symcrypt.table_rows(params, nonce, [(joined, b"pqrs"), (joined, b"pqr")])
     assert symcrypt.row_dec(params, keys, row, nonce, 7) == b"pqrs"
     # one mask query over every key, the nonce and the row index
     mask = params.oracles.for_len(32).query(b"\x03" + b"".join(keys) + nonce + b"\x07")
@@ -340,9 +346,10 @@ def test_header_rows_need_every_key():
         == [keys[2]]
 
 
-_SCHEMES = {"header_slot": "slot", "slot_positions": "slot", "row_enc": "row",
-            "row_dec": "row", "kdm_enc": "tagged", "kdm_dec": "tagged", "kdm_ver": "tagged",
-            "triple_enc": "tagged", "triple_dec": "tagged", "triple_ver": "tagged"}
+_SCHEMES = {"table_header": "slot", "slot_positions": "slot", "table_rows": "row",
+            "row_enc": "row", "row_dec": "row", "kdm_enc": "tagged", "kdm_dec": "tagged",
+            "kdm_ver": "tagged", "triple_enc": "tagged", "triple_dec": "tagged",
+            "triple_ver": "tagged"}
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -363,6 +370,7 @@ def test_row_masks_never_share_an_oracle_input_property(case):
             query = oracle.recorded = oracle.query
 
             def recorded(data):
+                assert scheme, f"oracle input {data!r} made outside every labelled function"
                 inputs[scheme[-1]].add(data)
                 return query(data)
 
