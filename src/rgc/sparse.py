@@ -138,7 +138,8 @@ def with_layout(state: SparseState, new_layout: RegisterLayout) -> SparseState:
 
 
 # ---------------------------------------------------------------------------
-# evolution
+# evolution, one term at a time (the per-term reference that the bitset
+# circuit.simulate is tested against)
 
 def apply_classical(state: SparseState, f: Callable[[int], int]) -> SparseState:
     """Lift a reversible classical map over basis strings to the state.

@@ -1,15 +1,18 @@
+import ast
 import cmath
 import hashlib
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rgc import sparse
-from rgc.circuit import (CircuitError, CircuitSyntaxError, Phase, Toffoli, X,
+from rgc import circuit as circuit_module
+from rgc import delegation, sparse
+from rgc.circuit import (CircuitError, CircuitSyntaxError, CPCircuit, Phase, Toffoli, X,
                          allocate_wires, eval_classical, flipped_wires, format_circuit,
                          parse_circuit, phase, random_circuit, simulate, toff,
                          universalize, without_x, x)
@@ -239,6 +242,122 @@ def test_simulate_phase_sign():
                              {0: 1 / math.sqrt(2), 1: 1 / math.sqrt(2)})
     out = simulate(circ, plus)
     assert out.terms[1] / out.terms[0] == pytest.approx(cmath.exp(-1j * math.pi / 2))
+
+
+def test_simulate_refuses_a_width_mismatch():
+    circ = parse_circuit("inputs 3\ntoff 0 1 2\n")
+    with pytest.raises(sparse.LayoutMismatchError):
+        simulate(circ, sparse.basis_state(sparse.qubit_layout(4), 0))
+
+
+def test_simulate_refuses_a_toffoli_naming_one_qubit_twice():
+    # allocate_wires refuses this gate, so the circuit is built by hand.  It
+    # clears qubit 0 where qubit 1 is set, merging |01> and |11> (qubit 0
+    # is the low bit); the merge must not pass silently.
+    circ = CPCircuit(2, (Toffoli((0, 1, 0), (0, 1, 0), (2, 3, 4)),), 5, (4, 3))
+    state = sparse.from_terms(sparse.qubit_layout(2), {0b10: 0.6, 0b11: 0.8})
+    with pytest.raises(ValueError):
+        simulate(circ, state)
+    # where nothing merges it is applied as written
+    out = simulate(circ, sparse.from_terms(sparse.qubit_layout(2), {0b01: 0.6, 0b11: 0.8}))
+    assert list(out.terms.items()) == [(0b01, 0.6), (0b10, 0.8)]
+
+
+def test_modexp21_reference_is_pinned():
+    # Digest of the gate-by-gate simulation's term list (keys, order and the
+    # exact bits of every amplitude), computed before the bitset simulator.
+    state = delegation.modexp_direct_state(delegation.synth_modexp_toffoli(21, 2))
+    digest = hashlib.sha256()
+    for b, a in state.terms.items():
+        digest.update(f"{b:x} {a.real.hex()} {a.imag.hex()}\n".encode())
+    assert len(state.terms) == 1024
+    assert digest.hexdigest() == \
+        "004dcc1530c7a5ba527c509c0e6750e990ca7023455d6da4a6444639e6e0517f"
+
+
+def _simulate_per_term(circ, state):
+    """The gate-by-gate reference: one sparse.apply_classical or
+    sparse.apply_phase per gate."""
+    for g in circ.gates:
+        if isinstance(g, Toffoli):
+            a, b, c = g.qubits
+            state = sparse.apply_classical(
+                state, lambda v: v ^ ((((v >> a) & (v >> b)) & 1) << c))
+        elif isinstance(g, X):
+            state = sparse.apply_classical(state, lambda v: v ^ (1 << g.qubit))
+        else:
+            state = sparse.apply_phase(
+                state, lambda v: g.sign * ((v >> g.qubit) & 1), 1 << g.denom_exp)
+    return state
+
+
+def _exact(z):
+    """An amplitude's parts with their signs, so -0.0 differs from 0.0."""
+    return (z.real, z.imag, math.copysign(1, z.real), math.copysign(1, z.imag))
+
+
+@st.composite
+def _circuits_and_states(draw):
+    """A C+P circuit with Toffoli, X and phase gates (both signs, d 0..16)
+    on 1..70 qubits and a state of 1..200 distinct terms, some with signed
+    zero parts; widths and term counts cross the 63/64/65 and 8/64/128
+    boundaries."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 3, 8, 63, 64, 65, 70]), st.integers(1, 70)))
+    kinds = [st.builds(x, st.integers(0, n - 1)),
+             st.builds(phase, st.integers(0, n - 1), st.integers(0, 16),
+                       st.sampled_from((1, -1)))]
+    if n >= 3:
+        kinds.append(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+                     .map(lambda q: toff(*q)))
+    gates = draw(st.lists(st.one_of(*kinds), max_size=40))
+    size = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 200]),
+                          st.integers(1, 200)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    keys: dict[int, None] = {}
+    while len(keys) < min(size, 1 << n):
+        keys[rng.getrandbits(n)] = None
+    parts = (0.0, -0.0, 1.0, -0.5)
+    terms = {k: complex(rng.choice(parts) if rng.random() < 0.3 else rng.gauss(0, 1),
+                        rng.choice(parts) if rng.random() < 0.3 else rng.gauss(0, 1))
+             for k in keys}
+    return allocate_wires(gates, n), sparse.SparseState(sparse.qubit_layout(n), terms,
+                                                        check=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_circuits_and_states())
+def test_simulate_matches_the_per_term_reference_bit_for_bit(case):
+    circ, state = case
+    got = list(simulate(circ, state).terms.items())
+    want = list(_simulate_per_term(circ, state).terms.items())
+    assert [b for b, _ in got] == [b for b, _ in want]
+    assert [_exact(a) for _, a in got] == [_exact(a) for _, a in want]
+
+
+def test_the_reference_simulator_imports_nothing_of_the_garbled_path():
+    """simulate is what the bench and the tests check the garbled path
+    against, so neither circuit.py nor any rgc module it pulls in may import
+    the evaluator, the garbler or their crypto."""
+    src = pathlib.Path(circuit_module.__file__).parent
+    forbidden = {"evaluate", "garble", "symcrypt"}
+    seen, todo = set(), ["circuit"]
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level == 0 and base.split(".")[0] != "rgc":
+                    continue
+                base = base.removeprefix("rgc").lstrip(".")
+                names = [base.split(".")[0]] if base else [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("rgc.")]
+            else:
+                continue
+            assert not forbidden & set(names), f"{name}.py imports {forbidden & set(names)}"
+            todo += [m for m in names if m not in seen and (src / f"{m}.py").exists()]
 
 
 # universal machine -----------------------------------------------------------
