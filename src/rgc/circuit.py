@@ -50,8 +50,6 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import sparse
 from .sparse import SparseState
 
@@ -268,6 +266,7 @@ def random_circuit(rng: random.Random, n_qubits: int, n_gates: int,
 def _transpose(words: Sequence[int], width: int) -> list[int]:
     """Transpose a bit matrix: bit j of word i becomes bit i of word j, for
     every j below width rounded up to a whole byte."""
+    import numpy as np
     nbytes = (width + 7) // 8
     rows = np.frombuffer(b"".join([w.to_bytes(nbytes, "little") for w in words]), np.uint8)
     bits = np.unpackbits(rows.reshape(len(words), nbytes), axis=1, bitorder="little")

@@ -8,7 +8,8 @@ argv (including --seed) means byte-identical output files.
 
 Subcommands: keygen, garble, encode, eval, decode, delegate, blind, shor,
 mixing-bound, security-test, serve.  Protocol failures exit 1, usage
-errors exit 2.
+errors exit 2.  numpy and ``rgc.games`` are imported only by the
+subcommands that use them, so ``rgc serve`` loads neither.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ import sys
 import threading
 import time
 
-import numpy as np
-
-from . import circuit, delegation, encoding, evaluate, games, garble, netio, sparse
+from . import circuit, delegation, encoding, evaluate, garble, netio, sparse
 from .util import derive_rng, derive_seed
 
 
@@ -218,6 +217,7 @@ def cmd_shor(args) -> int:
 
 
 def cmd_mixing_bound(args) -> int:
+    import numpy as np
     rng = np.random.default_rng(derive_seed(args.seed, "mixing"))
     dim = 1 << (args.n + (1 if args.ref else 0))
     worst = 0.0
@@ -236,6 +236,7 @@ def cmd_mixing_bound(args) -> int:
 
 
 def cmd_security_test(args) -> int:
+    from . import games
     rng = derive_rng(args.seed, f"security-{args.game}")
     circ = circuit.parse_circuit("inputs 3\ntoff 0 1 2\nphase 0 1\n")
     reports: dict[str, games.GameReport] = {}

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Collection, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Collection, NamedTuple, Sequence
 
-import numpy as np
-
+if TYPE_CHECKING:        # imported where used: the server path needs no numpy
+    import numpy as np
 from .circuit import CPCircuit
 from .sparse import SparseState, qubit_layout, trace_distance
 from .symcrypt import CryptoParams
@@ -141,6 +141,7 @@ class MixingBoundViolation(AssertionError):
 
 def _pair_blocks(kappa_bits: int) -> dict[tuple[int, int], np.ndarray]:
     """E[(a,b)] = average of |k_a><k_b| over all ordered distinct key pairs."""
+    import numpy as np
     dim = 1 << kappa_bits
     left = np.repeat(np.arange(dim), dim)
     right = np.tile(np.arange(dim), dim)
@@ -166,6 +167,7 @@ def mixing_check(kappa_bits: int, n_qubits: int, rho: np.ndarray,
     bound) with bound = 2^{-(kappa-4)} * n_qubits and raises if the bound
     fails.  Bound is vacuous below kappa = 5; refuse smaller.
     """
+    import numpy as np
     if kappa_bits < 5:
         raise ValueError("mixing bound is vacuous for kappa <= 4")
     enc_bits = kappa_bits * n_qubits + ref_qubits

@@ -7,11 +7,15 @@ needs the skeleton's qubits only, never its wires.
 
 For the length of one evaluation the state is held in bitset columns
 (:class:`ColumnarState`): per register, the distinct keys it holds and one
-Python int whose bit t is set when term t holds the register's second key;
-the amplitudes are two float64 arrays.  A wire has two keys, so a register
-may hold at most two: a state with a third key in some register is refused,
-and so is a Toffoli whose tables would write a third key to an output wire.
-Honest encodings and honest tables never break this rule.
+Python int whose bit t is set when term t holds the register's second key.
+The encoded state's keys are listed in increasing byte order; that order
+picks which key is bit 1, and with it the order in which a gate's triples
+are translated and so which refusal a bad table gets first.  The amplitudes are one list of Python
+complex numbers, which a phase gate multiplies by its factors.  Nothing on
+this path imports numpy.  A wire has two keys, so a register may hold at
+most two: a state with a third key in some register is refused, and so is a
+Toffoli whose tables would write a third key to an output wire.  Honest
+encodings and honest tables never break this rule.
 
 A Toffoli finds the terms of each key triple (x, y, z) by ANDing its three
 registers' bitsets or their complements - at most 8 triples are present,
@@ -48,8 +52,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import symcrypt
 from .circuit import Phase, Toffoli
@@ -97,53 +99,73 @@ class ColumnarState:
     """An encoded state as one bitset column per register.
 
     Term t holds key ``keys[i][(bits[i] >> t) & 1]`` in register i and
-    amplitude ``re[t] + 1j*im[t]``.  A register lists at most two keys, each
-    occurring in some term, so ``bits[i]`` is 0 exactly when it lists one.
+    amplitude ``amps[t]``.  A register lists at most two keys, each occurring
+    in some term, so ``bits[i]`` is 0 exactly when it lists one.
     """
 
     keys: list[list[bytes]]
     bits: list[int]
-    re: np.ndarray
-    im: np.ndarray
+    amps: list[complex]
 
     @staticmethod
     def from_sparse(state: SparseState, n: int, kappa_bytes: int) -> "ColumnarState":
+        """The columns of a state of n registers of ``kappa_bytes`` each, every
+        register's keys in increasing byte order.
+
+        A register is read as byte columns, byte j of its key in every term,
+        one slice each.  The first column that is not constant splits the
+        terms by key, and each other column must be a translation of it, or
+        the register holds a third key.
+        """
         width = n * kappa_bytes
         try:
-            raw = b"".join(basis.to_bytes(width, "little") for basis in state.terms)
+            raw = b"".join([basis.to_bytes(width, "little") for basis in state.terms])
         except OverflowError:
             raise EvalError("basis string wider than the encoded layout") from None
-        regs = np.frombuffer(raw, np.uint8).reshape(len(state.terms), n, kappa_bytes)
         keys, bits = [], []
-        for i in range(n):
-            column = np.ascontiguousarray(regs[:, i, :]).view(f"V{kappa_bytes}").ravel()
-            distinct, code = np.unique(column, return_inverse=True)
-            if len(distinct) > 2:
-                raise EvalError(f"register {i} holds {len(distinct)} distinct keys; "
-                                f"a wire has two")
-            keys.append([key.tobytes() for key in distinct])
-            packed = np.packbits(code.astype(np.uint8), bitorder="little")
-            bits.append(int.from_bytes(packed.tobytes(), "little"))
-        amps = np.array(list(state.terms.values()), dtype=np.complex128)
-        return ColumnarState(keys, bits, amps.real.copy(), amps.imag.copy())
+        for start in range(0, width, kappa_bytes):
+            # byte j of the register in every term, and term 0's key
+            columns = [raw[start + j::width] for j in range(kappa_bytes)]
+            first = raw[start:start + kappa_bytes]
+            split = next((col for col in columns if col.strip(col[:1])), None)
+            if split is None:       # one key in every term
+                keys.append([first] if raw else [])
+                bits.append(0)
+                continue
+            # the first term whose key differs from term 0's, in that byte
+            t = len(split) - len(split.lstrip(split[:1]))
+            second = raw[t * width + start:t * width + start + kappa_bytes]
+            pair = bytes((split[0], split[t]))
+            if split.translate(None, pair) or any(
+                    split.translate(bytes.maketrans(pair, bytes((x, y)))) != col
+                    for col, x, y in zip(columns, first, second)):
+                distinct = {raw[pos:pos + kappa_bytes] for pos in range(start, len(raw), width)}
+                raise EvalError(f"register {start // kappa_bytes} holds {len(distinct)} "
+                                f"distinct keys; a wire has two")
+            low, high = sorted((first, second))
+            keys.append([low, high])
+            ones = split.translate(bytes.maketrans(pair, b"01" if high == second else b"10"))
+            bits.append(int(ones[::-1], 2))
+        return ColumnarState(keys, bits, list(map(complex, state.terms.values())))
 
-    def codes(self, i: int) -> np.ndarray:
-        """Register i's key index per term, unpacked from its bitset."""
-        n = len(self.re)
-        packed = np.frombuffer(self.bits[i].to_bytes((n + 7) // 8, "little"), np.uint8)
-        return np.unpackbits(packed, count=n, bitorder="little")
+    def codes(self, i: int) -> str:
+        """Register i's key index per term, "0" or "1", from its bitset."""
+        return format(self.bits[i], f"0{len(self.amps)}b")[::-1]
 
     def to_sparse(self, layout: RegisterLayout, kappa_bytes: int) -> SparseState:
-        regs = np.empty((len(self.re), len(self.keys), kappa_bytes), np.uint8)
-        for i, keys in enumerate(self.keys):
-            table = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), kappa_bytes)
-            regs[:, i, :] = table[self.codes(i)]
-        width = regs.shape[1] * kappa_bytes
-        raw = regs.tobytes()
+        count = len(self.amps)
+        width = len(self.keys) * kappa_bytes
+        rows = bytearray(count * width)
+        if count:       # with no term, a register lists no key
+            for i, keys in enumerate(self.keys):
+                codes = self.codes(i).encode()
+                for j, (zero, one) in enumerate(zip(keys[0], keys[-1])):
+                    rows[i * kappa_bytes + j::width] = codes.translate(
+                        bytes.maketrans(b"01", bytes((zero, one))))
+        raw = bytes(rows)       # slicing bytes beats slicing a bytearray
         bases = [int.from_bytes(raw[pos:pos + width], "little")
-                 for pos in range(0, len(raw), width)] if width else [0] * len(self.re)
-        return SparseState(layout, dict(zip(bases, map(complex, self.re.tolist(),
-                                                        self.im.tolist()))), check=False)
+                 for pos in range(0, len(raw), width)] if width else [0] * count
+        return SparseState(layout, dict(zip(bases, self.amps)), check=False)
 
 
 # Header positions one gate has looked up, per table: (slot, key) -> position.
@@ -222,7 +244,7 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
     a, b, c = regs
     keys_a, keys_b, keys_c = state.keys[a], state.keys[b], state.keys[c]
     bits_a, bits_b, bits_c = state.bits[a], state.bits[b], state.bits[c]
-    terms = len(state.re)
+    terms = len(state.amps)
     full = (1 << terms) - 1
     memo: tuple[SlotMemo, SlotMemo] = ({}, {})
     masks, outs = [], []
@@ -268,24 +290,20 @@ def eval_phase(params: CryptoParams, state: ColumnarState, reg: int, gate: Phase
     """
     denom = 1 << gate.denom_exp
     modulus = 2 * denom
-    factor_re, factor_im = [], []
+    factors = []
     for key in state.keys[reg]:
         value = int.from_bytes(_open(params, (key,), table, {}, stats), "big")
         if value >= modulus:
             raise EvalError("phase payload out of range")
-        factor = cmath.exp(1j * math.pi * (gate.sign * value % modulus) / denom)
-        factor_re.append(factor.real)
-        factor_im.append(factor.imag)
+        factors.append(cmath.exp(1j * math.pi * (gate.sign * value % modulus) / denom))
 
-    # a register of one key gives every term its one factor
-    code = state.codes(reg) if len(factor_re) == 2 else np.zeros(len(state.re), np.uint8)
-    fr, fi = np.array(factor_re)[code], np.array(factor_im)[code]
-    # Real and imaginary parts as separately rounded products, in the order
-    # Python's complex multiply uses, so results match it bit for bit.
-    re, im = state.re, state.im
-    state.re = re * fr - im * fi
-    state.im = re * fi + im * fr
-    stats.terms_processed += len(re)
+    if len(factors) == 2:
+        zero, one = factors
+        state.amps = [amp * (one if code == "1" else zero)
+                      for amp, code in zip(state.amps, state.codes(reg))]
+    else:       # a register of one key gives every term its one factor
+        state.amps = [amp * factors[0] for amp in state.amps]
+    stats.terms_processed += len(state.amps)
 
 
 def eval_bundle(params: CryptoParams, encoded: SparseState,

@@ -67,7 +67,8 @@ protocol itself: the client ships a job, the server ships back the evaluated
 state (or an error), and that's the whole conversation.  The server answers
 a declared payload above ``MAX_PAYLOAD_BYTES`` with an error without reading
 it, a connection beyond ``MAX_CONNECTIONS`` open ones with an error at
-once, and drops a connection that stalls for ``SOCKET_TIMEOUT_S``; every
+once, and drops a connection that stalls for ``SOCKET_TIMEOUT_S`` or
+fails (a client's reset) without a word on stderr; every
 error envelope built from an exception reads ``ClassName: text``.  A
 directory-based transport mirrors the socket one for setups where the only
 channel is a shared filesystem, and each end consumes the file it reads;
@@ -93,18 +94,20 @@ import struct
 import threading
 import time
 import zlib
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from . import delegation, evaluate
 from .circuit import CPCircuit, LogicalGate, Phase, Toffoli, X, allocate_wires, phase, toff
 from .delegation import JobBundle
 from .encoding import KeySchedule, WireKeyPair
 from .evaluate import EvalStats
-from .games import GameReport
 from .garble import GarbledBundle, Table, ToffoliTables, phase_payload_bytes, toffoli_slots
 from .oracle import HASH_MODE
 from .sparse import SparseState, qubit_layout
 from .symcrypt import CryptoParams
+
+if TYPE_CHECKING:        # a server never loads the games
+    from .games import GameReport
 
 MAGIC = b"RGC1"
 WIRE_VERSION = 2
@@ -459,6 +462,7 @@ def serialize_report(rep: GameReport) -> bytes:
 
 
 def deserialize_report(data: bytes) -> GameReport:
+    from .games import GameReport
     r = Reader(data)
     rep = GameReport(r.u32(), r.f64(), r.f64(), r.u64(), r.f64(), r.f64())
     r.done()
@@ -596,11 +600,13 @@ class _JobHandler(socketserver.BaseRequestHandler):
         try:
             request = _read_envelope(self.request)
         except WireFormatError as exc:
-            self.request.sendall(_error_envelope(exc))
-            return
-        except TimeoutError:
-            return      # an idle or stalled client: drop the connection
-        self.request.sendall(handle_envelope(request))
+            reply = _error_envelope(exc)
+        except OSError:
+            return      # an idle, stalled or reset client: drop the connection
+        else:
+            reply = handle_envelope(request)
+        with contextlib.suppress(OSError):      # the client left before its answer
+            self.request.sendall(reply)
 
 
 class JobServer(socketserver.ThreadingTCPServer):

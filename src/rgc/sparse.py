@@ -21,10 +21,10 @@ import cmath
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-import numpy as np
-
+if TYPE_CHECKING:        # imported where used: the server path needs no numpy
+    import numpy as np
 PRUNE_EPSILON = 1e-12
 NORM_TOL = 1e-9
 
@@ -243,6 +243,7 @@ def qft(state: SparseState, register: str) -> SparseState:
     other registers are untouched, so we transform each slice of fixed
     remaining bits.
     """
+    import numpy as np
     width = state.layout.width(register)
     if width > 20:
         raise ValueError(f"register {register!r} too wide for QFT ({width} bits)")
@@ -274,6 +275,7 @@ MAX_DENSE_DIM = 1 << 14
 
 
 def dense_vector(state: SparseState) -> np.ndarray:
+    import numpy as np
     dim = 1 << state.layout.total_bits
     if dim > MAX_DENSE_DIM:
         raise ValueError("state too wide for a dense vector")
@@ -285,6 +287,7 @@ def dense_vector(state: SparseState) -> np.ndarray:
 
 def density_average(states: Iterable[SparseState]) -> np.ndarray:
     """The uniform mixture of the given pure states."""
+    import numpy as np
     states = list(states)
     weight = 1.0 / len(states)
     return sum(weight * np.outer(vec, vec.conj()) for vec in map(dense_vector, states))
@@ -292,6 +295,7 @@ def density_average(states: Iterable[SparseState]) -> np.ndarray:
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of rho - sigma."""
+    import numpy as np
     if rho.shape != sigma.shape:
         raise ValueError("dimension mismatch")
     # difference of Hermitian matrices: singular values = |eigenvalues|

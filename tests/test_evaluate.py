@@ -555,6 +555,7 @@ def test_bitset_columns_match_simulation_property(case):
     columns = ColumnarState.from_sparse(encoded, circ.num_inputs, params.kappa_bytes)
     for keys, bits in zip(columns.keys, columns.bits):
         assert 0 <= bits < 1 << count and (bits == 0) == (len(keys) == 1)
+        assert keys == sorted(set(keys))    # increasing byte order picks the key of bit 1
     assert columns.to_sparse(encoded.layout, params.kappa_bytes).terms == encoded.terms
     bundle = garble_circuit(params, circ, schedule, rng)
     out, stats = eval_bundle(params, encoded, bundle)

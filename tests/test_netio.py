@@ -1,9 +1,12 @@
 import hashlib
 import math
 import os
+import pathlib
 import random
 import socket
 import struct
+import subprocess
+import sys
 import time
 
 import pytest
@@ -637,6 +640,32 @@ def test_half_table_of_full_length_is_not_serialized():
         serialize_bundle(bundle, params)
 
 
+SERVE_PATH_PROBE = """
+import sys
+sys.modules["numpy"] = None         # any import of numpy now fails
+import rgc.cli
+from rgc import netio
+reply = netio.handle_envelope(sys.stdin.buffer.read())
+assert "rgc.games" not in sys.modules, "the serve path loaded rgc.games"
+sys.stdout.buffer.write(reply)
+"""
+
+
+def test_the_serve_path_loads_neither_numpy_nor_the_games():
+    # Toffolis, phase gates and a constant control, evaluated in a fresh
+    # interpreter where numpy cannot be imported
+    job, params = _seeded_job("inputs 4\nconst 0\ntoff 0 1 2\nphase 2 1\n"
+                              "toff 1 2 3\nphase 3 2 neg\n")
+    envelope = frame(netio.KIND_JOB, serialize_job(job, params))
+    src = pathlib.Path(netio.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-c", SERVE_PATH_PROBE], input=envelope,
+                         capture_output=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert run.returncode == 0, run.stderr.decode()
+    assert unframe(run.stdout)[0] == netio.KIND_RESULT
+    assert run.stdout == netio.handle_envelope(envelope)
+
+
 def test_skeleton_of_more_gates_than_the_payload_holds_is_refused_unbuilt(monkeypatch):
     # 1M phase records (8 MB) and no tables: every gate needs at least its
     # record and two phase rows, so the count is refused before any gate
@@ -921,6 +950,38 @@ def test_server_refuses_oversized_and_drops_idle_connections(monkeypatch):
         server.server_close()
 
 
+def _submit_retrying(host, port, job, params):
+    """Submit until the server has a free slot, for at most 5 s."""
+    deadline = time.monotonic() + 5
+    while True:
+        try:
+            return netio.submit(host, port, job, params)
+        except (netio.RemoteEvalError, OSError):
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.05)
+
+
+def test_a_reset_connection_is_dropped_quietly(monkeypatch, capfd):
+    # one slot, so the job below is served only after the reset
+    # connection's handler has finished
+    monkeypatch.setattr(netio, "MAX_CONNECTIONS", 1)
+    _, _, params, _, job = _job_fixture(seed=26)
+    server = netio.serve("127.0.0.1", 0)
+    try:
+        host, port = server.server_address
+        sock = socket.create_connection((host, port), timeout=5)
+        sock.sendall(netio.MAGIC[:3])
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()        # a zero linger time: the close resets the connection
+        result, _ = _submit_retrying(host, port, job, params)
+        assert len(result.terms) == len(job.encoded_state.terms)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert capfd.readouterr().err == ""
+
+
 def test_server_refuses_connections_beyond_the_limit(monkeypatch):
     monkeypatch.setattr(netio, "MAX_CONNECTIONS", 1)
     monkeypatch.setattr(netio, "SOCKET_TIMEOUT_S", 5.0)
@@ -936,15 +997,7 @@ def test_server_refuses_connections_beyond_the_limit(monkeypatch):
                     assert sock.recv(1) == b""      # and the server hangs up
                 assert kind == netio.KIND_ERROR and b"server busy" in payload
         # closing the idle connection ends its handler and frees the slot
-        deadline = time.monotonic() + 5
-        while True:
-            try:
-                result, _ = netio.submit(host, port, job, params)
-                break
-            except (netio.RemoteEvalError, OSError):
-                if time.monotonic() > deadline:
-                    raise
-                time.sleep(0.05)
+        result, _ = _submit_retrying(host, port, job, params)
         assert len(result.terms) == len(job.encoded_state.terms)
     finally:
         server.shutdown()
