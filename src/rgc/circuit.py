@@ -180,6 +180,52 @@ def allocate_wires(logical_gates: Iterable[LogicalGate], n_inputs: int,
     return CPCircuit(n_inputs, tuple(gates), next_wire, tuple(current), consts)
 
 
+def cancel_pairs(logical_gates: Iterable[LogicalGate]) -> list[LogicalGate]:
+    """The gate list without its pairs of identical Toffoli or X gates that
+    only gates they commute with separate.
+
+    Two gates commute when neither one's target is a qubit the other only
+    reads; a Toffoli's controls and a phase gate's qubit are read-only.
+    Toffolis whose controls differ only in order are identical.  Phase
+    gates are never removed.
+
+    Each gate is checked against the latest copy of itself after the last
+    gate it does not commute with; such a copy is dropped with it.  One pass
+    is a fixpoint: a kept gate's latest blocker could only be dropped by a
+    later copy of the blocker, which the kept gate blocks in turn.
+    """
+    out: list[LogicalGate | None] = []
+    readers: dict[int, list[int]] = {}     # qubit -> positions of gates reading it
+    writers: dict[int, list[int]] = {}     # qubit -> positions of gates writing it
+    copies: dict[tuple, list[int]] = {}    # gate -> positions of its copies
+
+    def latest(positions: list[int]) -> int:
+        while positions and out[positions[-1]] is None:
+            positions.pop()
+        return positions[-1] if positions else -1
+
+    for g in logical_gates:
+        if g[0] == "toff":
+            reads, target, key = g[1:3], g[3], ("toff", frozenset(g[1:3]), g[3])
+        elif g[0] == "x":
+            reads, target, key = (), g[1], g
+        else:
+            reads, target, key = g[1:2], None, None
+        if key is not None:
+            blocker = max([latest(readers.get(target, [])),
+                           *(latest(writers.get(q, [])) for q in reads)])
+            copy = latest(copies.setdefault(key, []))
+            if copy > blocker:
+                out[copy] = None
+                continue
+            copies[key].append(len(out))
+            writers.setdefault(target, []).append(len(out))
+        for q in reads:
+            readers.setdefault(q, []).append(len(out))
+        out.append(g)
+    return [g for g in out if g is not None]
+
+
 # ---------------------------------------------------------------------------
 # text format
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import encoding, evaluate, garble, sparse, symcrypt
-from .circuit import (CPCircuit, UniversalMachine, allocate_wires, flipped_wires,
-                      simulate, toff, universalize, x)
+from .circuit import (CPCircuit, UniversalMachine, allocate_wires, cancel_pairs,
+                      flipped_wires, simulate, toff, universalize, x)
 from .encoding import KeySchedule
 from .evaluate import EvalStats
 from .garble import GarbledBundle
@@ -163,10 +163,16 @@ def blind_delegate(circ: CPCircuit, input_state: SparseState, max_gates: int,
 # of basis-state transpositions, every transposition a multi-controlled X
 # conjugated by CNOTs.  The multi-controlled X is an AND ladder whose last rung
 # targets the wire itself (Barenco et al., PRA 1995): k controls cost 2k - 3
-# Toffolis and k - 2 ancillas.  The first multiplication that is not the
-# identity meets the accumulator at its start value 1, so it only writes
-# 1 ^ mult under its exponent bit: one CNOT per set bit.  Neither step uses
-# the order of the base, and the tests check every exponent exhaustively.
+# Toffolis and k - 2 ancillas.  The ladder ANDs the exponent bit first, then
+# the accumulator bits from the highest down.  A transposition uncomputes its
+# ladder and the next one recomputes the rungs their controls share, and
+# consecutive transpositions of one multiplication tend to agree on the high
+# bits, so ``circuit.cancel_pairs`` drops those rungs, with the X gates and
+# CNOTs that meet their copy, before the wires are allocated.  The first
+# multiplication that is not the identity meets the accumulator at its start
+# value 1, so it only writes 1 ^ mult under its exponent bit: one CNOT per set
+# bit.  No step uses the order of the base, and the tests check every
+# exponent exhaustively.
 
 @dataclass(frozen=True)
 class ModexpCircuit:
@@ -198,8 +204,10 @@ def synth_modexp_toffoli(modulus: int, base: int, n_exp: int | None = None) -> M
     """Reversible circuit computing acc = base^exp mod modulus (acc starts 1).
 
     Works for modulus <= 64; exponent register defaults to 2*ceil(log2 M).
-    Each ladder has n_value controls (the exponent bit and all accumulator
-    bits but one), so n_value - 2 ancillas, and uncomputes them to zero.
+    Each ladder has n_value controls (the exponent bit, then all accumulator
+    bits but one from the highest down), so n_value - 2 ancillas, and
+    uncomputes them to zero; the whole gate list then goes through
+    ``circuit.cancel_pairs``.
     """
     if modulus > 64 or modulus < 3:
         raise SynthesisError("modulus out of the supported desk-scale range")
@@ -243,8 +251,10 @@ def synth_modexp_toffoli(modulus: int, base: int, n_exp: int | None = None) -> M
             a_u ^= ((u >> pivot) & 1) << q
         for q in conj:
             cnot(acc_qubits[pivot], acc_qubits[q])
+        # high bits first: the next transposition's ladder shares more rungs
         controls = [(exp_qubit, 1)]
-        controls += [(acc_qubits[q], (a_u >> q) & 1) for q in range(n_value) if q != pivot]
+        controls += [(acc_qubits[q], (a_u >> q) & 1)
+                     for q in reversed(range(n_value)) if q != pivot]
         mcx(controls, acc_qubits[pivot])
         for q in conj:
             cnot(acc_qubits[pivot], acc_qubits[q])
@@ -284,7 +294,7 @@ def synth_modexp_toffoli(modulus: int, base: int, n_exp: int | None = None) -> M
         for u, v in emitted:
             transpose(exp_qubit, u, v)
 
-    circ = allocate_wires(gates, total, (c0,))
+    circ = allocate_wires(cancel_pairs(gates), total, (c0,))
     state_layout = RegisterLayout((("exp", n_exp), ("acc", n_value), ("const", 1))
                                   + ((("anc", len(anc_qubits)),) if anc_qubits else ()))
     return ModexpCircuit(circ, modulus, base, n_exp, n_value, state_layout,

@@ -66,10 +66,11 @@ One request per connection keeps the exchange as non-interactive as the
 protocol itself: the client ships a job, the server ships back the evaluated
 state (or an error), and that's the whole conversation.  The server answers
 a declared payload above ``MAX_PAYLOAD_BYTES`` with an error without reading
-it, a connection beyond ``MAX_CONNECTIONS`` open ones with an error at
-once, and drops a connection that stalls for ``SOCKET_TIMEOUT_S`` or
-fails (a client's reset) without a word on stderr; every
-error envelope built from an exception reads ``ClassName: text``.  A
+it, a job whose work (:func:`job_work`) exceeds ``MAX_JOB_WORK`` with an
+error before evaluating it, a connection beyond ``MAX_CONNECTIONS`` open
+ones with an error at once, and drops a connection that stalls for
+``SOCKET_TIMEOUT_S`` or fails (a client's reset) without a word on stderr;
+every error envelope built from an exception reads ``ClassName: text``.  A
 directory-based transport mirrors the socket one for setups where the only
 channel is a shared filesystem, and each end consumes the file it reads;
 both produce byte-identical result payloads, and both refuse an envelope
@@ -118,11 +119,13 @@ KIND_RESULT = 2
 KIND_ERROR = 3
 
 # Server limits: the largest envelope payload a peer may declare (modexp21's
-# job is 694 KB and the blind interpreter's at N=3, D=3, L=4 is 87 KB), the
-# most qubits a skeleton may declare (that interpreter has 36), how many
-# connections are served at once, and how long one socket read or write may
-# wait.
+# job is 616 KB and the blind interpreter's at N=3, D=3, L=4 is 87 KB), the
+# most work one job may ask of the evaluator (see job_work: modexp21 asks
+# 14,976 steps, and a phase step takes about 0.1 us), the most qubits a
+# skeleton may declare (that interpreter has 36), how many connections are
+# served at once, and how long one socket read or write may wait.
 MAX_PAYLOAD_BYTES = 64 << 20
+MAX_JOB_WORK = 1 << 24
 MAX_QUBITS = 1 << 16
 MAX_CONNECTIONS = 16
 SOCKET_TIMEOUT_S = 30.0
@@ -541,10 +544,22 @@ def _read_result(envelope: bytes | bytearray) -> tuple[SparseState, EvalStats]:
     return deserialize_result(payload)
 
 
+def job_work(skeleton: CPCircuit, terms: int) -> int:
+    """The evaluator's work on a job of ``terms`` terms: a phase table
+    multiplies every amplitude, one step per term, and a Toffoli's bitset
+    ops take one step per 64-bit word of one bit per term."""
+    phases = sum(isinstance(g, Phase) for g in skeleton.gates)
+    return phases * terms + (len(skeleton.gates) - phases) * -(-terms // 64)
+
+
 def evaluate_job_payload(payload: bytes) -> bytes:
     """Server core, transport-agnostic: job envelope payload in, result or
-    error envelope out."""
+    error envelope out.  A job of more than ``MAX_JOB_WORK`` is refused
+    before any gate is evaluated."""
     job, params = deserialize_job(payload)
+    work = job_work(job.garbled.skeleton, len(job.encoded_state.terms))
+    if work > MAX_JOB_WORK:
+        raise WireFormatError(f"job work {work} above limit {MAX_JOB_WORK}")
     state, stats = evaluate.eval_bundle(params, job.encoded_state, job.garbled)
     return serialize_result(state, stats)
 

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from rgc import circuit as circuit_module
 from rgc import delegation, sparse
 from rgc.circuit import (CircuitError, CircuitSyntaxError, CPCircuit, Phase, Toffoli, X,
-                         allocate_wires, eval_classical, flipped_wires, format_circuit,
-                         parse_circuit, phase, random_circuit, simulate, toff,
-                         universalize, without_x, x)
+                         allocate_wires, cancel_pairs, eval_classical, flipped_wires,
+                         format_circuit, parse_circuit, phase, random_circuit, simulate,
+                         toff, universalize, without_x, x)
 
 
 def test_parse_single_toffoli():
@@ -358,6 +358,50 @@ def test_the_reference_simulator_imports_nothing_of_the_garbled_path():
                 continue
             assert not forbidden & set(names), f"{name}.py imports {forbidden & set(names)}"
             todo += [m for m in names if m not in seen and (src / f"{m}.py").exists()]
+
+
+# pair cancellation -------------------------------------------------------------
+
+def test_cancel_pairs_drops_pairs_across_commuting_gates_only():
+    # controls in either order, a phase on a control, an X on the target and
+    # a Toffoli writing the same target all commute with the pair
+    assert cancel_pairs([toff(0, 1, 2), phase(0, 1), x(2), toff(3, 4, 2),
+                         toff(1, 0, 2)]) == [phase(0, 1), x(2), toff(3, 4, 2)]
+    # one removal exposes the next pair
+    assert cancel_pairs([x(0), toff(0, 1, 2), toff(0, 1, 2), x(0)]) == []
+    # a phase on the target, an X on a control and a gate reading the
+    # target each block the pair
+    for middle in (phase(2, 1), x(0), toff(2, 3, 4)):
+        gates = [toff(0, 1, 2), middle, toff(0, 1, 2)]
+        assert cancel_pairs(gates) == gates
+    # the latest copy goes: the first X stays ahead of the phase
+    assert cancel_pairs([x(0), phase(0, 2), x(0), x(0)]) == [x(0), phase(0, 2)]
+
+
+@st.composite
+def _small_gate_lists(draw):
+    """Toffoli, X and phase gates over 1..5 qubits, from few enough choices
+    that identical gates meet often."""
+    n = draw(st.integers(1, 5))
+    kinds = [st.builds(x, st.integers(0, n - 1)),
+             st.builds(phase, st.integers(0, n - 1), st.integers(0, 3),
+                       st.sampled_from((1, -1)))]
+    if n >= 3:
+        kinds.append(st.permutations(range(n)).map(lambda q: toff(*q[:3])))
+    return n, draw(st.lists(st.one_of(*kinds), max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_gate_lists(), st.integers(0, 2**32))
+def test_cancel_pairs_keeps_the_circuit_and_is_a_fixpoint(case, seed):
+    n, gates = case
+    out = cancel_pairs(gates)
+    assert len(out) <= len(gates)
+    assert cancel_pairs(out) == out
+    assert [g for g in out if g[0] == "phase"] == [g for g in gates if g[0] == "phase"]
+    state = sparse.random_state(sparse.qubit_layout(n), random.Random(seed))
+    want = simulate(allocate_wires(gates, n), state)
+    assert sparse.fidelity(simulate(allocate_wires(out, n), state), want) >= 1 - 1e-12
 
 
 # universal machine -----------------------------------------------------------

@@ -170,15 +170,23 @@ def test_modexp_writes_x_natively():
     mx = synth_modexp_toffoli(21, 2)
     gates = mx.circuit.gates
     n_x = sum(isinstance(g, X) for g in gates)
-    assert (len(gates), n_x, len(gates) - n_x) == (1586, 486, 1100)
-    assert (mx.circuit.num_wires, mx.circuit.num_inputs) == (3319, 19)
+    assert (len(gates), n_x, len(gates) - n_x) == (1142, 206, 936)
+    assert (mx.circuit.num_wires, mx.circuit.num_inputs) == (2827, 19)
     assert mx.const_qubits == (mx.n_exp + mx.n_value,)
     # the one constant qubit only ever controls CNOTs
     assert all(g.qubits[1] not in mx.const_qubits for g in gates if isinstance(g, Toffoli))
-    # and is declared, so 344 of the 1100 Toffolis carry 4 + 4 rows
+    # and is declared, so 280 of the 936 Toffolis carry 4 + 4 rows
     assert mx.circuit.const_qubits == mx.const_qubits
     controlled = sum(g.qubits[0] in mx.const_qubits for g in gates if isinstance(g, Toffoli))
-    assert controlled == 344 and 16 * 1100 - 8 * controlled == 14_848
+    assert controlled == 280 and 16 * 936 - 8 * controlled == 12_736
+
+
+@pytest.mark.parametrize("modulus, toffolis", [(15, 46), (21, 936), (35, 2470),
+                                               (55, 5462), (63, 5370)])
+def test_modexp_toffoli_counts_are_pinned(modulus, toffolis):
+    # high-bit-first ladders whose shared rungs circuit.cancel_pairs drops
+    gates = synth_modexp_toffoli(modulus, 2).circuit.gates
+    assert sum(isinstance(g, Toffoli) for g in gates) == toffolis
 
 
 def test_encrypt_refuses_a_constant_that_is_not_one():

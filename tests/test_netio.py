@@ -950,6 +950,35 @@ def test_server_refuses_oversized_and_drops_idle_connections(monkeypatch):
         server.server_close()
 
 
+def test_job_above_the_work_limit_is_refused_before_evaluation(monkeypatch):
+    # 4096 terms through 4097 phase tables, a 344 KB job: one table past
+    # the limit, which 4096 tables would meet exactly
+    def never(*args):
+        raise AssertionError("eval_bundle called")
+    n, count = 12, 4097
+    circ = allocate_wires([phase(g % n, 2) for g in range(count)], n)
+    rng = random.Random(47)
+    keys = delegation.keygen(16, n, circ, rng, conjecture=True)
+    params = delegation.make_params(16, oracle_seed=b"work")
+    state = sparse.SparseState(qubit_layout(n), {b: 2 ** (-n / 2) + 0j for b in range(1 << n)})
+    envelope = frame(netio.KIND_JOB,
+                     serialize_job(delegation.encrypt(params, keys, circ, state, rng), params))
+    assert netio.job_work(circ, 1 << n) == netio.MAX_JOB_WORK + 4096
+    monkeypatch.setattr(evaluate, "eval_bundle", never)
+    start = time.perf_counter()
+    kind, payload = unframe(netio.handle_envelope(envelope))
+    assert time.perf_counter() - start < 1.0
+    assert kind == netio.KIND_ERROR
+    assert payload == b"WireFormatError: job work 16781312 above limit 16777216"
+
+
+def test_the_work_limit_is_far_above_modexp21s_work():
+    # modexp21, 1024 terms through 936 Toffolis of 16 words each
+    mx = delegation.synth_modexp_toffoli(21, 2)
+    work = netio.job_work(without_x(mx.circuit), 1 << mx.n_exp)
+    assert work == 14_976 and 100 * work <= netio.MAX_JOB_WORK
+
+
 def _submit_retrying(host, port, job, params):
     """Submit until the server has a free slot, for at most 5 s."""
     deadline = time.monotonic() + 5
