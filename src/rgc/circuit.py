@@ -367,18 +367,6 @@ def simulate(circ: CPCircuit, state: SparseState) -> SparseState:
     return SparseState(state.layout, terms, check=False)
 
 
-def eval_classical(circ: CPCircuit, bits: int) -> int:
-    """Evaluate the Toffoli and X part on one basis string (phases act
-    trivially)."""
-    for g in circ.gates:
-        if isinstance(g, Toffoli):
-            a, b, c = g.qubits
-            bits ^= (((bits >> a) & (bits >> b)) & 1) << c
-        elif isinstance(g, X):
-            bits ^= 1 << g.qubit
-    return bits
-
-
 # ---------------------------------------------------------------------------
 # X gates as key relabelings
 

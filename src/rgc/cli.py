@@ -19,6 +19,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import secrets
 import sys
 import threading
 import time
@@ -131,11 +132,12 @@ def cmd_encode(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    bundle, params = netio.deserialize_bundle(_read_bin(args.bundle))
-    state = netio.deserialize_state(_read_bin(args.state))
-    out, stats = evaluate.eval_bundle(params, state, bundle)
+    # a job is its state then its bundle: the server core reads it, bounds
+    # and all, as either transport hands it over
+    job = netio.read_payload_files(args.state, args.bundle)
+    out, stats = netio.deserialize_result(netio.evaluate_job_payload(job))
     _write_bin(args.out, netio.serialize_state(out))
-    print(stats.to_json())
+    print(json.dumps(dataclasses.asdict(stats), sort_keys=True))
     return 0
 
 
@@ -162,7 +164,7 @@ def cmd_delegate(args) -> int:
         host, _, port = args.endpoint.rpartition(":")
         out, stats = netio.submit(host, int(port), job, params)
     elif args.dir:
-        job_id = f"job-{args.seed}"
+        job_id = f"job-{secrets.token_hex(8)}"     # not the seed, which gives the keys away
         netio.submit_file(args.dir, job_id, job, params)
         out, stats = netio.collect_result(args.dir, job_id, timeout=args.timeout)
     else:
@@ -170,7 +172,7 @@ def cmd_delegate(args) -> int:
     decoded = delegation.decrypt(keys, circ, out)
     if args.out:
         _write_bin(args.out, netio.serialize_state(decoded))
-    print(stats.to_json())
+    print(json.dumps(dataclasses.asdict(stats), sort_keys=True))
     print(format_state(decoded))
     return 0
 
@@ -189,7 +191,7 @@ def cmd_blind(args) -> int:
         "interpreter_gates": len(machine.circuit.gates),
         "slots": machine.slots,
         "code_width": machine.code_width,
-        "stats": json.loads(res.stats.to_json()),
+        "stats": dict(sorted(dataclasses.asdict(res.stats).items())),
     }))
     print(format_state(res.output))
     return 0

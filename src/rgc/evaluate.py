@@ -49,7 +49,6 @@ to, and no dependency on, the key schedule.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 
@@ -89,9 +88,6 @@ class EvalStats:
     ver_calls: int = 0
     backward_ver_calls: int = 0
     erasure_checks: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
 
 
 @dataclass

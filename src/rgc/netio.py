@@ -18,7 +18,8 @@ job or result (``sparse.qubit_layout``); the writer refuses any other layout.
 A bundle (format 6) is a header, the skeleton, then one table per skeleton
 gate::
 
-    bundle     version u8 | kappa u16 | tag_len u16 | oracle seed (blob)
+    bundle     version u8 | kappa u16 | tag_len u16 | seed length u32
+               | oracle seed
                | skeleton | tables
     skeleton   num_inputs u32 | const count u32 | const qubit u32 each
                | gate count u32 | one record per gate
@@ -74,7 +75,15 @@ every error envelope built from an exception reads ``ClassName: text``.  A
 directory-based transport mirrors the socket one for setups where the only
 channel is a shared filesystem, and each end consumes the file it reads;
 both produce byte-identical result payloads, and both refuse an envelope
-whose payload exceeds ``MAX_PAYLOAD_BYTES`` unread.
+whose payload exceeds ``MAX_PAYLOAD_BYTES`` unread.  Every job a server
+receives, by either transport or as ``rgc eval``'s state and bundle files,
+goes through one core, :func:`evaluate_job_payload`, and so meets the same
+parse bounds and work bound; :func:`read_payload_files` is the one reader
+of a payload from files.
+
+The writers pack module-level structs, since the caller knows every width;
+the :class:`Reader` checks each read against the bytes left, since what it
+reads comes from outside the program.
 
 Bundles are only serializable when their oracle runs in hash mode - a lazy
 table is process-local state and cannot cross the wire.  The oracle seed in
@@ -95,7 +104,7 @@ import struct
 import threading
 import time
 import zlib
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
 from . import delegation, evaluate
 from .circuit import CPCircuit, LogicalGate, Phase, Toffoli, X, allocate_wires, phase, toff
@@ -136,25 +145,9 @@ class WireFormatError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# primitive readers/writers
+# the bounds-checked reader; writers pack module-level structs
 
-class Writer:
-    def __init__(self):
-        self.buf = bytearray()
-
-    def u8(self, v): self.buf += struct.pack("<B", v)
-    def u16(self, v): self.buf += struct.pack("<H", v)
-    def u32(self, v): self.buf += struct.pack("<I", v)
-    def u64(self, v): self.buf += struct.pack("<Q", v)
-    def f64(self, v): self.buf += struct.pack("<d", v)
-    def raw(self, b): self.buf += b
-
-    def blob(self, b: bytes):
-        self.u32(len(b))
-        self.buf += b
-
-    def bytes(self) -> bytes:
-        return bytes(self.buf)
+T = TypeVar("T")
 
 
 class Reader:
@@ -162,24 +155,18 @@ class Reader:
         self.data = data
         self.pos = 0
 
-    def _take(self, n: int) -> bytes:
+    def raw(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
             raise WireFormatError("truncated payload")
         chunk = self.data[self.pos:self.pos + n]
         self.pos += n
         return chunk
 
-    def u8(self):
+    def u8(self) -> int:
         if self.pos >= len(self.data):
             raise WireFormatError("truncated payload")
         self.pos += 1
         return self.data[self.pos - 1]
-
-    def u16(self): return struct.unpack("<H", self._take(2))[0]
-    def u32(self): return struct.unpack("<I", self._take(4))[0]
-    def u64(self): return struct.unpack("<Q", self._take(8))[0]
-    def f64(self): return struct.unpack("<d", self._take(8))[0]
-    def raw(self, n): return self._take(n)
 
     def unpack(self, st: struct.Struct) -> tuple:
         end = self.pos + st.size
@@ -189,53 +176,67 @@ class Reader:
         self.pos = end
         return fields
 
-    def blob(self) -> bytes:
-        return self._take(self.u32())
+    def left(self) -> int:
+        return len(self.data) - self.pos
 
     def done(self) -> None:
         if self.pos != len(self.data):
-            raise WireFormatError(f"{len(self.data) - self.pos} trailing bytes")
+            raise WireFormatError(f"{self.left()} trailing bytes")
+
+
+def _parse(data: bytes, get: Callable[[Reader], T]) -> T:
+    """``get``'s artifact, which must span all of ``data``."""
+    r = Reader(data)
+    value = get(r)
+    r.done()
+    return value
 
 
 # ---------------------------------------------------------------------------
 # artifact serializers
 
-def _put_schedule(w: Writer, s: KeySchedule) -> None:
-    w.u16(s.kappa_bits)
-    w.u32(len(s.pairs))
-    for k0, k1 in s.pairs:
-        w.raw(k0)
-        w.raw(k1)
+_SCHEDULE_HEADER = struct.Struct("<HI")     # kappa_bits, pairs
+
+
+def serialize_schedule(s: KeySchedule) -> bytes:
+    return _SCHEDULE_HEADER.pack(s.kappa_bits, len(s.pairs)) + b"".join(
+        key for pair in s.pairs for key in pair)
 
 
 def _get_schedule(r: Reader) -> KeySchedule:
-    kappa = r.u16()
-    nbytes = kappa // 8
-    return KeySchedule(kappa, tuple(WireKeyPair(r.raw(nbytes), r.raw(nbytes))
-                                    for _ in range(r.u32())))
+    """The schedule at the reader's position.  A width ``CryptoParams``
+    refuses, or more pairs than the bytes left hold, is refused before any
+    pair is built."""
+    kappa, count = r.unpack(_SCHEDULE_HEADER)
+    try:
+        CryptoParams.check_widths(kappa)
+    except ValueError as exc:
+        raise WireFormatError(str(exc)) from None
+    n = kappa // 8
+    keys = r.raw(2 * n * count)
+    return KeySchedule(kappa, tuple(WireKeyPair(keys[i:i + n], keys[i + n:i + 2 * n])
+                                    for i in range(0, len(keys), 2 * n)))
 
 
+_SKELETON_HEADER = struct.Struct("<II")  # num_inputs, constants
+_GATE_COUNT = struct.Struct("<I")
 _TOFFOLI_GATE = struct.Struct("<3I")     # qubits
 _PHASE_GATE = struct.Struct("<IHb")      # qubit, denom_exp, sign
 _PHASE_RECORD = 1 + _PHASE_GATE.size     # the smallest gate record
 
 
-def _put_circuit(w: Writer, c: CPCircuit) -> None:
-    w.u32(c.num_inputs)
-    w.u32(len(c.const_qubits))
-    for q in c.const_qubits:
-        w.u32(q)
-    w.u32(len(c.gates))
+def serialize_circuit(c: CPCircuit) -> bytes:
+    n = len(c.const_qubits)
+    parts = [struct.pack(f"<II{n}II", c.num_inputs, n, *c.const_qubits, len(c.gates))]
     for g in c.gates:
         if isinstance(g, Toffoli):
-            w.u8(0)
-            w.raw(_TOFFOLI_GATE.pack(*g.qubits))
+            parts.append(b"\0" + _TOFFOLI_GATE.pack(*g.qubits))
         elif isinstance(g, X):
             raise WireFormatError("an X gate has no wire encoding; serialize the "
                                   "skeleton, circuit.without_x(circ)")
         else:
-            w.u8(1)
-            w.raw(_PHASE_GATE.pack(g.qubit, g.denom_exp, g.sign))
+            parts.append(b"\1" + _PHASE_GATE.pack(g.qubit, g.denom_exp, g.sign))
+    return b"".join(parts)
 
 
 def _get_circuit(r: Reader, gate_bytes: int = _PHASE_RECORD) -> CPCircuit:
@@ -243,17 +244,15 @@ def _get_circuit(r: Reader, gate_bytes: int = _PHASE_RECORD) -> CPCircuit:
     bytes one gate can take in the rest of the payload, its record plus any
     tables: a gate count the bytes left cannot hold is refused before
     anything is built."""
-    num_inputs = r.u32()
+    num_inputs, n_const = r.unpack(_SKELETON_HEADER)
     if num_inputs > MAX_QUBITS:
         raise WireFormatError(f"{num_inputs} qubits above limit {MAX_QUBITS}")
-    n_const = r.u32()
     if n_const > num_inputs:
         raise WireFormatError(f"{n_const} constant qubits among {num_inputs}")
     consts = r.unpack(struct.Struct(f"<{n_const}I"))
-    count = r.u32()
-    left = len(r.data) - r.pos
-    if count * gate_bytes > left:
-        raise WireFormatError(f"{count} gates cannot fit in the {left} bytes left "
+    (count,) = r.unpack(_GATE_COUNT)
+    if count * gate_bytes > r.left():
+        raise WireFormatError(f"{count} gates cannot fit in the {r.left()} bytes left "
                               f"(at least {gate_bytes} each)")
     return allocate_wires(_get_gates(r, count), num_inputs, consts)
 
@@ -338,16 +337,16 @@ class _TableLayout:
         parts += fields
 
 
-def _put_bundle(w: Writer, b: GarbledBundle, params: CryptoParams) -> list[bytes]:
-    """The bundle after ``w``'s bytes, as parts to join; rows are not copied."""
+_BUNDLE_HEADER = struct.Struct("<BHHI")  # version, kappa, tag_len, seed length
+
+
+def _put_bundle(b: GarbledBundle, params: CryptoParams) -> list[bytes]:
+    """The bundle as parts to join; rows are not copied."""
     if params.oracles.mode != HASH_MODE:
         raise WireFormatError("table-mode oracles are process-local; cannot serialize")
-    w.u8(BUNDLE_VERSION)
-    w.u16(params.kappa_bits)
-    w.u16(params.tag_len_bits)
-    w.blob(params.oracles.seed)
-    _put_circuit(w, b.skeleton)
-    parts = [w.buf]
+    seed = params.oracles.seed
+    parts = [_BUNDLE_HEADER.pack(BUNDLE_VERSION, params.kappa_bits, params.tag_len_bits,
+                                 len(seed)), seed, serialize_circuit(b.skeleton)]
     layout = _TableLayout(params, b.skeleton.const_qubits)
     for gate, table in zip(b.skeleton.gates, b.tables):
         layout.write(parts, gate, table)
@@ -355,12 +354,10 @@ def _put_bundle(w: Writer, b: GarbledBundle, params: CryptoParams) -> list[bytes
 
 
 def _get_bundle(r: Reader) -> tuple[GarbledBundle, CryptoParams]:
-    version = r.u8()
+    version, kappa, tag_len, seed_len = r.unpack(_BUNDLE_HEADER)
     if version != BUNDLE_VERSION:
         raise WireFormatError(f"unsupported bundle version {version}")
-    kappa = r.u16()
-    tag_len = r.u16()
-    seed = r.blob()
+    seed = r.raw(seed_len)
     try:
         params = delegation.make_params(kappa, tag_len_bits=tag_len, oracle_seed=seed)
     except ValueError as exc:       # the widths
@@ -374,16 +371,16 @@ def _get_bundle(r: Reader) -> tuple[GarbledBundle, CryptoParams]:
 _STATE_HEADER = struct.Struct("<IHI")    # registers, width, terms
 
 
-def _put_state(w: Writer, s: SparseState) -> None:
+def serialize_state(s: SparseState) -> bytes:
     n = len(s.layout.registers)
     width = s.layout.registers[0][1] if n else 1
     if s.layout != qubit_layout(n, width):
         raise WireFormatError("only registers q0, q1, ... of one width cross the wire")
-    w.raw(_STATE_HEADER.pack(n, width, len(s.terms)))
     nbytes = (n * width + 7) // 8
     term = struct.Struct(f"<{nbytes}sdd")
-    w.raw(b"".join([term.pack(basis.to_bytes(nbytes, "little"), amp.real, amp.imag)
-                    for basis, amp in sorted(s.terms.items())]))
+    return _STATE_HEADER.pack(n, width, len(s.terms)) + b"".join(
+        [term.pack(basis.to_bytes(nbytes, "little"), amp.real, amp.imag)
+         for basis, amp in sorted(s.terms.items())])
 
 
 def _get_state(r: Reader) -> SparseState:
@@ -395,9 +392,8 @@ def _get_state(r: Reader) -> SparseState:
     if not width:
         raise WireFormatError("registers of width 0")
     nbytes = (n * width + 7) // 8
-    left = len(r.data) - r.pos
-    if count * (nbytes + 16) > left:
-        raise WireFormatError(f"{count} terms cannot fit in the {left} bytes left")
+    if count * (nbytes + 16) > r.left():
+        raise WireFormatError(f"{count} terms cannot fit in the {r.left()} bytes left")
     layout = qubit_layout(n, width)
     term = struct.Struct(f"<{nbytes}sdd")
     terms = {}
@@ -419,111 +415,87 @@ def _get_state(r: Reader) -> SparseState:
         raise WireFormatError(str(exc)) from None
 
 
-# public single-artifact entry points ---------------------------------------
-
-def serialize_schedule(s: KeySchedule) -> bytes:
-    w = Writer(); _put_schedule(w, s); return w.bytes()
-
-
-def deserialize_schedule(data: bytes) -> KeySchedule:
-    r = Reader(data); s = _get_schedule(r); r.done(); return s
-
-
-def serialize_circuit(c: CPCircuit) -> bytes:
-    w = Writer(); _put_circuit(w, c); return w.bytes()
-
-
-def deserialize_circuit(data: bytes) -> CPCircuit:
-    r = Reader(data); c = _get_circuit(r); r.done(); return c
-
-
-def serialize_state(s: SparseState) -> bytes:
-    w = Writer(); _put_state(w, s); return w.bytes()
-
-
-def deserialize_state(data: bytes) -> SparseState:
-    r = Reader(data); s = _get_state(r); r.done(); return s
-
-
-def serialize_bundle(b: GarbledBundle, params: CryptoParams) -> bytes:
-    return b"".join(_put_bundle(Writer(), b, params))
-
-
-def deserialize_bundle(data: bytes) -> tuple[GarbledBundle, CryptoParams]:
-    r = Reader(data); b = _get_bundle(r); r.done(); return b
-
-
-def serialize_report(rep: GameReport) -> bytes:
-    w = Writer()
-    w.u32(rep.trials)
-    w.f64(rep.advantage_estimate)
-    w.f64(rep.confidence_radius)
-    w.u64(rep.oracle_queries_used)
-    w.f64(rep.p1)
-    w.f64(rep.p0)
-    return w.bytes()
-
-
-def deserialize_report(data: bytes) -> GameReport:
-    from .games import GameReport
-    r = Reader(data)
-    rep = GameReport(r.u32(), r.f64(), r.f64(), r.u64(), r.f64(), r.f64())
-    r.done()
-    return rep
-
-
-def serialize_job(job: JobBundle, params: CryptoParams) -> bytes:
-    w = Writer()
-    _put_state(w, job.encoded_state)
-    return b"".join(_put_bundle(w, job.garbled, params))
-
-
-def deserialize_job(data: bytes) -> tuple[JobBundle, CryptoParams]:
-    r = Reader(data)
+def _get_job(r: Reader) -> tuple[JobBundle, CryptoParams]:
     state = _get_state(r)
     bundle, params = _get_bundle(r)
-    r.done()
     return JobBundle(state, bundle), params
 
 
 _STATS = struct.Struct("<6Q")       # the EvalStats counts, in field order
+_REPORT = struct.Struct("<IddQdd")  # the GameReport fields, in order
+
+
+# public single-artifact entry points ---------------------------------------
+
+def deserialize_schedule(data: bytes) -> KeySchedule:
+    return _parse(data, _get_schedule)
+
+
+def deserialize_circuit(data: bytes) -> CPCircuit:
+    return _parse(data, _get_circuit)
+
+
+def deserialize_state(data: bytes) -> SparseState:
+    return _parse(data, _get_state)
+
+
+def serialize_bundle(b: GarbledBundle, params: CryptoParams) -> bytes:
+    """The bundle file ``rgc garble`` writes; a bundle is read back only as
+    the tail of a job (:func:`deserialize_job`)."""
+    return b"".join(_put_bundle(b, params))
+
+
+def serialize_report(rep: GameReport) -> bytes:
+    return _REPORT.pack(*dataclasses.astuple(rep))
+
+
+def deserialize_report(data: bytes) -> GameReport:
+    from .games import GameReport
+    return _parse(data, lambda r: GameReport(*r.unpack(_REPORT)))
+
+
+def serialize_job(job: JobBundle, params: CryptoParams) -> bytes:
+    return b"".join([serialize_state(job.encoded_state), *_put_bundle(job.garbled, params)])
+
+
+def deserialize_job(data: bytes) -> tuple[JobBundle, CryptoParams]:
+    return _parse(data, _get_job)
 
 
 def serialize_result(state: SparseState, stats: EvalStats) -> bytes:
-    w = Writer()
-    _put_state(w, state)
-    w.raw(_STATS.pack(*dataclasses.astuple(stats)))
-    return w.bytes()
+    return serialize_state(state) + _STATS.pack(*dataclasses.astuple(stats))
 
 
 def deserialize_result(data: bytes) -> tuple[SparseState, EvalStats]:
-    r = Reader(data)
-    state = _get_state(r)
-    stats = EvalStats(*r.unpack(_STATS))
-    r.done()
-    return state, stats
+    return _parse(data, lambda r: (_get_state(r), EvalStats(*r.unpack(_STATS))))
 
 
 # ---------------------------------------------------------------------------
 # envelope framing
 
+_ENVELOPE_HEADER = struct.Struct("<4sBBQ")    # magic, version, kind, payload_len
+_CHECKSUM = struct.Struct("<I")
+_FRAMING = _ENVELOPE_HEADER.size + _CHECKSUM.size
+
+
 def frame(kind: int, payload: bytes) -> bytes:
-    return b"".join((MAGIC, struct.pack("<BBQ", WIRE_VERSION, kind, len(payload)),
-                     payload, struct.pack("<I", zlib.crc32(payload))))
+    return b"".join((_ENVELOPE_HEADER.pack(MAGIC, WIRE_VERSION, kind, len(payload)),
+                     payload, _CHECKSUM.pack(zlib.crc32(payload))))
 
 
 def unframe(data: bytes | bytearray) -> tuple[int, bytes]:
-    if len(data) < 18:
+    if len(data) < _FRAMING:
         raise WireFormatError("short envelope")
-    if data[:4] != MAGIC:
+    magic, version, kind, length = _ENVELOPE_HEADER.unpack_from(data)
+    if magic != MAGIC:
         raise WireFormatError("bad magic")
-    version, kind, length = struct.unpack("<BBQ", data[4:14])
     if version != WIRE_VERSION:
         raise WireFormatError(f"unsupported wire version {version}")
-    if len(data) != 14 + length + 4:
+    if len(data) != _FRAMING + length:
         raise WireFormatError("envelope length mismatch")
-    payload = bytes(memoryview(data)[14:14 + length])
-    (crc,) = struct.unpack("<I", data[14 + length:])
+    end = _ENVELOPE_HEADER.size + length
+    payload = bytes(memoryview(data)[_ENVELOPE_HEADER.size:end])
+    (crc,) = _CHECKSUM.unpack_from(data, end)
     if crc != zlib.crc32(payload):
         raise WireFormatError("checksum failure")
     return kind, payload
@@ -588,15 +560,15 @@ def _check_payload_len(length: int) -> None:
 
 
 def _read_envelope(sock: socket.socket) -> bytearray:
-    header = bytearray(14)
+    header = bytearray(_ENVELOPE_HEADER.size)
     _recv_into(sock, memoryview(header))
-    if header[:4] != MAGIC:
+    magic, _, _, length = _ENVELOPE_HEADER.unpack(header)
+    if magic != MAGIC:
         raise WireFormatError("bad magic")
-    (_, _, length) = struct.unpack("<BBQ", header[4:14])
     _check_payload_len(length)
-    envelope = bytearray(14 + length + 4)
-    envelope[:14] = header
-    _recv_into(sock, memoryview(envelope)[14:])
+    envelope = bytearray(_FRAMING + length)
+    envelope[:len(header)] = header
+    _recv_into(sock, memoryview(envelope)[len(header):])
     return envelope
 
 
@@ -688,6 +660,21 @@ def _write_file(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
+def read_payload_files(*paths: str, framing: int = 0) -> bytes:
+    """The files' bytes, joined: one envelope file, whose ``framing`` is the
+    envelope's header and checksum, or a job's state and bundle files.  They
+    are refused unread when the payload they hold would exceed
+    ``MAX_PAYLOAD_BYTES``, as the socket transport refuses a declared
+    length, and no file is read past the size it had then."""
+    sizes = [os.path.getsize(path) for path in paths]
+    _check_payload_len(sum(sizes) - framing)
+    parts = []
+    for path, size in zip(paths, sizes):
+        with open(path, "rb") as fh:
+            parts.append(fh.read(size))
+    return b"".join(parts)
+
+
 def submit_file(root: str, job_id: str, job: JobBundle, params: CryptoParams) -> str:
     # an answer left under this id would pass for this job's
     with contextlib.suppress(FileNotFoundError):
@@ -697,14 +684,6 @@ def submit_file(root: str, job_id: str, job: JobBundle, params: CryptoParams) ->
     path = os.path.join(inbox, f"{job_id}.rgc")
     _write_file(path, frame(KIND_JOB, serialize_job(job, params)))
     return path
-
-
-def _read_envelope_file(path: str) -> bytes:
-    """A whole envelope file, refused unread when its payload would exceed
-    ``MAX_PAYLOAD_BYTES``, as the socket transport refuses it."""
-    _check_payload_len(os.path.getsize(path) - 18)
-    with open(path, "rb") as fh:
-        return fh.read()
 
 
 def serve_files_once(root: str) -> int:
@@ -720,7 +699,7 @@ def serve_files_once(root: str) -> int:
             continue
         path = os.path.join(inbox, name)
         try:
-            response = handle_envelope(_read_envelope_file(path))
+            response = handle_envelope(read_payload_files(path, framing=_FRAMING))
         except WireFormatError as exc:
             response = _error_envelope(exc)
         _write_file(os.path.join(outbox, name), response)
@@ -739,7 +718,7 @@ def collect_result(root: str, job_id: str,
             raise TimeoutError(f"no result for job {job_id}")
         time.sleep(POLL_S)
     try:
-        envelope = _read_envelope_file(path)
+        envelope = read_payload_files(path, framing=_FRAMING)
     finally:
         os.remove(path)
     return _read_result(envelope)

@@ -1,11 +1,12 @@
 import random
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from rgc import delegation, netio
-from rgc.circuit import allocate_wires
+from rgc.circuit import allocate_wires, phase
 from rgc.oracle import OracleFamily
 from rgc.sparse import SparseState, qubit_layout, random_state
 from rgc.symcrypt import CryptoParams
@@ -69,12 +70,11 @@ def wire_1_state(state):
     """A state as wire version 1 wrote it: the register count, then each
     register's name behind its u32 length and its u16 width, where version 2
     writes one width.  The term count and terms are version 2's, unchanged."""
-    w = netio.Writer()
-    w.u32(len(state.layout.registers))
-    for name, width in state.layout.registers:
-        w.blob(name.encode())
-        w.u16(width)
-    return w.bytes() + netio.serialize_state(state)[6:]
+    registers = b"".join(struct.pack("<I", len(name)) + name.encode()
+                         + struct.pack("<H", width)
+                         for name, width in state.layout.registers)
+    return (struct.pack("<I", len(state.layout.registers)) + registers
+            + netio.serialize_state(state)[6:])
 
 
 def input_state(circ, support, rng):
@@ -83,3 +83,16 @@ def input_state(circ, support, rng):
     state = random_state(qubit_layout(circ.num_inputs), rng, support_bits=support)
     return SparseState(state.layout, {basis | circ.const_mask: amp
                                       for basis, amp in state.terms.items()})
+
+
+def phase_only_job(tables, n=12):
+    """A job of 2^n equal terms through ``tables`` phase tables, the shape
+    that asks the evaluator the most work per request byte.  4096 tables on
+    12 qubits meet ``netio.MAX_JOB_WORK`` exactly.  Returns the circuit, the
+    job and its params."""
+    circ = allocate_wires([phase(g % n, 2) for g in range(tables)], n)
+    rng = random.Random(47)
+    keys = delegation.keygen(16, n, circ, rng, conjecture=True)
+    params = delegation.make_params(16, oracle_seed=b"work")
+    state = SparseState(qubit_layout(n), {b: 2 ** (-n / 2) + 0j for b in range(1 << n)})
+    return circ, delegation.encrypt(params, keys, circ, state, rng), params

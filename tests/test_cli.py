@@ -1,13 +1,19 @@
+import dataclasses
 import json
 import math
 import os
+import random
+import re
+import time
 
 import pytest
 
-from rgc import netio
+from rgc import delegation, evaluate, netio, sparse
 from rgc.circuit import parse_circuit, simulate
 from rgc.cli import build_parser, main, parse_state_tokens
-from rgc.sparse import fidelity
+from rgc.sparse import fidelity, qubit_layout
+
+from conftest import phase_only_job
 
 CIRCUIT_TEXT = "inputs 3\ntoff 0 1 2\nphase 2 1\n"
 
@@ -190,7 +196,7 @@ def test_protocol_error_exits_1(tmp_path, circuit_file, capsys):
 
 
 def test_delegate_dir_transport_waits_for_its_own_answer(tmp_path, capsys):
-    # both runs name their job job-4; the second must not read the first's answer
+    # two runs at one seed; the second must not read the first's answer
     path = tmp_path / "c.txt"
     path.write_text("inputs 3\ntoff 0 1 2\n")
     root = tmp_path / "exchange"
@@ -208,6 +214,79 @@ def test_delegate_dir_transport_waits_for_its_own_answer(tmp_path, capsys):
         stop.set()
         worker.join(timeout=5)
     assert not worker.is_alive()
+
+
+def test_delegate_dir_job_name_does_not_carry_the_seed(tmp_path, circuit_file, monkeypatch):
+    queued = []
+
+    def collect(root, job_id, timeout):     # no server: note the queued file instead
+        queued.append(os.listdir(os.path.join(root, "inbox")))
+        raise TimeoutError(f"no result for job {job_id}")
+    monkeypatch.setattr(netio, "collect_result", collect)
+    for run in ("a", "b"):
+        assert main(["delegate", "--circuit", circuit_file, "--input", "+11",
+                     "--seed", "48213", "--conjecture-1", "--dir", str(tmp_path / run)]) == 1
+    (first,), (second,) = queued
+    assert first != second
+    for name in (first, second):
+        assert re.fullmatch(r"job-[0-9a-f]{16}\.rgc", name) and "48213" not in name
+
+
+def _split_job(tmp_path, job, params):
+    """The job as ``rgc eval`` reads it: a state file and a bundle file."""
+    state, bundle = tmp_path / "enc.bin", tmp_path / "bundle.bin"
+    state.write_bytes(netio.serialize_state(job.encoded_state))
+    bundle.write_bytes(netio.serialize_bundle(job.garbled, params))
+    return ["eval", "--state", str(state), "--bundle", str(bundle),
+            "--out", str(tmp_path / "res.bin")]
+
+
+def test_eval_writes_the_in_process_result(tmp_path, capsys):
+    circ = parse_circuit("inputs 3\nconst 0\ntoff 0 1 2\nphase 2 1\nphase 1 3 neg\n")
+    rng = random.Random(49)
+    keys = delegation.keygen(16, 3, circ, rng, conjecture=True)
+    params = delegation.make_params(16, oracle_seed=b"eval")
+    state = sparse.from_terms(qubit_layout(3), {0b001: 0.6, 0b011: 0.8j})
+    job = delegation.encrypt(params, keys, circ, state, rng)
+    assert main(_split_job(tmp_path, job, params)) == 0
+    out, stats = evaluate.eval_bundle(params, job.encoded_state, job.garbled)
+    assert (tmp_path / "res.bin").read_bytes() == netio.serialize_state(out)
+    assert capsys.readouterr().out == json.dumps(dataclasses.asdict(stats),
+                                                 sort_keys=True) + "\n"
+
+
+def test_eval_refuses_a_job_above_the_work_limit_before_evaluating(tmp_path, capsys,
+                                                                  monkeypatch):
+    def never(*args):
+        raise AssertionError("eval_bundle called")
+    _, job, params = phase_only_job(4097)
+    argv = _split_job(tmp_path, job, params)
+    monkeypatch.setattr(evaluate, "eval_bundle", never)
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == "error: job work 16781312 above limit 16777216\n"
+    assert not (tmp_path / "res.bin").exists()
+
+
+def test_eval_refuses_oversized_files_unread(tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a file was opened")
+    rng = random.Random(50)
+    circ = parse_circuit(CIRCUIT_TEXT)
+    params = delegation.make_params(16, oracle_seed=b"size")
+    job = delegation.encrypt(params, delegation.keygen(16, 3, circ, rng, conjecture=True),
+                             circ, parse_state_tokens("+10"), rng)
+    argv = _split_job(tmp_path, job, params)
+    size = len(netio.serialize_job(job, params))
+    monkeypatch.setattr(netio, "MAX_PAYLOAD_BYTES", size - 1)
+    monkeypatch.setattr(netio, "open", never, raising=False)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: declared payload of {size} bytes above "
+                                       f"limit {size - 1}\n")
+    monkeypatch.setattr(netio, "MAX_PAYLOAD_BYTES", size)
+    monkeypatch.delattr(netio, "open")
+    assert main(argv) == 0
 
 
 def test_encode_refuses_a_constant_qubit_that_is_not_1(tmp_path, capsys):

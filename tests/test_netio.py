@@ -21,15 +21,14 @@ from rgc.encoding import KeySchedule, WireKeyPair, encode, gen_keys
 from rgc.evaluate import EvalStats
 from rgc.games import GameReport
 from rgc.garble import GarbledBundle, Table, ToffoliTables, garble_circuit
-from rgc.netio import (WireFormatError, deserialize_bundle,
-                       deserialize_circuit, deserialize_job, deserialize_report,
+from rgc.netio import (WireFormatError, deserialize_circuit, deserialize_job, deserialize_report,
                        deserialize_schedule, deserialize_state, frame,
                        serialize_bundle, serialize_circuit, serialize_job,
                        serialize_report, serialize_result, serialize_schedule,
                        serialize_state, unframe)
 from rgc.sparse import RegisterLayout, fidelity, qubit_layout, random_state
 
-from conftest import circuits_and_states, input_state, wire_1_state
+from conftest import circuits_and_states, input_state, phase_only_job, wire_1_state
 
 
 def _job_fixture(seed=1, n=3, gates=2):
@@ -55,6 +54,18 @@ def test_schedule_roundtrip_property(case, kappa):
     circ, _, seed = case
     schedule = gen_keys(kappa, circ, random.Random(seed))
     assert deserialize_schedule(serialize_schedule(schedule)) == schedule
+
+
+@pytest.mark.parametrize("kappa, count, message", [
+    (0, 0xFFFFFFFF, "positive multiples of 8"),     # 4G empty pairs at the parent
+    (12, 1, "positive multiples of 8"),
+    (16, 0xFFFFFFFF, "truncated payload"),
+])
+def test_schedule_reader_refuses_a_width_or_count_before_building_pairs(kappa, count, message):
+    start = time.perf_counter()
+    with pytest.raises(WireFormatError, match=message):
+        deserialize_schedule(struct.pack("<HI", kappa, count) + bytes(4))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_circuit_roundtrip():
@@ -92,16 +103,10 @@ def test_state_writer_refuses_other_layouts(registers):
 
 def _state_payload(lay, terms):
     """A state in serialize_state's layout, its terms in the order given."""
-    w = netio.Writer()
-    w.u32(len(lay.registers))
-    w.u16(lay.registers[0][1])
     nbytes = (lay.total_bits + 7) // 8
-    w.u32(len(terms))
-    for basis, amp in terms:
-        w.raw(basis.to_bytes(nbytes, "little"))
-        w.f64(amp.real)
-        w.f64(amp.imag)
-    return w.bytes()
+    return struct.pack("<IHI", len(lay.registers), lay.registers[0][1], len(terms)) + b"".join(
+        basis.to_bytes(nbytes, "little") + struct.pack("<dd", amp.real, amp.imag)
+        for basis, amp in terms)
 
 
 def test_state_payload_helper_matches_the_writer():
@@ -164,6 +169,13 @@ def test_result_roundtrip_property(state, stats):
     assert serialize_result(back, back_stats) == data
 
 
+def _read_bundle(data):
+    """A bundle read back the one way a server reads one, as a job's tail."""
+    job, params = deserialize_job(serialize_state(sparse.basis_state(qubit_layout(1), 0))
+                                  + data)
+    return job.garbled, params
+
+
 def test_bundle_roundtrip_many():
     rng = random.Random(5)
     for i in range(100):
@@ -171,7 +183,7 @@ def test_bundle_roundtrip_many():
         params = delegation.make_params(16, oracle_seed=bytes([i]))
         bundle = garble_circuit(params, circ, gen_keys(16, circ, rng), rng)
         data = serialize_bundle(bundle, params)
-        back, back_params = deserialize_bundle(data)
+        back, back_params = _read_bundle(data)
         assert back == bundle
         assert back_params.oracles.seed == bytes([i])
         assert serialize_bundle(back, back_params) == data
@@ -183,7 +195,7 @@ def test_empty_circuit_bundle_minimal():
     params = delegation.make_params(16, oracle_seed=b"e")
     bundle = garble_circuit(params, circ, gen_keys(16, circ, rng), rng)
     data = serialize_bundle(bundle, params)
-    back, _ = deserialize_bundle(data)
+    back, _ = _read_bundle(data)
     assert back.tables == ()
 
 
@@ -209,11 +221,11 @@ def test_result_bytes_are_the_state_then_six_counts():
 @pytest.mark.parametrize("stats_text", ["[1,2]", '{"x": 1}', "1e999", '{"gates": "a"}'])
 def test_result_reader_refuses_stats_that_are_not_counts(stats_text):
     # wire version 1 sent the stats as a JSON blob where six u64s now belong
-    w = netio.Writer()
-    w.raw(serialize_state(random_state(qubit_layout(2), random.Random(7))))
-    w.blob(stats_text.encode())
+    stats = stats_text.encode()
+    data = (serialize_state(random_state(qubit_layout(2), random.Random(7)))
+            + struct.pack("<I", len(stats)) + stats)
     with pytest.raises(WireFormatError, match="truncated payload"):
-        netio.deserialize_result(w.bytes())
+        netio.deserialize_result(data)
 
 
 @pytest.mark.parametrize("cut, tail", [(1, b""), (8, b""), (48, b""), (0, b"\x00"),
@@ -294,6 +306,17 @@ def test_socket_and_file_transports_agree():
     decoded = delegation.decrypt(keys, circ, sock_state)
     from rgc.circuit import simulate
     assert fidelity(decoded, simulate(circ, state)) >= 1 - 1e-9
+
+
+def test_submit_file_removes_an_answer_left_under_its_job_id(tmp_path):
+    # the CLI draws a fresh id per job, but an id a caller reuses must not
+    # pick up the earlier job's answer
+    _, _, params, _, job = _job_fixture(seed=10)
+    stale = tmp_path / "outbox" / "j1.rgc"
+    stale.parent.mkdir()
+    stale.write_bytes(b"an earlier job's answer")
+    netio.submit_file(str(tmp_path), "j1", job, params)
+    assert not stale.exists()
 
 
 def test_collect_result_refuses_an_envelope_that_is_not_a_result(tmp_path):
@@ -462,10 +485,8 @@ def _seeded_job(text, seed=17):
 def _wire_1_job(job, bundle):
     """The job as wire version 1 framed it: its state and the given bundle
     bytes, each behind its u32 length."""
-    w = netio.Writer()
-    w.blob(wire_1_state(job.encoded_state))
-    w.blob(bundle)
-    return w.bytes()
+    state = wire_1_state(job.encoded_state)
+    return struct.pack("<I", len(state)) + state + struct.pack("<I", len(bundle)) + bundle
 
 
 def _pin(data):
@@ -674,17 +695,12 @@ def test_skeleton_of_more_gates_than_the_payload_holds_is_refused_unbuilt(monkey
         raise AssertionError("allocate_wires called")
     monkeypatch.setattr(netio, "allocate_wires", never)
     n = 1_000_000
-    w = netio.Writer()
-    w.u8(netio.BUNDLE_VERSION)
-    w.u16(16)
-    w.u16(128)
-    w.blob(b"seed")
-    for value in (1, 0, n):                 # one qubit, no constants, n gates
-        w.u32(value)
-    w.raw(struct.pack("<BIHb", 1, 0, 0, 1) * n)
+    # kappa 16, tag length 128, a 4-byte seed; one qubit, no constants, n gates
+    bundle = (struct.pack("<BHHI4sIII", netio.BUNDLE_VERSION, 16, 128, 4, b"seed", 1, 0, n)
+              + struct.pack("<BIHb", 1, 0, 0, 1) * n)
     data = serialize_state(encode(random_state(qubit_layout(1), random.Random(43)),
                                   gen_keys(16, allocate_wires([], 1), random.Random(44)),
-                                  (0,))) + w.bytes()
+                                  (0,))) + bundle
     kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))
     assert kind == netio.KIND_ERROR
     assert payload.startswith(b"WireFormatError: 1000000 gates cannot fit in the 8000000 "
@@ -955,14 +971,9 @@ def test_job_above_the_work_limit_is_refused_before_evaluation(monkeypatch):
     # the limit, which 4096 tables would meet exactly
     def never(*args):
         raise AssertionError("eval_bundle called")
-    n, count = 12, 4097
-    circ = allocate_wires([phase(g % n, 2) for g in range(count)], n)
-    rng = random.Random(47)
-    keys = delegation.keygen(16, n, circ, rng, conjecture=True)
-    params = delegation.make_params(16, oracle_seed=b"work")
-    state = sparse.SparseState(qubit_layout(n), {b: 2 ** (-n / 2) + 0j for b in range(1 << n)})
-    envelope = frame(netio.KIND_JOB,
-                     serialize_job(delegation.encrypt(params, keys, circ, state, rng), params))
+    n = 12
+    circ, job, params = phase_only_job(4097, n)
+    envelope = frame(netio.KIND_JOB, serialize_job(job, params))
     assert netio.job_work(circ, 1 << n) == netio.MAX_JOB_WORK + 4096
     monkeypatch.setattr(evaluate, "eval_bundle", never)
     start = time.perf_counter()
@@ -970,6 +981,21 @@ def test_job_above_the_work_limit_is_refused_before_evaluation(monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert kind == netio.KIND_ERROR
     assert payload == b"WireFormatError: job work 16781312 above limit 16777216"
+
+
+def test_server_time_per_request_byte_is_bounded_at_the_work_limit():
+    # the worst shape that passes the bound: each phase table is a few dozen
+    # bytes that make the server multiply all 4096 amplitudes (344 KB, about
+    # 2 s here, 6 us/B); the bound leaves room for a slow or busy host
+    n = 12
+    circ, job, params = phase_only_job(4096, n)
+    envelope = frame(netio.KIND_JOB, serialize_job(job, params))
+    assert netio.job_work(circ, 1 << n) == netio.MAX_JOB_WORK
+    start = time.perf_counter()
+    kind, _ = unframe(netio.handle_envelope(envelope))
+    elapsed = time.perf_counter() - start
+    assert kind == netio.KIND_RESULT
+    assert elapsed / len(envelope) <= 50e-6, f"{elapsed:.2f} s for {len(envelope)} B"
 
 
 def test_the_work_limit_is_far_above_modexp21s_work():
