@@ -1,10 +1,14 @@
 """Command-line frontend.
 
-Every run is reproducible: one --seed flows into per-stage streams derived by
-hashing (seed, stage-label), so key generation, garbling shuffles, game coins
-and measurement sampling each get an independent stream whose draws cannot
-shift when another stage changes how much randomness it consumes.  Identical
-argv (including --seed) means byte-identical output files.
+One seed flows into per-stage streams derived by hashing (seed,
+stage-label), so key generation, garbling shuffles, game coins and
+measurement sampling each get an independent stream whose draws cannot
+shift when another stage changes how much randomness it consumes.  The
+subcommands that make keys, tables or jobs (keygen, garble, delegate, blind,
+shor) draw a secret 127-bit seed per run unless ``--seed`` is given; with
+it, identical argv means byte-identical output files, and anyone who can
+guess the seed can decode the job.  mixing-bound and security-test keep a
+reproducible default seed of 0.
 
 Subcommands: keygen, garble, encode, eval, decode, delegate, blind, shor,
 mixing-bound, security-test, serve.  Protocol failures exit 1, usage
@@ -147,7 +151,7 @@ def cmd_decode(args) -> int:
     result = netio.deserialize_state(_read_bin(args.result))
     decoded = delegation.decrypt(keys, circ, result)
     if args.out:
-        _write_bin(args.out, netio.serialize_state(decoded))
+        _write_bin(args.out, netio.serialize_state(sparse.ColumnarState.from_sparse(decoded)))
     print(format_state(decoded))
     return 0
 
@@ -171,7 +175,7 @@ def cmd_delegate(args) -> int:
         out, stats = evaluate.eval_bundle(params, job.encoded_state, job.garbled)
     decoded = delegation.decrypt(keys, circ, out)
     if args.out:
-        _write_bin(args.out, netio.serialize_state(decoded))
+        _write_bin(args.out, netio.serialize_state(sparse.ColumnarState.from_sparse(decoded)))
     print(json.dumps(dataclasses.asdict(stats), sort_keys=True))
     print(format_state(decoded))
     return 0
@@ -305,10 +309,26 @@ def cmd_serve(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+SEED_BITS = 127      # derive_seed encodes a seed as 16 signed bytes
+
+
+def _seed(text: str) -> int:
+    seed = int(text)
+    if not -(1 << SEED_BITS) <= seed < 1 << SEED_BITS:
+        raise argparse.ArgumentTypeError(f"{text} is outside the signed 128-bit range")
+    return seed
+
+
 def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
     """The options of a subcommand that draws randomness: ``--seed``, plus
-    the crypto and key-length options its ``flags`` name."""
-    p.add_argument("--seed", type=int, default=0)
+    the crypto and key-length options its ``flags`` name.  With "secret"
+    among the flags, a run without ``--seed`` draws a secret seed."""
+    if "secret" in flags:
+        p.add_argument("--seed", type=_seed, default=None,
+                       help="reproducible run; anyone who can guess the seed can decode "
+                            "the job (default: a secret seed per run)")
+    else:
+        p.add_argument("--seed", type=_seed, default=0)
     if "crypto" in flags:
         p.add_argument("--tag-len", type=int, default=128)
     if "eta" in flags:
@@ -324,14 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="sample a key schedule for a circuit")
     p.add_argument("--circuit", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p, "eta")
+    _add_common(p, "secret", "eta")
     p.set_defaults(fn=cmd_keygen)
 
     p = sub.add_parser("garble", help="build the garbled tables")
     p.add_argument("--circuit", required=True)
     p.add_argument("--keys", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p, "crypto")
+    _add_common(p, "secret", "crypto")
     p.set_defaults(fn=cmd_garble)
 
     p = sub.add_parser("encode", help="encode an input state under the schedule")
@@ -361,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", default=None, help="directory transport root")
     p.add_argument("--timeout", type=float, default=30.0)
     p.add_argument("--out", default=None)
-    _add_common(p, "eta", "crypto")
+    _add_common(p, "secret", "eta", "crypto")
     p.set_defaults(fn=cmd_delegate)
 
     p = sub.add_parser("blind", help="delegate through the universal interpreter")
@@ -369,14 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--dmax", type=int, required=True)
-    _add_common(p, "eta", "crypto")
+    _add_common(p, "secret", "eta", "crypto")
     p.set_defaults(fn=cmd_blind)
 
     p = sub.add_parser("shor", help="delegated factoring")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--a", type=int, default=None)
     p.add_argument("--attempts", type=int, default=10)
-    _add_common(p, "eta")
+    _add_common(p, "secret", "eta")
     p.set_defaults(fn=cmd_shor)
 
     p = sub.add_parser("mixing-bound", help="exact encoding-mixing check at small kappa")
@@ -406,6 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) is None:
+        args.seed = secrets.randbits(SEED_BITS)
     try:
         return args.fn(args)
     except (CliError, evaluate.EvalError, netio.RemoteEvalError, ValueError, OSError) as exc:

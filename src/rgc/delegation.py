@@ -34,7 +34,7 @@ from .encoding import KeySchedule
 from .evaluate import EvalStats
 from .garble import GarbledBundle
 from .oracle import HASH_MODE, TABLE_MODE, OracleFamily
-from .sparse import RegisterLayout, SparseState, qubit_layout
+from .sparse import ColumnarState, RegisterLayout, SparseState, qubit_layout
 from .symcrypt import CryptoParams
 from .util import rand_bytes
 
@@ -54,7 +54,7 @@ class JobBundle:
     tables (with the public skeleton inside).  The key schedule never leaves
     the client; the only key bytes here sit inside the encoded registers."""
 
-    encoded_state: SparseState
+    encoded_state: ColumnarState
     garbled: GarbledBundle
 
 
@@ -78,7 +78,8 @@ def make_params(kappa_bits: int, *, tag_len_bits: int = 128, oracle_seed: bytes 
     return CryptoParams(kappa_bits, family, tag_len_bits)
 
 
-def encode_input(keys: DelegationKeys, circ: CPCircuit, input_state: SparseState) -> SparseState:
+def encode_input(keys: DelegationKeys, circ: CPCircuit,
+                 input_state: SparseState) -> ColumnarState:
     """The input under its wires' keys.  A declared constant must be 1 in every
     term: its 0 key opens no row, and the server's failure would show it."""
     if input_state.layout.total_bits != circ.num_inputs:
@@ -98,7 +99,7 @@ def encrypt(params: CryptoParams, keys: DelegationKeys, circ: CPCircuit,
     return JobBundle(encoded, bundle)
 
 
-def decrypt(keys: DelegationKeys, circ: CPCircuit, result: SparseState) -> SparseState:
+def decrypt(keys: DelegationKeys, circ: CPCircuit, result: ColumnarState) -> SparseState:
     return encoding.decode(result, keys.schedule, circ.output_wires, flipped_wires(circ))
 
 

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Collection, NamedTuple, Sequence
 if TYPE_CHECKING:        # imported where used: the server path needs no numpy
     import numpy as np
 from .circuit import CPCircuit
-from .sparse import SparseState, qubit_layout, trace_distance
+from .sparse import ColumnarState, SparseState, qubit_layout, trace_distance, transpose
 from .symcrypt import CryptoParams
 from .util import bytes_to_int, popcount, rand_bytes
 
@@ -70,51 +70,65 @@ def gen_keys(kappa_bits: int, circ: CPCircuit, rng: random.Random) -> KeySchedul
     return KeySchedule(kappa_bits, tuple(pairs))
 
 
-def encode(state: SparseState, schedule: KeySchedule, wires: Sequence[int]) -> SparseState:
+def encode(state: SparseState, schedule: KeySchedule, wires: Sequence[int]) -> ColumnarState:
     """Replace bit i of every basis term with the key selected by that bit on
-    wires[i].  Amplitudes are untouched, so the map is an isometry."""
+    wires[i].  Amplitudes are untouched, so the map is an isometry.
+
+    Register i lists its wire's keys in increasing order as integers, so
+    term t's code is its logical basis XOR the mask of the wires whose k0 is
+    the larger key, and the terms are sorted by code: the canonical form.  A
+    register whose bit is the same in every term holds its one key."""
     n = state.layout.total_bits
     if len(wires) != n:
         raise ValueError("one wire per input bit required")
-    kappa = schedule.kappa_bits
-    key_ints = [(bytes_to_int(schedule.pairs[w].k0), bytes_to_int(schedule.pairs[w].k1))
-                for w in wires]
-    terms: dict[int, complex] = {}
-    for basis, amp in state.terms.items():
-        enc = 0
-        for i in range(n):
-            enc |= key_ints[i][(basis >> i) & 1] << (i * kappa)
-        terms[enc] = amp
-    return SparseState(qubit_layout(n, kappa), terms, check=False)
+    mask, ordered = 0, []
+    for i, w in enumerate(wires):
+        k0, k1 = schedule.pairs[w]
+        if bytes_to_int(k0) > bytes_to_int(k1):
+            mask |= 1 << i
+            k0, k1 = k1, k0
+        ordered.append((k0, k1))
+    coded = {basis ^ mask: amp for basis, amp in state.terms.items()}
+    codes = sorted(coded)
+    full = (1 << len(codes)) - 1
+    values, columns = [], []
+    for (low, high), bits in zip(ordered, transpose(codes, n)):
+        if bits and bits != full:
+            values.append([low, high])
+            columns.append(bits)
+        else:
+            values.append([high if bits else low])
+            columns.append(0)
+    return ColumnarState(schedule.kappa_bits, values, columns, [coded[c] for c in codes])
 
 
-def decode(state: SparseState, schedule: KeySchedule, wires: Sequence[int],
+def decode(state: ColumnarState, schedule: KeySchedule, wires: Sequence[int],
            flipped: Collection[int] = ()) -> SparseState:
-    """Invert the encoding; every register must hold one of its wire's keys.
-    On a wire in ``flipped`` (an odd number of X gates) k1 means 0."""
+    """Invert the encoding; every register must hold only its wire's keys.
+    On a wire in ``flipped`` (an odd number of X gates) k1 means 0.
+
+    Key membership is checked once per value a register holds, and each
+    register's logical bits are its bitset, complemented when its first
+    value is the 1 key; one transpose turns them into the terms' bases."""
     n = len(wires)
-    kappa = schedule.kappa_bits
-    if state.layout.total_bits != n * kappa:
-        raise ValueError("encoded state width != len(wires) * kappa")
-    key_ints = []
-    for w in wires:
-        k0, k1 = (bytes_to_int(key) for key in schedule.pairs[w])
-        key_ints.append((k1, k0) if w in flipped else (k0, k1))
-    mask = (1 << kappa) - 1
-    terms: dict[int, complex] = {}
-    for basis, amp in state.terms.items():
+    if len(state.values) != n or state.width != schedule.kappa_bits:
+        raise ValueError("encoded state is not len(wires) registers of kappa bits")
+    full = (1 << state.num_terms()) - 1
+    columns = []
+    for i, w in enumerate(wires):
+        k0, k1 = schedule.pairs[w]
+        if w in flipped:
+            k0, k1 = k1, k0
         logical = 0
-        for i in range(n):
-            seg = (basis >> (i * kappa)) & mask
-            if seg == key_ints[i][0]:
-                pass
-            elif seg == key_ints[i][1]:
-                logical |= 1 << i
-            else:
-                raise UnknownKeyError(
-                    f"register {i} (wire {wires[i]}) holds {seg:#x}, matching neither key")
-        terms[logical] = amp
-    return SparseState(qubit_layout(n), terms, check=False)
+        for second, value in enumerate(state.values[i]):
+            if value == k1:
+                logical = state.bits[i] if second else full ^ state.bits[i]
+            elif value != k0:
+                raise UnknownKeyError(f"register {i} (wire {w}) holds "
+                                      f"{bytes_to_int(value):#x}, matching neither key")
+        columns.append(logical)
+    bases = transpose(columns, state.num_terms())
+    return SparseState(qubit_layout(n), dict(zip(bases, state.amps)), check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -5,17 +5,20 @@ qubits (a,b,c) always finds its current wire keys in registers a,b,c, so the
 register layout never changes shape during evaluation and the evaluator
 needs the skeleton's qubits only, never its wires.
 
-For the length of one evaluation the state is held in bitset columns
-(:class:`ColumnarState`): per register, the distinct keys it holds and one
-Python int whose bit t is set when term t holds the register's second key.
-The encoded state's keys are listed in increasing byte order; that order
-picks which key is bit 1, and with it the order in which a gate's triples
-are translated and so which refusal a bad table gets first.  The amplitudes are one list of Python
-complex numbers, which a phase gate multiplies by its factors.  Nothing on
-this path imports numpy.  A wire has two keys, so a register may hold at
-most two: a state with a third key in some register is refused, and so is a
-Toffoli whose tables would write a third key to an output wire.  Honest
-encodings and honest tables never break this rule.
+The state arrives, is evaluated and leaves as bitset columns
+(:class:`rgc.sparse.ColumnarState`): per register, the distinct keys it
+holds and one Python int whose bit t is set when term t holds the
+register's second key.  A received state lists its keys in increasing
+order as integers; that order picks which key is bit 1, and with it the
+order in which a gate's triples are translated and so which refusal a bad
+table gets first.  The amplitudes are one list of Python complex numbers,
+which a phase gate multiplies by its factors.  Nothing on this path imports
+numpy.  A wire has two keys, so a register may hold at most two: the column
+form holds no more, and a Toffoli whose tables would write a third key to
+an output wire is refused.  Honest tables never break this rule.  The
+result keeps the terms in their input order, and each output register's
+keys in the order the triples wrote them; ``netio`` puts it in canonical
+form on the wire.
 
 A Toffoli finds the terms of each key triple (x, y, z) by ANDing its three
 registers' bitsets or their complements - at most 8 triples are present,
@@ -50,12 +53,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import symcrypt
 from .circuit import Phase, Toffoli
 from .garble import GarbledBundle, Table, ToffoliTables
-from .sparse import RegisterLayout, SparseState, qubit_layout
+from .sparse import ColumnarState
 from .symcrypt import CryptoParams
 
 
@@ -88,80 +91,6 @@ class EvalStats:
     ver_calls: int = 0
     backward_ver_calls: int = 0
     erasure_checks: int = 0
-
-
-@dataclass
-class ColumnarState:
-    """An encoded state as one bitset column per register.
-
-    Term t holds key ``keys[i][(bits[i] >> t) & 1]`` in register i and
-    amplitude ``amps[t]``.  A register lists at most two keys, each occurring
-    in some term, so ``bits[i]`` is 0 exactly when it lists one.
-    """
-
-    keys: list[list[bytes]]
-    bits: list[int]
-    amps: list[complex]
-
-    @staticmethod
-    def from_sparse(state: SparseState, n: int, kappa_bytes: int) -> "ColumnarState":
-        """The columns of a state of n registers of ``kappa_bytes`` each, every
-        register's keys in increasing byte order.
-
-        A register is read as byte columns, byte j of its key in every term,
-        one slice each.  The first column that is not constant splits the
-        terms by key, and each other column must be a translation of it, or
-        the register holds a third key.
-        """
-        width = n * kappa_bytes
-        try:
-            raw = b"".join([basis.to_bytes(width, "little") for basis in state.terms])
-        except OverflowError:
-            raise EvalError("basis string wider than the encoded layout") from None
-        keys, bits = [], []
-        for start in range(0, width, kappa_bytes):
-            # byte j of the register in every term, and term 0's key
-            columns = [raw[start + j::width] for j in range(kappa_bytes)]
-            first = raw[start:start + kappa_bytes]
-            split = next((col for col in columns if col.strip(col[:1])), None)
-            if split is None:       # one key in every term
-                keys.append([first] if raw else [])
-                bits.append(0)
-                continue
-            # the first term whose key differs from term 0's, in that byte
-            t = len(split) - len(split.lstrip(split[:1]))
-            second = raw[t * width + start:t * width + start + kappa_bytes]
-            pair = bytes((split[0], split[t]))
-            if split.translate(None, pair) or any(
-                    split.translate(bytes.maketrans(pair, bytes((x, y)))) != col
-                    for col, x, y in zip(columns, first, second)):
-                distinct = {raw[pos:pos + kappa_bytes] for pos in range(start, len(raw), width)}
-                raise EvalError(f"register {start // kappa_bytes} holds {len(distinct)} "
-                                f"distinct keys; a wire has two")
-            low, high = sorted((first, second))
-            keys.append([low, high])
-            ones = split.translate(bytes.maketrans(pair, b"01" if high == second else b"10"))
-            bits.append(int(ones[::-1], 2))
-        return ColumnarState(keys, bits, list(map(complex, state.terms.values())))
-
-    def codes(self, i: int) -> str:
-        """Register i's key index per term, "0" or "1", from its bitset."""
-        return format(self.bits[i], f"0{len(self.amps)}b")[::-1]
-
-    def to_sparse(self, layout: RegisterLayout, kappa_bytes: int) -> SparseState:
-        count = len(self.amps)
-        width = len(self.keys) * kappa_bytes
-        rows = bytearray(count * width)
-        if count:       # with no term, a register lists no key
-            for i, keys in enumerate(self.keys):
-                codes = self.codes(i).encode()
-                for j, (zero, one) in enumerate(zip(keys[0], keys[-1])):
-                    rows[i * kappa_bytes + j::width] = codes.translate(
-                        bytes.maketrans(b"01", bytes((zero, one))))
-        raw = bytes(rows)       # slicing bytes beats slicing a bytearray
-        bases = [int.from_bytes(raw[pos:pos + width], "little")
-                 for pos in range(0, len(raw), width)] if width else [0] * count
-        return SparseState(layout, dict(zip(bases, self.amps)), check=False)
 
 
 # Header positions one gate has looked up, per table: (slot, key) -> position.
@@ -238,7 +167,7 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
     bitset is the OR of the masks of the triples that write its second key.
     """
     a, b, c = regs
-    keys_a, keys_b, keys_c = state.keys[a], state.keys[b], state.keys[c]
+    keys_a, keys_b, keys_c = state.values[a], state.values[b], state.values[c]
     bits_a, bits_b, bits_c = state.bits[a], state.bits[b], state.bits[c]
     terms = len(state.amps)
     full = (1 << terms) - 1
@@ -269,7 +198,7 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
         if len(index) > 2:
             raise EvalError(f"toffoli writes {len(index)} distinct keys to one wire; "
                             f"a wire has two")
-        state.keys[reg] = list(index)
+        state.values[reg] = list(index)
         state.bits[reg] = bits
     stats.terms_processed += terms
 
@@ -287,7 +216,7 @@ def eval_phase(params: CryptoParams, state: ColumnarState, reg: int, gate: Phase
     denom = 1 << gate.denom_exp
     modulus = 2 * denom
     factors = []
-    for key in state.keys[reg]:
+    for key in state.values[reg]:
         value = int.from_bytes(_open(params, (key,), table, {}, stats), "big")
         if value >= modulus:
             raise EvalError("phase payload out of range")
@@ -302,22 +231,26 @@ def eval_phase(params: CryptoParams, state: ColumnarState, reg: int, gate: Phase
     stats.terms_processed += len(state.amps)
 
 
-def eval_bundle(params: CryptoParams, encoded: SparseState,
-                bundle: GarbledBundle) -> tuple[SparseState, EvalStats]:
-    """Run every garbled gate in circuit order.
+def eval_bundle(params: CryptoParams, encoded: ColumnarState,
+                bundle: GarbledBundle) -> tuple[ColumnarState, EvalStats]:
+    """Run every garbled gate in circuit order, on a copy of ``encoded``.
 
     The result stays encoded: register i finally holds the keys of qubit i's
     output wire.  Any gate-level failure aborts with the gate index attached.
     """
     circ = bundle.skeleton
     kappa = params.kappa_bits
-    if encoded.layout != qubit_layout(circ.num_inputs, kappa):
+    if len(encoded.values) != circ.num_inputs or encoded.width != kappa:
         raise EvalError(f"encoded state is not {circ.num_inputs} registers of {kappa} bits")
-    state = ColumnarState.from_sparse(encoded, circ.num_inputs, params.kappa_bytes)
+    for q, keys in enumerate(encoded.values):
+        if not 1 <= len(keys) <= 2:
+            raise EvalError(f"register {q} holds {len(keys)} distinct keys; a wire has two")
     for q in circ.const_qubits:
-        if len(state.keys[q]) > 1:
-            raise EvalError(f"constant register {q} holds {len(state.keys[q])} distinct "
+        if len(encoded.values[q]) > 1:
+            raise EvalError(f"constant register {q} holds {len(encoded.values[q])} distinct "
                             f"keys; a public constant has one")
+    # the gates replace a register's lists and the amplitude list, never edit them
+    state = replace(encoded, values=list(encoded.values), bits=list(encoded.bits))
     stats = EvalStats()
     for index, (gate, table) in enumerate(zip(circ.gates, bundle.tables)):
         try:
@@ -328,4 +261,4 @@ def eval_bundle(params: CryptoParams, encoded: SparseState,
         except EvalError as exc:
             raise type(exc)(f"gate {index}: {exc}") from None
         stats.gates += 1
-    return state.to_sparse(encoded.layout, params.kappa_bytes), stats
+    return state, stats

@@ -31,7 +31,7 @@ from .delegation import DelegationKeys, JobBundle
 from .encoding import KeySchedule
 from .garble import GarbledBundle, Table, ToffoliTables
 from .symcrypt import CryptoParams
-from .util import rand_bytes, xor_bytes
+from .util import bytes_to_int, popcount, rand_bytes, xor_bytes
 
 
 @dataclass(frozen=True)
@@ -198,9 +198,7 @@ def _tables(table: ToffoliTables | Table) -> tuple[Table, ...]:
 
 def _held_key(view: ChallengeView, qubit: int) -> bytes:
     """The key register ``qubit`` holds in the (basis-state) encoded input."""
-    kb = view.params.kappa_bytes
-    basis = next(iter(view.job.encoded_state.terms))
-    return ((basis >> (8 * kb * qubit)) & ((1 << 8 * kb) - 1)).to_bytes(kb, "little")
+    return view.job.encoded_state.values[qubit][0]
 
 
 def _positions(params: CryptoParams, key: bytes, table: Table, slot: int) -> list[int]:
@@ -232,8 +230,9 @@ def dist_row_frequency(view: ChallengeView, rng) -> int:
 
 
 def dist_encoded_parity(view: ChallengeView, rng) -> int:
-    basis = next(iter(view.job.encoded_state.terms))
-    return bin(basis).count("1") & 1
+    """Parity of the (basis-state) encoded input's set bits."""
+    return sum(popcount(bytes_to_int(keys[0]))
+               for keys in view.job.encoded_state.values) & 1
 
 
 def dist_header_order(view: ChallengeView, rng) -> int:

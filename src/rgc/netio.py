@@ -2,18 +2,27 @@
 
 Every artifact gets a little-endian layout; bitstrings are padded to whole
 bytes with the high padding bits zero.  Messages travel in a framed envelope
-of wire version 2::
+of wire version 3::
 
     envelope   magic "RGC1" | version u8 | kind u8 | payload_len u64 | payload
                | crc32 u32
     job        state | bundle
     result     state | 6 x u64, the EvalStats fields in order
-    state      registers u32 | width u16 | term count u32
-               | per term: basis (ceil(registers * width / 8)) | re f64 | im f64
+    state      registers u32 | width u16 | terms u32 | one record per register
+               | per term: re f64 | im f64
+    register   value count u8 (1 or 2) | the values, ceil(width / 8) bytes
+               each, increasing as little-endian ints | when it holds two, a
+               bitset of ceil(terms / 8) bytes, bit t set when term t holds
+               the larger value
 
 Each part delimits itself, and no field is sent that the receiver can derive.
-Register i holds basis bits [i * width, (i + 1) * width), qubit i's keys in a
-job or result (``sparse.qubit_layout``); the writer refuses any other layout.
+A state is a :class:`rgc.sparse.ColumnarState` in canonical form: register
+i is qubit i's key register in a job or result, each register's keys are
+sent once, and the terms are in strictly increasing order of their basis
+strings (register 0 least significant), which is the order of their
+per-register codes.  Wire version 2 sent each term's whole basis string,
+so every key once per term: modexp21's result at bench seed 1 is 152,652
+bytes in version 2 and 18,637 in version 3.
 
 A bundle (format 6) is a header, the skeleton, then one table per skeleton
 gate::
@@ -57,9 +66,12 @@ widths ``CryptoParams`` refuses, more than ``MAX_QUBITS`` qubits or state
 registers, more constants than qubits, a gate or term count that the bytes
 left could not hold, a state register width of 0, a skeleton
 ``circuit.allocate_wires`` refuses (its every rule, the phase exponent's
-bound among them), and a state whose basis strings are not strictly
-increasing, whose amplitudes are not finite or whose norm squared differs
-from 1 by more than ``sparse.NORM_TOL``; the writer refuses tables of other
+bound among them), and a state register of other than 1 or 2 values, of
+values not increasing or wider than the width, or of a bitset that picks
+one value or has bits at or beyond the term count, and a state whose terms
+are not strictly increasing, whose amplitudes are not finite or whose norm
+squared differs from 1 by more than ``sparse.NORM_TOL``; the writer puts a
+state in canonical form and refuses tables of other
 shapes and X gates, which no skeleton carries (an X is a relabeling of its
 wire's keys on the client, see :mod:`rgc.garble`).
 
@@ -93,7 +105,6 @@ it has no serialization path into a job.
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import dataclasses
 import math
@@ -113,14 +124,14 @@ from .encoding import KeySchedule, WireKeyPair
 from .evaluate import EvalStats
 from .garble import GarbledBundle, Table, ToffoliTables, phase_payload_bytes, toffoli_slots
 from .oracle import HASH_MODE
-from .sparse import SparseState, qubit_layout
+from .sparse import NORM_TOL, ColumnarState, descents
 from .symcrypt import CryptoParams
 
 if TYPE_CHECKING:        # a server never loads the games
     from .games import GameReport
 
 MAGIC = b"RGC1"
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 BUNDLE_VERSION = 6
 
 KIND_JOB = 1
@@ -371,48 +382,65 @@ def _get_bundle(r: Reader) -> tuple[GarbledBundle, CryptoParams]:
 _STATE_HEADER = struct.Struct("<IHI")    # registers, width, terms
 
 
-def serialize_state(s: SparseState) -> bytes:
-    n = len(s.layout.registers)
-    width = s.layout.registers[0][1] if n else 1
-    if s.layout != qubit_layout(n, width):
-        raise WireFormatError("only registers q0, q1, ... of one width cross the wire")
-    nbytes = (n * width + 7) // 8
-    term = struct.Struct(f"<{nbytes}sdd")
-    return _STATE_HEADER.pack(n, width, len(s.terms)) + b"".join(
-        [term.pack(basis.to_bytes(nbytes, "little"), amp.real, amp.imag)
-         for basis, amp in sorted(s.terms.items())])
+def serialize_state(s: ColumnarState) -> bytes:
+    """The state in canonical form: per register its value count, its
+    values, and its bitset when it holds two, then the amplitudes."""
+    s = s.canonical()
+    count = s.num_terms()
+    bitset_bytes = (count + 7) // 8
+    parts = [_STATE_HEADER.pack(len(s.values), s.width, count)]
+    for values, bits in zip(s.values, s.bits):
+        parts += [bytes((len(values),)), *values]
+        if len(values) == 2:
+            parts.append(bits.to_bytes(bitset_bytes, "little"))
+    parts.append(struct.pack(f"<{2 * count}d", *[x for a in s.amps for x in (a.real, a.imag)]))
+    return b"".join(parts)
 
 
-def _get_state(r: Reader) -> SparseState:
+def _get_state(r: Reader) -> ColumnarState:
     """The state at the reader's position.  Its shape is bounded before a
-    layout or a term is built, and its norm is checked after."""
+    register is read, each register is checked as it is read, and the term
+    order and the norm are checked before the state is built."""
     n, width, count = r.unpack(_STATE_HEADER)
     if n > MAX_QUBITS:
         raise WireFormatError(f"{n} registers above limit {MAX_QUBITS}")
     if not width:
         raise WireFormatError("registers of width 0")
-    nbytes = (n * width + 7) // 8
-    if count * (nbytes + 16) > r.left():
+    nbytes = (width + 7) // 8
+    if n * (1 + nbytes) + count * 16 > r.left():
         raise WireFormatError(f"{count} terms cannot fit in the {r.left()} bytes left")
-    layout = qubit_layout(n, width)
-    term = struct.Struct(f"<{nbytes}sdd")
-    terms = {}
-    last = -1
-    for raw, re, im in term.iter_unpack(r.raw(count * term.size)):
-        basis = int.from_bytes(raw, "little")
-        if basis >> layout.total_bits:
-            raise WireFormatError("basis string wider than the layout")
-        if basis <= last:
-            raise WireFormatError("basis strings not strictly increasing")
-        amp = complex(re, im)
-        if not cmath.isfinite(amp):
-            raise WireFormatError("amplitude not finite")
-        terms[basis] = amp
-        last = basis
-    try:
-        return SparseState(layout, terms)
-    except ValueError as exc:       # the norm
-        raise WireFormatError(str(exc)) from None
+    full = (1 << count) - 1
+    values, columns = [], []
+    for i in range(n):
+        held = r.u8()
+        if not 1 <= held <= 2:
+            raise WireFormatError(f"register {i} holds {held} values, not 1 or 2")
+        raw = r.raw(held * nbytes)
+        ints = [int.from_bytes(raw[j:j + nbytes], "little") for j in range(0, len(raw), nbytes)]
+        if max(ints) >> width:
+            raise WireFormatError(f"register {i} holds a value wider than {width} bits")
+        bits = 0
+        if held == 2:
+            if ints[0] >= ints[1]:
+                raise WireFormatError(f"register {i}: values not increasing")
+            bits = int.from_bytes(r.raw((count + 7) // 8), "little")
+            if bits >> count:
+                raise WireFormatError(f"register {i}: bitset has bits at or beyond "
+                                      f"term {count}")
+            if bits in (0, full):
+                raise WireFormatError(f"register {i}: bitset picks one of its two values")
+        values.append([raw[:nbytes], raw[nbytes:]] if held == 2 else [raw])
+        columns.append(bits)
+    floats = r.unpack(struct.Struct(f"<{2 * count}d"))
+    if not all(map(math.isfinite, floats)):
+        raise WireFormatError("amplitude not finite")
+    if descents(columns, count):
+        raise WireFormatError("basis strings not strictly increasing")
+    parts = floats[0::2], floats[1::2]
+    norm = sum(re * re + im * im for re, im in zip(*parts))
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise WireFormatError(f"state norm^2 {norm!r} differs from 1")
+    return ColumnarState(width, values, columns, list(map(complex, *parts)))
 
 
 def _get_job(r: Reader) -> tuple[JobBundle, CryptoParams]:
@@ -435,7 +463,7 @@ def deserialize_circuit(data: bytes) -> CPCircuit:
     return _parse(data, _get_circuit)
 
 
-def deserialize_state(data: bytes) -> SparseState:
+def deserialize_state(data: bytes) -> ColumnarState:
     return _parse(data, _get_state)
 
 
@@ -462,11 +490,11 @@ def deserialize_job(data: bytes) -> tuple[JobBundle, CryptoParams]:
     return _parse(data, _get_job)
 
 
-def serialize_result(state: SparseState, stats: EvalStats) -> bytes:
+def serialize_result(state: ColumnarState, stats: EvalStats) -> bytes:
     return serialize_state(state) + _STATS.pack(*dataclasses.astuple(stats))
 
 
-def deserialize_result(data: bytes) -> tuple[SparseState, EvalStats]:
+def deserialize_result(data: bytes) -> tuple[ColumnarState, EvalStats]:
     return _parse(data, lambda r: (_get_state(r), EvalStats(*r.unpack(_STATS))))
 
 
@@ -505,7 +533,7 @@ class RemoteEvalError(RuntimeError):
     """The server reported an evaluation failure."""
 
 
-def _read_result(envelope: bytes | bytearray) -> tuple[SparseState, EvalStats]:
+def _read_result(envelope: bytes | bytearray) -> tuple[ColumnarState, EvalStats]:
     """The result a server's answer carries, for either transport; an error
     envelope raises :class:`RemoteEvalError`."""
     kind, payload = unframe(envelope)
@@ -529,7 +557,7 @@ def evaluate_job_payload(payload: bytes) -> bytes:
     error envelope out.  A job of more than ``MAX_JOB_WORK`` is refused
     before any gate is evaluated."""
     job, params = deserialize_job(payload)
-    work = job_work(job.garbled.skeleton, len(job.encoded_state.terms))
+    work = job_work(job.garbled.skeleton, job.encoded_state.num_terms())
     if work > MAX_JOB_WORK:
         raise WireFormatError(f"job work {work} above limit {MAX_JOB_WORK}")
     state, stats = evaluate.eval_bundle(params, job.encoded_state, job.garbled)
@@ -639,7 +667,7 @@ def serve(host: str, port: int) -> JobServer:
 
 
 def submit(host: str, port: int, job: JobBundle, params: CryptoParams,
-           timeout: float = 60.0) -> tuple[SparseState, EvalStats]:
+           timeout: float = 60.0) -> tuple[ColumnarState, EvalStats]:
     with socket.create_connection((host, port), timeout=timeout) as sock:
         sock.sendall(frame(KIND_JOB, serialize_job(job, params)))
         response = _read_envelope(sock)
@@ -709,7 +737,7 @@ def serve_files_once(root: str) -> int:
 
 
 def collect_result(root: str, job_id: str,
-                   timeout: float = 30.0) -> tuple[SparseState, EvalStats]:
+                   timeout: float = 30.0) -> tuple[ColumnarState, EvalStats]:
     """Wait for the job's answer and consume it, read or refused."""
     path = os.path.join(root, "outbox", f"{job_id}.rgc")
     deadline = time.monotonic() + timeout

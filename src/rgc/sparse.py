@@ -11,6 +11,10 @@ All public operations preserve the norm to 1e-9 and drop amplitudes below
 only guards float dust).  States are value-semantic: operations return new
 states and never mutate their inputs.
 
+An encoded state is held as :class:`ColumnarState`, one bitset per
+register, from the client's encoder through the wire and the evaluator to
+its decoder; ``SparseState`` is the logical form.
+
 The dense helpers (density matrices, trace distance) cover the client-side
 checks that need exact linear algebra at <= 2^14 dimensions.
 """
@@ -93,6 +97,105 @@ class SparseState:
 
     def __repr__(self):
         return f"SparseState({self.layout.total_bits} bits, {len(self.terms)} terms)"
+
+
+def transpose(words: Sequence[int], width: int) -> list[int]:
+    """Transpose a bit matrix: bit j of word i becomes bit i of word j, for
+    every j below ``width``.  Every word must be below 2^width."""
+    if not words:
+        return [0] * width
+    # word i's bit j is character i * width + width - 1 - j
+    text = "".join([format(word, f"0{width}b") for word in words])
+    return [int(text[width - 1 - j::width][::-1], 2) for j in range(width)]
+
+
+def descents(bits: Sequence[int], count: int) -> int:
+    """Bit t is set when term t + 1 does not come strictly after term t in
+    the code order of the bitset columns ``bits`` over ``count`` terms, so 0
+    means the codes strictly increase.  Registers are compared from the
+    most significant down, one bitset operation each over all pairs of
+    neighbours."""
+    undecided = (1 << count - 1) - 1 if count > 1 else 0
+    bad = 0
+    for column in reversed(bits):
+        differ = (column ^ column >> 1) & undecided
+        bad |= differ & column      # term t holds the second value, t + 1 the first
+        undecided ^= differ
+    return bad | undecided          # neither: two equal terms
+
+
+@dataclass
+class ColumnarState:
+    """A state over registers of ``width`` bits, one bitset column per
+    register: the bitslicing of Biham ("A Fast New DES Implementation in
+    Software", FSE 1997) applied to the terms.
+
+    Register i holds one or two distinct values, ``values[i]``, each
+    ceil(width / 8) little-endian bytes.  Term t holds
+    ``values[i][(bits[i] >> t) & 1]`` in register i and amplitude
+    ``amps[t]``, so ``bits[i]`` is 0 when the register holds one value.
+    This is the protocol's encoded state: register i holds the keys of
+    qubit i's current wire, and a wire has two.
+
+    The canonical form, the one the wire carries, lists each register's
+    values in increasing order as integers and its terms in strictly
+    increasing order of their basis strings (register 0 least significant).
+    With increasing values, that is the order of the per-term codes, bit i
+    of term t's code being ``(bits[i] >> t) & 1``.
+    """
+
+    width: int
+    values: list[list[bytes]]
+    bits: list[int]
+    amps: list[complex]
+
+    def num_terms(self) -> int:
+        return len(self.amps)
+
+    def codes(self, i: int) -> str:
+        """Register i's value index per term, "0" or "1", from its bitset."""
+        return format(self.bits[i], f"0{len(self.amps)}b")[::-1]
+
+    def canonical(self) -> ColumnarState:
+        """The state in canonical form: each register's values sorted, with
+        its bitset complemented where they swap, then the terms sorted by
+        their codes when they are not in order already."""
+        full = (1 << len(self.amps)) - 1
+        values, columns = [], []
+        for vals, bits in zip(self.values, self.bits):
+            if len(vals) == 2 and vals[0][::-1] > vals[1][::-1]:    # little-endian
+                vals, bits = vals[::-1], full ^ bits
+            values.append(vals)
+            columns.append(bits)
+        if not descents(columns, len(self.amps)):
+            return ColumnarState(self.width, values, columns, self.amps)
+        codes = transpose(columns, len(self.amps))
+        order = sorted(range(len(codes)), key=codes.__getitem__)
+        return ColumnarState(self.width, values,
+                             transpose([codes[t] for t in order], len(values)),
+                             [self.amps[t] for t in order])
+
+    @staticmethod
+    def from_sparse(state: SparseState) -> ColumnarState:
+        """The canonical column form of a state on ``qubit_layout(n,
+        width)`` whose registers each hold at most two values: a decoded
+        state written to a file, or a state built by hand."""
+        regs = state.layout.registers
+        width = regs[0][1] if regs else 1
+        if state.layout != qubit_layout(len(regs), width):
+            raise ValueError("only registers q0, q1, ... of one width have a column form")
+        items = sorted(state.terms.items())
+        mask, nbytes = (1 << width) - 1, (width + 7) // 8
+        values, columns = [], []
+        for i in range(len(regs)):
+            held = [basis >> i * width & mask for basis, _ in items]
+            distinct = sorted(set(held))
+            if len(distinct) > 2:
+                raise ValueError(f"register {i} holds {len(distinct)} distinct values; "
+                                 f"a column holds two")
+            values.append([v.to_bytes(nbytes, "little") for v in distinct])
+            columns.append(sum(1 << t for t, v in enumerate(held) if v != distinct[0]))
+        return ColumnarState(width, values, columns, [amp for _, amp in items])
 
 
 def _pruned(terms: dict[int, complex]) -> dict[int, complex]:

@@ -66,15 +66,41 @@ def circuits_and_states(draw):
     return allocate_wires(gates, n, sorted(consts)), support, draw(st.integers(0, 2**32))
 
 
+def sparse_of(state):
+    """The per-term form of a column state: each term's basis string on
+    ``qubit_layout(registers, width)``, in the state's term order."""
+    width = state.width
+    ints = [[int.from_bytes(v, "little") for v in values] for values in state.values]
+    terms = {}
+    for t, amp in enumerate(state.amps):
+        basis = 0
+        for i, (values, bits) in enumerate(zip(ints, state.bits)):
+            basis |= values[bits >> t & 1] << i * width
+        terms[basis] = amp
+    return SparseState(qubit_layout(len(ints), width), terms, check=False)
+
+
+def wire_2_state(state):
+    """A per-term state as wire version 2 wrote it: the register count, one
+    width and the term count, then per term, in increasing order, its basis
+    string and its amplitude."""
+    n = len(state.layout.registers)
+    width = state.layout.registers[0][1] if n else 1
+    nbytes = (n * width + 7) // 8
+    return struct.pack("<IHI", n, width, len(state.terms)) + b"".join(
+        basis.to_bytes(nbytes, "little") + struct.pack("<dd", amp.real, amp.imag)
+        for basis, amp in sorted(state.terms.items()))
+
+
 def wire_1_state(state):
-    """A state as wire version 1 wrote it: the register count, then each
-    register's name behind its u32 length and its u16 width, where version 2
-    writes one width.  The term count and terms are version 2's, unchanged."""
+    """A per-term state as wire version 1 wrote it: the register count, then
+    each register's name behind its u32 length and its u16 width, where
+    version 2 writes one width.  The term count and terms are version 2's."""
     registers = b"".join(struct.pack("<I", len(name)) + name.encode()
                          + struct.pack("<H", width)
                          for name, width in state.layout.registers)
     return (struct.pack("<I", len(state.layout.registers)) + registers
-            + netio.serialize_state(state)[6:])
+            + wire_2_state(state)[6:])
 
 
 def input_state(circ, support, rng):

@@ -5,7 +5,8 @@ function it calls would otherwise only show up as a failed bench run.  Each
 workload here is built from ``perfbench/workloads.py`` (loaded from its path,
 without writing bytecode next to it) and runs one job the way the bench's
 ``run_job`` does, with the server's ``handle_envelope`` in place of the
-socket, then passes the workload's own check.
+socket, then passes the workload's own check and takes the bench's
+after-job bookkeeping.
 """
 
 import importlib.util
@@ -51,6 +52,11 @@ def test_workload_runs_one_checked_job(workloads, name):
     kind, payload = netio.unframe(netio.handle_envelope(
         netio.frame(netio.KIND_JOB, netio.serialize_job(job, params))))
     assert kind == netio.KIND_RESULT, payload
-    out, _ = netio.deserialize_result(payload)
+    out, stats = netio.deserialize_result(payload)
     result = wl.finish(delegation.decrypt(keys, wl.circuit, out), rng)
     assert wl.check(result) is None
+    # the bench's bookkeeping after the job: its signature's term count,
+    # result bytes and client oracle queries
+    assert job.encoded_state.num_terms() == wl.input_state.num_terms()
+    assert len(netio.serialize_result(out, stats)) == len(payload)
+    assert params.oracles.query_count() > 0

@@ -8,12 +8,13 @@ import time
 
 import pytest
 
-from rgc import delegation, evaluate, netio, sparse
+from rgc import delegation, encoding, evaluate, netio, sparse
 from rgc.circuit import parse_circuit, simulate
 from rgc.cli import build_parser, main, parse_state_tokens
 from rgc.sparse import fidelity, qubit_layout
+from rgc.util import derive_rng, derive_seed
 
-from conftest import phase_only_job
+from conftest import phase_only_job, sparse_of
 
 CIRCUIT_TEXT = "inputs 3\ntoff 0 1 2\nphase 2 1\n"
 
@@ -160,7 +161,7 @@ def test_delegate_cli_runs_a_circuit_with_x(tmp_path, capsys):
     assert json.loads(lines[0])["gates"] == 2     # the server saw no X
     # q0 = 1 and q2 = 1 xor q1, then q1 and q2 flip: qubit 0 prints first
     assert {line.split()[0] for line in lines[1:]} == {"110", "101"}
-    decoded = netio.deserialize_state(open(out, "rb").read())
+    decoded = sparse_of(netio.deserialize_state(open(out, "rb").read()))
     want = simulate(parse_circuit(text), parse_state_tokens("0+1"))
     assert fidelity(decoded, want) >= 1 - 1e-12
 
@@ -319,3 +320,68 @@ def test_keygen_reports_a_bare_inputs_line_without_a_traceback(tmp_path, capsys)
 def test_subcommands_that_draw_no_randomness_take_no_seed(argv):
     _, unknown = build_parser().parse_known_args(argv + ["--seed", "1"])
     assert unknown == ["--seed", "1"]
+
+
+def _queued_job(tmp_path, circuit_file, monkeypatch, *seed):
+    """The job envelope a ``rgc delegate --dir`` run queues, with no server
+    to answer it."""
+    queued = []
+
+    def collect(root, job_id, timeout):
+        (name,) = os.listdir(os.path.join(root, "inbox"))
+        queued.append(open(os.path.join(root, "inbox", name), "rb").read())
+        raise TimeoutError(f"no result for job {job_id}")
+    monkeypatch.setattr(netio, "collect_result", collect)
+    root = tmp_path / f"exchange{len(seed)}"
+    assert main(["delegate", "--circuit", circuit_file, "--input", "+10",
+                 "--conjecture-1", "--dir", str(root), *seed]) == 1
+    return netio.deserialize_job(netio.unframe(queued[0])[1])
+
+
+def _grind(oracle_seed):
+    """The seeds in 0..2^16 whose derived oracle seed is the bundle's."""
+    return [s for s in range(1 << 16)
+            if derive_seed(s, "oracle").to_bytes(8, "little") == oracle_seed]
+
+
+def test_default_delegate_job_resists_a_seed_grind(tmp_path, circuit_file, monkeypatch):
+    # without --seed the client draws a secret seed, so the bundle header's
+    # public oracle seed names no small seed; with --seed 4 the same grind
+    # finds it, rebuilds the keys and decodes the input
+    job, params = _queued_job(tmp_path, circuit_file, monkeypatch)
+    assert _grind(params.oracles.seed) == []
+    job, params = _queued_job(tmp_path, circuit_file, monkeypatch, "--seed", "4")
+    assert _grind(params.oracles.seed) == [4]
+    circ = parse_circuit(CIRCUIT_TEXT)
+    keys = delegation.keygen(16, circ.num_inputs, circ, derive_rng(4, "delegate"),
+                             conjecture=True)
+    decoded = encoding.decode(job.encoded_state, keys.schedule, circ.input_wires)
+    assert decoded.terms == pytest.approx(parse_state_tokens("+10").terms)
+
+
+def test_keygen_without_a_seed_draws_a_fresh_secret(tmp_path, circuit_file):
+    outs = [str(tmp_path / f"k{i}.bin") for i in range(4)]
+    for out in outs[:2]:
+        assert main(["keygen", "--circuit", circuit_file, "--out", out]) == 0
+    for out in outs[2:]:
+        assert main(["keygen", "--circuit", circuit_file, "--out", out, "--seed", "4"]) == 0
+    keys = [open(out, "rb").read() for out in outs]
+    assert keys[0] != keys[1] and keys[2] == keys[3]
+
+
+@pytest.mark.parametrize("seed", [str(1 << 127), str(-(1 << 127) - 1)])
+def test_seed_outside_the_signed_128_bit_range_is_a_usage_error(tmp_path, circuit_file,
+                                                                 capsys, seed):
+    # derive_seed encodes a seed as 16 signed bytes
+    with pytest.raises(SystemExit) as err:
+        main(["keygen", "--circuit", circuit_file, "--out", str(tmp_path / "k.bin"),
+              "--seed", seed])
+    assert err.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "k.bin").exists()
+
+
+@pytest.mark.parametrize("seed", [(1 << 127) - 1, -(1 << 127)])
+def test_seed_at_the_ends_of_the_range_is_taken(tmp_path, circuit_file, seed):
+    assert main(["keygen", "--circuit", circuit_file, "--out", str(tmp_path / "k.bin"),
+                 "--seed", str(seed)]) == 0

@@ -8,9 +8,10 @@ from rgc import sparse
 from rgc.circuit import allocate_wires, parse_circuit, toff
 from rgc.encoding import (KeySchedule, UnknownKeyError, WireKeyPair, cnot_cost,
                           decode, encode, gen_keys, mixing_check)
-from rgc.sparse import basis_state, fidelity, inner, qubit_layout, random_state
+from rgc.sparse import (ColumnarState, basis_state, descents, fidelity, inner, qubit_layout,
+                        random_state)
 
-from conftest import random_density
+from conftest import random_density, sparse_of
 
 ONE_TOFFOLI = parse_circuit("inputs 3\ntoff 0 1 2\n")
 
@@ -50,17 +51,17 @@ def test_toffoli_needs_three_qubits():
 def test_encode_classical_bit_single_key():
     schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
     encoded = encode(basis_state(qubit_layout(1), 0), schedule, [0])
-    assert encoded.terms == {0x01: 1.0 + 0j}
+    assert encoded == ColumnarState(8, [[b"\x01"]], [0], [1.0 + 0j])
     encoded = encode(basis_state(qubit_layout(1), 1), schedule, [0])
-    assert encoded.terms == {0x02: 1.0 + 0j}
+    assert encoded == ColumnarState(8, [[b"\x02"]], [0], [1.0 + 0j])
 
 
 def test_encode_is_linear():
     schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
     plus = sparse.from_terms(qubit_layout(1), {0: 1 / math.sqrt(2), 1: 1 / math.sqrt(2)})
     encoded = encode(plus, schedule, [0])
-    assert set(encoded.terms) == {0x01, 0x02}
-    assert all(abs(a - 1 / math.sqrt(2)) < 1e-12 for a in encoded.terms.values())
+    assert set(sparse_of(encoded).terms) == {0x01, 0x02}
+    assert all(abs(a - 1 / math.sqrt(2)) < 1e-12 for a in encoded.amps)
 
 
 def test_decode_inverts_encode():
@@ -77,7 +78,7 @@ def test_decode_inverts_encode():
 def test_decode_single_key_to_bit():
     schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
     lay = qubit_layout(1, 8)
-    decoded = decode(basis_state(lay, 0x02), schedule, [0])
+    decoded = decode(ColumnarState.from_sparse(basis_state(lay, 0x02)), schedule, [0])
     assert decoded.terms == {1: 1.0 + 0j}
 
 
@@ -85,7 +86,7 @@ def test_decode_rejects_off_key_strings():
     schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
     lay = qubit_layout(1, 8)
     with pytest.raises(UnknownKeyError):
-        decode(basis_state(lay, 0x03), schedule, [0])   # one bit off a key
+        decode(ColumnarState.from_sparse(basis_state(lay, 0x03)), schedule, [0])   # one bit off
 
 
 def test_encode_preserves_inner_products():
@@ -96,7 +97,34 @@ def test_encode_preserves_inner_products():
         a, b = random_state(lay, rng), random_state(lay, rng)
         ea = encode(a, schedule, ONE_TOFFOLI.input_wires)
         eb = encode(b, schedule, ONE_TOFFOLI.input_wires)
-        assert inner(ea, eb) == pytest.approx(inner(a, b), abs=1e-12)
+        assert inner(sparse_of(ea), sparse_of(eb)) == pytest.approx(inner(a, b), abs=1e-12)
+
+
+def test_encode_builds_the_canonical_column_form():
+    # each register lists its keys in increasing order as integers and the
+    # terms come in increasing order of their encoded basis strings: the
+    # form the wire carries, built without a per-term key string
+    rng = random.Random(6)
+    lay = qubit_layout(3)
+    for _ in range(50):
+        schedule = gen_keys(16, ONE_TOFFOLI, rng)
+        state = random_state(lay, rng, support_bits=rng.sample(range(3), rng.randint(1, 3)))
+        encoded = encode(state, schedule, ONE_TOFFOLI.input_wires)
+        assert encoded == ColumnarState.from_sparse(sparse_of(encoded))
+        assert encoded.canonical() == encoded and not descents(encoded.bits, encoded.num_terms())
+        assert decode(encoded, schedule, ONE_TOFFOLI.input_wires).terms == state.terms
+
+
+def test_decode_checks_each_value_a_register_holds():
+    # a foreign value in the second slot of a register is caught though the
+    # first is a key
+    schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
+    state = ColumnarState(8, [[b"\x01", b"\x03"]], [0b10], [0.6 + 0j, 0.8 + 0j])
+    with pytest.raises(UnknownKeyError, match="register 0 \\(wire 0\\) holds 0x3"):
+        decode(state, schedule, [0])
+    flipped = decode(ColumnarState(8, [[b"\x01", b"\x02"]], [0b10], [0.6 + 0j, 0.8 + 0j]),
+                     schedule, [0], flipped={0})
+    assert flipped.terms == {1: 0.6 + 0j, 0: 0.8 + 0j}
 
 
 # cost model ------------------------------------------------------------------

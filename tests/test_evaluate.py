@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import random
@@ -11,12 +12,13 @@ from rgc import delegation, netio, sparse, symcrypt
 from rgc.circuit import (Phase, Toffoli, allocate_wires, flipped_wires,
                          parse_circuit, phase, random_circuit, simulate)
 from rgc.encoding import decode, encode, gen_keys
-from rgc.evaluate import (AmbiguousRowError, ColumnarState, ErasureError, EvalError,
-                          EvalStats, NoRowMatchError, eval_bundle, eval_toffoli_term)
+from rgc.evaluate import (AmbiguousRowError, ErasureError, EvalError, EvalStats,
+                          NoRowMatchError, eval_bundle, eval_toffoli_term)
 from rgc.garble import GarbledBundle, Table, ToffoliTables, garble_circuit, garble_toffoli
-from rgc.sparse import fidelity, inner, qubit_layout, random_state
+from rgc.sparse import descents, fidelity, inner, qubit_layout, random_state
 
-from conftest import circuits_and_states, input_state, make_params, wire_1_state
+from conftest import (circuits_and_states, input_state, make_params, sparse_of, wire_1_state,
+                      wire_2_state)
 
 ONE_TOFFOLI = parse_circuit("inputs 3\ntoff 0 1 2\n")
 
@@ -143,7 +145,7 @@ def test_eval_superposition_matches_logical_gate():
     decoded = decode(out, schedule, ONE_TOFFOLI.output_wires)
     assert fidelity(decoded, simulate(ONE_TOFFOLI, state)) >= 1 - 1e-12
     assert stats.erasure_checks == len({
-        (b & 0xFFFF, (b >> 16) & 0xFFFF, (b >> 32) & 0xFFFF) for b in encoded.terms})
+        (b & 0xFFFF, (b >> 16) & 0xFFFF, (b >> 32) & 0xFFFF) for b in sparse_of(encoded).terms})
 
 
 def test_eval_amplitudes_ride_along_unchanged():
@@ -154,8 +156,7 @@ def test_eval_amplitudes_ride_along_unchanged():
     state = random_state(qubit_layout(3), rng)
     encoded = encode(state, schedule, ONE_TOFFOLI.input_wires)
     out, _ = eval_bundle(params, encoded, bundle)
-    assert sorted(map(abs, out.terms.values())) == pytest.approx(
-        sorted(map(abs, encoded.terms.values())))
+    assert sorted(map(abs, out.amps)) == pytest.approx(sorted(map(abs, encoded.amps)))
 
 
 def test_eval_phase_plus_state_quarter_turn():
@@ -208,8 +209,28 @@ def test_eval_empty_circuit_identity():
     state = random_state(qubit_layout(2), rng)
     encoded = encode(state, schedule, circ.input_wires)
     out, stats = eval_bundle(params, encoded, bundle)
-    assert out.terms == encoded.terms
+    assert out == encoded
     assert stats.gates == 0
+
+
+def test_eval_leaves_its_input_unchanged_and_its_result_canonicalizes():
+    # the evaluator works on a copy; its result keeps the input's term
+    # order, and the wire's canonical form of it decodes the same
+    params = make_params()
+    rng = random.Random(19)
+    circ = random_circuit(rng, 4, 12, max_denom_exp=3)
+    schedule = gen_keys(16, circ, rng)
+    bundle = garble_circuit(params, circ, schedule, rng)
+    state = random_state(qubit_layout(4), rng)
+    encoded = encode(state, schedule, circ.input_wires)
+    before = copy.deepcopy(encoded)
+    out, _ = eval_bundle(params, encoded, bundle)
+    assert encoded == before
+    wire = netio.deserialize_state(netio.serialize_state(out))
+    assert wire == out.canonical() and not descents(wire.bits, wire.num_terms())
+    assert sparse_of(wire).terms == sparse_of(out).terms
+    assert (decode(wire, schedule, circ.output_wires, flipped_wires(circ)).terms
+            == decode(out, schedule, circ.output_wires, flipped_wires(circ)).terms)
 
 
 def test_eval_stats_search_bound():
@@ -221,7 +242,7 @@ def test_eval_stats_search_bound():
     state = random_state(qubit_layout(4), rng)
     encoded = encode(state, schedule, circ.input_wires)
     out, stats = eval_bundle(params, encoded, bundle)
-    terms = len(encoded.terms)
+    terms = encoded.num_terms()
     assert stats.ver_calls <= 8 * 3 * terms * stats.gates
     decoded = decode(out, schedule, circ.output_wires)
     assert fidelity(decoded, simulate(circ, state)) >= 1 - 1e-9
@@ -238,7 +259,8 @@ def test_eval_preserves_pairwise_inner_products():
     eb = encode(b, schedule, circ.input_wires)
     oa, _ = eval_bundle(params, ea, bundle)
     ob, _ = eval_bundle(params, eb, bundle)
-    assert inner(oa, ob) == pytest.approx(inner(ea, eb), abs=1e-12)
+    assert inner(sparse_of(oa), sparse_of(ob)) == pytest.approx(
+        inner(sparse_of(ea), sparse_of(eb)), abs=1e-12)
 
 
 def test_eval_wrong_state_aborts_with_gate_index():
@@ -265,9 +287,10 @@ def test_eval_module_never_touches_schedules():
 
 
 # ---------------------------------------------------------------------------
-# byte identity: BLAKE2b of the result state's payload in wire version 1,
-# pinned from the per-term evaluator that preceded the columnar one, and in
-# wire version 2; the EvalStats are pinned on their own, since they count
+# byte identity: BLAKE2b of the result state in the per-term payloads of wire
+# versions 1 and 2, pinned from the per-term evaluator that preceded the
+# columnar one and kept through the column form, and in wire version 3's
+# column payload; the EvalStats are pinned on their own, since they count
 # work rather than describe the result (header lookups and rows opened since
 # bundle format 5)
 
@@ -281,7 +304,9 @@ def _golden_result(circ, state, seed):
     schedule = gen_keys(16, circ, rng)
     bundle = garble_circuit(params, circ, schedule, rng)
     out, stats = eval_bundle(params, encode(state, schedule, circ.input_wires), bundle)
-    return _digest(wire_1_state(out)), _digest(netio.serialize_state(out)), stats
+    per_term = sparse_of(out)
+    return (_digest(wire_1_state(per_term)), _digest(wire_2_state(per_term)),
+            _digest(netio.serialize_state(out)), stats)
 
 
 def test_result_bytes_pinned_for_phase_circuit():
@@ -289,9 +314,10 @@ def test_result_bytes_pinned_for_phase_circuit():
     circ = random_circuit(rng, 4, 24, max_denom_exp=3)
     state = random_state(qubit_layout(4), rng)
     assert {g.denom_exp for g in circ.gates if isinstance(g, Phase)} == {0, 1, 2, 3}
-    digest, wire_2_digest, stats = _golden_result(circ, state, 1)
+    digest, wire_2_digest, wire_3_digest, stats = _golden_result(circ, state, 1)
     assert digest == "29a045b741a032e55b1d45eb2aa9d8e8"
     assert wire_2_digest == "427c3e12d9ffc7b558f752b8326a0734"
+    assert wire_3_digest == "fa7d86ead6b0d2b220486070e81f0df6"
     assert stats == EvalStats(gates=24, terms_processed=384, rows_tried=408, ver_calls=100,
                               backward_ver_calls=78, erasure_checks=104)
 
@@ -299,9 +325,10 @@ def test_result_bytes_pinned_for_phase_circuit():
 def test_result_bytes_pinned_for_toffoli_superposition():
     circ = parse_circuit("inputs 4\ntoff 0 1 2\ntoff 1 2 3\ntoff 3 0 1\ntoff 2 3 0\ntoff 0 1 3\n")
     state = random_state(qubit_layout(4), random.Random(7), support_bits=[0, 1, 3])
-    digest, wire_2_digest, stats = _golden_result(circ, state, 2)
+    digest, wire_2_digest, wire_3_digest, stats = _golden_result(circ, state, 2)
     assert digest == "1527a49ef1ef1f6f4bc212fcb322a41c"
     assert wire_2_digest == "7b359304018927cf70fd2332f0d67c28"
+    assert wire_3_digest == "2490fa2b7df1c3e1d5e3ce67c02dda4f"
     assert stats == EvalStats(gates=5, terms_processed=40, rows_tried=121, ver_calls=29,
                               backward_ver_calls=30, erasure_checks=31)
 
@@ -321,9 +348,10 @@ def test_result_bytes_pinned_for_a_wide_superposition():
     circ = random_circuit(rng, 8, 40, max_denom_exp=3)
     state = _superposition(8, 200, rng)
     assert (sum(isinstance(g, Toffoli) for g in circ.gates), len(state.terms)) == (18, 200)
-    digest, wire_2_digest, stats = _golden_result(circ, state, 3)
+    digest, wire_2_digest, wire_3_digest, stats = _golden_result(circ, state, 3)
     assert digest == "dec666a0e5447e292b517d8db30f1ef9"
     assert wire_2_digest == "c018874673af3a0e5a41edaada7579c7"
+    assert wire_3_digest == "49080226fb6a6f5521f437ed3b9387fa"
     assert stats == EvalStats(gates=40, terms_processed=8000, rows_tried=592, ver_calls=152,
                               backward_ver_calls=108, erasure_checks=144)
 
@@ -405,7 +433,7 @@ def test_rigged_table_writing_a_third_key_to_a_wire_is_refused():
     # triple passes its erasure check
     rigged = _with_tables(bundle, {1: _toffoli_tables(params, gate, schedule, rng, third)})
     encoded = encode(random_state(qubit_layout(3), rng), schedule, circ.input_wires)
-    assert len(encoded.terms) == 8
+    assert encoded.num_terms() == 8
     with pytest.raises(EvalError, match="^gate 1: toffoli writes 3 distinct keys to one wire"):
         eval_bundle(params, encoded, rigged)
 
@@ -552,11 +580,15 @@ def test_bitset_columns_match_simulation_property(case):
     params = make_params()
     schedule = gen_keys(16, circ, rng)
     encoded = encode(state, schedule, circ.input_wires)
-    columns = ColumnarState.from_sparse(encoded, circ.num_inputs, params.kappa_bytes)
-    for keys, bits in zip(columns.keys, columns.bits):
+    for keys, bits in zip(encoded.values, encoded.bits):
         assert 0 <= bits < 1 << count and (bits == 0) == (len(keys) == 1)
-        assert keys == sorted(set(keys))    # increasing byte order picks the key of bit 1
-    assert columns.to_sparse(encoded.layout, params.kappa_bytes).terms == encoded.terms
+        # increasing as little-endian ints picks the key of bit 1
+        assert keys == sorted(set(keys), key=lambda key: key[::-1])
+    assert not descents(encoded.bits, count)
+    assert sparse_of(encoded).terms == {
+        sum(int.from_bytes(schedule.pairs[w][basis >> i & 1], "little") << 16 * i
+            for i, w in enumerate(circ.input_wires)): amp
+        for basis, amp in state.terms.items()}
     bundle = garble_circuit(params, circ, schedule, rng)
     out, stats = eval_bundle(params, encoded, bundle)
     decoded = decode(out, schedule, circ.output_wires, flipped_wires(circ))

@@ -1,8 +1,11 @@
+import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import pathlib
 import random
+import re
 import socket
 import struct
 import subprocess
@@ -26,9 +29,10 @@ from rgc.netio import (WireFormatError, deserialize_circuit, deserialize_job, de
                        serialize_bundle, serialize_circuit, serialize_job,
                        serialize_report, serialize_result, serialize_schedule,
                        serialize_state, unframe)
-from rgc.sparse import RegisterLayout, fidelity, qubit_layout, random_state
+from rgc.sparse import ColumnarState, RegisterLayout, fidelity, qubit_layout, random_state
 
-from conftest import circuits_and_states, input_state, phase_only_job, wire_1_state
+from conftest import (circuits_and_states, input_state, phase_only_job, sparse_of, wire_1_state,
+                      wire_2_state)
 
 
 def _job_fixture(seed=1, n=3, gates=2):
@@ -83,12 +87,16 @@ def test_circuit_with_x_is_not_serialized():
     assert deserialize_circuit(serialize_circuit(skeleton)) == skeleton
 
 
+def _columns(state):
+    return ColumnarState.from_sparse(state)
+
+
 def test_state_roundtrip_exact():
     rng = random.Random(4)
-    state = random_state(qubit_layout(2, 4), rng)
-    back = deserialize_state(serialize_state(state))
-    assert back.layout == state.layout
-    assert back.terms == state.terms          # f64 pairs roundtrip bit-exactly
+    state = random_state(qubit_layout(2, 4), rng, support_bits=[1, 6])
+    back = deserialize_state(serialize_state(_columns(state)))
+    assert back == _columns(state)
+    assert sparse_of(back).terms == state.terms       # f64 pairs roundtrip bit-exactly
 
 
 @pytest.mark.parametrize("registers", [(("a", 5), ("b", 3)), (("q0", 2), ("q1", 3)),
@@ -97,21 +105,43 @@ def test_state_writer_refuses_other_layouts(registers):
     # registers cross the wire by position, so a name or width qubit_layout
     # would not give has no encoding
     state = random_state(RegisterLayout(registers), random.Random(4))
-    with pytest.raises(WireFormatError, match="one width"):
-        serialize_state(state)
+    with pytest.raises(ValueError, match="one width"):
+        serialize_state(_columns(state))
+
+
+def _state_record(registers, amps, width=16, terms=None):
+    """A state record packed field by field and unchecked: ``registers``
+    lists each register's values, as ints, and its bitset, which is written
+    when the register lists two values; ``terms`` overrides the term count."""
+    count = len(amps) if terms is None else terms
+    nbytes = (width + 7) // 8
+    parts = [struct.pack("<IHI", len(registers), width, count)]
+    for values, bits in registers:
+        parts.append(bytes([len(values)]) + b"".join(v.to_bytes(nbytes, "little")
+                                                     for v in values))
+        if len(values) == 2:
+            parts.append(bits.to_bytes((count + 7) // 8, "little"))
+    return b"".join(parts) + b"".join(struct.pack("<dd", amp.real, amp.imag)
+                                      for amp in map(complex, amps))
 
 
 def _state_payload(lay, terms):
-    """A state in serialize_state's layout, its terms in the order given."""
-    nbytes = (lay.total_bits + 7) // 8
-    return struct.pack("<IHI", len(lay.registers), lay.registers[0][1], len(terms)) + b"".join(
-        basis.to_bytes(nbytes, "little") + struct.pack("<dd", amp.real, amp.imag)
-        for basis, amp in terms)
+    """A state in serialize_state's layout, its terms in the order given:
+    each register's distinct values in increasing order, and its bitset's
+    bit t set where term t holds the larger."""
+    width = lay.registers[0][1]
+    registers = []
+    for i in range(len(lay.registers)):
+        held = [basis >> i * width & (1 << width) - 1 for basis, _ in terms]
+        values = sorted(set(held))
+        registers.append((values, sum(1 << t for t, v in enumerate(held) if v == values[-1])))
+    return _state_record(registers, [amp for _, amp in terms], width)
 
 
 def test_state_payload_helper_matches_the_writer():
     state = random_state(qubit_layout(3), random.Random(5))
-    assert _state_payload(state.layout, sorted(state.terms.items())) == serialize_state(state)
+    assert (_state_payload(state.layout, sorted(state.terms.items()))
+            == serialize_state(_columns(state)))
 
 
 @pytest.mark.parametrize("terms, message", [
@@ -128,7 +158,7 @@ def test_state_parser_accepts_only_the_canonical_form(terms, message):
 
 def test_job_with_reordered_state_terms_gets_error_envelope():
     _, _, params, _, job = _job_fixture(seed=26)
-    state = job.encoded_state
+    state = sparse_of(job.encoded_state)
     data = _state_payload(state.layout, sorted(state.terms.items(), reverse=True))
     data += serialize_bundle(job.garbled, params)
     kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))
@@ -141,13 +171,18 @@ _AMPLITUDES = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3)
 
 @st.composite
 def _states(draw):
-    """Normalized states on 1 to 4 registers of one width, as the wire carries
-    them."""
-    lay = qubit_layout(draw(st.integers(1, 4)), draw(st.integers(1, 12)))
-    bases = draw(st.sets(st.integers(0, (1 << lay.total_bits) - 1), min_size=1, max_size=8))
-    amps = {b: draw(_AMPLITUDES) for b in bases}
+    """Normalized states on 1 to 4 registers of one width, each register
+    holding one or two values, as the wire carries them."""
+    n, width = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    held = [draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=2,
+                          unique=True)) for _ in range(n)]
+    combos = list(itertools.product(*held))
+    picked = draw(st.sets(st.sampled_from(combos), min_size=1, max_size=8))
+    amps = {sum(v << i * width for i, v in enumerate(combo)): draw(_AMPLITUDES)
+            for combo in picked}
     norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    return sparse.SparseState(lay, {b: a / norm for b, a in amps.items()})
+    return _columns(sparse.SparseState(qubit_layout(n, width),
+                                       {b: a / norm for b, a in amps.items()}))
 
 
 @settings(max_examples=150, deadline=None)
@@ -155,7 +190,7 @@ def _states(draw):
 def test_state_roundtrip_property(state):
     data = serialize_state(state)
     back = deserialize_state(data)
-    assert back.layout == state.layout and back.terms == state.terms
+    assert back == state
     assert serialize_state(back) == data
 
 
@@ -164,14 +199,14 @@ def test_state_roundtrip_property(state):
 def test_result_roundtrip_property(state, stats):
     data = serialize_result(state, stats)
     back, back_stats = netio.deserialize_result(data)
-    assert back.layout == state.layout and back.terms == state.terms
+    assert back == state
     assert back_stats == stats
     assert serialize_result(back, back_stats) == data
 
 
 def _read_bundle(data):
     """A bundle read back the one way a server reads one, as a job's tail."""
-    job, params = deserialize_job(serialize_state(sparse.basis_state(qubit_layout(1), 0))
+    job, params = deserialize_job(serialize_state(_columns(sparse.basis_state(qubit_layout(1), 0)))
                                   + data)
     return job.garbled, params
 
@@ -206,14 +241,14 @@ def test_report_roundtrip():
 
 def test_result_roundtrip():
     rng = random.Random(7)
-    state = random_state(qubit_layout(2), rng)
+    state = _columns(random_state(qubit_layout(2), rng))
     stats = EvalStats(gates=3, ver_calls=10)
     s2, st2 = netio.deserialize_result(serialize_result(state, stats))
-    assert s2.terms == state.terms and st2 == stats
+    assert s2 == state and st2 == stats
 
 
 def test_result_bytes_are_the_state_then_six_counts():
-    state = random_state(qubit_layout(2, 16), random.Random(7), support_bits=[3, 20])
+    state = _columns(random_state(qubit_layout(2, 16), random.Random(7), support_bits=[3, 20]))
     data = serialize_result(state, EvalStats(1, 2, 3, 4, 5, 6))
     assert data == serialize_state(state) + struct.pack("<6Q", 1, 2, 3, 4, 5, 6)
 
@@ -222,7 +257,7 @@ def test_result_bytes_are_the_state_then_six_counts():
 def test_result_reader_refuses_stats_that_are_not_counts(stats_text):
     # wire version 1 sent the stats as a JSON blob where six u64s now belong
     stats = stats_text.encode()
-    data = (serialize_state(random_state(qubit_layout(2), random.Random(7)))
+    data = (serialize_state(_columns(random_state(qubit_layout(2), random.Random(7))))
             + struct.pack("<I", len(stats)) + stats)
     with pytest.raises(WireFormatError, match="truncated payload"):
         netio.deserialize_result(data)
@@ -233,7 +268,8 @@ def test_result_reader_refuses_stats_that_are_not_counts(stats_text):
                          ids=["one-byte-short", "one-count-short", "no-counts",
                               "one-byte-over", "seven-counts"])
 def test_result_reader_refuses_counts_of_wrong_length(cut, tail):
-    data = serialize_result(random_state(qubit_layout(2), random.Random(7)), EvalStats())
+    data = serialize_result(_columns(random_state(qubit_layout(2), random.Random(7))),
+                            EvalStats())
     with pytest.raises(WireFormatError):
         netio.deserialize_result(data[:len(data) - cut] + tail)
 
@@ -274,7 +310,7 @@ def test_envelope_roundtrip_and_corruption():
 
 def test_truncated_payload_detected():
     rng = random.Random(9)
-    state = random_state(qubit_layout(3), rng)
+    state = _columns(random_state(qubit_layout(3), rng))
     data = serialize_state(state)
     with pytest.raises(WireFormatError):
         deserialize_state(data[:-4])
@@ -429,28 +465,29 @@ def test_phase_exponent_above_bound_gets_error_envelope():
 @pytest.mark.parametrize("widths", [(16, 16), (16, 16, 16, 16), (24, 24, 24), (24, 24)])
 def test_state_of_wrong_register_layout_gets_error_envelope(widths):
     circ, keys, params, state, job = _job_fixture(seed=15)
-    layout = qubit_layout(len(widths), widths[0])
-    basis = next(iter(job.encoded_state.terms)) & ((1 << layout.total_bits) - 1)
-    job = delegation.JobBundle(sparse.SparseState(layout, {basis: 1 + 0j}), job.garbled)
+    basis = sparse.basis_state(qubit_layout(len(widths), widths[0]), 0)
+    job = delegation.JobBundle(_columns(basis), job.garbled)
     kind, payload = _handle_job(job, params)
     assert kind == netio.KIND_ERROR
     assert b"EvalError" in payload and b"registers of 16 bits" in payload
 
 
 def test_register_holding_three_keys_gets_error_envelope():
-    # a wire has two keys; a third key in one register is refused before any
-    # table is read
+    # a wire has two keys, and a register record lists at most two: a third
+    # key in one register is refused before any table is read
     circ, keys, params, state, job = _job_fixture(seed=24)
-    terms = dict(job.encoded_state.terms)
-    held = {basis & 0xFFFF for basis in terms}
-    assert len(held) == 2
-    third = next(k for k in range(1 << 16) if k not in held)
-    basis = max(terms)
-    terms[(basis & ~0xFFFF) | third] = terms.pop(basis)
-    job = delegation.JobBundle(sparse.SparseState(job.encoded_state.layout, terms), job.garbled)
-    kind, payload = _handle_job(job, params)
+    assert len(job.encoded_state.values[0]) == 2
+    data = bytearray(serialize_job(job, params))
+    data[10] = 3        # register 0's value count, behind the 10-byte state header
+    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, bytes(data))))
     assert kind == netio.KIND_ERROR
-    assert payload == b"EvalError: register 0 holds 3 distinct keys; a wire has two"
+    assert payload == b"WireFormatError: register 0 holds 3 values, not 1 or 2"
+    # built in process, the evaluator refuses it too
+    three = dataclasses.replace(job.encoded_state, values=[
+        job.encoded_state.values[0] + [bytes(2)]] + job.encoded_state.values[1:])
+    with pytest.raises(evaluate.EvalError, match="^register 0 holds 3 distinct keys; "
+                                                 "a wire has two$"):
+        evaluate.eval_bundle(params, three, job.garbled)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +522,7 @@ def _seeded_job(text, seed=17):
 def _wire_1_job(job, bundle):
     """The job as wire version 1 framed it: its state and the given bundle
     bytes, each behind its u32 length."""
-    state = wire_1_state(job.encoded_state)
+    state = wire_1_state(sparse_of(job.encoded_state))
     return struct.pack("<I", len(state)) + state + struct.pack("<I", len(bundle)) + bundle
 
 
@@ -493,24 +530,36 @@ def _pin(data):
     return len(data), hashlib.blake2b(data).hexdigest()
 
 
-@pytest.mark.parametrize("text, size, digest", [
-    (PHASE_JOB_CIRCUIT, 1221,
-     "b0a8106fdf635b25d8892730ec95e67d945d6911a74a8d7e424c3df650f90cab"
-     "e43edb9b6ffc293e03dd210a2e1de4051ec0509159fde9388f8d358aa35eda3a"),
-    (TOFFOLI_JOB_CIRCUIT, 1130,
-     "c9b72778cc06f6fe1db95a7323985d4e834b28408a3c4b9b6614e48382d8fa57"
-     "e7df2e0f085fcb718d89c616bf71e66c7f251a692fd83352c045e4595acb577e"),
+def _wire_2_job(job, params):
+    """The job as wire version 2 sent it: its per-term state, then the bundle."""
+    return wire_2_state(sparse_of(job.encoded_state)) + serialize_bundle(job.garbled, params)
+
+
+@pytest.mark.parametrize("text, wire_2, wire_3", [
+    (PHASE_JOB_CIRCUIT,
+     (1221, "b0a8106fdf635b25d8892730ec95e67d945d6911a74a8d7e424c3df650f90cab"
+            "e43edb9b6ffc293e03dd210a2e1de4051ec0509159fde9388f8d358aa35eda3a"),
+     (1191, "e6f1977517d9e24b61b67229a4d268b6ee040d43ef265e8e1f4eac33d9aef728"
+            "d1a626ad3d1bb809e9bf979ab059f014754d9ddbeb3cfd567dfd7ff5249127f8")),
+    (TOFFOLI_JOB_CIRCUIT,
+     (1130, "c9b72778cc06f6fe1db95a7323985d4e834b28408a3c4b9b6614e48382d8fa57"
+            "e7df2e0f085fcb718d89c616bf71e66c7f251a692fd83352c045e4595acb577e"),
+     (1100, "e70c95b9bf71e8f244b655cb9278c8e5c2f3bc4a070a922034bfd22b66d7d055"
+            "b4d9988ad09df92e589769feed8a943394cdee7094b9f5c38b6065e3fc2aed6d")),
 ], ids=["phase-job", "toffoli-job"])
-def test_job_bytes_golden(text, size, digest):
-    # length and BLAKE2b of serialize_job: wire version 2, bundle format 6
+def test_job_bytes_golden(text, wire_2, wire_3):
+    # length and BLAKE2b of serialize_job, bundle format 6: wire version 3,
+    # and the same job's per-term state and bundle as wire version 2 sent
+    # them, pinned before the column state
     job, params = _seeded_job(text)
     data = serialize_job(job, params)
-    assert _pin(data) == (size, digest)
+    assert _pin(_wire_2_job(job, params)) == wire_2
+    assert _pin(data) == wire_3
     assert serialize_job(*deserialize_job(data)) == data
 
 
 def _old_format_reply(version):
-    # a wire version 2 job whose bundle declares an earlier format; the
+    # a wire version 3 job whose bundle declares an earlier format; the
     # reader refuses at the version byte, before any table
     job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
     bundle = bytes([version]) + serialize_bundle(job.garbled, params)[1:]
@@ -544,6 +593,16 @@ def test_format_5_bundle_gets_error_envelope():
     # nonce
     assert _old_format_reply(5) == (netio.KIND_ERROR,
                                     b"WireFormatError: unsupported bundle version 5")
+
+
+def test_wire_version_2_envelope_gets_error_envelope():
+    # version 2 sent a state's every basis string; its reader is gone, so
+    # the envelope is refused at its version byte
+    job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
+    envelope = bytearray(frame(netio.KIND_JOB, _wire_2_job(job, params)))
+    envelope[4] = 2
+    assert unframe(netio.handle_envelope(bytes(envelope))) == (
+        netio.KIND_ERROR, b"WireFormatError: unsupported wire version 2")
 
 
 def test_wire_version_1_envelope_gets_error_envelope():
@@ -644,9 +703,12 @@ def test_half_table_job_bytes_golden():
     assert [len(slot) for slot in table.forward.header + table.backward.header] == \
         [16, 32, 32] * 2
     data = serialize_job(job, params)
-    assert _pin(data) == (
+    assert _pin(_wire_2_job(job, params)) == (
         356, "90864b17a358a6e8b54d2b08ef11d1f0c97fd07d1fdc12d416d5efc3b17c5370"
               "d29390efc0ef8ecec60d22666fc6b5501ba3a3d0f8075ffea18a09a2315c8875")
+    assert _pin(data) == (
+        347, "757fad53b8ee3ccae676e8e221b353c39a20a71179953d8a5d41e680c9263a94"
+              "a038bc2930a9c2d07b4ae922c9e1892639e8f1cf44e687d0bea616b4211ccc9c")
     assert serialize_job(*deserialize_job(data)) == data
     kind, payload = _handle_job(job, params)
     assert kind == netio.KIND_RESULT
@@ -710,7 +772,7 @@ def test_skeleton_of_more_gates_than_the_payload_holds_is_refused_unbuilt(monkey
 def test_job_state_of_wrong_norm_gets_error_envelope():
     # one flipped amplitude bit: the top mantissa bit of the first real part
     job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
-    state = job.encoded_state
+    state = sparse_of(job.encoded_state)
     terms = sorted(state.terms.items())
     (bits,) = struct.unpack("<Q", struct.pack("<d", terms[0][1].real))
     (flipped,) = struct.unpack("<d", struct.pack("<Q", bits ^ (1 << 51)))
@@ -728,7 +790,7 @@ def test_job_state_of_wrong_norm_gets_error_envelope():
 
 
 # state headers (registers u32, width u16, terms u32) the reader refuses
-# before it builds a layout or a term
+# before it reads a register or builds a state
 @pytest.mark.parametrize("header, message", [
     ((2**32 - 1, 16, 1), b"WireFormatError: 4294967295 registers above limit 65536"),
     ((3, 0, 1), b"WireFormatError: registers of width 0"),
@@ -736,13 +798,84 @@ def test_job_state_of_wrong_norm_gets_error_envelope():
 ], ids=["registers", "width-0", "terms"])
 def test_state_header_out_of_bounds_gets_error_envelope_unbuilt(header, message, monkeypatch):
     def never(*args):
-        raise AssertionError("qubit_layout called")
+        raise AssertionError("ColumnarState called")
     job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
     state = serialize_state(job.encoded_state)
     data = struct.pack("<IHI", *header) + state[10:] + serialize_bundle(job.garbled, params)
-    monkeypatch.setattr(netio, "qubit_layout", never)
+    monkeypatch.setattr(netio, "ColumnarState", never)
     kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))
     assert kind == netio.KIND_ERROR and payload.startswith(message)
+
+
+_HALF = 0.5 ** 0.5
+
+
+# register records, term counts and amplitudes the reader refuses before it
+# builds a state
+@pytest.mark.parametrize("record, message", [
+    (_state_record([([], 0)], [1]), "register 0 holds 0 values, not 1 or 2"),
+    (_state_record([([1, 2, 3], 0)], [1]), "register 0 holds 3 values, not 1 or 2"),
+    (_state_record([([5], 0), ([7, 7], 0b01)], [_HALF, _HALF]),
+     "register 1: values not increasing"),
+    (_state_record([([6, 5], 0b01)], [_HALF, _HALF]), "register 0: values not increasing"),
+    (_state_record([([0x1000], 0)], [1], width=12),
+     "register 0 holds a value wider than 12 bits"),
+    (_state_record([([1, 0x1000], 0b10)], [_HALF, _HALF], width=12),
+     "register 0 holds a value wider than 12 bits"),
+    (_state_record([([1, 2], 0b00)], [_HALF, _HALF]),
+     "register 0: bitset picks one of its two values"),
+    (_state_record([([1, 2], 0b11)], [_HALF, _HALF]),
+     "register 0: bitset picks one of its two values"),
+    (_state_record([([1, 2], 0b110)], [_HALF, _HALF]),
+     "register 0: bitset has bits at or beyond term 2"),
+    (_state_record([([1, 2], 0b01), ([5], 0)], [_HALF, _HALF]),
+     "basis strings not strictly increasing"),
+    (_state_record([([1, 2], 0b10), ([5, 6], 0b01)], [_HALF, _HALF]),
+     "basis strings not strictly increasing"),
+    (_state_record([([1], 0), ([5], 0)], [_HALF, _HALF]),
+     "basis strings not strictly increasing"),
+    (_state_record([([1], 0)], [1], terms=1 << 20), "1048576 terms cannot fit in the "),
+    (_state_record([([1, 2], 0b10)], [_HALF, complex(_HALF, math.nan)]),
+     "amplitude not finite"),
+    (_state_record([([1, 2], 0b10)], [_HALF, math.inf]), "amplitude not finite"),
+    (_state_record([([1, 2], 0b10)], [0.6, 0.6]), "state norm^2 0.72 differs from 1"),
+], ids=["count-0", "count-3", "values-equal", "values-decreasing", "value-too-wide",
+        "second-value-too-wide", "bitset-zero", "bitset-full", "bitset-beyond-terms",
+        "terms-out-of-order", "terms-out-of-order-in-a-low-register", "terms-repeated",
+        "term-count-beyond-the-bytes", "amplitude-nan", "amplitude-inf", "norm"])
+def test_state_record_refused_gets_error_envelope_unbuilt(record, message, monkeypatch):
+    def never(*args):
+        raise AssertionError("ColumnarState called")
+    job, params = _one_phase_job()
+    data = record + serialize_bundle(job.garbled, params)
+    monkeypatch.setattr(netio, "ColumnarState", never)
+    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))
+    assert kind == netio.KIND_ERROR
+    assert payload.startswith(b"WireFormatError: " + message.encode()), payload
+    with pytest.raises(WireFormatError, match=f"^{re.escape(message)}"):
+        deserialize_job(data)
+
+
+_STATE_JOB = _seeded_job(PHASE_JOB_CIRCUIT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0), st.integers(1, 255)), min_size=1, max_size=3))
+def test_mutated_state_record_gets_an_envelope(flips):
+    # byte flips inside the job's state record only: each reply is a result
+    # or an error envelope, and a result decodes to a state of the job's
+    # shape
+    job, params = _STATE_JOB
+    state = bytearray(serialize_state(job.encoded_state))
+    for pos, mask in flips:
+        state[pos % len(state)] ^= mask
+    data = bytes(state) + serialize_bundle(job.garbled, params)
+    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))
+    assert kind in _ENVELOPE_KINDS
+    if kind == netio.KIND_RESULT:
+        out, _ = netio.deserialize_result(payload)
+        assert len(out.values) == len(job.encoded_state.values)
+
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(circuits_and_states(), st.lists(st.tuples(st.integers(0), st.integers(0, 7)),
@@ -1030,7 +1163,7 @@ def test_a_reset_connection_is_dropped_quietly(monkeypatch, capfd):
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         sock.close()        # a zero linger time: the close resets the connection
         result, _ = _submit_retrying(host, port, job, params)
-        assert len(result.terms) == len(job.encoded_state.terms)
+        assert result.num_terms() == job.encoded_state.num_terms()
     finally:
         server.shutdown()
         server.server_close()
@@ -1053,7 +1186,7 @@ def test_server_refuses_connections_beyond_the_limit(monkeypatch):
                 assert kind == netio.KIND_ERROR and b"server busy" in payload
         # closing the idle connection ends its handler and frees the slot
         result, _ = _submit_retrying(host, port, job, params)
-        assert len(result.terms) == len(job.encoded_state.terms)
+        assert result.num_terms() == job.encoded_state.num_terms()
     finally:
         server.shutdown()
         server.server_close()
