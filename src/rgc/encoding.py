@@ -76,8 +76,10 @@ def encode(state: SparseState, schedule: KeySchedule, wires: Sequence[int]) -> C
 
     Register i lists its wire's keys in increasing order as integers, so
     term t's code is its logical basis XOR the mask of the wires whose k0 is
-    the larger key, and the terms are sorted by code: the canonical form.  A
-    register whose bit is the same in every term holds its one key."""
+    the larger key.  The column form of the coded basis strings, one bit per
+    register, is the canonical form's bitsets and term order; each
+    register's values are then its keys.  A register whose bit is the same
+    in every term holds its one key."""
     n = state.layout.total_bits
     if len(wires) != n:
         raise ValueError("one wire per input bit required")
@@ -88,18 +90,10 @@ def encode(state: SparseState, schedule: KeySchedule, wires: Sequence[int]) -> C
             mask |= 1 << i
             k0, k1 = k1, k0
         ordered.append((k0, k1))
-    coded = {basis ^ mask: amp for basis, amp in state.terms.items()}
-    codes = sorted(coded)
-    full = (1 << len(codes)) - 1
-    values, columns = [], []
-    for (low, high), bits in zip(ordered, transpose(codes, n)):
-        if bits and bits != full:
-            values.append([low, high])
-            columns.append(bits)
-        else:
-            values.append([high if bits else low])
-            columns.append(0)
-    return ColumnarState(schedule.kappa_bits, values, columns, [coded[c] for c in codes])
+    coded = ColumnarState.from_sparse(SparseState(
+        qubit_layout(n), {basis ^ mask: amp for basis, amp in state.terms.items()}, check=False))
+    values = [[keys[bit[0]] for bit in held] for keys, held in zip(ordered, coded.values)]
+    return ColumnarState(schedule.kappa_bits, values, coded.bits, coded.amps)
 
 
 def decode(state: ColumnarState, schedule: KeySchedule, wires: Sequence[int],
@@ -109,7 +103,9 @@ def decode(state: ColumnarState, schedule: KeySchedule, wires: Sequence[int],
 
     Key membership is checked once per value a register holds, and each
     register's logical bits are its bitset, complemented when its first
-    value is the 1 key; one transpose turns them into the terms' bases."""
+    value is the 1 key; one transpose turns them into the terms' bases.  The
+    terms come back in increasing order of their bases, so a decoded state
+    is the same dict, order included, in process and through the wire."""
     n = len(wires)
     if len(state.values) != n or state.width != schedule.kappa_bits:
         raise ValueError("encoded state is not len(wires) registers of kappa bits")
@@ -128,7 +124,8 @@ def decode(state: ColumnarState, schedule: KeySchedule, wires: Sequence[int],
                                       f"{bytes_to_int(value):#x}, matching neither key")
         columns.append(logical)
     bases = transpose(columns, state.num_terms())
-    return SparseState(qubit_layout(n), dict(zip(bases, state.amps)), check=False)
+    terms = sorted(zip(bases, state.amps), key=lambda term: term[0])
+    return SparseState(qubit_layout(n), dict(terms), check=False)
 
 
 # ---------------------------------------------------------------------------

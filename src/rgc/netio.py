@@ -63,7 +63,8 @@ and written whole.  The reader refuses other bundle versions
 every Toffoli, format 4 a tag behind every key of every row, and format 5 a
 pad per slot and per key of every row),
 widths ``CryptoParams`` refuses, more than ``MAX_QUBITS`` qubits or state
-registers, more constants than qubits, a gate or term count that the bytes
+registers, a state of more than ``MAX_STATE_CELLS`` registers times terms,
+more constants than qubits, a gate or term count that the bytes
 left could not hold, a state register width of 0, a skeleton
 ``circuit.allocate_wires`` refuses (its every rule, the phase exponent's
 bound among them), and a state register of other than 1 or 2 values, of
@@ -139,14 +140,20 @@ KIND_RESULT = 2
 KIND_ERROR = 3
 
 # Server limits: the largest envelope payload a peer may declare (modexp21's
-# job is 616 KB and the blind interpreter's at N=3, D=3, L=4 is 87 KB), the
+# job is 481 KB and the blind interpreter's at N=3, D=3, L=4 is 87 KB), the
 # most work one job may ask of the evaluator (see job_work: modexp21 asks
 # 14,976 steps, and a phase step takes about 0.1 us), the most qubits a
-# skeleton may declare (that interpreter has 36), how many connections are
-# served at once, and how long one socket read or write may wait.
+# skeleton may declare (that interpreter has 36), the most registers times
+# terms a state may declare, how many connections are served at once, and
+# how long one socket read or write may wait.  Wire version 2 sent at least
+# a byte per register per term, so the payload bound capped a state's
+# registers times terms; version 3 sends a register of one value in a few
+# bytes whatever the term count, so that cap is kept by MAX_STATE_CELLS
+# (modexp21's state has 19 registers of 1024 terms).
 MAX_PAYLOAD_BYTES = 64 << 20
 MAX_JOB_WORK = 1 << 24
 MAX_QUBITS = 1 << 16
+MAX_STATE_CELLS = MAX_PAYLOAD_BYTES
 MAX_CONNECTIONS = 16
 SOCKET_TIMEOUT_S = 30.0
 
@@ -409,6 +416,9 @@ def _get_state(r: Reader) -> ColumnarState:
     nbytes = (width + 7) // 8
     if n * (1 + nbytes) + count * 16 > r.left():
         raise WireFormatError(f"{count} terms cannot fit in the {r.left()} bytes left")
+    if n * count > MAX_STATE_CELLS:
+        raise WireFormatError(f"{n} registers of {count} terms above limit "
+                              f"{MAX_STATE_CELLS} register-terms")
     full = (1 << count) - 1
     values, columns = [], []
     for i in range(n):

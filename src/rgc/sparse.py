@@ -118,6 +118,8 @@ def descents(bits: Sequence[int], count: int) -> int:
     undecided = (1 << count - 1) - 1 if count > 1 else 0
     bad = 0
     for column in reversed(bits):
+        if not column:          # one value in every term decides nothing
+            continue
         differ = (column ^ column >> 1) & undecided
         bad |= differ & column      # term t holds the second value, t + 1 the first
         undecided ^= differ
@@ -159,7 +161,9 @@ class ColumnarState:
     def canonical(self) -> ColumnarState:
         """The state in canonical form: each register's values sorted, with
         its bitset complemented where they swap, then the terms sorted by
-        their codes when they are not in order already."""
+        their codes when they are not in order already.  Only the registers
+        holding two values are transposed for the sort: a register of one
+        value has bitset 0 in every order."""
         full = (1 << len(self.amps)) - 1
         values, columns = [], []
         for vals, bits in zip(self.values, self.bits):
@@ -169,33 +173,57 @@ class ColumnarState:
             columns.append(bits)
         if not descents(columns, len(self.amps)):
             return ColumnarState(self.width, values, columns, self.amps)
-        codes = transpose(columns, len(self.amps))
+        varying = [i for i, bits in enumerate(columns) if bits]
+        codes = transpose([columns[i] for i in varying], len(self.amps))
         order = sorted(range(len(codes)), key=codes.__getitem__)
-        return ColumnarState(self.width, values,
-                             transpose([codes[t] for t in order], len(values)),
-                             [self.amps[t] for t in order])
+        for i, bits in zip(varying, transpose([codes[t] for t in order], len(varying))):
+            columns[i] = bits
+        return ColumnarState(self.width, values, columns, [self.amps[t] for t in order])
 
     @staticmethod
     def from_sparse(state: SparseState) -> ColumnarState:
         """The canonical column form of a state on ``qubit_layout(n,
-        width)`` whose registers each hold at most two values: a decoded
-        state written to a file, or a state built by hand."""
+        width)`` whose registers each hold at most two values.
+
+        One transpose of the sorted basis strings gives each basis bit as a
+        bitset over the terms; a register's terms that differ from term 0's
+        value are the OR of its bits' differences from that value, and they
+        must all hold one second value."""
         regs = state.layout.registers
         width = regs[0][1] if regs else 1
         if state.layout != qubit_layout(len(regs), width):
             raise ValueError("only registers q0, q1, ... of one width have a column form")
-        items = sorted(state.terms.items())
-        mask, nbytes = (1 << width) - 1, (width + 7) // 8
+        bases = sorted(state.terms)
+        full = (1 << len(bases)) - 1
+        planes = transpose(bases, len(regs) * width)
+        nbytes = (width + 7) // 8
         values, columns = [], []
         for i in range(len(regs)):
-            held = [basis >> i * width & mask for basis, _ in items]
-            distinct = sorted(set(held))
-            if len(distinct) > 2:
-                raise ValueError(f"register {i} holds {len(distinct)} distinct values; "
+            own = planes[i * width:(i + 1) * width]
+            first = sum((plane & 1) << j for j, plane in enumerate(own))
+            other = _holding_other(own, first, full)
+            if not other:
+                values.append([first.to_bytes(nbytes, "little")])
+                columns.append(0)
+                continue
+            t = (other & -other).bit_length() - 1
+            second = sum((plane >> t & 1) << j for j, plane in enumerate(own))
+            if other & _holding_other(own, second, full):
+                raise ValueError(f"register {i} holds more than two distinct values; "
                                  f"a column holds two")
-            values.append([v.to_bytes(nbytes, "little") for v in distinct])
-            columns.append(sum(1 << t for t, v in enumerate(held) if v != distinct[0]))
-        return ColumnarState(width, values, columns, [amp for _, amp in items])
+            low, high = sorted((first, second))
+            values.append([low.to_bytes(nbytes, "little"), high.to_bytes(nbytes, "little")])
+            columns.append(other if second == high else full ^ other)
+        return ColumnarState(width, values, columns, [state.terms[b] for b in bases])
+
+
+def _holding_other(planes: Sequence[int], value: int, full: int) -> int:
+    """The terms whose bits, one bitset per bit of a register, spell a
+    value other than ``value``."""
+    other = 0
+    for j, plane in enumerate(planes):
+        other |= plane ^ full if value >> j & 1 else plane
+    return other
 
 
 def _pruned(terms: dict[int, complex]) -> dict[int, complex]:

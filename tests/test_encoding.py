@@ -8,8 +8,8 @@ from rgc import sparse
 from rgc.circuit import allocate_wires, parse_circuit, toff
 from rgc.encoding import (KeySchedule, UnknownKeyError, WireKeyPair, cnot_cost,
                           decode, encode, gen_keys, mixing_check)
-from rgc.sparse import (ColumnarState, basis_state, descents, fidelity, inner, qubit_layout,
-                        random_state)
+from rgc.sparse import (ColumnarState, SparseState, basis_state, descents, fidelity, inner,
+                        qubit_layout, random_state)
 
 from conftest import random_density, sparse_of
 
@@ -113,6 +113,17 @@ def test_encode_builds_the_canonical_column_form():
         assert encoded == ColumnarState.from_sparse(sparse_of(encoded))
         assert encoded.canonical() == encoded and not descents(encoded.bits, encoded.num_terms())
         assert decode(encoded, schedule, ONE_TOFFOLI.input_wires).terms == state.terms
+
+
+def test_column_form_of_a_sparse_state_is_canonical_and_holds_two_values():
+    # registers 3 bits wide, terms given out of order: each register lists
+    # its values in increasing order, and the terms come by increasing basis
+    lay = qubit_layout(2, 3)
+    state = SparseState(lay, {0o15: 0.6 + 0j, 0o05: 0.48j, 0o12: 0.64 + 0j})
+    assert ColumnarState.from_sparse(state) == ColumnarState(
+        3, [[b"\x02", b"\x05"], [b"\x00", b"\x01"]], [0b101, 0b110], [0.48j, 0.64, 0.6])
+    with pytest.raises(ValueError, match="register 1 holds more than two distinct values"):
+        ColumnarState.from_sparse(SparseState(lay, {0o05: 0.6, 0o15: 0.48, 0o25: 0.64}))
 
 
 def test_decode_checks_each_value_a_register_holds():

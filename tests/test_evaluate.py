@@ -233,6 +233,25 @@ def test_eval_leaves_its_input_unchanged_and_its_result_canonicalizes():
             == decode(out, schedule, circ.output_wires, flipped_wires(circ)).terms)
 
 
+def test_decoded_terms_come_in_one_order_in_process_and_through_the_wire():
+    # the evaluator keeps its input's term order and the wire sorts by code;
+    # decode lists the terms by increasing basis either way, so a seeded
+    # measurement of the two decoded states draws the same outcomes
+    params = make_params()
+    rng = random.Random(23)
+    circ = random_circuit(rng, 5, 16, max_denom_exp=3)
+    schedule = gen_keys(16, circ, rng)
+    bundle = garble_circuit(params, circ, schedule, rng)
+    out, _ = eval_bundle(params, encode(random_state(qubit_layout(5), rng), schedule,
+                                        circ.input_wires), bundle)
+    wire = netio.deserialize_state(netio.serialize_state(out))
+    assert wire.amps != out.amps                # the wire reordered the terms
+    local, remote = (decode(s, schedule, circ.output_wires, flipped_wires(circ))
+                     for s in (out, wire))
+    assert list(local.terms.items()) == list(remote.terms.items())
+    assert list(local.terms) == sorted(local.terms)
+
+
 def test_eval_stats_search_bound():
     params = make_params()
     rng = random.Random(13)

@@ -1138,6 +1138,80 @@ def test_the_work_limit_is_far_above_modexp21s_work():
     assert work == 14_976 and 100 * work <= netio.MAX_JOB_WORK
 
 
+def _wide_job(n, varying):
+    """A job on ``n`` qubits through one honest Toffoli on qubits 0, 1, 2,
+    whose state is the uniform superposition over its first ``varying``
+    qubits, packed as the wire carries it without building it: 2^varying
+    equal terms, register i below ``varying`` holding both of its wire's
+    keys, term t the larger where bit i of t is set, and every other register
+    its wire's 0 key.  Returns the circuit, the state record and the bundle
+    bytes."""
+    circ = parse_circuit(f"inputs {n}\ntoff 0 1 2\n")
+    rng = random.Random(53)
+    keys = delegation.keygen(16, n, circ, rng, conjecture=True)
+    params = delegation.make_params(16, oracle_seed=b"wide")
+    bundle = delegation.encrypt(params, keys, circ, sparse.basis_state(qubit_layout(n), 0),
+                                rng).garbled
+    count = 1 << varying
+    parts = [struct.pack("<IHI", n, 16, count)]
+    for i in range(n):
+        k0, k1 = keys.schedule.pairs[i]
+        if i >= varying:
+            parts.append(b"\1" + k0)
+            continue
+        low, high = sorted((k0, k1), key=lambda key: int.from_bytes(key, "little"))
+        if i < 3:
+            bitset = bytes([(0xAA, 0xCC, 0xF0)[i]]) * (count // 8)
+        else:
+            bitset = (bytes(1 << i - 3) + b"\xff" * (1 << i - 3)) * (count >> i + 1)
+        parts.append(b"\2" + low + high + bitset)
+    parts.append(struct.pack("<dd", 2.0 ** (-varying / 2), 0.0) * count)
+    return circ, b"".join(parts), serialize_bundle(bundle, params)
+
+
+def test_state_of_too_many_register_terms_is_refused_before_it_is_read(monkeypatch):
+    # 65,536 registers, 20 of them holding two keys, over 2^20 terms: a
+    # register of one key is 3 bytes whatever the term count, so the job
+    # fits the payload bound and its one Toffoli the work bound, yet the
+    # state is 2^36 register-terms
+    def never(*args):
+        raise AssertionError("ColumnarState called")
+    circ, record, bundle = _wide_job(netio.MAX_QUBITS, 20)
+    assert len(record) + len(bundle) <= netio.MAX_PAYLOAD_BYTES
+    assert netio.job_work(circ, 1 << 20) <= netio.MAX_JOB_WORK
+    envelope = frame(netio.KIND_JOB, record + bundle)
+    monkeypatch.setattr(netio, "ColumnarState", never)
+    start = time.perf_counter()
+    kind, payload = unframe(netio.handle_envelope(envelope))
+    assert time.perf_counter() - start < 1.0
+    assert kind == netio.KIND_ERROR
+    assert payload == (b"WireFormatError: 65536 registers of 1048576 terms above limit "
+                       b"67108864 register-terms")
+
+
+def test_state_at_the_register_term_limit_transposes_only_two_key_registers(monkeypatch):
+    # 4096 registers of 2^14 terms meet the limit exactly.  The Toffoli
+    # reorders the codes, and the result is sorted by the codes of the 14
+    # registers that hold two keys, never transposing the other 4082.  It
+    # permutes the whole cube of those codes, so the sorted result has the
+    # input's bitsets, and the registers it does not touch keep their keys
+    original, cells = sparse.transpose, []
+
+    def counting_transpose(words, width):
+        cells.append(len(words) * width)
+        return original(words, width)
+    circ, record, bundle = _wide_job(4096, 14)
+    assert 4096 << 14 == netio.MAX_STATE_CELLS
+    monkeypatch.setattr(sparse, "transpose", counting_transpose)
+    kind, payload = unframe(netio.handle_envelope(frame(netio.KIND_JOB, record + bundle)))
+    assert kind == netio.KIND_RESULT
+    assert cells and max(cells) == 14 << 14
+    out, stats = netio.deserialize_result(payload)
+    sent = deserialize_state(record)
+    assert stats.gates == 1 and out.amps == sent.amps
+    assert out.bits == sent.bits and out.values[3:] == sent.values[3:]
+
+
 def _submit_retrying(host, port, job, params):
     """Submit until the server has a free slot, for at most 5 s."""
     deadline = time.monotonic() + 5
