@@ -1,19 +1,22 @@
 """C+P circuit representation: Toffoli gates, single-qubit phase gates and X.
 
-Circuits are described at two levels.  The logical level talks about qubits
-(0..N-1) and is what the text format and the direct simulator use.  The wire
-level is a single-assignment view used by key generation and garbling: a
-Toffoli consumes its three qubits' current wires and drives three fresh ones;
-a phase gate and an X keep their wire.  A circuit with N inputs and L gates
-therefore uses at most N+3L wires.  :func:`allocate_wires` assigns every
-wire itself, so this discipline holds by construction, and it is the one
-place that states a circuit's rules: the text parser, the generators and
-the server's skeleton reader all build through it.
+A circuit is one list of gates that name qubits (0..N-1): the text format,
+the generators, the direct simulator and the server's skeleton all use it.
+:func:`allocate_wires` is the one checker and builder of a circuit, and so
+the one place that states a circuit's rules: the text parser, the generators
+and the server's skeleton reader all build through it.
+
+Wires are the client's bookkeeping for its key pairs, derived once per
+circuit in :attr:`CPCircuit.wiring`: a Toffoli consumes its three qubits'
+current wires and drives three fresh ones, and a phase gate and an X keep
+their wire.  Inputs are wires 0..N-1, so a circuit with N inputs and L gates
+uses at most N+3L wires.  The server never numbers a wire.
 
 An X costs nothing to delegate.  With one key per logical value, a NOT only
-swaps which of its wire's two keys means 0, so the garbler tracks that swap
-per wire and emits no table for it (see :func:`flipped_wires`); the server's
-skeleton is the circuit with its X gates removed (:func:`without_x`).
+swaps which of its wire's two keys means 0, so the wiring records with every
+wire a gate reads, and with every output, the parity of the X gates on it
+so far, and the garbler emits no table for an X; the server's skeleton is
+the circuit with its X gates removed (:func:`without_x`).
 
 A circuit may declare public constant-1 input qubits (``const_qubits``):
 structural constants such as the control the generators use to build a CNOT
@@ -48,26 +51,13 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 from . import sparse
 from .sparse import SparseState
 
 DEFAULT_MAX_DENOM_EXP = 16
-
-LogicalGate = tuple  # ("toff", a, b, c) | ("phase", a, d, sign) | ("x", a)
-
-
-def toff(a: int, b: int, c: int) -> LogicalGate:
-    return ("toff", a, b, c)
-
-
-def phase(a: int, d: int, sign: int = 1) -> LogicalGate:
-    return ("phase", a, d, sign)
-
-
-def x(a: int) -> LogicalGate:
-    return ("x", a)
 
 
 class CircuitError(ValueError):
@@ -83,14 +73,11 @@ class CircuitSyntaxError(CircuitError):
 @dataclass(frozen=True)
 class Toffoli:
     qubits: tuple[int, int, int]      # (control, control, target)
-    in_wires: tuple[int, int, int]
-    out_wires: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class Phase:
     qubit: int
-    wire: int
     denom_exp: int                    # gate is R_Z(sign * pi / 2^denom_exp)
     sign: int = 1
 
@@ -98,89 +85,123 @@ class Phase:
 @dataclass(frozen=True)
 class X:
     qubit: int
-    wire: int
 
 
 Gate = Toffoli | Phase | X
+
+
+def toff(a: int, b: int, c: int) -> Toffoli:
+    return Toffoli((a, b, c))
+
+
+phase, x = Phase, X
+
+
+End = tuple[int, int]       # (wire, flip): on flip 1 the wire's key k1 means 0
+
+
+class GateWiring(NamedTuple):
+    reads: tuple[End, ...]      # per header slot: a Toffoli's three, a phase gate's one
+    writes: tuple[int, ...]     # a Toffoli's three fresh wires; () for a phase gate
+
+
+@dataclass(frozen=True)
+class Wiring:
+    gates: tuple[GateWiring, ...]   # per skeleton gate (X gates have no table)
+    num_wires: int
+    outputs: tuple[End, ...]        # per qubit
 
 
 @dataclass(frozen=True)
 class CPCircuit:
     num_inputs: int
     gates: tuple[Gate, ...]
-    num_wires: int
-    output_wires: tuple[int, ...]
     const_qubits: tuple[int, ...] = ()    # public constant-1 inputs, sorted
 
     @property
-    def input_wires(self) -> tuple[int, ...]:
-        return tuple(range(self.num_inputs))
+    def input_wires(self) -> range:
+        return range(self.num_inputs)
 
     @property
     def const_mask(self) -> int:
         """The constant qubits' bits, all set in every valid input."""
         return sum(1 << q for q in self.const_qubits)
 
+    @property
+    def num_wires(self) -> int:
+        return self.wiring.num_wires
 
-def allocate_wires(logical_gates: Iterable[LogicalGate], n_inputs: int,
+    @cached_property
+    def wiring(self) -> Wiring:
+        """The wires each gate reads and writes and each qubit ends on, with
+        the parity of the X gates each has met.  A wire takes no gate once
+        consumed, so the parity its reader sees is final."""
+        current = list(range(self.num_inputs))
+        flips = [0] * self.num_inputs
+        next_wire = self.num_inputs
+        gates: list[GateWiring] = []
+        for g in self.gates:
+            if isinstance(g, Toffoli):
+                writes = (next_wire, next_wire + 1, next_wire + 2)
+                next_wire += 3
+                gates.append(GateWiring(tuple((current[q], flips[q]) for q in g.qubits),
+                                        writes))
+                for q, w in zip(g.qubits, writes):
+                    current[q], flips[q] = w, 0
+            elif isinstance(g, X):
+                flips[g.qubit] ^= 1
+            else:
+                gates.append(GateWiring(((current[g.qubit], flips[g.qubit]),), ()))
+        return Wiring(tuple(gates), next_wire, tuple(zip(current, flips)))
+
+
+def allocate_wires(gates: Iterable[Gate], n_inputs: int,
                    const_qubits: Sequence[int] = ()) -> CPCircuit:
-    """Assign single-use wire indices to a logical gate list, refusing a
-    qubit out of range, a Toffoli naming one qubit twice, a phase exponent
-    outside 0..DEFAULT_MAX_DENOM_EXP or sign other than +-1, and constant
-    qubits that are not strictly increasing inputs or that a gate could
-    change."""
+    """The circuit of these gates, refusing a qubit out of range, a Toffoli
+    naming one qubit twice, a phase exponent outside 0..DEFAULT_MAX_DENOM_EXP
+    or sign other than +-1, and constant qubits that are not strictly
+    increasing inputs or that a gate could change.  Its wires are derived
+    only when the client asks (:attr:`CPCircuit.wiring`)."""
     if n_inputs <= 0:
         raise CircuitError("circuit needs at least one input")
-    current = list(range(n_inputs))
-    next_wire = n_inputs
-    gates: list[Gate] = []
-    for g in logical_gates:
-        kind = g[0]
-        if kind == "toff":
-            a, b, c = g[1], g[2], g[3]
+    checked: list[Gate] = []
+    for g in gates:
+        if isinstance(g, Toffoli):
+            a, b, c = g.qubits
             if a == b or a == c or b == c:
                 raise CircuitError(f"toffoli qubits must be distinct, got {a} {b} {c}")
             if not (0 <= a < n_inputs and 0 <= b < n_inputs and 0 <= c < n_inputs):
                 q = next(q for q in (a, b, c) if not 0 <= q < n_inputs)
                 raise CircuitError(f"qubit {q} out of range (N={n_inputs})")
-            in_wires = (current[a], current[b], current[c])
-            out_wires = (next_wire, next_wire + 1, next_wire + 2)
-            next_wire += 3
-            current[a], current[b], current[c] = out_wires
-            gates.append(Toffoli((a, b, c), in_wires, out_wires))
-        elif kind == "phase":
-            a, d, sign = g[1], g[2], g[3]
-            if not 0 <= a < n_inputs:
-                raise CircuitError(f"qubit {a} out of range (N={n_inputs})")
-            if not 0 <= d <= DEFAULT_MAX_DENOM_EXP:
-                raise CircuitError(f"phase exponent {d} not in 0..{DEFAULT_MAX_DENOM_EXP}")
-            if sign not in (1, -1):
-                raise CircuitError(f"phase sign must be +-1, got {sign}")
-            gates.append(Phase(a, current[a], d, sign))
-        elif kind == "x":
-            a = g[1]
-            if not 0 <= a < n_inputs:
-                raise CircuitError(f"qubit {a} out of range (N={n_inputs})")
-            gates.append(X(a, current[a]))
+        elif isinstance(g, (Phase, X)):
+            if not 0 <= g.qubit < n_inputs:
+                raise CircuitError(f"qubit {g.qubit} out of range (N={n_inputs})")
+            if isinstance(g, Phase):
+                if not 0 <= g.denom_exp <= DEFAULT_MAX_DENOM_EXP:
+                    raise CircuitError(f"phase exponent {g.denom_exp} not in "
+                                       f"0..{DEFAULT_MAX_DENOM_EXP}")
+                if g.sign not in (1, -1):
+                    raise CircuitError(f"phase sign must be +-1, got {g.sign}")
         else:
-            raise CircuitError(f"unknown gate kind {kind!r}")
+            raise CircuitError(f"unknown gate {g!r}")
+        checked.append(g)
     consts = tuple(const_qubits)
     if any(b <= a for a, b in zip(consts, consts[1:])):
         raise CircuitError(f"constant qubits must be strictly increasing, got {consts}")
     if consts and not 0 <= consts[0] <= consts[-1] < n_inputs:
         raise CircuitError(f"constant qubits {consts} out of range (N={n_inputs})")
     const_set = frozenset(consts)
-    for g in gates:
+    for g in checked:
         if isinstance(g, Toffoli):
             if g.qubits[2] in const_set:
                 raise CircuitError(f"constant qubit {g.qubits[2]} is a toffoli target")
         elif g.qubit in const_set:
             raise CircuitError(f"constant qubit {g.qubit} is "
                                f"{'phased' if isinstance(g, Phase) else 'hit by an X'}")
-    return CPCircuit(n_inputs, tuple(gates), next_wire, tuple(current), consts)
+    return CPCircuit(n_inputs, tuple(checked), consts)
 
 
-def cancel_pairs(logical_gates: Iterable[LogicalGate]) -> list[LogicalGate]:
+def cancel_pairs(gates: Iterable[Gate]) -> list[Gate]:
     """The gate list without its pairs of identical Toffoli or X gates that
     only gates they commute with separate.
 
@@ -194,23 +215,24 @@ def cancel_pairs(logical_gates: Iterable[LogicalGate]) -> list[LogicalGate]:
     is a fixpoint: a kept gate's latest blocker could only be dropped by a
     later copy of the blocker, which the kept gate blocks in turn.
     """
-    out: list[LogicalGate | None] = []
+    out: list[Gate | None] = []
     readers: dict[int, list[int]] = {}     # qubit -> positions of gates reading it
     writers: dict[int, list[int]] = {}     # qubit -> positions of gates writing it
-    copies: dict[tuple, list[int]] = {}    # gate -> positions of its copies
+    copies: dict[object, list[int]] = {}   # gate -> positions of its copies
 
     def latest(positions: list[int]) -> int:
         while positions and out[positions[-1]] is None:
             positions.pop()
         return positions[-1] if positions else -1
 
-    for g in logical_gates:
-        if g[0] == "toff":
-            reads, target, key = g[1:3], g[3], ("toff", frozenset(g[1:3]), g[3])
-        elif g[0] == "x":
-            reads, target, key = (), g[1], g
+    for g in gates:
+        if isinstance(g, Toffoli):
+            reads, target = g.qubits[:2], g.qubits[2]
+            key: object = (frozenset(reads), target)
+        elif isinstance(g, X):
+            reads, target, key = (), g.qubit, g
         else:
-            reads, target, key = g[1:2], None, None
+            reads, target, key = (g.qubit,), None, None
         if key is not None:
             blocker = max([latest(readers.get(target, [])),
                            *(latest(writers.get(q, [])) for q in reads)])
@@ -230,6 +252,7 @@ def cancel_pairs(logical_gates: Iterable[LogicalGate]) -> list[LogicalGate]:
 # text format
 
 _ARITY = {"inputs": 1, "const": 1, "toff": 3, "phase": 2, "x": 1}
+_BUILD = {"toff": toff, "phase": phase, "x": x}
 
 
 def parse_circuit(text: str) -> CPCircuit:
@@ -239,7 +262,7 @@ def parse_circuit(text: str) -> CPCircuit:
     lines = text.splitlines()
     n_inputs = None
     consts: list[int] = []
-    gates: list[tuple[int, LogicalGate]] = []
+    gates: list[tuple[int, Gate]] = []
     for line_no, raw in enumerate(lines, start=1):
         fields = raw.split("#", 1)[0].split()
         if not fields:
@@ -263,7 +286,9 @@ def parse_circuit(text: str) -> CPCircuit:
         elif word == "const":
             consts.append(ints[0])
         else:
-            gates.append((line_no, (word, *ints, sign) if word == "phase" else (word, *ints)))
+            if word == "phase":
+                ints.append(sign)
+            gates.append((line_no, _BUILD[word](*ints)))
     if n_inputs is None:
         raise CircuitSyntaxError(len(lines), "missing inputs header")
 
@@ -295,14 +320,14 @@ def format_circuit(circ: CPCircuit) -> str:
 
 def random_circuit(rng: random.Random, n_qubits: int, n_gates: int,
                    max_denom_exp: int = 3) -> CPCircuit:
-    logical: list[LogicalGate] = []
+    gates: list[Gate] = []
     for _ in range(n_gates):
         if n_qubits >= 3 and rng.random() < 0.5:
-            logical.append(toff(*rng.sample(range(n_qubits), 3)))
+            gates.append(toff(*rng.sample(range(n_qubits), 3)))
         else:
-            logical.append(phase(rng.randrange(n_qubits), rng.randint(0, max_denom_exp),
-                                 rng.choice((1, -1))))
-    return allocate_wires(logical, n_qubits)
+            gates.append(phase(rng.randrange(n_qubits), rng.randint(0, max_denom_exp),
+                               rng.choice((1, -1))))
+    return allocate_wires(gates, n_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -368,26 +393,12 @@ def simulate(circ: CPCircuit, state: SparseState) -> SparseState:
 
 
 # ---------------------------------------------------------------------------
-# X gates as key relabelings
+# the server's view
 
 def without_x(circ: CPCircuit) -> CPCircuit:
-    """The circuit with its X gates removed: same wires, same outputs.  An X
-    keeps its wire, so the rest of the wire discipline is untouched."""
-    gates = tuple(g for g in circ.gates if not isinstance(g, X))
-    return CPCircuit(circ.num_inputs, gates, circ.num_wires, circ.output_wires,
+    """The circuit with its X gates removed: the skeleton the server gets."""
+    return CPCircuit(circ.num_inputs, tuple(g for g in circ.gates if not isinstance(g, X)),
                      circ.const_qubits)
-
-
-def flipped_wires(circ: CPCircuit) -> frozenset[int]:
-    """Wires an odd number of X gates act on, whose key k1 therefore means
-    logical 0 by the time the wire is consumed or output.  Once consumed a
-    wire takes no more gates, so this final polarity is the one its last
-    reader and the decoder see."""
-    flipped: set[int] = set()
-    for g in circ.gates:
-        if isinstance(g, X):
-            flipped ^= {g.wire}
-    return frozenset(flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +522,7 @@ def universalize(circ: CPCircuit, n_qubits: int, max_denom_exp: int,
     opanc, angle_anc = pos, pos + 1
     total_qubits = pos + 2
 
-    gates: list[LogicalGate] = []
+    gates: list[Gate] = []
 
     def cnot(a, t):
         gates.append(toff(c0, a, t))

@@ -99,24 +99,23 @@ def cmd_keygen(args) -> int:
     circ = _load_circuit(args.circuit)
     keys = delegation.keygen(args.eta, circ.num_inputs, circ, derive_rng(args.seed, "keygen"),
                              conjecture=args.conjecture_1)
-    _write_bin(args.out, netio.serialize_schedule(keys.schedule))
-    print(f"kappa={keys.kappa_bits} wires={keys.schedule.num_wires} -> {args.out}")
+    _write_bin(args.out, netio.serialize_schedule(keys))
+    print(f"kappa={keys.kappa_bits} wires={keys.num_wires} -> {args.out}")
     return 0
 
 
-def _keys_from_file(path: str, circ: circuit.CPCircuit) -> delegation.DelegationKeys:
+def _keys_from_file(path: str, circ: circuit.CPCircuit) -> encoding.KeySchedule:
     schedule = netio.deserialize_schedule(_read_bin(path))
     if schedule.num_wires != circ.num_wires:
         raise CliError("schedule does not match the circuit")
-    return delegation.DelegationKeys(schedule)
+    return schedule
 
 
 def cmd_garble(args) -> int:
     circ = _load_circuit(args.circuit)
     keys = _keys_from_file(args.keys, circ)
     params = _params_for(args, keys.kappa_bits)
-    bundle = garble.garble_circuit(params, circ, keys.schedule,
-                                   derive_rng(args.seed, "garble"))
+    bundle = garble.garble_circuit(params, circ, keys, derive_rng(args.seed, "garble"))
     data = netio.serialize_bundle(bundle, params)
     _write_bin(args.out, data)
     rows = sum(len(t.forward.rows) + len(t.backward.rows) if isinstance(t, garble.ToffoliTables)
@@ -166,7 +165,7 @@ def cmd_delegate(args) -> int:
     job = delegation.encrypt(params, keys, circ, state, rng)
     if args.endpoint:
         host, _, port = args.endpoint.rpartition(":")
-        out, stats = netio.submit(host, int(port), job, params)
+        out, stats = netio.submit(host, int(port), job, params, timeout=args.timeout)
     elif args.dir:
         job_id = f"job-{secrets.token_hex(8)}"     # not the seed, which gives the keys away
         netio.submit_file(args.dir, job_id, job, params)

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import encoding, evaluate, garble, sparse, symcrypt
-from .circuit import (CPCircuit, UniversalMachine, allocate_wires, cancel_pairs,
-                      flipped_wires, simulate, toff, universalize, x)
+from .circuit import (CPCircuit, Gate, UniversalMachine, allocate_wires, cancel_pairs, simulate,
+                      toff, universalize, x)
 from .encoding import KeySchedule
 from .evaluate import EvalStats
 from .garble import GarbledBundle
@@ -37,15 +37,6 @@ from .oracle import HASH_MODE, TABLE_MODE, OracleFamily
 from .sparse import ColumnarState, RegisterLayout, SparseState, qubit_layout
 from .symcrypt import CryptoParams
 from .util import rand_bytes
-
-
-@dataclass(frozen=True)
-class DelegationKeys:
-    schedule: KeySchedule
-
-    @property
-    def kappa_bits(self) -> int:
-        return self.schedule.kappa_bits
 
 
 @dataclass(frozen=True)
@@ -64,9 +55,8 @@ def required_kappa(eta: int, n_quantum: int, conjecture: bool = False) -> int:
 
 
 def keygen(eta: int, n_quantum: int, circ: CPCircuit, rng: random.Random,
-           conjecture: bool = False) -> DelegationKeys:
-    kappa = required_kappa(eta, n_quantum, conjecture)
-    return DelegationKeys(encoding.gen_keys(kappa, circ, rng))
+           conjecture: bool = False) -> KeySchedule:
+    return encoding.gen_keys(required_kappa(eta, n_quantum, conjecture), circ, rng)
 
 
 def make_params(kappa_bits: int, *, tag_len_bits: int = 128, oracle_seed: bytes = b"",
@@ -78,7 +68,7 @@ def make_params(kappa_bits: int, *, tag_len_bits: int = 128, oracle_seed: bytes 
     return CryptoParams(kappa_bits, family, tag_len_bits)
 
 
-def encode_input(keys: DelegationKeys, circ: CPCircuit,
+def encode_input(keys: KeySchedule, circ: CPCircuit,
                  input_state: SparseState) -> ColumnarState:
     """The input under its wires' keys.  A declared constant must be 1 in every
     term: its 0 key opens no row, and the server's failure would show it."""
@@ -87,23 +77,23 @@ def encode_input(keys: DelegationKeys, circ: CPCircuit,
     const_mask = circ.const_mask
     if any(basis & const_mask != const_mask for basis in input_state.terms):
         raise ValueError("a declared constant qubit is not 1 in every input term")
-    return encoding.encode(input_state, keys.schedule, circ.input_wires)
+    return encoding.encode(input_state, keys, circ.input_wires)
 
 
-def encrypt(params: CryptoParams, keys: DelegationKeys, circ: CPCircuit,
+def encrypt(params: CryptoParams, keys: KeySchedule, circ: CPCircuit,
             input_state: SparseState, rng: random.Random) -> JobBundle:
     if params.kappa_bits != keys.kappa_bits:
         raise ValueError("crypto params and keys disagree on kappa")
     encoded = encode_input(keys, circ, input_state)
-    bundle = garble.garble_circuit(params, circ, keys.schedule, rng)
+    bundle = garble.garble_circuit(params, circ, keys, rng)
     return JobBundle(encoded, bundle)
 
 
-def decrypt(keys: DelegationKeys, circ: CPCircuit, result: ColumnarState) -> SparseState:
-    return encoding.decode(result, keys.schedule, circ.output_wires, flipped_wires(circ))
+def decrypt(keys: KeySchedule, circ: CPCircuit, result: ColumnarState) -> SparseState:
+    return encoding.decode(result, keys, circ.wiring.outputs)
 
 
-def delegate(params: CryptoParams, keys: DelegationKeys, circ: CPCircuit,
+def delegate(params: CryptoParams, keys: KeySchedule, circ: CPCircuit,
              input_state: SparseState, rng: random.Random) -> tuple[SparseState, EvalStats]:
     """Client and server in one process; the acceptance oracle for both."""
     job = encrypt(params, keys, circ, input_state, rng)
@@ -224,7 +214,7 @@ def synth_modexp_toffoli(modulus: int, base: int, n_exp: int | None = None) -> M
     anc_qubits = tuple(range(c0 + 1, c0 + n_value - 1))
     total = c0 + 1 + len(anc_qubits)
 
-    gates: list[tuple] = []
+    gates: list[Gate] = []
 
     def cnot(ctrl, tgt):
         gates.append(toff(c0, ctrl, tgt))
@@ -352,8 +342,7 @@ def modexp_delegated_state(mx: ModexpCircuit, eta: int, rng: random.Random,
     keys = keygen(eta, mx.n_exp, circ, rng, conjecture=conjecture)
     params = make_params(keys.kappa_bits, oracle_seed=rand_bytes(rng, 16))
     out, stats = delegate(params, keys, circ, modexp_input_state(mx), rng)
-    quantum_wires = [circ.input_wires[q] for q in mx.exp_qubits]
-    report = encoding.cnot_cost(keys.schedule, quantum_wires)
+    report = encoding.cnot_cost(keys, [circ.input_wires[q] for q in mx.exp_qubits])
     cost = CostAccount(
         kappa_bits=keys.kappa_bits,
         n_quantum=mx.n_exp,

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Collection, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:        # imported where used: the server path needs no numpy
     import numpy as np
-from .circuit import CPCircuit
+from .circuit import CPCircuit, End
 from .sparse import ColumnarState, SparseState, qubit_layout, trace_distance, transpose
 from .symcrypt import CryptoParams
 from .util import bytes_to_int, popcount, rand_bytes
@@ -49,6 +49,12 @@ class KeySchedule:
     @property
     def num_wires(self) -> int:
         return len(self.pairs)
+
+    def keys(self, wire: int, flip: int = 0) -> WireKeyPair:
+        """The wire's (0 key, 1 key) after ``flip``, the parity of the X gates
+        on it (see :class:`rgc.circuit.Wiring`)."""
+        pair = self.pairs[wire]
+        return WireKeyPair(pair.k1, pair.k0) if flip else pair
 
 
 class UnknownKeyError(ValueError):
@@ -96,25 +102,23 @@ def encode(state: SparseState, schedule: KeySchedule, wires: Sequence[int]) -> C
     return ColumnarState(schedule.kappa_bits, values, coded.bits, coded.amps)
 
 
-def decode(state: ColumnarState, schedule: KeySchedule, wires: Sequence[int],
-           flipped: Collection[int] = ()) -> SparseState:
-    """Invert the encoding; every register must hold only its wire's keys.
-    On a wire in ``flipped`` (an odd number of X gates) k1 means 0.
+def decode(state: ColumnarState, schedule: KeySchedule, ends: Sequence[End]) -> SparseState:
+    """Invert the encoding of register i under the wire and X parity
+    ``ends[i]`` (a circuit's ``wiring.outputs``); every register must hold
+    only its wire's keys.
 
     Key membership is checked once per value a register holds, and each
     register's logical bits are its bitset, complemented when its first
     value is the 1 key; one transpose turns them into the terms' bases.  The
     terms come back in increasing order of their bases, so a decoded state
     is the same dict, order included, in process and through the wire."""
-    n = len(wires)
+    n = len(ends)
     if len(state.values) != n or state.width != schedule.kappa_bits:
-        raise ValueError("encoded state is not len(wires) registers of kappa bits")
+        raise ValueError("encoded state is not len(ends) registers of kappa bits")
     full = (1 << state.num_terms()) - 1
     columns = []
-    for i, w in enumerate(wires):
-        k0, k1 = schedule.pairs[w]
-        if w in flipped:
-            k0, k1 = k1, k0
+    for i, (w, flip) in enumerate(ends):
+        k0, k1 = schedule.keys(w, flip)
         logical = 0
         for second, value in enumerate(state.values[i]):
             if value == k1:

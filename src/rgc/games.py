@@ -26,8 +26,8 @@ from itertools import product
 from typing import Any, Callable, Sequence
 
 from . import delegation, encoding, garble, sparse, symcrypt
-from .circuit import CPCircuit, Toffoli, X
-from .delegation import DelegationKeys, JobBundle
+from .circuit import CPCircuit, Toffoli
+from .delegation import JobBundle
 from .encoding import KeySchedule
 from .garble import GarbledBundle, Table, ToffoliTables
 from .symcrypt import CryptoParams
@@ -99,7 +99,7 @@ class ChallengeView:
     params: CryptoParams
     circuit: CPCircuit
     job: JobBundle
-    leaked_keys: DelegationKeys | None = None
+    leaked_keys: KeySchedule | None = None
 
 
 Distinguisher = Callable[[ChallengeView, random.Random], int]
@@ -122,17 +122,17 @@ def run_ind_cpa_gbc(distinguisher: Distinguisher, circ: CPCircuit, kappa_bits: i
     const_mask = 0 if misdeclared_constants else circ.const_mask
 
     def challenge(b, params, setup_rng):
-        keys = DelegationKeys(encoding.gen_keys(kappa_bits, circ, setup_rng))
+        keys = encoding.gen_keys(kappa_bits, circ, setup_rng)
         plain = (message if b == 1 else 0) | const_mask
         state = sparse.basis_state(sparse.qubit_layout(n), plain)
         if misdeclared_constants:
-            job = JobBundle(encoding.encode(state, keys.schedule, circ.input_wires),
-                            garble.garble_circuit(params, circ, keys.schedule, setup_rng))
+            job = JobBundle(encoding.encode(state, keys, circ.input_wires),
+                            garble.garble_circuit(params, circ, keys, setup_rng))
         else:
             job = delegation.encrypt(params, keys, circ, state, setup_rng)
         if sorted_headers:
             job = JobBundle(job.encoded_state,
-                            _sort_headers(params, circ, keys.schedule, job.garbled))
+                            _sort_headers(params, circ, keys, job.garbled))
         return ChallengeView(params, circ, job, leaked_keys=keys if leak_keys else None)
 
     return _play(distinguisher, challenge, kappa_bits, trials, rng, table_oracle)
@@ -162,25 +162,14 @@ def _sort_headers(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
             rows.append(symcrypt.row_enc(params, keys, plain, table.nonce, i))
         return Table(table.nonce, tuple(header), tuple(rows))
 
-    flipped: set[int] = set()
-
-    def pair(wire: int) -> tuple[bytes, bytes]:
-        k0, k1 = schedule.pairs[wire]
-        return (k1, k0) if wire in flipped else (k0, k1)
-
-    tables = iter(bundle.tables)
     out: list[ToffoliTables | Table] = []
-    for gate in circ.gates:
-        if isinstance(gate, X):
-            flipped ^= {gate.wire}
-            continue
-        table = next(tables)
-        if isinstance(gate, Toffoli):
-            out.append(ToffoliTables(sort(table.forward, [pair(w) for w in gate.in_wires]),
-                                     sort(table.backward,
-                                          [tuple(schedule.pairs[w]) for w in gate.out_wires])))
+    for table, (reads, writes) in zip(bundle.tables, circ.wiring.gates):
+        ins = [schedule.keys(*end) for end in reads]
+        if writes:
+            out.append(ToffoliTables(sort(table.forward, ins),
+                                     sort(table.backward, [schedule.keys(w) for w in writes])))
         else:
-            out.append(sort(table, [pair(gate.wire)]))
+            out.append(sort(table, ins))
     return GarbledBundle(bundle.skeleton, tuple(out))
 
 
@@ -272,8 +261,8 @@ def dist_leaked_decrypt(view: ChallengeView, rng) -> int:
     """Positive control: with the schedule in hand, decode and compare."""
     if view.leaked_keys is None:
         return rng.getrandbits(1)
-    decoded = encoding.decode(view.job.encoded_state, view.leaked_keys.schedule,
-                              view.circuit.input_wires)
+    decoded = encoding.decode(view.job.encoded_state, view.leaked_keys,
+                              [(w, 0) for w in view.circuit.input_wires])
     plain = next(iter(decoded.terms))
     return 1 if plain == (1 << view.circuit.num_inputs) - 1 else 0
 
@@ -517,7 +506,8 @@ def closure_dist_revealed_decrypt(view: ClosureView, rng) -> int:
 
 def circuit_pairs(circ: CPCircuit) -> list[PairSpec]:
     """The pair structure a circuit's tables induce at the wire level."""
-    return [(g.in_wires, g.out_wires) for g in circ.gates if isinstance(g, Toffoli)]
+    return [(tuple(w for w, _ in reads), writes)
+            for reads, writes in circ.wiring.gates if writes]
 
 
 # ---------------------------------------------------------------------------
@@ -538,11 +528,10 @@ def wire_tag_check(view: RecoveryView, wire: int, key: bytes) -> bool:
     """Does key match a digest tied to this input wire?  The header slot of
     the first table the wire feeds holds the digests of the wire's keys, so
     a hit pins the key (up to the digest false-accept probability)."""
-    for gate, table in zip(view.bundle.skeleton.gates, view.bundle.tables):
-        if isinstance(gate, Toffoli) and wire in gate.in_wires:
-            return bool(_positions(view.params, key, table.forward, gate.in_wires.index(wire)))
-        if not isinstance(gate, Toffoli) and gate.wire == wire:
-            return bool(_positions(view.params, key, table, 0))
+    for (reads, _), table in zip(view.circuit.wiring.gates, view.bundle.tables):
+        wires = [w for w, _ in reads]
+        if wire in wires:
+            return bool(_positions(view.params, key, _tables(table)[0], wires.index(wire)))
     raise ValueError(f"wire {wire} feeds no gate; no digest to check against")
 
 

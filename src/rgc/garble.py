@@ -42,11 +42,12 @@ relative phase, m itself becomes an unobservable global factor.  m lives in
 Z_{2n} (n = 2^d): omega has order 2n, and only the difference of the two
 entries matters, so the wraparound representation is sound.
 
-An X gate garbles into nothing.  The garbler walks the circuit with the set
-of wires whose key roles an odd number of X gates have swapped, reads a
-flipped wire's pair as (k1, k0), and the client's decoder does the same for
-the output wires.  A swapped pair has the same distribution as the original,
-and the server's skeleton omits X gates, so it never learns one ran.
+An X gate garbles into nothing.  The circuit's wiring gives every wire a
+table reads, and every output, with the parity of the X gates on it so far,
+and the garbler and the client's decoder read an odd-parity wire's pair as
+(k1, k0) (``KeySchedule.keys``).  A swapped pair has the same distribution
+as the original, and the server's skeleton omits X gates, so it never
+learns one ran.
 
 The row payloads never include which logical bits they correspond to; the
 association exists only through which keys match which digests.
@@ -59,7 +60,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
 from . import symcrypt
-from .circuit import CPCircuit, Phase, Toffoli, X, without_x
+from .circuit import CPCircuit, Phase, Toffoli, without_x
 from .encoding import KeySchedule
 from .symcrypt import CryptoParams
 from .util import rand_bytes
@@ -115,13 +116,10 @@ def toffoli_slots(gate: Toffoli, const_qubits: Collection[int]) -> tuple[int, in
     return (1 if a in const_qubits else 2, 1 if b in const_qubits else 2, 2)
 
 
-def _pair(schedule: KeySchedule, wire: int, flipped: Collection[int]) -> tuple[bytes, bytes]:
-    """The wire's (logical 0 key, logical 1 key) after its X gates so far."""
-    k0, k1 = schedule.pairs[wire]
-    return (k1, k0) if wire in flipped else (k0, k1)
+KeyPair = tuple[bytes, bytes]      # (logical 0 key, logical 1 key)
 
 
-def _header(params: CryptoParams, pairs: Sequence[tuple[bytes, bytes]],
+def _header(params: CryptoParams, pairs: Sequence[KeyPair],
             slots: Sequence[int], rng: random.Random
             ) -> tuple[bytes, tuple[bytes, ...], tuple[int, ...]]:
     """A table's fresh nonce and its header over each slot's (0 key, 1 key)
@@ -135,11 +133,11 @@ def _header(params: CryptoParams, pairs: Sequence[tuple[bytes, bytes]],
     return nonce, header, flips
 
 
-def garble_toffoli(params: CryptoParams, gate: Toffoli, schedule: KeySchedule,
-                   rng: random.Random, flipped: Collection[int] = (),
+def garble_toffoli(params: CryptoParams, gate: Toffoli, ins: Sequence[KeyPair],
+                   outs: Sequence[KeyPair], rng: random.Random,
                    const_qubits: Collection[int] = ()) -> ToffoliTables:
-    ins = [_pair(schedule, w, flipped) for w in gate.in_wires]
-    outs = [schedule.pairs[w] for w in gate.out_wires]
+    """The gate's tables over the key pairs of the wires it reads and
+    writes, in slot order."""
     slots = toffoli_slots(gate, const_qubits)
     fwd_nonce, fwd_header, fwd_flips = _header(params, ins, slots, rng)
     bwd_nonce, bwd_header, bwd_flips = _header(params, outs, slots, rng)
@@ -165,9 +163,8 @@ def garble_toffoli(params: CryptoParams, gate: Toffoli, schedule: KeySchedule,
         Table(bwd_nonce, bwd_header, symcrypt.table_rows(params, bwd_nonce, backward)))
 
 
-def garble_phase(params: CryptoParams, gate: Phase, schedule: KeySchedule,
-                 rng: random.Random, flipped: Collection[int] = ()) -> Table:
-    pair = _pair(schedule, gate.wire, flipped)
+def garble_phase(params: CryptoParams, gate: Phase, pair: KeyPair,
+                 rng: random.Random) -> Table:
     modulus = 2 << gate.denom_exp          # 2n
     m0 = rng.randrange(modulus)
     nonce, header, (flip,) = _header(params, (pair,), (2,), rng)
@@ -179,23 +176,23 @@ def garble_phase(params: CryptoParams, gate: Phase, schedule: KeySchedule,
 
 def garble_circuit(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
                    rng: random.Random) -> GarbledBundle:
-    if schedule.num_wires != circ.num_wires:
+    wiring = circ.wiring
+    if schedule.num_wires != wiring.num_wires:
         raise ValueError("schedule does not cover the circuit's wires")
     # One stream per table, seeded by one 64-bit draw from rng as its gate
     # comes up: a table's randomness never depends on what other tables draw.
-    flipped: set[int] = set()
+    skeleton = without_x(circ)
     consts = frozenset(circ.const_qubits)
     tables: list[ToffoliTables | Table] = []
-    for gate in circ.gates:
+    for gate, (reads, writes) in zip(skeleton.gates, wiring.gates):
+        ins = [schedule.keys(*end) for end in reads]
+        gate_rng = random.Random(rng.getrandbits(64))
         if isinstance(gate, Toffoli):
-            tables.append(garble_toffoli(params, gate, schedule,
-                                         random.Random(rng.getrandbits(64)), flipped, consts))
-        elif isinstance(gate, X):
-            flipped ^= {gate.wire}
+            tables.append(garble_toffoli(params, gate, ins, [schedule.keys(w) for w in writes],
+                                         gate_rng, consts))
         else:
-            tables.append(garble_phase(params, gate, schedule,
-                                       random.Random(rng.getrandbits(64)), flipped))
-    return GarbledBundle(without_x(circ), tuple(tables))
+            tables.append(garble_phase(params, gate, ins[0], gate_rng))
+    return GarbledBundle(skeleton, tuple(tables))
 
 
 # ---------------------------------------------------------------------------

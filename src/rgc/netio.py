@@ -20,9 +20,7 @@ A state is a :class:`rgc.sparse.ColumnarState` in canonical form: register
 i is qubit i's key register in a job or result, each register's keys are
 sent once, and the terms are in strictly increasing order of their basis
 strings (register 0 least significant), which is the order of their
-per-register codes.  Wire version 2 sent each term's whole basis string,
-so every key once per term: modexp21's result at bench seed 1 is 152,652
-bytes in version 2 and 18,637 in version 3.
+per-register codes.
 
 A bundle (format 6) is a header, the skeleton, then one table per skeleton
 gate::
@@ -36,8 +34,8 @@ gate::
     phase      u8 1 | qubit u32 | exponent u16 | sign i8
 
 The skeleton names qubits only.  Wire indices are the client's bookkeeping
-for its key pairs, derived from the gate list by ``circuit.allocate_wires``,
-and the evaluator applies each gate to its qubits' registers in place.  The
+for its key pairs (``CPCircuit.wiring``), which the server never derives:
+the evaluator applies each gate to its qubits' registers in place.  The
 constant qubits are the circuit's public constant-1 inputs, strictly
 increasing and below ``num_inputs``.
 
@@ -58,10 +56,7 @@ fields.  With p = kappa/8 and t = tag_len/8 bytes::
 
 where w = ceil((exponent + 1) / 8) for the skeleton gate's exponent.  Tables
 are read with one struct per distinct table shape, built once per bundle,
-and written whole.  The reader refuses other bundle versions
-(formats 1 to 3 sent row field lengths, every gate's wires, or 16 rows for
-every Toffoli, format 4 a tag behind every key of every row, and format 5 a
-pad per slot and per key of every row),
+and written whole.  The reader refuses other bundle versions,
 widths ``CryptoParams`` refuses, more than ``MAX_QUBITS`` qubits or state
 registers, a state of more than ``MAX_STATE_CELLS`` registers times terms,
 more constants than qubits, a gate or term count that the bytes
@@ -119,7 +114,7 @@ import zlib
 from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
 
 from . import delegation, evaluate
-from .circuit import CPCircuit, LogicalGate, Phase, Toffoli, X, allocate_wires, phase, toff
+from .circuit import CPCircuit, Gate, Phase, Toffoli, X, allocate_wires, phase, toff
 from .delegation import JobBundle
 from .encoding import KeySchedule, WireKeyPair
 from .evaluate import EvalStats
@@ -145,11 +140,10 @@ KIND_ERROR = 3
 # 14,976 steps, and a phase step takes about 0.1 us), the most qubits a
 # skeleton may declare (that interpreter has 36), the most registers times
 # terms a state may declare, how many connections are served at once, and
-# how long one socket read or write may wait.  Wire version 2 sent at least
-# a byte per register per term, so the payload bound capped a state's
-# registers times terms; version 3 sends a register of one value in a few
-# bytes whatever the term count, so that cap is kept by MAX_STATE_CELLS
-# (modexp21's state has 19 registers of 1024 terms).
+# how long one socket read or write may wait.  A register of one value is a
+# few bytes whatever the term count, so the payload bound does not cap a
+# state's registers times terms; MAX_STATE_CELLS does (modexp21's state has
+# 19 registers of 1024 terms).
 MAX_PAYLOAD_BYTES = 64 << 20
 MAX_JOB_WORK = 1 << 24
 MAX_QUBITS = 1 << 16
@@ -275,7 +269,7 @@ def _get_circuit(r: Reader, gate_bytes: int = _PHASE_RECORD) -> CPCircuit:
     return allocate_wires(_get_gates(r, count), num_inputs, consts)
 
 
-def _get_gates(r: Reader, count: int) -> Iterator[LogicalGate]:
+def _get_gates(r: Reader, count: int) -> Iterator[Gate]:
     """The skeleton's gate records, one at a time, so that no list of them
     exists beside the circuit ``allocate_wires`` builds."""
     for _ in range(count):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from rgc import delegation, netio
-from rgc.circuit import allocate_wires, phase
+from rgc.circuit import allocate_wires, phase, toff, x
 from rgc.oracle import OracleFamily
 from rgc.sparse import SparseState, qubit_layout, random_state
 from rgc.symcrypt import CryptoParams
@@ -55,15 +55,22 @@ def circuits_and_states(draw):
     n = draw(st.integers(1, 4))
     consts = draw(st.sets(st.integers(0, n - 1), max_size=min(2, n - 1)))
     free = [q for q in range(n) if q not in consts]
-    toffoli = st.tuples(st.just("toff"), st.integers(0, n - 1), st.integers(0, n - 1),
-                        st.sampled_from(free)).filter(lambda g: len(set(g[1:])) == 3)
-    phase_gate = st.tuples(st.just("phase"), st.sampled_from(free), st.integers(0, 3),
+    toffoli = st.builds(toff, st.integers(0, n - 1), st.integers(0, n - 1),
+                        st.sampled_from(free)).filter(lambda g: len(set(g.qubits)) == 3)
+    phase_gate = st.builds(phase, st.sampled_from(free), st.integers(0, 3),
                            st.sampled_from((1, -1)))
-    x_gate = st.tuples(st.just("x"), st.sampled_from(free))
+    x_gate = st.builds(x, st.sampled_from(free))
     kinds = (toffoli, phase_gate, x_gate) if n >= 3 else (phase_gate, x_gate)
     gates = draw(st.lists(st.one_of(*kinds), max_size=12))
     support = draw(st.lists(st.sampled_from(free), unique=True, min_size=1))
     return allocate_wires(gates, n, sorted(consts)), support, draw(st.integers(0, 2**32))
+
+
+def gate_keys(circ, schedule, index=0):
+    """The (0 key, 1 key) pairs of the wires that skeleton gate ``index``
+    of ``circ`` reads, X parities applied, and of the wires it writes."""
+    reads, writes = circ.wiring.gates[index]
+    return [schedule.keys(*end) for end in reads], [schedule.keys(w) for w in writes]
 
 
 def sparse_of(state):

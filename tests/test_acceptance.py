@@ -20,7 +20,7 @@ from rgc.delegation import (blind_delegate, make_params, modexp_delegated_state,
 from rgc.encoding import cnot_cost, gen_keys, mixing_check
 from rgc.sparse import fidelity, qubit_layout, random_state
 
-from conftest import random_density
+from conftest import gate_keys, random_density
 
 
 def _line(num: int, text: str) -> None:
@@ -43,7 +43,7 @@ def end_to_end_batch():
         psi = random_state(qubit_layout(n), rng)
         out, stats = delegation.delegate(params, keys, circ, psi, rng)
         fid = fidelity(out, simulate(circ, psi))
-        cost = cnot_cost(keys.schedule, circ.input_wires)
+        cost = cnot_cost(keys, circ.input_wires)
         runs.append({"circuit": circ, "keys": keys, "stats": stats,
                      "fidelity": fid, "cost": cost, "n": n})
     elapsed = time.monotonic() - start
@@ -125,9 +125,8 @@ def test_criterion_05_toffoli_truth_table_oracle():
     tables_checked = 0
     for _ in range(25):
         schedule = gen_keys(16, circ, rng)
-        tables = garble.garble_toffoli(params, gate, schedule, rng)
-        in_pairs = [schedule.pairs[w] for w in gate.in_wires]
-        out_pairs = [schedule.pairs[w] for w in gate.out_wires]
+        in_pairs, out_pairs = gate_keys(circ, schedule)
+        tables = garble.garble_toffoli(params, gate, in_pairs, out_pairs, rng)
         for u, v, w in product((0, 1), repeat=3):
             triple = (in_pairs[0][u], in_pairs[1][v], in_pairs[2][w])
             # eval_toffoli_term internally verifies backward(forward) == input
@@ -324,8 +323,7 @@ def test_criterion_12_serialization_and_transport():
     psi = random_state(qubit_layout(3), rng)
     job = delegation.encrypt(params, keys, circ, psi, rng)
 
-    assert netio.deserialize_schedule(netio.serialize_schedule(keys.schedule)) \
-        == keys.schedule
+    assert netio.deserialize_schedule(netio.serialize_schedule(keys)) == keys
     assert netio.deserialize_circuit(netio.serialize_circuit(circ)) == circ
     state_bytes = netio.serialize_state(job.encoded_state)
     assert netio.deserialize_state(state_bytes) == job.encoded_state

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from rgc import circuit as circuit_module
 from rgc import delegation, sparse
-from rgc.circuit import (CircuitError, CircuitSyntaxError, CPCircuit, Phase, Toffoli, X,
-                         allocate_wires, cancel_pairs, flipped_wires,
+from rgc.circuit import (CircuitError, CircuitSyntaxError, CPCircuit, GateWiring, Phase,
+                         Toffoli, Wiring, X, allocate_wires, cancel_pairs,
                          format_circuit, parse_circuit, phase, random_circuit, simulate,
                          toff, universalize, without_x, x)
 
@@ -25,8 +25,8 @@ def test_parse_single_toffoli():
     assert circ.num_wires == 6
     g = circ.gates[0]
     assert isinstance(g, Toffoli)
-    assert g.in_wires == (0, 1, 2) and g.out_wires == (3, 4, 5)
-    assert circ.output_wires == (3, 4, 5)
+    assert circ.wiring.gates == (GateWiring(((0, 0), (1, 0), (2, 0)), (3, 4, 5)),)
+    assert circ.wiring.outputs == ((3, 0), (4, 0), (5, 0))
 
 
 def test_parse_phase_allocates_nothing():
@@ -34,7 +34,7 @@ def test_parse_phase_allocates_nothing():
     assert circ.num_wires == 1
     g = circ.gates[0]
     assert isinstance(g, Phase) and g.denom_exp == 2 and g.sign == 1
-    assert circ.output_wires == (0,)
+    assert circ.wiring.outputs == ((0, 0),)
 
 
 def test_parse_negative_phase_and_comments():
@@ -83,18 +83,18 @@ def test_parse_reports_an_allocate_wires_refusal_at_its_line(text, line_no, mess
 def test_allocation_two_phases_share_wire():
     circ = allocate_wires([phase(0, 1), phase(0, 2)], 1)
     assert circ.num_wires == 1
-    assert circ.gates[0].wire == circ.gates[1].wire == 0
+    assert circ.wiring.gates[0].reads == circ.wiring.gates[1].reads == ((0, 0),)
 
 
 def test_allocation_chain_hand_trace():
     # Toffoli, phase on its first output, Toffoli again: 3 + 3 + 3 wires
     circ = allocate_wires([toff(0, 1, 2), phase(0, 1), toff(0, 1, 2)], 3)
     assert circ.num_wires == 9
-    first, ph, second = circ.gates
-    assert first.out_wires == (3, 4, 5)
-    assert ph.wire == 3
-    assert second.in_wires == (3, 4, 5) and second.out_wires == (6, 7, 8)
-    assert circ.output_wires == (6, 7, 8)
+    first, ph, second = circ.wiring.gates
+    assert first.writes == (3, 4, 5)
+    assert ph.reads == ((3, 0),)
+    assert second.reads == ((3, 0), (4, 0), (5, 0)) and second.writes == (6, 7, 8)
+    assert circ.wiring.outputs == ((6, 0), (7, 0), (8, 0))
 
 
 def test_wire_bound_holds():
@@ -118,9 +118,20 @@ X_TEXT = "inputs 3\nx 0\ntoff 0 1 2\nphase 1 1\nx 1\nphase 1 2 neg\nx 2\nx 2\n"
 def test_parse_x_keeps_its_wire():
     circ = parse_circuit(X_TEXT)
     assert circ.num_wires == 3 + 3            # only the Toffoli allocates
-    assert circ.gates[0] == X(0, 0)
-    assert circ.gates[3] == X(1, 4) and circ.gates[3].wire == circ.gates[2].wire
-    assert circ.output_wires == (3, 4, 5)
+    assert circ.gates[0] == X(0)
+    assert circ.gates[3] == X(1)
+
+
+def test_x_text_wiring_is_pinned():
+    # input 0 is flipped once before the Toffoli reads it; wire 4 keeps its
+    # number across x 1, so the phase gate after it reads it flipped; and
+    # output wire 5 is flipped twice, which cancels
+    assert parse_circuit(X_TEXT).wiring == Wiring(
+        gates=(GateWiring(((0, 1), (1, 0), (2, 0)), (3, 4, 5)),
+               GateWiring(((4, 0),), ()),
+               GateWiring(((4, 1),), ())),
+        num_wires=6,
+        outputs=((3, 0), (4, 1), (5, 0)))
 
 
 def test_format_parse_roundtrip_with_x():
@@ -156,13 +167,12 @@ def test_without_x_and_flipped_wires():
     circ = parse_circuit(X_TEXT)
     skeleton = without_x(circ)
     assert skeleton.gates == tuple(g for g in circ.gates if not isinstance(g, X))
-    assert (skeleton.num_inputs, skeleton.num_wires, skeleton.output_wires) == \
-        (circ.num_inputs, circ.num_wires, circ.output_wires)
-    # input 0 is flipped once before the Toffoli consumes it, output wire 4
-    # once between its phase gates, and output wire 5 twice, which cancels
-    assert flipped_wires(circ) == {0, 4}
+    assert (skeleton.num_inputs, skeleton.num_wires) == (circ.num_inputs, circ.num_wires)
+    # the skeleton's wires are the circuit's, without the X parities
+    assert [w for w, _ in skeleton.wiring.outputs] == [w for w, _ in circ.wiring.outputs]
     x_free = parse_circuit("inputs 3\ntoff 0 1 2\n")
-    assert without_x(x_free) == x_free and flipped_wires(x_free) == frozenset()
+    assert without_x(x_free) == x_free
+    assert [flip for _, flip in x_free.wiring.outputs] == [0, 0, 0]
 
 
 # phase decomposition --------------------------------------------------------
@@ -252,7 +262,7 @@ def test_simulate_refuses_a_toffoli_naming_one_qubit_twice():
     # allocate_wires refuses this gate, so the circuit is built by hand.  It
     # clears qubit 0 where qubit 1 is set, merging |01> and |11> (qubit 0
     # is the low bit); the merge must not pass silently.
-    circ = CPCircuit(2, (Toffoli((0, 1, 0), (0, 1, 0), (2, 3, 4)),), 5, (4, 3))
+    circ = CPCircuit(2, (Toffoli((0, 1, 0)),))
     state = sparse.from_terms(sparse.qubit_layout(2), {0b10: 0.6, 0b11: 0.8})
     with pytest.raises(ValueError):
         simulate(circ, state)
@@ -396,7 +406,7 @@ def test_cancel_pairs_keeps_the_circuit_and_is_a_fixpoint(case, seed):
     out = cancel_pairs(gates)
     assert len(out) <= len(gates)
     assert cancel_pairs(out) == out
-    assert [g for g in out if g[0] == "phase"] == [g for g in gates if g[0] == "phase"]
+    assert [g for g in out if isinstance(g, Phase)] == [g for g in gates if isinstance(g, Phase)]
     state = sparse.random_state(sparse.qubit_layout(n), random.Random(seed))
     want = simulate(allocate_wires(gates, n), state)
     assert sparse.fidelity(simulate(allocate_wires(out, n), state), want) >= 1 - 1e-12
@@ -461,11 +471,18 @@ def _single_gate_programs(n, d_max):
                for sign in (1, -1)])
 
 
+def _name(gate):
+    """The gate's kind and fields, which name its test case and seed its state."""
+    if isinstance(gate, Toffoli):
+        return ("toff", *gate.qubits)
+    return ("phase", gate.qubit, gate.denom_exp, gate.sign)
+
+
 # At N=3 each target has one control pair; at N=4 it has three, so the pair
 # enumeration is run too.
 _SINGLE_GATE_CASES = (
-    [pytest.param(3, 3, g, id="_".join(map(str, g))) for g in _single_gate_programs(3, 3)]
-    + [pytest.param(4, 2, g, id="n4_" + "_".join(map(str, g)))
+    [pytest.param(3, 3, g, id="_".join(map(str, _name(g)))) for g in _single_gate_programs(3, 3)]
+    + [pytest.param(4, 2, g, id="n4_" + "_".join(map(str, _name(g))))
        for g in _single_gate_programs(4, 2)])
 
 
@@ -473,7 +490,7 @@ _SINGLE_GATE_CASES = (
 def test_universal_machine_runs_every_code(n, d_max, gate):
     circ = allocate_wires([gate], n)
     machine, desc = universalize(circ, n, d_max, 1)
-    state = sparse.random_state(sparse.qubit_layout(n), random.Random(str(gate)))
+    state = sparse.random_state(sparse.qubit_layout(n), random.Random(str(_name(gate))))
     got = _run_machine(machine, desc, state)
     assert sparse.fidelity(got, simulate(circ, state)) >= 1 - 1e-12
 

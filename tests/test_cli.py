@@ -4,6 +4,8 @@ import math
 import os
 import random
 import re
+import socket
+import threading
 import time
 
 import pytest
@@ -125,7 +127,6 @@ def test_delegate_dir_transport(tmp_path, circuit_file):
     root = tmp_path / "exchange"
     root.mkdir()
     out = str(tmp_path / "dir.bin")
-    import threading
     stop = threading.Event()
     worker = threading.Thread(target=netio.serve_files, args=(str(root), stop),
                               daemon=True)
@@ -202,7 +203,6 @@ def test_delegate_dir_transport_waits_for_its_own_answer(tmp_path, capsys):
     path.write_text("inputs 3\ntoff 0 1 2\n")
     root = tmp_path / "exchange"
     root.mkdir()
-    import threading
     stop = threading.Event()
     worker = threading.Thread(target=netio.serve_files, args=(str(root), stop), daemon=True)
     worker.start()
@@ -215,6 +215,26 @@ def test_delegate_dir_transport_waits_for_its_own_answer(tmp_path, capsys):
         stop.set()
         worker.join(timeout=5)
     assert not worker.is_alive()
+
+
+def test_delegate_endpoint_gives_up_after_its_timeout(circuit_file, capsys):
+    # a server that accepts the connection and never answers: the client
+    # waits --timeout, not netio.submit's default
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        held = []
+        acceptor = threading.Thread(target=lambda: held.append(listener.accept()[0]),
+                                    daemon=True)
+        acceptor.start()
+        start = time.monotonic()
+        assert main(["delegate", "--circuit", circuit_file, "--input", "+11", "--seed", "5",
+                     "--endpoint", f"127.0.0.1:{listener.getsockname()[1]}",
+                     "--timeout", "0.5"]) == 1
+        elapsed = time.monotonic() - start
+        acceptor.join(timeout=5)
+        for conn in held:
+            conn.close()
+    assert elapsed < 5
+    assert "timed out" in capsys.readouterr().err
 
 
 def test_delegate_dir_job_name_does_not_carry_the_seed(tmp_path, circuit_file, monkeypatch):
@@ -355,7 +375,7 @@ def test_default_delegate_job_resists_a_seed_grind(tmp_path, circuit_file, monke
     circ = parse_circuit(CIRCUIT_TEXT)
     keys = delegation.keygen(16, circ.num_inputs, circ, derive_rng(4, "delegate"),
                              conjecture=True)
-    decoded = encoding.decode(job.encoded_state, keys.schedule, circ.input_wires)
+    decoded = encoding.decode(job.encoded_state, keys, [(w, 0) for w in circ.input_wires])
     assert decoded.terms == pytest.approx(parse_state_tokens("+10").terms)
 
 

@@ -43,7 +43,7 @@ def test_keygen_covers_all_wires():
     circ = parse_circuit("inputs 3\ntoff 0 1 2\ntoff 0 1 2\n")
     keys = keygen(16, 3, circ, random.Random(1))
     assert keys.kappa_bits == 32            # 16 + 4*3 = 28, rounded up to a byte
-    assert keys.schedule.num_wires == circ.num_wires
+    assert keys.num_wires == circ.num_wires
 
 
 def test_classical_input_single_term():

@@ -71,14 +71,14 @@ def test_decode_inverts_encode():
         schedule = gen_keys(16, circ, rng)
         state = random_state(qubit_layout(3), rng)
         back = decode(encode(state, schedule, circ.input_wires), schedule,
-                      circ.input_wires)
+                      [(w, 0) for w in circ.input_wires])
         assert fidelity(back, state) >= 1 - 1e-12
 
 
 def test_decode_single_key_to_bit():
     schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
     lay = qubit_layout(1, 8)
-    decoded = decode(ColumnarState.from_sparse(basis_state(lay, 0x02)), schedule, [0])
+    decoded = decode(ColumnarState.from_sparse(basis_state(lay, 0x02)), schedule, [(0, 0)])
     assert decoded.terms == {1: 1.0 + 0j}
 
 
@@ -86,7 +86,7 @@ def test_decode_rejects_off_key_strings():
     schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
     lay = qubit_layout(1, 8)
     with pytest.raises(UnknownKeyError):
-        decode(ColumnarState.from_sparse(basis_state(lay, 0x03)), schedule, [0])   # one bit off
+        decode(ColumnarState.from_sparse(basis_state(lay, 0x03)), schedule, [(0, 0)])  # one bit off
 
 
 def test_encode_preserves_inner_products():
@@ -112,7 +112,8 @@ def test_encode_builds_the_canonical_column_form():
         encoded = encode(state, schedule, ONE_TOFFOLI.input_wires)
         assert encoded == ColumnarState.from_sparse(sparse_of(encoded))
         assert encoded.canonical() == encoded and not descents(encoded.bits, encoded.num_terms())
-        assert decode(encoded, schedule, ONE_TOFFOLI.input_wires).terms == state.terms
+        assert decode(encoded, schedule, [(w, 0) for w in ONE_TOFFOLI.input_wires]).terms \
+            == state.terms
 
 
 def test_column_form_of_a_sparse_state_is_canonical_and_holds_two_values():
@@ -132,9 +133,9 @@ def test_decode_checks_each_value_a_register_holds():
     schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
     state = ColumnarState(8, [[b"\x01", b"\x03"]], [0b10], [0.6 + 0j, 0.8 + 0j])
     with pytest.raises(UnknownKeyError, match="register 0 \\(wire 0\\) holds 0x3"):
-        decode(state, schedule, [0])
+        decode(state, schedule, [(0, 0)])
     flipped = decode(ColumnarState(8, [[b"\x01", b"\x02"]], [0b10], [0.6 + 0j, 0.8 + 0j]),
-                     schedule, [0], flipped={0})
+                     schedule, [(0, 1)])
     assert flipped.terms == {1: 0.6 + 0j, 0: 0.8 + 0j}
 
 

@@ -9,16 +9,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rgc import delegation, netio, sparse, symcrypt
-from rgc.circuit import (Phase, Toffoli, allocate_wires, flipped_wires,
-                         parse_circuit, phase, random_circuit, simulate)
+from rgc.circuit import (Phase, Toffoli, allocate_wires, parse_circuit, phase, random_circuit,
+                         simulate, toff, x)
 from rgc.encoding import decode, encode, gen_keys
 from rgc.evaluate import (AmbiguousRowError, ErasureError, EvalError, EvalStats,
                           NoRowMatchError, eval_bundle, eval_toffoli_term)
 from rgc.garble import GarbledBundle, Table, ToffoliTables, garble_circuit, garble_toffoli
 from rgc.sparse import descents, fidelity, inner, qubit_layout, random_state
 
-from conftest import (circuits_and_states, input_state, make_params, sparse_of, wire_1_state,
-                      wire_2_state)
+from conftest import (circuits_and_states, gate_keys, input_state, make_params, sparse_of,
+                      wire_1_state, wire_2_state)
 
 ONE_TOFFOLI = parse_circuit("inputs 3\ntoff 0 1 2\n")
 
@@ -38,12 +38,11 @@ def _table(params, slot_keys, rows, rng):
     return Table(nonce, header, tuple(table))
 
 
-def _toffoli_tables(params, gate, schedule, rng, third=None, last_slot=None):
-    """Honest Toffoli tables with headers in logical order, except that the
-    (1, 1, 1) triple is sent to ``third`` in place of its target key when
-    given, and the forward header's last slot lists ``last_slot`` if given."""
-    ins = [schedule.pairs[w] for w in gate.in_wires]
-    outs = [schedule.pairs[w] for w in gate.out_wires]
+def _toffoli_tables(params, ins, outs, rng, third=None, last_slot=None):
+    """Honest Toffoli tables over the key pairs ``ins`` and ``outs`` with
+    headers in logical order, except that the (1, 1, 1) triple is sent to
+    ``third`` in place of its target key when given, and the forward
+    header's last slot lists ``last_slot`` if given."""
     forward, backward = [], []
     for u, v, w in product((0, 1), repeat=3):
         in_keys = (ins[0][u], ins[1][v], ins[2][w])
@@ -59,14 +58,13 @@ def _toffoli_fixture(seed=1):
     params = make_params()
     rng = random.Random(seed)
     schedule = gen_keys(16, ONE_TOFFOLI, rng)
-    gate = ONE_TOFFOLI.gates[0]
-    return params, schedule, gate, garble_toffoli(params, gate, schedule, rng)
+    ins, outs = gate_keys(ONE_TOFFOLI, schedule)
+    return params, schedule, ins, outs, garble_toffoli(params, ONE_TOFFOLI.gates[0], ins,
+                                                       outs, rng)
 
 
 def test_term_translation_full_truth_table():
-    params, schedule, gate, tables = _toffoli_fixture()
-    in_pairs = [schedule.pairs[w] for w in gate.in_wires]
-    out_pairs = [schedule.pairs[w] for w in gate.out_wires]
+    params, _, in_pairs, out_pairs, tables = _toffoli_fixture()
     for u, v, w in product((0, 1), repeat=3):
         got = eval_toffoli_term(params, (in_pairs[0][u], in_pairs[1][v], in_pairs[2][w]),
                                 tables)
@@ -74,17 +72,16 @@ def test_term_translation_full_truth_table():
 
 
 def test_term_translation_one_one_one():
-    params, schedule, gate, tables = _toffoli_fixture(2)
-    triple = tuple(schedule.pairs[w].k1 for w in gate.in_wires)
+    params, _, in_pairs, out_pairs, tables = _toffoli_fixture(2)
+    triple = tuple(pair.k1 for pair in in_pairs)
     out = eval_toffoli_term(params, triple, tables)
-    out_pairs = [schedule.pairs[w] for w in gate.out_wires]
     assert out == (out_pairs[0][1], out_pairs[1][1], out_pairs[2][0])   # 1 xor 1*1
 
 
 def test_garbage_triple_never_matches():
-    params, schedule, gate, tables = _toffoli_fixture(3)
+    params, _, in_pairs, _, tables = _toffoli_fixture(3)
     rng = random.Random(99)
-    real = {schedule.pairs[w][b] for w in gate.in_wires for b in (0, 1)}
+    real = {pair[b] for pair in in_pairs for b in (0, 1)}
     rejected = 0
     for _ in range(10_000):
         triple = tuple(rng.randbytes(2) for _ in range(3))
@@ -101,9 +98,9 @@ def test_garbage_triple_never_matches():
 
 def test_ambiguous_rows_detected():
     # a slot listing one key's digest twice: the key indexes two rows
-    params, schedule, gate, tables = _toffoli_fixture(4)
+    params, _, in_pairs, _, tables = _toffoli_fixture(4)
     t, nonce = params.digest_bytes, tables.forward.nonce
-    triple = tuple(schedule.pairs[w].k0 for w in gate.in_wires)
+    triple = tuple(pair.k0 for pair in in_pairs)
     for slot in range(3):
         header = list(tables.forward.header)
         (pos,) = symcrypt.slot_positions(params, triple[slot], nonce, slot, header[slot])
@@ -114,16 +111,15 @@ def test_ambiguous_rows_detected():
 
 
 def test_erasure_violation_detected():
-    params, schedule, gate, tables = _toffoli_fixture(5)
+    params, _, ins, outs, tables = _toffoli_fixture(5)
     rng = random.Random(7)
     # backward rows from a different garbling decrypt to the same input keys,
     # so rebuild the backward table with a *wrong* payload instead
-    honest = _toffoli_tables(params, gate, schedule, rng)
-    outs = [schedule.pairs[w] for w in gate.out_wires]
+    honest = _toffoli_tables(params, ins, outs, rng)
     wrong = [((outs[0][u], outs[1][v], outs[2][w ^ (u & v)]), bytes(6))
              for u, v, w in product((0, 1), repeat=3)]
     broken = ToffoliTables(honest.forward, _table(params, outs, wrong, rng))
-    triple = tuple(schedule.pairs[w].k0 for w in gate.in_wires)
+    triple = tuple(pair.k0 for pair in ins)
     assert eval_toffoli_term(params, triple, honest)
     with pytest.raises(ErasureError):
         eval_toffoli_term(params, triple, broken)
@@ -142,7 +138,7 @@ def test_eval_superposition_matches_logical_gate():
     state = random_state(qubit_layout(3), rng)
     encoded = encode(state, schedule, ONE_TOFFOLI.input_wires)
     out, stats = eval_bundle(params, encoded, bundle)
-    decoded = decode(out, schedule, ONE_TOFFOLI.output_wires)
+    decoded = decode(out, schedule, ONE_TOFFOLI.wiring.outputs)
     assert fidelity(decoded, simulate(ONE_TOFFOLI, state)) >= 1 - 1e-12
     assert stats.erasure_checks == len({
         (b & 0xFFFF, (b >> 16) & 0xFFFF, (b >> 32) & 0xFFFF) for b in sparse_of(encoded).terms})
@@ -167,7 +163,7 @@ def test_eval_phase_plus_state_quarter_turn():
     bundle = garble_circuit(params, circ, schedule, rng)
     plus = sparse.from_terms(qubit_layout(1), {0: 1 / math.sqrt(2), 1: 1 / math.sqrt(2)})
     out, _ = eval_bundle(params, encode(plus, schedule, circ.input_wires), bundle)
-    decoded = decode(out, schedule, circ.output_wires)
+    decoded = decode(out, schedule, circ.wiring.outputs)
     # relative phase i survives; global phase omega^m0 does not matter
     assert decoded.terms[1] / decoded.terms[0] == pytest.approx(1j)
     assert fidelity(decoded, simulate(circ, plus)) >= 1 - 1e-12
@@ -181,7 +177,7 @@ def test_eval_phase_on_basis_state_is_global():
     bundle = garble_circuit(params, circ, schedule, rng)
     zero = sparse.basis_state(qubit_layout(1), 0)
     out, _ = eval_bundle(params, encode(zero, schedule, circ.input_wires), bundle)
-    decoded = decode(out, schedule, circ.output_wires)
+    decoded = decode(out, schedule, circ.wiring.outputs)
     assert fidelity(decoded, zero) == pytest.approx(1.0)
 
 
@@ -196,7 +192,7 @@ def test_eval_phase_exact_against_ideal(denom_exp, sign):
     for _ in range(10):
         psi = random_state(qubit_layout(1), rng)
         out, _ = eval_bundle(params, encode(psi, schedule, circ.input_wires), bundle)
-        decoded = decode(out, schedule, circ.output_wires)
+        decoded = decode(out, schedule, circ.wiring.outputs)
         assert fidelity(decoded, simulate(circ, psi)) >= 1 - 1e-12
 
 
@@ -229,8 +225,8 @@ def test_eval_leaves_its_input_unchanged_and_its_result_canonicalizes():
     wire = netio.deserialize_state(netio.serialize_state(out))
     assert wire == out.canonical() and not descents(wire.bits, wire.num_terms())
     assert sparse_of(wire).terms == sparse_of(out).terms
-    assert (decode(wire, schedule, circ.output_wires, flipped_wires(circ)).terms
-            == decode(out, schedule, circ.output_wires, flipped_wires(circ)).terms)
+    assert (decode(wire, schedule, circ.wiring.outputs).terms
+            == decode(out, schedule, circ.wiring.outputs).terms)
 
 
 def test_decoded_terms_come_in_one_order_in_process_and_through_the_wire():
@@ -246,7 +242,7 @@ def test_decoded_terms_come_in_one_order_in_process_and_through_the_wire():
                                         circ.input_wires), bundle)
     wire = netio.deserialize_state(netio.serialize_state(out))
     assert wire.amps != out.amps                # the wire reordered the terms
-    local, remote = (decode(s, schedule, circ.output_wires, flipped_wires(circ))
+    local, remote = (decode(s, schedule, circ.wiring.outputs)
                      for s in (out, wire))
     assert list(local.terms.items()) == list(remote.terms.items())
     assert list(local.terms) == sorted(local.terms)
@@ -263,7 +259,7 @@ def test_eval_stats_search_bound():
     out, stats = eval_bundle(params, encoded, bundle)
     terms = encoded.num_terms()
     assert stats.ver_calls <= 8 * 3 * terms * stats.gates
-    decoded = decode(out, schedule, circ.output_wires)
+    decoded = decode(out, schedule, circ.wiring.outputs)
     assert fidelity(decoded, simulate(circ, state)) >= 1 - 1e-9
 
 
@@ -445,12 +441,12 @@ def test_rigged_table_writing_a_third_key_to_a_wire_is_refused():
     rng = random.Random(20)
     schedule = gen_keys(16, circ, rng)
     bundle = garble_circuit(params, circ, schedule, rng)
-    gate = circ.gates[1]
-    v3 = schedule.pairs[gate.out_wires[2]]
+    ins, outs = gate_keys(circ, schedule, 1)
+    v3 = outs[2]
     third = bytes(a ^ b ^ 0x5A for a, b in zip(v3.k0, v3.k1))
     # the backward header's target slot lists the third key too, so every
     # triple passes its erasure check
-    rigged = _with_tables(bundle, {1: _toffoli_tables(params, gate, schedule, rng, third)})
+    rigged = _with_tables(bundle, {1: _toffoli_tables(params, ins, outs, rng, third)})
     encoded = encode(random_state(qubit_layout(3), rng), schedule, circ.input_wires)
     assert encoded.num_terms() == 8
     with pytest.raises(EvalError, match="^gate 1: toffoli writes 3 distinct keys to one wire"):
@@ -462,10 +458,10 @@ def _second_triple_ambiguity():
     first and second in the evaluator's order, with the forward header's
     last slot listing the second's key twice, after the first's, so that
     only the second triple is ambiguous."""
-    params, schedule, gate, _ = _toffoli_fixture(21)
-    a, b, c = (schedule.pairs[w] for w in gate.in_wires)
+    params, schedule, ins, outs, _ = _toffoli_fixture(21)
+    a, b, c = ins
     first, second = sorted([(a.k1, b.k1, c.k0), (a.k1, b.k1, c.k1)], key=lambda t: t[2])
-    tables = _toffoli_tables(params, gate, schedule, random.Random(22),
+    tables = _toffoli_tables(params, ins, outs, random.Random(22),
                              last_slot=(first[2], second[2], second[2]))
     return params, schedule, tables, first, second
 
@@ -527,7 +523,7 @@ def test_eval_matches_simulation_property(case):
     schedule = gen_keys(16, circ, rng)
     bundle = garble_circuit(params, circ, schedule, rng)
     out, stats = eval_bundle(params, encode(state, schedule, circ.input_wires), bundle)
-    decoded = decode(out, schedule, circ.output_wires, flipped_wires(circ))
+    decoded = decode(out, schedule, circ.wiring.outputs)
     assert fidelity(decoded, simulate(circ, state)) >= 1 - 1e-12
     assert stats.terms_processed == len(bundle.skeleton.gates) * len(state.terms)
     toffolis = sum(isinstance(g, Toffoli) for g in circ.gates)
@@ -580,10 +576,10 @@ def _wide_circuits(draw):
     and a seed."""
     n = draw(st.integers(3, 9))
     toffoli = st.lists(st.integers(0, n - 1), min_size=3, max_size=3,
-                       unique=True).map(lambda q: ("toff", *q))
-    phase_gate = st.tuples(st.just("phase"), st.integers(0, n - 1), st.integers(0, 3),
+                       unique=True).map(lambda q: toff(*q))
+    phase_gate = st.builds(phase, st.integers(0, n - 1), st.integers(0, 3),
                            st.sampled_from((1, -1)))
-    x_gate = st.tuples(st.just("x"), st.integers(0, n - 1))
+    x_gate = st.builds(x, st.integers(0, n - 1))
     gates = draw(st.lists(st.one_of(toffoli, phase_gate, x_gate), max_size=12))
     count = draw(st.one_of(st.integers(1, 200),
                            st.sampled_from((7, 8, 9, 63, 64, 65, 127, 128, 129))))
@@ -610,6 +606,6 @@ def test_bitset_columns_match_simulation_property(case):
         for basis, amp in state.terms.items()}
     bundle = garble_circuit(params, circ, schedule, rng)
     out, stats = eval_bundle(params, encoded, bundle)
-    decoded = decode(out, schedule, circ.output_wires, flipped_wires(circ))
+    decoded = decode(out, schedule, circ.wiring.outputs)
     assert fidelity(decoded, simulate(circ, state)) >= 1 - 1e-12
     assert stats.terms_processed == len(bundle.skeleton.gates) * count

@@ -5,7 +5,7 @@ from statistics import NormalDist
 
 import pytest
 
-from rgc.circuit import flipped_wires, parse_circuit, simulate
+from rgc.circuit import parse_circuit, simulate
 from rgc.encoding import decode, encode, gen_keys
 from rgc.evaluate import eval_bundle
 from rgc.garble import garble_circuit
@@ -76,7 +76,7 @@ def test_sorted_headers_still_evaluate():
         state = input_state(circ, [q for q in range(circ.num_inputs)
                                    if q not in circ.const_qubits], rng)
         out, _ = eval_bundle(params, encode(state, schedule, circ.input_wires), bundle)
-        decoded = decode(out, schedule, circ.output_wires, flipped_wires(circ))
+        decoded = decode(out, schedule, circ.wiring.outputs)
         assert fidelity(decoded, simulate(circ, state)) >= 1 - 1e-12
 
 

@@ -13,7 +13,7 @@ from rgc.garble import (Table, ToffoliTables, closure_pairs, garble_circuit,
                         garble_phase, garble_toffoli, phase_payload)
 from rgc.netio import deserialize_circuit, serialize_circuit
 
-from conftest import circuits_and_states, make_params
+from conftest import circuits_and_states, gate_keys, make_params
 
 ONE_TOFFOLI = parse_circuit("inputs 3\ntoff 0 1 2\n")
 
@@ -37,10 +37,8 @@ def test_toffoli_forward_maps_truth_table():
     params = make_params()
     rng = random.Random(1)
     schedule = gen_keys(16, ONE_TOFFOLI, rng)
-    gate = ONE_TOFFOLI.gates[0]
-    tables = garble_toffoli(params, gate, schedule, rng)
-    in_pairs = [schedule.pairs[w] for w in gate.in_wires]
-    out_pairs = [schedule.pairs[w] for w in gate.out_wires]
+    in_pairs, out_pairs = gate_keys(ONE_TOFFOLI, schedule)
+    tables = garble_toffoli(params, ONE_TOFFOLI.gates[0], in_pairs, out_pairs, rng)
     for u, v, w in product((0, 1), repeat=3):
         payload = _open_row(params, (in_pairs[0][u], in_pairs[1][v], in_pairs[2][w]),
                             tables.forward)
@@ -52,10 +50,9 @@ def test_toffoli_backward_inverts_forward():
     params = make_params()
     rng = random.Random(2)
     schedule = gen_keys(16, ONE_TOFFOLI, rng)
-    gate = ONE_TOFFOLI.gates[0]
-    tables = garble_toffoli(params, gate, schedule, rng)
+    in_pairs, out_pairs = gate_keys(ONE_TOFFOLI, schedule)
+    tables = garble_toffoli(params, ONE_TOFFOLI.gates[0], in_pairs, out_pairs, rng)
     kb = params.kappa_bytes
-    in_pairs = [schedule.pairs[w] for w in gate.in_wires]
     for u, v, w in product((0, 1), repeat=3):
         triple = (in_pairs[0][u], in_pairs[1][v], in_pairs[2][w])
         out = _open_row(params, triple, tables.forward)
@@ -70,9 +67,10 @@ def test_phase_rows_differ_by_one():
     circ = parse_circuit("inputs 1\nphase 0 2\n")
     schedule = gen_keys(16, circ, rng)
     gate = circ.gates[0]
+    (pair,), _ = gate_keys(circ, schedule)
     for _ in range(50):
-        table = garble_phase(params, gate, schedule, rng)
-        k0, k1 = schedule.pairs[gate.wire]
+        table = garble_phase(params, gate, pair, rng)
+        k0, k1 = pair
         values = {}
         for key, name in ((k0, 0), (k1, 1)):
             values[name] = int.from_bytes(_open_row(params, (key,), table), "big")
@@ -86,7 +84,7 @@ def test_phase_z_gate_modulus_two():
     rng = random.Random(4)
     circ = parse_circuit("inputs 1\nphase 0 0\n")
     schedule = gen_keys(16, circ, rng)
-    table = garble_phase(params, circ.gates[0], schedule, rng)
+    table = garble_phase(params, circ.gates[0], schedule.keys(0), rng)
     k0, k1 = schedule.pairs[0]
     vals = []
     for key in (k0, k1):
@@ -103,7 +101,7 @@ def test_phase_offset_uniform():
     k0 = schedule.pairs[0].k0
     counts = [0] * 8     # Z_{2n} with n = 4
     for _ in range(1000):
-        table = garble_phase(params, gate, schedule, rng)
+        table = garble_phase(params, gate, schedule.keys(0), rng)
         counts[int.from_bytes(_open_row(params, (k0,), table), "big")] += 1
     assert scipy_stats.chisquare(counts).pvalue > 0.01
 
@@ -121,11 +119,12 @@ def test_shuffle_positions_uniform():
     rng = random.Random(6)
     schedule = gen_keys(16, ONE_TOFFOLI, rng)
     gate = ONE_TOFFOLI.gates[0]
-    zero_triple = tuple(schedule.pairs[w].k0 for w in gate.in_wires)
-    zero_out = tuple(schedule.pairs[w].k0 for w in gate.out_wires)
+    ins, outs = gate_keys(ONE_TOFFOLI, schedule)
+    zero_triple = tuple(pair.k0 for pair in ins)
+    zero_out = tuple(pair.k0 for pair in outs)
     counts = {"forward": [0] * 8, "backward": [0] * 8, "both": [0] * 64}
     for _ in range(1000):
-        tables = garble_toffoli(params, gate, schedule, rng)
+        tables = garble_toffoli(params, gate, ins, outs, rng)
         forward = _row_index(params, zero_triple, tables.forward)
         backward = _row_index(params, zero_out, tables.backward)
         counts["forward"][forward] += 1
@@ -142,23 +141,22 @@ def test_header_slots_hold_each_wire_key_once():
     schedule = gen_keys(16, circ, rng)
     bundle = garble_circuit(params, circ, schedule, rng)
     toffoli, phase_table = bundle.tables
-    gate = circ.gates[0]
     p, t = params.kappa_bytes, params.digest_bytes
-    for table, wires in ((toffoli.forward, gate.in_wires), (toffoli.backward, gate.out_wires)):
+    for table, pairs in zip((toffoli.forward, toffoli.backward), gate_keys(circ, schedule)):
         assert len(table.nonce) == p
         assert [len(slot) for slot in table.header] == [t, 2 * t, 2 * t]
-        k0, k1 = schedule.pairs[wires[0]]
+        k0, k1 = pairs[0]
         # the constant's slot holds its 1 key alone
         assert symcrypt.slot_positions(params, k1, table.nonce, 0, table.header[0]) == [0]
         assert symcrypt.slot_positions(params, k0, table.nonce, 0, table.header[0]) == []
-        for slot, wire in enumerate(wires[1:], start=1):
+        for slot, pair in enumerate(pairs[1:], start=1):
             positions = [symcrypt.slot_positions(params, k, table.nonce, slot, table.header[slot])
-                         for k in schedule.pairs[wire]]
+                         for k in pair]
             assert sorted(positions) == [[0], [1]]
     assert toffoli.forward.nonce != toffoli.backward.nonce
     assert len(phase_table.header) == 1 and len(phase_table.rows) == 2
     positions = [symcrypt.slot_positions(params, k, phase_table.nonce, 0, phase_table.header[0])
-                 for k in schedule.pairs[circ.gates[1].wire]]
+                 for k in gate_keys(circ, schedule, 1)[0][0]]
     assert sorted(positions) == [[0], [1]]
 
 
@@ -192,9 +190,8 @@ def test_skeleton_is_the_circuit_without_x_property(case):
     bundle = garble_circuit(make_params(), circ, gen_keys(16, circ, rng), rng)
     skeleton = bundle.skeleton
     assert skeleton.gates == tuple(g for g in circ.gates if not isinstance(g, X))
-    assert (skeleton.num_inputs, skeleton.num_wires, skeleton.output_wires,
-            skeleton.const_qubits) == \
-        (circ.num_inputs, circ.num_wires, circ.output_wires, circ.const_qubits)
+    assert (skeleton.num_inputs, skeleton.num_wires, skeleton.const_qubits) == \
+        (circ.num_inputs, circ.num_wires, circ.const_qubits)
     assert deserialize_circuit(serialize_circuit(skeleton)) == skeleton
     assert len(bundle.tables) == len(skeleton.gates)
     for gate, table in zip(skeleton.gates, bundle.tables):
@@ -297,8 +294,8 @@ def test_row_selection_unique_across_many_garblings():
     gate = ONE_TOFFOLI.gates[0]
     for _ in range(10_000):
         schedule = gen_keys(16, ONE_TOFFOLI, rng)
-        tables = garble_toffoli(params, gate, schedule, rng)
-        in_pairs = [schedule.pairs[w] for w in gate.in_wires]
+        in_pairs, out_pairs = gate_keys(ONE_TOFFOLI, schedule)
+        tables = garble_toffoli(params, gate, in_pairs, out_pairs, rng)
         u, v, w = rng.getrandbits(1), rng.getrandbits(1), rng.getrandbits(1)
         eval_toffoli_term(params, (in_pairs[0][u], in_pairs[1][v], in_pairs[2][w]),
                           tables)
@@ -308,8 +305,9 @@ def test_reseeding_changes_rows_not_meaning():
     params = make_params()
     schedule = gen_keys(16, ONE_TOFFOLI, random.Random(10))
     gate = ONE_TOFFOLI.gates[0]
-    t1 = garble_toffoli(params, gate, schedule, random.Random(1))
-    t2 = garble_toffoli(params, gate, schedule, random.Random(2))
+    ins, outs = gate_keys(ONE_TOFFOLI, schedule)
+    t1 = garble_toffoli(params, gate, ins, outs, random.Random(1))
+    t2 = garble_toffoli(params, gate, ins, outs, random.Random(2))
     assert t1 != t2
-    triple = tuple(schedule.pairs[w].k1 for w in gate.in_wires)
+    triple = tuple(pair.k1 for pair in ins)
     assert _open_row(params, triple, t1.forward) == _open_row(params, triple, t2.forward)

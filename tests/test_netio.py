@@ -17,9 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rgc import delegation, evaluate, netio, sparse, symcrypt
-from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CircuitError, CPCircuit, Phase,
+from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CircuitError, CPCircuit, Phase, X,
                          allocate_wires, format_circuit, parse_circuit, phase, random_circuit,
-                         without_x)
+                         simulate, without_x)
 from rgc.encoding import KeySchedule, WireKeyPair, encode, gen_keys
 from rgc.evaluate import EvalStats
 from rgc.games import GameReport
@@ -430,10 +430,9 @@ def test_no_schedule_keys_leak_into_the_job():
         pairs.append(WireKeyPair(k0, k1))
         sentinels += [k0, k1]
     schedule = KeySchedule(64, tuple(pairs))
-    keys = delegation.DelegationKeys(schedule)
     params = delegation.make_params(64, oracle_seed=b"sentinel")
     state = random_state(qubit_layout(3), rng)
-    job = delegation.encrypt(params, keys, circ, state, rng)
+    job = delegation.encrypt(params, schedule, circ, state, rng)
 
     encoded_blob = serialize_state(job.encoded_state)
     rest = serialize_bundle(job.garbled, params)
@@ -447,11 +446,33 @@ def _handle_job(job, params):
     return unframe(netio.handle_envelope(frame(netio.KIND_JOB, serialize_job(job, params))))
 
 
+def test_the_server_never_derives_a_wiring(monkeypatch):
+    # wire numbers and X parities are the client's bookkeeping: the server
+    # parses and evaluates a job from its skeleton's qubits alone
+    mx = delegation.synth_modexp_toffoli(21, 2)
+    assert any(isinstance(g, X) for g in mx.circuit.gates)
+    rng = random.Random(59)
+    keys = delegation.keygen(16, mx.n_exp, mx.circuit, rng)
+    params = delegation.make_params(keys.kappa_bits, oracle_seed=b"wiring")
+    state = delegation.modexp_input_state(mx)
+    job = delegation.encrypt(params, keys, mx.circuit, state, rng)
+
+    def refuse(circ):
+        raise AssertionError("the server derived a wiring")
+    monkeypatch.setattr(CPCircuit, "wiring", property(refuse))
+    kind, payload = _handle_job(job, params)
+    assert kind == netio.KIND_RESULT
+    monkeypatch.undo()
+    out, _ = netio.deserialize_result(payload)
+    decoded = delegation.decrypt(keys, mx.circuit, out)
+    assert fidelity(decoded, simulate(mx.circuit, state)) >= 1 - 1e-12
+
+
 def test_phase_exponent_above_bound_gets_error_envelope():
     # a correctly framed job; only the exponent exceeds what allocate_wires
     # allows, so the circuit is built around it
     d = DEFAULT_MAX_DENOM_EXP + 1984
-    circ = CPCircuit(1, (Phase(0, 0, d),), 1, (0,))
+    circ = CPCircuit(1, (Phase(0, d),))
     rng = random.Random(13)
     keys = delegation.keygen(16, 1, circ, rng, conjecture=True)
     params = delegation.make_params(16, oracle_seed=b"exp")
@@ -969,7 +990,7 @@ def _reply_with_first_slot(patch):
     job = delegation.encrypt(params, keys, circ, sparse.basis_state(qubit_layout(3), 0), rng)
     table = job.garbled.tables[0]
     nonce, slot, t = table.forward.nonce, table.forward.header[0], params.digest_bytes
-    (pos,) = symcrypt.slot_positions(params, keys.schedule.pairs[circ.input_wires[0]].k0,
+    (pos,) = symcrypt.slot_positions(params, keys.pairs[circ.input_wires[0]].k0,
                                      nonce, 0, slot)
     held, other = slot[pos * t:(pos + 1) * t], slot[(1 - pos) * t:(2 - pos) * t]
     forward = Table(nonce, (patch(held, other),) + table.forward.header[1:],
@@ -1155,7 +1176,7 @@ def _wide_job(n, varying):
     count = 1 << varying
     parts = [struct.pack("<IHI", n, 16, count)]
     for i in range(n):
-        k0, k1 = keys.schedule.pairs[i]
+        k0, k1 = keys.pairs[i]
         if i >= varying:
             parts.append(b"\1" + k0)
             continue
