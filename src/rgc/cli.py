@@ -27,6 +27,7 @@ import secrets
 import sys
 import threading
 import time
+from pathlib import Path
 
 from . import circuit, delegation, encoding, evaluate, garble, netio, sparse
 from .util import derive_rng, derive_seed
@@ -36,23 +37,8 @@ class CliError(RuntimeError):
     pass
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _read_bin(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _write_bin(path: str, data: bytes) -> None:
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
 def _load_circuit(path: str) -> circuit.CPCircuit:
-    return circuit.parse_circuit(_read_text(path))
+    return circuit.parse_circuit(Path(path).read_text(encoding="utf-8"))
 
 
 def parse_state_tokens(tokens: str) -> sparse.SparseState:
@@ -89,7 +75,7 @@ def format_state(state: sparse.SparseState) -> str:
 
 def _params_for(args, kappa_bits: int) -> delegation.CryptoParams:
     seed = derive_seed(args.seed, "oracle").to_bytes(8, "little")
-    return delegation.make_params(kappa_bits, tag_len_bits=args.tag_len, oracle_seed=seed)
+    return delegation.make_params(kappa_bits, oracle_seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +85,13 @@ def cmd_keygen(args) -> int:
     circ = _load_circuit(args.circuit)
     keys = delegation.keygen(args.eta, circ.num_inputs, circ, derive_rng(args.seed, "keygen"),
                              conjecture=args.conjecture_1)
-    _write_bin(args.out, netio.serialize_schedule(keys))
+    Path(args.out).write_bytes(netio.serialize_schedule(keys))
     print(f"kappa={keys.kappa_bits} wires={keys.num_wires} -> {args.out}")
     return 0
 
 
 def _keys_from_file(path: str, circ: circuit.CPCircuit) -> encoding.KeySchedule:
-    schedule = netio.deserialize_schedule(_read_bin(path))
+    schedule = netio.deserialize_schedule(Path(path).read_bytes())
     if schedule.num_wires != circ.num_wires:
         raise CliError("schedule does not match the circuit")
     return schedule
@@ -117,7 +103,7 @@ def cmd_garble(args) -> int:
     params = _params_for(args, keys.kappa_bits)
     bundle = garble.garble_circuit(params, circ, keys, derive_rng(args.seed, "garble"))
     data = netio.serialize_bundle(bundle, params)
-    _write_bin(args.out, data)
+    Path(args.out).write_bytes(data)
     rows = sum(len(t.forward.rows) + len(t.backward.rows) if isinstance(t, garble.ToffoliTables)
                else len(t.rows) for t in bundle.tables)
     print(f"garbled {len(bundle.tables)} tables, {rows} rows, {len(data)} bytes -> {args.out}")
@@ -129,7 +115,7 @@ def cmd_encode(args) -> int:
     keys = _keys_from_file(args.keys, circ)
     state = parse_state_tokens(args.input)
     encoded = delegation.encode_input(keys, circ, state)
-    _write_bin(args.out, netio.serialize_state(encoded))
+    Path(args.out).write_bytes(netio.serialize_state(encoded))
     print(f"encoded {state.layout.total_bits} qubits at kappa={keys.kappa_bits} -> {args.out}")
     return 0
 
@@ -139,7 +125,7 @@ def cmd_eval(args) -> int:
     # and all, as either transport hands it over
     job = netio.read_payload_files(args.state, args.bundle)
     out, stats = netio.deserialize_result(netio.evaluate_job_payload(job))
-    _write_bin(args.out, netio.serialize_state(out))
+    Path(args.out).write_bytes(netio.serialize_state(out))
     print(json.dumps(dataclasses.asdict(stats), sort_keys=True))
     return 0
 
@@ -147,10 +133,10 @@ def cmd_eval(args) -> int:
 def cmd_decode(args) -> int:
     circ = _load_circuit(args.circuit)
     keys = _keys_from_file(args.keys, circ)
-    result = netio.deserialize_state(_read_bin(args.result))
+    result = netio.deserialize_state(Path(args.result).read_bytes())
     decoded = delegation.decrypt(keys, circ, result)
     if args.out:
-        _write_bin(args.out, netio.serialize_state(sparse.ColumnarState.from_sparse(decoded)))
+        Path(args.out).write_bytes(netio.serialize_state(sparse.ColumnarState.from_sparse(decoded)))
     print(format_state(decoded))
     return 0
 
@@ -174,7 +160,7 @@ def cmd_delegate(args) -> int:
         out, stats = evaluate.eval_bundle(params, job.encoded_state, job.garbled)
     decoded = delegation.decrypt(keys, circ, out)
     if args.out:
-        _write_bin(args.out, netio.serialize_state(sparse.ColumnarState.from_sparse(decoded)))
+        Path(args.out).write_bytes(netio.serialize_state(sparse.ColumnarState.from_sparse(decoded)))
     print(json.dumps(dataclasses.asdict(stats), sort_keys=True))
     print(format_state(decoded))
     return 0
@@ -320,16 +306,14 @@ def _seed(text: str) -> int:
 
 def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
     """The options of a subcommand that draws randomness: ``--seed``, plus
-    the crypto and key-length options its ``flags`` name.  With "secret"
-    among the flags, a run without ``--seed`` draws a secret seed."""
+    the key-length options with "eta" among its ``flags``.  With "secret"
+    among them, a run without ``--seed`` draws a secret seed."""
     if "secret" in flags:
         p.add_argument("--seed", type=_seed, default=None,
                        help="reproducible run; anyone who can guess the seed can decode "
                             "the job (default: a secret seed per run)")
     else:
         p.add_argument("--seed", type=_seed, default=0)
-    if "crypto" in flags:
-        p.add_argument("--tag-len", type=int, default=128)
     if "eta" in flags:
         p.add_argument("--eta", type=int, default=16)
         p.add_argument("--conjecture-1", action="store_true", dest="conjecture_1",
@@ -350,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--keys", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p, "secret", "crypto")
+    _add_common(p, "secret")
     p.set_defaults(fn=cmd_garble)
 
     p = sub.add_parser("encode", help="encode an input state under the schedule")
@@ -380,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", default=None, help="directory transport root")
     p.add_argument("--timeout", type=float, default=30.0)
     p.add_argument("--out", default=None)
-    _add_common(p, "secret", "eta", "crypto")
+    _add_common(p, "secret", "eta")
     p.set_defaults(fn=cmd_delegate)
 
     p = sub.add_parser("blind", help="delegate through the universal interpreter")
@@ -388,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--dmax", type=int, required=True)
-    _add_common(p, "secret", "eta", "crypto")
+    _add_common(p, "secret", "eta")
     p.set_defaults(fn=cmd_blind)
 
     p = sub.add_parser("shor", help="delegated factoring")

@@ -25,7 +25,7 @@ if TYPE_CHECKING:        # imported where used: the server path needs no numpy
 from .circuit import CPCircuit, End
 from .sparse import ColumnarState, SparseState, qubit_layout, trace_distance, transpose
 from .symcrypt import CryptoParams
-from .util import bytes_to_int, popcount, rand_bytes
+from .util import bytes_to_int, rand_bytes
 
 
 class WireKeyPair(NamedTuple):
@@ -143,8 +143,8 @@ class CostReport:
 
 def cnot_cost(schedule: KeySchedule, wires: Sequence[int]) -> CostReport:
     keys = [[bytes_to_int(k) for k in schedule.pairs[w]] for w in wires]
-    return CostReport(sum(popcount(k0 ^ k1) for k0, k1 in keys),
-                      sum(popcount(k0) for k0, _ in keys))
+    return CostReport(sum((k0 ^ k1).bit_count() for k0, k1 in keys),
+                      sum(k0.bit_count() for k0, _ in keys))
 
 
 # ---------------------------------------------------------------------------

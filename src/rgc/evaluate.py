@@ -37,8 +37,8 @@ digest once.  The backward payload must XOR the inputs to exactly zero -
 that erasure is asserted for every distinct triple of every gate, and a
 failure aborts the evaluation: leftover input keys would entangle the result
 with junk registers.  A phase gate opens its row once per distinct key,
-through a header of one slot, and gathers one factor per term; it unpacks
-the register's bits only when the register holds two keys.
+through a header of one slot, and gathers one factor per term from the
+register's bits.
 
 A register the skeleton declares a public constant must hold one key in
 every term, or the state is refused.  A Toffoli it controls carries half
@@ -165,12 +165,13 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
     z``, sharing one slot memo, so the erasure check runs exactly once per
     triple while covering every term carrying it; an output register's new
     bitset is the OR of the masks of the triples that write its second key.
+    Erasure also makes the step injective: two triples sent to one output
+    triple open one backward row, whose payload cannot equal both.
     """
     a, b, c = regs
     keys_a, keys_b, keys_c = state.values[a], state.values[b], state.values[c]
     bits_a, bits_b, bits_c = state.bits[a], state.bits[b], state.bits[c]
-    terms = len(state.amps)
-    full = (1 << terms) - 1
+    full = (1 << len(state.amps)) - 1
     memo: tuple[SlotMemo, SlotMemo] = ({}, {})
     masks, outs = [], []
     for x, mask_a in enumerate((full ^ bits_a, bits_a)):
@@ -186,9 +187,6 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
                     masks.append(mask)
                     outs.append(eval_toffoli_term(params, (keys_a[x], keys_b[y], keys_c[z]),
                                                   tables, stats, memo))
-    if len(set(outs)) != len(outs):
-        raise EvalError("toffoli step collided terms; evaluation not reversible")
-
     for pos, reg in enumerate(regs):
         index: dict[bytes, int] = {}
         bits = 0
@@ -200,12 +198,11 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
                             f"a wire has two")
         state.values[reg] = list(index)
         state.bits[reg] = bits
-    stats.terms_processed += terms
 
 
-def eval_phase(params: CryptoParams, state: ColumnarState, reg: int, gate: Phase,
+def eval_phase(params: CryptoParams, state: ColumnarState, gate: Phase,
                table: Table, stats: EvalStats) -> None:
-    """Open the phase row for each distinct key of register ``reg`` and
+    """Open the phase row for each distinct key of the gate's register and
     multiply every term by omega^value, in place.
 
     The scratch register holding the opened value is written and unwritten by
@@ -216,19 +213,15 @@ def eval_phase(params: CryptoParams, state: ColumnarState, reg: int, gate: Phase
     denom = 1 << gate.denom_exp
     modulus = 2 * denom
     factors = []
-    for key in state.values[reg]:
+    for key in state.values[gate.qubit]:
         value = int.from_bytes(_open(params, (key,), table, {}, stats), "big")
         if value >= modulus:
             raise EvalError("phase payload out of range")
         factors.append(cmath.exp(1j * math.pi * (gate.sign * value % modulus) / denom))
-
-    if len(factors) == 2:
-        zero, one = factors
-        state.amps = [amp * (one if code == "1" else zero)
-                      for amp, code in zip(state.amps, state.codes(reg))]
-    else:       # a register of one key gives every term its one factor
-        state.amps = [amp * factors[0] for amp in state.amps]
-    stats.terms_processed += len(state.amps)
+    # a register of one key has bitset 0, so every term takes factors[0]
+    zero, one = factors[0], factors[-1]
+    state.amps = [amp * (one if code == "1" else zero)
+                  for amp, code in zip(state.amps, state.codes(gate.qubit))]
 
 
 def eval_bundle(params: CryptoParams, encoded: ColumnarState,
@@ -257,8 +250,10 @@ def eval_bundle(params: CryptoParams, encoded: ColumnarState,
             if isinstance(gate, Toffoli):
                 eval_toffoli(params, state, gate.qubits, table, stats)
             else:
-                eval_phase(params, state, gate.qubit, gate, table, stats)
+                eval_phase(params, state, gate, table, stats)
         except EvalError as exc:
             raise type(exc)(f"gate {index}: {exc}") from None
-        stats.gates += 1
+    # every gate steps every term, and the term count never changes
+    stats.gates = len(circ.gates)
+    stats.terms_processed = stats.gates * len(state.amps)
     return state, stats

@@ -31,7 +31,7 @@ from .delegation import JobBundle
 from .encoding import KeySchedule
 from .garble import GarbledBundle, Table, ToffoliTables
 from .symcrypt import CryptoParams
-from .util import bytes_to_int, popcount, rand_bytes, xor_bytes
+from .util import bytes_to_int, rand_bytes, xor_bytes
 
 
 @dataclass(frozen=True)
@@ -215,12 +215,12 @@ def dist_row_frequency(view: ChallengeView, rng) -> int:
             for row in part.rows:
                 for byte in row:
                     acc ^= byte
-    return bin(acc).count("1") & 1
+    return acc.bit_count() & 1
 
 
 def dist_encoded_parity(view: ChallengeView, rng) -> int:
     """Parity of the (basis-state) encoded input's set bits."""
-    return sum(popcount(bytes_to_int(keys[0]))
+    return sum(bytes_to_int(keys[0]).bit_count()
                for keys in view.job.encoded_state.values) & 1
 
 
@@ -626,4 +626,4 @@ def qkdm_dist_padded_parity(view: KdmView, rng) -> int:
     acc = 0
     for ct in view.ciphertexts:
         acc ^= next(iter(ct.padded_state.terms))
-    return bin(acc).count("1") & 1
+    return acc.bit_count() & 1

@@ -61,7 +61,7 @@ from typing import Collection, Iterable, Sequence
 
 from . import symcrypt
 from .circuit import CPCircuit, Phase, Toffoli, without_x
-from .encoding import KeySchedule
+from .encoding import KeySchedule, WireKeyPair
 from .symcrypt import CryptoParams
 from .util import rand_bytes
 
@@ -116,10 +116,7 @@ def toffoli_slots(gate: Toffoli, const_qubits: Collection[int]) -> tuple[int, in
     return (1 if a in const_qubits else 2, 1 if b in const_qubits else 2, 2)
 
 
-KeyPair = tuple[bytes, bytes]      # (logical 0 key, logical 1 key)
-
-
-def _header(params: CryptoParams, pairs: Sequence[KeyPair],
+def _header(params: CryptoParams, pairs: Sequence[WireKeyPair],
             slots: Sequence[int], rng: random.Random
             ) -> tuple[bytes, tuple[bytes, ...], tuple[int, ...]]:
     """A table's fresh nonce and its header over each slot's (0 key, 1 key)
@@ -133,8 +130,8 @@ def _header(params: CryptoParams, pairs: Sequence[KeyPair],
     return nonce, header, flips
 
 
-def garble_toffoli(params: CryptoParams, gate: Toffoli, ins: Sequence[KeyPair],
-                   outs: Sequence[KeyPair], rng: random.Random,
+def garble_toffoli(params: CryptoParams, gate: Toffoli, ins: Sequence[WireKeyPair],
+                   outs: Sequence[WireKeyPair], rng: random.Random,
                    const_qubits: Collection[int] = ()) -> ToffoliTables:
     """The gate's tables over the key pairs of the wires it reads and
     writes, in slot order."""
@@ -163,7 +160,7 @@ def garble_toffoli(params: CryptoParams, gate: Toffoli, ins: Sequence[KeyPair],
         Table(bwd_nonce, bwd_header, symcrypt.table_rows(params, bwd_nonce, backward)))
 
 
-def garble_phase(params: CryptoParams, gate: Phase, pair: KeyPair,
+def garble_phase(params: CryptoParams, gate: Phase, pair: WireKeyPair,
                  rng: random.Random) -> Table:
     modulus = 2 << gate.denom_exp          # 2n
     m0 = rng.randrange(modulus)

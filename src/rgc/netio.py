@@ -77,8 +77,9 @@ state (or an error), and that's the whole conversation.  The server answers
 a declared payload above ``MAX_PAYLOAD_BYTES`` with an error without reading
 it, a job whose work (:func:`job_work`) exceeds ``MAX_JOB_WORK`` with an
 error before evaluating it, a connection beyond ``MAX_CONNECTIONS`` open
-ones with an error at once, and drops a connection that stalls for
-``SOCKET_TIMEOUT_S`` or fails (a client's reset) without a word on stderr;
+ones with an error at once, and drops a connection whose request has not
+arrived in full ``SOCKET_TIMEOUT_S`` after it began to read it, or that
+fails (a client's reset), without a word on stderr;
 every error envelope built from an exception reads ``ClassName: text``.  A
 directory-based transport mirrors the socket one for setups where the only
 channel is a shared filesystem, and each end consumes the file it reads;
@@ -140,10 +141,10 @@ KIND_ERROR = 3
 # 14,976 steps, and a phase step takes about 0.1 us), the most qubits a
 # skeleton may declare (that interpreter has 36), the most registers times
 # terms a state may declare, how many connections are served at once, and
-# how long one socket read or write may wait.  A register of one value is a
-# few bytes whatever the term count, so the payload bound does not cap a
-# state's registers times terms; MAX_STATE_CELLS does (modexp21's state has
-# 19 registers of 1024 terms).
+# how long a request may take to arrive, and its reply to leave.  A register
+# of one value is a few bytes whatever the term count, so the payload bound
+# does not cap a state's registers times terms; MAX_STATE_CELLS does
+# (modexp21's state has 19 registers of 1024 terms).
 MAX_PAYLOAD_BYTES = 64 << 20
 MAX_JOB_WORK = 1 << 24
 MAX_QUBITS = 1 << 16
@@ -339,12 +340,10 @@ class _TableLayout:
         """Append the tables' fields to ``parts``; nothing is copied."""
         if isinstance(gate, Toffoli):
             f, b = table.forward, table.backward
-            slots_ok = len(f.header) == len(b.header) == 3
             fields = (f.nonce, *f.header, *f.rows, b.nonce, *b.header, *b.rows)
         else:
-            slots_ok = len(table.header) == 1
             fields = (table.nonce, *table.header, *table.rows)
-        if not slots_ok or tuple(map(len, fields)) != self._shape(gate)[0]:
+        if tuple(map(len, fields)) != self._shape(gate)[0]:
             raise WireFormatError("table does not match the bundle header's widths")
         parts += fields
 
@@ -591,22 +590,31 @@ def _check_payload_len(length: int) -> None:
         raise WireFormatError(f"declared payload of {length} bytes above limit {MAX_PAYLOAD_BYTES}")
 
 
-def _read_envelope(sock: socket.socket) -> bytearray:
+def _read_envelope(sock: socket.socket, deadline: float) -> bytearray:
+    """One envelope, read in full by ``deadline`` (``time.monotonic``)."""
     header = bytearray(_ENVELOPE_HEADER.size)
-    _recv_into(sock, memoryview(header))
+    _recv_into(sock, memoryview(header), deadline)
     magic, _, _, length = _ENVELOPE_HEADER.unpack(header)
     if magic != MAGIC:
         raise WireFormatError("bad magic")
     _check_payload_len(length)
     envelope = bytearray(_FRAMING + length)
     envelope[:len(header)] = header
-    _recv_into(sock, memoryview(envelope)[len(header):])
+    _recv_into(sock, memoryview(envelope)[len(header):], deadline)
     return envelope
 
 
-def _recv_into(sock: socket.socket, view: memoryview) -> None:
+def _settimeout_until(sock: socket.socket, deadline: float) -> None:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError("timed out")
+    sock.settimeout(left)
+
+
+def _recv_into(sock: socket.socket, view: memoryview, deadline: float) -> None:
     pos = 0
     while pos < len(view):
+        _settimeout_until(sock, deadline)
         got = sock.recv_into(view[pos:])
         if not got:
             raise WireFormatError("connection closed early")
@@ -615,15 +623,15 @@ def _recv_into(sock: socket.socket, view: memoryview) -> None:
 
 class _JobHandler(socketserver.BaseRequestHandler):
     def handle(self):
-        self.request.settimeout(SOCKET_TIMEOUT_S)
         try:
-            request = _read_envelope(self.request)
+            request = _read_envelope(self.request, time.monotonic() + SOCKET_TIMEOUT_S)
         except WireFormatError as exc:
             reply = _error_envelope(exc)
         except OSError:
             return      # an idle, stalled or reset client: drop the connection
         else:
             reply = handle_envelope(request)
+        self.request.settimeout(SOCKET_TIMEOUT_S)       # bounds the whole sendall
         with contextlib.suppress(OSError):      # the client left before its answer
             self.request.sendall(reply)
 
@@ -672,9 +680,14 @@ def serve(host: str, port: int) -> JobServer:
 
 def submit(host: str, port: int, job: JobBundle, params: CryptoParams,
            timeout: float = 60.0) -> tuple[ColumnarState, EvalStats]:
+    """Connect, send the job and read its answer, all within ``timeout`` of
+    the call."""
+    deadline = time.monotonic() + timeout
     with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.sendall(frame(KIND_JOB, serialize_job(job, params)))
-        response = _read_envelope(sock)
+        envelope = frame(KIND_JOB, serialize_job(job, params))
+        _settimeout_until(sock, deadline)
+        sock.sendall(envelope)
+        response = _read_envelope(sock, deadline)
     return _read_result(response)
 
 

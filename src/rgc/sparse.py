@@ -315,7 +315,7 @@ def pauli_frame(state: SparseState, x_mask: int, z_mask: int) -> SparseState:
         raise ValueError("mask wider than the state")
     new_terms: dict[int, complex] = {}
     for basis, amp in state.terms.items():
-        if bin(z_mask & basis).count("1") & 1:
+        if (z_mask & basis).bit_count() & 1:
             amp = -amp
         new_terms[basis ^ x_mask] = amp
     return SparseState(state.layout, new_terms, check=False)

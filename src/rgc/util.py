@@ -32,7 +32,3 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise ValueError(f"xor length mismatch: {len(a)} vs {len(b)}")
     return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
-
-
-def popcount(v: int) -> int:
-    return bin(v).count("1")

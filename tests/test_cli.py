@@ -2,9 +2,13 @@ import dataclasses
 import json
 import math
 import os
+import pathlib
 import random
 import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -121,6 +125,29 @@ def test_delegate_local_vs_remote_bit_exact(tmp_path, circuit_file):
         server.shutdown()
         server.server_close()
     assert open(local_out, "rb").read() == open(remote_out, "rb").read()
+
+
+def test_serve_answers_a_job_and_stops_cleanly_on_ctrl_c(tmp_path, circuit_file):
+    # started as the benchmark starts it; -u passes the port line through
+    # the pipe at once
+    src = pathlib.Path(netio.__file__).resolve().parents[1]
+    argv = ["delegate", "--circuit", circuit_file, "--input", "+11", "--seed", "5"]
+    assert main(argv + ["--out", str(tmp_path / "local.bin")]) == 0
+    with subprocess.Popen([sys.executable, "-u", "-m", "rgc", "serve", "--host", "127.0.0.1",
+                           "--port", "0"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=str(src))) as proc:
+        try:
+            line = proc.stdout.readline().decode()
+            match = re.fullmatch(r"serving on (127\.0\.0\.1:\d+) \(ctrl-c to stop\)\n", line)
+            assert match, line
+            assert main(argv + ["--out", str(tmp_path / "remote.bin"),
+                                "--endpoint", match[1]]) == 0
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+    assert proc.returncode == 0 and err == b""
+    assert (tmp_path / "local.bin").read_bytes() == (tmp_path / "remote.bin").read_bytes()
 
 
 def test_delegate_dir_transport(tmp_path, circuit_file):

@@ -406,6 +406,29 @@ def test_bundle_erasure_failure_names_the_gate():
         eval_bundle(params, encoded, tampered)
 
 
+def test_forward_rows_sending_two_triples_to_one_are_refused_by_erasure():
+    # forward rows send (1,1,0) where (1,1,1) goes; the backward table is
+    # honest, so its one row for that output cannot erase both inputs
+    params, schedule, ins, outs, _ = _toffoli_fixture(23)
+    rng = random.Random(24)
+    forward, backward = [], []
+    for u, v, w in product((0, 1), repeat=3):
+        in_keys = (ins[0][u], ins[1][v], ins[2][w])
+        out_keys = (outs[0][u], outs[1][v], outs[2][w ^ (u & v)])
+        sent = (outs[0][1], outs[1][1], outs[2][0]) if (u, v, w) == (1, 1, 0) else out_keys
+        forward.append((in_keys, b"".join(sent)))
+        backward.append((out_keys, b"".join(in_keys)))
+    tables = ToffoliTables(_table(params, ins, forward, rng), _table(params, outs, backward, rng))
+    collided = (outs[0].k1, outs[1].k1, outs[2].k0)
+    assert eval_toffoli_term(params, (ins[0].k1, ins[1].k1, ins[2].k1), tables) == collided
+    with pytest.raises(ErasureError):
+        eval_toffoli_term(params, (ins[0].k1, ins[1].k1, ins[2].k0), tables)
+    bundle = _with_tables(garble_circuit(params, ONE_TOFFOLI, schedule, rng), {0: tables})
+    state = sparse.from_terms(qubit_layout(3), {0b011: 0.6, 0b111: 0.8})
+    with pytest.raises(ErasureError, match="^gate 0: backward row does not cancel"):
+        eval_bundle(params, encode(state, schedule, ONE_TOFFOLI.input_wires), bundle)
+
+
 def _first_digest_twice(params, table):
     """The table with its first slot's first digest in both positions: the
     key it matches indexes two rows, and the other key none."""

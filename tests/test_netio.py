@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -6,10 +7,12 @@ import os
 import pathlib
 import random
 import re
+import select
 import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -365,6 +368,13 @@ def test_collect_result_refuses_an_envelope_that_is_not_a_result(tmp_path):
     assert os.listdir(tmp_path / "outbox") == []        # consumed, though refused
 
 
+def test_collect_result_times_out_when_no_answer_arrives(tmp_path):
+    start = time.monotonic()
+    with pytest.raises(TimeoutError, match="^no result for job j1$"):
+        netio.collect_result(str(tmp_path), "j1", timeout=0.3)
+    assert 0.3 <= time.monotonic() - start < 1.0
+
+
 def test_directory_transport_refuses_an_oversized_job_unread(tmp_path, monkeypatch):
     monkeypatch.setattr(netio, "MAX_PAYLOAD_BYTES", 500)
     _, _, params, _, job = _job_fixture(seed=10)
@@ -409,7 +419,7 @@ def test_remote_error_raised_on_submit():
         import socket
         with socket.create_connection((host, port)) as sock:
             sock.sendall(frame(netio.KIND_RESULT, b"not-a-job"))
-            resp = netio._read_envelope(sock)
+            resp = netio._read_envelope(sock, time.monotonic() + 5)
         kind, _ = unframe(resp)
         assert kind == netio.KIND_ERROR
     finally:
@@ -1107,7 +1117,7 @@ def test_server_refuses_oversized_and_drops_idle_connections(monkeypatch):
         with socket.create_connection((host, port), timeout=5) as sock:
             sock.sendall(netio.MAGIC + struct.pack("<BBQ", netio.WIRE_VERSION,
                                                    netio.KIND_JOB, 1 << 40))
-            kind, payload = unframe(netio._read_envelope(sock))
+            kind, payload = unframe(netio._read_envelope(sock, time.monotonic() + 5))
         assert kind == netio.KIND_ERROR
         assert payload == (b"WireFormatError: declared payload of 1099511627776 bytes "
                            b"above limit 65536")
@@ -1118,6 +1128,67 @@ def test_server_refuses_oversized_and_drops_idle_connections(monkeypatch):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_server_drops_a_client_that_trickles_its_request(monkeypatch):
+    # a byte every 0.2 s keeps every read under the timeout; the request as
+    # a whole must still arrive within SOCKET_TIMEOUT_S
+    monkeypatch.setattr(netio, "SOCKET_TIMEOUT_S", 0.5)
+    server = netio.serve("127.0.0.1", 0)
+    try:
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            start = time.monotonic()
+            sock.sendall(netio.MAGIC + struct.pack("<BBQ", netio.WIRE_VERSION,
+                                                   netio.KIND_JOB, 1000))
+            while time.monotonic() - start < 4:
+                try:
+                    sock.sendall(b"\x00")
+                    if select.select([sock], [], [], 0.2)[0] and sock.recv(1) == b"":
+                        break       # the server hung up
+                except ConnectionError:
+                    break
+            elapsed = time.monotonic() - start
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert elapsed < 1.5
+
+
+def test_submit_timeout_bounds_the_whole_exchange():
+    # the listener reads the job, then answers one byte every 0.2 s and
+    # hangs up after the envelope header
+    _, _, params, _, job = _job_fixture(seed=26)
+    header = netio.MAGIC + struct.pack("<BBQ", netio.WIRE_VERSION, netio.KIND_RESULT, 1000)
+
+    def trickle(listener):
+        conn, _ = listener.accept()
+        with conn, contextlib.suppress(OSError):
+            netio._read_envelope(conn, time.monotonic() + 5)
+            for byte in header:
+                time.sleep(0.2)
+                conn.sendall(bytes([byte]))
+
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        worker = threading.Thread(target=trickle, args=(listener,), daemon=True)
+        worker.start()
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            netio.submit("127.0.0.1", listener.getsockname()[1], job, params, timeout=0.5)
+        elapsed = time.monotonic() - start
+        worker.join(timeout=5)
+    assert elapsed < 1.5
+
+
+def test_server_answers_bad_magic_with_an_error_envelope():
+    server = netio.serve("127.0.0.1", 0)
+    try:
+        with socket.create_connection(server.server_address, timeout=5) as sock:
+            sock.sendall(b"RGC0" + struct.pack("<BBQ", netio.WIRE_VERSION, netio.KIND_JOB, 0))
+            kind, payload = unframe(netio._read_envelope(sock, time.monotonic() + 5))
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert kind == netio.KIND_ERROR and payload == b"WireFormatError: bad magic"
 
 
 def test_job_above_the_work_limit_is_refused_before_evaluation(monkeypatch):
@@ -1276,7 +1347,7 @@ def test_server_refuses_connections_beyond_the_limit(monkeypatch):
             idle.sendall(netio.MAGIC)       # holds the only slot
             for _ in range(3):
                 with socket.create_connection((host, port), timeout=5) as sock:
-                    kind, payload = unframe(netio._read_envelope(sock))
+                    kind, payload = unframe(netio._read_envelope(sock, time.monotonic() + 5))
                     assert sock.recv(1) == b""      # and the server hangs up
                 assert kind == netio.KIND_ERROR and b"server busy" in payload
         # closing the idle connection ends its handler and frees the slot
