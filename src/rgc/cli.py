@@ -276,13 +276,13 @@ def cmd_security_test(args) -> int:
 
 def cmd_serve(args) -> int:
     if args.dir:
-        print(f"serving directory {args.dir} (ctrl-c to stop)")
+        print(f"serving directory {args.dir} (ctrl-c to stop)", flush=True)
         with contextlib.suppress(KeyboardInterrupt):
             netio.serve_files(args.dir, threading.Event())
         return 0
     server = netio.serve(args.host, args.port)
     host, port = server.server_address
-    print(f"serving on {host}:{port} (ctrl-c to stop)")
+    print(f"serving on {host}:{port} (ctrl-c to stop)", flush=True)
     try:
         while True:
             time.sleep(3600)

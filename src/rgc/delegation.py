@@ -35,7 +35,7 @@ from .evaluate import EvalStats
 from .garble import GarbledBundle
 from .oracle import HASH_MODE, TABLE_MODE, OracleFamily
 from .sparse import ColumnarState, RegisterLayout, SparseState, qubit_layout
-from .symcrypt import CryptoParams
+from .symcrypt import DEFAULT_TAG_LEN_BITS, CryptoParams
 from .util import rand_bytes
 
 
@@ -59,8 +59,9 @@ def keygen(eta: int, n_quantum: int, circ: CPCircuit, rng: random.Random,
     return encoding.gen_keys(required_kappa(eta, n_quantum, conjecture), circ, rng)
 
 
-def make_params(kappa_bits: int, *, tag_len_bits: int = 128, oracle_seed: bytes = b"",
-                table_mode: bool = False, table_seed: int = 0) -> CryptoParams:
+def make_params(kappa_bits: int, *, tag_len_bits: int = DEFAULT_TAG_LEN_BITS,
+                oracle_seed: bytes = b"", table_mode: bool = False,
+                table_seed: int = 0) -> CryptoParams:
     """Crypto context shared by both parties (the oracle is a public
     function; only the keys are secret)."""
     family = OracleFamily(mode=TABLE_MODE if table_mode else HASH_MODE,

@@ -21,6 +21,22 @@ evaluator holding one key per slot learns its positions and nothing about
 x, since s is uniform and drawn afresh for every table; it finds its row
 with one digest per slot instead of a tag check per row.
 
+A digest only has to tell its slot's two keys apart, so it is short: t =
+``symcrypt.DEFAULT_TAG_LEN_BITS`` = 16 bits by default.  When the two
+digests of a slot are equal, which happens in about one slot in 2^t, the
+garbler draws the table's nonce again from the gate's own stream, keeps the
+flips, and builds the header again; rows are masked under the final nonce.
+So an honest key always finds exactly one digest.  A table without a
+collision draws nothing more, so the redraw leaves every other table, the
+keys and the phase offsets as they were.  It depends only on the slot's
+unordered key pair and the nonce, never on a value or a flip, so the server
+sees a uniform nonce given that the digests differ, which every honest
+table satisfies.  What a short digest weakens: a wrong key finds a digest
+with probability about 2 * 2^-t per slot.  In a Toffoli the backward
+table's kappa-bit erasure check still catches such a key; a phase row has
+no such check, so it would open a wrong phase, but only on the client's own
+job.  The server's safety does not depend on t.
+
 A Toffoli with a public constant control (see :mod:`rgc.circuit`) keeps only
 the rows in which that control is 1, in both tables: 8 >> k rows each for k
 constant controls, and the constant's slot holds the digest of its 1 key
@@ -122,11 +138,20 @@ def _header(params: CryptoParams, pairs: Sequence[WireKeyPair],
     """A table's fresh nonce and its header over each slot's (0 key, 1 key)
     pair, and per slot the bit s that puts the key of value x at position
     x xor s: a fresh bit for a slot of two digests, and 1 for a slot of one,
-    which holds the 1 key."""
+    which holds the 1 key.  While a slot's two digests are equal, the nonce
+    is drawn again from ``rng`` and the flips are kept."""
     nonce = rand_bytes(rng, params.kappa_bytes)
     flips = tuple([rng.getrandbits(1) if n == 2 else 1 for n in slots])
-    header = symcrypt.table_header(params, nonce, [(pair[s], pair[1 ^ s]) if n == 2 else (pair[1],)
-                                                   for pair, n, s in zip(pairs, slots, flips)])
+    slot_keys = [(pair[s], pair[1 ^ s]) if n == 2 else (pair[1],)
+                 for pair, n, s in zip(pairs, slots, flips)]
+    header = symcrypt.table_header(params, nonce, slot_keys)
+    t = params.digest_bytes
+    # a one-digest slot never counts: its second half is empty
+    while any([digests[:t] == digests[t:] for digests in header]):
+        if any(keys[0] == keys[-1] for keys in slot_keys if len(keys) == 2):
+            raise ValueError("a wire's two keys must differ")
+        nonce = rand_bytes(rng, params.kappa_bytes)
+        header = symcrypt.table_header(params, nonce, slot_keys)
     return nonce, header, flips
 
 

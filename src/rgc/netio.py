@@ -136,7 +136,7 @@ KIND_RESULT = 2
 KIND_ERROR = 3
 
 # Server limits: the largest envelope payload a peer may declare (modexp21's
-# job is 481 KB and the blind interpreter's at N=3, D=3, L=4 is 87 KB), the
+# job is 332 KB and the blind interpreter's at N=3, D=3, L=4 is 50 KB), the
 # most work one job may ask of the evaluator (see job_work: modexp21 asks
 # 14,976 steps, and a phase step takes about 0.1 us), the most qubits a
 # skeleton may declare (that interpreter has 36), the most registers times

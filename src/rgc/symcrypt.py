@@ -60,18 +60,24 @@ _ROW = b"\x03"
 _SLOT = b"\x04"
 _INDEX = tuple(bytes((i,)) for i in range(256))      # a slot or row index, one byte
 
+DEFAULT_TAG_LEN_BITS = 16
+
 
 @dataclass
 class CryptoParams:
     """Session-wide crypto context: key length, tag length, oracle family.
 
-    kappa_bits and tag_len_bits are independent; long tags make row-selection
-    ambiguity negligible even at toy key sizes.
+    kappa_bits and tag_len_bits are independent.  tag_len_bits is the
+    length of every digest, a header slot's and a tagged row's alike.  It
+    defaults to ``DEFAULT_TAG_LEN_BITS`` = 16: a slot digest only has to tell
+    one wire's two keys apart, and the garbler draws a table's nonce again
+    when they collide (see :mod:`rgc.garble`).  A wrong key finds a 16-bit
+    digest with probability about 2 * 2^-16 per slot.
     """
 
     kappa_bits: int
     oracles: OracleFamily
-    tag_len_bits: int = 128
+    tag_len_bits: int = DEFAULT_TAG_LEN_BITS
 
     def __post_init__(self):
         self.check_widths(self.kappa_bits, self.tag_len_bits)
@@ -81,7 +87,7 @@ class CryptoParams:
         self.tag_query = self.oracles.for_len(self.tag_len_bits).query
 
     @staticmethod
-    def check_widths(kappa_bits: int, tag_len_bits: int = 128) -> None:
+    def check_widths(kappa_bits: int, tag_len_bits: int = DEFAULT_TAG_LEN_BITS) -> None:
         """The one rule on the two widths: positive multiples of 8."""
         if kappa_bits <= 0 or tag_len_bits <= 0 or kappa_bits % 8 or tag_len_bits % 8:
             raise ValueError(f"kappa {kappa_bits} and tag length {tag_len_bits} must be "

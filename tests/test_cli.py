@@ -5,6 +5,7 @@ import os
 import pathlib
 import random
 import re
+import select
 import signal
 import socket
 import subprocess
@@ -148,6 +149,25 @@ def test_serve_answers_a_job_and_stops_cleanly_on_ctrl_c(tmp_path, circuit_file)
             proc.kill()
     assert proc.returncode == 0 and err == b""
     assert (tmp_path / "local.bin").read_bytes() == (tmp_path / "remote.bin").read_bytes()
+
+
+def test_serve_line_passes_a_block_buffered_pipe_at_once():
+    # without -u or PYTHONUNBUFFERED, stdout into a pipe is block buffered;
+    # a supervisor that reads the port from the pipe must still get it
+    src = pathlib.Path(netio.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "rgc", "serve", "--host", "127.0.0.1",
+                             "--port", "0"], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                            env=dict(env, PYTHONPATH=str(src)))
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 5)
+        assert ready, "no serving line within 5 s"
+        line = proc.stdout.readline().decode()
+        assert re.fullmatch(r"serving on 127\.0\.0\.1:\d+ \(ctrl-c to stop\)\n", line), line
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 def test_delegate_dir_transport(tmp_path, circuit_file):

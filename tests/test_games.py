@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import hashlib
 import random
 from statistics import NormalDist
 
 import pytest
 
+from rgc import delegation
 from rgc.circuit import parse_circuit, simulate
 from rgc.encoding import decode, encode, gen_keys
 from rgc.evaluate import eval_bundle
@@ -64,6 +66,28 @@ def test_ind_cpa_sorted_headers_are_detected():
         report = run_ind_cpa_gbc(dist_header_order, circ, 16, 200, random.Random(seed),
                                  sorted_headers=True)
         assert report.advantage_estimate == 1.0
+
+
+def test_sorted_headers_and_tag_grinding_at_16_bit_digests(monkeypatch):
+    # the control and the grinder at an explicit 16-bit digest, whatever the
+    # default length: every game draws its params through make_params
+    monkeypatch.setattr(delegation, "make_params",
+                        functools.partial(delegation.make_params, tag_len_bits=16))
+    lengths = set()
+
+    def seen(dist):
+        def wrapped(view, rng):
+            lengths.add(view.params.tag_len_bits)
+            return dist(view, rng)
+        return wrapped
+
+    for circ, seed in ((GAME_CIRCUIT, 40), (CONST_CIRCUIT, 41)):
+        report = run_ind_cpa_gbc(seen(dist_header_order), circ, 16, 200, random.Random(seed),
+                                 sorted_headers=True)
+        assert report.advantage_estimate == 1.0
+    assert_blind({"dist_tag_grinding": run_ind_cpa_gbc(seen(dist_tag_grinding), GAME_CIRCUIT,
+                                                       16, TRIALS, random.Random(42))})
+    assert lengths == {16}
 
 
 def test_sorted_headers_still_evaluate():
@@ -346,5 +370,5 @@ def test_game_reports_are_pinned():
          reuse_nonces=True)
     assert len(reports) == 37 and all(r.trials == 20 for r in reports)
     assert digest.hexdigest() == (
-        "81f954a0a47ceb086947c90a0a3e037ed23cdf563ba52f9b8ad2a31d9d479744"
-        "ad660ba40e65dc7a215aaeaa4d6b99c504c00d7cc26f85a732bcbc1a9f567d3d")
+        "544de98828b0d496cd7b1270aa21ae85c66ef4d75a9f945c8160878cbec00e09"
+        "774297915c0d9a90be95faa44fa9d20a7a20560b9b2c9d78d3b2685ff5316fe0")

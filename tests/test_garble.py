@@ -5,15 +5,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from scipy import stats as scipy_stats
 
-from rgc import symcrypt
-from rgc.circuit import Toffoli, X, allocate_wires, parse_circuit, phase, toff
+from rgc import delegation, symcrypt
+from rgc.circuit import Toffoli, X, allocate_wires, parse_circuit, phase, simulate, toff
 from rgc.encoding import KeySchedule, WireKeyPair, gen_keys
 from rgc.games import circuit_pairs
 from rgc.garble import (Table, ToffoliTables, closure_pairs, garble_circuit,
                         garble_phase, garble_toffoli, phase_payload)
 from rgc.netio import deserialize_circuit, serialize_circuit
+from rgc.sparse import fidelity
 
-from conftest import circuits_and_states, gate_keys, make_params
+from conftest import circuits_and_states, gate_keys, input_state, make_params
 
 ONE_TOFFOLI = parse_circuit("inputs 3\ntoff 0 1 2\n")
 
@@ -282,14 +283,13 @@ def test_closure_pairs_random_instances_match_oracle():
         assert closure_pairs(revealed, pairs) == _brute_force_closure(revealed, pairs)
 
 
-def test_row_selection_unique_across_many_garblings():
-    # 10^4 garbled gates at tag_len=128: every honest triple must match
-    # exactly one digest per header slot, forward and backward (the term
-    # evaluator compares every digest and raises on ambiguity, so running it
-    # is the check)
+def _evaluate_many_garblings(tag_len_bits):
+    # 10^4 garbled gates: every honest triple must match exactly one digest
+    # per header slot, forward and backward (the term evaluator compares
+    # every digest and raises on ambiguity, so running it is the check)
     from rgc.evaluate import eval_toffoli_term
 
-    params = make_params(tag_len_bits=128)
+    params = make_params(tag_len_bits=tag_len_bits)
     rng = random.Random(11)
     gate = ONE_TOFFOLI.gates[0]
     for _ in range(10_000):
@@ -299,6 +299,53 @@ def test_row_selection_unique_across_many_garblings():
         u, v, w = rng.getrandbits(1), rng.getrandbits(1), rng.getrandbits(1)
         eval_toffoli_term(params, (in_pairs[0][u], in_pairs[1][v], in_pairs[2][w]),
                           tables)
+
+
+def test_row_selection_unique_across_many_garblings():
+    _evaluate_many_garblings(128)
+
+
+def test_row_selection_unique_across_many_garblings_at_the_default_tag_length():
+    # about one of these 60,000 two-digest slots collides before the redraw
+    _evaluate_many_garblings(symcrypt.DEFAULT_TAG_LEN_BITS)
+
+
+def test_equal_digests_occur_at_8_bit_tags_without_the_redraw():
+    # the control for the property below: one key pair under 2,000 fresh
+    # nonces, each slot colliding with probability 1/256
+    params = make_params(tag_len_bits=8)
+    rng = random.Random(48)
+    pair = (rng.randbytes(2), rng.randbytes(2))
+    headers = [symcrypt.table_header(params, rng.randbytes(2), [pair]) for _ in range(2000)]
+    assert any(slot[:1] == slot[1:] for (slot,) in headers)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(circuits_and_states())
+def test_no_slot_holds_equal_digests_at_8_bit_tags_property(case):
+    # 16 jobs per circuit: about 3,000 two-digest slots per run, of which
+    # about 11 collide before the redraw
+    circ, support, seed = case
+    rng = random.Random(seed)
+    keys = delegation.keygen(16, circ.num_inputs, circ, rng, conjecture=True)
+    params = delegation.make_params(16, tag_len_bits=8, oracle_seed=rng.randbytes(8))
+    state = input_state(circ, support, rng)
+    expected = simulate(circ, state)
+    for job_seed in range(16):
+        job = delegation.encrypt(params, keys, circ, state, random.Random(job_seed))
+        slots = [digests for t in job.garbled.tables
+                 for part in ((t.forward, t.backward) if isinstance(t, ToffoliTables) else (t,))
+                 for digests in part.header]
+        assert all(len(digests) == 1 or digests[0] != digests[1] for digests in slots)
+        out, _ = delegation.delegate(params, keys, circ, state, random.Random(job_seed))
+        assert fidelity(out, expected) >= 1 - 1e-9
+
+
+def test_a_pair_of_equal_keys_is_refused():
+    params = make_params()
+    key = bytes(2)
+    with pytest.raises(ValueError, match="two keys must differ"):
+        garble_phase(params, phase(0, 1), WireKeyPair(key, key), random.Random(49))
 
 
 def test_reseeding_changes_rows_not_meaning():

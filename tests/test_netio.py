@@ -376,14 +376,14 @@ def test_collect_result_times_out_when_no_answer_arrives(tmp_path):
 
 
 def test_directory_transport_refuses_an_oversized_job_unread(tmp_path, monkeypatch):
-    monkeypatch.setattr(netio, "MAX_PAYLOAD_BYTES", 500)
+    monkeypatch.setattr(netio, "MAX_PAYLOAD_BYTES", 200)
     _, _, params, _, job = _job_fixture(seed=10)
     path = netio.submit_file(str(tmp_path), "j1", job, params)
-    assert os.path.getsize(path) > 18 + 500
+    assert os.path.getsize(path) > 18 + 200
     assert netio.serve_files_once(str(tmp_path)) == 1
     assert not os.path.exists(path)         # consumed
     with pytest.raises(netio.RemoteEvalError,
-                       match="^WireFormatError: declared payload of .* above limit 500$"):
+                       match="^WireFormatError: declared payload of .* above limit 200$"):
         netio.collect_result(str(tmp_path), "j1", timeout=0)
 
 
@@ -540,11 +540,11 @@ phase 2 2 neg
 TOFFOLI_JOB_CIRCUIT = "inputs 3\ntoff 0 1 2\ntoff 1 2 0\ntoff 2 0 1\n"
 
 
-def _seeded_job(text, seed=17):
+def _seeded_job(text, seed=17, **widths):
     circ = parse_circuit(text)
     rng = random.Random(seed)
     keys = delegation.keygen(16, circ.num_inputs, circ, rng, conjecture=True)
-    params = delegation.make_params(16, oracle_seed=rng.randbytes(8))
+    params = delegation.make_params(16, oracle_seed=rng.randbytes(8), **widths)
     free = [q for q in range(circ.num_inputs) if q not in circ.const_qubits]
     state = input_state(circ, free, rng)
     return delegation.encrypt(params, keys, circ, state, rng), params
@@ -566,23 +566,35 @@ def _wire_2_job(job, params):
     return wire_2_state(sparse_of(job.encoded_state)) + serialize_bundle(job.garbled, params)
 
 
-@pytest.mark.parametrize("text, wire_2, wire_3", [
-    (PHASE_JOB_CIRCUIT,
+@pytest.mark.parametrize("text, widths, wire_2, wire_3", [
+    (PHASE_JOB_CIRCUIT, {"tag_len_bits": 128},
      (1221, "b0a8106fdf635b25d8892730ec95e67d945d6911a74a8d7e424c3df650f90cab"
             "e43edb9b6ffc293e03dd210a2e1de4051ec0509159fde9388f8d358aa35eda3a"),
      (1191, "e6f1977517d9e24b61b67229a4d268b6ee040d43ef265e8e1f4eac33d9aef728"
             "d1a626ad3d1bb809e9bf979ab059f014754d9ddbeb3cfd567dfd7ff5249127f8")),
-    (TOFFOLI_JOB_CIRCUIT,
+    (TOFFOLI_JOB_CIRCUIT, {"tag_len_bits": 128},
      (1130, "c9b72778cc06f6fe1db95a7323985d4e834b28408a3c4b9b6614e48382d8fa57"
             "e7df2e0f085fcb718d89c616bf71e66c7f251a692fd83352c045e4595acb577e"),
      (1100, "e70c95b9bf71e8f244b655cb9278c8e5c2f3bc4a070a922034bfd22b66d7d055"
             "b4d9988ad09df92e589769feed8a943394cdee7094b9f5c38b6065e3fc2aed6d")),
-], ids=["phase-job", "toffoli-job"])
-def test_job_bytes_golden(text, wire_2, wire_3):
+    (PHASE_JOB_CIRCUIT, {},
+     (633, "bb4ac58d13d46073188a2c19e65fafe7704bfeb203444321e9a2632cc5b445ef"
+           "b010c29e8e730fea77c345c4226d78a0e1fdaff3006946cb00c8035c7b537cb0"),
+     (603, "d801b798c16b38ebd6b7c9348226a54236a84c8105a46f32b90d57b7bf06da6d"
+           "89a411139641e3dc0a70aeb0213ad23a31a2641fc017ca25fdcaea1158886bc7")),
+    (TOFFOLI_JOB_CIRCUIT, {},
+     (626, "478b312a85bc735e547ecb6154c79b52c255583b82f6659773349a8cbeab5c70"
+           "948a03903d34b5220aefe2594aaf351b3f998d072cf799cbca835a6173c3e5a7"),
+     (596, "f7c4e7af57dc38067974352b91964c7efd1b59362f16d7fee3456ffdb7313edc"
+           "38ce002a021b35bdeaee8a78ad491a1aaeb22542ba5051b51da9b24d7d6c0253")),
+], ids=["phase-job", "toffoli-job", "phase-job-default-tags", "toffoli-job-default-tags"])
+def test_job_bytes_golden(text, widths, wire_2, wire_3):
     # length and BLAKE2b of serialize_job, bundle format 6: wire version 3,
     # and the same job's per-term state and bundle as wire version 2 sent
-    # them, pinned before the column state
-    job, params = _seeded_job(text)
+    # them.  The 128-bit pins were made before the column state and before
+    # the nonce redraw, which leaves a table without a digest collision as
+    # it was; the default-length pins were made with 16-bit digests.
+    job, params = _seeded_job(text, **widths)
     data = serialize_job(job, params)
     assert _pin(_wire_2_job(job, params)) == wire_2
     assert _pin(data) == wire_3
@@ -706,11 +718,11 @@ CONST_JOB_CIRCUIT = "inputs 3\nconst 0\ntoff 0 1 2\n"
     (_set(4, "<I", 4), b"WireFormatError: 4 constant qubits among 3"),
     (_set(8, "<I", 3), b"CircuitError: constant qubits (3,) out of range (N=3)"),
     (_set(8, "<I", 2), b"CircuitError: constant qubit 2 is a toffoli target"),
-    # one Toffoli record and two tables of a 2-byte nonce, two 32-byte
-    # slots, one 16-byte slot and four 6-byte rows follow; a gate takes at
-    # least 44 (a phase record, a nonce, a 32-byte slot and two rows of 1)
+    # one Toffoli record and two tables of a 2-byte nonce, two 4-byte slots,
+    # one 2-byte slot and four 6-byte rows follow; a gate takes at least 16
+    # (a phase record, a nonce, a 4-byte slot and two rows of 1)
     (_set(12, "<I", 11),
-     b"WireFormatError: 11 gates cannot fit in the 225 bytes left (at least 44 each)"),
+     b"WireFormatError: 11 gates cannot fit in the 85 bytes left (at least 16 each)"),
 ], ids=["too-many-constants", "constant-out-of-range", "constant-target",
         "gate-count-beyond-the-tables"])
 def test_skeleton_constants_refused_get_error_envelope(patch, message):
@@ -727,22 +739,29 @@ def test_unsorted_constants_are_refused():
 
 def test_half_table_job_bytes_golden():
     # 4 + 4 rows for the Toffoli with a constant control, whose slot in
-    # both headers holds one digest
-    job, params = _seeded_job(CONST_JOB_CIRCUIT)
-    (table,) = job.garbled.tables
-    assert [len(t.rows) for t in (table.forward, table.backward)] == [4, 4]
-    assert [len(slot) for slot in table.forward.header + table.backward.header] == \
-        [16, 32, 32] * 2
-    data = serialize_job(job, params)
-    assert _pin(_wire_2_job(job, params)) == (
-        356, "90864b17a358a6e8b54d2b08ef11d1f0c97fd07d1fdc12d416d5efc3b17c5370"
-              "d29390efc0ef8ecec60d22666fc6b5501ba3a3d0f8075ffea18a09a2315c8875")
-    assert _pin(data) == (
-        347, "757fad53b8ee3ccae676e8e221b353c39a20a71179953d8a5d41e680c9263a94"
-              "a038bc2930a9c2d07b4ae922c9e1892639e8f1cf44e687d0bea616b4211ccc9c")
-    assert serialize_job(*deserialize_job(data)) == data
-    kind, payload = _handle_job(job, params)
-    assert kind == netio.KIND_RESULT
+    # both headers holds one digest; pinned at 128-bit digests and at the
+    # default 16-bit ones
+    for widths, slots, wire_2, wire_3 in (
+            ({"tag_len_bits": 128}, [16, 32, 32],
+             (356, "90864b17a358a6e8b54d2b08ef11d1f0c97fd07d1fdc12d416d5efc3b17c5370"
+                   "d29390efc0ef8ecec60d22666fc6b5501ba3a3d0f8075ffea18a09a2315c8875"),
+             (347, "757fad53b8ee3ccae676e8e221b353c39a20a71179953d8a5d41e680c9263a94"
+                   "a038bc2930a9c2d07b4ae922c9e1892639e8f1cf44e687d0bea616b4211ccc9c")),
+            ({}, [2, 4, 4],
+             (216, "0afe638d130baa8acc103a0779cdbb13f3effd3a402d041c0c89a0ea6845b255"
+                   "5232267d1d23dec57875852fa68cd11f6af8c7c870bfc217a8c2ef740320760b"),
+             (207, "3273acc388cd0b27a5d3bc0ee9760d6fa5d03976ca59cf150d918642ea6f36a6"
+                   "bd44f89295501959b6978d2fe1b38e6ed5afde160c2a41c97d18140439310ab2"))):
+        job, params = _seeded_job(CONST_JOB_CIRCUIT, **widths)
+        (table,) = job.garbled.tables
+        assert [len(t.rows) for t in (table.forward, table.backward)] == [4, 4]
+        assert [len(slot) for slot in table.forward.header + table.backward.header] == slots * 2
+        data = serialize_job(job, params)
+        assert _pin(_wire_2_job(job, params)) == wire_2
+        assert _pin(data) == wire_3
+        assert serialize_job(*deserialize_job(data)) == data
+        kind, payload = _handle_job(job, params)
+        assert kind == netio.KIND_RESULT
 
 
 def test_half_table_of_full_length_is_not_serialized():
@@ -1210,8 +1229,10 @@ def test_job_above_the_work_limit_is_refused_before_evaluation(monkeypatch):
 
 def test_server_time_per_request_byte_is_bounded_at_the_work_limit():
     # the worst shape that passes the bound: each phase table is a few dozen
-    # bytes that make the server multiply all 4096 amplitudes (344 KB, about
-    # 2 s here, 6 us/B); the bound leaves room for a slow or busy host
+    # bytes that make the server multiply all 4096 amplitudes (137,329 B with
+    # 16-bit digests, about 1.1 s and 8-9 us/B on a 2-core x86 host; 252,017 B
+    # and 5-7 us/B with 128-bit ones); the bound leaves room for a slow or
+    # busy host
     n = 12
     circ, job, params = phase_only_job(4096, n)
     envelope = frame(netio.KIND_JOB, serialize_job(job, params))
