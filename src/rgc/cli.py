@@ -104,8 +104,7 @@ def cmd_garble(args) -> int:
     bundle = garble.garble_circuit(params, circ, keys, derive_rng(args.seed, "garble"))
     data = netio.serialize_bundle(bundle, params)
     Path(args.out).write_bytes(data)
-    rows = sum(len(t.forward.rows) + len(t.backward.rows) if isinstance(t, garble.ToffoliTables)
-               else len(t.rows) for t in bundle.tables)
+    rows = sum(len(table.rows) for tables in bundle.tables for table in tables)
     print(f"garbled {len(bundle.tables)} tables, {rows} rows, {len(data)} bytes -> {args.out}")
     return 0
 

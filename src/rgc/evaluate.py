@@ -57,7 +57,7 @@ from dataclasses import dataclass, replace
 
 from . import symcrypt
 from .circuit import Phase, Toffoli
-from .garble import GarbledBundle, Table, ToffoliTables
+from .garble import GarbledBundle, Table
 from .sparse import ColumnarState
 from .symcrypt import CryptoParams
 
@@ -136,7 +136,7 @@ def _open(params: CryptoParams, keys: tuple[bytes, ...], table: Table, memo: Slo
 
 
 def eval_toffoli_term(params: CryptoParams, key_triple: tuple[bytes, bytes, bytes],
-                      tables: ToffoliTables, stats: EvalStats | None = None,
+                      tables: tuple[Table, Table], stats: EvalStats | None = None,
                       memo: tuple[SlotMemo, SlotMemo] | None = None
                       ) -> tuple[bytes, bytes, bytes]:
     """Translate one input key triple to the output triple, checking that the
@@ -145,10 +145,11 @@ def eval_toffoli_term(params: CryptoParams, key_triple: tuple[bytes, bytes, byte
     tables."""
     stats = stats if stats is not None else EvalStats()
     forward_memo, backward_memo = memo if memo is not None else ({}, {})
+    forward, backward = tables
     kb = params.kappa_bytes
-    payload = _open(params, key_triple, tables.forward, forward_memo, stats)
+    payload = _open(params, key_triple, forward, forward_memo, stats)
     out = (payload[:kb], payload[kb:2 * kb], payload[2 * kb:3 * kb])
-    back = _open(params, out, tables.backward, backward_memo, stats, backward=True)
+    back = _open(params, out, backward, backward_memo, stats, backward=True)
     if (back[:kb], back[kb:2 * kb], back[2 * kb:3 * kb]) != key_triple:
         raise ErasureError("backward row does not cancel the input keys")
     stats.erasure_checks += 1
@@ -156,7 +157,7 @@ def eval_toffoli_term(params: CryptoParams, key_triple: tuple[bytes, bytes, byte
 
 
 def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, int, int],
-                 tables: ToffoliTables, stats: EvalStats) -> None:
+                 tables: tuple[Table, Table], stats: EvalStats) -> None:
     """Apply one garbled Toffoli to registers ``regs`` of the state, in place.
 
     The terms of key triple (x, y, z) are the AND of the three registers'
@@ -201,7 +202,7 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
 
 
 def eval_phase(params: CryptoParams, state: ColumnarState, gate: Phase,
-               table: Table, stats: EvalStats) -> None:
+               tables: tuple[Table], stats: EvalStats) -> None:
     """Open the phase row for each distinct key of the gate's register and
     multiply every term by omega^value, in place.
 
@@ -214,7 +215,7 @@ def eval_phase(params: CryptoParams, state: ColumnarState, gate: Phase,
     modulus = 2 * denom
     factors = []
     for key in state.values[gate.qubit]:
-        value = int.from_bytes(_open(params, (key,), table, {}, stats), "big")
+        value = int.from_bytes(_open(params, (key,), tables[0], {}, stats), "big")
         if value >= modulus:
             raise EvalError("phase payload out of range")
         factors.append(cmath.exp(1j * math.pi * (gate.sign * value % modulus) / denom))
@@ -245,12 +246,12 @@ def eval_bundle(params: CryptoParams, encoded: ColumnarState,
     # the gates replace a register's lists and the amplitude list, never edit them
     state = replace(encoded, values=list(encoded.values), bits=list(encoded.bits))
     stats = EvalStats()
-    for index, (gate, table) in enumerate(zip(circ.gates, bundle.tables)):
+    for index, (gate, tables) in enumerate(zip(circ.gates, bundle.tables)):
         try:
             if isinstance(gate, Toffoli):
-                eval_toffoli(params, state, gate.qubits, table, stats)
+                eval_toffoli(params, state, gate.qubits, tables, stats)
             else:
-                eval_phase(params, state, gate, table, stats)
+                eval_phase(params, state, gate, tables, stats)
         except EvalError as exc:
             raise type(exc)(f"gate {index}: {exc}") from None
     # every gate steps every term, and the term count never changes

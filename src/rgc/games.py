@@ -29,7 +29,7 @@ from . import delegation, encoding, garble, sparse, symcrypt
 from .circuit import CPCircuit, Toffoli
 from .delegation import JobBundle
 from .encoding import KeySchedule
-from .garble import GarbledBundle, Table, ToffoliTables
+from .garble import GarbledBundle, Table
 from .symcrypt import CryptoParams
 from .util import bytes_to_int, rand_bytes, xor_bytes
 
@@ -162,14 +162,11 @@ def _sort_headers(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
             rows.append(symcrypt.row_enc(params, keys, plain, table.nonce, i))
         return Table(table.nonce, tuple(header), tuple(rows))
 
-    out: list[ToffoliTables | Table] = []
-    for table, (reads, writes) in zip(bundle.tables, circ.wiring.gates):
-        ins = [schedule.keys(*end) for end in reads]
-        if writes:
-            out.append(ToffoliTables(sort(table.forward, ins),
-                                     sort(table.backward, [schedule.keys(w) for w in writes])))
-        else:
-            out.append(sort(table, ins))
+    out = []
+    for tables, (reads, writes) in zip(bundle.tables, circ.wiring.gates):
+        # a gate's first table is over the pairs it reads, a Toffoli's second over those it writes
+        sides = ([schedule.keys(*end) for end in reads], [schedule.keys(w) for w in writes])
+        out.append(tuple(map(sort, tables, sides)))
     return GarbledBundle(bundle.skeleton, tuple(out))
 
 
@@ -179,10 +176,6 @@ def dist_constant(view, rng) -> int:
 
 def dist_random(view, rng) -> int:
     return rng.getrandbits(1)
-
-
-def _tables(table: ToffoliTables | Table) -> tuple[Table, ...]:
-    return (table.forward, table.backward) if isinstance(table, ToffoliTables) else (table,)
 
 
 def _held_key(view: ChallengeView, qubit: int) -> bytes:
@@ -196,8 +189,7 @@ def _positions(params: CryptoParams, key: bytes, table: Table, slot: int) -> lis
 
 def dist_tag_grinding(view: ChallengeView, rng: random.Random) -> int:
     """Throw 16 random keys at the first table's header; guess 1 on any hit."""
-    for table in view.job.garbled.tables:
-        first = _tables(table)[0]
+    for first, *_ in view.job.garbled.tables:
         for _ in range(16):
             key = rand_bytes(rng, view.params.kappa_bytes)
             if any(_positions(view.params, key, first, slot)
@@ -210,9 +202,9 @@ def dist_tag_grinding(view: ChallengeView, rng: random.Random) -> int:
 def dist_row_frequency(view: ChallengeView, rng) -> int:
     """Parity of all masked row bytes across the bundle."""
     acc = 0
-    for table in view.job.garbled.tables:
-        for part in _tables(table):
-            for row in part.rows:
+    for tables in view.job.garbled.tables:
+        for table in tables:
+            for row in table.rows:
                 for byte in row:
                     acc ^= byte
     return acc.bit_count() & 1
@@ -229,9 +221,8 @@ def dist_header_order(view: ChallengeView, rng) -> int:
     row their positions index is the table's last, where a header sorted by
     logical value puts the all-ones row."""
     bundle = view.job.garbled
-    for gate, table in zip(bundle.skeleton.gates, bundle.tables):
+    for gate, (table, *_) in zip(bundle.skeleton.gates, bundle.tables):
         qubits = gate.qubits if isinstance(gate, Toffoli) else (gate.qubit,)
-        table = _tables(table)[0]
         index = 0
         for slot, q in enumerate(qubits):
             hits = _positions(view.params, _held_key(view, q), table, slot)
@@ -248,9 +239,9 @@ def dist_constant_key(view: ChallengeView, rng) -> int:
     misdeclared constant's value; an honest constant always matches."""
     bundle = view.job.garbled
     for q in bundle.skeleton.const_qubits:
-        for gate, table in zip(bundle.skeleton.gates, bundle.tables):
+        for gate, (forward, *_) in zip(bundle.skeleton.gates, bundle.tables):
             if isinstance(gate, Toffoli) and q in gate.qubits:
-                if not _positions(view.params, _held_key(view, q), table.forward,
+                if not _positions(view.params, _held_key(view, q), forward,
                                   gate.qubits.index(q)):
                     return 0
                 break
@@ -528,10 +519,10 @@ def wire_tag_check(view: RecoveryView, wire: int, key: bytes) -> bool:
     """Does key match a digest tied to this input wire?  The header slot of
     the first table the wire feeds holds the digests of the wire's keys, so
     a hit pins the key (up to the digest false-accept probability)."""
-    for (reads, _), table in zip(view.circuit.wiring.gates, view.bundle.tables):
+    for (reads, _), (first, *_) in zip(view.circuit.wiring.gates, view.bundle.tables):
         wires = [w for w, _ in reads]
         if wire in wires:
-            return bool(_positions(view.params, key, _tables(table)[0], wires.index(wire)))
+            return bool(_positions(view.params, key, first, wires.index(wire)))
     raise ValueError(f"wire {wire} feeds no gate; no digest to check against")
 
 

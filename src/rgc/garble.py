@@ -93,24 +93,14 @@ class Table:
 
 
 @dataclass(frozen=True)
-class ToffoliTables:
-    """The forward and the backward table of a Toffoli: three slots each and
-    eight rows, or :func:`toffoli_slots` fewer when a control is a public
-    constant."""
-
-    forward: Table
-    backward: Table
-
-
-@dataclass(frozen=True)
 class GarbledBundle:
     """Everything the evaluator receives about the circuit: the public
-    skeleton (gate types and their qubits, X gates omitted) and one table per
-    skeleton gate, in circuit order.  No key material appears outside the
-    ciphertexts.  The widths follow from the shared ``CryptoParams``."""
+    skeleton (gate types and their qubits, X gates omitted) and, per
+    skeleton gate in circuit order, its tables as :func:`table_shapes` lays
+    them out.  No key material appears outside the ciphertexts."""
 
     skeleton: CPCircuit
-    tables: tuple[ToffoliTables | Table, ...]
+    tables: tuple[tuple[Table, ...], ...]
 
     def __post_init__(self):
         if len(self.tables) != len(self.skeleton.gates):
@@ -125,11 +115,19 @@ def phase_payload(value: int, denom_exp: int) -> bytes:
     return value.to_bytes(phase_payload_bytes(denom_exp), "big")
 
 
-def toffoli_slots(gate: Toffoli, const_qubits: Collection[int]) -> tuple[int, int, int]:
-    """Digests in each header slot of a Toffoli's tables: 2, or 1 for a
-    constant control.  A table has as many rows as their product."""
+def table_shapes(gate: Toffoli | Phase, const_qubits: Collection[int], kappa_bytes: int
+                 ) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The layout of the gate's tables, in order: per table, the digests in
+    each header slot and the bytes of each row.  A table has as many rows as
+    the product of its slots' digest counts.  A Toffoli has a forward and a
+    backward table of three slots, 2 digests each or 1 for a constant
+    control, and rows of three keys; a phase gate has one table of one
+    slot."""
+    if isinstance(gate, Phase):
+        return (((2,), phase_payload_bytes(gate.denom_exp)),)
     a, b, _ = gate.qubits
-    return (1 if a in const_qubits else 2, 1 if b in const_qubits else 2, 2)
+    slots = (1 if a in const_qubits else 2, 1 if b in const_qubits else 2, 2)
+    return ((slots, 3 * kappa_bytes),) * 2
 
 
 def _header(params: CryptoParams, pairs: Sequence[WireKeyPair],
@@ -157,10 +155,10 @@ def _header(params: CryptoParams, pairs: Sequence[WireKeyPair],
 
 def garble_toffoli(params: CryptoParams, gate: Toffoli, ins: Sequence[WireKeyPair],
                    outs: Sequence[WireKeyPair], rng: random.Random,
-                   const_qubits: Collection[int] = ()) -> ToffoliTables:
-    """The gate's tables over the key pairs of the wires it reads and
-    writes, in slot order."""
-    slots = toffoli_slots(gate, const_qubits)
+                   const_qubits: Collection[int] = ()) -> tuple[Table, Table]:
+    """The gate's forward and backward tables over the key pairs of the
+    wires it reads and writes, in slot order."""
+    (slots, _), _ = table_shapes(gate, const_qubits, params.kappa_bytes)
     fwd_nonce, fwd_header, fwd_flips = _header(params, ins, slots, rng)
     bwd_nonce, bwd_header, bwd_flips = _header(params, outs, slots, rng)
     n1 = slots[1]
@@ -180,20 +178,20 @@ def garble_toffoli(params: CryptoParams, gate: Toffoli, ins: Sequence[WireKeyPai
                 # slots' digest counts; a one-digest slot's key sits at 0
                 forward[((u ^ f0) * n1 + (v ^ f1)) * 2 + (w ^ f2)] = (in_keys, out_keys)
                 backward[((u ^ b0) * n1 + (v ^ b1)) * 2 + (z ^ b2)] = (out_keys, in_keys)
-    return ToffoliTables(
-        Table(fwd_nonce, fwd_header, symcrypt.table_rows(params, fwd_nonce, forward)),
-        Table(bwd_nonce, bwd_header, symcrypt.table_rows(params, bwd_nonce, backward)))
+    return (Table(fwd_nonce, fwd_header, symcrypt.table_rows(params, fwd_nonce, forward)),
+            Table(bwd_nonce, bwd_header, symcrypt.table_rows(params, bwd_nonce, backward)))
 
 
 def garble_phase(params: CryptoParams, gate: Phase, pair: WireKeyPair,
-                 rng: random.Random) -> Table:
+                 rng: random.Random) -> tuple[Table]:
     modulus = 2 << gate.denom_exp          # 2n
     m0 = rng.randrange(modulus)
-    nonce, header, (flip,) = _header(params, (pair,), (2,), rng)
+    ((slots, _),) = table_shapes(gate, (), params.kappa_bytes)
+    nonce, header, (flip,) = _header(params, (pair,), slots, rng)
     # row i holds the key of value x = i xor flip
     rows = [(pair[i ^ flip], phase_payload((m0 + (i ^ flip)) % modulus, gate.denom_exp))
             for i in (0, 1)]
-    return Table(nonce, header, symcrypt.table_rows(params, nonce, rows))
+    return (Table(nonce, header, symcrypt.table_rows(params, nonce, rows)),)
 
 
 def garble_circuit(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
@@ -205,7 +203,7 @@ def garble_circuit(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
     # comes up: a table's randomness never depends on what other tables draw.
     skeleton = without_x(circ)
     consts = frozenset(circ.const_qubits)
-    tables: list[ToffoliTables | Table] = []
+    tables: list[tuple[Table, ...]] = []
     for gate, (reads, writes) in zip(skeleton.gates, wiring.gates):
         ins = [schedule.keys(*end) for end in reads]
         gate_rng = random.Random(rng.getrandbits(64))

@@ -15,15 +15,22 @@ of wire version 3::
                bitset of ceil(terms / 8) bytes, bit t set when term t holds
                the larger value
 
-Each part delimits itself, and no field is sent that the receiver can derive.
+Each part delimits itself.  Some fields repeat what the receiver can derive,
+and stay: a job's state header repeats the skeleton's ``num_inputs`` (its
+``registers``) and the bundle's kappa (its ``width``), which
+``evaluate.eval_bundle`` checks agree, so that a state stands alone in a
+state file; and a result's ``EvalStats.gates`` and ``terms_processed``
+follow from the client's own skeleton and term count, and are sent for
+observability.
+
 A state is a :class:`rgc.sparse.ColumnarState` in canonical form: register
 i is qubit i's key register in a job or result, each register's keys are
 sent once, and the terms are in strictly increasing order of their basis
 strings (register 0 least significant), which is the order of their
 per-register codes.
 
-A bundle (format 6) is a header, the skeleton, then one table per skeleton
-gate::
+A bundle (format 6) is a header, the skeleton, then each skeleton gate's
+tables::
 
     bundle     version u8 | kappa u16 | tag_len u16 | seed length u32
                | oracle seed
@@ -54,13 +61,15 @@ fields.  With p = kappa/8 and t = tag_len/8 bytes::
                    backward: 2 * (p + 6t + 24p) bytes with no constant control
     phase table    nonce | 1 slot of 2t bytes | 2 rows of masked (w)
 
-where w = ceil((exponent + 1) / 8) for the skeleton gate's exponent.  Tables
-are read with one struct per distinct table shape, built once per bundle,
-and written whole.  The reader refuses other bundle versions,
-widths ``CryptoParams`` refuses, more than ``MAX_QUBITS`` qubits or state
-registers, a state of more than ``MAX_STATE_CELLS`` registers times terms,
-more constants than qubits, a gate or term count that the bytes
-left could not hold, a state register width of 0, a skeleton
+where w = ceil((exponent + 1) / 8) for the skeleton gate's exponent.
+:func:`rgc.garble.table_shapes` states this layout once: both ends take
+every gate's widths from it, read its tables with one struct per distinct
+shape, built once per bundle, and write them whole.  The reader refuses
+other bundle versions, widths ``CryptoParams`` refuses, more than
+``MAX_QUBITS`` qubits or state registers, a state of more than
+``MAX_STATE_CELLS`` registers times terms, more constants than qubits, a
+gate or term count that the bytes left could not hold, a state register
+width of 0, a skeleton
 ``circuit.allocate_wires`` refuses (its every rule, the phase exponent's
 bound among them), and a state register of other than 1 or 2 values, of
 values not increasing or wider than the width, or of a bitset that picks
@@ -119,7 +128,7 @@ from .circuit import CPCircuit, Gate, Phase, Toffoli, X, allocate_wires, phase, 
 from .delegation import JobBundle
 from .encoding import KeySchedule, WireKeyPair
 from .evaluate import EvalStats
-from .garble import GarbledBundle, Table, ToffoliTables, phase_payload_bytes, toffoli_slots
+from .garble import GarbledBundle, Table, table_shapes
 from .oracle import HASH_MODE
 from .sparse import NORM_TOL, ColumnarState, descents
 from .symcrypt import CryptoParams
@@ -285,67 +294,66 @@ def _get_gates(r: Reader, count: int) -> Iterator[Gate]:
 
 # garbled tables, nonces, slots and rows back to back (see the module docstring)
 
+# a gate's field widths, their struct, and per table its nonce's index and
+# its header's and rows' slices of the fields
+_Fields = tuple[tuple[int, ...], struct.Struct, tuple[tuple[int, slice, slice], ...]]
+
+
 class _TableLayout:
-    """The field widths fixed by the params' kappa and tag length, and the
-    slot shapes fixed by the skeleton's constant qubits.  Each distinct
-    shape is computed once, with the struct that reads its fields: a
-    Toffoli's by which of its controls are constant, a phase gate's by its
-    exponent."""
+    """Where each gate's tables lie: :func:`garble.table_shapes` gives, for
+    the params' kappa and the skeleton's constant qubits, each table's
+    digests per slot and row width, and the params' tag length a digest's
+    width.  Each distinct shape is turned once into its ``_Fields``, and each
+    distinct gate is looked up once."""
 
     def __init__(self, params: CryptoParams, const_qubits=()):
         self.nonce, self.digest = params.kappa_bytes, params.digest_bytes
         self.consts = frozenset(const_qubits)
-        self._shapes: dict[tuple[bool, bool] | int, tuple[tuple[int, ...], struct.Struct]] = {}
+        self._fields: dict[tuple, _Fields] = {}
+        self._gates: dict[Gate, _Fields] = {}
 
-    def _table(self, slots: tuple[int, ...], row: int) -> tuple[int, ...]:
-        """The field widths of a table with ``slots`` digests per slot and a
-        row of ``row`` bytes per combination of positions."""
-        return ((self.nonce,) + tuple(n * self.digest for n in slots)
-                + (row,) * math.prod(slots))
+    def _layout(self, shapes: tuple) -> _Fields:
+        fields = self._fields.get(shapes)
+        if fields is None:
+            widths: list[int] = []
+            tables = []
+            for slots, row in shapes:
+                nonce, rows = len(widths), len(widths) + 1 + len(slots)
+                widths += [self.nonce, *(n * self.digest for n in slots)] + [row] * math.prod(slots)
+                tables.append((nonce, slice(nonce + 1, rows), slice(rows, len(widths))))
+            fields = self._fields[shapes] = (tuple(widths), struct.Struct(
+                "<" + "".join(f"{w}s" for w in widths)), tuple(tables))
+        return fields
 
-    def _shape(self, gate: Toffoli | Phase) -> tuple[tuple[int, ...], struct.Struct]:
-        """The field widths of all of the gate's tables, in wire order, and
-        the struct of those fields."""
-        if isinstance(gate, Toffoli):
-            a, b, _ = gate.qubits
-            key = (a in self.consts, b in self.consts)
-        else:
-            key = gate.denom_exp
-        shape = self._shapes.get(key)
-        if shape is None:
-            if isinstance(gate, Toffoli):
-                widths = self._table(toffoli_slots(gate, self.consts), 3 * self.nonce) * 2
-            else:
-                widths = self._table((2,), phase_payload_bytes(gate.denom_exp))
-            shape = self._shapes[key] = (widths, struct.Struct(
-                "<" + "".join(f"{w}s" for w in widths)))
-        return shape
+    def _shape(self, gate: Gate) -> _Fields:
+        fields = self._gates.get(gate)
+        if fields is None:
+            fields = self._gates[gate] = self._layout(table_shapes(gate, self.consts,
+                                                                   self.nonce))
+        return fields
 
     def min_gate_bytes(self) -> int:
         """The fewest bytes a skeleton gate and its tables take: a phase gate
-        of exponent 0, or a Toffoli with two constant controls."""
-        return min(_PHASE_RECORD + sum(self._table((2,), 1)),
-                   1 + _TOFFOLI_GATE.size + 2 * sum(self._table((1, 1, 2), 3 * self.nonce)))
+        of exponent 0, or a Toffoli whose two controls are constant."""
+        return min(record + sum(self._layout(table_shapes(gate, consts, self.nonce))[0])
+                   for record, gate, consts in ((_PHASE_RECORD, phase(0, 0), ()),
+                                                (1 + _TOFFOLI_GATE.size, toff(0, 1, 2), (0, 1))))
 
-    def read(self, r: Reader, gate: Toffoli | Phase) -> ToffoliTables | Table:
-        parts = r.unpack(self._shape(gate)[1])
-        if isinstance(gate, Toffoli):
-            n = len(parts) // 2
-            return ToffoliTables(Table(parts[0], parts[1:4], parts[4:n]),
-                                 Table(parts[n], parts[n + 1:n + 4], parts[n + 4:]))
-        return Table(parts[0], parts[1:2], parts[2:])
+    def read(self, r: Reader, gate: Gate) -> tuple[Table, ...]:
+        _, st, tables = self._shape(gate)
+        parts = r.unpack(st)
+        return tuple([Table(parts[nonce], parts[header], parts[rows])
+                      for nonce, header, rows in tables])
 
-    def write(self, parts: list[bytes], gate: Toffoli | Phase,
-              table: ToffoliTables | Table) -> None:
+    def write(self, parts: list[bytes], gate: Gate, tables: tuple[Table, ...]) -> None:
         """Append the tables' fields to ``parts``; nothing is copied."""
-        if isinstance(gate, Toffoli):
-            f, b = table.forward, table.backward
-            fields = (f.nonce, *f.header, *f.rows, b.nonce, *b.header, *b.rows)
-        else:
-            fields = (table.nonce, *table.header, *table.rows)
-        if tuple(map(len, fields)) != self._shape(gate)[0]:
+        start = len(parts)
+        for table in tables:
+            parts.append(table.nonce)
+            parts += table.header
+            parts += table.rows
+        if tuple(map(len, parts[start:])) != self._shape(gate)[0]:
             raise WireFormatError("table does not match the bundle header's widths")
-        parts += fields
 
 
 _BUNDLE_HEADER = struct.Struct("<BHHI")  # version, kappa, tag_len, seed length
@@ -359,8 +367,8 @@ def _put_bundle(b: GarbledBundle, params: CryptoParams) -> list[bytes]:
     parts = [_BUNDLE_HEADER.pack(BUNDLE_VERSION, params.kappa_bits, params.tag_len_bits,
                                  len(seed)), seed, serialize_circuit(b.skeleton)]
     layout = _TableLayout(params, b.skeleton.const_qubits)
-    for gate, table in zip(b.skeleton.gates, b.tables):
-        layout.write(parts, gate, table)
+    for gate, tables in zip(b.skeleton.gates, b.tables):
+        layout.write(parts, gate, tables)
     return parts
 
 

@@ -14,7 +14,7 @@ from rgc.circuit import (Phase, Toffoli, allocate_wires, parse_circuit, phase, r
 from rgc.encoding import decode, encode, gen_keys
 from rgc.evaluate import (AmbiguousRowError, ErasureError, EvalError, EvalStats,
                           NoRowMatchError, eval_bundle, eval_toffoli_term)
-from rgc.garble import GarbledBundle, Table, ToffoliTables, garble_circuit, garble_toffoli
+from rgc.garble import GarbledBundle, Table, garble_circuit, garble_toffoli
 from rgc.sparse import descents, fidelity, inner, qubit_layout, random_state
 
 from conftest import (circuits_and_states, gate_keys, input_state, make_params, sparse_of,
@@ -50,8 +50,8 @@ def _toffoli_tables(params, ins, outs, rng, third=None, last_slot=None):
         forward.append((in_keys, b"".join(out_keys)))
         backward.append((out_keys, b"".join(in_keys)))
     out_slot = tuple(outs[2]) + ((third,) if third else ())
-    return ToffoliTables(_table(params, [ins[0], ins[1], last_slot or ins[2]], forward, rng),
-                         _table(params, [outs[0], outs[1], out_slot], backward, rng))
+    return (_table(params, [ins[0], ins[1], last_slot or ins[2]], forward, rng),
+            _table(params, [outs[0], outs[1], out_slot], backward, rng))
 
 
 def _toffoli_fixture(seed=1):
@@ -99,13 +99,13 @@ def test_garbage_triple_never_matches():
 def test_ambiguous_rows_detected():
     # a slot listing one key's digest twice: the key indexes two rows
     params, _, in_pairs, _, tables = _toffoli_fixture(4)
-    t, nonce = params.digest_bytes, tables.forward.nonce
+    t, nonce = params.digest_bytes, tables[0].nonce
     triple = tuple(pair.k0 for pair in in_pairs)
     for slot in range(3):
-        header = list(tables.forward.header)
+        header = list(tables[0].header)
         (pos,) = symcrypt.slot_positions(params, triple[slot], nonce, slot, header[slot])
         header[slot] = header[slot][pos * t:(pos + 1) * t] * 2
-        dup = ToffoliTables(Table(nonce, tuple(header), tables.forward.rows), tables.backward)
+        dup = (Table(nonce, tuple(header), tables[0].rows), tables[1])
         with pytest.raises(AmbiguousRowError, match=f"of header slot {slot} both match"):
             eval_toffoli_term(params, triple, dup)
 
@@ -118,14 +118,13 @@ def test_erasure_violation_detected():
     honest = _toffoli_tables(params, ins, outs, rng)
     wrong = [((outs[0][u], outs[1][v], outs[2][w ^ (u & v)]), bytes(6))
              for u, v, w in product((0, 1), repeat=3)]
-    broken = ToffoliTables(honest.forward, _table(params, outs, wrong, rng))
+    broken = (honest[0], _table(params, outs, wrong, rng))
     triple = tuple(pair.k0 for pair in ins)
     assert eval_toffoli_term(params, triple, honest)
     with pytest.raises(ErasureError):
         eval_toffoli_term(params, triple, broken)
     # backward rows out of order open under the wrong keys
-    shuffled = ToffoliTables(tables.forward, Table(tables.backward.nonce, tables.backward.header,
-                                                   tables.backward.rows[::-1]))
+    shuffled = (tables[0], Table(tables[1].nonce, tables[1].header, tables[1].rows[::-1]))
     with pytest.raises(ErasureError):
         eval_toffoli_term(params, triple, shuffled)
 
@@ -400,8 +399,7 @@ def test_bundle_erasure_failure_names_the_gate():
     # decrypts to gate 2's outputs instead of gate 1's inputs
     params, bundle, encoded = _bundle_fixture(THREE_TOFFOLIS, 16)
     one, two = bundle.tables[1], bundle.tables[2]
-    tampered = _with_tables(bundle, {1: ToffoliTables(one.forward, two.forward),
-                                     2: ToffoliTables(one.backward, two.backward)})
+    tampered = _with_tables(bundle, {1: (one[0], two[0]), 2: (one[1], two[1])})
     with pytest.raises(ErasureError, match="^gate 1: "):
         eval_bundle(params, encoded, tampered)
 
@@ -418,7 +416,7 @@ def test_forward_rows_sending_two_triples_to_one_are_refused_by_erasure():
         sent = (outs[0][1], outs[1][1], outs[2][0]) if (u, v, w) == (1, 1, 0) else out_keys
         forward.append((in_keys, b"".join(sent)))
         backward.append((out_keys, b"".join(in_keys)))
-    tables = ToffoliTables(_table(params, ins, forward, rng), _table(params, outs, backward, rng))
+    tables = (_table(params, ins, forward, rng), _table(params, outs, backward, rng))
     collided = (outs[0].k1, outs[1].k1, outs[2].k0)
     assert eval_toffoli_term(params, (ins[0].k1, ins[1].k1, ins[2].k1), tables) == collided
     with pytest.raises(ErasureError):
@@ -439,8 +437,8 @@ def _first_digest_twice(params, table):
 def test_bundle_duplicated_row_names_the_gate():
     params, bundle, encoded = _bundle_fixture(THREE_TOFFOLIS, 17)
     table = bundle.tables[2]
-    forward = _first_digest_twice(params, table.forward)
-    tampered = _with_tables(bundle, {2: ToffoliTables(forward, table.backward)})
+    forward = _first_digest_twice(params, table[0])
+    tampered = _with_tables(bundle, {2: (forward, table[1])})
     with pytest.raises((AmbiguousRowError, NoRowMatchError), match="^gate 2: "):
         eval_bundle(params, encoded, tampered)
 
@@ -448,7 +446,7 @@ def test_bundle_duplicated_row_names_the_gate():
 def test_bundle_duplicated_phase_row_names_the_gate():
     circ = parse_circuit("inputs 3\ntoff 0 1 2\nphase 2 3\n")
     params, bundle, encoded = _bundle_fixture(circ, 18)
-    tampered = _with_tables(bundle, {1: _first_digest_twice(params, bundle.tables[1])})
+    tampered = _with_tables(bundle, {1: (_first_digest_twice(params, bundle.tables[1][0]),)})
     with pytest.raises((AmbiguousRowError, NoRowMatchError), match="^gate 1: "):
         eval_bundle(params, encoded, tampered)
 
@@ -528,7 +526,7 @@ def test_constant_at_zero_opens_no_half_table_row():
     params, rng = make_params(), random.Random(42)
     schedule = gen_keys(16, CONST_TOFFOLI, rng)
     bundle = garble_circuit(params, CONST_TOFFOLI, schedule, rng)
-    assert [len(t.forward.rows) for t in bundle.tables] == [4, 4]
+    assert [len(t[0].rows) for t in bundle.tables] == [4, 4]
     state = sparse.from_terms(qubit_layout(3), {0b010: 0.6, 0b110: 0.8})
     with pytest.raises(NoRowMatchError, match="^gate 0: "):
         eval_bundle(params, encode(state, schedule, CONST_TOFFOLI.input_wires), bundle)

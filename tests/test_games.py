@@ -283,7 +283,7 @@ CONST_CIRCUIT = parse_circuit("inputs 5\nconst 0\nconst 4\ntoff 0 1 2\ntoff 2 0 
 def test_const_circuit_has_half_tables():
     bundle = garble_circuit(make_params(), CONST_CIRCUIT,
                             gen_keys(16, CONST_CIRCUIT, random.Random(24)), random.Random(25))
-    assert [len(t.forward.rows) for t in bundle.tables[:4]] == [4, 4, 2, 8]
+    assert [len(t[0].rows) for t in bundle.tables[:4]] == [4, 4, 2, 8]
 
 
 def test_ind_cpa_generic_distinguishers_blind_with_constants():

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 from itertools import product
 
@@ -5,12 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from scipy import stats as scipy_stats
 
-from rgc import delegation, symcrypt
+from rgc import delegation, garble, symcrypt
 from rgc.circuit import Toffoli, X, allocate_wires, parse_circuit, phase, simulate, toff
 from rgc.encoding import KeySchedule, WireKeyPair, gen_keys
 from rgc.games import circuit_pairs
-from rgc.garble import (Table, ToffoliTables, closure_pairs, garble_circuit,
-                        garble_phase, garble_toffoli, phase_payload)
+from rgc.garble import (closure_pairs, garble_circuit, garble_phase, garble_toffoli,
+                        phase_payload)
 from rgc.netio import deserialize_circuit, serialize_circuit
 from rgc.sparse import fidelity
 
@@ -42,7 +44,7 @@ def test_toffoli_forward_maps_truth_table():
     tables = garble_toffoli(params, ONE_TOFFOLI.gates[0], in_pairs, out_pairs, rng)
     for u, v, w in product((0, 1), repeat=3):
         payload = _open_row(params, (in_pairs[0][u], in_pairs[1][v], in_pairs[2][w]),
-                            tables.forward)
+                            tables[0])
         expect = out_pairs[0][u] + out_pairs[1][v] + out_pairs[2][w ^ (u & v)]
         assert payload == expect
 
@@ -56,9 +58,9 @@ def test_toffoli_backward_inverts_forward():
     kb = params.kappa_bytes
     for u, v, w in product((0, 1), repeat=3):
         triple = (in_pairs[0][u], in_pairs[1][v], in_pairs[2][w])
-        out = _open_row(params, triple, tables.forward)
+        out = _open_row(params, triple, tables[0])
         out_keys = (out[:kb], out[kb:2 * kb], out[2 * kb:])
-        back = _open_row(params, out_keys, tables.backward)
+        back = _open_row(params, out_keys, tables[1])
         assert back == b"".join(triple)
 
 
@@ -70,7 +72,7 @@ def test_phase_rows_differ_by_one():
     gate = circ.gates[0]
     (pair,), _ = gate_keys(circ, schedule)
     for _ in range(50):
-        table = garble_phase(params, gate, pair, rng)
+        (table,) = garble_phase(params, gate, pair, rng)
         k0, k1 = pair
         values = {}
         for key, name in ((k0, 0), (k1, 1)):
@@ -85,7 +87,7 @@ def test_phase_z_gate_modulus_two():
     rng = random.Random(4)
     circ = parse_circuit("inputs 1\nphase 0 0\n")
     schedule = gen_keys(16, circ, rng)
-    table = garble_phase(params, circ.gates[0], schedule.keys(0), rng)
+    (table,) = garble_phase(params, circ.gates[0], schedule.keys(0), rng)
     k0, k1 = schedule.pairs[0]
     vals = []
     for key in (k0, k1):
@@ -102,7 +104,7 @@ def test_phase_offset_uniform():
     k0 = schedule.pairs[0].k0
     counts = [0] * 8     # Z_{2n} with n = 4
     for _ in range(1000):
-        table = garble_phase(params, gate, schedule.keys(0), rng)
+        (table,) = garble_phase(params, gate, schedule.keys(0), rng)
         counts[int.from_bytes(_open_row(params, (k0,), table), "big")] += 1
     assert scipy_stats.chisquare(counts).pvalue > 0.01
 
@@ -126,8 +128,8 @@ def test_shuffle_positions_uniform():
     counts = {"forward": [0] * 8, "backward": [0] * 8, "both": [0] * 64}
     for _ in range(1000):
         tables = garble_toffoli(params, gate, ins, outs, rng)
-        forward = _row_index(params, zero_triple, tables.forward)
-        backward = _row_index(params, zero_out, tables.backward)
+        forward = _row_index(params, zero_triple, tables[0])
+        backward = _row_index(params, zero_out, tables[1])
         counts["forward"][forward] += 1
         counts["backward"][backward] += 1
         counts["both"][8 * forward + backward] += 1
@@ -141,9 +143,9 @@ def test_header_slots_hold_each_wire_key_once():
     circ = parse_circuit("inputs 3\nconst 0\ntoff 0 1 2\nphase 2 1\n")
     schedule = gen_keys(16, circ, rng)
     bundle = garble_circuit(params, circ, schedule, rng)
-    toffoli, phase_table = bundle.tables
+    toffoli, (phase_table,) = bundle.tables
     p, t = params.kappa_bytes, params.digest_bytes
-    for table, pairs in zip((toffoli.forward, toffoli.backward), gate_keys(circ, schedule)):
+    for table, pairs in zip(toffoli, gate_keys(circ, schedule)):
         assert len(table.nonce) == p
         assert [len(slot) for slot in table.header] == [t, 2 * t, 2 * t]
         k0, k1 = pairs[0]
@@ -154,11 +156,39 @@ def test_header_slots_hold_each_wire_key_once():
             positions = [symcrypt.slot_positions(params, k, table.nonce, slot, table.header[slot])
                          for k in pair]
             assert sorted(positions) == [[0], [1]]
-    assert toffoli.forward.nonce != toffoli.backward.nonce
+    assert toffoli[0].nonce != toffoli[1].nonce
     assert len(phase_table.header) == 1 and len(phase_table.rows) == 2
     positions = [symcrypt.slot_positions(params, k, phase_table.nonce, 0, phase_table.header[0])
                  for k in gate_keys(circ, schedule, 1)[0][0]]
     assert sorted(positions) == [[0], [1]]
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_the_table_layout_is_stated_in_garble_alone():
+    """table_shapes is the one statement of a gate's tables: the wire
+    format, the games and the CLI read it and never restate it, and the
+    wire format's table layout has no branch on a gate's type."""
+    src = pathlib.Path(garble.__file__).parent
+    restated = {"toffoli_slots", "phase_payload_bytes", "ToffoliTables"}
+    for name in ("netio", "games", "cli"):
+        tree = ast.parse((src / f"{name}.py").read_text())
+        assert not restated & _names(tree), f"{name}.py names {restated & _names(tree)}"
+        if name == "netio":
+            (layout,) = [node for node in ast.walk(tree)
+                         if isinstance(node, ast.ClassDef) and node.name == "_TableLayout"]
+            assert not {"Toffoli", "Phase"} & _names(layout)
 
 
 def test_bundle_shapes():
@@ -171,16 +201,15 @@ def test_bundle_shapes():
 
     circ = allocate_wires([toff(0, 1, 2), phase(0, 1)], 3)
     bundle = garble_circuit(params, circ, gen_keys(16, circ, rng), rng)
-    assert isinstance(bundle.tables[0], ToffoliTables)
-    assert isinstance(bundle.tables[1], Table)
+    assert [len(tables) for tables in bundle.tables] == [2, 1]
     # kappa 16 and tag 128 bits give p = 2, t = 16 bytes: nonces of p, slots
     # of 2t, Toffoli rows of 3p and phase rows of their 1-byte payload
-    toffoli = (bundle.tables[0].forward, bundle.tables[0].backward)
-    assert [len(table.nonce) for table in toffoli + (bundle.tables[1],)] == [2] * 3
+    toffoli, phase_tables = bundle.tables
+    assert [len(table.nonce) for table in toffoli + phase_tables] == [2] * 3
     assert [len(slot) for table in toffoli for slot in table.header] == [2 * 16] * 6
     assert [len(row) for table in toffoli for row in table.rows] == [3 * 2] * 16
-    assert [len(slot) for slot in bundle.tables[1].header] == [2 * 16]
-    assert [len(row) for row in bundle.tables[1].rows] == [1] * 2
+    assert [len(slot) for slot in bundle.tables[1][0].header] == [2 * 16]
+    assert [len(row) for row in bundle.tables[1][0].rows] == [1] * 2
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -198,7 +227,7 @@ def test_skeleton_is_the_circuit_without_x_property(case):
     for gate, table in zip(skeleton.gates, bundle.tables):
         if isinstance(gate, Toffoli):
             n = 8 >> sum(q in circ.const_qubits for q in gate.qubits[:2])
-            assert len(table.forward.rows) == len(table.backward.rows) == n
+            assert len(table[0].rows) == len(table[1].rows) == n
 
 
 def test_x_gates_garble_into_nothing():
@@ -225,7 +254,7 @@ def test_x_relabels_keys_with_the_same_draws():
     assert got.skeleton == x_free
     # the last phase gate reads wire 5 after its X: rows open m+1 under k0
     k0, k1 = schedule.pairs[5]
-    values = {k: int.from_bytes(_open_row(params, (k,), got.tables[2]), "big")
+    values = {k: int.from_bytes(_open_row(params, (k,), got.tables[2][0]), "big")
               for k in (k0, k1)}
     assert (values[k0] - values[k1]) % 4 == 1
 
@@ -334,7 +363,7 @@ def test_no_slot_holds_equal_digests_at_8_bit_tags_property(case):
     for job_seed in range(16):
         job = delegation.encrypt(params, keys, circ, state, random.Random(job_seed))
         slots = [digests for t in job.garbled.tables
-                 for part in ((t.forward, t.backward) if isinstance(t, ToffoliTables) else (t,))
+                 for part in t
                  for digests in part.header]
         assert all(len(digests) == 1 or digests[0] != digests[1] for digests in slots)
         out, _ = delegation.delegate(params, keys, circ, state, random.Random(job_seed))
@@ -357,4 +386,4 @@ def test_reseeding_changes_rows_not_meaning():
     t2 = garble_toffoli(params, gate, ins, outs, random.Random(2))
     assert t1 != t2
     triple = tuple(pair.k1 for pair in ins)
-    assert _open_row(params, triple, t1.forward) == _open_row(params, triple, t2.forward)
+    assert _open_row(params, triple, t1[0]) == _open_row(params, triple, t2[0])

@@ -26,7 +26,7 @@ from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CircuitError, CPCircuit, Phase, 
 from rgc.encoding import KeySchedule, WireKeyPair, encode, gen_keys
 from rgc.evaluate import EvalStats
 from rgc.games import GameReport
-from rgc.garble import GarbledBundle, Table, ToffoliTables, garble_circuit
+from rgc.garble import GarbledBundle, Table, garble_circuit
 from rgc.netio import (WireFormatError, deserialize_circuit, deserialize_job, deserialize_report,
                        deserialize_schedule, deserialize_state, frame,
                        serialize_bundle, serialize_circuit, serialize_job,
@@ -754,8 +754,8 @@ def test_half_table_job_bytes_golden():
                    "bd44f89295501959b6978d2fe1b38e6ed5afde160c2a41c97d18140439310ab2"))):
         job, params = _seeded_job(CONST_JOB_CIRCUIT, **widths)
         (table,) = job.garbled.tables
-        assert [len(t.rows) for t in (table.forward, table.backward)] == [4, 4]
-        assert [len(slot) for slot in table.forward.header + table.backward.header] == slots * 2
+        assert [len(t.rows) for t in (table[0], table[1])] == [4, 4]
+        assert [len(slot) for slot in table[0].header + table[1].header] == slots * 2
         data = serialize_job(job, params)
         assert _pin(_wire_2_job(job, params)) == wire_2
         assert _pin(data) == wire_3
@@ -767,8 +767,8 @@ def test_half_table_job_bytes_golden():
 def test_half_table_of_full_length_is_not_serialized():
     job, params = _seeded_job(CONST_JOB_CIRCUIT)
     table = job.garbled.tables[0]
-    full = [Table(t.nonce, t.header, t.rows * 2) for t in (table.forward, table.backward)]
-    bundle = GarbledBundle(job.garbled.skeleton, (ToffoliTables(*full),))
+    full = tuple(Table(t.nonce, t.header, t.rows * 2) for t in table)
+    bundle = GarbledBundle(job.garbled.skeleton, (full,))
     with pytest.raises(WireFormatError, match="width"):
         serialize_bundle(bundle, params)
 
@@ -817,6 +817,22 @@ def test_skeleton_of_more_gates_than_the_payload_holds_is_refused_unbuilt(monkey
     assert kind == netio.KIND_ERROR
     assert payload.startswith(b"WireFormatError: 1000000 gates cannot fit in the 8000000 "
                               b"bytes left")
+
+
+@pytest.mark.parametrize("tag_len_bits", [16, 128])
+def test_min_gate_bytes_is_the_smaller_gate_the_writer_emits(tag_len_bits):
+    # a gate's record and tables are its bundle's bytes beyond those of the
+    # same skeleton without the gate: a phase gate of exponent 0, and a
+    # Toffoli whose two controls are constant
+    params = delegation.make_params(16, tag_len_bits=tag_len_bits, oracle_seed=b"min")
+    rng = random.Random(45)
+    sizes = []
+    for text in ("inputs 1\nphase 0 0\n", "inputs 3\nconst 0\nconst 1\ntoff 0 1 2\n"):
+        circ = parse_circuit(text)
+        bundle = garble_circuit(params, circ, gen_keys(16, circ, rng), rng)
+        empty = GarbledBundle(allocate_wires([], circ.num_inputs, circ.const_qubits), ())
+        sizes.append(len(serialize_bundle(bundle, params)) - len(serialize_bundle(empty, params)))
+    assert min(sizes) == netio._TableLayout(params).min_gate_bytes()
 
 
 def test_job_state_of_wrong_norm_gets_error_envelope():
@@ -973,7 +989,7 @@ def test_phase_row_of_wrong_payload_width_gets_error_envelope():
     # a row holds no width of its own: a widened payload leaves a byte over
     job, params = _one_phase_job(denom_exp=2)
     bundle = serialize_bundle(job.garbled, params)
-    rows = job.garbled.tables[0].rows
+    rows = job.garbled.tables[0][0].rows
     assert [len(row) for row in rows] == [1, 1] and bundle.endswith(b"".join(rows))
     widened = bundle[:-1] + b"\x00" + bundle[-1:]
     data = serialize_state(job.encoded_state) + widened
@@ -985,7 +1001,7 @@ def test_phase_row_of_wrong_payload_width_gets_error_envelope():
 def test_table_of_wrong_shape_is_not_serialized():
     job, params = _seeded_job(TOFFOLI_JOB_CIRCUIT)
     table = job.garbled.tables[0]
-    nonce, header, rows = table.forward.nonce, table.forward.header, table.forward.rows
+    nonce, header, rows = table[0].nonce, table[0].header, table[0].rows
     for forward in (Table(nonce, header, rows + rows[:1]),                  # 9 rows
                     Table(nonce, header, (rows[0] + b"\x00",) + rows[1:]),  # one row widened
                     Table(nonce, header[:2], rows),                         # two slots
@@ -993,17 +1009,16 @@ def test_table_of_wrong_shape_is_not_serialized():
                     Table(nonce + b"\x00", header, rows),                   # nonce widened
                     Table(nonce[:1], header, rows)):                        # nonce cut
         bundle = GarbledBundle(job.garbled.skeleton,
-                               (ToffoliTables(forward, table.backward),)
-                               + job.garbled.tables[1:])
+                               ((forward, table[1]),) + job.garbled.tables[1:])
         with pytest.raises(WireFormatError, match="width"):
             serialize_bundle(bundle, params)
     phase_job, phase_params = _one_phase_job()
-    phase_table = phase_job.garbled.tables[0]
+    (phase_table,) = phase_job.garbled.tables[0]
     nonce, rows = phase_table.nonce, phase_table.rows
     for table in (Table(nonce, phase_table.header, (rows[0][:-1], rows[1])),
                   Table(nonce, (phase_table.header[0] + bytes(16),), rows),
                   Table(nonce[:1], phase_table.header, rows)):
-        bundle = GarbledBundle(phase_job.garbled.skeleton, (table,))
+        bundle = GarbledBundle(phase_job.garbled.skeleton, ((table,),))
         with pytest.raises(WireFormatError, match="width"):
             serialize_bundle(bundle, phase_params)
 
@@ -1018,13 +1033,12 @@ def _reply_with_first_slot(patch):
     params = delegation.make_params(16, oracle_seed=b"slots")
     job = delegation.encrypt(params, keys, circ, sparse.basis_state(qubit_layout(3), 0), rng)
     table = job.garbled.tables[0]
-    nonce, slot, t = table.forward.nonce, table.forward.header[0], params.digest_bytes
+    nonce, slot, t = table[0].nonce, table[0].header[0], params.digest_bytes
     (pos,) = symcrypt.slot_positions(params, keys.pairs[circ.input_wires[0]].k0,
                                      nonce, 0, slot)
     held, other = slot[pos * t:(pos + 1) * t], slot[(1 - pos) * t:(2 - pos) * t]
-    forward = Table(nonce, (patch(held, other),) + table.forward.header[1:],
-                    table.forward.rows)
-    bundle = GarbledBundle(job.garbled.skeleton, (ToffoliTables(forward, table.backward),)
+    forward = Table(nonce, (patch(held, other),) + table[0].header[1:], table[0].rows)
+    bundle = GarbledBundle(job.garbled.skeleton, ((forward, table[1]),)
                            + job.garbled.tables[1:])
     return _handle_job(delegation.JobBundle(job.encoded_state, bundle), params)
 
