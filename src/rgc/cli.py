@@ -7,8 +7,10 @@ shift when another stage changes how much randomness it consumes.  The
 subcommands that make keys, tables or jobs (keygen, garble, delegate, blind,
 shor) draw a secret 127-bit seed per run unless ``--seed`` is given; with
 it, identical argv means byte-identical output files, and anyone who can
-guess the seed can decode the job.  mixing-bound and security-test keep a
-reproducible default seed of 0.
+guess the seed can decode the job.  Their stages seed their streams with
+256 bits derived from the whole seed (``util.secret_rng``), and the keys and
+tables come from a key stream over one secret drawn from them.
+mixing-bound and security-test keep a reproducible default seed of 0.
 
 Subcommands: keygen, garble, encode, eval, decode, delegate, blind, shor,
 mixing-bound, security-test, serve.  Protocol failures exit 1, usage
@@ -30,7 +32,7 @@ import time
 from pathlib import Path
 
 from . import circuit, delegation, encoding, evaluate, garble, netio, sparse
-from .util import derive_rng, derive_seed
+from .util import derive_rng, derive_seed, secret_rng
 
 
 class CliError(RuntimeError):
@@ -83,7 +85,7 @@ def _params_for(args, kappa_bits: int) -> delegation.CryptoParams:
 
 def cmd_keygen(args) -> int:
     circ = _load_circuit(args.circuit)
-    keys = delegation.keygen(args.eta, circ.num_inputs, circ, derive_rng(args.seed, "keygen"),
+    keys = delegation.keygen(args.eta, circ.num_inputs, circ, secret_rng(args.seed, "keygen"),
                              conjecture=args.conjecture_1)
     Path(args.out).write_bytes(netio.serialize_schedule(keys))
     print(f"kappa={keys.kappa_bits} wires={keys.num_wires} -> {args.out}")
@@ -101,11 +103,13 @@ def cmd_garble(args) -> int:
     circ = _load_circuit(args.circuit)
     keys = _keys_from_file(args.keys, circ)
     params = _params_for(args, keys.kappa_bits)
-    bundle = garble.garble_circuit(params, circ, keys, derive_rng(args.seed, "garble"))
+    bundle = garble.garble_circuit(params, circ, keys, secret_rng(args.seed, "garble"))
     data = netio.serialize_bundle(bundle, params)
     Path(args.out).write_bytes(data)
-    rows = sum(len(table.rows) for tables in bundle.tables for table in tables)
-    print(f"garbled {len(bundle.tables)} tables, {rows} rows, {len(data)} bytes -> {args.out}")
+    tables = [table for gate_tables in bundle.tables for table in gate_tables]
+    rows = sum(len(table.rows) for table in tables)
+    print(f"garbled {len(bundle.tables)} gates, {len(tables)} tables, {rows} rows, "
+          f"{len(data)} bytes -> {args.out}")
     return 0
 
 
@@ -143,7 +147,7 @@ def cmd_decode(args) -> int:
 def cmd_delegate(args) -> int:
     circ = _load_circuit(args.circuit)
     state = parse_state_tokens(args.input)
-    rng = derive_rng(args.seed, "delegate")
+    rng = secret_rng(args.seed, "delegate")
     keys = delegation.keygen(args.eta, circ.num_inputs, circ, rng,
                              conjecture=args.conjecture_1)
     params = _params_for(args, keys.kappa_bits)
@@ -168,7 +172,7 @@ def cmd_delegate(args) -> int:
 def cmd_blind(args) -> int:
     circ = _load_circuit(args.circuit)
     state = parse_state_tokens(args.input)
-    rng = derive_rng(args.seed, "blind")
+    rng = secret_rng(args.seed, "blind")
     params = _params_for(args, delegation.required_kappa(args.eta, circ.num_inputs,
                                                          args.conjecture_1))
     res = delegation.blind_delegate(circ, state, args.lmax, args.dmax, args.eta, rng,
@@ -186,7 +190,7 @@ def cmd_blind(args) -> int:
 
 
 def cmd_shor(args) -> int:
-    rng = derive_rng(args.seed, "shor")
+    rng = secret_rng(args.seed, "shor")
     factor, reports = delegation.shor_factor(args.M, args.eta, rng,
                                              attempts=args.attempts, base=args.a,
                                              conjecture=args.conjecture_1)

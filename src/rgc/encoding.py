@@ -25,7 +25,7 @@ if TYPE_CHECKING:        # imported where used: the server path needs no numpy
 from .circuit import CPCircuit, End
 from .sparse import ColumnarState, SparseState, qubit_layout, trace_distance, transpose
 from .symcrypt import CryptoParams
-from .util import bytes_to_int, rand_bytes
+from .util import KeyStream, bytes_to_int
 
 
 class WireKeyPair(NamedTuple):
@@ -62,16 +62,21 @@ class UnknownKeyError(ValueError):
 
 
 def gen_keys(kappa_bits: int, circ: CPCircuit, rng: random.Random) -> KeySchedule:
-    """Independent uniform key pairs for every wire of the circuit,
-    resampling the measure-zero k0 == k1 collisions."""
+    """Independent uniform key pairs for every wire of the circuit, read
+    from one key stream over a 256-bit secret drawn from ``rng``; a pair with
+    k0 == k1 redraws its k1 from the stream under the wire's own label."""
     CryptoParams.check_widths(kappa_bits)
     nbytes = kappa_bits // 8
+    stream = KeyStream(rng.getrandbits(256))
+    data = stream.read(b"wire keys", 2 * nbytes * circ.num_wires)
     pairs = []
-    for _ in range(circ.num_wires):
-        k0 = rand_bytes(rng, nbytes)
-        k1 = rand_bytes(rng, nbytes)
+    for wire, start in enumerate(range(0, len(data), 2 * nbytes)):
+        k0, k1 = data[start:start + nbytes], data[start + nbytes:start + 2 * nbytes]
+        attempt = 0
         while k1 == k0:
-            k1 = rand_bytes(rng, nbytes)
+            label = b"wire k1" + wire.to_bytes(4, "little") + attempt.to_bytes(4, "little")
+            k1 = stream.read(label, nbytes)
+            attempt += 1
         pairs.append(WireKeyPair(k0, k1))
     return KeySchedule(kappa_bits, tuple(pairs))
 

@@ -14,7 +14,8 @@ no classical harness can represent that, so a clean bill from these games
 validates the construction's classical soundness only.  The rigged modes
 (leaked keys, reused pads, reused table nonces, brute force at byte-sized
 keys, a secret bit declared a public constant, headers sorted by logical
-value) exist to prove the harness itself would notice a break.
+value, client draws from a 16-bit Mersenne Twister seed) exist to prove the
+harness itself would notice a break.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from itertools import product
 from typing import Any, Callable, Sequence
 
 from . import delegation, encoding, garble, sparse, symcrypt
-from .circuit import CPCircuit, Toffoli
+from .circuit import CPCircuit, Toffoli, without_x
 from .delegation import JobBundle
-from .encoding import KeySchedule
+from .encoding import KeySchedule, WireKeyPair
 from .garble import GarbledBundle, Table
 from .symcrypt import CryptoParams
 from .util import bytes_to_int, rand_bytes, xor_bytes
@@ -527,13 +528,16 @@ def wire_tag_check(view: RecoveryView, wire: int, key: bytes) -> bool:
 
 
 def key_recovery_experiment(circ: CPCircuit, kappa_bits: int, guesser: Guesser,
-                            trials: int, rng: random.Random) -> float:
+                            trials: int, rng: random.Random, *,
+                            mt_seed_bits: int | None = None) -> float:
     """Hand the guesser one input's keys plus the tables; count how often it
     produces the key tuple of a different designated input.  Success is
     checked through the tables' own tags (plus disequality with the known key
     where the target bit differs - replaying the given keys never counts).
     Both inputs hold the circuit's public constants at 1: the revealed input
-    is 0 elsewhere and the target 1 everywhere."""
+    is 0 elsewhere and the target 1 everywhere.  ``mt_seed_bits`` rigs the
+    game: the client draws keys and tables as it did before the key stream
+    (:func:`_mt_client`), from a seed of that many bits."""
     n = circ.num_inputs
     input_bits = circ.const_mask
     if input_bits == (1 << n) - 1:
@@ -541,8 +545,11 @@ def key_recovery_experiment(circ: CPCircuit, kappa_bits: int, guesser: Guesser,
     successes = 0
     for _ in range(trials):
         params = _trial_params(kappa_bits, rng.getrandbits(63), True)
-        schedule = encoding.gen_keys(kappa_bits, circ, rng)
-        bundle = garble.garble_circuit(params, circ, schedule, rng)
+        if mt_seed_bits is None:
+            schedule = encoding.gen_keys(kappa_bits, circ, rng)
+            bundle = garble.garble_circuit(params, circ, schedule, rng)
+        else:
+            schedule, bundle = _mt_client(params, circ, rng.getrandbits(mt_seed_bits))
         known = [schedule.pairs[w][(input_bits >> i) & 1]
                  for i, w in enumerate(circ.input_wires)]
         view = RecoveryView(params, circ, bundle, list(known))
@@ -557,6 +564,39 @@ def key_recovery_experiment(circ: CPCircuit, kappa_bits: int, guesser: Guesser,
                 ok = guess[i] != known[i] and wire_tag_check(view, w, guess[i])
         successes += 1 if ok else 0
     return successes / trials
+
+
+def _mt_keys(kappa_bits: int, num_wires: int, stage: random.Random) -> KeySchedule:
+    nbytes = kappa_bits // 8
+    pairs = []
+    for _ in range(num_wires):
+        k0, k1 = rand_bytes(stage, nbytes), rand_bytes(stage, nbytes)
+        while k1 == k0:
+            k1 = rand_bytes(stage, nbytes)
+        pairs.append(WireKeyPair(k0, k1))
+    return KeySchedule(kappa_bits, tuple(pairs))
+
+
+def _mt_client(params: CryptoParams, circ: CPCircuit,
+               seed: int) -> tuple[KeySchedule, GarbledBundle]:
+    """The client's draws before the key stream, kept only as the positive
+    control of :class:`SeedGrinder`: one Mersenne Twister seeded with
+    ``seed`` (64 bits in the CLI then) draws every key pair and then each
+    gate's 64-bit seed, and a twister under that seed is the gate's coins."""
+    stage = random.Random(seed)
+    schedule = _mt_keys(params.kappa_bits, circ.num_wires, stage)
+    skeleton = without_x(circ)
+    tables: list[tuple[Table, ...]] = []
+    for gate, (reads, writes) in zip(skeleton.gates, circ.wiring.gates):
+        ins = [schedule.keys(*end) for end in reads]
+        coins = random.Random(stage.getrandbits(64))
+        if isinstance(gate, Toffoli):
+            tables.append(garble.garble_toffoli(params, gate, ins,
+                                                [schedule.keys(w) for w in writes], coins,
+                                                circ.const_qubits))
+        else:
+            tables.append(garble.garble_phase(params, gate, ins[0], coins))
+    return schedule, GarbledBundle(skeleton, tuple(tables))
 
 
 def guess_random(view: RecoveryView, rng) -> list[bytes]:
@@ -587,6 +627,38 @@ def guess_brute_force(view: RecoveryView, rng) -> list[bytes]:
                 break
         out.append(hit if hit is not None else bytes(kb))
     return out
+
+
+class SeedGrinder:
+    """Guesser: grind the seed of :func:`_mt_client`'s derivation over
+    ``seed_bits`` bits.  Every seed's first table nonce is indexed once per
+    key length and circuit shape; a trial looks its first table's public
+    nonce up, keeps the seed whose keys include the ones it holds, and reads
+    the target's keys off that seed's stream.  It wins the rigged game whose
+    seed space it grinds, and finds no seed under the key stream, whose
+    tables come from a 256-bit secret."""
+
+    def __init__(self, seed_bits: int):
+        self.seed_bits = seed_bits
+        self._index: dict[tuple[int, int, int], dict[bytes, list[int]]] = {}
+
+    def __call__(self, view: RecoveryView, rng: random.Random) -> list[bytes]:
+        circ, kappa_bits, p = view.circuit, view.params.kappa_bits, view.params.kappa_bytes
+        read = garble.coin_bytes(view.bundle.skeleton.gates[0], p)
+        shape = (kappa_bits, circ.num_wires, read)
+        index = self._index.get(shape)
+        if index is None:
+            index = self._index[shape] = {}
+            for seed in range(1 << self.seed_bits):
+                stage = random.Random(seed)
+                _mt_keys(kappa_bits, circ.num_wires, stage)
+                nonce = random.Random(stage.getrandbits(64)).randbytes(read)[:p]
+                index.setdefault(nonce, []).append(seed)
+        for seed in index.get(view.bundle.tables[0][0].nonce, ()):
+            pairs = _mt_keys(kappa_bits, circ.num_wires, random.Random(seed)).pairs
+            if all(key in pairs[w] for w, key in zip(circ.input_wires, view.input_keys)):
+                return [pairs[w].k1 for w in circ.input_wires]
+        return []
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ backward row to erase the inputs makes the whole step a basis permutation,
 which is why it can run on superpositions.
 
 Each table is a nonce, a header and its rows, in the joint-hash scheme of
-:mod:`rgc.symcrypt`.  The nonce is p = kappa/8 fresh bytes per table, drawn
-from the gate's own rng stream.  The header has one slot per key position
-holding the digests of that wire's two keys, and each slot's order is a
-fresh random bit: the key of logical value x sits at position x xor s.  The
-row under keys at positions (b1, b2, b3) sits at index (b1, b2, b3) and is
-its payload masked by one oracle query over its keys, the nonce and that
+:mod:`rgc.symcrypt`.  The nonce is p = kappa/8 fresh bytes per table, read
+with the table's permute bits from the gate's fixed-stride slice of one
+SHAKE-256 key stream (:class:`rgc.util.KeyStream`) over a 256-bit secret
+that :func:`garble_circuit` draws once.  The header has one slot per key
+position holding the digests of that wire's two keys, and each slot's order
+is a fresh random bit: the key of logical value x sits at position x xor s.
+The row under keys at positions (b1, b2, b3) sits at index (b1, b2, b3) and
+is its payload masked by one oracle query over its keys, the nonce and that
 index, so a Toffoli row is 3p bytes and a phase row its payload alone.  The
 permute bit of point-and-permute (Beaver, Micali and Rogaway, STOC 1990)
 comes from the tag order, and the keys themselves stay uniform.  An
@@ -24,11 +26,11 @@ with one digest per slot instead of a tag check per row.
 A digest only has to tell its slot's two keys apart, so it is short: t =
 ``symcrypt.DEFAULT_TAG_LEN_BITS`` = 16 bits by default.  When the two
 digests of a slot are equal, which happens in about one slot in 2^t, the
-garbler draws the table's nonce again from the gate's own stream, keeps the
-flips, and builds the header again; rows are masked under the final nonce.
-So an honest key always finds exactly one digest.  A table without a
-collision draws nothing more, so the redraw leaves every other table, the
-keys and the phase offsets as they were.  It depends only on the slot's
+garbler reads the table's nonce again from the key stream under a label of
+its own (the gate, and how many reads the gate has made), keeps the flips,
+and builds the header again; rows are masked under the final nonce.  So an honest key always
+finds exactly one digest, and the redraw leaves every other table, the keys
+and the phase offsets as they were.  It depends only on the slot's
 unordered key pair and the nonce, never on a value or a flip, so the server
 sees a uniform nonce given that the digests differ, which every honest
 table satisfies.  What a short digest weakens: a wrong key finds a digest
@@ -76,10 +78,10 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Sequence
 
 from . import symcrypt
-from .circuit import CPCircuit, Phase, Toffoli, without_x
+from .circuit import DEFAULT_MAX_DENOM_EXP, CPCircuit, Phase, Toffoli, without_x
 from .encoding import KeySchedule, WireKeyPair
 from .symcrypt import CryptoParams
-from .util import rand_bytes
+from .util import KeyStream
 
 
 @dataclass(frozen=True)
@@ -130,16 +132,54 @@ def table_shapes(gate: Toffoli | Phase, const_qubits: Collection[int], kappa_byt
     return ((slots, 3 * kappa_bytes),) * 2
 
 
-def _header(params: CryptoParams, pairs: Sequence[WireKeyPair],
-            slots: Sequence[int], rng: random.Random
+class GateCoins:
+    """One gate's coins from the garbling stream.  The first read is the
+    gate's fixed-stride slice of one stream output, ``data[start:]``, and
+    each later read, a nonce redraw, is a query of its own labeled by (gate,
+    read), so a redraw changes no other table.  The gate garblers read coins
+    through ``randbytes`` alone, so a ``random.Random`` serves the tests and
+    the games' control of the derivation before the key stream."""
+
+    __slots__ = ("_data", "_start", "_stream", "_gate", "_reads")
+
+    def __init__(self, data: bytes, start: int, stream: KeyStream, gate: int):
+        self._data, self._start, self._stream, self._gate = data, start, stream, gate
+        self._reads = 0
+
+    def randbytes(self, n: int) -> bytes:
+        self._reads += 1
+        if self._reads == 1:
+            return self._data[self._start:self._start + n]
+        return self._stream.read(b"redraw" + self._gate.to_bytes(4, "little")
+                                 + self._reads.to_bytes(4, "little"), n)
+
+
+def coin_bytes(gate: Toffoli | Phase, kappa_bytes: int) -> int:
+    """The bytes a gate's garbler reads first from its coins: per table p
+    nonce bytes and a byte of permute bits, and for a phase gate its offset
+    m of :func:`phase_payload_bytes` bytes."""
+    if isinstance(gate, Phase):
+        return kappa_bytes + 1 + phase_payload_bytes(gate.denom_exp)
+    return 2 * kappa_bytes + 2
+
+
+def coin_stride(kappa_bytes: int) -> int:
+    """The stride of the gates' coins in the garbling stream: the most any
+    gate reads first."""
+    return max(coin_bytes(Phase(0, DEFAULT_MAX_DENOM_EXP), kappa_bytes),
+               coin_bytes(Toffoli((0, 1, 2)), kappa_bytes))
+
+
+def _header(params: CryptoParams, pairs: Sequence[WireKeyPair], slots: Sequence[int],
+            coins: GateCoins | random.Random, nonce: bytes, bits: int
             ) -> tuple[bytes, tuple[bytes, ...], tuple[int, ...]]:
-    """A table's fresh nonce and its header over each slot's (0 key, 1 key)
-    pair, and per slot the bit s that puts the key of value x at position
-    x xor s: a fresh bit for a slot of two digests, and 1 for a slot of one,
-    which holds the 1 key.  While a slot's two digests are equal, the nonce
-    is drawn again from ``rng`` and the flips are kept."""
-    nonce = rand_bytes(rng, params.kappa_bytes)
-    flips = tuple([rng.getrandbits(1) if n == 2 else 1 for n in slots])
+    """A table's nonce and its header over each slot's (0 key, 1 key) pair,
+    and per slot the bit s that puts the key of value x at position x xor s:
+    bit j of the table's permute ``bits`` for a slot of two digests, and 1
+    for a slot of one, which holds the 1 key.  While a slot's two digests
+    are equal, the nonce is read again from ``coins`` and the flips are
+    kept."""
+    flips = tuple([bits >> j & 1 if n == 2 else 1 for j, n in enumerate(slots)])
     slot_keys = [(pair[s], pair[1 ^ s]) if n == 2 else (pair[1],)
                  for pair, n, s in zip(pairs, slots, flips)]
     header = symcrypt.table_header(params, nonce, slot_keys)
@@ -148,46 +188,56 @@ def _header(params: CryptoParams, pairs: Sequence[WireKeyPair],
     while any([digests[:t] == digests[t:] for digests in header]):
         if any(keys[0] == keys[-1] for keys in slot_keys if len(keys) == 2):
             raise ValueError("a wire's two keys must differ")
-        nonce = rand_bytes(rng, params.kappa_bytes)
+        nonce = coins.randbytes(params.kappa_bytes)
         header = symcrypt.table_header(params, nonce, slot_keys)
     return nonce, header, flips
 
 
 def garble_toffoli(params: CryptoParams, gate: Toffoli, ins: Sequence[WireKeyPair],
-                   outs: Sequence[WireKeyPair], rng: random.Random,
+                   outs: Sequence[WireKeyPair], coins: GateCoins | random.Random,
                    const_qubits: Collection[int] = ()) -> tuple[Table, Table]:
     """The gate's forward and backward tables over the key pairs of the
     wires it reads and writes, in slot order."""
     (slots, _), _ = table_shapes(gate, const_qubits, params.kappa_bytes)
-    fwd_nonce, fwd_header, fwd_flips = _header(params, ins, slots, rng)
-    bwd_nonce, bwd_header, bwd_flips = _header(params, outs, slots, rng)
+    p = params.kappa_bytes
+    data = coins.randbytes(coin_bytes(gate, p))
+    fwd_nonce, fwd_header, (f0, f1, f2) = _header(params, ins, slots, coins, data[:p], data[p])
+    bwd_nonce, bwd_header, (b0, b1, b2) = _header(params, outs, slots, coins,
+                                                  data[p + 1:2 * p + 1], data[2 * p + 1])
     n1 = slots[1]
     forward: list = [None] * (slots[0] * n1 * 2)     # (keys, payload) per row index
     backward: list = [None] * len(forward)
-    (f0, f1, f2), (b0, b1, b2) = fwd_flips, bwd_flips
+    (a_in, b_in, c_in), (a_out, b_out, c_out) = ins, outs
     # a constant control is 1 on both sides of the gate
-    us = (1,) if slots[0] == 1 else (0, 1)
-    vs = (1,) if n1 == 1 else (0, 1)
-    for u in us:
-        for v in vs:
-            for w in (0, 1):
-                z = w ^ (u & v)
-                in_keys = ins[0][u] + ins[1][v] + ins[2][w]
-                out_keys = outs[0][u] + outs[1][v] + outs[2][z]
-                # the keys' header positions x xor s, mixed-radix over the
-                # slots' digest counts; a one-digest slot's key sits at 0
-                forward[((u ^ f0) * n1 + (v ^ f1)) * 2 + (w ^ f2)] = (in_keys, out_keys)
-                backward[((u ^ b0) * n1 + (v ^ b1)) * 2 + (z ^ b2)] = (out_keys, in_keys)
+    for u in (1,) if slots[0] == 1 else (0, 1):
+        for v in (1,) if n1 == 1 else (0, 1):
+            z = u & v                       # the target's output bit when w = 0
+            ab_in, ab_out = a_in[u] + b_in[v], a_out[u] + b_out[v]
+            in0, in1 = ab_in + c_in[0], ab_in + c_in[1]
+            out0, out1 = ab_out + c_out[z], ab_out + c_out[z ^ 1]
+            # the keys' header positions x xor s, mixed-radix over the slots'
+            # digest counts; a one-digest slot's key sits at 0
+            fwd = ((u ^ f0) * n1 + (v ^ f1)) * 2
+            bwd = ((u ^ b0) * n1 + (v ^ b1)) * 2
+            forward[fwd + f2] = (in0, out0)
+            forward[fwd + (f2 ^ 1)] = (in1, out1)
+            backward[bwd + (z ^ b2)] = (out0, in0)
+            backward[bwd + (z ^ b2 ^ 1)] = (out1, in1)
     return (Table(fwd_nonce, fwd_header, symcrypt.table_rows(params, fwd_nonce, forward)),
             Table(bwd_nonce, bwd_header, symcrypt.table_rows(params, bwd_nonce, backward)))
 
 
 def garble_phase(params: CryptoParams, gate: Phase, pair: WireKeyPair,
-                 rng: random.Random) -> tuple[Table]:
+                 coins: GateCoins | random.Random) -> tuple[Table]:
+    """The gate's table: the key of value x opens m + x mod 2n, with m read
+    from ``coins`` and masked to d + 1 bits, which is uniform since
+    2n = 2^(d+1)."""
     modulus = 2 << gate.denom_exp          # 2n
-    m0 = rng.randrange(modulus)
-    ((slots, _),) = table_shapes(gate, (), params.kappa_bytes)
-    nonce, header, (flip,) = _header(params, (pair,), slots, rng)
+    p = params.kappa_bytes
+    data = coins.randbytes(coin_bytes(gate, p))
+    m0 = int.from_bytes(data[p + 1:], "big") & (modulus - 1)
+    ((slots, _),) = table_shapes(gate, (), p)
+    nonce, header, (flip,) = _header(params, (pair,), slots, coins, data[:p], data[p])
     # row i holds the key of value x = i xor flip
     rows = [(pair[i ^ flip], phase_payload((m0 + (i ^ flip)) % modulus, gate.denom_exp))
             for i in (0, 1)]
@@ -196,22 +246,26 @@ def garble_phase(params: CryptoParams, gate: Phase, pair: WireKeyPair,
 
 def garble_circuit(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
                    rng: random.Random) -> GarbledBundle:
+    """The circuit's tables.  One 256-bit secret drawn from ``rng`` keys the
+    garbling stream, and gate i's coins start at i times the stride of one
+    output of it, so no gate's tables depend on what another gate reads."""
     wiring = circ.wiring
     if schedule.num_wires != wiring.num_wires:
         raise ValueError("schedule does not cover the circuit's wires")
-    # One stream per table, seeded by one 64-bit draw from rng as its gate
-    # comes up: a table's randomness never depends on what other tables draw.
     skeleton = without_x(circ)
     consts = frozenset(circ.const_qubits)
+    stream = KeyStream(rng.getrandbits(256))
+    stride = coin_stride(params.kappa_bytes)
+    data = stream.read(b"tables", stride * len(skeleton.gates))
     tables: list[tuple[Table, ...]] = []
-    for gate, (reads, writes) in zip(skeleton.gates, wiring.gates):
+    for i, (gate, (reads, writes)) in enumerate(zip(skeleton.gates, wiring.gates)):
         ins = [schedule.keys(*end) for end in reads]
-        gate_rng = random.Random(rng.getrandbits(64))
+        coins = GateCoins(data, i * stride, stream, i)
         if isinstance(gate, Toffoli):
             tables.append(garble_toffoli(params, gate, ins, [schedule.keys(w) for w in writes],
-                                         gate_rng, consts))
+                                         coins, consts))
         else:
-            tables.append(garble_phase(params, gate, ins[0], gate_rng))
+            tables.append(garble_phase(params, gate, ins[0], coins))
     return GarbledBundle(skeleton, tuple(tables))
 
 

@@ -18,9 +18,11 @@ Three schemes, all masking the plaintext with oracle output:
   IEEE S&P 2013) as half-gates uses it (Zahur, Rosulek and Evans, Eurocrypt
   2015), with the nonce and the index as the tweak.  The garbler writes a
   table with two calls, :func:`table_header` and :func:`table_rows`, each
-  fetching its oracle once; the evaluator looks up one slot with
-  :func:`slot_positions` and opens one row with :func:`row_dec`.  One
-  private function defines the slot digest and one the row mask.
+  fetching its oracle once and querying it in one loop; the evaluator looks
+  up one slot with :func:`slot_positions` and opens one row with
+  :func:`row_dec`.  One private function defines the slot digest and one
+  the row mask; the garbler's two loops inline them, and every evaluated
+  job checks that both sides agree.
 
 Every oracle query starts with a domain byte - MASK, TAG, ROW or SLOT - and
 then fixed-width fields, so queries of different schemes can never collide,
@@ -211,21 +213,31 @@ def _mask_row(query, keys: bytes, data: bytes, nonce: bytes, index: int) -> byte
 def table_header(params: CryptoParams, nonce: bytes,
                  slot_keys: Sequence[Sequence[SymKey]]) -> tuple[bytes, ...]:
     """The header of a table under ``nonce``: slot j holds the digests of
-    ``slot_keys[j]`` in the given order."""
+    ``slot_keys[j]`` in the given order, each the query of
+    :func:`_slot_digest`."""
     query = params.tag_query
-    return tuple([b"".join([_slot_digest(query, key, nonce, slot) for key in keys])
+    return tuple([b"".join([query(_SLOT + key + nonce + _INDEX[slot]) for key in keys])
                   for slot, keys in enumerate(slot_keys)])
 
 
 def table_rows(params: CryptoParams, nonce: bytes,
                rows: Sequence[tuple[bytes, bytes]]) -> tuple[bytes, ...]:
     """The rows of a table under ``nonce``: row i is the payload of
-    ``rows[i] = (k1||..||kn, payload)`` masked by one query over its keys.
-    The table fetches one oracle, so its payloads share one nonzero length."""
+    ``rows[i] = (k1||..||kn, payload)`` masked as :func:`_mask_row` masks
+    it, by one query over its keys.  The table fetches one oracle, so its
+    payloads share one nonzero length."""
     if not rows or not rows[0][1]:
         raise ValueError("a table needs rows with a nonempty payload")
-    query = params.oracles.for_len(8 * len(rows[0][1])).query
-    return tuple([_mask_row(query, keys, m, nonce, i) for i, (keys, m) in enumerate(rows)])
+    n = len(rows[0][1])
+    query = params.oracles.for_len(8 * n).query
+    out = []
+    for i, (keys, m) in enumerate(rows):
+        if len(m) != n:
+            raise ValueError(f"a {len(m)}-byte row under a {n}-byte mask")
+        mask = query(_ROW + keys + nonce + _INDEX[i])
+        out.append((int.from_bytes(m, "little") ^ int.from_bytes(mask, "little")).to_bytes(
+            n, "little"))
+    return tuple(out)
 
 
 def slot_positions(params: CryptoParams, key: SymKey, nonce: bytes, slot: int,

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from rgc import delegation, netio
+from rgc import delegation, garble, netio
 from rgc.circuit import allocate_wires, phase, toff, x
 from rgc.oracle import OracleFamily
 from rgc.sparse import SparseState, qubit_layout, random_state
 from rgc.symcrypt import CryptoParams
+from rgc.util import KeyStream
 
 
 @pytest.fixture
@@ -64,6 +65,14 @@ def circuits_and_states(draw):
     gates = draw(st.lists(st.one_of(*kinds), max_size=12))
     support = draw(st.lists(st.sampled_from(free), unique=True, min_size=1))
     return allocate_wires(gates, n, sorted(consts)), support, draw(st.integers(0, 2**32))
+
+
+def gate_coins(params, rng):
+    """A gate's coins as ``garble_circuit`` hands them to the first gate,
+    from a key stream over a secret drawn from ``rng``."""
+    stream = KeyStream(rng.getrandbits(256))
+    return garble.GateCoins(stream.read(b"tables", garble.coin_stride(params.kappa_bytes)), 0,
+                            stream, 0)
 
 
 def gate_keys(circ, schedule, index=0):

@@ -19,7 +19,7 @@ from rgc import delegation, encoding, evaluate, netio, sparse
 from rgc.circuit import parse_circuit, simulate
 from rgc.cli import build_parser, main, parse_state_tokens
 from rgc.sparse import fidelity, qubit_layout
-from rgc.util import derive_rng, derive_seed
+from rgc.util import derive_rng, derive_seed, secret_rng
 
 from conftest import phase_only_job, sparse_of
 
@@ -84,7 +84,7 @@ def test_pipeline_commands(tmp_path, circuit_file, capsys):
     # toffoli flips qubit 2 for input 110; phase on |1> is global
     assert out.strip().splitlines()[-1].startswith("111")
     size = os.path.getsize(bundle)
-    assert f"garbled 2 tables, 18 rows, {size} bytes -> {bundle}" in out.splitlines()
+    assert f"garbled 2 gates, 3 tables, 18 rows, {size} bytes -> {bundle}" in out.splitlines()
 
 
 def test_garble_cli_counts_half_table_rows(tmp_path, capsys):
@@ -98,7 +98,7 @@ def test_garble_cli_counts_half_table_rows(tmp_path, capsys):
     line = capsys.readouterr().out.strip().splitlines()[-1]
     # 4 + 4 Toffoli rows and 2 phase rows
     size = os.path.getsize(bundle)
-    assert line == f"garbled 2 tables, 10 rows, {size} bytes -> {bundle}"
+    assert line == f"garbled 2 gates, 3 tables, 10 rows, {size} bytes -> {bundle}"
 
 
 def test_delegate_deterministic_output_files(tmp_path, circuit_file):
@@ -420,7 +420,7 @@ def test_default_delegate_job_resists_a_seed_grind(tmp_path, circuit_file, monke
     job, params = _queued_job(tmp_path, circuit_file, monkeypatch, "--seed", "4")
     assert _grind(params.oracles.seed) == [4]
     circ = parse_circuit(CIRCUIT_TEXT)
-    keys = delegation.keygen(16, circ.num_inputs, circ, derive_rng(4, "delegate"),
+    keys = delegation.keygen(16, circ.num_inputs, circ, secret_rng(4, "delegate"),
                              conjecture=True)
     decoded = encoding.decode(job.encoded_state, keys, [(w, 0) for w in circ.input_wires])
     assert decoded.terms == pytest.approx(parse_state_tokens("+10").terms)
@@ -434,6 +434,14 @@ def test_keygen_without_a_seed_draws_a_fresh_secret(tmp_path, circuit_file):
         assert main(["keygen", "--circuit", circuit_file, "--out", out, "--seed", "4"]) == 0
     keys = [open(out, "rb").read() for out in outs]
     assert keys[0] != keys[1] and keys[2] == keys[3]
+
+
+def test_derived_seeds_are_pinned():
+    # the bench builds its circuits and inputs through derive_rng, and the
+    # CLI's public oracle seed is a derive_seed
+    assert derive_seed(1, "modexp21") == 9711283895971465115
+    assert derive_seed(-(1 << 127), "x") == 769837572585671538
+    assert derive_rng(1, "modexp21").getrandbits(64) == 4077249424615274201
 
 
 @pytest.mark.parametrize("seed", [str(1 << 127), str(-(1 << 127) - 1)])

@@ -21,7 +21,7 @@ from rgc.games import (AffineKeyFn, GameReport, _sort_headers, circuit_pairs,
                        key_recovery_experiment, qkdm_dist_padded_parity,
                        row_kdm_dist_first_byte, row_kdm_dist_mask_equality,
                        run_closure_game, run_ind_cpa_gbc, run_kdm_game,
-                       run_qkdm_game, run_row_kdm_game, self_cycle_queries,
+                       run_qkdm_game, run_row_kdm_game, SeedGrinder, self_cycle_queries,
                        toffoli_cycle_queries)
 from rgc.netio import serialize_report
 from rgc.sparse import fidelity
@@ -230,6 +230,20 @@ def test_key_recovery_brute_force_succeeds_at_byte_keys():
     assert rate >= 0.9
 
 
+def test_seed_grinding_recovers_the_mersenne_twister_keys_only():
+    # The control: the client's draws before the key stream, from a 16-bit
+    # seed.  Grinding it from the first table's public nonce gives every
+    # key, even at kappa 32, where brute force over the keys is out of
+    # reach.  Under the key stream the same grind finds no seed, at kappa
+    # 16 too, where short nonces give it candidates to reject.
+    grinder = SeedGrinder(16)
+    assert key_recovery_experiment(GAME_CIRCUIT, 32, grinder, 10, random.Random(35),
+                                   mt_seed_bits=16) == 1.0
+    for kappa in (16, 32):
+        assert key_recovery_experiment(GAME_CIRCUIT, kappa, grinder, 100,
+                                       random.Random(36)) == 0.0
+
+
 def test_qkdm_game_blind():
     report = run_qkdm_game(self_cycle_queries(3, 16), 3, qkdm_dist_padded_parity,
                            16, TRIALS, random.Random(17))
@@ -370,5 +384,5 @@ def test_game_reports_are_pinned():
          reuse_nonces=True)
     assert len(reports) == 37 and all(r.trials == 20 for r in reports)
     assert digest.hexdigest() == (
-        "544de98828b0d496cd7b1270aa21ae85c66ef4d75a9f945c8160878cbec00e09"
-        "774297915c0d9a90be95faa44fa9d20a7a20560b9b2c9d78d3b2685ff5316fe0")
+        "f83c48c13bbe36ff89cf31cf6f28487d5b97cd26bdb8400b60f4cf574dec56d6"
+        "021be7d0886898c7139aa0b14e9447f5509d32375b47bb27ba141e649f7e9cd7")

@@ -16,7 +16,7 @@ from rgc.garble import (closure_pairs, garble_circuit, garble_phase, garble_toff
 from rgc.netio import deserialize_circuit, serialize_circuit
 from rgc.sparse import fidelity
 
-from conftest import circuits_and_states, gate_keys, input_state, make_params
+from conftest import circuits_and_states, gate_coins, gate_keys, input_state, make_params
 
 ONE_TOFFOLI = parse_circuit("inputs 3\ntoff 0 1 2\n")
 
@@ -104,7 +104,7 @@ def test_phase_offset_uniform():
     k0 = schedule.pairs[0].k0
     counts = [0] * 8     # Z_{2n} with n = 4
     for _ in range(1000):
-        (table,) = garble_phase(params, gate, schedule.keys(0), rng)
+        (table,) = garble_phase(params, gate, schedule.keys(0), gate_coins(params, rng))
         counts[int.from_bytes(_open_row(params, (k0,), table), "big")] += 1
     assert scipy_stats.chisquare(counts).pvalue > 0.01
 
@@ -127,7 +127,7 @@ def test_shuffle_positions_uniform():
     zero_out = tuple(pair.k0 for pair in outs)
     counts = {"forward": [0] * 8, "backward": [0] * 8, "both": [0] * 64}
     for _ in range(1000):
-        tables = garble_toffoli(params, gate, ins, outs, rng)
+        tables = garble_toffoli(params, gate, ins, outs, gate_coins(params, rng))
         forward = _row_index(params, zero_triple, tables[0])
         backward = _row_index(params, zero_out, tables[1])
         counts["forward"][forward] += 1
@@ -189,6 +189,72 @@ def test_the_table_layout_is_stated_in_garble_alone():
             (layout,) = [node for node in ast.walk(tree)
                          if isinstance(node, ast.ClassDef) and node.name == "_TableLayout"]
             assert not {"Toffoli", "Phase"} & _names(layout)
+
+
+# a Mersenne Twister draw, as a call's name: the class, rand_bytes and the
+# random.Random methods that draw (a gate's coins are read with randbytes,
+# which garble_circuit serves from the key stream)
+_MT_DRAWS = {"Random", "rand_bytes", "getrandbits", "randrange", "randint", "random",
+             "choice", "choices", "shuffle", "sample", "seed"}
+
+
+def _mt_draws(path: pathlib.Path, names: set[str] | None) -> dict[str, list[ast.Call]]:
+    """Per function of the module at ``path`` (those in ``names``, or all),
+    its calls of a name in ``_MT_DRAWS``."""
+    draws = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.FunctionDef) and (names is None or node.name in names):
+            draws[node.name] = [
+                call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and (call.func.attr if isinstance(call.func, ast.Attribute)
+                     else getattr(call.func, "id", None)) in _MT_DRAWS]
+    return draws
+
+
+def test_no_mersenne_twister_draw_on_the_keygen_encode_or_garble_path():
+    """gen_keys and garble_circuit each draw one 256-bit secret from their
+    caller's rng, and nothing else on the path builds or draws from a
+    Mersenne Twister: every key, nonce, permute bit and phase offset is
+    read from the key stream."""
+    src = pathlib.Path(garble.__file__).parent
+    draws = {**_mt_draws(src / "encoding.py", {"gen_keys", "encode"}),
+             **_mt_draws(src / "garble.py", None)}
+    assert {"gen_keys", "encode", "garble_circuit", "garble_toffoli", "garble_phase",
+            "_header"} <= set(draws)
+    for name, calls in draws.items():
+        secret = 1 if name in ("gen_keys", "garble_circuit") else 0
+        assert len(calls) == secret, f"{name} draws {[ast.unparse(c) for c in calls]}"
+        for call in calls:
+            assert ast.unparse(call) == "rng.getrandbits(256)", name
+
+
+def test_a_nonce_redraw_changes_its_table_alone(monkeypatch):
+    # force equal digests in the first slot of the first header built: the
+    # garbler reads that table's nonce again, and every other table,
+    # the gate's own backward table included, keeps its bytes
+    params = make_params(tag_len_bits=16)
+    circ = parse_circuit("inputs 3\ntoff 0 1 2\nphase 2 1\ntoff 1 2 0\nphase 0 3\n")
+    schedule = gen_keys(16, circ, random.Random(50))
+    honest = garble_circuit(params, circ, schedule, random.Random(51))
+    header_of = symcrypt.table_header
+    built = []
+
+    def colliding(params, nonce, slot_keys):
+        header = header_of(params, nonce, slot_keys)
+        built.append(nonce)
+        if len(built) == 1:
+            header = (header[0][:params.digest_bytes] * 2,) + header[1:]
+        return header
+
+    monkeypatch.setattr(symcrypt, "table_header", colliding)
+    forced = garble_circuit(params, circ, schedule, random.Random(51))
+    tables = [(a, b) for pair in zip(honest.tables, forced.tables) for a, b in zip(*pair)]
+    assert [a == b for a, b in tables] == [False] + [True] * 5
+    a, b = tables[0]
+    assert b.nonce == built[1] != a.nonce == built[0]
+    in_pairs, out_pairs = gate_keys(circ, schedule)
+    out = _open_row(params, [pair.k1 for pair in in_pairs], b)
+    assert out == out_pairs[0].k1 + out_pairs[1].k1 + out_pairs[2].k0
 
 
 def test_bundle_shapes():
@@ -382,8 +448,8 @@ def test_reseeding_changes_rows_not_meaning():
     schedule = gen_keys(16, ONE_TOFFOLI, random.Random(10))
     gate = ONE_TOFFOLI.gates[0]
     ins, outs = gate_keys(ONE_TOFFOLI, schedule)
-    t1 = garble_toffoli(params, gate, ins, outs, random.Random(1))
-    t2 = garble_toffoli(params, gate, ins, outs, random.Random(2))
+    t1 = garble_toffoli(params, gate, ins, outs, gate_coins(params, random.Random(1)))
+    t2 = garble_toffoli(params, gate, ins, outs, gate_coins(params, random.Random(2)))
     assert t1 != t2
     triple = tuple(pair.k1 for pair in ins)
     assert _open_row(params, triple, t1[0]) == _open_row(params, triple, t2[0])

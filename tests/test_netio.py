@@ -568,32 +568,31 @@ def _wire_2_job(job, params):
 
 @pytest.mark.parametrize("text, widths, wire_2, wire_3", [
     (PHASE_JOB_CIRCUIT, {"tag_len_bits": 128},
-     (1221, "b0a8106fdf635b25d8892730ec95e67d945d6911a74a8d7e424c3df650f90cab"
-            "e43edb9b6ffc293e03dd210a2e1de4051ec0509159fde9388f8d358aa35eda3a"),
-     (1191, "e6f1977517d9e24b61b67229a4d268b6ee040d43ef265e8e1f4eac33d9aef728"
-            "d1a626ad3d1bb809e9bf979ab059f014754d9ddbeb3cfd567dfd7ff5249127f8")),
+     (1221, "d17984eecfada755376e8bc778097924009c1801bbff63d083c327cebe7dbf0d"
+            "b0482f78a4f0beeabfcd97a6e339588efeb43af09162f2791d8833a98251208d"),
+     (1191, "0f5279306a00faac38269d8572d3c964bd128ae58204d2d16de983e8144ea85a"
+            "c4fe776ed307e470a8813351d1999e53c9ed4f18c78dab434d86ec56305a1162")),
     (TOFFOLI_JOB_CIRCUIT, {"tag_len_bits": 128},
-     (1130, "c9b72778cc06f6fe1db95a7323985d4e834b28408a3c4b9b6614e48382d8fa57"
-            "e7df2e0f085fcb718d89c616bf71e66c7f251a692fd83352c045e4595acb577e"),
-     (1100, "e70c95b9bf71e8f244b655cb9278c8e5c2f3bc4a070a922034bfd22b66d7d055"
-            "b4d9988ad09df92e589769feed8a943394cdee7094b9f5c38b6065e3fc2aed6d")),
+     (1130, "30bb0a01cbdb1bede04876601af3fb6b7ea46bdceb7d67b3d20487c8c0368cb5"
+            "3f68df36a4b5e07b4c007d3adc2d1cde4501d874242c5ed0b0c119b7eeb6ac67"),
+     (1100, "73f7e36df9bb7f927f28e624412132ed76893a4e29bebd3fc653c31fcc0c205c"
+            "3d4dee5a393b54b4c4abcda69c618dd0c66595d5e2a67f0bb33e3e8168e40917")),
     (PHASE_JOB_CIRCUIT, {},
-     (633, "bb4ac58d13d46073188a2c19e65fafe7704bfeb203444321e9a2632cc5b445ef"
-           "b010c29e8e730fea77c345c4226d78a0e1fdaff3006946cb00c8035c7b537cb0"),
-     (603, "d801b798c16b38ebd6b7c9348226a54236a84c8105a46f32b90d57b7bf06da6d"
-           "89a411139641e3dc0a70aeb0213ad23a31a2641fc017ca25fdcaea1158886bc7")),
+     (633, "84058350c89ab4cb29077d64d63f699dac0106fca4763fe5d7a72d5bfec85d9f"
+           "263424db56b85f17c22fdc6a62061abbe97bddeaed7c2e69cfcac4ef646e5bdf"),
+     (603, "08fafe5e9637aac28aed985042a994e378fa3446da226e69fb296831b3743c22"
+           "8c57bbe46d1f0664390c6872aa74d1f09e37b157008288f4cdba96846c2e3c04")),
     (TOFFOLI_JOB_CIRCUIT, {},
-     (626, "478b312a85bc735e547ecb6154c79b52c255583b82f6659773349a8cbeab5c70"
-           "948a03903d34b5220aefe2594aaf351b3f998d072cf799cbca835a6173c3e5a7"),
-     (596, "f7c4e7af57dc38067974352b91964c7efd1b59362f16d7fee3456ffdb7313edc"
-           "38ce002a021b35bdeaee8a78ad491a1aaeb22542ba5051b51da9b24d7d6c0253")),
+     (626, "1e3012c4b6b5445ecc0ee19652610befcdbcbb8e8e10cbf503e3f2673d809707"
+           "9f8be7ae153edac8ee8bda7ae0109e429362e854a3ea71aa264f4020de4e08dd"),
+     (596, "20586e102da6383a91f6a89a3c813ab03b02ee35eeb1310b503fd5099d3811f5"
+           "9d78a1a1c188de0ebe6e9cce80acb3431ffaa5e12067ec978396ebf7a68d9829")),
 ], ids=["phase-job", "toffoli-job", "phase-job-default-tags", "toffoli-job-default-tags"])
 def test_job_bytes_golden(text, widths, wire_2, wire_3):
     # length and BLAKE2b of serialize_job, bundle format 6: wire version 3,
     # and the same job's per-term state and bundle as wire version 2 sent
-    # them.  The 128-bit pins were made before the column state and before
-    # the nonce redraw, which leaves a table without a digest collision as
-    # it was; the default-length pins were made with 16-bit digests.
+    # them.  Pinned with keys, nonces and permute bits from the key stream;
+    # the lengths are those of the Mersenne Twister draws before it.
     job, params = _seeded_job(text, **widths)
     data = serialize_job(job, params)
     assert _pin(_wire_2_job(job, params)) == wire_2
@@ -740,18 +739,18 @@ def test_unsorted_constants_are_refused():
 def test_half_table_job_bytes_golden():
     # 4 + 4 rows for the Toffoli with a constant control, whose slot in
     # both headers holds one digest; pinned at 128-bit digests and at the
-    # default 16-bit ones
+    # default 16-bit ones, with the key stream
     for widths, slots, wire_2, wire_3 in (
             ({"tag_len_bits": 128}, [16, 32, 32],
-             (356, "90864b17a358a6e8b54d2b08ef11d1f0c97fd07d1fdc12d416d5efc3b17c5370"
-                   "d29390efc0ef8ecec60d22666fc6b5501ba3a3d0f8075ffea18a09a2315c8875"),
-             (347, "757fad53b8ee3ccae676e8e221b353c39a20a71179953d8a5d41e680c9263a94"
-                   "a038bc2930a9c2d07b4ae922c9e1892639e8f1cf44e687d0bea616b4211ccc9c")),
+             (356, "7c252928f98f443bd7262638a414567079ba17d94ed2ba40f0682089050fc0a7"
+                   "5e0d8eee8d7fcb2650254a8dc7b21668017553d7472bd3c4f2e4e6d75759b0c9"),
+             (347, "479a76bb87407558fc7476ab068e0cdcb43ad3f2d5c22014854840177181bb2d"
+                   "2364bc46e1d85c021b0139ab6e5767908f59818ed01fc7fd7d4388b4c79f8edf")),
             ({}, [2, 4, 4],
-             (216, "0afe638d130baa8acc103a0779cdbb13f3effd3a402d041c0c89a0ea6845b255"
-                   "5232267d1d23dec57875852fa68cd11f6af8c7c870bfc217a8c2ef740320760b"),
-             (207, "3273acc388cd0b27a5d3bc0ee9760d6fa5d03976ca59cf150d918642ea6f36a6"
-                   "bd44f89295501959b6978d2fe1b38e6ed5afde160c2a41c97d18140439310ab2"))):
+             (216, "c09645a6b0f934bcaeb487a7e7f40d6e9aca35c1535f3d75609b9f00946d3237"
+                   "50c393c128f2c4c34b6687dc0cd5cb0762a567a68ff04cea9b820903b99883ec"),
+             (207, "dcb7c147b74ffb43a6a674276d02525747785aff66f64b28fc09d1a8635e404b"
+                   "83f23207a54f13d860dc180ae5886daa00a808324f590abc7499b7b6cd4aacba"))):
         job, params = _seeded_job(CONST_JOB_CIRCUIT, **widths)
         (table,) = job.garbled.tables
         assert [len(t.rows) for t in (table[0], table[1])] == [4, 4]
