@@ -12,7 +12,7 @@ register's second key.  A received state lists its keys in increasing
 order as integers; that order picks which key is bit 1, and with it the
 order in which a gate's triples are translated and so which refusal a bad
 table gets first.  The amplitudes are one list of Python complex numbers,
-which a phase gate multiplies by its factors.  Nothing on this path imports
+which one pass after the last gate phases.  Nothing on this path imports
 numpy.  A wire has two keys, so a register may hold at most two: the column
 form holds no more, and a Toffoli whose tables would write a third key to
 an output wire is refused.  Honest tables never break this rule.  The
@@ -33,12 +33,23 @@ key, which must match exactly one of the slot's digests, gives the key's
 position, the positions index the row, and one oracle query opens it.  The
 triples of one gate share their registers' keys, so each gate remembers the
 position of every (slot, key) it has looked up, per table, and computes each
-digest once.  The backward payload must XOR the inputs to exactly zero -
-that erasure is asserted for every distinct triple of every gate, and a
-failure aborts the evaluation: leftover input keys would entangle the result
-with junk registers.  A phase gate opens its row once per distinct key,
-through a header of one slot, and gathers one factor per term from the
-register's bits.
+digest once.  The tables' shapes are checked once per gate, and each triple
+is translated in full before the next, so a table with two faults is
+refused for the one its earlier triple meets.  The backward payload must
+XOR the inputs to exactly zero - that erasure is asserted for every
+distinct triple of every gate, and a failure aborts the evaluation:
+leftover input keys would entangle the result with junk registers.
+
+A phase gate opens its row once per distinct key, through a header of one
+slot, and touches no amplitude.  A Toffoli never moves a term, so the job
+keeps one exponent per term, mod 2^(D+1) for the skeleton's largest
+exponent D, in D+1 bitsets over the terms plus one scalar that every term
+shares (:class:`PhaseCounter`): a gate adds its first key's value, scaled
+to that modulus, to the scalar, and the difference of its two keys' values
+to the terms of its register's bitset, by a ripple add over the bitsets -
+the Toffoli step's bitslicing again.  One pass after the last gate
+multiplies each amplitude by omega^e, omega = exp(i*pi/2^D), with one
+``cmath.exp`` per distinct exponent.  A job without phase gates skips it.
 
 A register the skeleton declares a public constant must hold one key in
 every term, or the state is refused.  A Toffoli it controls carries half
@@ -97,42 +108,27 @@ class EvalStats:
 SlotMemo = dict[tuple[int, bytes], int]
 
 
-def _open(params: CryptoParams, keys: tuple[bytes, ...], table: Table, memo: SlotMemo,
-          stats: EvalStats, backward: bool = False) -> bytes:
-    """The payload of the row that ``keys``, one per header slot, index.
+def _position(params: CryptoParams, key: bytes, nonce: bytes, slot: int, digests: bytes) -> int:
+    """The position of ``key`` among the ``digests`` of header slot ``slot``:
+    one oracle query, and exactly one digest must match."""
+    hits = symcrypt.slot_positions(params, key, nonce, slot, digests)
+    if len(hits) == 1:
+        return hits[0]
+    if not hits:
+        raise NoRowMatchError(f"no digest of header slot {slot} matches its key")
+    raise AmbiguousRowError(f"digests {hits[0]} and {hits[1]} of header slot {slot} both "
+                            f"match its key")
 
-    Each (slot, key) is looked up once per gate, through ``memo``: one
-    digest, compared with every digest of the slot, and exactly one must
-    match.  The positions, mixed-radix over the slots' digest counts, give
-    the row's index, and one mask query over the keys, the table's nonce and
-    that index opens the row.
-    """
-    t, header, nonce = params.digest_bytes, table.header, table.nonce
-    if len(keys) != len(header):
-        raise EvalError(f"{len(keys)} keys for a header of {len(header)} slots")
-    index, size = 0, 1
-    for slot, key in enumerate(keys):
-        digests = len(header[slot]) // t
-        position = memo.get((slot, key))
-        if position is None:
-            stats.rows_tried += 1
-            if backward:
-                stats.backward_ver_calls += 1
-            else:
-                stats.ver_calls += 1
-            hits = symcrypt.slot_positions(params, key, nonce, slot, header[slot])
-            if not hits:
-                raise NoRowMatchError(f"no digest of header slot {slot} matches its key")
-            if len(hits) > 1:
-                raise AmbiguousRowError(f"digests {hits[0]} and {hits[1]} of header slot "
-                                        f"{slot} both match its key")
-            position = memo[(slot, key)] = hits[0]
-        index = index * digests + position
-        size *= digests
+
+def _check_shape(params: CryptoParams, table: Table, slots: int) -> None:
+    """A table read by ``slots`` keys has that many header slots, and as many
+    rows as the positions its slots' digests give, mixed-radix."""
+    header = table.header
+    if len(header) != slots:
+        raise EvalError(f"{slots} keys for a header of {len(header)} slots")
+    size = math.prod([len(digests) // params.digest_bytes for digests in header])
     if size != len(table.rows):
         raise EvalError(f"a header of {size} positions over {len(table.rows)} rows")
-    stats.rows_tried += 1
-    return symcrypt.row_dec(params, keys, table.rows[index], nonce, index)
 
 
 def eval_toffoli_term(params: CryptoParams, key_triple: tuple[bytes, bytes, bytes],
@@ -140,17 +136,61 @@ def eval_toffoli_term(params: CryptoParams, key_triple: tuple[bytes, bytes, byte
                       memo: tuple[SlotMemo, SlotMemo] | None = None
                       ) -> tuple[bytes, bytes, bytes]:
     """Translate one input key triple to the output triple, checking that the
-    backward table erases the inputs exactly.  ``memo`` holds the forward
-    and backward header positions of earlier triples through the same
-    tables."""
+    backward table erases the inputs exactly.
+
+    In each table, each key's position is looked up once per gate through
+    ``memo``, which holds the forward and backward positions of earlier
+    triples through the same tables.  The positions, mixed-radix over the
+    slots' digest counts, index the row, and one mask query over the keys,
+    the table's nonce and that index opens it.  Each count is bumped before
+    its lookup.  The tables' shapes are the caller's to check, as
+    :func:`eval_toffoli` does once per gate.
+    """
     stats = stats if stats is not None else EvalStats()
     forward_memo, backward_memo = memo if memo is not None else ({}, {})
     forward, backward = tables
-    kb = params.kappa_bytes
-    payload = _open(params, key_triple, forward, forward_memo, stats)
-    out = (payload[:kb], payload[kb:2 * kb], payload[2 * kb:3 * kb])
-    back = _open(params, out, backward, backward_memo, stats, backward=True)
-    if (back[:kb], back[kb:2 * kb], back[2 * kb:3 * kb]) != key_triple:
+    t, kb = params.digest_bytes, params.kappa_bytes
+    x, y, z = key_triple
+    header, nonce = forward.header, forward.nonce
+    p0 = forward_memo.get((0, x))
+    if p0 is None:
+        stats.rows_tried += 1
+        stats.ver_calls += 1
+        p0 = forward_memo[0, x] = _position(params, x, nonce, 0, header[0])
+    p1 = forward_memo.get((1, y))
+    if p1 is None:
+        stats.rows_tried += 1
+        stats.ver_calls += 1
+        p1 = forward_memo[1, y] = _position(params, y, nonce, 1, header[1])
+    p2 = forward_memo.get((2, z))
+    if p2 is None:
+        stats.rows_tried += 1
+        stats.ver_calls += 1
+        p2 = forward_memo[2, z] = _position(params, z, nonce, 2, header[2])
+    index = (p0 * (len(header[1]) // t) + p1) * (len(header[2]) // t) + p2
+    stats.rows_tried += 1
+    payload = symcrypt.row_dec(params, key_triple, forward.rows[index], nonce, index)
+    out = u, v, w = payload[:kb], payload[kb:2 * kb], payload[2 * kb:3 * kb]
+    header, nonce = backward.header, backward.nonce
+    p0 = backward_memo.get((0, u))
+    if p0 is None:
+        stats.rows_tried += 1
+        stats.backward_ver_calls += 1
+        p0 = backward_memo[0, u] = _position(params, u, nonce, 0, header[0])
+    p1 = backward_memo.get((1, v))
+    if p1 is None:
+        stats.rows_tried += 1
+        stats.backward_ver_calls += 1
+        p1 = backward_memo[1, v] = _position(params, v, nonce, 1, header[1])
+    p2 = backward_memo.get((2, w))
+    if p2 is None:
+        stats.rows_tried += 1
+        stats.backward_ver_calls += 1
+        p2 = backward_memo[2, w] = _position(params, w, nonce, 2, header[2])
+    index = (p0 * (len(header[1]) // t) + p1) * (len(header[2]) // t) + p2
+    stats.rows_tried += 1
+    back = symcrypt.row_dec(params, out, backward.rows[index], nonce, index)
+    if back[:3 * kb] != x + y + z:          # every key is kb bytes
         raise ErasureError("backward row does not cancel the input keys")
     stats.erasure_checks += 1
     return out
@@ -160,15 +200,18 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
                  tables: tuple[Table, Table], stats: EvalStats) -> None:
     """Apply one garbled Toffoli to registers ``regs`` of the state, in place.
 
-    The terms of key triple (x, y, z) are the AND of the three registers'
-    bitsets, each taken as is for key 1 and complemented for key 0.  Each
-    present triple is translated once, in increasing order of ``4x + 2y +
-    z``, sharing one slot memo, so the erasure check runs exactly once per
-    triple while covering every term carrying it; an output register's new
-    bitset is the OR of the masks of the triples that write its second key.
-    Erasure also makes the step injective: two triples sent to one output
-    triple open one backward row, whose payload cannot equal both.
+    Both tables' shapes are checked once.  The terms of key triple (x, y, z)
+    are the AND of the three registers' bitsets, each taken as is for key 1
+    and complemented for key 0.  Each present triple is translated once, in
+    increasing order of ``4x + 2y + z``, sharing one slot memo, so the
+    erasure check runs exactly once per triple while covering every term
+    carrying it; an output register's new bitset is the OR of the masks of
+    the triples that write its second key.  Erasure also makes the step
+    injective: two triples sent to one output triple open one backward row,
+    whose payload cannot equal both.
     """
+    for table in tables:
+        _check_shape(params, table, 3)
     a, b, c = regs
     keys_a, keys_b, keys_c = state.values[a], state.values[b], state.values[c]
     bits_a, bits_b, bits_c = state.bits[a], state.bits[b], state.bits[c]
@@ -201,28 +244,89 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
         state.bits[reg] = bits
 
 
+class PhaseCounter:
+    """Each term's phase exponent mod 2^(D+1), D the job's largest
+    ``denom_exp``: one bitset per exponent bit over the terms (bit t of
+    ``planes[j]`` is bit j of term t's exponent), plus one ``scalar`` that
+    every term shares.  Term t's phase is omega^e with omega = exp(i*pi/2^D)
+    and e = scalar + its planes' bits, so a gate of exponent d adds its
+    values times 2^(D-d)."""
+
+    __slots__ = ("width", "planes", "scalar")
+
+    def __init__(self, max_denom_exp: int):
+        self.width = max_denom_exp + 1
+        self.planes = [0] * self.width
+        self.scalar = 0
+
+    def add(self, mask: int, delta: int) -> None:
+        """Add ``delta`` to the exponent of every term in ``mask``: a ripple
+        add of one bitset per bit, whose carry holds the terms that carry
+        into the next bit.  A carry out of the top bit wraps."""
+        planes, carry = self.planes, 0
+        for j, plane in enumerate(planes):
+            if delta >> j & 1:                  # a term of the mask adds 1 + carry
+                planes[j] = plane ^ mask ^ carry
+                carry |= plane & mask
+            elif carry:
+                planes[j] = plane ^ carry
+                carry &= plane
+            elif not delta >> j:
+                break
+
+    def apply(self, amps: list[complex]) -> list[complex]:
+        """Each amplitude times omega^e, one ``cmath.exp`` per distinct e.
+        Each group of eight planes spreads to one byte per term: format a
+        plane as one character per term and keep each character's low bit."""
+        n = len(amps)
+        ones = int.from_bytes(b"\x01" * n, "little")
+        lanes = []
+        for start in range(0, self.width, 8):
+            lane = 0
+            for j, plane in enumerate(self.planes[start:start + 8]):
+                if plane:
+                    lane |= (int.from_bytes(format(plane, f"0{n}b").encode(), "big")
+                             & ones) << j
+            lanes.append(lane.to_bytes(n, "little"))
+        exps: bytes | list[int] = lanes[0]
+        for group, lane in enumerate(lanes[1:], 1):
+            exps = [e | byte << 8 * group for e, byte in zip(exps, lane)]
+        modulus, turn = 1 << self.width, math.pi / (1 << (self.width - 1))
+        factors = {e: cmath.exp(1j * turn * ((self.scalar + e) % modulus)) for e in set(exps)}
+        return [amp * factors[e] for amp, e in zip(amps, exps)]
+
+
 def eval_phase(params: CryptoParams, state: ColumnarState, gate: Phase,
-               tables: tuple[Table], stats: EvalStats) -> None:
+               tables: tuple[Table], stats: EvalStats, counter: PhaseCounter) -> None:
     """Open the phase row for each distinct key of the gate's register and
-    multiply every term by omega^value, in place.
+    add its value, scaled to the counter's modulus, to the exponents of the
+    terms holding that key: the first key's to the scalar, and the
+    difference under the register's bitset.
 
     The scratch register holding the opened value is written and unwritten by
     the same table lookup, so it never appears in the state we keep; only the
-    phase survives.  A negative gate applies omega^(-value), flipping the
-    surviving relative phase.
+    phase survives.  A negative gate adds -value, flipping the surviving
+    relative phase.
     """
-    denom = 1 << gate.denom_exp
-    modulus = 2 * denom
-    factors = []
+    table = tables[0]
+    _check_shape(params, table, 1)
+    digests, nonce = table.header[0], table.nonce
+    modulus, shift = 2 << gate.denom_exp, counter.width - 1 - gate.denom_exp
+    exps = []
     for key in state.values[gate.qubit]:
-        value = int.from_bytes(_open(params, (key,), tables[0], {}, stats), "big")
+        stats.rows_tried += 1
+        stats.ver_calls += 1
+        index = _position(params, key, nonce, 0, digests)
+        stats.rows_tried += 1
+        value = int.from_bytes(symcrypt.row_dec(params, (key,), table.rows[index], nonce, index),
+                               "big")
         if value >= modulus:
             raise EvalError("phase payload out of range")
-        factors.append(cmath.exp(1j * math.pi * (gate.sign * value % modulus) / denom))
-    # a register of one key has bitset 0, so every term takes factors[0]
-    zero, one = factors[0], factors[-1]
-    state.amps = [amp * (one if code == "1" else zero)
-                  for amp, code in zip(state.amps, state.codes(gate.qubit))]
+        exps.append(gate.sign * value << shift)
+    counter.scalar += exps[0]
+    # a register of one key has bitset 0: every term took the scalar's share
+    if len(exps) == 2:
+        counter.add(state.bits[gate.qubit], (exps[1] - exps[0]) % (1 << counter.width))
 
 
 def eval_bundle(params: CryptoParams, encoded: ColumnarState,
@@ -246,14 +350,19 @@ def eval_bundle(params: CryptoParams, encoded: ColumnarState,
     # the gates replace a register's lists and the amplitude list, never edit them
     state = replace(encoded, values=list(encoded.values), bits=list(encoded.bits))
     stats = EvalStats()
+    # a Toffoli never moves a term, so one counter phases the terms at the end
+    max_denom_exp = max([g.denom_exp for g in circ.gates if isinstance(g, Phase)], default=-1)
+    counter = PhaseCounter(max_denom_exp) if max_denom_exp >= 0 else None
     for index, (gate, tables) in enumerate(zip(circ.gates, bundle.tables)):
         try:
             if isinstance(gate, Toffoli):
                 eval_toffoli(params, state, gate.qubits, tables, stats)
             else:
-                eval_phase(params, state, gate, tables, stats)
+                eval_phase(params, state, gate, tables, stats, counter)
         except EvalError as exc:
             raise type(exc)(f"gate {index}: {exc}") from None
+    if counter is not None:
+        state.amps = counter.apply(state.amps)
     # every gate steps every term, and the term count never changes
     stats.gates = len(circ.gates)
     stats.terms_processed = stats.gates * len(state.amps)

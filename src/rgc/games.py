@@ -531,13 +531,16 @@ def key_recovery_experiment(circ: CPCircuit, kappa_bits: int, guesser: Guesser,
                             trials: int, rng: random.Random, *,
                             mt_seed_bits: int | None = None) -> float:
     """Hand the guesser one input's keys plus the tables; count how often it
-    produces the key tuple of a different designated input.  Success is
-    checked through the tables' own tags (plus disequality with the known key
-    where the target bit differs - replaying the given keys never counts).
-    Both inputs hold the circuit's public constants at 1: the revealed input
-    is 0 elsewhere and the target 1 everywhere.  ``mt_seed_bits`` rigs the
-    game: the client draws keys and tables as it did before the key stream
-    (:func:`_mt_client`), from a seed of that many bits."""
+    produces the key tuple of a different designated input.  Both inputs
+    hold the circuit's public constants at 1: the revealed input is 0
+    elsewhere and the target 1 everywhere, so a guess recovers the target
+    when it equals, wire by wire, the 1 keys of the schedule the trial drew.
+    A digest match is no proof of a key: a short digest matches about one
+    wrong key in 2^(tag length - 1).  Guessers themselves see public data
+    only, and check candidates with :func:`wire_tag_check`.
+    ``mt_seed_bits`` rigs the game: the client draws keys and tables as it
+    did before the key stream (:func:`_mt_client`), from a seed of that many
+    bits."""
     n = circ.num_inputs
     input_bits = circ.const_mask
     if input_bits == (1 << n) - 1:
@@ -552,17 +555,8 @@ def key_recovery_experiment(circ: CPCircuit, kappa_bits: int, guesser: Guesser,
             schedule, bundle = _mt_client(params, circ, rng.getrandbits(mt_seed_bits))
         known = [schedule.pairs[w][(input_bits >> i) & 1]
                  for i, w in enumerate(circ.input_wires)]
-        view = RecoveryView(params, circ, bundle, list(known))
-        guess = guesser(view, rng)
-        ok = len(guess) == n
-        for i, w in enumerate(circ.input_wires):
-            if not ok:
-                break
-            if (input_bits >> i) & 1:       # a constant: both inputs hold 1
-                ok = guess[i] == known[i]
-            else:
-                ok = guess[i] != known[i] and wire_tag_check(view, w, guess[i])
-        successes += 1 if ok else 0
+        guess = guesser(RecoveryView(params, circ, bundle, list(known)), rng)
+        successes += list(guess) == [schedule.pairs[w].k1 for w in circ.input_wires]
     return successes / trials
 
 

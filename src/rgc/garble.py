@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import symcrypt
 from .circuit import DEFAULT_MAX_DENOM_EXP, CPCircuit, Phase, Toffoli, without_x
@@ -84,10 +84,10 @@ from .symcrypt import CryptoParams
 from .util import KeyStream
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     """One garbled table: its nonce, a header slot per key position, and the
-    masked rows their positions index (see :mod:`rgc.symcrypt`)."""
+    masked rows their positions index (see :mod:`rgc.symcrypt`).  A tuple,
+    since both ends of the wire build one per table."""
 
     nonce: bytes
     header: tuple[bytes, ...]

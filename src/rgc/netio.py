@@ -147,7 +147,8 @@ KIND_ERROR = 3
 # Server limits: the largest envelope payload a peer may declare (modexp21's
 # job is 332 KB and the blind interpreter's at N=3, D=3, L=4 is 50 KB), the
 # most work one job may ask of the evaluator (see job_work: modexp21 asks
-# 14,976 steps, and a phase step takes about 0.1 us), the most qubits a
+# 14,976 steps, and a Toffoli word step takes about 0.1 us; a phase table's
+# steps, one per term, overstate its cost), the most qubits a
 # skeleton may declare (that interpreter has 36), the most registers times
 # terms a state may declare, how many connections are served at once, and
 # how long a request may take to arrive, and its reply to leave.  A register
@@ -556,9 +557,11 @@ def _read_result(envelope: bytes | bytearray) -> tuple[ColumnarState, EvalStats]
 
 
 def job_work(skeleton: CPCircuit, terms: int) -> int:
-    """The evaluator's work on a job of ``terms`` terms: a phase table
-    multiplies every amplitude, one step per term, and a Toffoli's bitset
-    ops take one step per 64-bit word of one bit per term."""
+    """The evaluator's work on a job of ``terms`` terms: one step per term
+    for a phase table, and one step per 64-bit word of one bit per term for
+    a Toffoli's bitset ops.  A phase table costs two lookups, two rows and
+    a ripple add of one bitset per exponent bit, so its one step per term
+    overstates it, the safe direction."""
     phases = sum(isinstance(g, Phase) for g in skeleton.gates)
     return phases * terms + (len(skeleton.gates) - phases) * -(-terms // 64)
 

@@ -154,10 +154,6 @@ class ColumnarState:
     def num_terms(self) -> int:
         return len(self.amps)
 
-    def codes(self, i: int) -> str:
-        """Register i's value index per term, "0" or "1", from its bitset."""
-        return format(self.bits[i], f"0{len(self.amps)}b")[::-1]
-
     def canonical(self) -> ColumnarState:
         """The state in canonical form: each register's values sorted, with
         its bitset complemented where they swap, then the terms sorted by

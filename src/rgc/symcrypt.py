@@ -20,9 +20,9 @@ Three schemes, all masking the plaintext with oracle output:
   table with two calls, :func:`table_header` and :func:`table_rows`, each
   fetching its oracle once and querying it in one loop; the evaluator looks
   up one slot with :func:`slot_positions` and opens one row with
-  :func:`row_dec`.  One private function defines the slot digest and one
-  the row mask; the garbler's two loops inline them, and every evaluated
-  job checks that both sides agree.
+  :func:`row_dec`.  Each of the four computes its digest or mask inline,
+  since the evaluator calls the last two once per lookup and per row, and
+  every evaluated job checks that both sides agree.
 
 Every oracle query starts with a domain byte - MASK, TAG, ROW or SLOT - and
 then fixed-width fields, so queries of different schemes can never collide,
@@ -193,28 +193,10 @@ def triple_ver(params: CryptoParams, key: SymKey, index: int, ct: bytes) -> bool
 # ---------------------------------------------------------------------------
 # joint-hash scheme
 
-def _slot_digest(query, key: SymKey, nonce: bytes, slot: int) -> bytes:
-    """H(SLOT||k||N||j), the digest of key k at slot j of the table under N:
-    the one definition of a slot digest."""
-    return query(_SLOT + key + nonce + _INDEX[slot])
-
-
-def _mask_row(query, keys: bytes, data: bytes, nonce: bytes, index: int) -> bytes:
-    """``data`` xor H(ROW||k1||..||kn||N||i), ``keys`` being k1||..||kn and
-    ``query`` the oracle of data's length: the one definition of a row mask,
-    which masks and unmasks alike."""
-    mask = query(_ROW + keys + nonce + _INDEX[index])
-    if len(mask) != len(data):
-        raise ValueError(f"a {len(data)}-byte row under a {len(mask)}-byte mask")
-    return (int.from_bytes(data, "little") ^ int.from_bytes(mask, "little")).to_bytes(
-        len(data), "little")
-
-
 def table_header(params: CryptoParams, nonce: bytes,
                  slot_keys: Sequence[Sequence[SymKey]]) -> tuple[bytes, ...]:
-    """The header of a table under ``nonce``: slot j holds the digests of
-    ``slot_keys[j]`` in the given order, each the query of
-    :func:`_slot_digest`."""
+    """The header of a table under ``nonce``: slot j holds the digests
+    H(SLOT||k||N||j) of the keys k of ``slot_keys[j]``, in the given order."""
     query = params.tag_query
     return tuple([b"".join([query(_SLOT + key + nonce + _INDEX[slot]) for key in keys])
                   for slot, keys in enumerate(slot_keys)])
@@ -223,9 +205,9 @@ def table_header(params: CryptoParams, nonce: bytes,
 def table_rows(params: CryptoParams, nonce: bytes,
                rows: Sequence[tuple[bytes, bytes]]) -> tuple[bytes, ...]:
     """The rows of a table under ``nonce``: row i is the payload of
-    ``rows[i] = (k1||..||kn, payload)`` masked as :func:`_mask_row` masks
-    it, by one query over its keys.  The table fetches one oracle, so its
-    payloads share one nonzero length."""
+    ``rows[i] = (k1||..||kn, payload)`` xor H(ROW||k1||..||kn||N||i), one
+    query over its keys.  The table fetches one oracle, so its payloads
+    share one nonzero length."""
     if not rows or not rows[0][1]:
         raise ValueError("a table needs rows with a nonempty payload")
     n = len(rows[0][1])
@@ -243,9 +225,13 @@ def table_rows(params: CryptoParams, nonce: bytes,
 def slot_positions(params: CryptoParams, key: SymKey, nonce: bytes, slot: int,
                    digests: bytes) -> list[int]:
     """The positions in slot ``slot`` (its ``digests``) whose digest is
-    key's: one oracle query."""
+    key's, H(SLOT||k||N||j) as :func:`table_header` writes it: one oracle
+    query."""
+    digest = params.tag_query(_SLOT + key + nonce + _INDEX[slot])
     t = params.digest_bytes
-    digest = _slot_digest(params.tag_query, key, nonce, slot)
+    if len(digests) == 2 * t:           # a wire's two keys: every slot but a constant's
+        first, second = digests.startswith(digest), digests.endswith(digest)
+        return [0, 1] if first and second else [0] if first else [1] if second else []
     return [i for i in range(len(digests) // t) if digests[i * t:(i + 1) * t] == digest]
 
 
@@ -260,6 +246,9 @@ def row_enc(params: CryptoParams, keys: Sequence[SymKey], m: bytes, nonce: bytes
 
 def row_dec(params: CryptoParams, keys: Sequence[SymKey], row: bytes, nonce: bytes,
             index: int) -> bytes:
-    """Unmask a row; a wrong key yields garbage, as kdm_dec's does."""
-    return _mask_row(params.oracles.for_len(8 * len(row)).query, b"".join(keys), row, nonce,
-                     index)
+    """Unmask a row, masked as :func:`table_rows` masks it, by one query of
+    the oracle of its length; a wrong key yields garbage, as kdm_dec's
+    does."""
+    n = len(row)
+    mask = params.oracles.for_len(8 * n).query(_ROW + b"".join(keys) + nonce + _INDEX[index])
+    return (int.from_bytes(row, "little") ^ int.from_bytes(mask, "little")).to_bytes(n, "little")

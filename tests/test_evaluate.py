@@ -1,3 +1,4 @@
+import cmath
 import copy
 import hashlib
 import math
@@ -9,11 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rgc import delegation, netio, sparse, symcrypt
-from rgc.circuit import (Phase, Toffoli, allocate_wires, parse_circuit, phase, random_circuit,
-                         simulate, toff, x)
+from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, Phase, Toffoli, allocate_wires, parse_circuit,
+                         phase, random_circuit, simulate, toff, x)
 from rgc.encoding import decode, encode, gen_keys
 from rgc.evaluate import (AmbiguousRowError, ErasureError, EvalError, EvalStats,
-                          NoRowMatchError, eval_bundle, eval_toffoli_term)
+                          NoRowMatchError, PhaseCounter, eval_bundle, eval_toffoli_term)
 from rgc.garble import GarbledBundle, Table, garble_circuit, garble_toffoli
 from rgc.sparse import descents, fidelity, inner, qubit_layout, random_state
 
@@ -303,10 +304,12 @@ def test_eval_module_never_touches_schedules():
 # ---------------------------------------------------------------------------
 # byte identity: BLAKE2b of the result state in the per-term payloads of wire
 # versions 1 and 2 and in wire version 3's column payload, re-pinned when
-# keys came from the key stream (the result registers hold keys); the
-# EvalStats are pinned on their own, since they count work rather than
-# describe the result (header lookups and rows opened since bundle format
-# 5), and the key stream left them as they were
+# keys came from the key stream (the result registers hold keys), and the
+# circuits with phase gates re-pinned when the evaluator came to phase each
+# term once, at the end (the amplitudes moved in their last bits, by under
+# 1e-15); the EvalStats are pinned on their own, since they count work
+# rather than describe the result (header lookups and rows opened since
+# bundle format 5), and neither change moved them
 
 def _digest(data):
     return hashlib.blake2b(data, digest_size=16).hexdigest()
@@ -329,9 +332,9 @@ def test_result_bytes_pinned_for_phase_circuit():
     state = random_state(qubit_layout(4), rng)
     assert {g.denom_exp for g in circ.gates if isinstance(g, Phase)} == {0, 1, 2, 3}
     digest, wire_2_digest, wire_3_digest, stats = _golden_result(circ, state, 1)
-    assert digest == "d6bd503f0348abcc35a1826bc8cf44aa"
-    assert wire_2_digest == "3484c735f6505535742e5f8d6672eb6c"
-    assert wire_3_digest == "80309669fa6c268c288e5d96f06bb487"
+    assert digest == "ffb8c1d0ea767ebbeed3c0327d65e0a4"
+    assert wire_2_digest == "0654d77e787cfce36f6f5ad861236918"
+    assert wire_3_digest == "aadc72ee54fe8fd7ab8e2a1bed4788cb"
     assert stats == EvalStats(gates=24, terms_processed=384, rows_tried=408, ver_calls=100,
                               backward_ver_calls=78, erasure_checks=104)
 
@@ -363,9 +366,9 @@ def test_result_bytes_pinned_for_a_wide_superposition():
     state = _superposition(8, 200, rng)
     assert (sum(isinstance(g, Toffoli) for g in circ.gates), len(state.terms)) == (18, 200)
     digest, wire_2_digest, wire_3_digest, stats = _golden_result(circ, state, 3)
-    assert digest == "f5e1a8471f7a44711d63a2d7d8192f11"
-    assert wire_2_digest == "0bdf3eeba8e92644c1325e87ed3e05ff"
-    assert wire_3_digest == "5691d709fb3f4693738108cb2e37baf7"
+    assert digest == "0da47f050c12f9e50a5f7c9dbc2738fd"
+    assert wire_2_digest == "217d34c1d132d43c2dcedd2961a91d7e"
+    assert wire_3_digest == "b79d30d3b3bdea7b5566dc038df41322"
     assert stats == EvalStats(gates=40, terms_processed=8000, rows_tried=592, ver_calls=152,
                               backward_ver_calls=108, erasure_checks=144)
 
@@ -509,6 +512,37 @@ def test_bundle_ambiguity_of_a_second_triple_names_the_gate():
         eval_bundle(params, encode(state, schedule, ONE_TOFFOLI.input_wires), bundle)
 
 
+def test_a_gate_with_two_faults_is_refused_for_its_earlier_triple():
+    # Two faults in one gate: the earlier triple's backward row does not
+    # erase its inputs, and the later triple's key is listed twice in the
+    # forward header's last slot.  Triples are translated one at a time in
+    # the evaluator's order, so the erasure failure is refused first.
+    params, schedule, ins, outs, _ = _toffoli_fixture(25)
+    state = sparse.from_terms(qubit_layout(3), {0b011: 0.6, 0b111: 0.8})
+    encoded = encode(state, schedule, ONE_TOFFOLI.input_wires)
+    first, second = encoded.values[2]        # the target register's bit 0 and bit 1 keys
+    forward, backward = [], []
+    for u, v, w in product((0, 1), repeat=3):
+        in_keys = (ins[0][u], ins[1][v], ins[2][w])
+        out_keys = (outs[0][u], outs[1][v], outs[2][w ^ (u & v)])
+        forward.append((in_keys, b"".join(out_keys)))
+        erased = bytes(6) if in_keys[2] == first and u & v else b"".join(in_keys)
+        backward.append((out_keys, erased))
+    rng = random.Random(26)
+    tables = (_table(params, [ins[0], ins[1], (first, second, second)], forward, rng),
+              _table(params, outs, backward, rng))
+    bundle = _with_tables(garble_circuit(params, ONE_TOFFOLI, schedule, rng), {0: tables})
+    with pytest.raises(EvalError) as refused:
+        eval_bundle(params, encoded, bundle)
+    assert refused.type is ErasureError
+    assert str(refused.value) == "gate 0: backward row does not cancel the input keys"
+    # each fault alone is refused as its own class
+    with pytest.raises(AmbiguousRowError, match="^digests 1 and 2 of header slot 2 both match"):
+        eval_toffoli_term(params, (ins[0].k1, ins[1].k1, second), tables)
+    with pytest.raises(ErasureError):
+        eval_toffoli_term(params, (ins[0].k1, ins[1].k1, first), tables)
+
+
 CONST_TOFFOLI = parse_circuit("inputs 3\nconst 0\ntoff 0 1 2\ntoff 1 0 2\n")
 
 
@@ -630,3 +664,62 @@ def test_bitset_columns_match_simulation_property(case):
     decoded = decode(out, schedule, circ.wiring.outputs)
     assert fidelity(decoded, simulate(circ, state)) >= 1 - 1e-12
     assert stats.terms_processed == len(bundle.skeleton.gates) * count
+
+
+# ---------------------------------------------------------------------------
+# the phase counter: per-term exponents as bit planes over the terms
+
+@st.composite
+def _deep_phase_circuits(draw):
+    """A C+P circuit on 3 to 5 qubits of 1 to 8 phase gates of exponents 0
+    to 16 and either sign, each followed by up to two Toffoli or X gates, so
+    one circuit mixes exponents that the counter scales by up to 2^16; and
+    a seed."""
+    n = draw(st.integers(3, 5))
+    toffoli = st.lists(st.integers(0, n - 1), min_size=3, max_size=3,
+                       unique=True).map(lambda q: toff(*q))
+    phase_gate = st.builds(phase, st.integers(0, n - 1), st.integers(0, DEFAULT_MAX_DENOM_EXP),
+                           st.sampled_from((1, -1)))
+    between = st.lists(st.one_of(toffoli, st.builds(x, st.integers(0, n - 1))), max_size=2)
+    segments = draw(st.lists(st.tuples(phase_gate, between), min_size=1, max_size=8))
+    gates = [gate for first, rest in segments for gate in (first, *rest)]
+    return allocate_wires(gates, n), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_deep_phase_circuits())
+def test_phases_of_mixed_exponents_match_simulation_property(case):
+    circ, seed = case
+    rng = random.Random(seed)
+    params = make_params()
+    state = random_state(qubit_layout(circ.num_inputs), rng)
+    schedule = gen_keys(16, circ, rng)
+    bundle = garble_circuit(params, circ, schedule, rng)
+    out, stats = eval_bundle(params, encode(state, schedule, circ.input_wires), bundle)
+    decoded = decode(out, schedule, circ.wiring.outputs)
+    assert fidelity(decoded, simulate(circ, state)) >= 1 - 1e-12
+    assert stats.terms_processed == len(bundle.skeleton.gates) * len(state.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, DEFAULT_MAX_DENOM_EXP), st.integers(1, 200), st.data())
+def test_ripple_add_matches_per_term_addition_property(max_denom_exp, count, data):
+    modulus = 2 << max_denom_exp
+    counter = PhaseCounter(max_denom_exp)
+    expected = [0] * count
+    for _ in range(data.draw(st.integers(1, 12))):
+        mask = data.draw(st.integers(0, (1 << count) - 1))
+        delta = data.draw(st.integers(0, modulus - 1))
+        counter.add(mask, delta)
+        expected = [(e + delta) % modulus if mask >> t & 1 else e
+                    for t, e in enumerate(expected)]
+        assert all(plane < 1 << count for plane in counter.planes)
+        assert [sum((plane >> t & 1) << j for j, plane in enumerate(counter.planes))
+                for t in range(count)] == expected
+    counter.scalar = data.draw(st.integers(-modulus, modulus))
+    # one pass gives term t the factor omega^(scalar + its exponent)
+    amps = [complex(t + 1, -t) for t in range(count)]
+    turn = math.pi / (1 << max_denom_exp)
+    assert counter.apply(amps) == [
+        amp * cmath.exp(1j * turn * ((counter.scalar + e) % modulus))
+        for amp, e in zip(amps, expected)]

@@ -22,7 +22,7 @@ from rgc.games import (AffineKeyFn, GameReport, _sort_headers, circuit_pairs,
                        row_kdm_dist_first_byte, row_kdm_dist_mask_equality,
                        run_closure_game, run_ind_cpa_gbc, run_kdm_game,
                        run_qkdm_game, run_row_kdm_game, SeedGrinder, self_cycle_queries,
-                       toffoli_cycle_queries)
+                       toffoli_cycle_queries, wire_tag_check)
 from rgc.netio import serialize_report
 from rgc.sparse import fidelity
 
@@ -228,6 +228,27 @@ def test_key_recovery_brute_force_succeeds_at_byte_keys():
     rate = key_recovery_experiment(GAME_CIRCUIT, 8, guess_brute_force, 30,
                                    random.Random(15))
     assert rate >= 0.9
+
+
+def test_key_recovery_digest_grinding_recovers_nothing():
+    # Random keys thrown at each input wire's header slot until one matches
+    # a digest other than the revealed key's: at kappa 32 a 16-bit digest
+    # matches about 2^17 wrong keys, so every guess passes the public tag
+    # check, and none is the key the schedule drew.
+    ground = []
+
+    def grind(view, rng):
+        guess = []
+        for i, w in enumerate(view.circuit.input_wires):
+            key = view.input_keys[i]
+            while key == view.input_keys[i] or not wire_tag_check(view, w, key):
+                key = rng.randbytes(view.params.kappa_bytes)
+            guess.append(key)
+        ground.append(guess)
+        return guess
+
+    assert key_recovery_experiment(GAME_CIRCUIT, 32, grind, 3, random.Random(37)) == 0.0
+    assert len(ground) == 3
 
 
 def test_seed_grinding_recovers_the_mersenne_twister_keys_only():

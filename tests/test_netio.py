@@ -1241,11 +1241,11 @@ def test_job_above_the_work_limit_is_refused_before_evaluation(monkeypatch):
 
 
 def test_server_time_per_request_byte_is_bounded_at_the_work_limit():
-    # the worst shape that passes the bound: each phase table is a few dozen
-    # bytes that make the server multiply all 4096 amplitudes (137,329 B with
-    # 16-bit digests, about 1.1 s and 8-9 us/B on a 2-core x86 host; 252,017 B
-    # and 5-7 us/B with 128-bit ones); the bound leaves room for a slow or
-    # busy host
+    # the shape with the most job_work steps per request byte: each phase
+    # table is a few dozen bytes that job_work counts as 4096 steps (137,329 B
+    # with 16-bit digests), and costs two lookups, two rows and a ripple add
+    # over three 4096-bit bitsets: 0.06-0.12 s and 0.4-0.9 us/B on a 2-core
+    # x86 host; the bound leaves room for a slow or busy host
     n = 12
     circ, job, params = phase_only_job(4096, n)
     envelope = frame(netio.KIND_JOB, serialize_job(job, params))
