@@ -471,7 +471,7 @@ def run_closure_game(pairs: list[PairSpec], revealed: Sequence[int],
             keys = [keyset[s] for s in sources]
             nonce = rand_bytes(setup_rng, params.kappa_bytes)
             cts.append(Table(nonce, symcrypt.table_header(params, nonce, [(key,) for key in keys]),
-                             symcrypt.table_rows(params, nonce, [(b"".join(keys), payload)])))
+                             symcrypt.table_rows(params, nonce, [b"".join(keys)], [payload])))
         return ClosureView(params, {r: keyset[r] for r in revealed}, cts, pairs)
 
     return _play(distinguisher, challenge, kappa_bits, trials, rng, True)

@@ -73,8 +73,10 @@ association exists only through which keys match which digests.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Collection, Iterable, NamedTuple, Sequence
 
 from . import symcrypt
@@ -170,18 +172,27 @@ def coin_stride(kappa_bytes: int) -> int:
                coin_bytes(Toffoli((0, 1, 2)), kappa_bytes))
 
 
-def _header(params: CryptoParams, pairs: Sequence[WireKeyPair], slots: Sequence[int],
+@functools.cache
+def _slot_orders(slots: tuple[int, ...], bits: int
+                 ) -> tuple[tuple[int, ...], tuple[slice, ...]]:
+    """Per slot, the bit s that puts the key of value x at position x xor s
+    (bit j of a table's permute ``bits`` for a slot of two digests, and 1
+    for a slot of one, which holds the 1 key), and the slice of the slot's
+    (0 key, 1 key) pair that lists its keys by position."""
+    flips = tuple([bits >> j & 1 if n == 2 else 1 for j, n in enumerate(slots)])
+    return flips, tuple([slice(None, None, -1 if s else 1) if n == 2 else slice(1, None)
+                         for n, s in zip(slots, flips)])
+
+
+def _header(params: CryptoParams, pairs: Sequence[WireKeyPair], slots: tuple[int, ...],
             coins: GateCoins | random.Random, nonce: bytes, bits: int
             ) -> tuple[bytes, tuple[bytes, ...], tuple[int, ...]]:
-    """A table's nonce and its header over each slot's (0 key, 1 key) pair,
-    and per slot the bit s that puts the key of value x at position x xor s:
-    bit j of the table's permute ``bits`` for a slot of two digests, and 1
-    for a slot of one, which holds the 1 key.  While a slot's two digests
+    """A table's nonce, its header over each slot's (0 key, 1 key) pair, and
+    the slots' flips (see :func:`_slot_orders`).  While a slot's two digests
     are equal, the nonce is read again from ``coins`` and the flips are
     kept."""
-    flips = tuple([bits >> j & 1 if n == 2 else 1 for j, n in enumerate(slots)])
-    slot_keys = [(pair[s], pair[1 ^ s]) if n == 2 else (pair[1],)
-                 for pair, n, s in zip(pairs, slots, flips)]
+    flips, orders = _slot_orders(slots, bits)
+    slot_keys = [pair[order] for pair, order in zip(pairs, orders)]
     header = symcrypt.table_header(params, nonce, slot_keys)
     t = params.digest_bytes
     # a one-digest slot never counts: its second half is empty
@@ -193,38 +204,59 @@ def _header(params: CryptoParams, pairs: Sequence[WireKeyPair], slots: Sequence[
     return nonce, header, flips
 
 
+def _row_orders(size: int) -> tuple[tuple[itemgetter, itemgetter], ...]:
+    """Per mask m < size, the getters of a table's row keys from its source
+    side's key strings and of its payloads from its target side's, each
+    side listed in triple order: row i holds triple i xor m, and a triple's
+    payload is the key string of the triple the Toffoli maps it to, which
+    flips the target bit of the last two triples, those whose controls are
+    both 1.  The Toffoli is its own inverse, so the getters serve the
+    forward and the backward table alike."""
+    def toffoli(t):
+        return t ^ 1 if t >= size - 2 else t
+    return tuple((itemgetter(*[i ^ m for i in range(size)]),
+                  itemgetter(*[toffoli(i ^ m) for i in range(size)])) for m in range(size))
+
+
+_ROW_ORDERS = {size: _row_orders(size) for size in (2, 4, 8)}
+
+
+def _key_strings(pairs: Sequence[WireKeyPair], slots: Sequence[int]) -> list[bytes]:
+    """k1||k2||k3 over the triples of the three wires' keys in triple order,
+    the mixed-radix number of their values; a constant control's wire offers
+    its 1 key alone."""
+    (a, b, c), (na, nb, _) = pairs, slots
+    firsts = [x + y for x in (a if na == 2 else a[1:]) for y in (b if nb == 2 else b[1:])]
+    return [xy + z for xy in firsts for z in c]
+
+
 def garble_toffoli(params: CryptoParams, gate: Toffoli, ins: Sequence[WireKeyPair],
                    outs: Sequence[WireKeyPair], coins: GateCoins | random.Random,
                    const_qubits: Collection[int] = ()) -> tuple[Table, Table]:
     """The gate's forward and backward tables over the key pairs of the
-    wires it reads and writes, in slot order."""
+    wires it reads and writes, in slot order.
+
+    A row's index is the mixed-radix number of its keys' header positions x
+    xor s over the slots' digest counts, a one-digest slot's key at 0, so
+    the row of triple t (see :func:`_key_strings`) sits at t xor m, m that
+    number over the flips s of the two-digest slots.  A constant control is
+    1 on both sides of the gate."""
     (slots, _), _ = table_shapes(gate, const_qubits, params.kappa_bytes)
     p = params.kappa_bytes
     data = coins.randbytes(coin_bytes(gate, p))
     fwd_nonce, fwd_header, (f0, f1, f2) = _header(params, ins, slots, coins, data[:p], data[p])
     bwd_nonce, bwd_header, (b0, b1, b2) = _header(params, outs, slots, coins,
                                                   data[p + 1:2 * p + 1], data[2 * p + 1])
-    n1 = slots[1]
-    forward: list = [None] * (slots[0] * n1 * 2)     # (keys, payload) per row index
-    backward: list = [None] * len(forward)
-    (a_in, b_in, c_in), (a_out, b_out, c_out) = ins, outs
-    # a constant control is 1 on both sides of the gate
-    for u in (1,) if slots[0] == 1 else (0, 1):
-        for v in (1,) if n1 == 1 else (0, 1):
-            z = u & v                       # the target's output bit when w = 0
-            ab_in, ab_out = a_in[u] + b_in[v], a_out[u] + b_out[v]
-            in0, in1 = ab_in + c_in[0], ab_in + c_in[1]
-            out0, out1 = ab_out + c_out[z], ab_out + c_out[z ^ 1]
-            # the keys' header positions x xor s, mixed-radix over the slots'
-            # digest counts; a one-digest slot's key sits at 0
-            fwd = ((u ^ f0) * n1 + (v ^ f1)) * 2
-            bwd = ((u ^ b0) * n1 + (v ^ b1)) * 2
-            forward[fwd + f2] = (in0, out0)
-            forward[fwd + (f2 ^ 1)] = (in1, out1)
-            backward[bwd + (z ^ b2)] = (out0, in0)
-            backward[bwd + (z ^ b2 ^ 1)] = (out1, in1)
-    return (Table(fwd_nonce, fwd_header, symcrypt.table_rows(params, fwd_nonce, forward)),
-            Table(bwd_nonce, bwd_header, symcrypt.table_rows(params, bwd_nonce, backward)))
+    n0, n1, _ = slots
+    orders = _ROW_ORDERS[n0 * n1 * 2]
+    # f % n is f for a slot of two digests and 0 for a slot of one
+    fwd_keys, fwd_payloads = orders[(f0 % n0 * n1 + f1 % n1) * 2 + f2]
+    bwd_keys, bwd_payloads = orders[(b0 % n0 * n1 + b1 % n1) * 2 + b2]
+    ins, outs = _key_strings(ins, slots), _key_strings(outs, slots)
+    return (Table(fwd_nonce, fwd_header,
+                  symcrypt.table_rows(params, fwd_nonce, fwd_keys(ins), fwd_payloads(outs))),
+            Table(bwd_nonce, bwd_header,
+                  symcrypt.table_rows(params, bwd_nonce, bwd_keys(outs), bwd_payloads(ins))))
 
 
 def garble_phase(params: CryptoParams, gate: Phase, pair: WireKeyPair,
@@ -239,9 +271,10 @@ def garble_phase(params: CryptoParams, gate: Phase, pair: WireKeyPair,
     ((slots, _),) = table_shapes(gate, (), p)
     nonce, header, (flip,) = _header(params, (pair,), slots, coins, data[:p], data[p])
     # row i holds the key of value x = i xor flip
-    rows = [(pair[i ^ flip], phase_payload((m0 + (i ^ flip)) % modulus, gate.denom_exp))
-            for i in (0, 1)]
-    return (Table(nonce, header, symcrypt.table_rows(params, nonce, rows)),)
+    values = (flip, flip ^ 1)
+    rows = symcrypt.table_rows(params, nonce, [pair[x] for x in values],
+                               [phase_payload((m0 + x) % modulus, gate.denom_exp) for x in values])
+    return (Table(nonce, header, rows),)
 
 
 def garble_circuit(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
@@ -258,11 +291,12 @@ def garble_circuit(params: CryptoParams, circ: CPCircuit, schedule: KeySchedule,
     stride = coin_stride(params.kappa_bytes)
     data = stream.read(b"tables", stride * len(skeleton.gates))
     tables: list[tuple[Table, ...]] = []
+    keys = schedule.keys
     for i, (gate, (reads, writes)) in enumerate(zip(skeleton.gates, wiring.gates)):
-        ins = [schedule.keys(*end) for end in reads]
+        ins = [keys(wire, flip) for wire, flip in reads]
         coins = GateCoins(data, i * stride, stream, i)
         if isinstance(gate, Toffoli):
-            tables.append(garble_toffoli(params, gate, ins, [schedule.keys(w) for w in writes],
+            tables.append(garble_toffoli(params, gate, ins, [keys(wire) for wire in writes],
                                          coins, consts))
         else:
             tables.append(garble_phase(params, gate, ins[0], coins))

@@ -49,15 +49,18 @@ class RandomOracle:
             self.query = self._query_table
         else:
             # Domain tag = output length, so same-seed oracles of different
-            # lengths stay independent.
-            self._prefix = output_len_bits.to_bytes(4, "little") + seed
+            # lengths stay independent.  The prefix is absorbed once, and a
+            # query resumes from a copy of that state.
+            self._absorbed = hashlib.shake_256(output_len_bits.to_bytes(4, "little") + seed)
             self.query = self._query_hash
 
     def _query_hash(self, data: bytes) -> bytes:
         if not data:
             raise ValueError("oracle query must be nonempty")
         self._count += 1
-        return hashlib.shake_256(self._prefix + data).digest(self._out_bytes)
+        state = self._absorbed.copy()
+        state.update(data)
+        return state.digest(self._out_bytes)
 
     def _query_table(self, data: bytes) -> bytes:
         if not data:

@@ -387,11 +387,13 @@ def qft(state: SparseState, register: str) -> SparseState:
             slices[rest] = vec
         vec[(basis & mask) >> off] = amp
 
+    # slices in order of first appearance, values increasing within each
     new_terms: dict[int, complex] = {}
     for rest, vec in slices.items():
         out = np.fft.ifft(vec) * math.sqrt(dim)
-        for value in np.nonzero(np.abs(out) >= PRUNE_EPSILON)[0]:
-            new_terms[rest | (int(value) << off)] = complex(out[value])
+        values = np.flatnonzero(np.abs(out) >= PRUNE_EPSILON)
+        new_terms.update(zip([rest | value << off for value in values.tolist()],
+                             out[values].tolist()))
     return SparseState(state.layout, new_terms)
 
 

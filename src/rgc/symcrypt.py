@@ -47,9 +47,11 @@ which always checks the key first.  Ver rejects on any length mismatch.
 
 from __future__ import annotations
 
+import functools
 import random
+import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .oracle import OracleFamily
 from .util import rand_bytes
@@ -197,29 +199,43 @@ def table_header(params: CryptoParams, nonce: bytes,
                  slot_keys: Sequence[Sequence[SymKey]]) -> tuple[bytes, ...]:
     """The header of a table under ``nonce``: slot j holds the digests
     H(SLOT||k||N||j) of the keys k of ``slot_keys[j]``, in the given order."""
+    if len(slot_keys) > len(_INDEX):
+        raise ValueError("a table has at most 256 slots")
     query = params.tag_query
-    return tuple([b"".join([query(_SLOT + key + nonce + _INDEX[slot]) for key in keys])
-                  for slot, keys in enumerate(slot_keys)])
+    header = []
+    for keys, index in zip(slot_keys, _INDEX):
+        tail = nonce + index
+        if len(keys) == 2:              # a wire's two keys: every slot but a constant's
+            header.append(query(_SLOT + keys[0] + tail) + query(_SLOT + keys[1] + tail))
+        else:
+            header.append(b"".join([query(_SLOT + key + tail) for key in keys]))
+    return tuple(header)
 
 
-def table_rows(params: CryptoParams, nonce: bytes,
-               rows: Sequence[tuple[bytes, bytes]]) -> tuple[bytes, ...]:
-    """The rows of a table under ``nonce``: row i is the payload of
-    ``rows[i] = (k1||..||kn, payload)`` xor H(ROW||k1||..||kn||N||i), one
-    query over its keys.  The table fetches one oracle, so its payloads
-    share one nonzero length."""
-    if not rows or not rows[0][1]:
-        raise ValueError("a table needs rows with a nonempty payload")
-    n = len(rows[0][1])
+@functools.cache
+def _splitter(width: int, count: int) -> Callable[[bytes], tuple[bytes, ...]]:
+    """Split ``count`` rows of ``width`` bytes, back to back, into a tuple."""
+    return struct.Struct(f"{width}s" * count).unpack
+
+
+def table_rows(params: CryptoParams, nonce: bytes, keys: Sequence[bytes],
+               payloads: Sequence[bytes]) -> tuple[bytes, ...]:
+    """The rows of a table under ``nonce``: row i is ``payloads[i]`` xor
+    H(ROW||k1||..||kn||N||i), one query over its keys ``keys[i]`` =
+    k1||..||kn.  The table fetches one oracle, so its payloads share one
+    nonzero length, and one XOR of the joined payloads and masks masks them
+    all."""
+    count = len(payloads)
+    if not count or not payloads[0] or not len(keys) == count <= len(_INDEX):
+        raise ValueError("a table needs one key string per nonempty payload, "
+                         "at most 256 rows")
+    n = len(payloads[0])
+    if len(set(map(len, payloads))) != 1:
+        raise ValueError(f"a row's length differs from the first row's {n} bytes")
     query = params.oracles.for_len(8 * n).query
-    out = []
-    for i, (keys, m) in enumerate(rows):
-        if len(m) != n:
-            raise ValueError(f"a {len(m)}-byte row under a {n}-byte mask")
-        mask = query(_ROW + keys + nonce + _INDEX[i])
-        out.append((int.from_bytes(m, "little") ^ int.from_bytes(mask, "little")).to_bytes(
-            n, "little"))
-    return tuple(out)
+    masks = b"".join([query(_ROW + k + nonce + i) for k, i in zip(keys, _INDEX)])
+    return _splitter(n, count)((int.from_bytes(b"".join(payloads), "little")
+                                ^ int.from_bytes(masks, "little")).to_bytes(n * count, "little"))
 
 
 def slot_positions(params: CryptoParams, key: SymKey, nonce: bytes, slot: int,

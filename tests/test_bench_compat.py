@@ -17,8 +17,8 @@ import sys
 
 import pytest
 
-from rgc import delegation, evaluate, garble
-from rgc.circuit import Phase, Toffoli, parse_circuit
+from rgc import delegation, evaluate, garble, netio
+from rgc.circuit import Phase, Toffoli, parse_circuit, without_x
 from rgc.evaluate import EvalStats
 from rgc.oracle import OracleFamily
 from rgc.sparse import SparseState, qubit_layout, random_state
@@ -106,3 +106,52 @@ def test_the_traced_hot_path_functions_are_called_per_table_and_triple(monkeypat
                      "garble_phase": sum(isinstance(g, Phase) for g in circ.gates),
                      "eval_toffoli_term": stats.erasure_checks}
     assert calls["garble_toffoli"] == 3 and stats.erasure_checks > 3
+
+
+def test_every_oracle_query_passes_the_wrapped_query_attribute(monkeypatch):
+    # The tracer wraps each oracle's query as OracleFamily.for_len hands the
+    # oracle out, before any params exist; a query made past that attribute
+    # (a batch method, or a hash state held outside the oracle) would read 0
+    # in the traced oracle.* metrics and server_queries.  Client and server
+    # each build their params through make_params.
+    seen = {}
+    for_len = OracleFamily.for_len
+
+    def wrapping_for_len(family, output_len_bits):
+        oracle = for_len(family, output_len_bits)
+        if not hasattr(oracle, "unwrapped"):
+            query = oracle.unwrapped = oracle.query
+
+            def wrapped(data):
+                seen[family] = seen.get(family, 0) + 1
+                return query(data)
+            oracle.query = wrapped
+        return oracle
+
+    made = []
+    make_params = delegation.make_params
+
+    def recording_make_params(*args, **kwargs):
+        made.append(make_params(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(OracleFamily, "for_len", wrapping_for_len)
+    monkeypatch.setattr(delegation, "make_params", recording_make_params)
+    circ = parse_circuit("inputs 5\nconst 0\nconst 1\ntoff 0 2 3\ntoff 0 1 4\nx 2\nphase 3 2\n"
+                         "toff 2 3 4\nphase 4 3 neg\ntoff 4 3 2\nx 4\ntoff 1 4 2\n")
+    rng = random.Random(9)
+    keys = delegation.keygen(16, circ.num_inputs, circ, rng, conjecture=True)
+    params = delegation.make_params(16, oracle_seed=b"compat")
+    state = random_state(qubit_layout(circ.num_inputs), rng, support_bits=[2, 3, 4])
+    state = SparseState(state.layout, {b | circ.const_mask: a for b, a in state.terms.items()})
+    job = delegation.encrypt(params, keys, circ, state, rng)
+    envelope = netio.handle_envelope(netio.frame(netio.KIND_JOB, netio.serialize_job(job, params)))
+    kind, payload = netio.unframe(envelope)
+    assert kind == netio.KIND_RESULT, payload
+    out, stats = netio.deserialize_result(payload)
+    delegation.decrypt(keys, circ, out)
+    client, server = made
+    assert stats.gates == len(without_x(circ).gates)
+    for side in (client, server):
+        assert side.oracles.query_count() > 0
+        assert seen[side.oracles] == side.oracles.query_count()

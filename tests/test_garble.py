@@ -278,6 +278,44 @@ def test_bundle_shapes():
     assert [len(row) for row in bundle.tables[1][0].rows] == [1] * 2
 
 
+class _CountedCoins:
+    """A gate's coins from a fixed rng, counting the reads: a second read
+    is a nonce redraw."""
+
+    def __init__(self, seed):
+        self.rng, self.reads = random.Random(seed), 0
+
+    def randbytes(self, n):
+        self.reads += 1
+        return self.rng.randbytes(n)
+
+
+@pytest.mark.parametrize("consts, queries", [((), 28), ((0,), 18), ((1,), 18), ((0, 1), 12)],
+                         ids=["no-constant", "constant-a", "constant-b", "two-constants"])
+def test_a_toffoli_costs_its_digests_and_rows_in_queries(consts, queries):
+    # per table one digest per key in each slot and one mask per row: 2 x
+    # (6 + 8) queries, and a constant control drops a digest per table and
+    # halves the rows
+    params = make_params(kappa_bits=56, tag_len_bits=16)
+    schedule = gen_keys(56, ONE_TOFFOLI, random.Random(60))
+    in_pairs, out_pairs = gate_keys(ONE_TOFFOLI, schedule)
+    coins = _CountedCoins(61)
+    garble_toffoli(params, ONE_TOFFOLI.gates[0], in_pairs, out_pairs, coins, consts)
+    assert coins.reads == 1
+    assert params.oracles.query_count() == queries
+
+
+def test_a_phase_gate_costs_four_queries():
+    # two digests in its one slot and two row masks
+    params = make_params(tag_len_bits=16)
+    circ = parse_circuit("inputs 1\nphase 0 3\n")
+    schedule = gen_keys(16, circ, random.Random(62))
+    coins = _CountedCoins(63)
+    garble_phase(params, circ.gates[0], gate_keys(circ, schedule)[0][0], coins)
+    assert coins.reads == 1
+    assert params.oracles.query_count() == 4
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(circuits_and_states())
 def test_skeleton_is_the_circuit_without_x_property(case):

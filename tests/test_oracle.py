@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from rgc.oracle import OracleFamily, RandomOracle
@@ -7,6 +9,17 @@ def test_hash_mode_deterministic_across_instances():
     a = RandomOracle(128, seed=b"s")
     b = RandomOracle(128, seed=b"s")
     assert a.query(b"hello") == a.query(b"hello") == b.query(b"hello")
+
+
+@pytest.mark.parametrize("seed", [b"", b"known-answer seed"])
+@pytest.mark.parametrize("bits", [16, 168, 8], ids=["tag", "toffoli-row", "phase-row"])
+def test_hash_mode_is_shake_256_over_length_tag_seed_and_query(bits, seed):
+    # the function itself, whatever state the oracle keeps between queries
+    oracle = RandomOracle(bits, seed=seed)
+    for data in (b"\x04" + bytes(range(16)), b"\x03" + bytes(30), b"q"):
+        expect = hashlib.shake_256(bits.to_bytes(4, "little") + seed + data).digest(bits // 8)
+        assert oracle.query(data) == expect
+    assert oracle.query_count() == 3
 
 
 def test_table_mode_deterministic_within_session():

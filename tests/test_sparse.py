@@ -245,6 +245,60 @@ def test_qft_matches_dense_dft():
     assert np.max(np.abs(got - ref)) < 1e-10
 
 
+def _qft_per_term(state, register):
+    """The QFT as one loop per term in and out: the reference for the
+    order and the values of ``qft``'s terms."""
+    width, off = state.layout.width(register), state.layout.offset(register)
+    mask, dim = ((1 << width) - 1) << off, 1 << width
+    slices = {}
+    for basis, amp in state.terms.items():
+        slices.setdefault(basis & ~mask, np.zeros(dim, dtype=complex))[(basis & mask) >> off] = amp
+    terms = {}
+    for rest, vec in slices.items():
+        out = np.fft.ifft(vec) * math.sqrt(dim)
+        for value in np.nonzero(np.abs(out) >= sparse.PRUNE_EPSILON)[0]:
+            terms[rest | (int(value) << off)] = complex(out[value])
+    return SparseState(state.layout, terms)
+
+
+def test_qft_of_a_multi_slice_state_keeps_the_per_term_order():
+    # five slices of the other registers, inserted out of order, one of them
+    # a uniform period-4 comb whose transform is zero off four values
+    rng = random.Random(12)
+    lay = RegisterLayout((("lo", 2), ("r", 5), ("hi", 2)))
+    off, dim = lay.offset("r"), 1 << lay.width("r")
+    rests = [0b11_00000_01, 0b00_00000_00, 0b10_00000_11, 0b01_00000_10, 0b00_00000_11]
+    terms = {}
+    for i, rest in enumerate(rests):
+        if i == 3:
+            terms.update({rest | value << off: 0.5 for value in range(1, dim, 4)})
+            continue
+        for value in rng.sample(range(dim), rng.randint(1, dim)):
+            terms[rest | value << off] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    order = list(terms)
+    rng.shuffle(order)
+    norm = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+    state = SparseState(lay, {basis: terms[basis] / norm for basis in order})
+    out = qft(state, "r")
+
+    # dense reference: the inverse DFT along the r axis, unitary scaling
+    cube = dense_vector(state).reshape(4, dim, 4)           # (hi, r, lo)
+    ref = np.fft.ifft(cube, axis=1, norm="ortho").reshape(-1)
+    assert np.max(np.abs(dense_vector(out) - ref)) < 1e-12
+
+    # slices in order of first appearance, values increasing within each,
+    # with the per-term loop's values exactly
+    first_seen = list(dict.fromkeys(basis & ~((dim - 1) << off) for basis in order))
+    expect = [rest | value << off for rest in first_seen for value in range(dim)
+              if abs(ref[rest | value << off]) > 1e-9]
+    assert len(expect) < len(rests) * dim              # the comb's zeros are pruned
+    per_term = _qft_per_term(state, "r")
+    assert list(out.terms) == list(per_term.terms) == expect
+    assert list(out.terms.values()) == list(per_term.terms.values())
+    assert [measure_all(out, random.Random(seed))[0] for seed in range(40)] == \
+        [measure_all(per_term, random.Random(seed))[0] for seed in range(40)]
+
+
 def test_random_state_refuses_a_wide_support_before_drawing():
     class NoDraws(random.Random):
         def gauss(self, mu=0.0, sigma=1.0):

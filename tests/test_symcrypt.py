@@ -260,7 +260,7 @@ def test_all_oracle_queries_are_domain_separated():
     header = symcrypt.table_header(params, nonce, [keys[2:], keys[:2]])
     symcrypt.slot_positions(params, keys[1], nonce, 1, header[1])
     symcrypt.row_dec(params, keys, symcrypt.row_enc(params, keys, b"xyz", nonce, 5), nonce, 5)
-    symcrypt.table_rows(params, nonce, [(b"".join(keys), b"xyz"), (keys[0] * 3, b"zyx")])
+    symcrypt.table_rows(params, nonce, [b"".join(keys), keys[0] * 3], [b"xyz", b"zyx"])
 
     kb = params.kappa_bytes
     assert len(wrapped) == len(family._members) >= 2     # masks and tags
@@ -321,9 +321,16 @@ def test_header_scheme_packs_slots_and_rows_in_wire_order():
     assert len(row) == 4
     # a table's rows are the rows row_enc writes at their indices
     joined = b"".join(keys)
-    assert symcrypt.table_rows(params, nonce, [(joined, b"pqrs")] * 8)[7] == row
+    assert symcrypt.table_rows(params, nonce, [joined] * 8, [b"pqrs"] * 8)[7] == row
     with pytest.raises(ValueError):
-        symcrypt.table_rows(params, nonce, [(joined, b"pqrs"), (joined, b"pqr")])
+        symcrypt.table_rows(params, nonce, [joined] * 2, [b"pqrs", b"pqr"])
+    with pytest.raises(ValueError):
+        symcrypt.table_rows(params, nonce, [joined] * 3, [b"pqr", b"pq", b"pqrs"])
+    # a slot or row index is one byte
+    with pytest.raises(ValueError):
+        symcrypt.table_rows(params, nonce, [joined] * 257, [b"pqrs"] * 257)
+    with pytest.raises(ValueError):
+        symcrypt.table_header(params, nonce, [keys[:1]] * 257)
     assert symcrypt.row_dec(params, keys, row, nonce, 7) == b"pqrs"
     # one mask query over every key, the nonce and the row index
     mask = params.oracles.for_len(32).query(b"\x03" + b"".join(keys) + nonce + b"\x07")
