@@ -363,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delegate", help="full pipeline: encrypt, evaluate, decode")
     p.add_argument("--circuit", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--endpoint", default=None, help="host:port of a running server")
-    p.add_argument("--dir", default=None, help="directory transport root")
+    transport = p.add_mutually_exclusive_group()
+    transport.add_argument("--endpoint", default=None, help="host:port of a running server")
+    transport.add_argument("--dir", default=None, help="directory transport root")
     p.add_argument("--timeout", type=float, default=30.0)
     p.add_argument("--out", default=None)
     _add_common(p, "secret", "eta")

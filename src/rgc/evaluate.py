@@ -33,12 +33,15 @@ key, which must match exactly one of the slot's digests, gives the key's
 position, the positions index the row, and one oracle query opens it.  The
 triples of one gate share their registers' keys, so each gate remembers the
 position of every (slot, key) it has looked up, per table, and computes each
-digest once.  The tables' shapes are checked once per gate, and each triple
-is translated in full before the next, so a table with two faults is
-refused for the one its earlier triple meets.  The backward payload must
-XOR the inputs to exactly zero - that erasure is asserted for every
-distinct triple of every gate, and a failure aborts the evaluation:
-leftover input keys would entangle the result with junk registers.
+digest once.  Each triple is translated in full before the next, so a
+table with two faults is refused for the one its earlier triple meets.
+The counts are taken per gate, from its memos' sizes and its triple count.
+A table's shape is the one :func:`rgc.garble.table_shapes` gives, by which
+the garbler writes and the bundle reader reads, so it is not checked again
+here.  The backward payload must XOR the inputs to exactly zero - that
+erasure is asserted for every distinct triple of every gate, and a failure
+aborts the evaluation: leftover input keys would entangle the result with
+junk registers.
 
 A phase gate opens its row once per distinct key, through a header of one
 slot, and touches no amplitude.  A Toffoli never moves a term, so the job
@@ -91,10 +94,12 @@ class ErasureError(EvalError):
 
 @dataclass
 class EvalStats:
-    """Counts of one evaluation.  ``rows_tried`` is the header slots checked
-    plus the rows opened, so it is positive for any bundle with a gate; the
-    two ``ver_calls`` counts split the slot checks, one digest each, between
-    the forward and phase tables and the backward tables."""
+    """Counts of one evaluation, added once per gate.  A slot check, one
+    digest, leaves one memo entry: ``ver_calls`` is the forward memos' sizes
+    plus each phase gate's keys, ``backward_ver_calls`` the backward memos'
+    sizes.  ``rows_tried`` adds the rows opened, two per Toffoli triple and
+    one per phase key, so it equals the server's oracle queries.
+    ``erasure_checks`` is one per Toffoli triple."""
 
     gates: int = 0
     terms_processed: int = 0
@@ -120,20 +125,8 @@ def _position(params: CryptoParams, key: bytes, nonce: bytes, slot: int, digests
                             f"match its key")
 
 
-def _check_shape(params: CryptoParams, table: Table, slots: int) -> None:
-    """A table read by ``slots`` keys has that many header slots, and as many
-    rows as the positions its slots' digests give, mixed-radix."""
-    header = table.header
-    if len(header) != slots:
-        raise EvalError(f"{slots} keys for a header of {len(header)} slots")
-    size = math.prod([len(digests) // params.digest_bytes for digests in header])
-    if size != len(table.rows):
-        raise EvalError(f"a header of {size} positions over {len(table.rows)} rows")
-
-
 def eval_toffoli_term(params: CryptoParams, key_triple: tuple[bytes, bytes, bytes],
-                      tables: tuple[Table, Table], stats: EvalStats | None = None,
-                      memo: tuple[SlotMemo, SlotMemo] | None = None
+                      tables: tuple[Table, Table], memo: tuple[SlotMemo, SlotMemo] | None = None
                       ) -> tuple[bytes, bytes, bytes]:
     """Translate one input key triple to the output triple, checking that the
     backward table erases the inputs exactly.
@@ -142,11 +135,8 @@ def eval_toffoli_term(params: CryptoParams, key_triple: tuple[bytes, bytes, byte
     ``memo``, which holds the forward and backward positions of earlier
     triples through the same tables.  The positions, mixed-radix over the
     slots' digest counts, index the row, and one mask query over the keys,
-    the table's nonce and that index opens it.  Each count is bumped before
-    its lookup.  The tables' shapes are the caller's to check, as
-    :func:`eval_toffoli` does once per gate.
+    the table's nonce and that index opens it.
     """
-    stats = stats if stats is not None else EvalStats()
     forward_memo, backward_memo = memo if memo is not None else ({}, {})
     forward, backward = tables
     t, kb = params.digest_bytes, params.kappa_bytes
@@ -154,45 +144,30 @@ def eval_toffoli_term(params: CryptoParams, key_triple: tuple[bytes, bytes, byte
     header, nonce = forward.header, forward.nonce
     p0 = forward_memo.get((0, x))
     if p0 is None:
-        stats.rows_tried += 1
-        stats.ver_calls += 1
         p0 = forward_memo[0, x] = _position(params, x, nonce, 0, header[0])
     p1 = forward_memo.get((1, y))
     if p1 is None:
-        stats.rows_tried += 1
-        stats.ver_calls += 1
         p1 = forward_memo[1, y] = _position(params, y, nonce, 1, header[1])
     p2 = forward_memo.get((2, z))
     if p2 is None:
-        stats.rows_tried += 1
-        stats.ver_calls += 1
         p2 = forward_memo[2, z] = _position(params, z, nonce, 2, header[2])
     index = (p0 * (len(header[1]) // t) + p1) * (len(header[2]) // t) + p2
-    stats.rows_tried += 1
     payload = symcrypt.row_dec(params, key_triple, forward.rows[index], nonce, index)
     out = u, v, w = payload[:kb], payload[kb:2 * kb], payload[2 * kb:3 * kb]
     header, nonce = backward.header, backward.nonce
     p0 = backward_memo.get((0, u))
     if p0 is None:
-        stats.rows_tried += 1
-        stats.backward_ver_calls += 1
         p0 = backward_memo[0, u] = _position(params, u, nonce, 0, header[0])
     p1 = backward_memo.get((1, v))
     if p1 is None:
-        stats.rows_tried += 1
-        stats.backward_ver_calls += 1
         p1 = backward_memo[1, v] = _position(params, v, nonce, 1, header[1])
     p2 = backward_memo.get((2, w))
     if p2 is None:
-        stats.rows_tried += 1
-        stats.backward_ver_calls += 1
         p2 = backward_memo[2, w] = _position(params, w, nonce, 2, header[2])
     index = (p0 * (len(header[1]) // t) + p1) * (len(header[2]) // t) + p2
-    stats.rows_tried += 1
     back = symcrypt.row_dec(params, out, backward.rows[index], nonce, index)
     if back[:3 * kb] != x + y + z:          # every key is kb bytes
         raise ErasureError("backward row does not cancel the input keys")
-    stats.erasure_checks += 1
     return out
 
 
@@ -200,18 +175,17 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
                  tables: tuple[Table, Table], stats: EvalStats) -> None:
     """Apply one garbled Toffoli to registers ``regs`` of the state, in place.
 
-    Both tables' shapes are checked once.  The terms of key triple (x, y, z)
-    are the AND of the three registers' bitsets, each taken as is for key 1
-    and complemented for key 0.  Each present triple is translated once, in
-    increasing order of ``4x + 2y + z``, sharing one slot memo, so the
-    erasure check runs exactly once per triple while covering every term
-    carrying it; an output register's new bitset is the OR of the masks of
-    the triples that write its second key.  Erasure also makes the step
-    injective: two triples sent to one output triple open one backward row,
-    whose payload cannot equal both.
+    The terms of key triple (x, y, z) are the AND of the three registers'
+    bitsets, each taken as is for key 1 and complemented for key 0.  Each
+    present triple is translated once, in increasing order of
+    ``4x + 2y + z``, sharing one slot memo, so the erasure check runs
+    exactly once per triple while covering every term carrying it; an output
+    register's new bitset is the OR of the masks of the triples that write
+    its second key.  Erasure also makes the step injective: two triples sent
+    to one output triple open one backward row, whose payload cannot equal
+    both.  The gate's counts are added once, from its memos' sizes and its
+    triple count.
     """
-    for table in tables:
-        _check_shape(params, table, 3)
     a, b, c = regs
     keys_a, keys_b, keys_c = state.values[a], state.values[b], state.values[c]
     bits_a, bits_b, bits_c = state.bits[a], state.bits[b], state.bits[c]
@@ -230,7 +204,12 @@ def eval_toffoli(params: CryptoParams, state: ColumnarState, regs: tuple[int, in
                 if mask:
                     masks.append(mask)
                     outs.append(eval_toffoli_term(params, (keys_a[x], keys_b[y], keys_c[z]),
-                                                  tables, stats, memo))
+                                                  tables, memo))
+    forward, backward = memo
+    stats.ver_calls += len(forward)
+    stats.backward_ver_calls += len(backward)
+    stats.rows_tried += len(forward) + len(backward) + 2 * len(outs)
+    stats.erasure_checks += len(outs)
     for pos, reg in enumerate(regs):
         index: dict[bytes, int] = {}
         bits = 0
@@ -309,20 +288,18 @@ def eval_phase(params: CryptoParams, state: ColumnarState, gate: Phase,
     relative phase.
     """
     table = tables[0]
-    _check_shape(params, table, 1)
     digests, nonce = table.header[0], table.nonce
     modulus, shift = 2 << gate.denom_exp, counter.width - 1 - gate.denom_exp
     exps = []
     for key in state.values[gate.qubit]:
-        stats.rows_tried += 1
-        stats.ver_calls += 1
         index = _position(params, key, nonce, 0, digests)
-        stats.rows_tried += 1
         value = int.from_bytes(symcrypt.row_dec(params, (key,), table.rows[index], nonce, index),
                                "big")
         if value >= modulus:
             raise EvalError("phase payload out of range")
         exps.append(gate.sign * value << shift)
+    stats.ver_calls += len(exps)
+    stats.rows_tried += 2 * len(exps)
     counter.scalar += exps[0]
     # a register of one key has bitset 0: every term took the scalar's share
     if len(exps) == 2:

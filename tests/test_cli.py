@@ -284,6 +284,20 @@ def test_delegate_endpoint_gives_up_after_its_timeout(circuit_file, capsys):
     assert "timed out" in capsys.readouterr().err
 
 
+def test_delegate_with_both_transports_is_a_usage_error(tmp_path, circuit_file, capsys,
+                                                        monkeypatch):
+    # one transport per run: --dir beside --endpoint must not be dropped unread
+    sent = []
+    monkeypatch.setattr(netio, "submit", lambda *args, **kwargs: sent.append("endpoint"))
+    monkeypatch.setattr(netio, "submit_file", lambda *args, **kwargs: sent.append("dir"))
+    with pytest.raises(SystemExit) as err:
+        main(["delegate", "--circuit", circuit_file, "--input", "+11", "--seed", "5",
+              "--conjecture-1", "--endpoint", "127.0.0.1:9", "--dir", str(tmp_path / "x")])
+    assert err.value.code == 2
+    assert "--dir: not allowed with argument --endpoint" in capsys.readouterr().err
+    assert sent == []
+
+
 def test_delegate_dir_job_name_does_not_carry_the_seed(tmp_path, circuit_file, monkeypatch):
     queued = []
 

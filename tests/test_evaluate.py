@@ -490,17 +490,25 @@ def _second_triple_ambiguity():
     return params, schedule, tables, first, second
 
 
-def test_ambiguity_of_a_second_triple_is_found_through_the_memo():
+def test_ambiguity_of_a_second_triple_is_found_through_the_memo(monkeypatch):
     params, _, tables, first, second = _second_triple_ambiguity()
-    memo, stats = ({}, {}), EvalStats()
-    eval_toffoli_term(params, first, tables, stats, memo)
+    memo = ({}, {})
+    eval_toffoli_term(params, first, tables, memo)
     # the first triple's positions are remembered, slot by slot
     assert {slot: memo[0][(slot, key)] for slot, key in enumerate(first)} == {0: 1, 1: 1, 2: 0}
-    checks = stats.ver_calls
+    assert len(memo[0]) == len(memo[1]) == 3
+    before = (dict(memo[0]), dict(memo[1]))
+    looked_up = []
+    slot_positions = symcrypt.slot_positions
+    monkeypatch.setattr(symcrypt, "slot_positions",
+                        lambda params, key, nonce, slot, digests: looked_up.append(slot)
+                        or slot_positions(params, key, nonce, slot, digests))
     with pytest.raises(AmbiguousRowError, match="^digests 1 and 2 of header slot 2 both match"):
-        eval_toffoli_term(params, second, tables, stats, memo)
-    # only the last slot's key is new
-    assert stats.ver_calls - checks == 1
+        eval_toffoli_term(params, second, tables, memo)
+    # only the last slot's key is new: the first two are memo hits, and its
+    # lookup raises before anything is stored
+    assert looked_up == [2]
+    assert memo == before
 
 
 def test_bundle_ambiguity_of_a_second_triple_names_the_gate():
@@ -622,6 +630,31 @@ def test_symcrypt_call_counts_match_the_bench_layer_metrics():
     assert client == 2 * (4 + 5) == server == 18
     assert stats == EvalStats(gates=1, terms_processed=4, rows_tried=2 * (5 + 4),
                               ver_calls=5, backward_ver_calls=5, erasure_checks=4)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(circuits_and_states())
+def test_counts_taken_per_gate_match_the_work_done_property(case):
+    # EvalStats is added up once per gate from its memos and its triples;
+    # over constant controls, X gates and partial supports it must still
+    # equal the oracle queries and slot lookups the server made
+    circ, support, seed = case
+    params = make_params()
+    rng = random.Random(seed)
+    state = input_state(circ, support, rng)
+    schedule = gen_keys(16, circ, rng)
+    bundle = garble_circuit(params, circ, schedule, rng)
+    encoded = encode(state, schedule, circ.input_wires)
+    lookups = []
+    slot_positions = symcrypt.slot_positions
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symcrypt, "slot_positions",
+                   lambda *args: lookups.append(args) or slot_positions(*args))
+        client = params.oracles.query_count()
+        _, stats = eval_bundle(params, encoded, bundle)
+        server = params.oracles.query_count() - client
+    assert server == stats.rows_tried
+    assert len(lookups) == stats.ver_calls + stats.backward_ver_calls
 
 
 @st.composite

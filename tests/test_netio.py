@@ -26,7 +26,7 @@ from rgc.circuit import (DEFAULT_MAX_DENOM_EXP, CircuitError, CPCircuit, Phase, 
 from rgc.encoding import KeySchedule, WireKeyPair, encode, gen_keys
 from rgc.evaluate import EvalStats
 from rgc.games import GameReport
-from rgc.garble import GarbledBundle, Table, garble_circuit
+from rgc.garble import GarbledBundle, Table, garble_circuit, table_shapes
 from rgc.netio import (WireFormatError, deserialize_circuit, deserialize_job, deserialize_report,
                        deserialize_schedule, deserialize_state, frame,
                        serialize_bundle, serialize_circuit, serialize_job,
@@ -960,6 +960,21 @@ def test_accepted_skeleton_mutants_are_canonical(case, flips):
     assert parse_circuit(format_circuit(parsed)) == parsed
 
 
+def _assert_tables_have_their_shapes(bundle, params):
+    """Every table of a parsed bundle has its gate's ``table_shapes``
+    layout: the slot count, each slot's digest bytes, and as many rows as
+    the product of the slots' digest counts.  The evaluator checks no shape
+    of its own, so the reader must never build another."""
+    t = params.digest_bytes
+    for gate, tables in zip(bundle.skeleton.gates, bundle.tables, strict=True):
+        shapes = table_shapes(gate, bundle.skeleton.const_qubits, params.kappa_bytes)
+        assert len(tables) == len(shapes)
+        for table, (slots, row) in zip(tables, shapes):
+            assert [len(digests) for digests in table.header] == [n * t for n in slots]
+            assert len(table.rows) == math.prod([len(digests) // t for digests in table.header])
+            assert {len(r) for r in table.rows} == {row}
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(circuits_and_states())
 def test_job_roundtrip_property(case):
@@ -974,6 +989,7 @@ def test_job_roundtrip_property(case):
     parsed, parsed_params = deserialize_job(data)
     assert parsed.garbled == bundle
     assert serialize_job(parsed, parsed_params) == data
+    _assert_tables_have_their_shapes(parsed.garbled, parsed_params)
 
 
 def _one_phase_job(denom_exp=2):
@@ -1121,8 +1137,17 @@ def test_mutated_job_gets_an_envelope(payload, flips, cut, tail):
     data = bytearray(payload)
     for pos, mask in flips:
         data[pos % len(data)] ^= mask
-    data = bytes(data[:cut % (len(data) + 1)]) + tail
-    assert unframe(netio.handle_envelope(frame(netio.KIND_JOB, data)))[0] in _ENVELOPE_KINDS
+    flipped = bytes(data)
+    data = flipped[:cut % (len(flipped) + 1)] + tail
+    # a cut rarely leaves a whole job, so the flipped job is sent as well
+    for candidate in {flipped, data}:
+        kind, _ = unframe(netio.handle_envelope(frame(netio.KIND_JOB, candidate)))
+        assert kind in _ENVELOPE_KINDS
+        try:
+            parsed, params = deserialize_job(candidate)
+        except ValueError:      # what the server refuses as an error envelope
+            continue
+        _assert_tables_have_their_shapes(parsed.garbled, params)
 
 
 @pytest.mark.parametrize("kappa, tag_len", [(0, 128), (12, 128), (16, 0), (16, 100)])
