@@ -334,31 +334,20 @@ def random_circuit(rng: random.Random, n_qubits: int, n_gates: int,
 # direct simulation (the oracle the garbled path is checked against): the
 # state transposed once into one bitset per qubit
 
-def _transpose(words: Sequence[int], width: int) -> list[int]:
-    """Transpose a bit matrix: bit j of word i becomes bit i of word j, for
-    every j below width rounded up to a whole byte."""
-    import numpy as np
-    nbytes = (width + 7) // 8
-    rows = np.frombuffer(b"".join([w.to_bytes(nbytes, "little") for w in words]), np.uint8)
-    bits = np.unpackbits(rows.reshape(len(words), nbytes), axis=1, bitorder="little")
-    packed = np.packbits(bits.T, axis=1, bitorder="little").tobytes()
-    step = (len(words) + 7) // 8
-    return [int.from_bytes(packed[i:i + step], "little") for i in range(0, len(packed), step)]
-
-
 def simulate(circ: CPCircuit, state: SparseState) -> SparseState:
     """Apply the circuit to a logical state (one bit per qubit).
 
-    The terms are transposed once into one Python-int bitset per qubit (bit
-    t is the qubit's value in term t), so a Toffoli is one AND and one XOR
-    over all terms and an X one XOR (bitslicing, Biham, FSE 1997).  A phase
-    gate multiplies every amplitude by the factor of its qubit's value, 1+0j
-    for a 0 included (that product can flip the sign of a zero part), as
-    ``sparse.apply_phase`` does.  So the result is the gate-by-gate
-    ``sparse.apply_classical`` and ``apply_phase`` run bit for bit: same
-    keys, term order and amplitudes.  A step that is not a permutation of
-    the support (a hand-built Toffoli naming one qubit twice) merges terms,
-    and the merge survives every later step, so it is refused at the end.
+    ``sparse.transpose`` turns the terms into one Python-int bitset per
+    qubit (bit t is the qubit's value in term t), and back at the end, so a
+    Toffoli is one AND and one XOR over all terms and an X one XOR
+    (bitslicing, Biham, FSE 1997).  A phase gate multiplies every amplitude
+    by the factor of its qubit's value, 1+0j for a 0 included (that product
+    can flip the sign of a zero part), as ``sparse.apply_phase`` does.  So
+    the result is the gate-by-gate ``sparse.apply_classical`` and
+    ``apply_phase`` run bit for bit: same keys, term order and amplitudes.  A
+    step that is not a permutation of the support (a hand-built Toffoli
+    naming one qubit twice) merges terms, and the merge survives every later
+    step, so it is refused at the end.
 
     This is the reference the garbled path is checked against, so it shares
     no code with it: this module imports nothing from ``rgc.evaluate``,
@@ -371,8 +360,8 @@ def simulate(circ: CPCircuit, state: SparseState) -> SparseState:
         return SparseState(state.layout, {}, check=False)
     amps = list(state.terms.values())
     full = (1 << n) - 1
-    col = _transpose(list(state.terms),
-                     max(circ.num_inputs, max(state.terms).bit_length()))
+    col = sparse.transpose(list(state.terms),
+                           max(circ.num_inputs, max(state.terms).bit_length()))
     for g in circ.gates:
         if isinstance(g, Toffoli):
             a, b, c = g.qubits
@@ -385,7 +374,7 @@ def simulate(circ: CPCircuit, state: SparseState) -> SparseState:
                       for v in (0, 1))
             bits = format(col[g.qubit], f"0{n}b")[::-1]
             amps = [amp * (f if bit == "1" else one) for amp, bit in zip(amps, bits)]
-    terms = dict(zip(_transpose(col, n), amps))     # zip drops the padding words
+    terms = dict(zip(sparse.transpose(col, n), amps))
     if len(terms) != n:
         raise ValueError(f"circuit is not a permutation of the support: "
                          f"{n - len(terms)} term(s) merged")

@@ -72,7 +72,7 @@ from dataclasses import dataclass, replace
 from . import symcrypt
 from .circuit import Phase, Toffoli
 from .garble import GarbledBundle, Table
-from .sparse import ColumnarState
+from .sparse import ColumnarState, transpose
 from .symcrypt import CryptoParams
 
 
@@ -254,22 +254,10 @@ class PhaseCounter:
                 break
 
     def apply(self, amps: list[complex]) -> list[complex]:
-        """Each amplitude times omega^e, one ``cmath.exp`` per distinct e.
-        Each group of eight planes spreads to one byte per term: format a
-        plane as one character per term and keep each character's low bit."""
-        n = len(amps)
-        ones = int.from_bytes(b"\x01" * n, "little")
-        lanes = []
-        for start in range(0, self.width, 8):
-            lane = 0
-            for j, plane in enumerate(self.planes[start:start + 8]):
-                if plane:
-                    lane |= (int.from_bytes(format(plane, f"0{n}b").encode(), "big")
-                             & ones) << j
-            lanes.append(lane.to_bytes(n, "little"))
-        exps: bytes | list[int] = lanes[0]
-        for group, lane in enumerate(lanes[1:], 1):
-            exps = [e | byte << 8 * group for e, byte in zip(exps, lane)]
+        """Each amplitude times omega^e, one ``cmath.exp`` per distinct e;
+        term t's e, less the scalar, is word t of one transpose of the
+        planes."""
+        exps = transpose(self.planes, len(amps))
         modulus, turn = 1 << self.width, math.pi / (1 << (self.width - 1))
         factors = {e: cmath.exp(1j * turn * ((self.scalar + e) % modulus)) for e in set(exps)}
         return [amp * factors[e] for amp, e in zip(amps, exps)]

@@ -88,12 +88,18 @@ it, a job whose work (:func:`job_work`) exceeds ``MAX_JOB_WORK`` with an
 error before evaluating it, a connection beyond ``MAX_CONNECTIONS`` open
 ones with an error at once, and drops a connection whose request has not
 arrived in full ``SOCKET_TIMEOUT_S`` after it began to read it, or that
-fails (a client's reset), without a word on stderr;
+fails (a client's reset), without a word on stderr; a request's buffer
+grows as its bytes arrive, never ahead of them to the declared length;
 every error envelope built from an exception reads ``ClassName: text``.  A
 directory-based transport mirrors the socket one for setups where the only
 channel is a shared filesystem, and each end consumes the file it reads;
 both produce byte-identical result payloads, and both refuse an envelope
-whose payload exceeds ``MAX_PAYLOAD_BYTES`` unread.  Every job a server
+whose payload exceeds ``MAX_PAYLOAD_BYTES`` unread.  Anyone who can submit
+can write ``inbox/`` and ``outbox/``, so the directory server reads regular
+files only, opened without blocking, passes over any other entry, and
+writes each file through a fresh temporary that it creates exclusively:
+nothing put in either directory makes it raise, block or write through a
+link.  Every job a server
 receives, by either transport or as ``rgc eval``'s state and bundle files,
 goes through one core, :func:`evaluate_job_payload`, and so meets the same
 parse bounds and work bound; :func:`read_payload_files` is the one reader
@@ -117,6 +123,7 @@ import math
 import os
 import socket
 import socketserver
+import stat
 import struct
 import threading
 import time
@@ -603,15 +610,13 @@ def _check_payload_len(length: int) -> None:
 
 def _read_envelope(sock: socket.socket, deadline: float) -> bytearray:
     """One envelope, read in full by ``deadline`` (``time.monotonic``)."""
-    header = bytearray(_ENVELOPE_HEADER.size)
-    _recv_into(sock, memoryview(header), deadline)
-    magic, _, _, length = _ENVELOPE_HEADER.unpack(header)
+    envelope = bytearray()
+    _recv_onto(sock, envelope, _ENVELOPE_HEADER.size, deadline)
+    magic, _, _, length = _ENVELOPE_HEADER.unpack(envelope)
     if magic != MAGIC:
         raise WireFormatError("bad magic")
     _check_payload_len(length)
-    envelope = bytearray(_FRAMING + length)
-    envelope[:len(header)] = header
-    _recv_into(sock, memoryview(envelope)[len(header):], deadline)
+    _recv_onto(sock, envelope, _FRAMING - len(envelope) + length, deadline)
     return envelope
 
 
@@ -622,14 +627,21 @@ def _settimeout_until(sock: socket.socket, deadline: float) -> None:
     sock.settimeout(left)
 
 
-def _recv_into(sock: socket.socket, view: memoryview, deadline: float) -> None:
-    pos = 0
-    while pos < len(view):
+_RECV_CHUNK = 1 << 16
+
+
+def _recv_onto(sock: socket.socket, data: bytearray, count: int, deadline: float) -> None:
+    """Append ``count`` bytes to ``data``, read in chunks of at most
+    ``_RECV_CHUNK``: the buffer grows as bytes arrive, never ahead of them
+    to a length the peer declared."""
+    chunk = memoryview(bytearray(min(count, _RECV_CHUNK)))
+    while count:
         _settimeout_until(sock, deadline)
-        got = sock.recv_into(view[pos:])
+        got = sock.recv_into(chunk[:count])
         if not got:
             raise WireFormatError("connection closed early")
-        pos += got
+        data += chunk[:got]
+        count -= got
 
 
 class _JobHandler(socketserver.BaseRequestHandler):
@@ -709,26 +721,42 @@ POLL_S = 0.05       # how often both ends look for a file
 
 
 def _write_file(path: str, data: bytes) -> None:
-    """Write through a temporary name, so a reader never sees a partial file."""
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    """Write through a fresh temporary beside ``path``, so a reader never
+    sees a partial file.  The temporary is created exclusively under a
+    random name, so a link a peer planted is never followed, and
+    ``os.replace`` replaces a link at ``path`` itself, never its target."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def read_payload_files(*paths: str, framing: int = 0) -> bytes:
     """The files' bytes, joined: one envelope file, whose ``framing`` is the
-    envelope's header and checksum, or a job's state and bundle files.  They
-    are refused unread when the payload they hold would exceed
-    ``MAX_PAYLOAD_BYTES``, as the socket transport refuses a declared
-    length, and no file is read past the size it had then."""
-    sizes = [os.path.getsize(path) for path in paths]
-    _check_payload_len(sum(sizes) - framing)
-    parts = []
-    for path, size in zip(paths, sizes):
-        with open(path, "rb") as fh:
-            parts.append(fh.read(size))
-    return b"".join(parts)
+    envelope's header and checksum, or a job's state and bundle files.
+    Each file is opened without blocking (a FIFO opens with no writer) and
+    refused unread unless it is a regular file.  They are refused unread
+    when the payload they hold would exceed ``MAX_PAYLOAD_BYTES``, as the
+    socket transport refuses a declared length, and no file is read past
+    the size it had then."""
+    with contextlib.ExitStack() as stack:
+        files, sizes = [], []
+        for path in paths:
+            fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+            info = os.fstat(fd)
+            if not stat.S_ISREG(info.st_mode):
+                os.close(fd)
+                raise WireFormatError(f"{os.path.basename(path)} is not a regular file")
+            files.append(stack.enter_context(os.fdopen(fd, "rb")))
+            sizes.append(info.st_size)
+        _check_payload_len(sum(sizes) - framing)
+        return b"".join([fh.read(size) for fh, size in zip(files, sizes)])
 
 
 def submit_file(root: str, job_id: str, job: JobBundle, params: CryptoParams) -> str:
@@ -743,8 +771,12 @@ def submit_file(root: str, job_id: str, job: JobBundle, params: CryptoParams) ->
 
 
 def serve_files_once(root: str) -> int:
-    """Process every pending inbox job; returns how many were handled.  An
-    oversized job file gets an error envelope and is consumed unread."""
+    """Process every pending inbox job; returns how many were answered.  An
+    oversized job file gets an error envelope and is consumed unread.  An
+    inbox entry that is not a regular file, or that vanishes before it is
+    read, is passed over unread, and a job whose answer cannot be written
+    is consumed unanswered: nothing a peer puts in either directory makes
+    this raise or block."""
     inbox = os.path.join(root, "inbox")
     outbox = os.path.join(root, "outbox")
     os.makedirs(inbox, exist_ok=True)
@@ -755,12 +787,20 @@ def serve_files_once(root: str) -> int:
             continue
         path = os.path.join(inbox, name)
         try:
-            response = handle_envelope(read_payload_files(path, framing=_FRAMING))
+            if not stat.S_ISREG(os.lstat(path).st_mode):
+                continue
+            request = read_payload_files(path, framing=_FRAMING)
         except WireFormatError as exc:
             response = _error_envelope(exc)
-        _write_file(os.path.join(outbox, name), response)
-        os.remove(path)
-        handled += 1
+        except OSError:         # gone, or not ours to read
+            continue
+        else:
+            response = handle_envelope(request)
+        with contextlib.suppress(OSError):
+            _write_file(os.path.join(outbox, name), response)
+            handled += 1
+        with contextlib.suppress(OSError):
+            os.remove(path)
     return handled
 
 

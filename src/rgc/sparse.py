@@ -178,48 +178,17 @@ class ColumnarState:
 
     @staticmethod
     def from_sparse(state: SparseState) -> ColumnarState:
-        """The canonical column form of a state on ``qubit_layout(n,
-        width)`` whose registers each hold at most two values.
-
-        One transpose of the sorted basis strings gives each basis bit as a
-        bitset over the terms; a register's terms that differ from term 0's
-        value are the OR of its bits' differences from that value, and they
-        must all hold one second value."""
-        regs = state.layout.registers
-        width = regs[0][1] if regs else 1
-        if state.layout != qubit_layout(len(regs), width):
-            raise ValueError("only registers q0, q1, ... of one width have a column form")
+        """The canonical column form of a qubit state: one register of one
+        bit per basis bit, register i's bitset plane i of one transpose of
+        the sorted basis strings, holding ``b"\\0"``, ``b"\\1"`` or both."""
         bases = sorted(state.terms)
         full = (1 << len(bases)) - 1
-        planes = transpose(bases, len(regs) * width)
-        nbytes = (width + 7) // 8
         values, columns = [], []
-        for i in range(len(regs)):
-            own = planes[i * width:(i + 1) * width]
-            first = sum((plane & 1) << j for j, plane in enumerate(own))
-            other = _holding_other(own, first, full)
-            if not other:
-                values.append([first.to_bytes(nbytes, "little")])
-                columns.append(0)
-                continue
-            t = (other & -other).bit_length() - 1
-            second = sum((plane >> t & 1) << j for j, plane in enumerate(own))
-            if other & _holding_other(own, second, full):
-                raise ValueError(f"register {i} holds more than two distinct values; "
-                                 f"a column holds two")
-            low, high = sorted((first, second))
-            values.append([low.to_bytes(nbytes, "little"), high.to_bytes(nbytes, "little")])
-            columns.append(other if second == high else full ^ other)
-        return ColumnarState(width, values, columns, [state.terms[b] for b in bases])
-
-
-def _holding_other(planes: Sequence[int], value: int, full: int) -> int:
-    """The terms whose bits, one bitset per bit of a register, spell a
-    value other than ``value``."""
-    other = 0
-    for j, plane in enumerate(planes):
-        other |= plane ^ full if value >> j & 1 else plane
-    return other
+        for plane in transpose(bases, state.layout.total_bits):
+            values.append([b"\0"] if not plane else [b"\1"] if plane == full
+                          else [b"\0", b"\1"])
+            columns.append(0 if plane == full else plane)
+        return ColumnarState(1, values, columns, [state.terms[b] for b in bases])
 
 
 def _pruned(terms: dict[int, complex]) -> dict[int, complex]:

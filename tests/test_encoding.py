@@ -77,16 +77,14 @@ def test_decode_inverts_encode():
 
 def test_decode_single_key_to_bit():
     schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
-    lay = qubit_layout(1, 8)
-    decoded = decode(ColumnarState.from_sparse(basis_state(lay, 0x02)), schedule, [(0, 0)])
+    decoded = decode(ColumnarState(8, [[b"\x02"]], [0], [1 + 0j]), schedule, [(0, 0)])
     assert decoded.terms == {1: 1.0 + 0j}
 
 
 def test_decode_rejects_off_key_strings():
     schedule = KeySchedule(8, (WireKeyPair(b"\x01", b"\x02"),))
-    lay = qubit_layout(1, 8)
     with pytest.raises(UnknownKeyError):
-        decode(ColumnarState.from_sparse(basis_state(lay, 0x03)), schedule, [(0, 0)])  # one bit off
+        decode(ColumnarState(8, [[b"\x03"]], [0], [1 + 0j]), schedule, [(0, 0)])  # one bit off
 
 
 def test_encode_preserves_inner_products():
@@ -110,21 +108,18 @@ def test_encode_builds_the_canonical_column_form():
         schedule = gen_keys(16, ONE_TOFFOLI, rng)
         state = random_state(lay, rng, support_bits=rng.sample(range(3), rng.randint(1, 3)))
         encoded = encode(state, schedule, ONE_TOFFOLI.input_wires)
-        assert encoded == ColumnarState.from_sparse(sparse_of(encoded))
         assert encoded.canonical() == encoded and not descents(encoded.bits, encoded.num_terms())
         assert decode(encoded, schedule, [(w, 0) for w in ONE_TOFFOLI.input_wires]).terms \
             == state.terms
 
 
 def test_column_form_of_a_sparse_state_is_canonical_and_holds_two_values():
-    # registers 3 bits wide, terms given out of order: each register lists
-    # its values in increasing order, and the terms come by increasing basis
-    lay = qubit_layout(2, 3)
-    state = SparseState(lay, {0o15: 0.6 + 0j, 0o05: 0.48j, 0o12: 0.64 + 0j})
+    # terms given out of order: one register per qubit, listing b"\0",
+    # b"\1" or both, and the terms come by increasing basis
+    state = SparseState(qubit_layout(4), {0b1101: 0.6 + 0j, 0b1001: 0.48j, 0b1110: 0.64 + 0j})
     assert ColumnarState.from_sparse(state) == ColumnarState(
-        3, [[b"\x02", b"\x05"], [b"\x00", b"\x01"]], [0b101, 0b110], [0.48j, 0.64, 0.6])
-    with pytest.raises(ValueError, match="register 1 holds more than two distinct values"):
-        ColumnarState.from_sparse(SparseState(lay, {0o05: 0.6, 0o15: 0.48, 0o25: 0.64}))
+        1, [[b"\0", b"\1"], [b"\0", b"\1"], [b"\0", b"\1"], [b"\1"]],
+        [0b011, 0b100, 0b110, 0], [0.48j, 0.6, 0.64])
 
 
 def test_decode_checks_each_value_a_register_holds():

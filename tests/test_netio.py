@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -32,7 +33,7 @@ from rgc.netio import (WireFormatError, deserialize_circuit, deserialize_job, de
                        serialize_bundle, serialize_circuit, serialize_job,
                        serialize_report, serialize_result, serialize_schedule,
                        serialize_state, unframe)
-from rgc.sparse import ColumnarState, RegisterLayout, fidelity, qubit_layout, random_state
+from rgc.sparse import ColumnarState, fidelity, qubit_layout, random_state
 
 from conftest import (circuits_and_states, input_state, phase_only_job, sparse_of, wire_1_state,
                       wire_2_state)
@@ -97,19 +98,12 @@ def _columns(state):
 def test_state_roundtrip_exact():
     rng = random.Random(4)
     state = random_state(qubit_layout(2, 4), rng, support_bits=[1, 6])
-    back = deserialize_state(serialize_state(_columns(state)))
-    assert back == _columns(state)
+    # bases 0, 2, 64 and 66: register 0 holds 0 or 2, register 1 0 or 4
+    columns = ColumnarState(4, [[b"\0", b"\2"], [b"\0", b"\4"]], [0b1010, 0b1100],
+                            [state.terms[b] for b in (0, 2, 64, 66)])
+    back = deserialize_state(serialize_state(columns))
+    assert back == columns
     assert sparse_of(back).terms == state.terms       # f64 pairs roundtrip bit-exactly
-
-
-@pytest.mark.parametrize("registers", [(("a", 5), ("b", 3)), (("q0", 2), ("q1", 3)),
-                                       (("q1", 2), ("q0", 2))])
-def test_state_writer_refuses_other_layouts(registers):
-    # registers cross the wire by position, so a name or width qubit_layout
-    # would not give has no encoding
-    state = random_state(RegisterLayout(registers), random.Random(4))
-    with pytest.raises(ValueError, match="one width"):
-        serialize_state(_columns(state))
 
 
 def _state_record(registers, amps, width=16, terms=None):
@@ -180,12 +174,16 @@ def _states(draw):
     held = [draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=2,
                           unique=True)) for _ in range(n)]
     combos = list(itertools.product(*held))
-    picked = draw(st.sets(st.sampled_from(combos), min_size=1, max_size=8))
-    amps = {sum(v << i * width for i, v in enumerate(combo)): draw(_AMPLITUDES)
-            for combo in picked}
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-    return _columns(sparse.SparseState(qubit_layout(n, width),
-                                       {b: a / norm for b, a in amps.items()}))
+    picked = list(draw(st.sets(st.sampled_from(combos), min_size=1, max_size=8)))
+    amps = [draw(_AMPLITUDES) for _ in picked]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+    values, bits = [], []
+    for i in range(n):
+        used = sorted({combo[i] for combo in picked})
+        values.append([v.to_bytes((width + 7) // 8, "little") for v in used])
+        bits.append(sum(1 << t for t, combo in enumerate(picked) if combo[i] == used[-1])
+                    if len(used) == 2 else 0)
+    return ColumnarState(width, values, bits, [a / norm for a in amps]).canonical()
 
 
 @settings(max_examples=150, deadline=None)
@@ -251,7 +249,10 @@ def test_result_roundtrip():
 
 
 def test_result_bytes_are_the_state_then_six_counts():
-    state = _columns(random_state(qubit_layout(2, 16), random.Random(7), support_bits=[3, 20]))
+    terms = random_state(qubit_layout(2, 16), random.Random(7), support_bits=[3, 20]).terms
+    # bases 0, 8, 2^20 and 2^20 + 8: register 0 holds 0 or 8, register 1 0 or 16
+    state = ColumnarState(16, [[bytes(2), b"\x08\0"], [bytes(2), b"\x10\0"]], [0b1010, 0b1100],
+                          [terms[b] for b in (0, 8, 1 << 20, 1 << 20 | 8)])
     data = serialize_result(state, EvalStats(1, 2, 3, 4, 5, 6))
     assert data == serialize_state(state) + struct.pack("<6Q", 1, 2, 3, 4, 5, 6)
 
@@ -402,6 +403,70 @@ def test_collect_result_refuses_an_oversized_result_unread(tmp_path, monkeypatch
     assert not answer.exists()                                # consumed unread
 
 
+def _within(seconds, call, fifo=None):
+    """``call()``'s result, or None when it has not returned in ``seconds``;
+    a reader left blocked on ``fifo`` is then released by opening it for
+    writing."""
+    done = []
+    worker = threading.Thread(target=lambda: done.append(call()), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    if worker.is_alive() and fifo is not None:
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    return done[0] if done else None
+
+
+@pytest.mark.parametrize("plant", ["directory", "fifo"])
+def test_directory_server_passes_over_an_inbox_entry_that_is_not_a_file(tmp_path, plant):
+    # anyone who can submit can put these in the inbox: a directory made the
+    # server raise, and a FIFO blocked its open, with the job beside unanswered
+    _, _, params, _, job = _job_fixture(seed=10)
+    netio.submit_file(str(tmp_path), "j1", job, params)
+    odd = tmp_path / "inbox" / "a.rgc"
+    odd.mkdir() if plant == "directory" else os.mkfifo(odd)
+    assert _within(1.0, lambda: netio.serve_files_once(str(tmp_path)), odd) == 1
+    out, stats = netio.collect_result(str(tmp_path), "j1", timeout=0)
+    assert (serialize_result(out, stats)
+            == serialize_result(*evaluate.eval_bundle(params, job.encoded_state, job.garbled)))
+    assert odd.exists()         # passed over unread
+
+
+@pytest.mark.parametrize("plant", ["directory", "fifo"])
+def test_payload_reader_refuses_what_is_not_a_regular_file(tmp_path, plant):
+    # rgc eval and collect_result read through it: a FIFO is refused, not
+    # waited on
+    odd = tmp_path / "j1.rgc"
+    odd.mkdir() if plant == "directory" else os.mkfifo(odd)
+
+    def read():
+        try:
+            netio.read_payload_files(str(odd))
+        except Exception as exc:
+            return exc
+    refused = _within(1.0, read, odd)
+    assert isinstance(refused, WireFormatError)
+    assert str(refused) == "j1.rgc is not a regular file"
+
+
+def test_directory_server_never_writes_through_a_planted_link(tmp_path):
+    # every client may write the outbox, since it removes its answers: a
+    # link at the temporary name the server once wrote through made it
+    # overwrite the link's target
+    _, _, params, _, job = _job_fixture(seed=10)
+    root = tmp_path / "exchange"
+    netio.submit_file(str(root), "j1", job, params)
+    target = tmp_path / "elsewhere"
+    target.write_bytes(b"not the server's")
+    (root / "outbox").mkdir()
+    (root / "outbox" / "j1.rgc.tmp").symlink_to(target)
+    assert netio.serve_files_once(str(root)) == 1
+    assert target.read_bytes() == b"not the server's"
+    out, stats = netio.collect_result(str(root), "j1", timeout=0)
+    assert (serialize_result(out, stats)
+            == serialize_result(*evaluate.eval_bundle(params, job.encoded_state, job.garbled)))
+
+
 def test_server_reports_evaluation_errors():
     circ, keys, params, state, job = _job_fixture(seed=11)
     data = bytearray(serialize_job(job, params))
@@ -425,6 +490,25 @@ def test_remote_error_raised_on_submit():
     finally:
         server.shutdown()
         server.server_close()
+
+
+def test_a_declared_length_costs_memory_only_as_its_bytes_arrive():
+    # a peer that declared the largest payload and sent 1,016 bytes in all
+    # made the reader allocate and zero the whole 64 MiB at once
+    header = netio._ENVELOPE_HEADER.pack(netio.MAGIC, netio.WIRE_VERSION, netio.KIND_JOB,
+                                         netio.MAX_PAYLOAD_BYTES)
+    sender, receiver = socket.socketpair()
+    with sender, receiver:
+        sender.sendall(header + bytes(1016 - len(header)))
+        sender.shutdown(socket.SHUT_WR)
+        tracemalloc.start()
+        try:
+            with pytest.raises(WireFormatError, match="^connection closed early$"):
+                netio._read_envelope(receiver, time.monotonic() + 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_no_schedule_keys_leak_into_the_job():
@@ -496,8 +580,9 @@ def test_phase_exponent_above_bound_gets_error_envelope():
 @pytest.mark.parametrize("widths", [(16, 16), (16, 16, 16, 16), (24, 24, 24), (24, 24)])
 def test_state_of_wrong_register_layout_gets_error_envelope(widths):
     circ, keys, params, state, job = _job_fixture(seed=15)
-    basis = sparse.basis_state(qubit_layout(len(widths), widths[0]), 0)
-    job = delegation.JobBundle(_columns(basis), job.garbled)
+    basis = ColumnarState(widths[0], [[bytes(widths[0] // 8)]] * len(widths), [0] * len(widths),
+                          [1 + 0j])
+    job = delegation.JobBundle(basis, job.garbled)
     kind, payload = _handle_job(job, params)
     assert kind == netio.KIND_ERROR
     assert b"EvalError" in payload and b"registers of 16 bits" in payload

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgc import sparse
 from rgc.sparse import (RegisterLayout, SparseState, apply_classical,
@@ -18,6 +20,27 @@ def test_layout_offsets():
     assert lay.offset("a") == 0 and lay.offset("b") == 3
     assert lay.extract(0b10110101, "a") == 0b101
     assert lay.extract(0b10110101, "b") == 0b10110
+
+
+@st.composite
+def _bit_matrices(draw):
+    width = draw(st.integers(1, 70))
+    return draw(st.lists(st.integers(0, (1 << width) - 1), max_size=70)), width
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bit_matrices())
+def test_transpose_swaps_the_bit_indices(case):
+    # the one bit-matrix transpose, which the simulator, the phase pass and
+    # the column form all read their planes from, against a per-bit loop
+    words, width = case
+    planes = sparse.transpose(words, width)
+    assert len(planes) == width
+    assert all(plane >> len(words) == 0 for plane in planes)
+    for i, word in enumerate(words):
+        for j, plane in enumerate(planes):
+            assert (plane >> i) & 1 == (word >> j) & 1
+    assert sparse.transpose(planes, len(words)) == words
 
 
 def test_layout_duplicate_names_rejected():
